@@ -14,6 +14,7 @@ import argparse
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
@@ -110,8 +111,6 @@ def _run_indices(args) -> int:
     print(",".join(k for k, _ in rows))
     print(",".join(v for _, v in rows))
     if args.out:
-        from pathlib import Path
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         text = (",".join(k for k, _ in rows) + "\n"

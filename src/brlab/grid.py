@@ -17,6 +17,7 @@ which discretizes the continuum Fourier integral; Parseval then reads
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,27 +90,45 @@ class GridSpec:
 def _freq_axis(spec: GridSpec) -> np.ndarray:
     return np.fft.fftfreq(spec.N, d=spec.dx)
 
+
+def sum_of_squares(axes) -> np.ndarray:
+    """``sum_i a_i^2`` on the outer grid of the 1-D coordinate arrays ``axes``."""
+    out = np.zeros(tuple(len(a) for a in axes))
+    for axis, a in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[axis] = len(a)
+        out = out + (a ** 2).reshape(shape)
+    return out
+
+
 @lru_cache(maxsize=64)
 def freq_sq(spec: GridSpec) -> np.ndarray:
     """``|xi|^2`` on the discrete frequency lattice, in fft ordering."""
-    ax = _freq_axis(spec)
-    out = np.zeros(spec.shape)
-    for axis in range(spec.n):
-        shape = [1] * spec.n
-        shape[axis] = spec.N
-        out = out + (ax ** 2).reshape(shape)
-    return out
+    return sum_of_squares([_freq_axis(spec)] * spec.n)
 
 @lru_cache(maxsize=64)
 def _radius_sq_grid(spec: GridSpec) -> np.ndarray:
     """``|x|^2`` on the physical grid."""
-    ax = spec.axis_coords()
-    out = np.zeros(spec.shape)
-    for axis in range(spec.n):
-        shape = [1] * spec.n
-        shape[axis] = spec.N
-        out = out + (ax ** 2).reshape(shape)
-    return out
+    return sum_of_squares([spec.axis_coords()] * spec.n)
+
+
+def prefix_sum(arr: np.ndarray) -> np.ndarray:
+    """Integral image of ``arr`` with a leading zero pad on every axis."""
+    p = arr
+    for axis in range(arr.ndim):
+        p = np.cumsum(p, axis=axis)
+    return np.pad(p, [(1, 0)] * arr.ndim)
+
+
+def box_sums(prefix: np.ndarray, lo, hi):
+    """Sums over the index boxes ``[lo, hi)`` by inclusion-exclusion on a
+    :func:`prefix_sum` image; ``lo[i]``/``hi[i]`` are the bounds on axis ``i``,
+    scalars for one box or equal-length arrays for many."""
+    total = 0
+    for bits in itertools.product((0, 1), repeat=prefix.ndim):
+        idx = tuple(l if b else h for b, l, h in zip(bits, lo, hi))
+        total = total + (-1) ** sum(bits) * prefix[idx]
+    return total
 
 
 @dataclass(frozen=True)
@@ -196,9 +215,6 @@ class SampledField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray, support: Box | None = None) -> "SampledField":
-        return SampledField(self.spec, values, support)
-
     def __mul__(self, c):
         return SampledField(self.spec, self.values * c, self.support)
 
@@ -226,9 +242,6 @@ class SpectralField:
         if coeffs.shape != self.spec.shape:
             raise ValueError("coefficient shape mismatch")
         object.__setattr__(self, "coefficients", coeffs)
-
-    def freq_sq(self) -> np.ndarray:
-        return freq_sq(self.spec)
 
 
 def forward_transform(f: SampledField) -> SpectralField:
@@ -299,6 +312,23 @@ def _require_inside_quarter(spec: GridSpec, box: Box, kind: str):
         )
 
 
+def _bump_window(rho2: np.ndarray) -> np.ndarray:
+    """``exp(1 - 1/(1 - rho2))`` inside the unit ball, exactly 0 outside."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+
+
+def _trig_sum(spec: GridSpec, freqs: np.ndarray, phases: np.ndarray,
+              amps: np.ndarray) -> np.ndarray:
+    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the grid."""
+    mesh = spec.meshgrid()
+    vals = np.zeros(spec.shape)
+    for m in range(len(amps)):
+        phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(len(mesh)))
+        vals = vals + amps[m] * np.cos(phase + phases[m])
+    return vals
+
+
 def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
                        **params) -> SampledField:
     """Deterministic test-function generator.
@@ -321,10 +351,9 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
     if center.size == 1:
         center = np.full(n, center[0])
     amp = float(params.get("amp", 1.0))
-    mesh = spec.meshgrid()
 
     def radial_sq(c):
-        return sum((mesh[i] - c[i]) ** 2 for i in range(n))
+        return sum_of_squares([spec.axis_coords() - ci for ci in c])
 
     if kind == "gaussian":
         width = float(params.get("width", spec.L / 40.0))
@@ -336,9 +365,7 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         radius = float(params.get("radius", spec.L / 32.0))
         box = Box.from_center(center, radius)
         _require_inside_quarter(spec, box, kind)
-        rho2 = radial_sq(center) / radius ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+        vals = _bump_window(radial_sq(center) / radius ** 2)
         return SampledField(spec, amp * vals, support=box)
 
     if kind == "indicator_smooth":
@@ -347,8 +374,8 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         box = Box.from_center(center, half + trans)
         _require_inside_quarter(spec, box, kind)
         vals = np.ones(spec.shape)
-        for i in range(n):
-            vals = vals * _mollifier_ramp((half + trans - np.abs(mesh[i] - center[i])) / trans)
+        for i, x in enumerate(spec.meshgrid()):
+            vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
         return SampledField(spec, amp * vals, support=box)
 
     if kind == "random_trig":
@@ -365,13 +392,8 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         amps = rng.standard_normal(num_modes) / math.sqrt(num_modes)
         box = Box.from_center(center, window_radius)
         _require_inside_quarter(spec, box, kind)
-        rho2 = radial_sq(center) / window_radius ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            window = np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
-        vals = np.zeros(spec.shape)
-        for m in range(num_modes):
-            phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(n))
-            vals = vals + amps[m] * np.cos(phase + phases[m])
+        window = _bump_window(radial_sq(center) / window_radius ** 2)
+        vals = _trig_sum(spec, freqs, phases, amps)
         return SampledField(spec, amp * window * vals, support=box)
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
@@ -396,20 +418,6 @@ def _intersect_boxes(a: Box, b: Box) -> Box | None:
     return Box(lo, hi)
 
 
-def mask_outside_ball(f: SampledField, center_px: tuple[int, ...], radius_px: float) -> SampledField:
-    """``f * 1_{B(c,r)^c}`` with the ball taken in grid pixels, ties included."""
-    spec = f.spec
-    idx = np.indices(spec.shape)
-    d2 = np.zeros(spec.shape)
-    for axis in range(spec.n):
-        d = idx[axis] - center_px[axis]
-        # minimal-image distance on the torus
-        d = np.minimum(np.abs(d), spec.N - np.abs(d))
-        d2 = d2 + d.astype(float) ** 2
-    vals = np.where(d2 <= radius_px ** 2, 0.0, f.values)
-    return SampledField(spec, vals, support=f.support)
-
-
 def write_field(f: SampledField, path: str | Path):
     """Field file format: header ``field n=<n> N=<N> L=<L>``, then one
     ``re,im`` line per sample in row-major order (UTF-8, LF)."""
@@ -421,16 +429,22 @@ def write_field(f: SampledField, path: str | Path):
 
 
 def read_field(path: str | Path) -> SampledField:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "field":
+    """Inverse of :func:`write_field`; raises ``ValueError`` on a malformed
+    header or a sample count that does not match it."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split() if lines else []
+    if not header or header[0] != "field":
         raise ValueError(f"not a field file: {path}")
     meta = dict(kv.split("=") for kv in header[1:])
+    if not {"n", "N", "L"} <= meta.keys():
+        raise ValueError(f"field header needs n=, N= and L=: {lines[0]!r}")
     spec = GridSpec(n=int(meta["n"]), L=float(meta["L"]), N=int(meta["N"]))
     count = spec.N ** spec.n
+    if len(lines) - 1 != count:
+        raise ValueError(f"{path}: header promises {count} samples, file has "
+                         f"{len(lines) - 1} lines")
     data = np.empty(count, dtype=np.complex128)
-    for i, line in enumerate(lines[1:1 + count]):
+    for i, line in enumerate(lines[1:]):
         re_s, im_s = line.split(",")
         data[i] = complex(float(re_s), float(im_s))
     return SampledField(spec, data.reshape(spec.shape))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import indices
-from .grid import GridSpec, SampledField, make_test_function, _radius_sq_grid
+from .grid import Box, GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function
 from .maximal import MaximalConfig, ball_average
 from .multiplier import apply_Sk, k_min, kernel_profile
 from .sparse import bilinear_pairing, build_sparse, sparse_form
 from .weights import (
     Weight,
+    check_ap_rh_product,
     checkerboard_weight,
     constant_weight,
     mixed_preset_report,
@@ -65,7 +67,6 @@ class ExperimentConfig:
     eps_min_exp: int = 2
     c_init: float = 8.0
     recursion_floor: int = 4
-    n_decay: int = 6                # far-zone decay exponent target
     # annulus weight exponent in the tail sum: the estimate holds for any M
     # with an M-dependent constant; M = 1 keeps the desk-scale constant
     # readable because the superpolynomial kernel decay is preasymptotic at
@@ -77,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     def spec(self) -> GridSpec:
         return GridSpec(n=self.grid_dim, L=self.grid_l, N=self.grid_n)
@@ -234,8 +237,9 @@ def run_domination(cfg: ExperimentConfig) -> Report:
                "e_ratios", "below_critical")
     report = Report("dominate", columns)
     jobs = [(cfg, t) for t in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_domination_trial, jobs))
     else:
         results = [_domination_trial(j) for j in jobs]
@@ -274,14 +278,9 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int,
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    mesh = spec.meshgrid()
-    vals = np.zeros(spec.shape)
-    for m in range(num_modes):
-        phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(spec.n))
-        vals = vals + amps[m] * np.cos(phase + phases[m])
+    vals = _trig_sum(spec, freqs, phases, amps)
     r = np.sqrt(_radius_sq_grid(spec))
     vals = vals * ((r >= r_in) & (r < r_out))
-    from .grid import Box
     return SampledField(spec, vals, support=Box((-r_out,) * spec.n, (r_out,) * spec.n))
 
 
@@ -479,11 +478,10 @@ def run_weights(cfg: ExperimentConfig) -> Report:
           for i in range(3)]
     product_all_hold = True
     for wid, w in _weight_presets(spec, cfg.seed):
-        pb = predicted_bound_report(w, p, p0, cfg.grid_dim, "below2")
+        pb = predicted_bound_report(w, p, p0, "below2")
         emp = max(weighted_operator_ratio(f, w, p, cfg.delta) for f in fs)
         report.rows.append((wid, p, p0, cfg.delta, pb.ap_char, pb.rh_char,
                             pb.alpha, pb.value, emp))
-        from .weights import check_ap_rh_product
         for (qq, ss) in ((2.0, 2.0), (2.0, 1.5), (1.5, 2.0), (1.0, 2.0), (3.0, 1.25)):
             if not check_ap_rh_product(w, qq, ss).holds:
                 product_all_hold = False

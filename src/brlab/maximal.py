@@ -13,9 +13,11 @@ Discretization policy
 ---------------------
 The continuum sup over ``eps > 0`` and ``|x - y| < eps`` is replaced by a
 finite dyadic radius set and a per-ball candidate set of at most
-``y_thin`` centers, so the discrete operators are lower bounds of the
-continuum ones; the selection algorithm thresholds them with an adaptive
-constant, which absorbs the under-estimation.
+``y_thin`` centers.  That discretization alone gives lower bounds of the
+continuum operators, which the selection algorithm absorbs into its
+adaptive threshold constant.  The mask snapping of ``br_star`` below is not
+one-sided: the default tiled path can exceed the ``exact=True`` values
+(the exact ``br_star`` item of ROADMAP.md replaces it).
 
 ``br_star`` masks depend on the evaluation point, which is the expensive
 part.  Two regimes keep the cost near one FFT per scale:
@@ -23,10 +25,10 @@ part.  Two regimes keep the cost near one FFT per scale:
 * small radii: the masked transform is evaluated exactly for every grid
   point through windowed kernel convolutions, one per displacement
   ``z - x`` (the kernel window makes this exact, not truncated);
-* large radii: mask centers are snapped to a per-scale tile lattice of
-  side ``eps`` (``|x - x'| <= eps/2``), and tiles whose mask ball fully
-  covers (or misses) the support of ``f`` short-circuit to 0 (or to the
-  unmasked average field).
+* large radii (``eps >= SNAP_MIN_PX`` pixels): mask centers are snapped to
+  a per-scale tile lattice of side ``eps`` (``|x - x'| <= eps/2``), and
+  tiles whose mask ball fully covers (or misses) the support of ``f``
+  short-circuit to 0 (or to the unmasked average field).
 
 ``exact=True`` drops the snapping (tiles of a single pixel) for oracle
 comparisons; it is priced for small grids only.  All ball geometry uses
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import Box, GridSpec, SampledField, lp_norm
+from .grid import Box, GridSpec, SampledField, lp_norm, sum_of_squares
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -58,6 +60,9 @@ __all__ = [
 ]
 
 
+SNAP_MIN_PX = 8  # br_star radii from here on snap mask centers to the tile lattice
+
+
 @dataclass(frozen=True)
 class MaximalConfig:
     """Discretization parameters shared by the three maximal operators.
@@ -65,8 +70,8 @@ class MaximalConfig:
     ``eps`` radii are ``2^m`` grid pixels for ``m`` in
     ``[eps_min_exp, eps_max_exp]`` (default upper end: ``log2(N/4)``).
     ``y_thin`` caps the candidate centers per ball (None = all);
-    ``snap_min_px`` is the radius, in pixels, from which mask centers snap
-    to the tile lattice; ``exact=True`` disables snapping entirely.
+    ``exact=True`` disables the snapping of mask centers (radii of at least
+    ``SNAP_MIN_PX`` pixels) to the tile lattice.
     """
 
     p0: float = 1.2
@@ -74,7 +79,6 @@ class MaximalConfig:
     eps_min_exp: int = 2
     eps_max_exp: int | None = None
     y_thin: int | None = 64
-    snap_min_px: int = 8
     exact: bool = False
 
     def __post_init__(self):
@@ -135,20 +139,41 @@ def _y_pattern(n: int, r_px: int, N: int, thin: int | None) -> np.ndarray:
         stride += 1
 
 
+@lru_cache(maxsize=256)
+def _ball_mask(n: int, r_px: int, N: int) -> np.ndarray:
+    """Boolean ``(2 r_px + 1)^n`` array of the offsets in :func:`_ball_offsets`,
+    offset 0 at the center."""
+    mask = np.zeros((2 * r_px + 1,) * n, dtype=bool)
+    mask[tuple((_ball_offsets(n, r_px, N) + r_px).T)] = True
+    mask.flags.writeable = False
+    return mask
+
+
+def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
+    """Mean of ``arr`` over the r-ball around each of its points, zero beyond
+    its edges (a linear, not periodic, convolution)."""
+    ball = _ball_mask(arr.ndim, r_px, N)
+    conv = fftconvolve(arr, ball.astype(float), mode="same")
+    return np.maximum(conv, 0.0) / np.count_nonzero(ball)
+
+
+def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """max over candidate offsets ``a`` in ``pat`` of the ``shape`` block of
+    ``avg`` that starts at ``base + a``."""
+    out = None
+    for a in pat:
+        sl = tuple(slice(b + int(ai), b + int(ai) + s) for b, ai, s in zip(base, a, shape))
+        out = avg[sl].copy() if out is None else np.maximum(out, avg[sl])
+    return out
+
+
 @lru_cache(maxsize=128)
 def _ball_stencil_rfft(spec: GridSpec, r_px: int) -> tuple[np.ndarray, int]:
     offs = _ball_offsets(spec.n, r_px, spec.N)
     st = np.zeros(spec.shape)
     st[tuple((offs % spec.N).T)] = 1.0
     return np.fft.rfftn(st), len(offs)
-
-
-def _ball_sum_global(arr: np.ndarray, spec: GridSpec, r_px: int) -> tuple[np.ndarray, int]:
-    """Periodic convolution with the r-ball indicator: sum of arr over each ball."""
-    st_hat, count = _ball_stencil_rfft(spec, r_px)
-    out = np.fft.irfftn(np.fft.rfftn(arr) * st_hat, s=spec.shape,
-                        axes=tuple(range(spec.n)))
-    return out, count
 
 
 def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
@@ -242,7 +267,7 @@ class MaximalEngine:
         grid, and the cached global periodic convolution otherwise; both are
         exact on the torus.
         """
-        n, N = self.spec.n, self.spec.N
+        N = self.spec.N
         region = tuple((l - eps_px, h + eps_px) for l, h in ywin)
         local = all(h - l <= N for l, h in region)
         if not local:
@@ -257,13 +282,9 @@ class MaximalEngine:
                 self._avg[key] = np.maximum(s, 0.0) / count
             return _wrap_take(self._avg[key], tuple(l for l, _ in ywin),
                               tuple(h for _, h in ywin))
-        offs = _ball_offsets(n, eps_px, N)
-        st = np.zeros((2 * eps_px + 1,) * n)
-        st[tuple((offs + eps_px).T)] = 1.0
         crop = _wrap_take(dens, tuple(l for l, _ in region), tuple(h for _, h in region))
-        conv = fftconvolve(crop, st, mode="same")
         inner = tuple(slice(eps_px, eps_px + (h - l)) for l, h in ywin)
-        return np.maximum(conv[inner], 0.0) / len(offs)
+        return _ball_mean_linear(crop, eps_px, N)[inner]
 
     def _avg_window(self, eps_px: int, ywin: Window) -> np.ndarray:
         """Ball L^{q0} average of the unmasked truncated field on ``ywin``."""
@@ -279,19 +300,13 @@ class MaximalEngine:
     def _expand(window: Window, pad: int) -> Window:
         return tuple((l - pad, h + pad) for l, h in window)
 
-    def _y_max(self, avg_on_ywin: np.ndarray, window: Window, eps_px: int) -> np.ndarray:
-        """max over candidate centers y (|y - x| <= eps) of the average field,
-        for x in ``window``; ``avg_on_ywin`` covers ``window`` padded by eps."""
-        n = self.spec.n
-        pat = _y_pattern(n, eps_px, self.spec.N, self.cfg.y_thin)
-        wlen = tuple(h - l for l, h in window)
-        out = None
-        for a in pat:
-            sl = tuple(slice(eps_px + int(a[i]), eps_px + int(a[i]) + wlen[i])
-                       for i in range(n))
-            cand = avg_on_ywin[sl]
-            out = cand.copy() if out is None else np.maximum(out, cand)
-        return out
+    def _y_max(self, eps_px: int, window: Window) -> np.ndarray:
+        """max over candidate centers y (|y - x| <= eps) of the unmasked
+        average field, for x in ``window``."""
+        avg = self._avg_window(eps_px, self._expand(window, eps_px))
+        pat = _y_pattern(self.spec.n, eps_px, self.spec.N, self.cfg.y_thin)
+        return _pattern_max(avg, pat, (eps_px,) * self.spec.n,
+                            tuple(h - l for l, h in window))
 
     # -- the unmasked operator ------------------------------------------
 
@@ -301,8 +316,7 @@ class MaximalEngine:
         acc = np.zeros(self.spec.shape)
         wsl = tuple(slice(l, h) for l, h in window)
         for eps_px in self.eps_list:
-            a = self._avg_window(eps_px, self._expand(window, eps_px))
-            acc[wsl] = np.maximum(acc[wsl], self._y_max(a, window, eps_px))
+            acc[wsl] = np.maximum(acc[wsl], self._y_max(eps_px, window))
         return acc
 
     # -- Hardy-Littlewood ------------------------------------------------
@@ -334,7 +348,7 @@ class MaximalEngine:
         if not np.any(self.f.values):
             return acc
         for eps_px in self.eps_list:
-            small = eps_px < self.cfg.snap_min_px and 10 * eps_px + 1 <= self.spec.N
+            small = eps_px < SNAP_MIN_PX and 10 * eps_px + 1 <= self.spec.N
             if small and not self.cfg.exact:
                 self._star_displacement(acc, window, eps_px)
             else:
@@ -346,12 +360,7 @@ class MaximalEngine:
         """Points x in the window where B(x, mask_r) provably contains every
         nonzero of f, so the masked input vanishes identically."""
         center, radius = self._nonzero_ball()
-        axes = [np.arange(l, h) - center[i] for i, (l, h) in enumerate(window)]
-        d2 = np.zeros(tuple(h - l for l, h in window))
-        for i, a in enumerate(axes):
-            shape = [1] * self.spec.n
-            shape[i] = len(a)
-            d2 = d2 + (a ** 2).reshape(shape)
+        d2 = sum_of_squares([np.arange(l, h) - center[i] for i, (l, h) in enumerate(window)])
         return np.sqrt(d2) + radius <= mask_r
 
     # support-box geometry in pixels, torus metric
@@ -413,9 +422,7 @@ class MaximalEngine:
             tsl = tuple(slice(tlo[i], thi[i]) for i in range(n))
             if kind == "disjoint":
                 if avg is None:
-                    avg = self._y_max(
-                        self._avg_window(eps_px, self._expand(window, eps_px)),
-                        window, eps_px)
+                    avg = self._y_max(eps_px, window)
                 rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
                 acc[tsl] = np.maximum(acc[tsl], avg[rel])
                 continue
@@ -446,10 +453,7 @@ class MaximalEngine:
             hlo = tuple(int(center[i]) - mask_r for i in range(n))
             hhi = tuple(int(center[i]) + mask_r + 1 for i in range(n))
             h = _wrap_take(self.f.values, hlo, hhi).copy()
-            offs = _ball_offsets(n, mask_r, N)
-            ball_mask = np.zeros(h.shape, dtype=bool)
-            ball_mask[tuple((offs + mask_r).T)] = True
-            h[~ball_mask] = 0.0
+            h[~_ball_mask(n, mask_r, N)] = 0.0
             kern = _kernel_offsets(spec, self.delta, _eps_key(eps_px * spec.dx))
             kc = _wrap_take(kern, (-rk,) * n, (rk + 1,) * n)
             conv = fftconvolve(h, kc, mode="full")
@@ -458,23 +462,10 @@ class MaximalEngine:
                              zhi[i] - (int(center[i]) - mask_r) + rk) for i in range(n))
             gm = _wrap_take(g, zlo, zhi) - conv[sl]
 
-        dens = np.abs(gm) ** q0
-        b_offs = _ball_offsets(n, eps_px, N)
-        st = np.zeros((2 * eps_px + 1,) * n)
-        st[tuple((b_offs + eps_px).T)] = 1.0
-        bsum = fftconvolve(dens, st, mode="same")
         # valid for y at least eps inside the z-window, i.e. on tile (+-eps)
-        avg = (np.maximum(bsum, 0.0) / len(b_offs)) ** (1.0 / q0)
-
-        out = None
+        avg = _ball_mean_linear(np.abs(gm) ** q0, eps_px, N) ** (1.0 / q0)
         base = tuple(tlo[i] - zlo[i] for i in range(n))  # tile origin in z-window
-        tshape = tuple(thi[i] - tlo[i] for i in range(n))
-        for a in pat:
-            sl = tuple(slice(base[i] + int(a[i]), base[i] + int(a[i]) + tshape[i])
-                       for i in range(n))
-            cand = avg[sl]
-            out = cand.copy() if out is None else np.maximum(out, cand)
-        return out
+        return _pattern_max(avg, pat, base, tuple(thi[i] - tlo[i] for i in range(n)))
 
     def _masked_global(self, center, mask_r) -> np.ndarray:
         vals = np.zeros(self.spec.shape, dtype=np.complex128)
@@ -516,10 +507,8 @@ class MaximalEngine:
             FW = np.fft.fftn(fwin)
 
         kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
-        u_mask_offs = _ball_offsets(n, mask_r, N)
         msz = 2 * mask_r + 1
-        ball_mask = np.zeros((msz,) * n, dtype=bool)
-        ball_mask[tuple((u_mask_offs + mask_r).T)] = True
+        ball_mask = _ball_mask(n, mask_r, N)
 
         d_offs = _ball_offsets(n, d_r, N)
         b_offs = _ball_offsets(n, eps_px, N)
@@ -587,7 +576,7 @@ class MaximalEngine:
 
 def hl_maximal(f: SampledField, p0: float, cfg: MaximalConfig | None = None) -> SampledField:
     """L^{p0} Hardy-Littlewood maximal function over the dyadic radius set."""
-    cfg = cfg if cfg is not None else MaximalConfig(p0=max(p0, 1.0) if p0 < 2 else 1.2)
+    cfg = cfg if cfg is not None else MaximalConfig(p0=p0)
     eng = MaximalEngine(f, 0.0, cfg)
     return SampledField(f.spec, eng.hl_values(p0))
 

@@ -10,9 +10,7 @@ algebra rather than by numerical tuning:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,6 +21,7 @@ from .grid import (
     SampledField,
     SpectralField,
     _mollifier_ramp,
+    _radius_sq_grid,
     forward_transform,
     freq_sq,
     inverse_transform,
@@ -30,8 +29,6 @@ from .grid import (
 
 __all__ = [
     "TRANSITION",
-    "CutoffPair",
-    "SymbolParams",
     "smooth_step",
     "chi",
     "chi_tilde",
@@ -64,42 +61,6 @@ def chi_tilde(x):
     """Truncation cutoff: 1 on [0, 1], supported on [-0.01, 1.01]."""
     x = np.asarray(x, dtype=float)
     return _mollifier_ramp((x + TRANSITION) / TRANSITION) * smooth_step(x)
-
-
-@dataclass(frozen=True)
-class CutoffPair:
-    """The cutoff triple (H, chi, chi_tilde) used by every symbol here."""
-
-    h: Callable = smooth_step
-    chi: Callable = chi
-    chi_tilde: Callable = chi_tilde
-
-
-DEFAULT_CUTOFFS = CutoffPair()
-
-
-@dataclass(frozen=True)
-class SymbolParams:
-    """Validated parameter record for the symbol family: smoothness
-    exponent, dyadic scale index, truncation parameter."""
-
-    delta: float = 0.0
-    k: int = 0
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"need delta >= 0, got {self.delta}")
-        if self.k > 0:
-            raise ValueError(f"need k <= 0, got {self.k}")
-        if self.epsilon <= 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
-
-    def sk(self, spec: GridSpec) -> np.ndarray:
-        return sk_symbol(spec, self.k, self.delta)
-
-    def truncated(self, spec: GridSpec) -> np.ndarray:
-        return truncated_symbol(spec, self.delta, self.epsilon)
 
 
 def k_min(spec_or_L) -> int:
@@ -214,26 +175,20 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
     return out
 
 
-def kernel_profile(k: int, delta: float, radii, n: int = 2,
-                   spec: GridSpec | None = None) -> list[float]:
-    """|kernel of S_k| at the given radii.
-
-    Without a grid, the profile is computed by exact radial quadrature of
-    the continuum transform (no periodization, any radius).  With ``spec``,
-    the kernel is realized on the grid (inverse transform of the symbol
-    applied to the discrete delta) and the max over grid directions in a
-    one-pixel radial bin is reported; radii beyond L/2 are rejected because
-    periodization corrupts the tails there.
-    """
+def kernel_profile(k: int, delta: float, radii, n: int = 2) -> list[float]:
+    """|kernel of S_k| at the given radii, by exact radial quadrature of the
+    continuum transform (no periodization, any radius); see
+    :func:`kernel_profile_grid` for the kernel realized on a grid."""
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
-    if spec is None:
-        return [float(v) for v in np.abs(_radial_kernel(int(k), float(delta), radii, n=n))]
-    return kernel_profile_grid(spec, int(k), float(delta), radii)
+    return [float(v) for v in np.abs(_radial_kernel(int(k), float(delta), radii, n=n))]
 
 
 def kernel_profile_grid(spec: GridSpec, k: int, delta: float, radii) -> list[float]:
+    """|kernel of S_k| realized on the grid (the symbol applied to the
+    discrete delta): the max over grid directions in a one-pixel radial bin.
+    Radii beyond L/2 are rejected because periodization corrupts the tails."""
     radii = np.asarray(radii, dtype=float)
     if np.any(radii >= spec.L / 2.0):
         raise ValueError(
@@ -243,8 +198,6 @@ def kernel_profile_grid(spec: GridSpec, k: int, delta: float, radii) -> list[flo
     vals = np.zeros(spec.shape)
     vals[(spec.N // 2,) * spec.n] = 1.0 / spec.dx ** spec.n
     kern = np.abs(apply_Sk(SampledField(spec, vals), k, delta).values)
-    from .grid import _radius_sq_grid
-
     rgrid = np.sqrt(_radius_sq_grid(spec))
     out = []
     for r in radii:

@@ -23,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Box, GridSpec, SampledField, cube_average, mask_to_box
+from .grid import (
+    Box,
+    GridSpec,
+    SampledField,
+    box_sums,
+    cube_average,
+    mask_to_box,
+    prefix_sum,
+)
 from .maximal import MaximalConfig, MaximalEngine
 from .multiplier import apply_bochner_riesz
 
@@ -159,29 +167,12 @@ class ExceptionalResult:
         return Fraction(self.e_cells, cube.cell_count)
 
 
-def _superlevel_mask(phi_w: np.ndarray, threshold: float) -> np.ndarray:
-    return phi_w > threshold  # strict, as the level-set definition is written
-
-
-def _box_count(prefix: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    """Inclusion-exclusion on an (n-dim) integral image with leading zero pad."""
-    n = prefix.ndim
-    total = 0
-    for bits in itertools.product((0, 1), repeat=n):
-        idx = tuple(hi[i] if bits[i] == 0 else lo[i] for i in range(n))
-        total += (-1) ** sum(bits) * int(prefix[idx])
-    return total
-
-
 def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
                    floor_cells: int = RECURSION_FLOOR_CELLS
                    ) -> tuple[list[DyadicCube], list[DyadicCube]]:
     """Maximal dyadic cubes of D(root) fully inside the level set, recursion
     stopping at the 4-cell floor (floor-terminated partial cubes flagged)."""
-    prefix = e_mask.astype(np.int64)
-    for axis in range(e_mask.ndim):
-        prefix = np.cumsum(prefix, axis=axis)
-    prefix = np.pad(prefix, [(1, 0)] * e_mask.ndim)
+    prefix = prefix_sum(e_mask.astype(np.int64))
 
     selected: list[DyadicCube] = []
     flagged: list[DyadicCube] = []
@@ -191,7 +182,7 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
         cube = stack.pop()
         lo = tuple(cube.lo_px[i] - root_lo[i] for i in range(cube.spec.n))
         hi = tuple(l + cube.cells for l in lo)
-        cnt = _box_count(prefix, lo, hi)
+        cnt = box_sums(prefix, lo, hi)
         if cnt == 0:
             continue
         if cnt == cube.cell_count and cube is not root:
@@ -233,7 +224,7 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
     half = q0_cube.cell_count // 2
     c = float(c_init)
     while True:
-        mask = _superlevel_mask(phi_w, c * base)
+        mask = phi_w > c * base  # strict, as the level-set definition is written
         e_cells = int(np.count_nonzero(mask))
         if e_cells <= half:
             break

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SampledField, lp_norm
+from .grid import (
+    GridSpec,
+    SampledField,
+    _radius_sq_grid,
+    box_sums,
+    lp_norm,
+    prefix_sum,
+    sum_of_squares,
+)
 from .multiplier import apply_bochner_riesz
 
 __all__ = [
@@ -87,8 +95,9 @@ class Weight:
         """Average of (this weight)^e over every family cube."""
         key = self._exp * e
         if key not in self._images:
-            self._images[key] = _prefix(self._base ** key)
-        sums = _box_sums(self._images[key], self.fam_lo, self.fam_side)
+            self._images[key] = prefix_sum(self._base ** key)
+        lo = self.fam_lo.T
+        sums = box_sums(self._images[key], lo, lo + self.fam_side)
         return sums / self.fam_side.astype(float) ** self.spec.n
 
     def _mins_maxs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,23 +131,6 @@ def _build_family(spec: GridSpec, seed: int, n_random: int):
         lo_list.append([int(rng.integers(0, N - s + 1)) for _ in range(n)])
         side_list.append(s)
     return np.asarray(lo_list, dtype=np.int64), np.asarray(side_list, dtype=np.int64)
-
-
-def _prefix(arr: np.ndarray) -> np.ndarray:
-    p = arr
-    for axis in range(arr.ndim):
-        p = np.cumsum(p, axis=axis)
-    return np.pad(p, [(1, 0)] * arr.ndim)
-
-
-def _box_sums(prefix: np.ndarray, lo: np.ndarray, side: np.ndarray) -> np.ndarray:
-    n = lo.shape[1]
-    total = np.zeros(len(lo))
-    hi = lo + side[:, None]
-    for bits in itertools.product((0, 1), repeat=n):
-        idx = tuple(lo[:, i] if bits[i] else hi[:, i] for i in range(n))
-        total += (-1) ** sum(bits) * prefix[idx]
-    return total
 
 
 # -- characteristics ----------------------------------------------------------
@@ -211,7 +203,7 @@ class PredictedBound:
     rh_char: float
 
 
-def predicted_bound_report(w: Weight, p: float, p0: float, n: int,
+def predicted_bound_report(w: Weight, p: float, p0: float,
                            side: str) -> PredictedBound:
     if side == "below2":
         if not p0 < p < 2:
@@ -233,9 +225,9 @@ def predicted_bound_report(w: Weight, p: float, p0: float, n: int,
     return PredictedBound((ap * rh) ** alpha, alpha, ap_idx, rh_idx, ap, rh)
 
 
-def predicted_bound(w: Weight, p: float, p0: float, n: int, side: str) -> float:
+def predicted_bound(w: Weight, p: float, p0: float, side: str) -> float:
     """Right-hand side of the weighted bound with the constant set to 1."""
-    return predicted_bound_report(w, p, p0, n, side).value
+    return predicted_bound_report(w, p, p0, side).value
 
 
 def weighted_operator_ratio(f: SampledField, w: Weight, p: float,
@@ -304,8 +296,6 @@ def checkerboard_weight(spec: GridSpec, low: float = 1.0, high: float = 2.0,
 def power_weight(spec: GridSpec, a: float, **kw) -> Weight:
     """``max(|x|, dx)^a``: the |x|^a weight regularized at the origin so it
     stays strictly positive and bounded on the grid."""
-    from .grid import _radius_sq_grid
-
     r = np.sqrt(_radius_sq_grid(spec))
     vals = np.maximum(r, spec.dx) ** a
     return Weight.build(SampledField(spec, vals), **kw)
@@ -316,12 +306,7 @@ def random_smooth_weight(spec: GridSpec, seed: int = 0, amplitude: float = 1.0,
     """``exp(amplitude * smoothed noise)``: strictly positive, rough but tame."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(spec.shape)
-    k2 = np.zeros(spec.shape)
-    for axis in range(spec.n):
-        shape = [1] * spec.n
-        shape[axis] = spec.N
-        k = np.fft.fftfreq(spec.N) * spec.N
-        k2 = k2 + (k ** 2).reshape(shape)
+    k2 = sum_of_squares([np.fft.fftfreq(spec.N) * spec.N] * spec.n)
     smooth = np.fft.ifftn(np.fft.fftn(noise) * np.exp(-k2 / (2.0 * (spec.N / corr_px) ** 2))).real
     smooth = smooth / max(np.abs(smooth).max(), 1e-12)
     return Weight.build(SampledField(spec, np.exp(amplitude * smooth)), **kw)

@@ -236,6 +236,31 @@ class TestFieldFile:
         assert back.spec == spec
         assert np.array_equal(back.values, f.values)
 
+    def _written(self, tmp_path):
+        path = tmp_path / "field.txt"
+        write_field(random_field(GridSpec(n=2, L=1.0, N=8), seed=3), path)
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="64 samples"):
+            read_field(path)
+
+    def test_extra_line_rejected(self, tmp_path):
+        path, lines = self._written(tmp_path)
+        path.write_text("\n".join(lines + ["0.0,0.0"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="64 samples"):
+            read_field(path)
+
+    @pytest.mark.parametrize("header", ["", "field n=2 N=8", "field n=2 L=1.0 N",
+                                        "grid n=2 N=8 L=1.0"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path, lines = self._written(tmp_path)
+        path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_field(path)
+
 
 class TestFieldInvariants:
     def test_nan_rejected(self):

@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    def test_workers_guard(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(workers=0)
+        code = cli_main(["dominate", "--workers", "0", "--out", str(tmp_path)])
+        assert code == 2
+
 
 class TestReport:
     def test_csv_schema_enforced(self):
@@ -111,6 +117,35 @@ class TestDomination:
         serial = run_domination(cfg)
         parallel = run_domination(ExperimentConfig(**{**SMALL, "workers": 2}))
         assert serial.csv() == parallel.csv()
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        import brlab.harness as harness
+
+        pools = []
+
+        class FakePool:
+            """Records the requested pool size and maps serially in-process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        cfg = {**SMALL, "trials": 1}
+        run_domination(ExperimentConfig(**{**cfg, "workers": 64}))
+        assert pools == [3]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+        run_domination(ExperimentConfig(**{**cfg, "workers": 64}))
+        assert pools == [3]  # one core: serial, no pool
 
     def test_below_critical_labeled(self):
         cfg = ExperimentConfig(**{**SMALL, "trials": 1, "delta": 0.01})

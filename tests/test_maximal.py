@@ -153,6 +153,18 @@ class TestBrStar:
         for p, v in brute.items():
             assert abs(star[p] - v) < 1e-10 * scale
 
+    def test_displacement_path_matches_brute_force(self):
+        # eps = 4 px < SNAP_MIN_PX: the default (exact=False) small-radius path
+        f = spiky_field()
+        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16)
+        star = MaximalEngine(f, DELTA, cfg).star_values()
+        rng = np.random.default_rng(1)
+        pts = [(int(a), int(b)) for a, b in rng.integers(4, 60, size=(12, 2))]
+        brute = brute_star_at(f, DELTA, cfg, pts)
+        scale = max(brute.values())
+        for p, v in brute.items():
+            assert abs(star[p] - v) < 1e-10 * scale
+
     def test_masked_support_gives_zero(self):
         # support inside B(x, 3 eps) for every radius, with snapping margin
         spec = GridSpec(n=2, L=16.0, N=128)

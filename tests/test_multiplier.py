@@ -85,21 +85,6 @@ class TestCutoffs:
         assert chi_tilde(1.0101) == 0.0
 
 
-class TestSymbolParams:
-    def test_validates_and_evaluates(self):
-        from brlab.multiplier import SymbolParams
-
-        sp = SymbolParams(delta=0.3, k=-1, epsilon=2.0)
-        assert np.array_equal(sp.sk(SPEC), sk_symbol(SPEC, -1, 0.3))
-        assert np.array_equal(sp.truncated(SPEC), truncated_symbol(SPEC, 0.3, 2.0))
-        with pytest.raises(ValueError):
-            SymbolParams(delta=-0.1)
-        with pytest.raises(ValueError):
-            SymbolParams(k=1)
-        with pytest.raises(ValueError):
-            SymbolParams(epsilon=0.0)
-
-
 class TestBochnerRiesz:
     def test_eigenfunction_half(self):
         pw = plane_wave(SPEC, (0.5, 0.0))

@@ -149,30 +149,30 @@ class TestProductInequality:
 class TestPredictedBound:
     def test_alpha_reference_value(self):
         w = constant_weight(SPEC, n_random=50)
-        rep = predicted_bound_report(w, 8.0 / 5.0, 6.0 / 5.0, 2, "below2")
+        rep = predicted_bound_report(w, 8.0 / 5.0, 6.0 / 5.0, "below2")
         assert rep.alpha == pytest.approx(2.5)
         assert rep.value == pytest.approx(1.0)
 
     def test_constant_weight_gives_one(self):
         w = constant_weight(SPEC, n_random=50)
-        assert predicted_bound(w, 1.5, 1.2, 2, "below2") == pytest.approx(1.0)
+        assert predicted_bound(w, 1.5, 1.2, "below2") == pytest.approx(1.0)
 
     def test_alpha_blows_up_towards_endpoints(self):
         w = constant_weight(SPEC, n_random=50)
-        alphas = [predicted_bound_report(w, p, 1.2, 2, "below2").alpha
+        alphas = [predicted_bound_report(w, p, 1.2, "below2").alpha
                   for p in (1.5, 1.3, 1.25, 1.21)]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
     def test_range_errors(self):
         w = constant_weight(SPEC, n_random=50)
         with pytest.raises(ValueError, match="below2"):
-            predicted_bound(w, 2.5, 1.2, 2, "below2")
+            predicted_bound(w, 2.5, 1.2, "below2")
         with pytest.raises(ValueError, match="above2"):
-            predicted_bound(w, 1.5, 1.2, 2, "above2")
+            predicted_bound(w, 1.5, 1.2, "above2")
 
     def test_above2_side(self):
         w = checkerboard_weight(SPEC, 1.0, 2.0, block_px=4, n_random=200)
-        rep = predicted_bound_report(w, 3.0, 1.2, 2, "above2")
+        rep = predicted_bound_report(w, 3.0, 1.2, "above2")
         # p0' = 6: alpha = max{1, 4/3}
         assert rep.alpha == pytest.approx(4.0 / 3.0)
         assert rep.value >= 1.0
@@ -204,7 +204,7 @@ class TestWeightedRatio:
               for s in range(3)]
         for seed in range(3):
             w = random_smooth_weight(spec, seed=seed, amplitude=0.8, n_random=200)
-            bound = predicted_bound(w, 1.6, 1.2, 2, "below2")
+            bound = predicted_bound(w, 1.6, 1.2, "below2")
             for f in fs:
                 assert weighted_operator_ratio(f, w, 1.6, 0.2) <= 10.0 * bound
 
