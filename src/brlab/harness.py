@@ -4,7 +4,9 @@ kernel-decay diagnostics, weighted and vector-valued sweeps.
 Reports are deterministic: identical config + seed gives byte-identical CSV
 (floats serialized with ``repr``, no timestamps), and trials draw their
 randomness from ``master_seed XOR trial_index`` so they can run in any
-order or in parallel and still merge deterministically.
+order or in parallel and still merge deterministically.  Master seeds that
+differ only in their low bits therefore share trial fields: seed 6 trial 1
+and seed 7 trial 0 both draw from 7.
 """
 
 from __future__ import annotations

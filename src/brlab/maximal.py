@@ -34,6 +34,23 @@ part.  Two regimes keep the cost near one FFT per scale:
 comparisons; it is priced for small grids only.  All ball geometry uses
 grid pixels with the minimal-image torus metric, ties at the boundary
 included.
+
+Radius pruning
+--------------
+Each operator walks its radii in ascending order and skips a radius whose
+certified upper bound, times ``1 + 1e-9``, is at or below the minimum of
+its running maximum over the window.  A ball mean of a density never
+exceeds the density's total over the ball's point count, so the HL bound
+at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``.  For ``q0 == 2`` the
+truncated symbol lies in [0, 1], and discrete Parseval gives
+``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and for every
+masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so ``br_starstar`` and
+``br_star`` share the bound ``(sum |f|^2 / |ball_eps|)^(1/2)``.  For
+``q0 > 2`` no such bound holds and every radius is evaluated.  A skipped
+radius could not have changed ``np.maximum``, so the outputs are bitwise
+those of the full walk; the margin absorbs the rounding of the FFT means.
+Elementwise work on ``f`` itself (power sums, the HL density, the nonzero
+scan) runs on the declared support box, outside which ``f`` is exactly 0.
 """
 
 from __future__ import annotations
@@ -41,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -157,6 +174,12 @@ def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
     return np.maximum(conv, 0.0) / np.count_nonzero(ball)
 
 
+def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> float:
+    """``(power_sum / |ball_r|)^(1/p)``: no L^p mean over an r-ball of a
+    density whose grid total is at most ``power_sum`` can exceed it."""
+    return (power_sum / len(_ball_offsets(n, r_px, N))) ** (1.0 / p)
+
+
 def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
                  shape: tuple[int, ...]) -> np.ndarray:
     """max over candidate offsets ``a`` in ``pat`` of the ``shape`` block of
@@ -234,13 +257,17 @@ class MaximalEngine:
         self._g: dict[float | None, np.ndarray] = {}
         self._avg: dict[int, np.ndarray] = {}
         self._nz_ball: tuple[np.ndarray, float] | None = None
+        # index box outside which f is exactly zero
+        sbox = (_full_window(f.spec) if f.support is None
+                else _box_to_window(f.spec, f.support))
+        self._sbox = tuple(slice(l, h) for l, h in sbox)
 
     def _nonzero_ball(self) -> tuple[np.ndarray, float] | None:
         """Center and radius (px) of a ball certified to hold every nonzero
         of f; used for exact covered-mask shortcuts (a mask ball containing
         it leaves the masked input identically zero)."""
         if self._nz_ball is None:
-            nz = np.argwhere(self.f.values != 0)
+            nz = np.argwhere(self.f.values[self._sbox] != 0) + [s.start for s in self._sbox]
             if len(nz) == 0:
                 self._nz_ball = (np.zeros(self.spec.n), -1.0)
             else:
@@ -248,6 +275,25 @@ class MaximalEngine:
                 radius = float(np.sqrt(((nz - center) ** 2).sum(axis=1).max()))
                 self._nz_ball = (center, radius)
         return self._nz_ball
+
+    # -- radius pruning ---------------------------------------------------
+
+    @cached_property
+    def _sq_sum(self) -> float:
+        return float(np.sum(np.abs(self.f.values[self._sbox]) ** 2))
+
+    def _prunes(self, power_sum: float, r_px: int, p: float, acc_min: float) -> bool:
+        """True when radius ``r_px`` cannot raise an accumulator (in the
+        operator's units) whose minimum over the window is ``acc_min``."""
+        bound = _radius_bound(power_sum, self.spec.n, r_px, self.spec.N, p)
+        return bound * (1.0 + 1e-9) <= acc_min
+
+    def _l2_prunes(self, eps_px: int, acc_w: np.ndarray) -> bool:
+        """:meth:`_prunes` for the truncated operators, which only have a
+        bound when ``q0 == 2``."""
+        if self.cfg.q0 != 2.0:
+            return False
+        return self._prunes(self._sq_sum, eps_px, 2.0, acc_w.min())
 
     # -- shared per-scale artifacts ------------------------------------
 
@@ -316,6 +362,8 @@ class MaximalEngine:
         acc = np.zeros(self.spec.shape)
         wsl = tuple(slice(l, h) for l, h in window)
         for eps_px in self.eps_list:
+            if self._l2_prunes(eps_px, acc[wsl]):
+                continue
             acc[wsl] = np.maximum(acc[wsl], self._y_max(eps_px, window))
         return acc
 
@@ -326,10 +374,14 @@ class MaximalEngine:
         p0 = self.cfg.p0 if p0 is None else p0
         if window is None:
             window = _full_window(self.spec)
-        dens = np.abs(self.f.values) ** p0
+        dens = np.zeros(self.spec.shape)
+        dens[self._sbox] = np.abs(self.f.values[self._sbox]) ** p0
+        total = float(np.sum(dens[self._sbox]))
         wsl = tuple(slice(l, h) for l, h in window)
         best = np.zeros(self.spec.shape)
         for r_px in self.eps_list:
+            if self._prunes(total, r_px, p0, best[wsl].min() ** (1.0 / p0)):
+                continue
             mean = self._ball_mean_window(dens, ("hl", p0), r_px, window)
             best[wsl] = np.maximum(best[wsl], mean)
         out = np.zeros(self.spec.shape)
@@ -345,9 +397,12 @@ class MaximalEngine:
         if window is None:
             window = _full_window(self.spec)
         acc = np.zeros(self.spec.shape)
-        if not np.any(self.f.values):
+        if not np.any(self.f.values[self._sbox]):
             return acc
+        wsl = tuple(slice(l, h) for l, h in window)
         for eps_px in self.eps_list:
+            if self._l2_prunes(eps_px, acc[wsl]):
+                continue
             small = eps_px < SNAP_MIN_PX and 10 * eps_px + 1 <= self.spec.N
             if small and not self.cfg.exact:
                 self._star_displacement(acc, window, eps_px)
@@ -400,7 +455,6 @@ class MaximalEngine:
     def _star_tiled(self, acc: np.ndarray, window: Window, eps_px: int, tile: int):
         spec, n = self.spec, self.spec.n
         mask_r = 3 * eps_px
-        g = self._g_field(eps_px)
         avg = None  # y-maxed unmasked average on the window, for disjoint tiles
         pat = _y_pattern(n, eps_px, spec.N, self.cfg.y_thin)
         wlo = tuple(l for l, _ in window)
@@ -426,17 +480,18 @@ class MaximalEngine:
                 rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
                 acc[tsl] = np.maximum(acc[tsl], avg[rel])
                 continue
-            vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, g, pat)
+            vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, pat)
             twin = tuple((tlo[i], thi[i]) for i in range(n))
             vals = np.where(self._covered_mask(twin, mask_r), 0.0, vals)
             acc[tsl] = np.maximum(acc[tsl], vals)
 
-    def _masked_tile_values(self, tlo, thi, center, eps_px, g, pat) -> np.ndarray:
+    def _masked_tile_values(self, tlo, thi, center, eps_px, pat) -> np.ndarray:
         """Exact ball-average field of B_eps(f * 1_{B(c,3eps)^c}) for the tile,
         via a windowed kernel convolution (complete, not truncated: the
         kernel window covers every offset that can reach the z-window)."""
         spec, n = self.spec, self.spec.n
         N, q0 = spec.N, self.cfg.q0
+        g = self._g_field(eps_px)
         mask_r = 3 * eps_px
         zlo = tuple(tlo[i] - 2 * eps_px for i in range(n))
         zhi = tuple(thi[i] + 2 * eps_px for i in range(n))

@@ -10,6 +10,7 @@ from brlab.cli import main as cli_main
 from brlab.harness import (
     ExperimentConfig,
     Report,
+    _domination_trial,
     _trial_fields,
     fit_slope_vs_log2,
     run_decay,
@@ -172,6 +173,32 @@ class TestDomination:
         assert rep.rows[0][1] == "degenerate"
         assert rep.summary["n_degenerate"] == 1
         assert rep.summary["max_ratio"] == 0.0
+
+
+class TestDominationGolden:
+    # Selection columns of seed 7, trials 0-9 at N = 256, recorded before the
+    # radius pruning of the maximal operators; exactness-preserving speed-ups
+    # must keep them.  The float columns (pairing, form, ratio) are left out:
+    # their last bits depend on the platform's FFT.
+    EXPECTED = [
+        (0, "ok", 32.0, 32.0, 3, 3, True, "0:0.265625;2:0.0;2:0.0"),
+        (1, "ok", 64.0, 64.0, 1, 1, True, "0:0.0"),
+        (2, "ok", 32.0, 32.0, 1, 1, True, "0:0.03515625"),
+        (3, "ok", 32.0, 32.0, 3, 2, True, "0:0.15625;2:0.0"),
+        (4, "ok", 32.0, 32.0, 2, 2, True, "0:0.390625;1:0.0"),
+        (5, "ok", 64.0, 64.0, 1, 1, True, "0:0.0234375"),
+        (6, "ok", 32.0, 32.0, 3, 2, True, "0:0.31640625;2:0.0"),
+        (7, "ok", 64.0, 64.0, 1, 1, True, "0:0.0"),
+        (8, "ok", 64.0, 64.0, 1, 1, True, "0:0.0"),
+        (9, "ok", 32.0, 32.0, 3, 3, True, "0:0.48828125;2:0.0;2:0.0"),
+    ]
+
+    def test_selection_columns_pinned(self):
+        cfg = ExperimentConfig(grid_n=256, eps_min_exp=2, seed=7)
+        for expected in self.EXPECTED:
+            row = _domination_trial((cfg, expected[0]))
+            # trial, status, c_top, c_max, depth, n_cubes, certificate_valid, e_ratios
+            assert (row[:2] + row[5:]) == expected
 
 
 class TestProp41:
