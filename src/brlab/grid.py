@@ -13,6 +13,14 @@ Transform convention (forward):
 
 which discretizes the continuum Fourier integral; Parseval then reads
 ``sum |fhat|^2 / L^n = sum |f|^2 dx^n``.
+
+Field values are stored as float64 when the input is real and as complex128
+otherwise.  Every transform runs on ``scipy.fft``, called through the module
+so that its entry points can be wrapped from outside.  :func:`apply_symbol`
+is the one place a Fourier multiplier meets a field: real values take the
+``rfftn``/``irfftn`` pair on the half symbol and stay real (every symbol
+here is even), complex values take ``fftn``/``ifftn``.  The ``dx^n`` factors
+of the transform convention cancel in a multiplier and are left out.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from scipy import fft
 
 __all__ = [
     "GridSpec",
@@ -32,6 +41,7 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
+    "apply_symbol",
     "cube_average",
     "lp_norm",
     "make_test_function",
@@ -88,7 +98,7 @@ class GridSpec:
 
 @lru_cache(maxsize=64)
 def _freq_axis(spec: GridSpec) -> np.ndarray:
-    return np.fft.fftfreq(spec.N, d=spec.dx)
+    return fft.fftfreq(spec.N, d=spec.dx)
 
 
 def sum_of_squares(axes) -> np.ndarray:
@@ -196,7 +206,9 @@ class Box:
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """Complex field sampled on the grid, with an optional declared support box.
+    """Field sampled on the grid, with an optional declared support box.
+
+    Values are float64 for real input and complex128 otherwise.
 
     ``support`` is a certificate that the values vanish identically outside
     the box; generators that window their output record it, multiplier
@@ -208,10 +220,11 @@ class SampledField:
     support: Box | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        vals = vals.astype(np.float64 if np.isrealobj(vals) else np.complex128, copy=False)
         if vals.shape != self.spec.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.spec.shape}")
-        if not np.all(np.isfinite(vals.view(np.float64))):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -247,14 +260,27 @@ class SpectralField:
 def forward_transform(f: SampledField) -> SpectralField:
     """Discrete Fourier transform under the unitary Parseval convention."""
     spec = f.spec
-    coeffs = np.fft.fftn(np.fft.ifftshift(f.values)) * spec.dx ** spec.n
+    coeffs = fft.fftn(fft.ifftshift(f.values)) * spec.dx ** spec.n
     return SpectralField(spec, coeffs)
 
 
 def inverse_transform(F: SpectralField) -> SampledField:
     spec = F.spec
-    vals = np.fft.fftshift(np.fft.ifftn(F.coefficients)) / spec.dx ** spec.n
+    vals = fft.fftshift(fft.ifftn(F.coefficients)) / spec.dx ** spec.n
     return SampledField(spec, vals)
+
+
+def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Multiply the spectrum of centered grid ``values`` by a lattice
+    ``symbol`` in fft ordering; real values must meet an even symbol, and
+    then the result is real."""
+    x = fft.ifftshift(values)
+    if np.isrealobj(x):
+        half = symbol[..., : x.shape[-1] // 2 + 1]
+        out = fft.irfftn(fft.rfftn(x) * half, s=x.shape)
+    else:
+        out = fft.ifftn(fft.fftn(x) * symbol)
+    return fft.fftshift(out)
 
 
 def cube_average(f: SampledField, box: Box, p: float) -> float:
@@ -429,7 +455,8 @@ def write_field(f: SampledField, path: str | Path):
 
 
 def read_field(path: str | Path) -> SampledField:
-    """Inverse of :func:`write_field`; raises ``ValueError`` on a malformed
+    """Inverse of :func:`write_field`: float64 values when every imaginary
+    part is 0, complex128 otherwise.  Raises ``ValueError`` on a malformed
     header or a sample count that does not match it."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split() if lines else []
@@ -447,4 +474,6 @@ def read_field(path: str | Path) -> SampledField:
     for i, line in enumerate(lines[1:]):
         re_s, im_s = line.split(",")
         data[i] = complex(float(re_s), float(im_s))
+    if not data.imag.any():
+        data = data.real.copy()
     return SampledField(spec, data.reshape(spec.shape))

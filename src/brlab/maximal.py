@@ -22,18 +22,29 @@ one-sided: the default tiled path can exceed the ``exact=True`` values
 ``br_star`` masks depend on the evaluation point, which is the expensive
 part.  Two regimes keep the cost near one FFT per scale:
 
-* small radii: the masked transform is evaluated exactly for every grid
-  point through windowed kernel convolutions, one per displacement
-  ``z - x`` (the kernel window makes this exact, not truncated);
-* large radii (``eps >= SNAP_MIN_PX`` pixels): mask centers are snapped to
-  a per-scale tile lattice of side ``eps`` (``|x - x'| <= eps/2``), and
-  tiles whose mask ball fully covers (or misses) the support of ``f``
-  short-circuit to 0 (or to the unmasked average field).
+* small radii (``eps < SNAP_MIN_PX`` pixels, default config): the masked
+  transform is evaluated exactly at every point of the window through
+  kernel convolutions, one per displacement ``z - x``, over a periodically
+  wrapped crop of ``f`` around the window (the kernel window makes this
+  exact, not truncated, at any window size);
+* large radii (``eps >= SNAP_MIN_PX``), and every radius with
+  ``exact=True``: mask centers are snapped to a per-scale tile lattice of
+  side ``eps`` (``|x - x'| <= eps/2``; side 1 with ``exact=True``).  Tiles
+  whose mask ball fully covers (or misses) the support of ``f``
+  short-circuit to 0 (or to the unmasked average field); a partial tile
+  convolves the kernel with ``f`` cut to its mask ball on a window around
+  the tile.  When that kernel window would wrap around the grid
+  (``6 eps + 1 >= N`` or a tile reach to match), the tile takes one
+  whole-grid symbol application instead; on the domination sweep's nodes
+  such tiles are covered or pruned, so full-grid calls (the public
+  ``br_star``, ``exact=True`` oracles) are the ones that pay for it.
 
-``exact=True`` drops the snapping (tiles of a single pixel) for oracle
-comparisons; it is priced for small grids only.  All ball geometry uses
-grid pixels with the minimal-image torus metric, ties at the boundary
-included.
+``exact=True`` is priced for small grids only.  Every ball mean is a
+linear convolution over a periodically wrapped crop of the window plus the
+radius: ``eps <= N/4`` keeps the ball's offsets distinct mod ``N``, so the
+crop gives exact torus means even where it holds a grid point twice.  All
+ball geometry uses grid pixels with the minimal-image torus metric, ties at
+the boundary included.
 
 Radius pruning
 --------------
@@ -61,9 +72,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import fft
 from scipy.signal import fftconvolve
 
-from .grid import Box, GridSpec, SampledField, lp_norm, sum_of_squares
+from .grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, sum_of_squares
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -191,14 +203,6 @@ def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
     return out
 
 
-@lru_cache(maxsize=128)
-def _ball_stencil_rfft(spec: GridSpec, r_px: int) -> tuple[np.ndarray, int]:
-    offs = _ball_offsets(spec.n, r_px, spec.N)
-    st = np.zeros(spec.shape)
-    st[tuple((offs % spec.N).T)] = 1.0
-    return np.fft.rfftn(st), len(offs)
-
-
 def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
     """arr over the index box [lo, hi) with periodic wrapping."""
     N = arr.shape[0]
@@ -206,25 +210,15 @@ def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.
     return arr[np.ix_(*idx)]
 
 
-def _apply_sym_raw(vals: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply a frequency-lattice symbol; real input takes the rfft path
-    (every symbol here is even, so the output stays real)."""
-    if np.isrealobj(vals) or not vals.imag.any():
-        real = vals.real
-        half = symbol[..., : vals.shape[-1] // 2 + 1]
-        out = np.fft.irfftn(np.fft.rfftn(np.fft.ifftshift(real)) * half,
-                            s=vals.shape, axes=tuple(range(vals.ndim)))
-        return np.fft.fftshift(out)
-    return np.fft.fftshift(np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(vals)) * symbol))
-
-
 @lru_cache(maxsize=8)
 def _kernel_offsets(spec: GridSpec, delta: float, eps_key: float | None) -> np.ndarray:
     """Spatial kernel of the truncated multiplier, indexed by pixel offset
-    (wrap semantics): B_eps(h) = circular convolution of h with this."""
+    (wrap semantics): B_eps(h) = circular convolution of h with this.  The
+    symbol is even, so the half-spectrum inverse gives the kernel exactly
+    and it is real."""
     eps = 0.5 if eps_key is None else eps_key  # any eps <= 1 shares the symbol
     sym = truncated_symbol(spec, delta, eps)
-    kern = np.fft.ifftn(sym)
+    kern = fft.irfftn(sym[..., : spec.N // 2 + 1], s=spec.shape)
     kern.flags.writeable = False
     return kern
 
@@ -255,7 +249,7 @@ class MaximalEngine:
         self.cfg = cfg
         self.eps_list = cfg.eps_px_list(f.spec)
         self._g: dict[float | None, np.ndarray] = {}
-        self._avg: dict[int, np.ndarray] = {}
+        self._avg: dict[tuple[int, Window], np.ndarray] = {}
         self._nz_ball: tuple[np.ndarray, float] | None = None
         # index box outside which f is exactly zero
         sbox = (_full_window(f.spec) if f.support is None
@@ -302,43 +296,28 @@ class MaximalEngine:
         if key not in self._g:
             eps = 0.5 if key is None else key
             sym = truncated_symbol(self.spec, self.delta, eps)
-            self._g[key] = _apply_sym_raw(self.f.values, sym)
+            self._g[key] = apply_symbol(self.f.values, sym)
         return self._g[key]
 
-    def _ball_mean_window(self, dens: np.ndarray, cache_key, eps_px: int,
-                          ywin: Window) -> np.ndarray:
+    def _ball_mean_window(self, dens: np.ndarray, eps_px: int, ywin: Window) -> np.ndarray:
         """Mean of ``dens`` over eps-balls centered at each point of ``ywin``.
 
-        Uses a cropped linear convolution when the region fits inside the
-        grid, and the cached global periodic convolution otherwise; both are
-        exact on the torus.
+        A linear convolution over the periodically wrapped crop is exact on
+        the torus at any window size: ``eps_px <= N/4`` keeps the offsets of
+        the minimal-image ball distinct mod N, so each point of a ball is
+        counted once even where the crop holds a grid point twice.
         """
-        N = self.spec.N
         region = tuple((l - eps_px, h + eps_px) for l, h in ywin)
-        local = all(h - l <= N for l, h in region)
-        if not local:
-            key = (cache_key, eps_px, "global")
-            if key not in self._avg:
-                dhat_key = (cache_key, "dens_hat")
-                if dhat_key not in self._avg:
-                    self._avg[dhat_key] = np.fft.rfftn(dens)
-                st_hat, count = _ball_stencil_rfft(self.spec, eps_px)
-                s = np.fft.irfftn(self._avg[dhat_key] * st_hat, s=self.spec.shape,
-                                  axes=tuple(range(self.spec.n)))
-                self._avg[key] = np.maximum(s, 0.0) / count
-            return _wrap_take(self._avg[key], tuple(l for l, _ in ywin),
-                              tuple(h for _, h in ywin))
         crop = _wrap_take(dens, tuple(l for l, _ in region), tuple(h for _, h in region))
         inner = tuple(slice(eps_px, eps_px + (h - l)) for l, h in ywin)
-        return _ball_mean_linear(crop, eps_px, N)[inner]
+        return _ball_mean_linear(crop, eps_px, self.spec.N)[inner]
 
     def _avg_window(self, eps_px: int, ywin: Window) -> np.ndarray:
         """Ball L^{q0} average of the unmasked truncated field on ``ywin``."""
         key = (eps_px, ywin)
         if key not in self._avg:
             dens = np.abs(self._g_field(eps_px)) ** self.cfg.q0
-            mean = self._ball_mean_window(dens, ("avg", _eps_key(eps_px * self.spec.dx)),
-                                          eps_px, ywin)
+            mean = self._ball_mean_window(dens, eps_px, ywin)
             self._avg[key] = mean ** (1.0 / self.cfg.q0)
         return self._avg[key]
 
@@ -382,7 +361,7 @@ class MaximalEngine:
         for r_px in self.eps_list:
             if self._prunes(total, r_px, p0, best[wsl].min() ** (1.0 / p0)):
                 continue
-            mean = self._ball_mean_window(dens, ("hl", p0), r_px, window)
+            mean = self._ball_mean_window(dens, r_px, window)
             best[wsl] = np.maximum(best[wsl], mean)
         out = np.zeros(self.spec.shape)
         out[wsl] = best[wsl] ** (1.0 / p0)
@@ -403,8 +382,7 @@ class MaximalEngine:
         for eps_px in self.eps_list:
             if self._l2_prunes(eps_px, acc[wsl]):
                 continue
-            small = eps_px < SNAP_MIN_PX and 10 * eps_px + 1 <= self.spec.N
-            if small and not self.cfg.exact:
+            if eps_px < SNAP_MIN_PX and not self.cfg.exact:
                 self._star_displacement(acc, window, eps_px)
             else:
                 self._star_tiled(acc, window, eps_px,
@@ -523,13 +501,13 @@ class MaximalEngine:
         return _pattern_max(avg, pat, base, tuple(thi[i] - tlo[i] for i in range(n)))
 
     def _masked_global(self, center, mask_r) -> np.ndarray:
-        vals = np.zeros(self.spec.shape, dtype=np.complex128)
+        vals = np.zeros_like(self.f.values)
         offs = _ball_offsets(self.spec.n, mask_r, self.spec.N)
         idx = tuple(((offs + np.asarray(center)) % self.spec.N).T)
         vals[idx] = self.f.values[idx]
         eps_phys = (mask_r / 3) * self.spec.dx
         sym = truncated_symbol(self.spec, self.delta, max(eps_phys, 0.5))
-        return _apply_sym_raw(vals, sym)
+        return apply_symbol(vals, sym)
 
     def _star_displacement(self, acc: np.ndarray, window: Window, eps_px: int):
         """Exact per-point masks for small radii.
@@ -551,18 +529,17 @@ class MaximalEngine:
         covered = self._covered_mask(window, mask_r)
         if covered.all():
             return
-        fw_lo = tuple(l - mask_r for l in wlo)
-        fw_hi = tuple(h + mask_r for h in whi)
-        global_mode = any(h - l > N for l, h in zip(fw_lo, fw_hi))
-
-        if global_mode:
-            FW = np.fft.fftn(self.f.values)
-        else:
-            fwin = _wrap_take(self.f.values, fw_lo, fw_hi)
-            FW = np.fft.fftn(fwin)
-
+        # f on the window +- 3 eps, wrapped: exact at any window size, since
+        # the mask-ball offsets are distinct mod N
+        fwin = _wrap_take(self.f.values, tuple(l - mask_r for l in wlo),
+                          tuple(h + mask_r for h in whi))
+        axes = tuple(range(1, n + 1))
+        fwd, inv = (fft.rfftn, fft.irfftn) if np.isrealobj(fwin) else (fft.fftn, fft.ifftn)
+        FW = fwd(fwin)[None]
         kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
-        msz = 2 * mask_r + 1
+        ins = tuple(slice(0, 2 * mask_r + 1) for _ in range(n))
+        # valid region: x + u inside the f-window for all |u| <= 3 eps
+        valid = tuple(slice(2 * mask_r, 2 * mask_r + s) for s in wshape)
         ball_mask = _ball_mask(n, mask_r, N)
 
         d_offs = _ball_offsets(n, d_r, N)
@@ -585,34 +562,14 @@ class MaximalEngine:
         chunk = 32
         for start in range(0, len(d_offs), chunk):
             ds = d_offs[start:start + chunk]
-            kers = np.zeros((len(ds),) + (msz,) * n, dtype=np.complex128)
+            kpad = np.zeros((len(ds),) + fwin.shape)
             for j, d in enumerate(ds):
                 # m_rev[v] = K(d + v) on |v| <= 3 eps: a contiguous slice of kc
                 sl = tuple(slice(int(d[i]) + kr - mask_r, int(d[i]) + kr + mask_r + 1)
                            for i in range(n))
-                kers[j] = kc[sl]
-                kers[j][~ball_mask] = 0.0
-            if global_mode:
-                kpad = np.zeros((len(ds),) + spec.shape, dtype=np.complex128)
-                ins = tuple(slice(0, msz) for _ in range(n))
-                kpad[(slice(None),) + ins] = kers
-                kpad = np.roll(kpad, shift=(-mask_r,) * n, axis=tuple(range(1, n + 1)))
-                nears = np.fft.ifftn(FW[None] * np.fft.fftn(kpad, axes=tuple(range(1, n + 1))),
-                                     axes=tuple(range(1, n + 1)))
-                # circular conv with kernel centered at offset 0: value at x
-                near_w = [
-                    _wrap_take(nears[j], wlo, whi) for j in range(len(ds))
-                ]
-            else:
-                fshape = fwin.shape
-                kpad = np.zeros((len(ds),) + fshape, dtype=np.complex128)
-                ins = tuple(slice(0, msz) for _ in range(n))
-                kpad[(slice(None),) + ins] = kers
-                nears_full = np.fft.ifftn(FW[None] * np.fft.fftn(kpad, axes=tuple(range(1, n + 1))),
-                                          axes=tuple(range(1, n + 1)))
-                # valid region: x + u inside the f-window for all |u| <= 3 eps
-                sl = tuple(slice(2 * mask_r, 2 * mask_r + wshape[i]) for i in range(n))
-                near_w = [nears_full[(j,) + sl] for j in range(len(ds))]
+                kpad[(j,) + ins] = np.where(ball_mask, kc[sl], 0.0)
+            nears = inv(FW * fwd(kpad, axes=axes), s=fwin.shape, axes=axes)
+            near_w = nears[(slice(None),) + valid]
 
             for j, d in enumerate(ds):
                 if not touches[start + j]:

@@ -19,12 +19,10 @@ from scipy import special
 from .grid import (
     GridSpec,
     SampledField,
-    SpectralField,
     _mollifier_ramp,
     _radius_sq_grid,
-    forward_transform,
+    apply_symbol,
     freq_sq,
-    inverse_transform,
 )
 
 __all__ = [
@@ -118,25 +116,24 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
     return out
 
 
-def _apply_symbol(f: SampledField, symbol: np.ndarray) -> SampledField:
-    F = forward_transform(f)
-    out = inverse_transform(SpectralField(f.spec, F.coefficients * symbol))
-    return SampledField(f.spec, out.values)  # multiplier spreads support: drop it
-
+# A multiplier spreads support, so the applications below drop it.
 
 def apply_bochner_riesz(f: SampledField, delta: float) -> SampledField:
     """Spectral multiplication by ``(1-|xi|^2)_+^delta``; self-adjoint and an
     L^2 contraction by construction."""
-    return _apply_symbol(f, bochner_riesz_symbol(f.spec, float(delta)))
+    sym = bochner_riesz_symbol(f.spec, float(delta))
+    return SampledField(f.spec, apply_symbol(f.values, sym))
 
 
 def apply_truncated(f: SampledField, delta: float, epsilon: float) -> SampledField:
-    return _apply_symbol(f, truncated_symbol(f.spec, float(delta), float(epsilon)))
+    sym = truncated_symbol(f.spec, float(delta), float(epsilon))
+    return SampledField(f.spec, apply_symbol(f.values, sym))
 
 
 def apply_Sk(f: SampledField, k: int, delta: float) -> SampledField:
     """Littlewood-Paley piece supported where ``1-|xi|^2 ~ 2^k``."""
-    return _apply_symbol(f, sk_symbol(f.spec, int(k), float(delta)))
+    sym = sk_symbol(f.spec, int(k), float(delta))
+    return SampledField(f.spec, apply_symbol(f.values, sym))
 
 
 def _sk_scalar(rho: np.ndarray, k: int, delta: float) -> np.ndarray:

@@ -196,6 +196,19 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
     return selected, flagged
 
 
+def _exponent_cfg(cfg: MaximalConfig | None, p0: float,
+                  q0: float | None = None) -> MaximalConfig:
+    """``cfg``, or the default config at ``p0`` (and ``q0``).  A given config
+    must carry the same exponents, so that no operator runs at another one;
+    ``q0=None`` leaves ``cfg.q0`` unchecked."""
+    if cfg is None:
+        return MaximalConfig(p0=p0) if q0 is None else MaximalConfig(p0=p0, q0=q0)
+    if cfg.p0 != p0 or (q0 is not None and cfg.q0 != q0):
+        raise ValueError(f"exponents p0={p0}, q0={q0} disagree with the config's "
+                         f"p0={cfg.p0}, q0={cfg.q0}")
+    return cfg
+
+
 def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
                     p0: float, cfg: MaximalConfig | None = None, *,
                     c_init: float = 8.0, c_max: float = 2.0 ** 20,
@@ -208,7 +221,7 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
     ``c_max`` (a sign that delta sits below the operators' boundedness
     range, or of grid pathology).
     """
-    cfg = cfg if cfg is not None else MaximalConfig(p0=p0)
+    cfg = _exponent_cfg(cfg, p0)
     window = q0_cube.window()
     wsl = tuple(slice(l, h) for l, h in window)
 
@@ -320,7 +333,7 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     exceptional cubes.  Terminates because every child covers at most half
     its parent and the 4-cell floor halts descent.
     """
-    cfg = cfg if cfg is not None else MaximalConfig(p0=p0, q0=q0)
+    cfg = _exponent_cfg(cfg, p0, q0)
     q0_cube = root_cube(f, g)
     cubes: list[DyadicCube] = []
     children: dict = {}
@@ -397,7 +410,6 @@ def off_diagonal_check(f: SampledField, g: SampledField, q0_cube: DyadicCube,
     """Top-level tail estimate: compare
     ``sum_j |int_{Q_j} B(f 1_{(6Q_j)^c}) conj(g)|`` against
     ``(avg_{6Q0}|f|^{p0})^{1/p0} (avg_{6Q0}|g|^2)^{1/2} |Q0|``."""
-    cfg = cfg if cfg is not None else MaximalConfig(p0=p0)
     f0 = mask_to_box(f, q0_cube.box6())
     res = exceptional_set(f0, q0_cube, delta, p0, cfg, c_init=c_init)
     terms = tuple(_offdiag_term(f0, g, kid, delta) for kid in res.cubes)

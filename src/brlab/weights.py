@@ -21,10 +21,11 @@ from .grid import (
     GridSpec,
     SampledField,
     _radius_sq_grid,
+    apply_symbol,
     box_sums,
+    freq_sq,
     lp_norm,
     prefix_sum,
-    sum_of_squares,
 )
 from .multiplier import apply_bochner_riesz
 
@@ -306,7 +307,7 @@ def random_smooth_weight(spec: GridSpec, seed: int = 0, amplitude: float = 1.0,
     """``exp(amplitude * smoothed noise)``: strictly positive, rough but tame."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(spec.shape)
-    k2 = sum_of_squares([np.fft.fftfreq(spec.N) * spec.N] * spec.n)
-    smooth = np.fft.ifftn(np.fft.fftn(noise) * np.exp(-k2 / (2.0 * (spec.N / corr_px) ** 2))).real
+    gauss = np.exp(-freq_sq(spec) * (spec.L * corr_px / spec.N) ** 2 / 2.0)
+    smooth = apply_symbol(noise, gauss)
     smooth = smooth / max(np.abs(smooth).max(), 1e-12)
     return Weight.build(SampledField(spec, np.exp(amplitude * smooth)), **kw)

@@ -11,8 +11,11 @@ from brlab.grid import (
     Box,
     GridSpec,
     SampledField,
+    SpectralField,
+    apply_symbol,
     cube_average,
     forward_transform,
+    freq_sq,
     inverse_transform,
     lp_norm,
     make_test_function,
@@ -108,6 +111,25 @@ def indicator_of(spec, box):
     sl = tuple(slice(j0, j1) for j0, j1 in box.index_ranges(spec))
     vals[sl] = 1.0
     return SampledField(spec, vals)
+
+
+class TestApplySymbol:
+    SYM = np.exp(-freq_sq(SPEC))  # even, like every symbol in the package
+
+    def test_complex_path_follows_transform_convention(self):
+        f = random_field(SPEC, seed=5)
+        out = apply_symbol(f.values, self.SYM)
+        F = forward_transform(f)
+        ref = inverse_transform(SpectralField(SPEC, F.coefficients * self.SYM)).values
+        assert out.dtype == np.complex128
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_real_input_stays_real(self):
+        f = random_field(SPEC, seed=6, complex_=False)
+        out = apply_symbol(f.values, self.SYM)
+        ref = apply_symbol(f.values.astype(np.complex128), self.SYM)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestCubeAverage:
@@ -236,6 +258,16 @@ class TestFieldFile:
         assert back.spec == spec
         assert np.array_equal(back.values, f.values)
 
+    def test_real_field_roundtrip_stays_float64(self, tmp_path):
+        spec = GridSpec(n=2, L=2.0, N=16)
+        f = random_field(spec, seed=13, complex_=False)
+        path = tmp_path / "field.txt"
+        write_field(f, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",0.0")
+        back = read_field(path)
+        assert back.values.dtype == np.float64
+        assert np.array_equal(back.values, f.values)
+
     def _written(self, tmp_path):
         path = tmp_path / "field.txt"
         write_field(random_field(GridSpec(n=2, L=1.0, N=8), seed=3), path)
@@ -268,6 +300,11 @@ class TestFieldInvariants:
         vals[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             SampledField(SPEC, vals)
+
+    def test_storage_dtype_follows_input(self):
+        assert random_field(SPEC, seed=1, complex_=False).values.dtype == np.float64
+        assert SampledField(SPEC, np.ones(SPEC.shape, dtype=int)).values.dtype == np.float64
+        assert random_field(SPEC, seed=1).values.dtype == np.complex128
 
     def test_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from brlab.cli import main as cli_main
+from brlab.grid import GridSpec, read_field, write_field
 from brlab.harness import (
     ExperimentConfig,
     Report,
@@ -20,6 +21,8 @@ from brlab.harness import (
     run_vector_valued,
     run_weights,
 )
+from brlab.multiplier import apply_Sk
+from brlab.weights import random_smooth_weight
 
 SMALL = dict(grid_l=16.0, grid_n=256, trials=2, seed=11, eps_min_exp=2)
 
@@ -178,8 +181,7 @@ class TestDomination:
 class TestDominationGolden:
     # Selection columns of seed 7, trials 0-9 at N = 256, recorded before the
     # radius pruning of the maximal operators; exactness-preserving speed-ups
-    # must keep them.  The float columns (pairing, form, ratio) are left out:
-    # their last bits depend on the platform's FFT.
+    # must keep them.
     EXPECTED = [
         (0, "ok", 32.0, 32.0, 3, 3, True, "0:0.265625;2:0.0;2:0.0"),
         (1, "ok", 64.0, 64.0, 1, 1, True, "0:0.0"),
@@ -199,6 +201,48 @@ class TestDominationGolden:
             row = _domination_trial((cfg, expected[0]))
             # trial, status, c_top, c_max, depth, n_cubes, certificate_valid, e_ratios
             assert (row[:2] + row[5:]) == expected
+
+    # pairing_abs, sparse_form and ratio of the same trials.  A change of FFT
+    # library or transform layout moves them by rounding only; rel=1e-12
+    # leaves room for that and for platform FFTs, and catches any change of
+    # the selected cubes.
+    EXPECTED_FLOATS = [
+        (0, 0.025779887790309812, 0.0878127442786471, 0.2935779766602574),
+        (1, 0.17505242691396666, 0.051925607264297687, 3.371215786133461),
+        (2, 0.08423908843213329, 0.012309380929186405, 6.843487005296628),
+        (3, 0.3738548681176083, 0.05720943358433101, 6.534846522584743),
+        (4, 0.23961153418991915, 0.04095454013228773, 5.85067085153312),
+        (5, 0.2524879424211918, 0.013312791855982746, 18.96581462044899),
+        (6, 0.04140293313707469, 0.07774359339425453, 0.5325574922567765),
+        (7, 2.108208305606535, 0.049149831943273756, 42.893499779200106),
+        (8, 0.24529254211425527, 0.06524300114422714, 3.759675947033889),
+        (9, 0.012894455345180855, 0.18539247647556553, 0.06955220400694268),
+    ]
+
+    def test_float_columns_pinned(self):
+        cfg = ExperimentConfig(grid_n=256, eps_min_exp=2, seed=7)
+        for trial, *floats in self.EXPECTED_FLOATS:
+            row = _domination_trial((cfg, trial))
+            assert row[2:5] == pytest.approx(tuple(floats), rel=1e-12)
+
+
+class TestOneFFTBackend:
+    # Every transform in brlab runs on scipy.fft; the benchmark's tracer
+    # counts FFTs by wrapping that module's entry points.
+    def test_numpy_fft_never_called(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called")
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                     "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        cfg = ExperimentConfig(grid_n=128, eps_min_exp=2, seed=7)
+        assert _domination_trial((cfg, 0))[1] == "ok"
+        f, _ = _trial_fields(cfg, 0)
+        assert apply_Sk(f, -1, 0.2).values.dtype == np.float64
+        random_smooth_weight(GridSpec(n=2, L=4.0, N=64), seed=1)
+        write_field(f, tmp_path / "f.txt")
+        assert np.array_equal(read_field(tmp_path / "f.txt").values, f.values)
 
 
 class TestProp41:

@@ -337,3 +337,19 @@ class TestSerialization:
         top = trace.nodes[0]
         assert top.off_diagonal is not None
         assert len(top.off_diagonal) == len(top.children)
+
+
+class TestExponentConsistency:
+    def test_config_with_other_exponents_rejected(self):
+        f = bump(amp=4.0)
+        g = bump(radius=0.2)
+        q0 = root_cube(f, g)
+        other_p0 = MaximalConfig(p0=1.5, q0=2.0)
+        with pytest.raises(ValueError, match="disagree"):
+            exceptional_set(f, q0, DELTA, P0, other_p0)
+        with pytest.raises(ValueError, match="disagree"):
+            off_diagonal_check(f, g, q0, DELTA, P0, other_p0)
+        with pytest.raises(ValueError, match="disagree"):
+            build_sparse(f, g, DELTA, P0, 2.0, other_p0)
+        with pytest.raises(ValueError, match="disagree"):
+            build_sparse(f, g, DELTA, P0, 3.0, CFG)
