@@ -344,11 +344,12 @@ def _bump_window(rho2: np.ndarray) -> np.ndarray:
         return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
 
 
-def _trig_sum(spec: GridSpec, freqs: np.ndarray, phases: np.ndarray,
+def _trig_sum(axes, freqs: np.ndarray, phases: np.ndarray,
               amps: np.ndarray) -> np.ndarray:
-    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the grid."""
-    mesh = spec.meshgrid()
-    vals = np.zeros(spec.shape)
+    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the outer grid
+    of the 1-D coordinate arrays ``axes``."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = np.zeros(tuple(len(a) for a in axes))
     for m in range(len(amps)):
         phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(len(mesh)))
         vals = vals + amps[m] * np.cos(phase + phases[m])
@@ -371,6 +372,9 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         same continuum function on every grid.
     indicator_smooth : smoothed box indicator, 1 on the ``half_width`` box,
         0 outside ``half_width + transition``; support box recorded.
+
+    Kinds that record a support box are evaluated on its sample points only
+    and hold exact ``+0.0`` everywhere else.
     """
     n = spec.n
     center = np.atleast_1d(np.asarray(params.get("center", 0.0), dtype=float))
@@ -378,31 +382,44 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         center = np.full(n, center[0])
     amp = float(params.get("amp", 1.0))
 
-    def radial_sq(c):
-        return sum_of_squares([spec.axis_coords() - ci for ci in c])
+    def radial_sq(axes):
+        return sum_of_squares([a - ci for a, ci in zip(axes, center)])
+
+    def on_box(box, local) -> SampledField:
+        # ``local(axes)`` on the sample points of the support box, exact
+        # zeros elsewhere
+        ranges = box.index_ranges(spec)
+        coords = spec.axis_coords()
+        vals = np.zeros(spec.shape)
+        vals[tuple(slice(j0, j1) for j0, j1 in ranges)] = local(
+            [coords[j0:j1] for j0, j1 in ranges])
+        return SampledField(spec, vals, support=box)
 
     if kind == "gaussian":
         width = float(params.get("width", spec.L / 40.0))
         _require_inside_quarter(spec, Box.from_center(center, 4.0 * width), kind)
-        vals = amp * np.exp(-np.pi * radial_sq(center) / width ** 2)
+        vals = amp * np.exp(-np.pi * radial_sq([spec.axis_coords()] * n) / width ** 2)
         return SampledField(spec, vals)
 
     if kind == "bump":
         radius = float(params.get("radius", spec.L / 32.0))
         box = Box.from_center(center, radius)
         _require_inside_quarter(spec, box, kind)
-        vals = _bump_window(radial_sq(center) / radius ** 2)
-        return SampledField(spec, amp * vals, support=box)
+        return on_box(box, lambda axes: amp * _bump_window(radial_sq(axes) / radius ** 2))
 
     if kind == "indicator_smooth":
         half = float(params.get("half_width", spec.L / 32.0))
         trans = float(params.get("transition", half / 2.0))
         box = Box.from_center(center, half + trans)
         _require_inside_quarter(spec, box, kind)
-        vals = np.ones(spec.shape)
-        for i, x in enumerate(spec.meshgrid()):
-            vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
-        return SampledField(spec, amp * vals, support=box)
+
+        def plateau(axes):
+            vals = np.ones(tuple(len(a) for a in axes))
+            for i, x in enumerate(np.meshgrid(*axes, indexing="ij")):
+                vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
+            return amp * vals
+
+        return on_box(box, plateau)
 
     if kind == "random_trig":
         rng = np.random.default_rng(seed)
@@ -418,9 +435,8 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         amps = rng.standard_normal(num_modes) / math.sqrt(num_modes)
         box = Box.from_center(center, window_radius)
         _require_inside_quarter(spec, box, kind)
-        window = _bump_window(radial_sq(center) / window_radius ** 2)
-        vals = _trig_sum(spec, freqs, phases, amps)
-        return SampledField(spec, amp * window * vals, support=box)
+        return on_box(box, lambda axes: amp * _bump_window(radial_sq(axes) / window_radius ** 2)
+                      * _trig_sum(axes, freqs, phases, amps))
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
 

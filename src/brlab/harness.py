@@ -280,7 +280,7 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int,
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    vals = _trig_sum(spec, freqs, phases, amps)
+    vals = _trig_sum([spec.axis_coords()] * spec.n, freqs, phases, amps)
     r = np.sqrt(_radius_sq_grid(spec))
     vals = vals * ((r >= r_in) & (r < r_out))
     return SampledField(spec, vals, support=Box((-r_out,) * spec.n, (r_out,) * spec.n))

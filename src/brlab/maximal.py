@@ -19,32 +19,52 @@ adaptive threshold constant.  The mask snapping of ``br_star`` below is not
 one-sided: the default tiled path can exceed the ``exact=True`` values
 (the exact ``br_star`` item of ROADMAP.md replaces it).
 
+Truncated fields
+----------------
+``br_starstar`` and ``br_star`` read the truncated field ``g = B_eps f``
+on windows only: the ball means of ``br_starstar`` and of ``br_star``'s
+disjoint tiles, the unmasked term of ``br_star``'s partial tiles, and the
+displacement path.
+``MaximalEngine._g_window`` computes ``g`` on a wrapped index box ``Z`` as
+the exact ``mode="valid"`` convolution of ``f``'s support-box crop ``S``
+with the wrapped kernel crop; its cost scales with ``|Z| + |S|``, not with
+``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does it crop the
+whole-grid field, built once per radius by ``grid.apply_symbol``.  The
+choice depends on geometry alone, so results do not depend on call order.
+
 ``br_star`` masks depend on the evaluation point, which is the expensive
-part.  Two regimes keep the cost near one FFT per scale:
+part.  Two regimes bound the work per scale:
 
 * small radii (``eps < SNAP_MIN_PX`` pixels, default config): the masked
-  transform is evaluated exactly at every point of the window through
-  kernel convolutions, one per displacement ``z - x``, over a periodically
-  wrapped crop of ``f`` around the window (the kernel window makes this
-  exact, not truncated, at any window size);
+  transform is evaluated exactly at every point of the window.  The near
+  field of each displacement ``d = z - x`` is one batched convolution of a
+  periodically wrapped crop of ``f`` around the window with a masked
+  kernel slice, whose spectra are cached per window shape; ``g`` at
+  ``x + d`` is a view of one ``_g_window`` over the window ``+- 2 eps``.
+  Which displacements feed which candidate center is a cached index table,
+  and each candidate sums its displacements in a fixed order;
 * large radii (``eps >= SNAP_MIN_PX``), and every radius with
   ``exact=True``: mask centers are snapped to a per-scale tile lattice of
   side ``eps`` (``|x - x'| <= eps/2``; side 1 with ``exact=True``).  Tiles
   whose mask ball fully covers (or misses) the support of ``f``
   short-circuit to 0 (or to the unmasked average field); a partial tile
-  convolves the kernel with ``f`` cut to its mask ball on a window around
-  the tile.  When that kernel window would wrap around the grid
-  (``6 eps + 1 >= N`` or a tile reach to match), the tile takes one
-  whole-grid symbol application instead; on the domination sweep's nodes
-  such tiles are covered or pruned, so full-grid calls (the public
-  ``br_star``, ``exact=True`` oracles) are the ones that pay for it.
+  subtracts the kernel convolution of ``f`` cut to its mask ball from the
+  truncated field on the tile ``+- 2 eps``, a slice of one ``_g_window``
+  over the whole window ``+- 2 eps``.  When that kernel window
+  would wrap around the grid (``6 eps + 1 >= N`` or a tile reach to
+  match), the cut field takes one whole-grid symbol application instead;
+  on the domination sweep's nodes such tiles are covered or pruned, so
+  full-grid calls (the public ``br_star``, ``exact=True`` oracles) are the
+  ones that pay for it.
 
 ``exact=True`` is priced for small grids only.  Every ball mean is a
 linear convolution over a periodically wrapped crop of the window plus the
 radius: ``eps <= N/4`` keeps the ball's offsets distinct mod ``N``, so the
-crop gives exact torus means even where it holds a grid point twice.  All
-ball geometry uses grid pixels with the minimal-image torus metric, ties at
-the boundary included.
+crop gives exact torus means even where it holds a grid point twice.  A
+crop wider than the grid (``eps = N/4`` around a small window) takes one
+circular convolution of the whole-grid density with the ball, whose
+spectrum is cached.  All ball geometry uses grid pixels with the
+minimal-image torus metric, ties at the boundary included.
 
 Radius pruning
 --------------
@@ -72,6 +92,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.signal import fftconvolve
 
@@ -186,6 +207,17 @@ def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
     return np.maximum(conv, 0.0) / np.count_nonzero(ball)
 
 
+@lru_cache(maxsize=8)
+def _ball_spectrum(n: int, r_px: int, N: int) -> np.ndarray:
+    """Half spectrum of the r-ball indicator on the whole torus, offset 0 at
+    index 0: the circular convolution counterpart of :func:`_ball_mean_linear`."""
+    ball = np.zeros((N,) * n)
+    ball[tuple((_ball_offsets(n, r_px, N) % N).T)] = 1.0
+    spec = fft.rfftn(ball)
+    spec.flags.writeable = False
+    return spec
+
+
 def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> float:
     """``(power_sum / |ball_r|)^(1/p)``: no L^p mean over an r-ball of a
     density whose grid total is at most ``power_sum`` can exceed it."""
@@ -225,6 +257,67 @@ def _kernel_offsets(spec: GridSpec, delta: float, eps_key: float | None) -> np.n
 
 def _eps_key(eps_phys: float) -> float | None:
     return None if eps_phys <= 1.0 else eps_phys
+
+
+_DISP_CHUNK = 32  # displacements per batched FFT of the displacement path
+
+
+@lru_cache(maxsize=64)
+def _touch_tables(n: int, eps_px: int, N: int, thin: int | None) -> tuple[np.ndarray, ...]:
+    """Candidate/displacement incidence of the displacement path, one table
+    per chunk of ``_DISP_CHUNK`` displacements (``_ball_offsets(n, 2 eps_px, N)``
+    order).  Row ``a`` of a chunk's table lists, ascending, the chunk-local
+    indices of the displacements ``d`` with ``d - a`` in the eps-ball
+    (``a`` indexes the candidate pattern), padded with the chunk length."""
+    d_offs = _ball_offsets(n, 2 * eps_px, N)
+    pat = _y_pattern(n, eps_px, N, thin)
+    lut = np.full((2 * eps_px + 1,) * n, -1)
+    lut[tuple((pat + eps_px).T)] = np.arange(len(pat))
+    a = d_offs[:, None, :] - _ball_offsets(n, eps_px, N)[None, :, :]
+    di, bi = np.nonzero(np.all(np.abs(a) <= eps_px, axis=-1))
+    ai = lut[tuple((a[di, bi] + eps_px).T)]
+    di, ai = di[ai >= 0], ai[ai >= 0]
+    tables = []
+    for start in range(0, len(d_offs), _DISP_CHUNK):
+        stop = min(start + _DISP_CHUNK, len(d_offs))
+        sel = (di >= start) & (di < stop)
+        order = np.lexsort((di[sel], ai[sel]))
+        d_c, a_c = di[sel][order] - start, ai[sel][order]
+        rank = np.arange(len(a_c)) - np.searchsorted(a_c, a_c)
+        table = np.full((len(pat), rank.max(initial=-1) + 1), stop - start)
+        table[a_c, rank] = d_c
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+@lru_cache(maxsize=8)
+def _kernel_slice_spectra(spec: GridSpec, delta: float, eps_px: int,
+                          shape: tuple[int, ...], real: bool) -> tuple[np.ndarray, ...]:
+    """Spectra, for f-windows of ``shape``, of the masked kernel slices of the
+    displacement path: slice ``d`` is ``K(d + v)`` on ``|v| <= 3 eps`` and 0
+    elsewhere.  One stacked array per chunk of ``_DISP_CHUNK`` displacements."""
+    n, N = spec.n, spec.N
+    mask_r, kr = 3 * eps_px, 5 * eps_px  # |d - u| <= 5 eps
+    kern = _kernel_offsets(spec, delta, _eps_key(eps_px * spec.dx))
+    kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
+    ball_mask = _ball_mask(n, mask_r, N)
+    ins = tuple(slice(0, 2 * mask_r + 1) for _ in range(n))
+    fwd = fft.rfftn if real else fft.fftn
+    d_offs = _ball_offsets(n, 2 * eps_px, N)
+    out = []
+    for start in range(0, len(d_offs), _DISP_CHUNK):
+        ds = d_offs[start:start + _DISP_CHUNK]
+        kpad = np.zeros((len(ds),) + shape)
+        for j, d in enumerate(ds):
+            # m_rev[v] = K(d + v) on |v| <= 3 eps: a contiguous slice of kc
+            sl = tuple(slice(int(d[i]) + kr - mask_r, int(d[i]) + kr + mask_r + 1)
+                       for i in range(n))
+            kpad[(j,) + ins] = np.where(ball_mask, kc[sl], 0.0)
+        kspec = fwd(kpad, axes=tuple(range(1, n + 1)))
+        kspec.flags.writeable = False
+        out.append(kspec)
+    return tuple(out)
 
 
 Window = tuple[tuple[int, int], ...]
@@ -299,26 +392,62 @@ class MaximalEngine:
             self._g[key] = apply_symbol(self.f.values, sym)
         return self._g[key]
 
-    def _ball_mean_window(self, dens: np.ndarray, eps_px: int, ywin: Window) -> np.ndarray:
-        """Mean of ``dens`` over eps-balls centered at each point of ``ywin``.
+    def _g_window(self, eps_px: int, zlo: tuple[int, ...],
+                  zhi: tuple[int, ...]) -> np.ndarray:
+        """The truncated field ``B_eps f`` on the index box ``[zlo, zhi)``,
+        wrapped.
 
-        A linear convolution over the periodically wrapped crop is exact on
-        the torus at any window size: ``eps_px <= N/4`` keeps the offsets of
-        the minimal-image ball distinct mod N, so each point of a ball is
-        counted once even where the crop holds a grid point twice.
+        ``g(z) = sum_{u in S} K((z - u) mod N) f(u)`` over the support box
+        ``S = [slo, shi)`` is the ``mode="valid"`` convolution of f's crop to
+        ``S`` with the kernel crop of offsets ``[zlo - shi + 1, zhi - slo)``.
+        That is exact for any z-box: the points of ``S`` are distinct, and a
+        kernel offset the crop holds twice is read correctly both times.
+        Where the convolution would be longer than the grid on some axis,
+        the z-box is cropped from the whole-grid field instead; the choice
+        depends on geometry only.
         """
-        region = tuple((l - eps_px, h + eps_px) for l, h in ywin)
-        crop = _wrap_take(dens, tuple(l for l, _ in region), tuple(h for _, h in region))
+        slo = tuple(s.start for s in self._sbox)
+        shi = tuple(s.stop for s in self._sbox)
+        zshape = tuple(h - l for l, h in zip(zlo, zhi))
+        if any(b <= a for a, b in zip(slo, shi)):
+            return np.zeros(zshape, dtype=self.f.values.dtype)
+        if any(z + b - a - 1 > self.spec.N for z, a, b in zip(zshape, slo, shi)):
+            return _wrap_take(self._g_field(eps_px), zlo, zhi)
+        kern = _kernel_offsets(self.spec, self.delta, _eps_key(eps_px * self.spec.dx))
+        kc = _wrap_take(kern, tuple(l - b + 1 for l, b in zip(zlo, shi)),
+                        tuple(h - a for h, a in zip(zhi, slo)))
+        return fftconvolve(kc, self.f.values[self._sbox], mode="valid")
+
+    def _ball_mean_window(self, dens_on, eps_px: int, ywin: Window) -> np.ndarray:
+        """Mean over eps-balls centered at each point of ``ywin`` of a
+        density, which ``dens_on(lo, hi)`` gives on the wrapped index box
+        ``[lo, hi)``.
+
+        Where the crop ``ywin +- eps`` fits in the grid, a linear convolution
+        over it is exact on the torus: ``eps_px <= N/4`` keeps the offsets of
+        the minimal-image ball distinct mod N, so each point of a ball is
+        counted once even where the crop holds a grid point twice.  A crop
+        wider than the grid on some axis takes one circular convolution of
+        the whole-grid density with the ball instead.
+        """
+        n, N = self.spec.n, self.spec.N
+        lo, hi = zip(*self._expand(ywin, eps_px))
+        if any(h - l > N for l, h in zip(lo, hi)):
+            dens = dens_on((0,) * n, (N,) * n)
+            conv = fft.irfftn(fft.rfftn(dens) * _ball_spectrum(n, eps_px, N), s=dens.shape)
+            conv = _wrap_take(conv, *zip(*ywin))
+            return np.maximum(conv, 0.0) / len(_ball_offsets(n, eps_px, N))
         inner = tuple(slice(eps_px, eps_px + (h - l)) for l, h in ywin)
-        return _ball_mean_linear(crop, eps_px, self.spec.N)[inner]
+        return _ball_mean_linear(dens_on(lo, hi), eps_px, N)[inner]
 
     def _avg_window(self, eps_px: int, ywin: Window) -> np.ndarray:
         """Ball L^{q0} average of the unmasked truncated field on ``ywin``."""
         key = (eps_px, ywin)
         if key not in self._avg:
-            dens = np.abs(self._g_field(eps_px)) ** self.cfg.q0
-            mean = self._ball_mean_window(dens, eps_px, ywin)
-            self._avg[key] = mean ** (1.0 / self.cfg.q0)
+            q0 = self.cfg.q0
+            mean = self._ball_mean_window(
+                lambda lo, hi: np.abs(self._g_window(eps_px, lo, hi)) ** q0, eps_px, ywin)
+            self._avg[key] = mean ** (1.0 / q0)
         return self._avg[key]
 
     @staticmethod
@@ -361,7 +490,8 @@ class MaximalEngine:
         for r_px in self.eps_list:
             if self._prunes(total, r_px, p0, best[wsl].min() ** (1.0 / p0)):
                 continue
-            mean = self._ball_mean_window(dens, r_px, window)
+            mean = self._ball_mean_window(lambda lo, hi: _wrap_take(dens, lo, hi),
+                                          r_px, window)
             best[wsl] = np.maximum(best[wsl], mean)
         out = np.zeros(self.spec.shape)
         out[wsl] = best[wsl] ** (1.0 / p0)
@@ -434,6 +564,7 @@ class MaximalEngine:
         spec, n = self.spec, self.spec.n
         mask_r = 3 * eps_px
         avg = None  # y-maxed unmasked average on the window, for disjoint tiles
+        gwin = None  # truncated field on the window +- 2 eps, for partial tiles
         pat = _y_pattern(n, eps_px, spec.N, self.cfg.y_thin)
         wlo = tuple(l for l, _ in window)
 
@@ -458,18 +589,22 @@ class MaximalEngine:
                 rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
                 acc[tsl] = np.maximum(acc[tsl], avg[rel])
                 continue
-            vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, pat)
+            if gwin is None:
+                gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
+            gz = gwin[tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i] + 4 * eps_px)
+                            for i in range(n))]
+            vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, pat, gz)
             twin = tuple((tlo[i], thi[i]) for i in range(n))
             vals = np.where(self._covered_mask(twin, mask_r), 0.0, vals)
             acc[tsl] = np.maximum(acc[tsl], vals)
 
-    def _masked_tile_values(self, tlo, thi, center, eps_px, pat) -> np.ndarray:
+    def _masked_tile_values(self, tlo, thi, center, eps_px, pat, gz) -> np.ndarray:
         """Exact ball-average field of B_eps(f * 1_{B(c,3eps)^c}) for the tile,
-        via a windowed kernel convolution (complete, not truncated: the
+        as the truncated field ``gz`` on the tile +- 2 eps minus a windowed
+        kernel convolution of the masked part (complete, not truncated: the
         kernel window covers every offset that can reach the z-window)."""
         spec, n = self.spec, self.spec.n
         N, q0 = spec.N, self.cfg.q0
-        g = self._g_field(eps_px)
         mask_r = 3 * eps_px
         zlo = tuple(tlo[i] - 2 * eps_px for i in range(n))
         zhi = tuple(thi[i] + 2 * eps_px for i in range(n))
@@ -480,7 +615,7 @@ class MaximalEngine:
 
         if 2 * rk + 1 >= N or (6 * eps_px + 1) >= N:
             near = self._masked_global(center, mask_r)
-            gm = _wrap_take(g, zlo, zhi) - _wrap_take(near, zlo, zhi)
+            gm = gz - _wrap_take(near, zlo, zhi)
         else:
             # local field h = f * 1_{B(c, 3 eps)} as a (6 eps + 1)-cube
             hlo = tuple(int(center[i]) - mask_r for i in range(n))
@@ -493,7 +628,7 @@ class MaximalEngine:
             # conv index m corresponds to z = m + (c - 3 eps) - rk
             sl = tuple(slice(zlo[i] - (int(center[i]) - mask_r) + rk,
                              zhi[i] - (int(center[i]) - mask_r) + rk) for i in range(n))
-            gm = _wrap_take(g, zlo, zhi) - conv[sl]
+            gm = gz - conv[sl]
 
         # valid for y at least eps inside the z-window, i.e. on tile (+-eps)
         avg = _ball_mean_linear(np.abs(gm) ** q0, eps_px, N) ** (1.0 / q0)
@@ -518,10 +653,7 @@ class MaximalEngine:
         """
         spec, n = self.spec, self.spec.n
         N, q0 = spec.N, self.cfg.q0
-        g = self._g_field(eps_px)
-        kern = _kernel_offsets(spec, self.delta, _eps_key(eps_px * spec.dx))
         mask_r, d_r = 3 * eps_px, 2 * eps_px
-        kr = 5 * eps_px  # |d - u| <= 5 eps
 
         wlo = tuple(w[0] for w in window)
         whi = tuple(w[1] for w in window)
@@ -533,53 +665,30 @@ class MaximalEngine:
         # the mask-ball offsets are distinct mod N
         fwin = _wrap_take(self.f.values, tuple(l - mask_r for l in wlo),
                           tuple(h + mask_r for h in whi))
+        real = np.isrealobj(fwin)
+        fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
         axes = tuple(range(1, n + 1))
-        fwd, inv = (fft.rfftn, fft.irfftn) if np.isrealobj(fwin) else (fft.fftn, fft.ifftn)
         FW = fwd(fwin)[None]
-        kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
-        ins = tuple(slice(0, 2 * mask_r + 1) for _ in range(n))
         # valid region: x + u inside the f-window for all |u| <= 3 eps
-        valid = tuple(slice(2 * mask_r, 2 * mask_r + s) for s in wshape)
-        ball_mask = _ball_mask(n, mask_r, N)
+        valid = (slice(None),) + tuple(slice(2 * mask_r, 2 * mask_r + s) for s in wshape)
+        # g at z = x + d for every |d| <= 2 eps, as views of one window
+        gwin = self._g_window(eps_px, *zip(*self._expand(window, d_r)))
+        gz_views = sliding_window_view(gwin, wshape)
 
         d_offs = _ball_offsets(n, d_r, N)
-        b_offs = _ball_offsets(n, eps_px, N)
-        pat = _y_pattern(n, eps_px, N, self.cfg.y_thin)
-        count = len(b_offs)
+        spectra = _kernel_slice_spectra(spec, self.delta, eps_px, fwin.shape, real)
+        tables = _touch_tables(n, eps_px, N, self.cfg.y_thin)
+        sums = np.zeros((len(tables[0]),) + wshape)
+        zero = np.zeros((1,) + wshape)
+        for start, kspec, table in zip(range(0, len(d_offs), _DISP_CHUNK), spectra, tables):
+            ds = d_offs[start:start + _DISP_CHUNK]
+            nears = inv(FW * kspec, s=fwin.shape, axes=axes)[valid]
+            t = np.concatenate([np.abs(gz_views[tuple((ds + d_r).T)] - nears) ** q0, zero])
+            # each candidate sums its displacements in ascending order
+            for k in range(table.shape[1]):
+                sums += t[table[:, k]]
 
-        # which candidate offsets a each displacement d contributes to
-        pat_set = {tuple(a): i for i, a in enumerate(pat)}
-        touches: list[list[int]] = []
-        for d in d_offs:
-            lst = []
-            for b in b_offs:
-                a = tuple(int(d[i] - b[i]) for i in range(n))
-                if a in pat_set:
-                    lst.append(pat_set[a])
-            touches.append(lst)
-
-        sums = np.zeros((len(pat),) + wshape)
-        chunk = 32
-        for start in range(0, len(d_offs), chunk):
-            ds = d_offs[start:start + chunk]
-            kpad = np.zeros((len(ds),) + fwin.shape)
-            for j, d in enumerate(ds):
-                # m_rev[v] = K(d + v) on |v| <= 3 eps: a contiguous slice of kc
-                sl = tuple(slice(int(d[i]) + kr - mask_r, int(d[i]) + kr + mask_r + 1)
-                           for i in range(n))
-                kpad[(j,) + ins] = np.where(ball_mask, kc[sl], 0.0)
-            nears = inv(FW * fwd(kpad, axes=axes), s=fwin.shape, axes=axes)
-            near_w = nears[(slice(None),) + valid]
-
-            for j, d in enumerate(ds):
-                if not touches[start + j]:
-                    continue
-                gz = _wrap_take(g, tuple(wlo[i] + int(d[i]) for i in range(n)),
-                                tuple(whi[i] + int(d[i]) for i in range(n)))
-                t_d = np.abs(gz - near_w[j]) ** q0
-                for ai in touches[start + j]:
-                    sums[ai] += t_d
-
+        count = len(_ball_offsets(n, eps_px, N))
         vals = np.max((np.maximum(sums, 0.0) / count), axis=0) ** (1.0 / q0)
         vals = np.where(covered, 0.0, vals)
         wsl = tuple(slice(l, h) for l, h in zip(wlo, whi))

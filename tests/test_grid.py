@@ -12,6 +12,9 @@ from brlab.grid import (
     GridSpec,
     SampledField,
     SpectralField,
+    _bump_window,
+    _mollifier_ramp,
+    _trig_sum,
     apply_symbol,
     cube_average,
     forward_transform,
@@ -21,6 +24,7 @@ from brlab.grid import (
     make_test_function,
     mask_to_box,
     read_field,
+    sum_of_squares,
     write_field,
 )
 
@@ -231,6 +235,56 @@ class TestMakeTestFunction:
         assert np.allclose(f.values[inside], 1.0)
         outside = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 1.5
         assert np.abs(f.values[outside]).max() == 0.0
+
+
+def _full_grid_field(spec, kind, center, amp, radius=None, half_width=None,
+                     transition=None, window_radius=None, seed=None, **_):
+    """The generators' formulas evaluated on every grid point."""
+    axes = [spec.axis_coords()] * spec.n
+    rho2 = sum_of_squares([a - c for a, c in zip(axes, center)])
+    if kind == "bump":
+        return amp * _bump_window(rho2 / radius ** 2)
+    if kind == "indicator_smooth":
+        vals = np.ones(spec.shape)
+        for i, x in enumerate(spec.meshgrid()):
+            vals = vals * _mollifier_ramp((half_width + transition - np.abs(x - center[i]))
+                                          / transition)
+        return amp * vals
+    # random_trig with num_modes=6, freq_max=2: the generator's draws, in order
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((6, spec.n))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    freqs = dirs * (2.0 * rng.random(6)[:, None] ** (1.0 / spec.n))
+    phases = rng.uniform(0.0, 2.0 * np.pi, 6)
+    amps = rng.standard_normal(6) / math.sqrt(6)
+    return amp * _bump_window(rho2 / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps)
+
+
+class TestBoxLocalGenerators:
+    # bump, indicator_smooth and random_trig evaluate on their support box
+    # only; inside it they must agree bitwise with the whole-grid formula
+    @pytest.mark.parametrize("kind", ["bump", "indicator_smooth", "random_trig"])
+    @pytest.mark.parametrize("spec,center", [
+        (SPEC, (0.3, -0.45)),
+        (SPEC, (1.25, -1.25)),  # the support box touches the central quarter's edge
+        (GridSpec(n=3, L=4.0, N=32), (0.1, 0.0, -0.2)),
+    ])
+    def test_matches_full_grid_formula(self, kind, spec, center):
+        r = spec.L / 8.0 - max(abs(c) for c in center)
+        amp = -2.5
+        if kind == "bump":
+            params = dict(radius=r)
+        elif kind == "indicator_smooth":
+            params = dict(half_width=r / 2, transition=r / 2)
+        else:
+            params = dict(window_radius=r, seed=17, num_modes=6, freq_max=2.0)
+        f = make_test_function(spec, kind, center=center, amp=amp, **params)
+        want = _full_grid_field(spec, kind, center, amp, **params)
+        assert np.array_equal(f.values, want)
+        # outside the support box the zeros are exact and positive
+        outside = np.ones(spec.shape, dtype=bool)
+        outside[tuple(slice(*jr) for jr in f.support.index_ranges(spec))] = False
+        assert not np.any(f.values[outside]) and not np.any(np.signbit(f.values[outside]))
 
 
 class TestMasking:

@@ -225,6 +225,29 @@ class TestDominationGolden:
             row = _domination_trial((cfg, trial))
             assert row[2:5] == pytest.approx(tuple(floats), rel=1e-12)
 
+    # Seed 7, trials 0-3 at N = 512 with eps_min_exp 3: every br_star radius
+    # takes the tiled path, and the truncated fields come from the support
+    # box.  Recorded before the support-local truncated fields; the floats
+    # are compared at rel=1e-12 as above.
+    EXPECTED_512 = [
+        (0, "ok", 0.02577139131232651, 0.2009810157007435, 0.12822798821307366,
+         32.0, 32.0, 4, 8, True,
+         "0:0.26953125;2:0.03125;2:0.046875;3:0.0;3:0.0;3:0.0;3:0.0;3:0.0"),
+        (1, "ok", 0.17498095678726214, 0.05193089544102038, 3.369496237283136,
+         64.0, 64.0, 1, 1, True, "0:0.0"),
+        (2, "ok", 0.08431836630413102, 0.012302812974442301, 6.853584337118093,
+         32.0, 32.0, 1, 1, True, "0:0.04296875"),
+        (3, "ok", 0.3738572912002912, 0.09623491413580136, 3.8848404922222364,
+         32.0, 32.0, 4, 4, True, "0:0.1611328125;2:0.0;3:0.0;3:0.0"),
+    ]
+
+    def test_tiled_path_rows_pinned_at_512(self):
+        cfg = ExperimentConfig(grid_n=512, eps_min_exp=3, seed=7)
+        for expected in self.EXPECTED_512:
+            row = _domination_trial((cfg, expected[0]))
+            assert (row[:2] + row[5:]) == (expected[:2] + expected[5:])
+            assert row[2:5] == pytest.approx(expected[2:5], rel=1e-12)
+
 
 class TestOneFFTBackend:
     # Every transform in brlab runs on scipy.fft; the benchmark's tracer

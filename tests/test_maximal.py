@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 import brlab.maximal as maximal
-from brlab.grid import GridSpec, SampledField, make_test_function, mask_to_box
+from brlab.grid import Box, GridSpec, SampledField, apply_symbol, make_test_function, mask_to_box
 from brlab.maximal import (
+    _DISP_CHUNK,
     SNAP_MIN_PX,
     MaximalConfig,
     MaximalEngine,
+    _ball_mean_linear,
     _ball_offsets,
+    _touch_tables,
+    _wrap_take,
     _y_pattern,
     ball_average,
     br_star,
@@ -299,6 +303,81 @@ class TestRadiusPruning:
         assert eng.hl_values().max() <= bound_hl * (1.0 + 1e-9)
         assert eng.starstar_values().max() <= bound_l2 * (1.0 + 1e-9)
         assert eng.star_values().max() <= bound_l2 * (1.0 + 1e-9)
+
+
+class TestSupportLocal:
+    # The truncated field on a z-box is a valid convolution over the support
+    # crop when that fits in the grid, else a crop of the whole-grid field.
+    EPS_PX = 4
+
+    def _fields(self):
+        f = spiky_field(seed=5)
+        cut = mask_to_box(f, Box((-0.6, -0.4), (0.5, 0.7)))
+        return {"real": cut, "complex": SampledField(SPEC, cut.values * (1 - 0.5j), cut.support),
+                "unsupported": SampledField(SPEC, f.values)}
+
+    # (zlo, zhi, fits): the support crop is [28, 36) x [29, 38); the second
+    # and last boxes wrap across the grid edge
+    ZBOXES = [((20, 30), (36, 41), True), ((-9, 50), (5, 70), True),
+              ((0, 0), (47, 12), True), ((-20, 10), (40, 18), False),
+              ((3, -7), (80, 30), False)]
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
+    def test_g_window_matches_whole_grid_field(self, kind):
+        f = self._fields()[kind]
+        sym = truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx)
+        g = apply_symbol(f.values, sym)
+        for zlo, zhi, fits in self.ZBOXES:
+            eng = MaximalEngine(f, DELTA, CFG)
+            got = eng._g_window(self.EPS_PX, zlo, zhi)
+            want = _wrap_take(g, zlo, zhi)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(g)), (zlo, zhi)
+            # the whole-grid field is built only when the crop cannot fit
+            assert bool(eng._g) == (not fits or kind == "unsupported"), (zlo, zhi)
+
+    def test_g_window_of_empty_support_box_is_zero(self):
+        f = SampledField(SPEC, np.zeros(SPEC.shape), support=Box((0.01, 0.01), (0.1, 0.1)))
+        assert not np.any(MaximalEngine(f, DELTA, CFG)._g_window(4, (0, 0), (9, 5)))
+
+    @pytest.mark.parametrize("ywin", [((10, 50), (3, 20)), ((-12, 30), (40, 70))])
+    def test_torus_ball_mean_matches_crop(self, ywin):
+        # eps = N/4: the crop ywin +- eps is wider than the grid on axis 0
+        eps_px = SPEC.N // 4
+        dens = np.abs(spiky_field(seed=3).values) ** 1.2 + 0.1
+        eng = MaximalEngine(spiky_field(seed=3), DELTA, CFG)
+        got = eng._ball_mean_window(lambda lo, hi: _wrap_take(dens, lo, hi), eps_px, ywin)
+        lo = tuple(l - eps_px for l, _ in ywin)
+        hi = tuple(h + eps_px for _, h in ywin)
+        assert hi[0] - lo[0] > SPEC.N
+        inner = tuple(slice(eps_px, eps_px + h - l) for l, h in ywin)
+        want = _ball_mean_linear(_wrap_take(dens, lo, hi), eps_px, SPEC.N)[inner]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("eps_px", [1, 2, 4])
+    @pytest.mark.parametrize("thin", [None, 64, 8])
+    def test_touch_tables_match_brute_force(self, N, eps_px, thin):
+        d_offs = _ball_offsets(2, 2 * eps_px, N)
+        b_offs = _ball_offsets(2, eps_px, N)
+        pat = _y_pattern(2, eps_px, N, thin)
+        pat_set = {tuple(a): i for i, a in enumerate(pat)}
+        want = [[] for _ in pat]
+        for di, d in enumerate(d_offs):
+            for b in b_offs:
+                a = tuple(int(d[i] - b[i]) for i in range(2))
+                if a in pat_set:
+                    want[pat_set[a]].append(di)
+        got = [[] for _ in pat]
+        tables = _touch_tables(2, eps_px, N, thin)
+        assert len(tables) == -(-len(d_offs) // _DISP_CHUNK)
+        for c, table in enumerate(tables):
+            pad = min(_DISP_CHUNK, len(d_offs) - c * _DISP_CHUNK)
+            for ai, row in enumerate(table):
+                got[ai].extend(int(d) + c * _DISP_CHUNK for d in row if d != pad)
+        assert got == want
+        if 4 * eps_px + 1 <= N:  # no wrapped displacements
+            assert all(len(lst) == len(b_offs) for lst in got)
 
 
 class TestWeakType:
