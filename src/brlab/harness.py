@@ -479,7 +479,8 @@ def run_weights(cfg: ExperimentConfig) -> Report:
                              window_radius=spec.L / 10.0, num_modes=5, freq_max=1.5)
           for i in range(3)]
     product_all_hold = True
-    for wid, w in _weight_presets(spec, cfg.seed):
+    presets = _weight_presets(spec, cfg.seed)
+    for wid, w in presets:
         pb = predicted_bound_report(w, p, p0, "below2")
         emp = max(weighted_operator_ratio(f, w, p, cfg.delta) for f in fs)
         report.rows.append((wid, p, p0, cfg.delta, pb.ap_char, pb.rh_char,
@@ -487,7 +488,7 @@ def run_weights(cfg: ExperimentConfig) -> Report:
         for (qq, ss) in ((2.0, 2.0), (2.0, 1.5), (1.5, 2.0), (1.0, 2.0), (3.0, 1.25)):
             if not check_ap_rh_product(w, qq, ss).holds:
                 product_all_hold = False
-    mixed = mixed_preset_report(_weight_presets(spec, cfg.seed)[4][1])
+    mixed = mixed_preset_report(presets[4][1])
     report.summary = {
         "experiment": "weights",
         "exponent_record": _record_dict(cfg),

@@ -80,8 +80,16 @@ masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so ``br_starstar`` and
 ``q0 > 2`` no such bound holds and every radius is evaluated.  A skipped
 radius could not have changed ``np.maximum``, so the outputs are bitwise
 those of the full walk; the margin absorbs the rounding of the FFT means.
-Elementwise work on ``f`` itself (power sums, the HL density, the nonzero
-scan) runs on the declared support box, outside which ``f`` is exactly 0.
+Elementwise work on ``f`` itself (power sums, the nonzero scan) runs on
+the declared support box, outside which ``f`` is exactly 0.
+
+Windows
+-------
+``star_values``, ``starstar_values`` and ``hl_values`` take a window (an
+index box) and return an array of its shape, from window-shaped
+accumulators and crops; the public operators pass the whole grid.
+Whole-grid arrays remain only in the geometry fallbacks of ``_g_window``,
+``_ball_mean_window`` and ``_masked_tile_values``.
 """
 
 from __future__ import annotations
@@ -149,6 +157,19 @@ class MaximalConfig:
         return [2 ** m for m in exps]
 
 
+def _exponent_cfg(cfg: MaximalConfig | None, p0: float,
+                  q0: float | None = None) -> MaximalConfig:
+    """``cfg``, or the default config at ``p0`` (and ``q0``).  A given config
+    must carry the same exponents, so that no operator runs at another one;
+    ``q0=None`` leaves ``cfg.q0`` unchecked."""
+    if cfg is None:
+        return MaximalConfig(p0=p0) if q0 is None else MaximalConfig(p0=p0, q0=q0)
+    if cfg.p0 != p0 or (q0 is not None and cfg.q0 != q0):
+        raise ValueError(f"exponents p0={p0}, q0={q0} disagree with the config's "
+                         f"p0={cfg.p0}, q0={cfg.q0}")
+    return cfg
+
+
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
 
 @lru_cache(maxsize=256)
@@ -179,14 +200,16 @@ def _y_pattern(n: int, r_px: int, N: int, thin: int | None) -> np.ndarray:
     offs = _ball_offsets(n, r_px, N)
     if thin is None or len(offs) <= thin:
         return offs
+    # r_px <= N/4: stride s keeps the lattice points s k of the plain r-ball
     stride = 2
     while True:
-        keep = np.all(offs % stride == 0, axis=1)
-        if keep.sum() <= thin:
-            sub = offs[keep]
-            sub.flags.writeable = False
-            return sub
+        k = np.arange(-(r_px // stride), r_px // stride + 1) * stride
+        if np.count_nonzero(sum_of_squares([k] * n) <= r_px * r_px) <= thin:
+            break
         stride += 1
+    sub = offs[np.all(offs % stride == 0, axis=1)]
+    sub.flags.writeable = False
+    return sub
 
 
 @lru_cache(maxsize=256)
@@ -464,53 +487,38 @@ class MaximalEngine:
 
     # -- the unmasked operator ------------------------------------------
 
-    def starstar_values(self, window: Window | None = None) -> np.ndarray:
-        if window is None:
-            window = _full_window(self.spec)
-        acc = np.zeros(self.spec.shape)
-        wsl = tuple(slice(l, h) for l, h in window)
+    def starstar_values(self, window: Window) -> np.ndarray:
+        acc = np.zeros(tuple(h - l for l, h in window))
         for eps_px in self.eps_list:
-            if self._l2_prunes(eps_px, acc[wsl]):
+            if self._l2_prunes(eps_px, acc):
                 continue
-            acc[wsl] = np.maximum(acc[wsl], self._y_max(eps_px, window))
+            acc = np.maximum(acc, self._y_max(eps_px, window))
         return acc
 
     # -- Hardy-Littlewood ------------------------------------------------
 
-    def hl_values(self, p0: float | None = None,
-                  window: Window | None = None) -> np.ndarray:
-        p0 = self.cfg.p0 if p0 is None else p0
-        if window is None:
-            window = _full_window(self.spec)
-        dens = np.zeros(self.spec.shape)
-        dens[self._sbox] = np.abs(self.f.values[self._sbox]) ** p0
-        total = float(np.sum(dens[self._sbox]))
-        wsl = tuple(slice(l, h) for l, h in window)
-        best = np.zeros(self.spec.shape)
+    def hl_values(self, window: Window) -> np.ndarray:
+        p0 = self.cfg.p0
+        total = float(np.sum(np.abs(self.f.values[self._sbox]) ** p0))
+        best = np.zeros(tuple(h - l for l, h in window))
         for r_px in self.eps_list:
-            if self._prunes(total, r_px, p0, best[wsl].min() ** (1.0 / p0)):
+            if self._prunes(total, r_px, p0, best.min() ** (1.0 / p0)):
                 continue
-            mean = self._ball_mean_window(lambda lo, hi: _wrap_take(dens, lo, hi),
-                                          r_px, window)
-            best[wsl] = np.maximum(best[wsl], mean)
-        out = np.zeros(self.spec.shape)
-        out[wsl] = best[wsl] ** (1.0 / p0)
-        return out
+            best = np.maximum(best, self._ball_mean_window(
+                lambda lo, hi: np.abs(_wrap_take(self.f.values, lo, hi)) ** p0, r_px, window))
+        return best ** (1.0 / p0)
 
     # -- the masked (off-diagonal) operator ------------------------------
 
-    def star_values(self, window: Window | None = None) -> np.ndarray:
+    def star_values(self, window: Window) -> np.ndarray:
         if self.f.support is None:
             raise ValueError("br_star needs a compactly supported field "
                              "(declared support box missing)")
-        if window is None:
-            window = _full_window(self.spec)
-        acc = np.zeros(self.spec.shape)
+        acc = np.zeros(tuple(h - l for l, h in window))
         if not np.any(self.f.values[self._sbox]):
             return acc
-        wsl = tuple(slice(l, h) for l, h in window)
         for eps_px in self.eps_list:
-            if self._l2_prunes(eps_px, acc[wsl]):
+            if self._l2_prunes(eps_px, acc):
                 continue
             if eps_px < SNAP_MIN_PX and not self.cfg.exact:
                 self._star_displacement(acc, window, eps_px)
@@ -582,21 +590,19 @@ class MaximalEngine:
             kind = self._classify_tile(center, mask_r)
             if kind == "covered":
                 continue  # masked input vanishes: contributes exactly zero
-            tsl = tuple(slice(tlo[i], thi[i]) for i in range(n))
+            rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
             if kind == "disjoint":
                 if avg is None:
                     avg = self._y_max(eps_px, window)
-                rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
-                acc[tsl] = np.maximum(acc[tsl], avg[rel])
+                acc[rel] = np.maximum(acc[rel], avg[rel])
                 continue
             if gwin is None:
                 gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
-            gz = gwin[tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i] + 4 * eps_px)
-                            for i in range(n))]
+            gz = gwin[tuple(slice(r.start, r.stop + 4 * eps_px) for r in rel)]
             vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, pat, gz)
             twin = tuple((tlo[i], thi[i]) for i in range(n))
             vals = np.where(self._covered_mask(twin, mask_r), 0.0, vals)
-            acc[tsl] = np.maximum(acc[tsl], vals)
+            acc[rel] = np.maximum(acc[rel], vals)
 
     def _masked_tile_values(self, tlo, thi, center, eps_px, pat, gz) -> np.ndarray:
         """Exact ball-average field of B_eps(f * 1_{B(c,3eps)^c}) for the tile,
@@ -655,16 +661,13 @@ class MaximalEngine:
         N, q0 = spec.N, self.cfg.q0
         mask_r, d_r = 3 * eps_px, 2 * eps_px
 
-        wlo = tuple(w[0] for w in window)
-        whi = tuple(w[1] for w in window)
-        wshape = tuple(h - l for l, h in zip(wlo, whi))
+        wshape = tuple(h - l for l, h in window)
         covered = self._covered_mask(window, mask_r)
         if covered.all():
             return
         # f on the window +- 3 eps, wrapped: exact at any window size, since
         # the mask-ball offsets are distinct mod N
-        fwin = _wrap_take(self.f.values, tuple(l - mask_r for l in wlo),
-                          tuple(h + mask_r for h in whi))
+        fwin = _wrap_take(self.f.values, *zip(*self._expand(window, mask_r)))
         real = np.isrealobj(fwin)
         fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
         axes = tuple(range(1, n + 1))
@@ -690,26 +693,25 @@ class MaximalEngine:
 
         count = len(_ball_offsets(n, eps_px, N))
         vals = np.max((np.maximum(sums, 0.0) / count), axis=0) ** (1.0 / q0)
-        vals = np.where(covered, 0.0, vals)
-        wsl = tuple(slice(l, h) for l, h in zip(wlo, whi))
-        acc[wsl] = np.maximum(acc[wsl], vals)
+        np.maximum(acc, np.where(covered, 0.0, vals), out=acc)
 
 
 def hl_maximal(f: SampledField, p0: float, cfg: MaximalConfig | None = None) -> SampledField:
-    """L^{p0} Hardy-Littlewood maximal function over the dyadic radius set."""
-    cfg = cfg if cfg is not None else MaximalConfig(p0=p0)
-    eng = MaximalEngine(f, 0.0, cfg)
-    return SampledField(f.spec, eng.hl_values(p0))
+    """L^{p0} Hardy-Littlewood maximal function over the dyadic radius set
+    (``ValueError`` if ``cfg`` carries another ``p0``)."""
+    eng = MaximalEngine(f, 0.0, _exponent_cfg(cfg, p0))
+    return SampledField(f.spec, eng.hl_values(_full_window(f.spec)))
 
 
 def br_star(f: SampledField, delta: float, cfg: MaximalConfig) -> SampledField:
     """Masked (off-diagonal) maximal truncation of the multiplier."""
-    return SampledField(f.spec, MaximalEngine(f, delta, cfg).star_values())
+    return SampledField(f.spec, MaximalEngine(f, delta, cfg).star_values(_full_window(f.spec)))
 
 
 def br_starstar(f: SampledField, delta: float, cfg: MaximalConfig) -> SampledField:
     """Unmasked maximal truncation of the multiplier."""
-    return SampledField(f.spec, MaximalEngine(f, delta, cfg).starstar_values())
+    eng = MaximalEngine(f, delta, cfg)
+    return SampledField(f.spec, eng.starstar_values(_full_window(f.spec)))
 
 
 def ball_average(f: SampledField, center, radius: float, p: float) -> float:

@@ -68,14 +68,23 @@ def k_min(spec_or_L) -> int:
     return math.ceil(math.log2(8.0 / L))
 
 
+def _br_base(t, delta):
+    """``t_+^delta``, 0 where ``t <= 0`` (also at delta = 0)."""
+    return np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
+
+
+def _sk_of_t(t, k: int, delta: float):
+    """``2^{-k delta} t_+^delta chi(2^{-k} t)``, with ``t = 1 - |xi|^2``."""
+    return 2.0 ** (-k * delta) * _br_base(t, delta) * chi(np.ldexp(t, -k))
+
+
 @lru_cache(maxsize=128)
 def bochner_riesz_symbol(spec: GridSpec, delta: float) -> np.ndarray:
     """``(1 - |xi|^2)_+^delta`` on the frequency lattice (indicator of the
     open unit ball when delta = 0)."""
     if delta < 0:
         raise ValueError(f"smoothness exponent must satisfy delta >= 0, got {delta}")
-    t = 1.0 - freq_sq(spec)
-    out = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
+    out = _br_base(1.0 - freq_sq(spec), delta)
     out.flags.writeable = False
     return out
 
@@ -109,9 +118,7 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
             f"scale below grid resolution: 2^{k} < 8/L = {8.0 / spec.L} "
             f"(smallest resolvable index is {k_min(spec)})"
         )
-    t = 1.0 - freq_sq(spec)
-    base = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
-    out = 2.0 ** (-k * delta) * base * chi(np.ldexp(t, -k))
+    out = _sk_of_t(1.0 - freq_sq(spec), k, delta)
     out.flags.writeable = False
     return out
 
@@ -134,12 +141,6 @@ def apply_Sk(f: SampledField, k: int, delta: float) -> SampledField:
     """Littlewood-Paley piece supported where ``1-|xi|^2 ~ 2^k``."""
     sym = sk_symbol(f.spec, int(k), float(delta))
     return SampledField(f.spec, apply_symbol(f.values, sym))
-
-
-def _sk_scalar(rho: np.ndarray, k: int, delta: float) -> np.ndarray:
-    t = 1.0 - rho ** 2
-    base = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
-    return 2.0 ** (-k * delta) * base * chi(np.ldexp(t, -k))
 
 
 def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.ndarray:
@@ -167,7 +168,8 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
         mid = 0.5 * (edges[1:] + edges[:-1])
         rho = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
         wts = (half[:, None] * weights0[None, :]).ravel()
-        fvals = _sk_scalar(rho, k, delta) * special.jv(order, 2.0 * np.pi * rho * r) * rho ** (n / 2.0)
+        fvals = (_sk_of_t(1.0 - rho ** 2, k, delta) * special.jv(order, 2.0 * np.pi * rho * r)
+                 * rho ** (n / 2.0))
         out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
     return out
 

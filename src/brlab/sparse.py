@@ -32,7 +32,7 @@ from .grid import (
     mask_to_box,
     prefix_sum,
 )
-from .maximal import MaximalConfig, MaximalEngine
+from .maximal import MaximalConfig, MaximalEngine, _exponent_cfg
 from .multiplier import apply_bochner_riesz
 
 __all__ = [
@@ -196,19 +196,6 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
     return selected, flagged
 
 
-def _exponent_cfg(cfg: MaximalConfig | None, p0: float,
-                  q0: float | None = None) -> MaximalConfig:
-    """``cfg``, or the default config at ``p0`` (and ``q0``).  A given config
-    must carry the same exponents, so that no operator runs at another one;
-    ``q0=None`` leaves ``cfg.q0`` unchecked."""
-    if cfg is None:
-        return MaximalConfig(p0=p0) if q0 is None else MaximalConfig(p0=p0, q0=q0)
-    if cfg.p0 != p0 or (q0 is not None and cfg.q0 != q0):
-        raise ValueError(f"exponents p0={p0}, q0={q0} disagree with the config's "
-                         f"p0={cfg.p0}, q0={cfg.q0}")
-    return cfg
-
-
 def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
                     p0: float, cfg: MaximalConfig | None = None, *,
                     c_init: float = 8.0, c_max: float = 2.0 ** 20,
@@ -223,21 +210,18 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
     """
     cfg = _exponent_cfg(cfg, p0)
     window = q0_cube.window()
-    wsl = tuple(slice(l, h) for l, h in window)
 
     base = cube_average(f, q0_cube.box6(), p0)
     if not np.any(f.values):
         return ExceptionalResult(c_init, (), c_init * base, 0, ())
 
     engine = MaximalEngine(f, delta, cfg)
-    phi = engine.star_values(window) + engine.starstar_values(window)
-    phi = phi + engine.hl_values(p0, window)
-    phi_w = phi[wsl]
+    phi = engine.star_values(window) + engine.starstar_values(window) + engine.hl_values(window)
 
     half = q0_cube.cell_count // 2
     c = float(c_init)
     while True:
-        mask = phi_w > c * base  # strict, as the level-set definition is written
+        mask = phi > c * base  # strict, as the level-set definition is written
         e_cells = int(np.count_nonzero(mask))
         if e_cells <= half:
             break

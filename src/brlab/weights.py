@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .grid import (
     GridSpec,
@@ -102,21 +104,26 @@ class Weight:
         return sums / self.fam_side.astype(float) ** self.spec.n
 
     def _mins_maxs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max over every family cube: per distinct side ``s``, sliding
+        filters over ``[lo, lo + s)`` on each axis, read at the low corners."""
         if self._minmax is None:
             vals = self.field.values.real
-            mins = np.empty(len(self.fam_lo))
-            maxs = np.empty(len(self.fam_lo))
-            for i in range(len(self.fam_lo)):
-                sl = tuple(slice(self.fam_lo[i, ax], self.fam_lo[i, ax] + self.fam_side[i])
-                           for ax in range(self.spec.n))
-                view = vals[sl]
-                mins[i] = view.min()
-                maxs[i] = view.max()
+            mins, maxs = np.empty(len(self.fam_lo)), np.empty(len(self.fam_lo))
+            for s in np.unique(self.fam_side).tolist():
+                sel = self.fam_side == s
+                at = tuple(self.fam_lo[sel].T)
+                for out, filt in ((mins, minimum_filter1d), (maxs, maximum_filter1d)):
+                    box = vals
+                    for ax in range(self.spec.n):
+                        box = filt(box, s, axis=ax, origin=-(s // 2))
+                    out[sel] = box[at]
             self._minmax = (mins, maxs)
         return self._minmax
 
 
+@lru_cache(maxsize=8)
 def _build_family(spec: GridSpec, seed: int, n_random: int):
+    """Low corners and sides of the cube family, read-only and shared."""
     N, n = spec.N, spec.n
     lo_list, side_list = [], []
     side = N
@@ -131,7 +138,10 @@ def _build_family(spec: GridSpec, seed: int, n_random: int):
         s = int(rng.integers(2, N // 2 + 1))
         lo_list.append([int(rng.integers(0, N - s + 1)) for _ in range(n)])
         side_list.append(s)
-    return np.asarray(lo_list, dtype=np.int64), np.asarray(side_list, dtype=np.int64)
+    fam = np.asarray(lo_list, dtype=np.int64), np.asarray(side_list, dtype=np.int64)
+    for arr in fam:
+        arr.flags.writeable = False
+    return fam
 
 
 # -- characteristics ----------------------------------------------------------

@@ -12,6 +12,7 @@ from brlab.maximal import (
     MaximalEngine,
     _ball_mean_linear,
     _ball_offsets,
+    _full_window,
     _touch_tables,
     _wrap_take,
     _y_pattern,
@@ -152,7 +153,7 @@ class TestBrStar:
         f = spiky_field()
         cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4,
                             y_thin=16, exact=True)
-        star = MaximalEngine(f, DELTA, cfg).star_values()
+        star = br_star(f, DELTA, cfg).values
         rng = np.random.default_rng(1)
         pts = [(int(a), int(b)) for a, b in rng.integers(4, 60, size=(12, 2))]
         brute = brute_star_at(f, DELTA, cfg, pts)
@@ -164,7 +165,7 @@ class TestBrStar:
         # eps = 4 px < SNAP_MIN_PX: the default (exact=False) small-radius path
         f = spiky_field()
         cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16)
-        star = MaximalEngine(f, DELTA, cfg).star_values()
+        star = br_star(f, DELTA, cfg).values
         rng = np.random.default_rng(1)
         pts = [(int(a), int(b)) for a, b in rng.integers(4, 60, size=(12, 2))]
         brute = brute_star_at(f, DELTA, cfg, pts)
@@ -187,7 +188,7 @@ class TestBrStar:
         f2 = make_test_function(spec, "bump", radius=2.9 * 4 * spec.dx)
         star2 = MaximalEngine(f2, DELTA, cfg_exact).star_values(
             ((center[0], center[0] + 1), (center[1], center[1] + 1)))
-        assert star2[center] == 0.0
+        assert star2.shape == (1, 1) and star2[0, 0] == 0.0
 
     def test_requires_support(self):
         f = SampledField(SPEC, np.ones(SPEC.shape))
@@ -217,8 +218,8 @@ class TestBrStar:
         spec = GridSpec(n=2, L=8.0, N=128)
         for seed in (11, 5):
             f = spiky_field(spec, seed=seed)
-            default = MaximalEngine(f, DELTA, MaximalConfig()).star_values()
-            exact = MaximalEngine(f, DELTA, MaximalConfig(exact=True)).star_values()
+            default = br_star(f, DELTA, MaximalConfig()).values
+            exact = br_star(f, DELTA, MaximalConfig(exact=True)).values
             assert np.abs(default - exact).max() <= 1e-10 * exact.max()
 
     def test_star_below_starstar_of_masked_term_by_term(self):
@@ -232,11 +233,10 @@ class TestBrStar:
         assert star.max() <= 10.0 * big.max()
 
 
-def _node_cases():
+def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
     """(f_node, window) pairs as exceptional_set sees them: a windowed field
     with a sharp spike, cut to 6Q, and the window of Q, for the root cube
     and one of its children."""
-    spec = GridSpec(n=2, L=8.0, N=128)
     for seed in (11, 5):
         f = make_test_function(spec, "random_trig", seed=seed, window_radius=0.95,
                                num_modes=5, freq_max=1.5)
@@ -299,10 +299,63 @@ class TestRadiusPruning:
         dens = np.abs(f.values)
         bound_hl = (np.sum(dens ** cfg.p0) / count) ** (1.0 / cfg.p0)
         bound_l2 = (np.sum(dens ** 2) / count) ** 0.5
-        eng = MaximalEngine(f, DELTA, cfg)
-        assert eng.hl_values().max() <= bound_hl * (1.0 + 1e-9)
-        assert eng.starstar_values().max() <= bound_l2 * (1.0 + 1e-9)
-        assert eng.star_values().max() <= bound_l2 * (1.0 + 1e-9)
+        eng, window = MaximalEngine(f, DELTA, cfg), _full_window(SPEC)
+        assert eng.hl_values(window).max() <= bound_hl * (1.0 + 1e-9)
+        assert eng.starstar_values(window).max() <= bound_l2 * (1.0 + 1e-9)
+        assert eng.star_values(window).max() <= bound_l2 * (1.0 + 1e-9)
+
+
+class TestWindowContract:
+    # Engine methods return the window's shape and agree with the public
+    # whole-grid operators cropped to it.  br_star's default tiled path
+    # (eps >= SNAP_MIN_PX) is left out: its snapped tile lattice depends on
+    # the window, so the two are not comparable there.
+    @pytest.mark.parametrize("op, cfg", [
+        ("hl", MaximalConfig(eps_min_exp=0, y_thin=16)),
+        ("starstar", MaximalConfig(eps_min_exp=0, y_thin=16)),
+        ("star", MaximalConfig(eps_min_exp=0, eps_max_exp=2, y_thin=16)),
+        ("star", MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16, exact=True)),
+    ], ids=["hl", "starstar", "star-displacement", "star-exact"])
+    def test_window_values_match_public_operator_cropped(self, op, cfg):
+        public = {"hl": lambda f: hl_maximal(f, cfg.p0, cfg),
+                  "starstar": lambda f: br_starstar(f, DELTA, cfg),
+                  "star": lambda f: br_star(f, DELTA, cfg)}[op]
+        for f, window in _node_cases(SPEC):
+            whole = public(f).values
+            got = getattr(MaximalEngine(f, DELTA, cfg), f"{op}_values")(window)
+            want = whole[tuple(slice(l, h) for l, h in window)]
+            assert got.shape == want.shape == tuple(h - l for l, h in window)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(whole), window
+
+
+def _y_pattern_search(n, r_px, N, thin):
+    """The former stride search: filter the whole ball at every stride."""
+    offs = _ball_offsets(n, r_px, N)
+    if thin is None or len(offs) <= thin:
+        return offs
+    stride = 2
+    while True:
+        keep = np.all(offs % stride == 0, axis=1)
+        if keep.sum() <= thin:
+            return offs[keep]
+        stride += 1
+
+
+class TestYPattern:
+    # every r <= N/4 where the oracle is cheap; at N = 1024 the two radii
+    # above 64 px that the domination sweep uses, at the sweep's thin values.
+    # thin = 1, 4 and 12 stop some radii at a stride that puts lattice
+    # points on the ball's boundary.
+    CASES = ([(n, N, r) for n in (2, 3) for N in (16, 64) for r in range(N // 4 + 1)]
+             + [(2, 256, r) for r in range(65)])
+    LARGE = [(2, 1024, 128), (2, 1024, 256)]
+
+    @pytest.mark.parametrize("thin", [None, 1, 4, 8, 12, 16, 64])
+    def test_matches_whole_ball_stride_search(self, thin):
+        for n, N, r in self.CASES + (self.LARGE if thin in (None, 8, 16, 64) else []):
+            got = _y_pattern(n, r, N, thin)
+            assert np.array_equal(got, _y_pattern_search(n, r, N, thin)), (n, N, r)
+            assert not got.flags.writeable
 
 
 class TestSupportLocal:
@@ -395,9 +448,8 @@ class TestWeakType:
             for seed in (3, 4):
                 f = make_test_function(spec, "random_trig", seed=seed,
                                        window_radius=0.9, num_modes=5)
-                eng = MaximalEngine(f, delta, cfg)
-                out = eng.star_values() if op == "star" else eng.starstar_values()
-                vals.append(weak_type_ratio(SampledField(spec, out), f, p0))
+                mf = (br_star if op == "star" else br_starstar)(f, delta, cfg)
+                vals.append(weak_type_ratio(mf, f, p0))
             consts[N] = max(vals)
         assert consts[512] < 2.0 * consts[256] + 1e-9
         assert all(v < 50.0 for v in consts.values())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from brlab.grid import Box, GridSpec, SampledField, make_test_function, mask_to_box
-from brlab.maximal import MaximalConfig, MaximalEngine
+from brlab.maximal import MaximalConfig, MaximalEngine, hl_maximal
 from brlab.sparse import (
     DyadicCube,
     ThresholdFailure,
@@ -134,18 +134,21 @@ class TestExceptionalSet:
         cfg = CFG
         res = exceptional_set(f0, q0, DELTA, P0, cfg)
         assert res.cubes
-        # rebuild the level-set mask exactly as the algorithm saw it
+        # rebuild the level-set mask exactly as the algorithm saw it, on the
+        # window of Q0
         engine = MaximalEngine(f0, DELTA, cfg)
         window = q0.window()
         phi = (engine.star_values(window) + engine.starstar_values(window)
-               + engine.hl_values(P0, window))
+               + engine.hl_values(window))
+        assert phi.shape == tuple(h - l for l, h in window)
+
+        def rel(cube):
+            return tuple(slice(l - w, h - w) for (l, h), (w, _) in zip(cube.window(), window))
+
         for cube in res.cubes:
-            parent = cube.parent()
-            sl = tuple(slice(l, h) for l, h in parent.window())
-            inside = phi[sl] > res.threshold
+            inside = phi[rel(cube.parent())] > res.threshold
             assert not inside.all()  # the dyadic parent escapes the level set
-            csl = tuple(slice(l, h) for l, h in cube.window())
-            assert (phi[csl] > res.threshold).all()
+            assert (phi[rel(cube)] > res.threshold).all()
 
     def test_threshold_failure_raised(self):
         f = bump(radius=0.3, amp=5.0)
@@ -353,3 +356,8 @@ class TestExponentConsistency:
             build_sparse(f, g, DELTA, P0, 2.0, other_p0)
         with pytest.raises(ValueError, match="disagree"):
             build_sparse(f, g, DELTA, P0, 3.0, CFG)
+
+    def test_hl_maximal_rejects_config_with_other_p0(self):
+        # the config's p0 is the one hl_values runs at
+        with pytest.raises(ValueError, match="disagree"):
+            hl_maximal(bump(amp=4.0), 1.5, CFG)

@@ -40,6 +40,29 @@ def brute_force_ap(w: Weight, p: float) -> float:
     return best
 
 
+class TestCubeFamily:
+    def test_mins_maxs_match_per_cube_loop(self):
+        # the sliding-filter gather against one slice per cube, on every
+        # side the family holds: 1 to N/2, and N
+        spec = GridSpec(n=2, L=4.0, N=32)
+        for w in (random_smooth_weight(spec, seed=3, n_random=2000),
+                  power_weight(spec, -0.5, n_random=2000),
+                  checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
+            vals = w.field.values.real
+            mins, maxs = w._mins_maxs()
+            for i in range(len(w.fam_lo)):
+                sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
+                           for ax in range(spec.n))
+                assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
+        assert set(w.fam_side.tolist()) == set(range(2, 16)) | {1, 16, 32}
+
+    def test_family_shared_and_read_only(self):
+        a = constant_weight(SPEC, 1.0, family_seed=5, n_random=300)
+        b = power_weight(SPEC, 0.5, family_seed=5, n_random=300)
+        assert a.fam_lo is b.fam_lo and a.fam_side is b.fam_side
+        assert not a.fam_lo.flags.writeable and not a.fam_side.flags.writeable
+
+
 class TestCharacteristics:
     def test_constant_weight_all_one(self):
         w = constant_weight(SPEC, 1.0, n_random=500)
