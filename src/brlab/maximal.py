@@ -21,16 +21,17 @@ one-sided: the default tiled path can exceed the ``exact=True`` values
 
 Truncated fields
 ----------------
-``br_starstar`` and ``br_star`` read the truncated field ``g = B_eps f``
-on windows only: the ball means of ``br_starstar`` and of ``br_star``'s
-disjoint tiles, the unmasked term of ``br_star``'s partial tiles, and the
-displacement path.
-``MaximalEngine._g_window`` computes ``g`` on a wrapped index box ``Z`` as
-the exact ``mode="valid"`` convolution of ``f``'s support-box crop ``S``
-with the wrapped kernel crop; its cost scales with ``|Z| + |S|``, not with
-``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does it crop the
-whole-grid field, built once per radius by ``grid.apply_symbol``.  The
-choice depends on geometry alone, so results do not depend on call order.
+Every truncated field is read through ``MaximalEngine._truncate``: ``B_eps``
+of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
+index box ``Z``.  It is the exact ``mode="valid"`` convolution of the
+source with the wrapped kernel crop, whose cost scales with ``|Z| + |S|``,
+not with ``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does the
+source go on a zero grid for one ``grid.apply_symbol`` call.  The choice
+depends on geometry alone, so results do not depend on call order.  Two
+sources occur: f on its support box (``_g_window``, read by the ball means
+of ``br_starstar``, by ``br_star``'s disjoint tiles and partial tiles, and
+by the displacement path), and f cut to a partial tile's mask ball, on the
+bounding box of its nonzeros there.
 
 ``br_star`` masks depend on the evaluation point, which is the expensive
 part.  Two regimes bound the work per scale:
@@ -45,17 +46,12 @@ part.  Two regimes bound the work per scale:
   and each candidate sums its displacements in a fixed order;
 * large radii (``eps >= SNAP_MIN_PX``), and every radius with
   ``exact=True``: mask centers are snapped to a per-scale tile lattice of
-  side ``eps`` (``|x - x'| <= eps/2``; side 1 with ``exact=True``).  Tiles
-  whose mask ball fully covers (or misses) the support of ``f``
-  short-circuit to 0 (or to the unmasked average field); a partial tile
-  subtracts the kernel convolution of ``f`` cut to its mask ball from the
-  truncated field on the tile ``+- 2 eps``, a slice of one ``_g_window``
-  over the whole window ``+- 2 eps``.  When that kernel window
-  would wrap around the grid (``6 eps + 1 >= N`` or a tile reach to
-  match), the cut field takes one whole-grid symbol application instead;
-  on the domination sweep's nodes such tiles are covered or pruned, so
-  full-grid calls (the public ``br_star``, ``exact=True`` oracles) are the
-  ones that pay for it.
+  side ``eps`` (``|x - x'| <= eps/2``; side 1 with ``exact=True``).  Each
+  tile is classified exactly by counting f's nonzeros in its center's mask
+  ball: a ball that holds all of them gives 0 (covered), one that holds
+  none gives the unmasked y-max (disjoint).  A partial tile subtracts the
+  truncated field of f cut to the ball from ``g`` on the tile ``+- 2 eps``,
+  a slice of one ``_g_window`` over the whole window ``+- 2 eps``.
 
 ``exact=True`` is priced for small grids only.  Every ball mean is a
 linear convolution over a periodically wrapped crop of the window plus the
@@ -88,8 +84,8 @@ Windows
 ``star_values``, ``starstar_values`` and ``hl_values`` take a window (an
 index box) and return an array of its shape, from window-shaped
 accumulators and crops; the public operators pass the whole grid.
-Whole-grid arrays remain only in the geometry fallbacks of ``_g_window``,
-``_ball_mean_window`` and ``_masked_tile_values``.
+Whole-grid arrays remain only in the geometry fallbacks of ``_truncate``
+and of ``_ball_mean_window``'s torus branch.
 """
 
 from __future__ import annotations
@@ -172,19 +168,19 @@ def _exponent_cfg(cfg: MaximalConfig | None, p0: float,
 
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
 
+def _torus_dist(c: int, lo: int, hi: int, N: int) -> np.ndarray:
+    """Minimal-image distance from ``c`` of the indices ``lo .. hi - 1`` on
+    an axis of ``N`` points."""
+    m = (np.arange(lo, hi) - c) % N
+    return np.minimum(m, N - m)
+
+
 @lru_cache(maxsize=256)
 def _ball_offsets(n: int, r_px: int, N: int) -> np.ndarray:
     """Integer offsets with torus distance <= r_px (ties included)."""
-    if 2 * r_px + 1 <= N:
-        rng = np.arange(-r_px, r_px + 1)
-    else:
-        rng = np.arange(-(N // 2), N - N // 2)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    d2 = np.zeros(grids[0].shape, dtype=np.int64)
-    for g in grids:
-        a = np.abs(g)
-        d2 += np.minimum(a, N - a).astype(np.int64) ** 2
-    mask = d2 <= r_px * r_px
+    lo, hi = (-r_px, r_px + 1) if 2 * r_px + 1 <= N else (-(N // 2), N - N // 2)
+    mask = sum_of_squares([_torus_dist(0, lo, hi, N)] * n) <= r_px * r_px
+    grids = np.meshgrid(*([np.arange(lo, hi)] * n), indexing="ij")
     out = np.stack([g[mask] for g in grids], axis=-1)
     out.flags.writeable = False
     return out
@@ -265,21 +261,22 @@ def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.
     return arr[np.ix_(*idx)]
 
 
+def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
+    """Truncation parameter of the radius ``eps_px``.  Every ``eps <= 1``
+    gives the untruncated symbol, so they all share the value 1."""
+    return max(eps_px * spec.dx, 1.0)
+
+
 @lru_cache(maxsize=8)
-def _kernel_offsets(spec: GridSpec, delta: float, eps_key: float | None) -> np.ndarray:
+def _kernel_offsets(spec: GridSpec, delta: float, eps: float) -> np.ndarray:
     """Spatial kernel of the truncated multiplier, indexed by pixel offset
     (wrap semantics): B_eps(h) = circular convolution of h with this.  The
     symbol is even, so the half-spectrum inverse gives the kernel exactly
     and it is real."""
-    eps = 0.5 if eps_key is None else eps_key  # any eps <= 1 shares the symbol
     sym = truncated_symbol(spec, delta, eps)
     kern = fft.irfftn(sym[..., : spec.N // 2 + 1], s=spec.shape)
     kern.flags.writeable = False
     return kern
-
-
-def _eps_key(eps_phys: float) -> float | None:
-    return None if eps_phys <= 1.0 else eps_phys
 
 
 _DISP_CHUNK = 32  # displacements per batched FFT of the displacement path
@@ -322,7 +319,7 @@ def _kernel_slice_spectra(spec: GridSpec, delta: float, eps_px: int,
     elsewhere.  One stacked array per chunk of ``_DISP_CHUNK`` displacements."""
     n, N = spec.n, spec.N
     mask_r, kr = 3 * eps_px, 5 * eps_px  # |d - u| <= 5 eps
-    kern = _kernel_offsets(spec, delta, _eps_key(eps_px * spec.dx))
+    kern = _kernel_offsets(spec, delta, _trunc_eps(spec, eps_px))
     kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
     ball_mask = _ball_mask(n, mask_r, N)
     ins = tuple(slice(0, 2 * mask_r + 1) for _ in range(n))
@@ -356,7 +353,7 @@ def _box_to_window(spec: GridSpec, box: Box) -> Window:
 
 class MaximalEngine:
     """Evaluates the three maximal operators for one field, sharing the
-    per-scale artifacts (truncated fields, ball averages, kernels)."""
+    per-scale ball averages and the coordinates of f's nonzeros."""
 
     def __init__(self, f: SampledField, delta: float, cfg: MaximalConfig):
         self.f = f
@@ -364,27 +361,34 @@ class MaximalEngine:
         self.delta = float(delta)
         self.cfg = cfg
         self.eps_list = cfg.eps_px_list(f.spec)
-        self._g: dict[float | None, np.ndarray] = {}
         self._avg: dict[tuple[int, Window], np.ndarray] = {}
-        self._nz_ball: tuple[np.ndarray, float] | None = None
         # index box outside which f is exactly zero
         sbox = (_full_window(f.spec) if f.support is None
                 else _box_to_window(f.spec, f.support))
         self._sbox = tuple(slice(l, h) for l, h in sbox)
 
-    def _nonzero_ball(self) -> tuple[np.ndarray, float] | None:
-        """Center and radius (px) of a ball certified to hold every nonzero
-        of f; used for exact covered-mask shortcuts (a mask ball containing
-        it leaves the masked input identically zero)."""
-        if self._nz_ball is None:
-            nz = np.argwhere(self.f.values[self._sbox] != 0) + [s.start for s in self._sbox]
-            if len(nz) == 0:
-                self._nz_ball = (np.zeros(self.spec.n), -1.0)
-            else:
-                center = 0.5 * (nz.min(axis=0) + nz.max(axis=0))
-                radius = float(np.sqrt(((nz - center) ** 2).sum(axis=1).max()))
-                self._nz_ball = (center, radius)
-        return self._nz_ball
+    @cached_property
+    def _nz(self) -> tuple[np.ndarray, ...]:
+        """Grid indices of f's nonzeros, one array per axis."""
+        return tuple(idx + s.start
+                     for idx, s in zip(np.nonzero(self.f.values[self._sbox]), self._sbox))
+
+    @cached_property
+    def _nz_ball(self) -> tuple[np.ndarray, float]:
+        """Center and radius (px) of a ball that holds every nonzero of f
+        (radius -1 when there is none)."""
+        if len(self._nz[0]) == 0:
+            return np.zeros(self.spec.n), -1.0
+        center = np.array([0.5 * (idx.min() + idx.max()) for idx in self._nz])
+        d2 = sum((idx - c) ** 2 for idx, c in zip(self._nz, center))
+        return center, float(np.sqrt(d2.max()))
+
+    def _nz_in_ball(self, center: list[int], r: int) -> np.ndarray:
+        """Which of f's nonzeros lie in B(center, r) (minimal-image metric,
+        ties included)."""
+        N = self.spec.N
+        d2 = sum((_torus_dist(c, 0, N, N) ** 2)[idx] for idx, c in zip(self._nz, center))
+        return d2 <= r * r
 
     # -- radius pruning ---------------------------------------------------
 
@@ -407,39 +411,42 @@ class MaximalEngine:
 
     # -- shared per-scale artifacts ------------------------------------
 
-    def _g_field(self, eps_px: int) -> np.ndarray:
-        key = _eps_key(eps_px * self.spec.dx)
-        if key not in self._g:
-            eps = 0.5 if key is None else key
-            sym = truncated_symbol(self.spec, self.delta, eps)
-            self._g[key] = apply_symbol(self.f.values, sym)
-        return self._g[key]
+    def _truncate(self, src: np.ndarray, slo: tuple[int, ...], eps_px: int,
+                  zlo: tuple[int, ...], zhi: tuple[int, ...]) -> np.ndarray:
+        """``B_eps`` of the field that is ``src`` on the index box of the grid
+        starting at ``slo`` and zero elsewhere, on the wrapped index box
+        ``[zlo, zhi)``.
+
+        ``g(z) = sum_{u in S} K((z - u) mod N) src(u - slo)`` over the box
+        ``S = [slo, shi)`` is the ``mode="valid"`` convolution of ``src``
+        with the kernel crop of offsets ``[zlo - shi + 1, zhi - slo)``.  That
+        is exact for any z-box: the points of ``S`` are distinct, and a
+        kernel offset the crop holds twice is read correctly both times.
+        Where the convolution would be longer than the grid on some axis,
+        ``src`` goes on a zero grid for one whole-grid symbol application
+        instead; the choice depends on geometry only.
+        """
+        spec = self.spec
+        zshape = tuple(h - l for l, h in zip(zlo, zhi))
+        if src.size == 0:
+            return np.zeros(zshape, dtype=src.dtype)
+        eps = _trunc_eps(spec, eps_px)
+        shi = tuple(a + s for a, s in zip(slo, src.shape))
+        if any(z + s - 1 > spec.N for z, s in zip(zshape, src.shape)):
+            vals = np.zeros(spec.shape, dtype=src.dtype)
+            vals[tuple(slice(a, b) for a, b in zip(slo, shi))] = src
+            return _wrap_take(apply_symbol(vals, truncated_symbol(spec, self.delta, eps)),
+                              zlo, zhi)
+        kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
+                        tuple(l - b + 1 for l, b in zip(zlo, shi)),
+                        tuple(h - a for h, a in zip(zhi, slo)))
+        return fftconvolve(kc, src, mode="valid")
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
-        """The truncated field ``B_eps f`` on the index box ``[zlo, zhi)``,
-        wrapped.
-
-        ``g(z) = sum_{u in S} K((z - u) mod N) f(u)`` over the support box
-        ``S = [slo, shi)`` is the ``mode="valid"`` convolution of f's crop to
-        ``S`` with the kernel crop of offsets ``[zlo - shi + 1, zhi - slo)``.
-        That is exact for any z-box: the points of ``S`` are distinct, and a
-        kernel offset the crop holds twice is read correctly both times.
-        Where the convolution would be longer than the grid on some axis,
-        the z-box is cropped from the whole-grid field instead; the choice
-        depends on geometry only.
-        """
-        slo = tuple(s.start for s in self._sbox)
-        shi = tuple(s.stop for s in self._sbox)
-        zshape = tuple(h - l for l, h in zip(zlo, zhi))
-        if any(b <= a for a, b in zip(slo, shi)):
-            return np.zeros(zshape, dtype=self.f.values.dtype)
-        if any(z + b - a - 1 > self.spec.N for z, a, b in zip(zshape, slo, shi)):
-            return _wrap_take(self._g_field(eps_px), zlo, zhi)
-        kern = _kernel_offsets(self.spec, self.delta, _eps_key(eps_px * self.spec.dx))
-        kc = _wrap_take(kern, tuple(l - b + 1 for l, b in zip(zlo, shi)),
-                        tuple(h - a for h, a in zip(zhi, slo)))
-        return fftconvolve(kc, self.f.values[self._sbox], mode="valid")
+        """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``."""
+        return self._truncate(self.f.values[self._sbox], tuple(s.start for s in self._sbox),
+                              eps_px, zlo, zhi)
 
     def _ball_mean_window(self, dens_on, eps_px: int, ywin: Window) -> np.ndarray:
         """Mean over eps-balls centered at each point of ``ywin`` of a
@@ -530,125 +537,58 @@ class MaximalEngine:
     def _covered_mask(self, window: Window, mask_r: int) -> np.ndarray:
         """Points x in the window where B(x, mask_r) provably contains every
         nonzero of f, so the masked input vanishes identically."""
-        center, radius = self._nonzero_ball()
+        center, radius = self._nz_ball
         d2 = sum_of_squares([np.arange(l, h) - center[i] for i, (l, h) in enumerate(window)])
         return np.sqrt(d2) + radius <= mask_r
 
-    # support-box geometry in pixels, torus metric
-    def _support_px(self) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.spec
-        lo = np.array([l / spec.dx + spec.N // 2 for l in self.f.support.lo])
-        hi = np.array([h / spec.dx + spec.N // 2 for h in self.f.support.hi])
-        return lo, hi
-
-    def _classify_tile(self, center: np.ndarray, mask_r: int) -> str:
-        """'covered' if B(center, mask_r) contains the support box,
-        'disjoint' if it misses it (2 px safety margins), else 'partial'."""
-        N = self.spec.N
-        if mask_r >= math.ceil(N * math.sqrt(self.spec.n) / 2.0):
-            return "covered"
-        lo, hi = self._support_px()
-        near2 = far2 = 0.0
-        for i in range(self.spec.n):
-            c = center[i]
-            # nearest torus distance from c to [lo, hi] on this axis
-            dl = min(abs(lo[i] - c), N - abs(lo[i] - c))
-            dh = min(abs(hi[i] - c), N - abs(hi[i] - c))
-            inside = lo[i] <= c <= hi[i]
-            near = 0.0 if inside else min(dl, dh)
-            # farthest: antipode if the interval contains it, else a corner
-            anti = (c + N / 2.0) % N
-            has_anti = lo[i] <= anti <= hi[i]
-            far = N / 2.0 if has_anti else max(dl, dh)
-            near2 += near * near
-            far2 += far * far
-        if math.sqrt(far2) <= mask_r - 2.0:
-            return "covered"
-        if math.sqrt(near2) >= mask_r + 2.0:
-            return "disjoint"
-        return "partial"
-
     def _star_tiled(self, acc: np.ndarray, window: Window, eps_px: int, tile: int):
-        spec, n = self.spec, self.spec.n
+        """Snapped masks: every point of a tile (side ``tile``) of the window
+        takes the mask ball ``B(c, 3 eps)`` of the tile center ``c``.  A tile
+        whose ball holds every nonzero of f is covered (its values are 0),
+        one whose ball holds none is disjoint (the unmasked y-max), and any
+        other tile is partial."""
         mask_r = 3 * eps_px
+        vals = np.zeros(tuple(h - l for l, h in window))
         avg = None  # y-maxed unmasked average on the window, for disjoint tiles
         gwin = None  # truncated field on the window +- 2 eps, for partial tiles
-        pat = _y_pattern(n, eps_px, spec.N, self.cfg.y_thin)
-        wlo = tuple(l for l, _ in window)
-
-        axis_tiles = [range(w[0], w[1], tile) for w in window]
-        nz_center, nz_radius = self._nonzero_ball()
-        for tlo in itertools.product(*axis_tiles):
-            thi = tuple(min(tlo[i] + tile, window[i][1]) for i in range(n))
-            center = np.array([tlo[i] + (thi[i] - tlo[i]) // 2 for i in range(n)],
-                              dtype=float)
-            # exact covered test: every x in the tile masks away all of f
-            tile_reach = math.sqrt(n) * tile / 2.0
-            if (np.linalg.norm(center - nz_center) + nz_radius + tile_reach
-                    <= mask_r):
+        for tlo in itertools.product(*(range(l, h, tile) for l, h in window)):
+            thi = tuple(min(a + tile, h) for a, (_, h) in zip(tlo, window))
+            center = [a + (b - a) // 2 for a, b in zip(tlo, thi)]
+            inside = self._nz_in_ball(center, mask_r)
+            if inside.all():
                 continue
-            kind = self._classify_tile(center, mask_r)
-            if kind == "covered":
-                continue  # masked input vanishes: contributes exactly zero
-            rel = tuple(slice(tlo[i] - wlo[i], thi[i] - wlo[i]) for i in range(n))
-            if kind == "disjoint":
+            rel = tuple(slice(a - l, b - l) for a, b, (l, _) in zip(tlo, thi, window))
+            if not inside.any():
                 if avg is None:
                     avg = self._y_max(eps_px, window)
-                acc[rel] = np.maximum(acc[rel], avg[rel])
+                vals[rel] = avg[rel]
                 continue
             if gwin is None:
                 gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
             gz = gwin[tuple(slice(r.start, r.stop + 4 * eps_px) for r in rel)]
-            vals = self._masked_tile_values(tlo, thi, center.astype(int), eps_px, pat, gz)
-            twin = tuple((tlo[i], thi[i]) for i in range(n))
-            vals = np.where(self._covered_mask(twin, mask_r), 0.0, vals)
-            acc[rel] = np.maximum(acc[rel], vals)
+            vals[rel] = self._masked_tile_values(tlo, thi, center, inside, eps_px, gz)
+        np.maximum(acc, np.where(self._covered_mask(window, mask_r), 0.0, vals), out=acc)
 
-    def _masked_tile_values(self, tlo, thi, center, eps_px, pat, gz) -> np.ndarray:
-        """Exact ball-average field of B_eps(f * 1_{B(c,3eps)^c}) for the tile,
-        as the truncated field ``gz`` on the tile +- 2 eps minus a windowed
-        kernel convolution of the masked part (complete, not truncated: the
-        kernel window covers every offset that can reach the z-window)."""
-        spec, n = self.spec, self.spec.n
-        N, q0 = spec.N, self.cfg.q0
+    def _masked_tile_values(self, tlo, thi, center, inside, eps_px, gz) -> np.ndarray:
+        """Ball-average field, y-maxed on the tile, of ``B_eps`` of f masked
+        outside ``B(center, 3 eps)``, whose nonzeros ``inside`` marks: the
+        truncated field ``gz`` on the tile +- 2 eps minus ``B_eps`` of f cut
+        to the ball, on the bounding box of its nonzeros there."""
+        n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
         mask_r = 3 * eps_px
-        zlo = tuple(tlo[i] - 2 * eps_px for i in range(n))
-        zhi = tuple(thi[i] + 2 * eps_px for i in range(n))
-        # kernel window must reach every offset z - t with t in the mask ball
-        reach = max(max(center[i] - zlo[i], zhi[i] - 1 - center[i])
-                    for i in range(n))
-        rk = int(reach) + mask_r + 1
-
-        if 2 * rk + 1 >= N or (6 * eps_px + 1) >= N:
-            near = self._masked_global(center, mask_r)
-            gm = gz - _wrap_take(near, zlo, zhi)
-        else:
-            # local field h = f * 1_{B(c, 3 eps)} as a (6 eps + 1)-cube
-            hlo = tuple(int(center[i]) - mask_r for i in range(n))
-            hhi = tuple(int(center[i]) + mask_r + 1 for i in range(n))
-            h = _wrap_take(self.f.values, hlo, hhi).copy()
-            h[~_ball_mask(n, mask_r, N)] = 0.0
-            kern = _kernel_offsets(spec, self.delta, _eps_key(eps_px * spec.dx))
-            kc = _wrap_take(kern, (-rk,) * n, (rk + 1,) * n)
-            conv = fftconvolve(h, kc, mode="full")
-            # conv index m corresponds to z = m + (c - 3 eps) - rk
-            sl = tuple(slice(zlo[i] - (int(center[i]) - mask_r) + rk,
-                             zhi[i] - (int(center[i]) - mask_r) + rk) for i in range(n))
-            gm = gz - conv[sl]
-
+        zlo = tuple(a - 2 * eps_px for a in tlo)
+        zhi = tuple(b + 2 * eps_px for b in thi)
+        hlo, hhi = zip(*((int(sel.min()), int(sel.max()) + 1)
+                         for sel in (idx[inside] for idx in self._nz)))
+        d2 = sum_of_squares([_torus_dist(c, a, b, N) for c, a, b in zip(center, hlo, hhi)])
+        h = np.where(d2 <= mask_r * mask_r,
+                     self.f.values[tuple(slice(a, b) for a, b in zip(hlo, hhi))], 0.0)
+        gm = gz - self._truncate(h, hlo, eps_px, zlo, zhi)
         # valid for y at least eps inside the z-window, i.e. on tile (+-eps)
         avg = _ball_mean_linear(np.abs(gm) ** q0, eps_px, N) ** (1.0 / q0)
-        base = tuple(tlo[i] - zlo[i] for i in range(n))  # tile origin in z-window
-        return _pattern_max(avg, pat, base, tuple(thi[i] - tlo[i] for i in range(n)))
-
-    def _masked_global(self, center, mask_r) -> np.ndarray:
-        vals = np.zeros_like(self.f.values)
-        offs = _ball_offsets(self.spec.n, mask_r, self.spec.N)
-        idx = tuple(((offs + np.asarray(center)) % self.spec.N).T)
-        vals[idx] = self.f.values[idx]
-        eps_phys = (mask_r / 3) * self.spec.dx
-        sym = truncated_symbol(self.spec, self.delta, max(eps_phys, 0.5))
-        return apply_symbol(vals, sym)
+        pat = _y_pattern(n, eps_px, N, self.cfg.y_thin)
+        return _pattern_max(avg, pat, (2 * eps_px,) * n,
+                            tuple(b - a for a, b in zip(tlo, thi)))
 
     def _star_displacement(self, acc: np.ndarray, window: Window, eps_px: int):
         """Exact per-point masks for small radii.

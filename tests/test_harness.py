@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brlab.maximal as maximal
 from brlab.cli import main as cli_main
 from brlab.grid import GridSpec, read_field, write_field
 from brlab.harness import (
@@ -22,6 +23,7 @@ from brlab.harness import (
     run_weights,
 )
 from brlab.multiplier import apply_Sk
+from brlab.sparse import build_sparse
 from brlab.weights import random_smooth_weight
 
 SMALL = dict(grid_l=16.0, grid_n=256, trials=2, seed=11, eps_min_exp=2)
@@ -266,6 +268,25 @@ class TestOneFFTBackend:
         random_smooth_weight(GridSpec(n=2, L=4.0, N=64), seed=1)
         write_field(f, tmp_path / "f.txt")
         assert np.array_equal(read_field(tmp_path / "f.txt").values, f.values)
+
+
+class TestNodeLocality:
+    # Selection nodes never build a whole-grid truncated field: every
+    # truncated field on the sweep's trials at N = 256 and 512 comes from a
+    # window-sized convolution.
+    @pytest.mark.parametrize("grid_n, eps_min_exp", [(256, 2), (512, 3)])
+    def test_no_whole_grid_truncated_field(self, monkeypatch, grid_n, eps_min_exp):
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole-grid truncated field in a selection node")
+
+        monkeypatch.setattr(maximal, "apply_symbol", refuse)
+        cfg = ExperimentConfig(grid_n=grid_n, eps_min_exp=eps_min_exp, seed=7)
+        for trial in range(3):
+            f, g = _trial_fields(cfg, trial)
+            coll, trace = build_sparse(f, g, cfg.delta, float(cfg.p0), float(cfg.q0),
+                                       cfg.maximal_cfg(), c_init=cfg.c_init,
+                                       floor_cells=cfg.recursion_floor)
+            assert coll.cubes and trace.nodes
 
 
 class TestProp41:

@@ -60,8 +60,11 @@ def brute_starstar(f, delta, cfg):
     return out
 
 
-def brute_star_at(f, delta, cfg, points):
-    """Per-point masked transform: the definition, with no shared work."""
+def brute_star_at(f, delta, cfg, points, mask_center=None):
+    """Per-point masked transform: the definition, with no shared work.
+
+    ``mask_center(x, eps_px)`` moves the mask ball of point x at radius
+    eps_px to another center (default: x itself)."""
     spec = f.spec
     N = spec.N
     idx = np.indices(spec.shape)
@@ -70,8 +73,9 @@ def brute_star_at(f, delta, cfg, points):
         best = 0.0
         for eps_px in cfg.eps_px_list(spec):
             sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
-            d0 = np.minimum(np.abs(idx[0] - x0), N - np.abs(idx[0] - x0))
-            d1 = np.minimum(np.abs(idx[1] - x1), N - np.abs(idx[1] - x1))
+            c0, c1 = (x0, x1) if mask_center is None else mask_center((x0, x1), eps_px)
+            d0 = np.minimum(np.abs(idx[0] - c0), N - np.abs(idx[0] - c0))
+            d1 = np.minimum(np.abs(idx[1] - c1), N - np.abs(idx[1] - c1))
             masked = np.where(d0 ** 2 + d1 ** 2 <= (3 * eps_px) ** 2, 0.0, f.values)
             dens = np.abs(_apply_sym(masked, sym)) ** cfg.q0
             b = _ball_offsets(spec.n, eps_px, N)
@@ -209,6 +213,45 @@ class TestBrStar:
         a = br_star(f, DELTA, coarse).values
         b = br_star(f, DELTA, fine).values
         assert np.all(b >= a - 1e-13)
+
+    @pytest.mark.parametrize("eps_exp", [3, 4])
+    def test_tiled_path_matches_brute_force_with_tile_center_masks(self, eps_exp):
+        # the default path at eps >= SNAP_MIN_PX masks every point of an
+        # eps-tile with the ball of the tile center; four points each of
+        # covered, disjoint and partial tiles, none of them in the covered
+        # zone, where _covered_mask puts the exact value 0 instead
+        spec = GridSpec(n=2, L=8.0, N=128)
+        f = spiky_field(spec)
+        eps = 2 ** eps_exp
+        assert eps >= SNAP_MIN_PX
+        cfg = MaximalConfig(eps_min_exp=eps_exp, eps_max_exp=eps_exp, y_thin=16)
+
+        def tile_center(x, eps_px):
+            return tuple((xi // eps_px) * eps_px + eps_px // 2 for xi in x)
+
+        nz = np.argwhere(f.values != 0)
+
+        def tile_class(x):
+            m = (nz - tile_center(x, eps)) % spec.N
+            inside = np.count_nonzero((np.minimum(m, spec.N - m) ** 2).sum(axis=1)
+                                      <= (3 * eps) ** 2)
+            return "covered" if inside == len(nz) else "disjoint" if inside == 0 else "partial"
+
+        covered = MaximalEngine(f, DELTA, cfg)._covered_mask(_full_window(spec), 3 * eps)
+        rng = np.random.default_rng(eps_exp)
+        pts = {"covered": [], "disjoint": [], "partial": []}
+        for x in rng.permutation(np.argwhere(~covered)):
+            cls = pts[tile_class(tuple(x))]
+            if len(cls) < 4:
+                cls.append((int(x[0]), int(x[1])))
+        assert all(len(v) == 4 for v in pts.values()), pts
+        star = br_star(f, DELTA, cfg).values
+        brute = brute_star_at(f, DELTA, cfg, sum(pts.values(), []), mask_center=tile_center)
+        scale = max(brute.values())
+        assert scale > 0
+        for p, v in brute.items():
+            assert abs(star[p] - v) < 1e-10 * scale, p
+        assert all(brute[p] == 0.0 for p in pts["covered"])
 
     @pytest.mark.xfail(strict=True, reason=(
         "the default tiled path (eps >= SNAP_MIN_PX) snaps mask centers to "
@@ -359,8 +402,9 @@ class TestYPattern:
 
 
 class TestSupportLocal:
-    # The truncated field on a z-box is a valid convolution over the support
-    # crop when that fits in the grid, else a crop of the whole-grid field.
+    # The truncated field of a box-supported source on a z-box is a valid
+    # convolution over the source box when that fits in the grid, else one
+    # whole-grid symbol application of the source on a zero grid.
     EPS_PX = 4
 
     def _fields(self):
@@ -369,25 +413,65 @@ class TestSupportLocal:
         return {"real": cut, "complex": SampledField(SPEC, cut.values * (1 - 0.5j), cut.support),
                 "unsupported": SampledField(SPEC, f.values)}
 
-    # (zlo, zhi, fits): the support crop is [28, 36) x [29, 38); the second
-    # and last boxes wrap across the grid edge
+    # (zlo, zhi, fits): the support crop is [28, 36) x [29, 38); the second,
+    # fourth and fifth boxes wrap across the grid edge, and the sixth is as
+    # long as fits (57 + 8 - 1 = N on axis 0)
     ZBOXES = [((20, 30), (36, 41), True), ((-9, 50), (5, 70), True),
               ((0, 0), (47, 12), True), ((-20, 10), (40, 18), False),
-              ((3, -7), (80, 30), False)]
+              ((3, -7), (80, 30), False), ((0, 0), (57, 12), True)]
+
+    @staticmethod
+    def _count_whole_grid(monkeypatch):
+        calls = []
+
+        def counting(values, symbol):
+            calls.append(values.shape)
+            return apply_symbol(values, symbol)
+
+        monkeypatch.setattr(maximal, "apply_symbol", counting)
+        return calls
 
     @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
-    def test_g_window_matches_whole_grid_field(self, kind):
+    def test_g_window_matches_whole_grid_field(self, kind, monkeypatch):
         f = self._fields()[kind]
         sym = truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx)
         g = apply_symbol(f.values, sym)
+        calls = self._count_whole_grid(monkeypatch)
         for zlo, zhi, fits in self.ZBOXES:
-            eng = MaximalEngine(f, DELTA, CFG)
-            got = eng._g_window(self.EPS_PX, zlo, zhi)
+            calls.clear()
+            got = MaximalEngine(f, DELTA, CFG)._g_window(self.EPS_PX, zlo, zhi)
             want = _wrap_take(g, zlo, zhi)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(g)), (zlo, zhi)
             # the whole-grid field is built only when the crop cannot fit
-            assert bool(eng._g) == (not fits or kind == "unsupported"), (zlo, zhi)
+            assert len(calls) == (not fits or kind == "unsupported"), (zlo, zhi)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
+    def test_masked_tile_source_matches_whole_grid_field(self, kind, monkeypatch):
+        # a partial tile's source: f cut to the mask ball B(c, 3 eps) of a
+        # tile center c, on the bounding box of its nonzeros there
+        f = self._fields()[kind]
+        c, mask_r = (18, 30), 3 * self.EPS_PX
+        d = [np.minimum(np.abs(i - ci), SPEC.N - np.abs(i - ci))
+             for i, ci in zip(np.indices(SPEC.shape), c)]
+        h = np.where(d[0] ** 2 + d[1] ** 2 <= mask_r ** 2, f.values, 0.0)
+        assert 0 < np.count_nonzero(h) < np.count_nonzero(f.values)
+        nz = np.argwhere(h != 0)
+        lo, hi = nz.min(axis=0), nz.max(axis=0) + 1
+        src = h[lo[0]:hi[0], lo[1]:hi[1]]
+        g = apply_symbol(h, truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx))
+        calls, paths = self._count_whole_grid(monkeypatch), set()
+        for zlo, zhi, _ in self.ZBOXES:
+            calls.clear()
+            eng = MaximalEngine(f, DELTA, CFG)
+            got = eng._truncate(src, tuple(int(a) for a in lo), self.EPS_PX, zlo, zhi)
+            want = _wrap_take(g, zlo, zhi)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(g)), (zlo, zhi)
+            fits = all(b - a + s - 1 <= SPEC.N for a, b, s in zip(zlo, zhi, src.shape))
+            assert len(calls) == (not fits), (zlo, zhi)
+            paths.add(fits)
+        assert paths == {True, False}
 
     def test_g_window_of_empty_support_box_is_zero(self):
         f = SampledField(SPEC, np.zeros(SPEC.shape), support=Box((0.01, 0.01), (0.1, 0.1)))
