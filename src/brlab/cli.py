@@ -71,23 +71,11 @@ def _build_config(cmd: str, args: argparse.Namespace) -> ExperimentConfig:
     else:
         gl, gn = _GRID_DEFAULTS[cmd]
         cfg = ExperimentConfig(grid_l=gl, grid_n=gn, trials=_TRIAL_DEFAULTS[cmd])
-    updates = {}
-    if args.grid_n is not None:
-        updates["grid_n"] = args.grid_n
-    if args.grid_l is not None:
-        updates["grid_l"] = args.grid_l
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    for key in ("p0", "q0", "p", "q"):
-        val = getattr(args, key)
-        if val is not None:
-            updates[key] = Fraction(val)
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.workers is not None:
-        updates["workers"] = args.workers
+    updates = {key: getattr(args, key) for key in
+               ("grid_n", "grid_l", "delta", "trials", "seed", "workers")
+               if getattr(args, key) is not None}
+    updates.update({key: Fraction(getattr(args, key)) for key in ("p0", "q0", "p", "q")
+                    if getattr(args, key) is not None})
     if args.out is not None:
         updates["output_dir"] = args.out
     return replace(cfg, **updates)

@@ -45,6 +45,7 @@ __all__ = [
     "cube_average",
     "lp_norm",
     "make_test_function",
+    "on_box",
     "mask_to_box",
     "write_field",
     "read_field",
@@ -190,18 +191,22 @@ class Box:
             tuple(max(a, b) for a, b in zip(self.hi, other.hi)),
         )
 
-    def index_ranges(self, spec: GridSpec, clip: bool = True) -> list[tuple[int, int]]:
+    def index_ranges(self, spec: GridSpec) -> list[tuple[int, int]]:
         """Half-open grid-index ranges of the sample points inside the box."""
         ranges = []
         for axis in range(spec.n):
             lo = self.lo[axis] / spec.dx + spec.N // 2
             hi = self.hi[axis] / spec.dx + spec.N // 2
-            j0 = math.ceil(lo - 1e-9)
-            j1 = math.ceil(hi - 1e-9)
-            if clip:
-                j0, j1 = max(j0, 0), min(j1, spec.N)
-            ranges.append((j0, j1))
+            ranges.append((max(math.ceil(lo - 1e-9), 0), min(math.ceil(hi - 1e-9), spec.N)))
         return ranges
+
+    def samples(self, spec: GridSpec) -> tuple[tuple[slice, ...], list[np.ndarray]]:
+        """Index slices and 1-D coordinate arrays of the sample points inside
+        the box."""
+        ranges = self.index_ranges(spec)
+        coords = spec.axis_coords()
+        return (tuple(slice(j0, j1) for j0, j1 in ranges),
+                [coords[j0:j1] for j0, j1 in ranges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +299,9 @@ def cube_average(f: SampledField, box: Box, p: float) -> float:
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     spec = f.spec
-    ranges = box.index_ranges(spec)
-    if any(j1 <= j0 for j0, j1 in ranges):
+    chunk = np.abs(f.values[box.samples(spec)[0]])
+    if chunk.size == 0:
         raise ValueError("empty intersection: box contains no sample points")
-    sl = tuple(slice(j0, j1) for j0, j1 in ranges)
-    chunk = np.abs(f.values[sl])
     integral = float(np.sum(chunk ** p)) * spec.dx ** spec.n
     return (integral / box.volume) ** (1.0 / p)
 
@@ -356,6 +359,16 @@ def _trig_sum(axes, freqs: np.ndarray, phases: np.ndarray,
     return vals
 
 
+def on_box(spec: GridSpec, box: Box, local) -> SampledField:
+    """Field with support ``box``: ``local(axes)`` on the box's sample points,
+    where ``axes`` are their 1-D coordinate arrays, and exact ``+0.0``
+    elsewhere."""
+    sl, axes = box.samples(spec)
+    vals = np.zeros(spec.shape)
+    vals[sl] = local(axes)
+    return SampledField(spec, vals, support=box)
+
+
 def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
                        **params) -> SampledField:
     """Deterministic test-function generator.
@@ -385,16 +398,6 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
     def radial_sq(axes):
         return sum_of_squares([a - ci for a, ci in zip(axes, center)])
 
-    def on_box(box, local) -> SampledField:
-        # ``local(axes)`` on the sample points of the support box, exact
-        # zeros elsewhere
-        ranges = box.index_ranges(spec)
-        coords = spec.axis_coords()
-        vals = np.zeros(spec.shape)
-        vals[tuple(slice(j0, j1) for j0, j1 in ranges)] = local(
-            [coords[j0:j1] for j0, j1 in ranges])
-        return SampledField(spec, vals, support=box)
-
     if kind == "gaussian":
         width = float(params.get("width", spec.L / 40.0))
         _require_inside_quarter(spec, Box.from_center(center, 4.0 * width), kind)
@@ -405,7 +408,7 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         radius = float(params.get("radius", spec.L / 32.0))
         box = Box.from_center(center, radius)
         _require_inside_quarter(spec, box, kind)
-        return on_box(box, lambda axes: amp * _bump_window(radial_sq(axes) / radius ** 2))
+        return on_box(spec, box, lambda axes: amp * _bump_window(radial_sq(axes) / radius ** 2))
 
     if kind == "indicator_smooth":
         half = float(params.get("half_width", spec.L / 32.0))
@@ -419,7 +422,7 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
                 vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
             return amp * vals
 
-        return on_box(box, plateau)
+        return on_box(spec, box, plateau)
 
     if kind == "random_trig":
         rng = np.random.default_rng(seed)
@@ -435,21 +438,19 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         amps = rng.standard_normal(num_modes) / math.sqrt(num_modes)
         box = Box.from_center(center, window_radius)
         _require_inside_quarter(spec, box, kind)
-        return on_box(box, lambda axes: amp * _bump_window(radial_sq(axes) / window_radius ** 2)
-                      * _trig_sum(axes, freqs, phases, amps))
+        return on_box(spec, box, lambda axes: amp * _bump_window(
+            radial_sq(axes) / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps))
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
 
 
 def mask_to_box(f: SampledField, box: Box) -> SampledField:
     """``f * 1_box``: zero the field outside the box; support shrinks to the box."""
-    spec = f.spec
-    ranges = box.index_ranges(spec)
+    sl, _ = box.samples(f.spec)
     vals = np.zeros_like(f.values)
-    sl = tuple(slice(j0, j1) for j0, j1 in ranges)
     vals[sl] = f.values[sl]
     sup = box if f.support is None else _intersect_boxes(box, f.support)
-    return SampledField(spec, vals, support=sup)
+    return SampledField(f.spec, vals, support=sup)
 
 
 def _intersect_boxes(a: Box, b: Box) -> Box | None:

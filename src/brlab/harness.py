@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import indices
-from .grid import Box, GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function
+from .grid import (Box, GridSpec, SampledField, _radius_sq_grid, _trig_sum,
+                   make_test_function, on_box, sum_of_squares)
 from .maximal import MaximalConfig, ball_average
 from .multiplier import apply_Sk, k_min, kernel_profile
 from .sparse import bilinear_pairing, build_sparse, sparse_form
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def spec(self) -> GridSpec:
         return GridSpec(n=self.grid_dim, L=self.grid_l, N=self.grid_n)
@@ -272,131 +275,122 @@ def run_domination(cfg: ExperimentConfig) -> Report:
 
 # -- localized estimates ------------------------------------------------------
 
-def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int,
-                   num_modes: int = 6, freq_max: float = 1.5) -> SampledField:
+def _annulus_box(spec: GridSpec, r_out: float) -> Box:
+    return Box((-r_out,) * spec.n, (r_out,) * spec.n)
+
+
+def _in_annulus(axes, r_in: float, r_out: float) -> np.ndarray:
+    """Indicator of ``r_in <= |x| < r_out`` on the outer grid of ``axes``."""
+    r = np.sqrt(sum_of_squares(axes))
+    return (r >= r_in) & (r < r_out)
+
+
+def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
+    """Random trigonometric sum (6 modes, frequencies below 1.5) cut to the
+    annulus ``r_in <= |x| < r_out``, evaluated on the annulus's box."""
+    num_modes, freq_max = 6, 1.5
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((num_modes, spec.n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    vals = _trig_sum([spec.axis_coords()] * spec.n, freqs, phases, amps)
-    r = np.sqrt(_radius_sq_grid(spec))
-    vals = vals * ((r >= r_in) & (r < r_out))
-    return SampledField(spec, vals, support=Box((-r_out,) * spec.n, (r_out,) * spec.n))
+    return on_box(spec, _annulus_box(spec, r_out), lambda axes: _trig_sum(
+        axes, freqs, phases, amps) * _in_annulus(axes, r_in, r_out))
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    r = np.sqrt(_radius_sq_grid(f.spec))
-    sel = (r >= r_in) & (r < r_out)
-    if not np.any(sel):
-        return 0.0
-    return float(np.mean(np.abs(f.values[sel]) ** p) ** (1.0 / p))
+    sl, axes = _annulus_box(f.spec, r_out).samples(f.spec)
+    vals = np.abs(f.values[sl][_in_annulus(axes, r_in, r_out)])
+    return float(np.mean(vals ** p) ** (1.0 / p)) if vals.size else 0.0
+
+
+def _local_estimates(cfg: ExperimentConfig, name: str, columns: tuple[str, ...],
+                     combos: list[tuple], lhs_rhs, **summary) -> Report:
+    """Rows ``combo + (trial, lhs, rhs, ratio)`` for every combo and trial,
+    with ``(lhs, rhs) = lhs_rhs(*combo, trial, rho)``; the ratio is 0 where
+    rhs is 0, and the summary's ratio statistics skip those rows."""
+    if not combos:
+        raise ValueError(f"no admissible {name} configuration on this grid: enlarge L")
+    rho = float(indices.rho_n(cfg.p0, cfg.grid_dim)) + 0.05
+    report = Report(name, columns)
+    for combo in combos:
+        for trial in range(cfg.trials):
+            lhs, rhs = lhs_rhs(*combo, trial, rho)
+            report.rows.append(combo + (trial, lhs, rhs, lhs / rhs if rhs > 0 else 0.0))
+    ratios = [row[-1] for row in report.rows if row[-2] > 0]
+    report.summary = {
+        "experiment": name,
+        "exponent_record": _record_dict(cfg),
+        "grid_n": cfg.grid_n, "grid_l": cfg.grid_l,
+        "delta": cfg.delta, "p0": str(cfg.p0), "rho": rho,
+        "n_configs": len(report.rows),
+        "max_ratio": max(ratios) if ratios else 0.0,
+        "median_ratio": float(np.median(ratios)) if ratios else 0.0,
+        **summary,
+    }
+    return report
 
 
 def run_prop41(cfg: ExperimentConfig) -> Report:
     """Off-ball local estimate: at admissible (k, r), compare the local L^2
     average of the dyadic piece applied off 2B_r against the weighted sum of
-    annulus averages (single-annulus inputs make one term active)."""
+    annulus averages (single-annulus inputs make one term active).
+
+    Each input lives on the annulus ``2^j r <= |x| < 2^{j+1} r`` with
+    ``j >= 1``, so it already vanishes on 2B_r and needs no mask."""
     spec = cfg.spec()
-    p0 = float(cfg.p0)
-    rho = float(indices.rho_n(cfg.p0, cfg.grid_dim)) + 0.05
-    kmin = k_min(spec)
-    columns = ("k", "r", "j", "trial", "lhs", "rhs", "ratio")
-    report = Report("prop41", columns)
     combos = []
     r = 1.0
     while 4.0 * r <= spec.L / 2.0:
-        for k in range(max(kmin, math.ceil(-math.log2(r))), 1):
+        for k in range(max(k_min(spec), math.ceil(-math.log2(r))), 1):
             j = 1
             while 2.0 ** (j + 1) * r <= spec.L / 2.0:
                 combos.append((k, r, j))
                 j += 1
         r *= 2.0
-    if not combos:
-        raise ValueError("no admissible (k, r) on this grid: enlarge L")
-    rows = []
-    for (k, r, j) in combos:
-        for trial in range(cfg.trials):
-            seed = cfg.seed ^ hash((k, int(r * 16), j, trial)) & 0x7FFFFFFF
-            f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r, seed)
-            masked = SampledField(
-                spec,
-                f.values * (np.sqrt(_radius_sq_grid(spec)) >= 2.0 * r),
-                support=f.support,
-            )
-            skf = apply_Sk(masked, k, cfg.delta)
-            lhs = ball_average(skf, 0.0, r, 2.0)
-            tail = 0.0
-            jj = 1
-            while 2.0 ** (jj + 1) * r <= spec.L / 2.0:
-                tail += (2.0 ** (-jj * cfg.m_decay)
-                         * _annulus_average(f, 2.0 ** jj * r, 2.0 ** (jj + 1) * r, p0))
-                jj += 1
-            rhs = 2.0 ** (-k * rho) * tail
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            rows.append((k, r, j, trial, lhs, rhs, ratio))
-    report.rows = rows
-    ratios = [row[6] for row in rows if row[5] > 0]
-    report.summary = {
-        "experiment": "prop41",
-        "exponent_record": _record_dict(cfg),
-        "grid_n": cfg.grid_n, "grid_l": cfg.grid_l,
-        "delta": cfg.delta, "p0": str(cfg.p0), "rho": rho,
-        "m_decay": cfg.m_decay,
-        "n_configs": len(rows),
-        "max_ratio": max(ratios) if ratios else 0.0,
-        "median_ratio": float(np.median(ratios)) if ratios else 0.0,
-    }
-    return report
+
+    def lhs_rhs(k, r, j, trial, rho):
+        seed = cfg.seed ^ hash((k, int(r * 16), j, trial)) & 0x7FFFFFFF
+        f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r, seed)
+        lhs = ball_average(apply_Sk(f, k, cfg.delta), 0.0, r, 2.0)
+        tail = 0.0
+        jj = 1
+        while 2.0 ** (jj + 1) * r <= spec.L / 2.0:
+            tail += (2.0 ** (-jj * cfg.m_decay)
+                     * _annulus_average(f, 2.0 ** jj * r, 2.0 ** (jj + 1) * r, float(cfg.p0)))
+            jj += 1
+        return lhs, 2.0 ** (-k * rho) * tail
+
+    return _local_estimates(cfg, "prop41", ("k", "r", "j", "trial", "lhs", "rhs", "ratio"),
+                            combos, lhs_rhs, m_decay=cfg.m_decay)
 
 
 def run_prop42(cfg: ExperimentConfig) -> Report:
     """Diagonal local estimate at unit-or-larger ball radii with 2^k eps <= 1."""
     spec = cfg.spec()
-    p0 = float(cfg.p0)
-    rho = float(indices.rho_n(cfg.p0, cfg.grid_dim)) + 0.05
-    kmin = k_min(spec)
-    columns = ("k", "eps", "trial", "lhs", "rhs", "ratio")
-    report = Report("prop42", columns)
     combos = []
     eps = 1.0
     while 3.0 * eps <= spec.L / 2.0:
-        for k in range(kmin, min(0, math.floor(-math.log2(eps))) + 1):
+        for k in range(k_min(spec), min(0, math.floor(-math.log2(eps))) + 1):
             if 2.0 ** k * eps <= 1.0:
                 combos.append((k, eps))
         eps *= 2.0
-    if not combos:
-        raise ValueError("no admissible (k, eps) on this grid: enlarge L")
     r_grid = np.sqrt(_radius_sq_grid(spec))
-    rows = []
-    for (k, eps) in combos:
-        for trial in range(cfg.trials):
-            seed = cfg.seed ^ hash((k, int(eps), trial)) & 0x7FFFFFFF
-            rng = np.random.default_rng(seed)
-            f = make_test_function(
-                spec, "random_trig", seed=int(rng.integers(2 ** 31)),
-                window_radius=spec.L / 8.0 * 0.9, num_modes=6, freq_max=1.5,
-            )
-            local = SampledField(spec, f.values * (r_grid <= 3.0 * eps),
-                                 support=f.support)
-            skf = apply_Sk(local, k, cfg.delta)
-            lhs = ball_average(skf, 0.0, 2.0 * eps, 2.0)
-            rhs = 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, p0)
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            rows.append((k, eps, trial, lhs, rhs, ratio))
-    report.rows = rows
-    ratios = [row[5] for row in rows if row[4] > 0]
-    report.summary = {
-        "experiment": "prop42",
-        "exponent_record": _record_dict(cfg),
-        "grid_n": cfg.grid_n, "grid_l": cfg.grid_l,
-        "delta": cfg.delta, "p0": str(cfg.p0), "rho": rho,
-        "n_configs": len(rows),
-        "max_ratio": max(ratios) if ratios else 0.0,
-        "median_ratio": float(np.median(ratios)) if ratios else 0.0,
-    }
-    return report
+
+    def lhs_rhs(k, eps, trial, rho):
+        seed = cfg.seed ^ hash((k, int(eps), trial)) & 0x7FFFFFFF
+        rng = np.random.default_rng(seed)
+        f = make_test_function(
+            spec, "random_trig", seed=int(rng.integers(2 ** 31)),
+            window_radius=spec.L / 8.0 * 0.9, num_modes=6, freq_max=1.5,
+        )
+        local = SampledField(spec, f.values * (r_grid <= 3.0 * eps), support=f.support)
+        lhs = ball_average(apply_Sk(local, k, cfg.delta), 0.0, 2.0 * eps, 2.0)
+        return lhs, 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, float(cfg.p0))
+
+    return _local_estimates(cfg, "prop42", ("k", "eps", "trial", "lhs", "rhs", "ratio"),
+                            combos, lhs_rhs)
 
 
 # -- kernel decay -------------------------------------------------------------
