@@ -66,11 +66,11 @@ def _add_common(sub: argparse.ArgumentParser):
 
 
 def _build_config(cmd: str, args: argparse.Namespace) -> ExperimentConfig:
+    """Per-command defaults, then the config file's keys, then the flags."""
+    gl, gn = _GRID_DEFAULTS[cmd]
+    cfg = ExperimentConfig(grid_l=gl, grid_n=gn, trials=_TRIAL_DEFAULTS[cmd])
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        gl, gn = _GRID_DEFAULTS[cmd]
-        cfg = ExperimentConfig(grid_l=gl, grid_n=gn, trials=_TRIAL_DEFAULTS[cmd])
+        cfg = cfg.with_file(args.config)
     updates = {key: getattr(args, key) for key in
                ("grid_n", "grid_l", "delta", "trials", "seed", "workers")
                if getattr(args, key) is not None}

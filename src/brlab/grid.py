@@ -350,8 +350,8 @@ def _bump_window(rho2: np.ndarray) -> np.ndarray:
 def _trig_sum(axes, freqs: np.ndarray, phases: np.ndarray,
               amps: np.ndarray) -> np.ndarray:
     """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the outer grid
-    of the 1-D coordinate arrays ``axes``."""
-    mesh = np.meshgrid(*axes, indexing="ij")
+    of the 1-D coordinate arrays ``axes``, from broadcast 1-D products."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     vals = np.zeros(tuple(len(a) for a in axes))
     for m in range(len(amps)):
         phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(len(mesh)))
@@ -418,7 +418,7 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
 
         def plateau(axes):
             vals = np.ones(tuple(len(a) for a in axes))
-            for i, x in enumerate(np.meshgrid(*axes, indexing="ij")):
+            for i, x in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
                 vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
             return amp * vals
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +52,12 @@ __all__ = [
     "fit_slope_vs_log2",
 ]
 
+# annulus weight exponent in the tail sum: the estimate holds for any M
+# with an M-dependent constant; M = 1 keeps the desk-scale constant
+# readable because the superpolynomial kernel decay is preasymptotic at
+# these annulus distances
+M_DECAY = 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,13 +74,6 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 0
     eps_min_exp: int = 2
-    c_init: float = 8.0
-    recursion_floor: int = 4
-    # annulus weight exponent in the tail sum: the estimate holds for any M
-    # with an M-dependent constant; M = 1 keeps the desk-scale constant
-    # readable because the superpolynomial kernel decay is preasymptotic at
-    # these annulus distances
-    m_decay: int = 1
     output_dir: str = "out"
     workers: int = 1
 
@@ -93,9 +92,11 @@ class ExperimentConfig:
         return MaximalConfig(p0=float(self.p0), q0=float(self.q0),
                              eps_min_exp=self.eps_min_exp)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        overrides = {}
+    def with_file(self, path) -> "ExperimentConfig":
+        """This config with the ``key = value`` lines of the file at ``path``
+        applied on top; ``#`` starts a comment."""
+        kwargs = {}
+        fields = self.__dataclass_fields__
         for raw in Path(path).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -103,14 +104,6 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"config lines must read 'key = value': {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            overrides[key] = value
-        return cls.from_strings(overrides)
-
-    @classmethod
-    def from_strings(cls, overrides: dict) -> "ExperimentConfig":
-        kwargs = {}
-        fields = cls.__dataclass_fields__
-        for key, value in overrides.items():
             if key not in fields:
                 raise ValueError(f"unknown config key: {key}")
             target = fields[key].type
@@ -122,7 +115,7 @@ class ExperimentConfig:
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = value
-        return cls(**kwargs)
+        return replace(self, **kwargs)
 
 
 def _fmt(v) -> str:
@@ -218,9 +211,7 @@ def _domination_trial(args) -> tuple:
     f, g = _trial_fields(cfg, trial)
     p0f, q0f = float(cfg.p0), float(cfg.q0)
     q0_dual = q0f / (q0f - 1.0)
-    coll, trace = build_sparse(f, g, cfg.delta, p0f, q0f, cfg.maximal_cfg(),
-                               c_init=cfg.c_init,
-                               floor_cells=cfg.recursion_floor)
+    coll, trace = build_sparse(f, g, cfg.delta, cfg.maximal_cfg())
     pairing = bilinear_pairing(f, g, cfg.delta)
     form = sparse_form(coll, f, g, p0f, q0_dual)
     valid = coll.verify()
@@ -357,13 +348,13 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
         tail = 0.0
         jj = 1
         while 2.0 ** (jj + 1) * r <= spec.L / 2.0:
-            tail += (2.0 ** (-jj * cfg.m_decay)
+            tail += (2.0 ** (-jj * M_DECAY)
                      * _annulus_average(f, 2.0 ** jj * r, 2.0 ** (jj + 1) * r, float(cfg.p0)))
             jj += 1
         return lhs, 2.0 ** (-k * rho) * tail
 
     return _local_estimates(cfg, "prop41", ("k", "r", "j", "trial", "lhs", "rhs", "ratio"),
-                            combos, lhs_rhs, m_decay=cfg.m_decay)
+                            combos, lhs_rhs, m_decay=M_DECAY)
 
 
 def run_prop42(cfg: ExperimentConfig) -> Report:

@@ -119,11 +119,12 @@ SNAP_MIN_PX = 8  # br_star radii from here on snap mask centers to the tile latt
 
 @dataclass(frozen=True)
 class MaximalConfig:
-    """Discretization parameters shared by the three maximal operators.
+    """Exponents and discretization parameters shared by the three maximal
+    operators; the selection in ``sparse`` reads ``p0`` and ``q0`` from here.
 
     ``eps`` radii are ``2^m`` grid pixels for ``m`` in
     ``[eps_min_exp, eps_max_exp]`` (default upper end: ``log2(N/4)``).
-    ``y_thin`` caps the candidate centers per ball (None = all);
+    ``y_thin`` (at least 1) caps the candidate centers per ball (None = all);
     ``exact=True`` disables the snapping of mask centers (radii of at least
     ``SNAP_MIN_PX`` pixels) to the tile lattice.
     """
@@ -142,6 +143,8 @@ class MaximalConfig:
             raise ValueError(f"q0 must lie in [2, 6], got {self.q0}")
         if self.eps_min_exp < 0:
             raise ValueError("eps_min_exp must be >= 0")
+        if self.y_thin is not None and self.y_thin < 1:
+            raise ValueError(f"y_thin must be >= 1 or None, got {self.y_thin}")
 
     def eps_px_list(self, spec: GridSpec) -> list[int]:
         hi = self.eps_max_exp
@@ -151,19 +154,6 @@ class MaximalConfig:
         if not exps:
             raise ValueError("empty radius set: grid too small for eps_min_exp")
         return [2 ** m for m in exps]
-
-
-def _exponent_cfg(cfg: MaximalConfig | None, p0: float,
-                  q0: float | None = None) -> MaximalConfig:
-    """``cfg``, or the default config at ``p0`` (and ``q0``).  A given config
-    must carry the same exponents, so that no operator runs at another one;
-    ``q0=None`` leaves ``cfg.q0`` unchecked."""
-    if cfg is None:
-        return MaximalConfig(p0=p0) if q0 is None else MaximalConfig(p0=p0, q0=q0)
-    if cfg.p0 != p0 or (q0 is not None and cfg.q0 != q0):
-        raise ValueError(f"exponents p0={p0}, q0={q0} disagree with the config's "
-                         f"p0={cfg.p0}, q0={cfg.q0}")
-    return cfg
 
 
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
@@ -636,10 +626,10 @@ class MaximalEngine:
         np.maximum(acc, np.where(covered, 0.0, vals), out=acc)
 
 
-def hl_maximal(f: SampledField, p0: float, cfg: MaximalConfig | None = None) -> SampledField:
-    """L^{p0} Hardy-Littlewood maximal function over the dyadic radius set
-    (``ValueError`` if ``cfg`` carries another ``p0``)."""
-    eng = MaximalEngine(f, 0.0, _exponent_cfg(cfg, p0))
+def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:
+    """L^{p0} Hardy-Littlewood maximal function at ``cfg.p0`` over the
+    dyadic radius set."""
+    eng = MaximalEngine(f, 0.0, cfg)
     return SampledField(f.spec, eng.hl_values(_full_window(f.spec)))
 
 

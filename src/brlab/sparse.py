@@ -5,11 +5,14 @@ input ``f`` (supported in ``6Q``), the exceptional set
 
     E = { x in Q : star(f) + starstar(f) + M_{p0}(f) > C (avg_{6Q} |f|^{p0})^{1/p0} }
 
-is thresholded with an adaptive constant (``C`` doubles until
-``|E| <= |Q|/2``), covered by maximal dyadic cubes of ``D(Q)``, and the
-recursion descends on ``(f * 1_{6Q_j}, Q_j)``.  Because ``|E| <= |Q|/2`` is
-certified before selection, the collection is sparse by construction, and
-the certificate is verified in exact integer arithmetic on cell counts
+is thresholded with an adaptive constant (``C`` starts at ``C_INIT`` and
+doubles until ``|E| <= |Q|/2``, giving up past ``C_MAX``), covered by
+maximal dyadic cubes of ``D(Q)`` no smaller than ``RECURSION_FLOOR_CELLS``
+cells per axis, and the recursion descends on ``(f * 1_{6Q_j}, Q_j)``.
+The exponents ``p0`` and ``q0`` come from the ``MaximalConfig`` passed in,
+and each node is recorded as one ``TraceNode``.  Because ``|E| <= |Q|/2``
+is certified before selection, the collection is sparse by construction,
+and the certificate is verified in exact integer arithmetic on cell counts
 (cube measures are ``cells^n * dx^n`` with dyadic ``cells``).
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +35,7 @@ from .grid import (
     mask_to_box,
     prefix_sum,
 )
-from .maximal import MaximalConfig, MaximalEngine, _exponent_cfg
+from .maximal import MaximalConfig, MaximalEngine
 from .multiplier import apply_bochner_riesz
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "SparseCollection",
     "SelectionTrace",
     "TraceNode",
-    "ExceptionalResult",
     "root_cube",
     "exceptional_set",
     "build_sparse",
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 RECURSION_FLOOR_CELLS = 4  # cubes below 4 cells per axis (4^n samples) are never selected
+C_INIT = 8.0        # threshold constant each node starts from
+C_MAX = 2.0 ** 20   # past this, doubling gives up with ThresholdFailure
 
 
 class ThresholdFailure(RuntimeError):
@@ -154,21 +158,20 @@ def root_cube(f: SampledField, g: SampledField | None = None) -> DyadicCube:
 
 
 @dataclass(frozen=True)
-class ExceptionalResult:
-    """Adaptive threshold constant, selected maximal cubes, and diagnostics."""
+class TraceNode:
+    """One selection node: its cube, the adaptive constant and threshold, the
+    super-level set's share of the cube, and the cubes it selected."""
 
+    cube: DyadicCube
     c: float
-    cubes: tuple[DyadicCube, ...]
-    threshold: float            # C * (avg_{6Q} |f|^{p0})^{1/p0}
-    e_cells: int                # grid samples in the super-level set
+    threshold: float                 # C * (avg_{6Q} |f|^{p0})^{1/p0}
+    e_ratio: Fraction                # |E| / |Q| in grid samples
+    children: tuple[DyadicCube, ...]  # maximal dyadic cubes of E
     flagged: tuple[DyadicCube, ...]  # floor-terminated cubes (mass absorbed)
-
-    def e_ratio(self, cube: DyadicCube) -> Fraction:
-        return Fraction(self.e_cells, cube.cell_count)
+    off_diagonal: tuple[float, ...] | None = None
 
 
-def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
-                   floor_cells: int = RECURSION_FLOOR_CELLS
+def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray
                    ) -> tuple[list[DyadicCube], list[DyadicCube]]:
     """Maximal dyadic cubes of D(root) fully inside the level set, recursion
     stopping at the 4-cell floor (floor-terminated partial cubes flagged)."""
@@ -187,7 +190,7 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
             continue
         if cnt == cube.cell_count and cube is not root:
             selected.append(cube)
-        elif cube.cells // 2 >= floor_cells:
+        elif cube.cells // 2 >= RECURSION_FLOOR_CELLS:
             stack.extend(sorted(cube.children(), key=lambda c: c.addr, reverse=True))
         else:
             flagged.append(cube)
@@ -197,52 +200,40 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray,
 
 
 def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
-                    p0: float, cfg: MaximalConfig | None = None, *,
-                    c_init: float = 8.0, c_max: float = 2.0 ** 20,
-                    floor_cells: int = RECURSION_FLOOR_CELLS
-                    ) -> ExceptionalResult:
-    """Threshold the sum of the three maximal operators on the cube's grid.
+                    cfg: MaximalConfig) -> TraceNode:
+    """The selection node of ``q0_cube``: threshold the sum of the three
+    maximal operators (at ``cfg.p0`` and ``cfg.q0``) on the cube's window.
 
-    Starts at ``c_init`` and doubles the constant until the super-level set
+    Starts at ``C_INIT`` and doubles the constant until the super-level set
     covers at most half of the cube; raises :class:`ThresholdFailure` past
-    ``c_max`` (a sign that delta sits below the operators' boundedness
+    ``C_MAX`` (a sign that delta sits below the operators' boundedness
     range, or of grid pathology).
     """
-    cfg = _exponent_cfg(cfg, p0)
     window = q0_cube.window()
 
-    base = cube_average(f, q0_cube.box6(), p0)
+    base = cube_average(f, q0_cube.box6(), cfg.p0)
     if not np.any(f.values):
-        return ExceptionalResult(c_init, (), c_init * base, 0, ())
+        return TraceNode(q0_cube, C_INIT, C_INIT * base,
+                         Fraction(0, q0_cube.cell_count), (), ())
 
     engine = MaximalEngine(f, delta, cfg)
     phi = engine.star_values(window) + engine.starstar_values(window) + engine.hl_values(window)
 
     half = q0_cube.cell_count // 2
-    c = float(c_init)
+    c = C_INIT
     while True:
         mask = phi > c * base  # strict, as the level-set definition is written
         e_cells = int(np.count_nonzero(mask))
         if e_cells <= half:
             break
         c *= 2.0
-        if c > c_max:
+        if c > C_MAX:
             raise ThresholdFailure(
-                f"threshold failure: |E| > |Q|/2 up to C = {c_max}"
+                f"threshold failure: |E| > |Q|/2 up to C = {C_MAX}"
             )
-    cubes, flagged = _maximal_cubes(q0_cube, mask, floor_cells)
-    return ExceptionalResult(c, tuple(cubes), c * base, e_cells, tuple(flagged))
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    cube: DyadicCube
-    c: float
-    threshold: float
-    e_ratio: Fraction
-    children: tuple[DyadicCube, ...]
-    flagged: tuple[DyadicCube, ...]
-    off_diagonal: tuple[float, ...] | None = None
+    cubes, flagged = _maximal_cubes(q0_cube, mask)
+    return TraceNode(q0_cube, c, c * base, Fraction(e_cells, q0_cube.cell_count),
+                     tuple(cubes), tuple(flagged))
 
 
 @dataclass(frozen=True)
@@ -304,10 +295,7 @@ def _overlap(lo, hi, other) -> bool:
 
 
 def build_sparse(f: SampledField, g: SampledField | None, delta: float,
-                 p0: float = 1.2, q0: float = 2.0,
-                 cfg: MaximalConfig | None = None, *,
-                 c_init: float = 8.0, c_max: float = 2.0 ** 20,
-                 floor_cells: int = RECURSION_FLOOR_CELLS,
+                 cfg: MaximalConfig = MaximalConfig(), *,
                  collect_offdiag: bool = False
                  ) -> tuple[SparseCollection, SelectionTrace]:
     """Iterative driver for the stopping-time selection.
@@ -315,9 +303,10 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     Pushes ``(f * 1_{6 Q0}, Q0)`` and, at each node, adds the cube to the
     collection and recurses on ``(f * 1_{6 Q_j}, Q_j)`` over the node's
     exceptional cubes.  Terminates because every child covers at most half
-    its parent and the 4-cell floor halts descent.
+    its parent and the 4-cell floor halts descent.  The trace holds each
+    node as :func:`exceptional_set` returns it, with the off-diagonal terms
+    of its children added when ``collect_offdiag`` is set and ``g`` given.
     """
-    cfg = _exponent_cfg(cfg, p0, q0)
     q0_cube = root_cube(f, g)
     cubes: list[DyadicCube] = []
     children: dict = {}
@@ -326,19 +315,14 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     stack = [(q0_cube, mask_to_box(f, q0_cube.box6()))]
     while stack:
         cube, f_node = stack.pop()
-        res = exceptional_set(f_node, cube, delta, p0, cfg,
-                              c_init=c_init, c_max=c_max,
-                              floor_cells=floor_cells)
-        offdiag = None
+        node = exceptional_set(f_node, cube, delta, cfg)
         if collect_offdiag and g is not None:
-            offdiag = tuple(
-                _offdiag_term(f_node, g, kid, delta) for kid in res.cubes
-            )
+            node = replace(node, off_diagonal=tuple(
+                _offdiag_term(f_node, g, kid, delta) for kid in node.children))
         cubes.append(cube)
-        children[cube] = res.cubes
-        nodes.append(TraceNode(cube, res.c, res.threshold, res.e_ratio(cube),
-                               res.cubes, res.flagged, offdiag))
-        for kid in reversed(res.cubes):
+        children[cube] = node.children
+        nodes.append(node)
+        for kid in reversed(node.children):
             stack.append((kid, mask_to_box(f_node, kid.box6())))
 
     order = sorted(range(len(cubes)), key=lambda i: cubes[i].addr)
@@ -388,21 +372,19 @@ class OffDiagReport:
 
 
 def off_diagonal_check(f: SampledField, g: SampledField, q0_cube: DyadicCube,
-                       delta: float, p0: float,
-                       cfg: MaximalConfig | None = None, *,
-                       c_init: float = 8.0) -> OffDiagReport:
+                       delta: float, cfg: MaximalConfig) -> OffDiagReport:
     """Top-level tail estimate: compare
     ``sum_j |int_{Q_j} B(f 1_{(6Q_j)^c}) conj(g)|`` against
     ``(avg_{6Q0}|f|^{p0})^{1/p0} (avg_{6Q0}|g|^2)^{1/2} |Q0|``."""
     f0 = mask_to_box(f, q0_cube.box6())
-    res = exceptional_set(f0, q0_cube, delta, p0, cfg, c_init=c_init)
-    terms = tuple(_offdiag_term(f0, g, kid, delta) for kid in res.cubes)
+    node = exceptional_set(f0, q0_cube, delta, cfg)
+    terms = tuple(_offdiag_term(f0, g, kid, delta) for kid in node.children)
     lhs = float(sum(terms))
     b6 = q0_cube.box6()
-    rhs = (cube_average(f0, b6, p0) * cube_average(g, b6, 2.0)
+    rhs = (cube_average(f0, b6, cfg.p0) * cube_average(g, b6, 2.0)
            * q0_cube.measure)
     ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
-    return OffDiagReport(lhs, rhs, ratio, terms, len(res.cubes))
+    return OffDiagReport(lhs, rhs, ratio, terms, len(node.children))
 
 
 def collection_to_csv(coll: SparseCollection) -> str:

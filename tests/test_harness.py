@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brlab.cli as cli
 import brlab.maximal as maximal
 from brlab.cli import main as cli_main
 from brlab.grid import GridSpec, _radius_sq_grid, _trig_sum, read_field, write_field
@@ -46,7 +47,7 @@ class TestConfig:
         """
         path = tmp_path / "cfg.txt"
         path.write_text("\n".join(l.strip() for l in cfg_text.splitlines()))
-        cfg = ExperimentConfig.from_file(path)
+        cfg = ExperimentConfig().with_file(path)
         assert cfg.grid_n == 256 and cfg.grid_l == 8.0
         assert cfg.delta == 0.25
         assert cfg.p0 == Fraction(6, 5)
@@ -56,7 +57,7 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("no_such_knob = 3\n")
         with pytest.raises(ValueError, match="unknown config key"):
-            ExperimentConfig.from_file(path)
+            ExperimentConfig().with_file(path)
 
     def test_trials_guard(self):
         with pytest.raises(ValueError):
@@ -67,6 +68,26 @@ class TestConfig:
             ExperimentConfig(workers=0)
         code = cli_main(["dominate", "--workers", "0", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["weights", "prop41"])
+    def test_config_file_layers_over_command_defaults(self, monkeypatch, tmp_path, cmd):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return Report(cmd, ("x",))
+
+        monkeypatch.setitem(cli._RUNNERS, cmd, capture)
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed = 3\n")
+        out = ["--out", str(tmp_path / "out")]
+        assert cli_main([cmd, "--seed", "3"] + out) == 0
+        assert cli_main([cmd, "--config", str(path)] + out) == 0
+        assert seen[1] == seen[0]
+        assert (seen[1].grid_l, seen[1].grid_n) == cli._GRID_DEFAULTS[cmd]
+        # a flag still overrides the file
+        assert cli_main([cmd, "--config", str(path), "--seed", "5"] + out) == 0
+        assert seen[2] == replace(seen[0], seed=5)
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):
@@ -294,9 +315,7 @@ class TestNodeLocality:
         cfg = ExperimentConfig(grid_n=grid_n, eps_min_exp=eps_min_exp, seed=7)
         for trial in range(3):
             f, g = _trial_fields(cfg, trial)
-            coll, trace = build_sparse(f, g, cfg.delta, float(cfg.p0), float(cfg.q0),
-                                       cfg.maximal_cfg(), c_init=cfg.c_init,
-                                       floor_cells=cfg.recursion_floor)
+            coll, trace = build_sparse(f, g, cfg.delta, cfg.maximal_cfg())
             assert coll.cubes and trace.nodes
 
 
@@ -481,7 +500,6 @@ class TestCli:
     def test_threshold_failure_exit_code(self, tmp_path, monkeypatch):
         # the adaptive constant makes organic threshold failures nearly
         # impossible, so check the CLI mapping directly
-        from brlab import cli
         from brlab.sparse import ThresholdFailure
 
         def boom(cfg):

@@ -91,12 +91,12 @@ def brute_star_at(f, delta, cfg, points, mask_center=None):
 class TestHardyLittlewood:
     def test_constant(self):
         f = SampledField(SPEC, np.ones(SPEC.shape))
-        out = hl_maximal(f, 1.2, CFG)
+        out = hl_maximal(f, CFG)
         assert np.abs(out.values - 1.0).max() < 1e-12
 
     def test_indicator_against_brute_force(self):
         f = make_test_function(SPEC, "bump", radius=0.5, amp=2.0)
-        out = hl_maximal(f, 1.2, CFG).values
+        out = hl_maximal(f, CFG).values
         dens = np.abs(f.values) ** 1.2
         N = SPEC.N
         rng = np.random.default_rng(0)
@@ -119,7 +119,7 @@ class TestHardyLittlewood:
             for seed in range(25):
                 f = make_test_function(spec, "random_trig", seed=seed,
                                        window_radius=0.9)
-                mf = hl_maximal(f, p0, MaximalConfig(p0=p0))
+                mf = hl_maximal(f, MaximalConfig(p0=p0))
                 if lp_norm(f, p) > 1e-12:
                     ratios.append(lp_norm(mf, p) / lp_norm(f, p))
             worst[N] = max(ratios)
@@ -271,7 +271,7 @@ class TestBrStar:
         # mask removes mass near the averaging ball
         f = spiky_field(seed=8)
         star = br_star(f, DELTA, CFG).values
-        big = br_starstar(f, DELTA, CFG).values + hl_maximal(f, 1.2, CFG).values
+        big = br_starstar(f, DELTA, CFG).values + hl_maximal(f, CFG).values
         # loose sanity: the tail operator is controlled by the local pair
         assert star.max() <= 10.0 * big.max()
 
@@ -360,7 +360,7 @@ class TestWindowContract:
         ("star", MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16, exact=True)),
     ], ids=["hl", "starstar", "star-displacement", "star-exact"])
     def test_window_values_match_public_operator_cropped(self, op, cfg):
-        public = {"hl": lambda f: hl_maximal(f, cfg.p0, cfg),
+        public = {"hl": lambda f: hl_maximal(f, cfg),
                   "starstar": lambda f: br_starstar(f, DELTA, cfg),
                   "star": lambda f: br_star(f, DELTA, cfg)}[op]
         for f, window in _node_cases(SPEC):
@@ -399,6 +399,13 @@ class TestYPattern:
             got = _y_pattern(n, r, N, thin)
             assert np.array_equal(got, _y_pattern_search(n, r, N, thin)), (n, N, r)
             assert not got.flags.writeable
+
+    @pytest.mark.parametrize("thin", [0, -3])
+    def test_config_rejects_thin_below_one(self, thin):
+        # the stride search could never reach so few centers: the config
+        # refuses the value before any pattern is built
+        with pytest.raises(ValueError, match="y_thin"):
+            MaximalConfig(y_thin=thin)
 
 
 class TestSupportLocal:

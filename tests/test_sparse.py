@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brlab.sparse as sparse
 from brlab.grid import Box, GridSpec, SampledField, make_test_function, mask_to_box
-from brlab.maximal import MaximalConfig, MaximalEngine, hl_maximal
+from brlab.maximal import MaximalConfig, MaximalEngine
 from brlab.sparse import (
     DyadicCube,
     ThresholdFailure,
@@ -105,9 +106,9 @@ class TestExceptionalSet:
     def test_zero_field_empty(self):
         f = SampledField(SPEC, np.zeros(SPEC.shape), support=Box((-1.0,) * 2, (1.0,) * 2))
         q0 = DyadicCube(SPEC, (48, 48), 32, 0, (0, 0))
-        res = exceptional_set(f, q0, DELTA, P0, CFG)
-        assert res.cubes == ()
-        assert res.e_cells == 0
+        res = exceptional_set(f, q0, DELTA, CFG)
+        assert res.children == ()
+        assert res.e_ratio == 0
 
     def test_sharp_bump_selects_center(self):
         spec = GridSpec(n=2, L=16.0, N=256)
@@ -115,14 +116,15 @@ class TestExceptionalSet:
             spec, "random_trig", seed=2, window_radius=1.8, num_modes=5)
         q0 = root_cube(f, None)
         f0 = mask_to_box(f, q0.box6())
-        res = exceptional_set(f0, q0, DELTA, P0, CFG)
-        assert len(res.cubes) >= 1
+        res = exceptional_set(f0, q0, DELTA, CFG)
+        assert res.cube == q0
+        assert len(res.children) >= 1
         # half-measure guarantee in exact integers
-        assert 2 * sum(c.cell_count for c in res.cubes) <= q0.cell_count
-        assert 2 * res.e_cells <= q0.cell_count
+        assert 2 * sum(c.cell_count for c in res.children) <= q0.cell_count
+        assert res.e_ratio <= Fraction(1, 2)
         # the spike drives the level set: some selected cube is near it
         dists = [np.hypot(c.box().center[0] - 0.3, c.box().center[1] + 0.2)
-                 for c in res.cubes]
+                 for c in res.children]
         assert min(dists) < 1.0
 
     def test_maximality_parent_leaves_level_set(self):
@@ -132,8 +134,8 @@ class TestExceptionalSet:
         q0 = root_cube(f, None)
         f0 = mask_to_box(f, q0.box6())
         cfg = CFG
-        res = exceptional_set(f0, q0, DELTA, P0, cfg)
-        assert res.cubes
+        res = exceptional_set(f0, q0, DELTA, cfg)
+        assert res.children
         # rebuild the level-set mask exactly as the algorithm saw it, on the
         # window of Q0
         engine = MaximalEngine(f0, DELTA, cfg)
@@ -145,24 +147,25 @@ class TestExceptionalSet:
         def rel(cube):
             return tuple(slice(l - w, h - w) for (l, h), (w, _) in zip(cube.window(), window))
 
-        for cube in res.cubes:
+        for cube in res.children:
             inside = phi[rel(cube.parent())] > res.threshold
             assert not inside.all()  # the dyadic parent escapes the level set
             assert (phi[rel(cube)] > res.threshold).all()
 
-    def test_threshold_failure_raised(self):
+    def test_threshold_failure_raised(self, monkeypatch):
+        monkeypatch.setattr(sparse, "C_INIT", 1e-9)
+        monkeypatch.setattr(sparse, "C_MAX", 1e-8)
         f = bump(radius=0.3, amp=5.0)
         q0 = root_cube(f, None)
         with pytest.raises(ThresholdFailure):
-            exceptional_set(mask_to_box(f, q0.box6()), q0, DELTA, P0, CFG,
-                            c_init=1e-9, c_max=1e-8)
+            exceptional_set(mask_to_box(f, q0.box6()), q0, DELTA, CFG)
 
 
 class TestBuildSparse:
     def test_zero_field_gives_root_only(self):
         f = SampledField(SPEC, np.zeros(SPEC.shape), support=Box((-1.0,) * 2, (1.0,) * 2))
         g = bump(radius=0.5)
-        coll, trace = build_sparse(f, g, DELTA, P0, 2.0, CFG)
+        coll, trace = build_sparse(f, g, DELTA, CFG)
         assert len(coll.cubes) == 1
         assert coll.verify()
 
@@ -170,7 +173,7 @@ class TestBuildSparse:
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=9, window_radius=1.8, num_modes=5)
         g = make_test_function(SPEC, "indicator_smooth", half_width=0.8, transition=0.4)
-        coll, trace = build_sparse(f, g, DELTA, P0, 2.0, CFG)
+        coll, trace = build_sparse(f, g, DELTA, CFG)
         assert coll.verify()
         cert = coll.certificate()
         for cube, ratio in cert.items():
@@ -181,7 +184,7 @@ class TestBuildSparse:
     def test_children_disjoint_and_inside(self):
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=10, window_radius=1.8, num_modes=5)
-        coll, _ = build_sparse(f, None, DELTA, P0, 2.0, CFG)
+        coll, _ = build_sparse(f, None, DELTA, CFG)
         for parent, kids in coll.children.items():
             boxes = [k.box() for k in kids]
             for i, a in enumerate(boxes):
@@ -199,7 +202,7 @@ class TestBuildSparse:
                 radius=0.2, amp=float(5 + 20 * rng.random()))
             g = make_test_function(SPEC, "random_trig", seed=100 + seed,
                                    window_radius=1.2, num_modes=6)
-            coll, trace = build_sparse(f, g, DELTA, P0, 2.0, CFG)
+            coll, trace = build_sparse(f, g, DELTA, CFG)
             assert coll.verify()
             assert trace.depth <= int(math.log2(SPEC.N)) + 1
 
@@ -229,7 +232,7 @@ class TestSparseForm:
     def test_homogeneous_in_g(self):
         f = bump(radius=0.4, amp=2.0)
         g = make_test_function(SPEC, "random_trig", seed=3, window_radius=1.0)
-        coll, _ = build_sparse(f, g, DELTA, P0, 2.0, CFG)
+        coll, _ = build_sparse(f, g, DELTA, CFG)
         a = sparse_form(coll, f, g, P0, 2.0)
         b = sparse_form(coll, f, 2.0 * g, P0, 2.0)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
@@ -273,7 +276,7 @@ class TestOffDiagonal:
         f = bump(radius=3 * SPEC.dx, amp=40.0)
         g = bump(radius=0.5)
         q0 = root_cube(f, g)
-        rep = off_diagonal_check(f, g, q0, DELTA, P0, CFG)
+        rep = off_diagonal_check(f, g, q0, DELTA, CFG)
         if rep.n_cubes:
             center_ok = all(
                 t < 1e-12 * max(rep.rhs, 1.0) for t in rep.terms
@@ -285,8 +288,8 @@ class TestOffDiagonal:
             SPEC, "random_trig", seed=12, window_radius=1.8, num_modes=5)
         g = make_test_function(SPEC, "random_trig", seed=13, window_radius=1.0)
         q0 = root_cube(f, g)
-        a = off_diagonal_check(f, g, q0, DELTA, P0, CFG)
-        b = off_diagonal_check(2.0 * f, g, q0, DELTA, P0, CFG)
+        a = off_diagonal_check(f, g, q0, DELTA, CFG)
+        b = off_diagonal_check(2.0 * f, g, q0, DELTA, CFG)
         if a.rhs > 0 and a.lhs > 0:
             assert b.ratio == pytest.approx(a.ratio, rel=1e-6)
 
@@ -298,7 +301,7 @@ class TestOffDiagonal:
             g = make_test_function(SPEC, "random_trig", seed=seed + 40,
                                    window_radius=1.2, num_modes=6)
             q0 = root_cube(f, g)
-            rep = off_diagonal_check(f, g, q0, DELTA, P0, CFG)
+            rep = off_diagonal_check(f, g, q0, DELTA, CFG)
             if rep.rhs > 0:
                 ratios.append(rep.ratio)
         assert ratios and max(ratios) < 50.0
@@ -310,7 +313,7 @@ class TestThreeDimensions:
         f = make_test_function(spec, "bump", radius=0.4, amp=8.0)
         g = make_test_function(spec, "bump", radius=0.35, center=(0.05, -0.05, 0.0))
         cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=3, y_thin=8)
-        coll, trace = build_sparse(f, g, 0.3, 1.2, 2.0, cfg)
+        coll, trace = build_sparse(f, g, 0.3, cfg)
         assert coll.verify()
         form = sparse_form(coll, f, g, 1.2, 2.0)
         pairing = bilinear_pairing(f, g, 0.3)
@@ -323,7 +326,7 @@ class TestSerialization:
     def test_csv_schema(self):
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=15, window_radius=1.8, num_modes=5)
-        coll, trace = build_sparse(f, None, DELTA, P0, 2.0, CFG)
+        coll, trace = build_sparse(f, None, DELTA, CFG)
         csv = collection_to_csv(coll)
         lines = csv.strip().split("\n")
         assert lines[0] == "level,ix,iy,side,certificate_ratio"
@@ -336,28 +339,8 @@ class TestSerialization:
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=16, window_radius=1.8, num_modes=5)
         g = bump(radius=0.5)
-        _, trace = build_sparse(f, g, DELTA, P0, 2.0, CFG, collect_offdiag=True)
+        _, trace = build_sparse(f, g, DELTA, CFG, collect_offdiag=True)
         top = trace.nodes[0]
         assert top.off_diagonal is not None
         assert len(top.off_diagonal) == len(top.children)
 
-
-class TestExponentConsistency:
-    def test_config_with_other_exponents_rejected(self):
-        f = bump(amp=4.0)
-        g = bump(radius=0.2)
-        q0 = root_cube(f, g)
-        other_p0 = MaximalConfig(p0=1.5, q0=2.0)
-        with pytest.raises(ValueError, match="disagree"):
-            exceptional_set(f, q0, DELTA, P0, other_p0)
-        with pytest.raises(ValueError, match="disagree"):
-            off_diagonal_check(f, g, q0, DELTA, P0, other_p0)
-        with pytest.raises(ValueError, match="disagree"):
-            build_sparse(f, g, DELTA, P0, 2.0, other_p0)
-        with pytest.raises(ValueError, match="disagree"):
-            build_sparse(f, g, DELTA, P0, 3.0, CFG)
-
-    def test_hl_maximal_rejects_config_with_other_p0(self):
-        # the config's p0 is the one hl_values runs at
-        with pytest.raises(ValueError, match="disagree"):
-            hl_maximal(bump(amp=4.0), 1.5, CFG)
