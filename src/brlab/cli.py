@@ -5,7 +5,8 @@ Subcommands: ``dominate``, ``prop41``, ``prop42``, ``decay``, ``weights``,
 output directory; identical config and seed give byte-identical files.
 
 Exit codes: 0 on completion, 2 on precondition errors (bad flags, ranges,
-config), 3 on threshold failure inside the selection algorithm.
+config, unreadable config file or unwritable output path), 3 on threshold
+failure inside the selection algorithm.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     except ThresholdFailure as exc:
         print(f"threshold failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OSError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
 

@@ -244,9 +244,6 @@ class SampledField:
             sup = self.support.union(other.support)
         return SampledField(self.spec, self.values + other.values, sup)
 
-    def __sub__(self, other: "SampledField") -> "SampledField":
-        return self + (-1.0) * other
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.delta < 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
 
     def spec(self) -> GridSpec:
         return GridSpec(n=self.grid_dim, L=self.grid_l, N=self.grid_n)

@@ -100,7 +100,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 from scipy.signal import fftconvolve
 
-from .grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, sum_of_squares
+from .grid import Box, GridSpec, SampledField, apply_symbol, sum_of_squares
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -110,7 +110,6 @@ __all__ = [
     "br_star",
     "br_starstar",
     "ball_average",
-    "weak_type_ratio",
 ]
 
 
@@ -653,19 +652,3 @@ def ball_average(f: SampledField, center, radius: float, p: float) -> float:
     idx = tuple(((offs + np.round(c_px).astype(int)) % spec.N).T)
     vals = np.abs(f.values[idx])
     return float(np.mean(vals ** p) ** (1.0 / p))
-
-
-def weak_type_ratio(mf: SampledField, f: SampledField, p0: float,
-                    n_levels: int = 48) -> float:
-    """sup over a level grid of ``lambda |{mf > lambda}|^{1/p0} / ||f||_{p0}``."""
-    spec = mf.spec
-    vals = np.abs(mf.values)
-    top = float(vals.max())
-    if top <= 0:
-        return 0.0
-    denom = lp_norm(f, p0)
-    best = 0.0
-    for lam in np.geomspace(top * 1e-3, top * 0.999, n_levels):
-        measure = float(np.count_nonzero(vals > lam)) * spec.dx ** spec.n
-        best = max(best, lam * measure ** (1.0 / p0) / denom)
-    return best

@@ -20,7 +20,6 @@ from .grid import (
     GridSpec,
     SampledField,
     _mollifier_ramp,
-    _radius_sq_grid,
     apply_symbol,
     freq_sq,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "apply_truncated",
     "apply_Sk",
     "kernel_profile",
-    "kernel_profile_grid",
 ]
 
 TRANSITION = 1.0 / 100.0
@@ -176,32 +174,8 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
 
 def kernel_profile(k: int, delta: float, radii, n: int = 2) -> list[float]:
     """|kernel of S_k| at the given radii, by exact radial quadrature of the
-    continuum transform (no periodization, any radius); see
-    :func:`kernel_profile_grid` for the kernel realized on a grid."""
+    continuum transform (no periodization, any radius)."""
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     return [float(v) for v in np.abs(_radial_kernel(int(k), float(delta), radii, n=n))]
-
-
-def kernel_profile_grid(spec: GridSpec, k: int, delta: float, radii) -> list[float]:
-    """|kernel of S_k| realized on the grid (the symbol applied to the
-    discrete delta): the max over grid directions in a one-pixel radial bin.
-    Radii beyond L/2 are rejected because periodization corrupts the tails."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii >= spec.L / 2.0):
-        raise ValueError(
-            f"radius beyond L/2 = {spec.L / 2.0}: periodization corrupts tails"
-        )
-    # kernel = S_k applied to the discrete delta (unit integral: 1/dx^n at 0)
-    vals = np.zeros(spec.shape)
-    vals[(spec.N // 2,) * spec.n] = 1.0 / spec.dx ** spec.n
-    kern = np.abs(apply_Sk(SampledField(spec, vals), k, delta).values)
-    rgrid = np.sqrt(_radius_sq_grid(spec))
-    out = []
-    for r in radii:
-        band = np.abs(rgrid - r) <= spec.dx / 2.0
-        if not np.any(band):
-            band = np.abs(rgrid - r) <= spec.dx
-        out.append(float(np.max(kern[band])))
-    return out

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "build_sparse",
     "sparse_form",
     "bilinear_pairing",
-    "off_diagonal_check",
     "collection_to_csv",
     "trace_to_json",
 ]
@@ -168,7 +166,6 @@ class TraceNode:
     e_ratio: Fraction                # |E| / |Q| in grid samples
     children: tuple[DyadicCube, ...]  # maximal dyadic cubes of E
     flagged: tuple[DyadicCube, ...]  # floor-terminated cubes (mass absorbed)
-    off_diagonal: tuple[float, ...] | None = None
 
 
 def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray
@@ -295,8 +292,7 @@ def _overlap(lo, hi, other) -> bool:
 
 
 def build_sparse(f: SampledField, g: SampledField | None, delta: float,
-                 cfg: MaximalConfig = MaximalConfig(), *,
-                 collect_offdiag: bool = False
+                 cfg: MaximalConfig = MaximalConfig()
                  ) -> tuple[SparseCollection, SelectionTrace]:
     """Iterative driver for the stopping-time selection.
 
@@ -304,8 +300,8 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     collection and recurses on ``(f * 1_{6 Q_j}, Q_j)`` over the node's
     exceptional cubes.  Terminates because every child covers at most half
     its parent and the 4-cell floor halts descent.  The trace holds each
-    node as :func:`exceptional_set` returns it, with the off-diagonal terms
-    of its children added when ``collect_offdiag`` is set and ``g`` given.
+    node as :func:`exceptional_set` returns it; ``g`` only enters the
+    choice of root cube.
     """
     q0_cube = root_cube(f, g)
     cubes: list[DyadicCube] = []
@@ -316,9 +312,6 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     while stack:
         cube, f_node = stack.pop()
         node = exceptional_set(f_node, cube, delta, cfg)
-        if collect_offdiag and g is not None:
-            node = replace(node, off_diagonal=tuple(
-                _offdiag_term(f_node, g, kid, delta) for kid in node.children))
         cubes.append(cube)
         children[cube] = node.children
         nodes.append(node)
@@ -329,17 +322,6 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
     coll = SparseCollection(q0_cube, tuple(cubes[i] for i in order), children)
     trace = SelectionTrace(tuple(nodes[i] for i in order))
     return coll, trace
-
-
-def _offdiag_term(f_node: SampledField, g: SampledField, kid: DyadicCube,
-                  delta: float) -> float:
-    f_out = f_node - mask_to_box(f_node, kid.box6())
-    bf = apply_bochner_riesz(SampledField(f_node.spec, f_out.values,
-                                          support=f_node.support), delta)
-    wsl = tuple(slice(l, h) for l, h in kid.window())
-    spec = f_node.spec
-    return abs(complex(np.sum(bf.values[wsl] * np.conj(g.values[wsl]))
-                       * spec.dx ** spec.n))
 
 
 def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,
@@ -360,31 +342,6 @@ def bilinear_pairing(f: SampledField, g: SampledField, delta: float) -> complex:
     bf = apply_bochner_riesz(f, delta)
     spec = f.spec
     return complex(np.sum(bf.values * np.conj(g.values)) * spec.dx ** spec.n)
-
-
-@dataclass(frozen=True)
-class OffDiagReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    terms: tuple[float, ...]
-    n_cubes: int
-
-
-def off_diagonal_check(f: SampledField, g: SampledField, q0_cube: DyadicCube,
-                       delta: float, cfg: MaximalConfig) -> OffDiagReport:
-    """Top-level tail estimate: compare
-    ``sum_j |int_{Q_j} B(f 1_{(6Q_j)^c}) conj(g)|`` against
-    ``(avg_{6Q0}|f|^{p0})^{1/p0} (avg_{6Q0}|g|^2)^{1/2} |Q0|``."""
-    f0 = mask_to_box(f, q0_cube.box6())
-    node = exceptional_set(f0, q0_cube, delta, cfg)
-    terms = tuple(_offdiag_term(f0, g, kid, delta) for kid in node.children)
-    lhs = float(sum(terms))
-    b6 = q0_cube.box6()
-    rhs = (cube_average(f0, b6, cfg.p0) * cube_average(g, b6, 2.0)
-           * q0_cube.measure)
-    ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
-    return OffDiagReport(lhs, rhs, ratio, terms, len(node.children))
 
 
 def collection_to_csv(coll: SparseCollection) -> str:
@@ -411,7 +368,6 @@ def trace_to_json(trace: SelectionTrace) -> str:
             "e_ratio": str(node.e_ratio),
             "children": [list(k.index) + [k.level] for k in node.children],
             "flagged": len(node.flagged),
-            "off_diagonal": list(node.off_diagonal) if node.off_diagonal is not None else None,
         })
     return json.dumps({"nodes": payload, "depth": trace.depth,
                        "max_c": trace.max_c}, indent=2, sort_keys=True)

@@ -39,7 +39,6 @@ __all__ = [
     "rh_characteristic",
     "check_ap_rh_product",
     "ProductReport",
-    "predicted_bound",
     "predicted_bound_report",
     "PredictedBound",
     "weighted_operator_ratio",
@@ -208,14 +207,13 @@ def check_ap_rh_product(w: Weight, q: float, s: float) -> ProductReport:
 class PredictedBound:
     value: float
     alpha: float
-    ap_index: float
-    rh_index: float
     ap_char: float
     rh_char: float
 
 
 def predicted_bound_report(w: Weight, p: float, p0: float,
                            side: str) -> PredictedBound:
+    """Right-hand side of the weighted bound with the constant set to 1."""
     if side == "below2":
         if not p0 < p < 2:
             raise ValueError(f"side below2 admits p in ({p0}, 2), got {p}")
@@ -233,12 +231,7 @@ def predicted_bound_report(w: Weight, p: float, p0: float,
         raise ValueError(f"side must be 'below2' or 'above2', got {side!r}")
     ap = ap_characteristic(w, ap_idx)
     rh = rh_characteristic(w, rh_idx)
-    return PredictedBound((ap * rh) ** alpha, alpha, ap_idx, rh_idx, ap, rh)
-
-
-def predicted_bound(w: Weight, p: float, p0: float, side: str) -> float:
-    """Right-hand side of the weighted bound with the constant set to 1."""
-    return predicted_bound_report(w, p, p0, side).value
+    return PredictedBound((ap * rh) ** alpha, alpha, ap, rh)
 
 
 def weighted_operator_ratio(f: SampledField, w: Weight, p: float,

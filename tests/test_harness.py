@@ -512,3 +512,29 @@ class TestCli:
     def test_bad_flag_value(self, tmp_path):
         code = cli_main(["dominate", "--p0", "not-a-fraction", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["decay", "prop42"])
+    def test_negative_delta_rejected(self, tmp_path, capsys, cmd):
+        out = tmp_path / "out"
+        code = cli_main([cmd, "--grid-n", "64", "--grid-l", "8", "--trials", "1",
+                         "--delta", "-0.5", "--out", str(out)])
+        assert code == 2
+        assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = cli_main(["decay", "--config", str(missing), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error:") and err.count("\n") == 1
+        assert str(missing) in err
+
+    def test_out_is_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code = cli_main(["decay", "--grid-n", "64", "--out", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error:") and err.count("\n") == 1
+        assert str(taken) in err

@@ -7,6 +7,7 @@ from brlab.grid import (
     GridSpec,
     SampledField,
     SpectralField,
+    _radius_sq_grid,
     freq_sq,
     inverse_transform,
     lp_norm,
@@ -20,7 +21,6 @@ from brlab.multiplier import (
     chi_tilde,
     k_min,
     kernel_profile,
-    kernel_profile_grid,
     sk_symbol,
     smooth_step,
     truncated_symbol,
@@ -196,6 +196,16 @@ class TestSk:
             assert err <= bound * np.linalg.norm(f.values) + 1e-9
 
 
+def _grid_kernel_envelope(spec: GridSpec, k: int, r: float) -> float:
+    """|kernel of S_k| realized on the grid (S_k applied to the discrete
+    delta of unit integral), max over the one-pixel radial bin at ``r``."""
+    vals = np.zeros(spec.shape)
+    vals[(spec.N // 2,) * spec.n] = 1.0 / spec.dx ** spec.n
+    kern = np.abs(apply_Sk(SampledField(spec, vals), k, DELTA).values)
+    band = np.abs(np.sqrt(_radius_sq_grid(spec)) - r) <= spec.dx / 2.0
+    return float(kern[band].max())
+
+
 class TestKernelProfile:
     def test_near_zero_matches_symbol_mass(self):
         # value near 0 ~ |integral of the symbol| ~ annulus measure ~ 2^k
@@ -210,13 +220,8 @@ class TestKernelProfile:
         for r in (1.0, 2.0, 4.0, 8.0):
             fine = np.linspace(r - spec.dx / 2, r + spec.dx / 2, 9)
             env_quad = max(kernel_profile(k, DELTA, fine))
-            env_grid = kernel_profile_grid(spec, k, DELTA, [r])[0]
+            env_grid = _grid_kernel_envelope(spec, k, r)
             assert env_grid == pytest.approx(env_quad, rel=0.5)
-
-    def test_grid_route_rejects_large_radius(self):
-        spec = GridSpec(n=2, L=16.0, N=128)
-        with pytest.raises(ValueError, match="periodization"):
-            kernel_profile_grid(spec, -1, DELTA, [8.5])
 
     def test_positive_radii_required(self):
         with pytest.raises(ValueError, match="positive"):

@@ -17,7 +17,6 @@ from brlab.sparse import (
     build_sparse,
     collection_to_csv,
     exceptional_set,
-    off_diagonal_check,
     root_cube,
     sparse_form,
     trace_to_json,
@@ -269,44 +268,6 @@ class TestBilinearPairing:
             assert abs(bilinear_pairing(f, g, DELTA)) <= lp_norm(f, 2.0) * lp_norm(g, 2.0) * (1 + 1e-10)
 
 
-class TestOffDiagonal:
-    def test_zero_when_support_inside_children_dilates(self):
-        # tiny f at the center: every selected 6 Q_j contains supp f, so the
-        # masked inputs vanish
-        f = bump(radius=3 * SPEC.dx, amp=40.0)
-        g = bump(radius=0.5)
-        q0 = root_cube(f, g)
-        rep = off_diagonal_check(f, g, q0, DELTA, CFG)
-        if rep.n_cubes:
-            center_ok = all(
-                t < 1e-12 * max(rep.rhs, 1.0) for t in rep.terms
-            )
-            assert center_ok or rep.lhs <= 1e-10 * rep.rhs
-
-    def test_scaling_invariance(self):
-        f = bump(radius=0.15, amp=25.0) + make_test_function(
-            SPEC, "random_trig", seed=12, window_radius=1.8, num_modes=5)
-        g = make_test_function(SPEC, "random_trig", seed=13, window_radius=1.0)
-        q0 = root_cube(f, g)
-        a = off_diagonal_check(f, g, q0, DELTA, CFG)
-        b = off_diagonal_check(2.0 * f, g, q0, DELTA, CFG)
-        if a.rhs > 0 and a.lhs > 0:
-            assert b.ratio == pytest.approx(a.ratio, rel=1e-6)
-
-    def test_ratio_bounded_over_random_pairs(self):
-        ratios = []
-        for seed in range(8):
-            f = make_test_function(SPEC, "random_trig", seed=seed,
-                                   window_radius=1.6, num_modes=6) + bump(radius=0.2, amp=10.0)
-            g = make_test_function(SPEC, "random_trig", seed=seed + 40,
-                                   window_radius=1.2, num_modes=6)
-            q0 = root_cube(f, g)
-            rep = off_diagonal_check(f, g, q0, DELTA, CFG)
-            if rep.rhs > 0:
-                ratios.append(rep.ratio)
-        assert ratios and max(ratios) < 50.0
-
-
 class TestThreeDimensions:
     def test_build_sparse_generic_in_dimension(self):
         spec = GridSpec(n=3, L=4.0, N=32)
@@ -335,12 +296,14 @@ class TestSerialization:
         assert payload["depth"] == trace.depth
         assert len(payload["nodes"]) == len(coll.cubes)
 
-    def test_trace_offdiag_populated_on_request(self):
+    def test_trace_json_schema(self):
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=16, window_radius=1.8, num_modes=5)
-        g = bump(radius=0.5)
-        _, trace = build_sparse(f, g, DELTA, CFG, collect_offdiag=True)
-        top = trace.nodes[0]
-        assert top.off_diagonal is not None
-        assert len(top.off_diagonal) == len(top.children)
+        _, trace = build_sparse(f, None, DELTA, CFG)
+        payload = json.loads(trace_to_json(trace))
+        assert set(payload) == {"nodes", "depth", "max_c"}
+        assert payload["nodes"]
+        for node in payload["nodes"]:
+            assert set(node) == {"level", "index", "c", "threshold", "e_ratio",
+                                 "children", "flagged"}
 

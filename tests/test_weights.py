@@ -16,7 +16,6 @@ from brlab.weights import (
     constant_weight,
     mixed_preset_report,
     power_weight,
-    predicted_bound,
     predicted_bound_report,
     random_smooth_weight,
     rh_characteristic,
@@ -178,7 +177,7 @@ class TestPredictedBound:
 
     def test_constant_weight_gives_one(self):
         w = constant_weight(SPEC, n_random=50)
-        assert predicted_bound(w, 1.5, 1.2, "below2") == pytest.approx(1.0)
+        assert predicted_bound_report(w, 1.5, 1.2, "below2").value == pytest.approx(1.0)
 
     def test_alpha_blows_up_towards_endpoints(self):
         w = constant_weight(SPEC, n_random=50)
@@ -189,9 +188,9 @@ class TestPredictedBound:
     def test_range_errors(self):
         w = constant_weight(SPEC, n_random=50)
         with pytest.raises(ValueError, match="below2"):
-            predicted_bound(w, 2.5, 1.2, "below2")
+            predicted_bound_report(w, 2.5, 1.2, "below2")
         with pytest.raises(ValueError, match="above2"):
-            predicted_bound(w, 1.5, 1.2, "above2")
+            predicted_bound_report(w, 1.5, 1.2, "above2")
 
     def test_above2_side(self):
         w = checkerboard_weight(SPEC, 1.0, 2.0, block_px=4, n_random=200)
@@ -227,7 +226,7 @@ class TestWeightedRatio:
               for s in range(3)]
         for seed in range(3):
             w = random_smooth_weight(spec, seed=seed, amplitude=0.8, n_random=200)
-            bound = predicted_bound(w, 1.6, 1.2, "below2")
+            bound = predicted_bound_report(w, 1.6, 1.2, "below2").value
             for f in fs:
                 assert weighted_operator_ratio(f, w, 1.6, 0.2) <= 10.0 * bound
 
