@@ -133,6 +133,7 @@ def main(argv=None) -> int:
         if args.command == "indices":
             return _run_indices(args)
         cfg = _build_config(args.command, args)
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)  # fail before the run
         report = _RUNNERS[args.command](cfg)
         csv_path, json_path = report.write(cfg.output_dir)
         print(f"{args.command}: {len(report.rows)} rows -> {csv_path}")

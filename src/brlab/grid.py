@@ -46,7 +46,6 @@ __all__ = [
     "lp_norm",
     "make_test_function",
     "on_box",
-    "mask_to_box",
     "write_field",
     "read_field",
 ]
@@ -439,23 +438,6 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
             radial_sq(axes) / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps))
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
-
-
-def mask_to_box(f: SampledField, box: Box) -> SampledField:
-    """``f * 1_box``: zero the field outside the box; support shrinks to the box."""
-    sl, _ = box.samples(f.spec)
-    vals = np.zeros_like(f.values)
-    vals[sl] = f.values[sl]
-    sup = box if f.support is None else _intersect_boxes(box, f.support)
-    return SampledField(f.spec, vals, support=sup)
-
-
-def _intersect_boxes(a: Box, b: Box) -> Box | None:
-    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
-    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-    if any(h <= l for l, h in zip(lo, hi)):
-        return None
-    return Box(lo, hi)
 
 
 def write_field(f: SampledField, path: str | Path):

@@ -212,6 +212,8 @@ class ExponentRecord:
     @classmethod
     def compute(cls, n: int, p0, q0, p, q=None, delta=None,
                 provider: str = "dim2_solved") -> "ExponentRecord":
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
         p0, q0, p = as_fraction(p0), as_fraction(q0), as_fraction(p)
         q = as_fraction(q) if q is not None else None
         delta = as_fraction(delta) if delta is not None else None

@@ -77,13 +77,18 @@ masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so ``br_starstar`` and
 radius could not have changed ``np.maximum``, so the outputs are bitwise
 those of the full walk; the margin absorbs the rounding of the FFT means.
 Elementwise work on ``f`` itself (power sums, the nonzero scan) runs on
-the declared support box, outside which ``f`` is exactly 0.
+the support index box, outside which the read of ``f`` is exactly 0.
 
 Windows
 -------
 ``star_values``, ``starstar_values`` and ``hl_values`` take a window (an
 index box) and return an array of its shape, from window-shaped
 accumulators and crops; the public operators pass the whole grid.
+A selection node also passes its ``6Q`` box, and the engine then reads
+``f * 1_{6Q}`` without building it: the support index box is the box's
+sample ranges cut to f's support, and the reads that reach past it (HL's
+density crop and the displacement path's f-window) are one wrapped take
+that is exactly +0.0 outside it.  The public operators pass no box.
 Whole-grid arrays remain only in the geometry fallbacks of ``_truncate``
 and of ``_ball_mean_window``'s torus branch.
 """
@@ -336,31 +341,41 @@ def _full_window(spec: GridSpec) -> Window:
     return tuple((0, spec.N) for _ in range(spec.n))
 
 
-def _box_to_window(spec: GridSpec, box: Box) -> Window:
-    return tuple(box.index_ranges(spec))
-
-
 class MaximalEngine:
     """Evaluates the three maximal operators for one field, sharing the
     per-scale ball averages and the coordinates of f's nonzeros."""
 
-    def __init__(self, f: SampledField, delta: float, cfg: MaximalConfig):
+    def __init__(self, f: SampledField, delta: float, cfg: MaximalConfig,
+                 box: Box | None = None):
         self.f = f
         self.spec = f.spec
         self.delta = float(delta)
         self.cfg = cfg
         self.eps_list = cfg.eps_px_list(f.spec)
         self._avg: dict[tuple[int, Window], np.ndarray] = {}
-        # index box outside which f is exactly zero
-        sbox = (_full_window(f.spec) if f.support is None
-                else _box_to_window(f.spec, f.support))
-        self._sbox = tuple(slice(l, h) for l, h in sbox)
+        # f is read as f * 1_box: exactly zero outside the support index box,
+        # where the sample ranges of the box and of f's support meet
+        self._bounded = f.support is not None or box is not None
+        self._sbox = tuple(slice(0, f.spec.N) for _ in range(f.spec.n))
+        for b in (f.support, box):
+            if b is not None:
+                self._sbox = tuple(slice(max(s.start, l), min(s.stop, h))
+                                   for s, (l, h) in zip(self._sbox, b.index_ranges(f.spec)))
+        self._fs = f.values[self._sbox]
+
+    def _f_take(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+        """The read of f on the wrapped index box ``[lo, hi)``: exactly +0.0
+        outside the support index box."""
+        idx = [np.arange(l, h) % self.spec.N for l, h in zip(lo, hi)]
+        inside = [(i >= s.start) & (i < s.stop) for i, s in zip(idx, self._sbox)]
+        out = np.zeros(tuple(len(i) for i in idx), dtype=self._fs.dtype)
+        out[np.ix_(*inside)] = self.f.values[np.ix_(*(i[m] for i, m in zip(idx, inside)))]
+        return out
 
     @cached_property
     def _nz(self) -> tuple[np.ndarray, ...]:
         """Grid indices of f's nonzeros, one array per axis."""
-        return tuple(idx + s.start
-                     for idx, s in zip(np.nonzero(self.f.values[self._sbox]), self._sbox))
+        return tuple(idx + s.start for idx, s in zip(np.nonzero(self._fs), self._sbox))
 
     @cached_property
     def _nz_ball(self) -> tuple[np.ndarray, float]:
@@ -383,7 +398,7 @@ class MaximalEngine:
 
     @cached_property
     def _sq_sum(self) -> float:
-        return float(np.sum(np.abs(self.f.values[self._sbox]) ** 2))
+        return float(np.sum(np.abs(self._fs) ** 2))
 
     def _prunes(self, power_sum: float, r_px: int, p: float, acc_min: float) -> bool:
         """True when radius ``r_px`` cannot raise an accumulator (in the
@@ -434,8 +449,7 @@ class MaximalEngine:
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
         """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``."""
-        return self._truncate(self.f.values[self._sbox], tuple(s.start for s in self._sbox),
-                              eps_px, zlo, zhi)
+        return self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo, zhi)
 
     def _ball_mean_window(self, dens_on, eps_px: int, ywin: Window) -> np.ndarray:
         """Mean over eps-balls centered at each point of ``ywin`` of a
@@ -495,23 +509,23 @@ class MaximalEngine:
 
     def hl_values(self, window: Window) -> np.ndarray:
         p0 = self.cfg.p0
-        total = float(np.sum(np.abs(self.f.values[self._sbox]) ** p0))
+        total = float(np.sum(np.abs(self._fs) ** p0))
         best = np.zeros(tuple(h - l for l, h in window))
         for r_px in self.eps_list:
             if self._prunes(total, r_px, p0, best.min() ** (1.0 / p0)):
                 continue
             best = np.maximum(best, self._ball_mean_window(
-                lambda lo, hi: np.abs(_wrap_take(self.f.values, lo, hi)) ** p0, r_px, window))
+                lambda lo, hi: np.abs(self._f_take(lo, hi)) ** p0, r_px, window))
         return best ** (1.0 / p0)
 
     # -- the masked (off-diagonal) operator ------------------------------
 
     def star_values(self, window: Window) -> np.ndarray:
-        if self.f.support is None:
+        if not self._bounded:
             raise ValueError("br_star needs a compactly supported field "
                              "(declared support box missing)")
         acc = np.zeros(tuple(h - l for l, h in window))
-        if not np.any(self.f.values[self._sbox]):
+        if not np.any(self._fs):
             return acc
         for eps_px in self.eps_list:
             if self._l2_prunes(eps_px, acc):
@@ -596,7 +610,7 @@ class MaximalEngine:
             return
         # f on the window +- 3 eps, wrapped: exact at any window size, since
         # the mask-ball offsets are distinct mod N
-        fwin = _wrap_take(self.f.values, *zip(*self._expand(window, mask_r)))
+        fwin = self._f_take(*zip(*self._expand(window, mask_r)))
         real = np.isrealobj(fwin)
         fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
         axes = tuple(range(1, n + 1))

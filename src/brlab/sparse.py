@@ -1,7 +1,8 @@
 """Dyadic mesh, stopping-time selection, sparsity certificates, bilinear forms.
 
-The recursion follows the level-set construction: at a node ``Q`` with
-input ``f`` (supported in ``6Q``), the exceptional set
+The recursion follows the level-set construction: at a node ``Q`` the
+trial field is read as ``f * 1_{6Q}`` (through the ``6Q`` box, with no
+field built for the node), and the exceptional set
 
     E = { x in Q : star(f) + starstar(f) + M_{p0}(f) > C (avg_{6Q} |f|^{p0})^{1/p0} }
 
@@ -9,6 +10,8 @@ is thresholded with an adaptive constant (``C`` starts at ``C_INIT`` and
 doubles until ``|E| <= |Q|/2``, giving up past ``C_MAX``), covered by
 maximal dyadic cubes of ``D(Q)`` no smaller than ``RECURSION_FLOOR_CELLS``
 cells per axis, and the recursion descends on ``(f * 1_{6Q_j}, Q_j)``.
+Since ``6Q_j`` lies inside ``6Q``, restricting ``f`` itself to ``6Q_j``
+equals restricting the parent's input.
 The exponents ``p0`` and ``q0`` come from the ``MaximalConfig`` passed in,
 and each node is recorded as one ``TraceNode``.  Because ``|E| <= |Q|/2``
 is certified before selection, the collection is sparse by construction,
@@ -31,7 +34,6 @@ from .grid import (
     SampledField,
     box_sums,
     cube_average,
-    mask_to_box,
     prefix_sum,
 )
 from .maximal import MaximalConfig, MaximalEngine
@@ -199,21 +201,23 @@ def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray
 def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
                     cfg: MaximalConfig) -> TraceNode:
     """The selection node of ``q0_cube``: threshold the sum of the three
-    maximal operators (at ``cfg.p0`` and ``cfg.q0``) on the cube's window.
+    maximal operators (at ``cfg.p0`` and ``cfg.q0``) of ``f * 1_{6Q}`` on
+    the cube's window.  ``f`` is read only through the ``6Q`` box, so its
+    values outside it never enter the node.
 
     Starts at ``C_INIT`` and doubles the constant until the super-level set
     covers at most half of the cube; raises :class:`ThresholdFailure` past
     ``C_MAX`` (a sign that delta sits below the operators' boundedness
     range, or of grid pathology).
     """
-    window = q0_cube.window()
+    window, box6 = q0_cube.window(), q0_cube.box6()
 
-    base = cube_average(f, q0_cube.box6(), cfg.p0)
-    if not np.any(f.values):
+    base = cube_average(f, box6, cfg.p0)
+    if not np.any(f.values[box6.samples(f.spec)[0]]):
         return TraceNode(q0_cube, C_INIT, C_INIT * base,
                          Fraction(0, q0_cube.cell_count), (), ())
 
-    engine = MaximalEngine(f, delta, cfg)
+    engine = MaximalEngine(f, delta, cfg, box=box6)
     phi = engine.star_values(window) + engine.starstar_values(window) + engine.hl_values(window)
 
     half = q0_cube.cell_count // 2
@@ -296,32 +300,26 @@ def build_sparse(f: SampledField, g: SampledField | None, delta: float,
                  ) -> tuple[SparseCollection, SelectionTrace]:
     """Iterative driver for the stopping-time selection.
 
-    Pushes ``(f * 1_{6 Q0}, Q0)`` and, at each node, adds the cube to the
-    collection and recurses on ``(f * 1_{6 Q_j}, Q_j)`` over the node's
-    exceptional cubes.  Terminates because every child covers at most half
-    its parent and the 4-cell floor halts descent.  The trace holds each
-    node as :func:`exceptional_set` returns it; ``g`` only enters the
-    choice of root cube.
+    Pushes the root cube ``Q0`` and, at each cube, runs
+    :func:`exceptional_set` on ``f`` (which reads ``f * 1_{6Q}``) and pushes
+    the node's exceptional cubes ``Q_j``.  Terminates because every child
+    covers at most half its parent and the 4-cell floor halts descent.  The
+    collection and the trace come from the nodes sorted by address, each as
+    :func:`exceptional_set` returns it; ``g`` only enters the choice of
+    root cube.
     """
     q0_cube = root_cube(f, g)
-    cubes: list[DyadicCube] = []
-    children: dict = {}
     nodes: list[TraceNode] = []
-
-    stack = [(q0_cube, mask_to_box(f, q0_cube.box6()))]
+    stack = [q0_cube]
     while stack:
-        cube, f_node = stack.pop()
-        node = exceptional_set(f_node, cube, delta, cfg)
-        cubes.append(cube)
-        children[cube] = node.children
+        node = exceptional_set(f, stack.pop(), delta, cfg)
         nodes.append(node)
-        for kid in reversed(node.children):
-            stack.append((kid, mask_to_box(f_node, kid.box6())))
+        stack.extend(reversed(node.children))
 
-    order = sorted(range(len(cubes)), key=lambda i: cubes[i].addr)
-    coll = SparseCollection(q0_cube, tuple(cubes[i] for i in order), children)
-    trace = SelectionTrace(tuple(nodes[i] for i in order))
-    return coll, trace
+    nodes.sort(key=lambda node: node.cube.addr)
+    coll = SparseCollection(q0_cube, tuple(node.cube for node in nodes),
+                            {node.cube: node.children for node in nodes})
+    return coll, SelectionTrace(tuple(nodes))
 
 
 def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,

@@ -22,7 +22,6 @@ from brlab.grid import (
     inverse_transform,
     lp_norm,
     make_test_function,
-    mask_to_box,
     read_field,
     sum_of_squares,
     write_field,
@@ -285,18 +284,6 @@ class TestBoxLocalGenerators:
         outside = np.ones(spec.shape, dtype=bool)
         outside[tuple(slice(*jr) for jr in f.support.index_ranges(spec))] = False
         assert not np.any(f.values[outside]) and not np.any(np.signbit(f.values[outside]))
-
-
-class TestMasking:
-    def test_mask_to_box(self):
-        f = random_field(SPEC, seed=1)
-        box = Box((-2.0, -1.0), (1.0, 2.0))
-        masked = mask_to_box(f, box)
-        sl = tuple(slice(j0, j1) for j0, j1 in box.index_ranges(SPEC))
-        assert np.array_equal(masked.values[sl], f.values[sl])
-        total = np.count_nonzero(masked.values)
-        assert total == np.prod([j1 - j0 for j0, j1 in box.index_ranges(SPEC)])
-        assert masked.support is not None
 
 
 class TestFieldFile:

@@ -538,3 +538,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("precondition error:") and err.count("\n") == 1
         assert str(taken) in err
+
+    def test_out_is_existing_file_fails_before_run(self, tmp_path, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "decay", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert cli_main(["decay", "--grid-n", "64", "--out", str(taken)]) == 2
+
+    @pytest.mark.parametrize("argv", [["--dim", "0"],
+                                      ["--dim", "-1", "--provider", "assume_conjecture"]])
+    def test_indices_rejects_dimension_below_one(self, capsys, argv):
+        assert cli_main(["indices"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:") and captured.err.count("\n") == 1
+        assert "dimension" in captured.err and argv[1] in captured.err

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import brlab.maximal as maximal
-from brlab.grid import (Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function,
-                        mask_to_box)
+from brlab.grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function
 from brlab.maximal import (
     _DISP_CHUNK,
     SNAP_MIN_PX,
@@ -255,7 +254,8 @@ class TestBrStar:
     @pytest.mark.xfail(strict=True, reason=(
         "the default tiled path (eps >= SNAP_MIN_PX) snaps mask centers to "
         "the eps-tile lattice, so it can exceed the exact masked operator "
-        "(by up to a third of its maximum here); ROADMAP item 3"))
+        "(by up to a third of its maximum here); this is the open br_star "
+        "snapping defect in ROADMAP.md"))
     def test_default_matches_exact_on_full_grid(self):
         spec = GridSpec(n=2, L=8.0, N=128)
         for seed in (11, 5):
@@ -275,10 +275,20 @@ class TestBrStar:
         assert star.max() <= 10.0 * big.max()
 
 
+def _cut(f, box):
+    """``f * 1_box`` as a field of its own: zero outside the box's index
+    ranges, with the box cut to f's support declared."""
+    sl, _ = box.samples(f.spec)
+    vals = np.zeros_like(f.values)
+    vals[sl] = f.values[sl]
+    return SampledField(f.spec, vals, support=Box(tuple(map(max, box.lo, f.support.lo)),
+                                                  tuple(map(min, box.hi, f.support.hi))))
+
+
 def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
-    """(f_node, window) pairs as exceptional_set sees them: a windowed field
-    with a sharp spike, cut to 6Q, and the window of Q, for the root cube
-    and one of its children."""
+    """(f, 6Q, window of Q) as exceptional_set passes them to the engine:
+    a windowed field with a sharp spike, for the root cube and one of its
+    children."""
     for seed in (11, 5):
         f = make_test_function(spec, "random_trig", seed=seed, window_radius=0.95,
                                num_modes=5, freq_max=1.5)
@@ -286,7 +296,7 @@ def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
                                    radius=4 * spec.dx, amp=12.0)
         root = root_cube(f)
         for cube in (root, root.children()[1]):
-            yield mask_to_box(f, cube.box6()), cube.window()
+            yield f, cube.box6(), cube.window()
 
 
 OPERATORS = ("star", "starstar", "hl")
@@ -303,8 +313,8 @@ class TestRadiusPruning:
             return skips[-1]
 
         pruned = dict.fromkeys(OPERATORS, 0)
-        for f, window in _node_cases():
-            fast, eng = {}, MaximalEngine(f, DELTA, cfg)
+        for f, box, window in _node_cases():
+            fast, eng = {}, MaximalEngine(f, DELTA, cfg, box=box)
             with monkeypatch.context() as m:
                 m.setattr(MaximalEngine, "_prunes", recording)
                 for op in OPERATORS:
@@ -314,7 +324,7 @@ class TestRadiusPruning:
             with monkeypatch.context() as m:
                 m.setattr(MaximalEngine, "_prunes", recording)
                 m.setattr(maximal, "_radius_bound", lambda *args: np.inf)
-                eng = MaximalEngine(f, DELTA, cfg)
+                eng = MaximalEngine(f, DELTA, cfg, box=box)
                 skips.clear()
                 for op in OPERATORS:
                     full = getattr(eng, f"{op}_values")(window=window)
@@ -323,8 +333,8 @@ class TestRadiusPruning:
         assert all(pruned.values()), pruned
 
     def test_q0_above_two_evaluates_every_radius(self):
-        f, window = next(_node_cases())
-        eng = MaximalEngine(f, DELTA, MaximalConfig(q0=3.0, eps_min_exp=0, y_thin=16))
+        f, box, _ = next(_node_cases())
+        eng = MaximalEngine(f, DELTA, MaximalConfig(q0=3.0, eps_min_exp=0, y_thin=16), box=box)
         acc = np.full(3, np.finfo(float).max)
         assert not any(eng._l2_prunes(eps, acc) for eps in eng.eps_list)
 
@@ -362,12 +372,33 @@ class TestWindowContract:
         public = {"hl": lambda f: hl_maximal(f, cfg),
                   "starstar": lambda f: br_starstar(f, DELTA, cfg),
                   "star": lambda f: br_star(f, DELTA, cfg)}[op]
-        for f, window in _node_cases(SPEC):
-            whole = public(f).values
-            got = getattr(MaximalEngine(f, DELTA, cfg), f"{op}_values")(window)
+        for f, box, window in _node_cases(SPEC):
+            whole = public(_cut(f, box)).values
+            got = getattr(MaximalEngine(f, DELTA, cfg, box=box), f"{op}_values")(window)
             want = whole[tuple(slice(l, h) for l, h in window)]
             assert got.shape == want.shape == tuple(h - l for l, h in window)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(whole), window
+
+
+class TestNodeBox:
+    # An engine given a node's 6Q box reads f * 1_{6Q} without building it:
+    # every operator returns bitwise the values of the engine on f zeroed
+    # outside the box's index ranges.
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_box_read_matches_zeroed_field(self, op):
+        cfg = MaximalConfig()
+        for f, box, window in _node_cases():
+            got = getattr(MaximalEngine(f, DELTA, cfg, box=box), f"{op}_values")(window)
+            want = getattr(MaximalEngine(_cut(f, box), DELTA, cfg), f"{op}_values")(window)
+            assert np.array_equal(got, want), window
+
+    def test_wrapped_take_is_zero_outside_box(self):
+        # HL's density crops and the displacement path's f-windows, on
+        # boxes that wrap across the grid edge or cover the whole grid
+        for f, box, _ in _node_cases():
+            eng, cut = MaximalEngine(f, DELTA, MaximalConfig(), box=box), _cut(f, box)
+            for lo, hi in (((-40, 20), (90, 150)), ((0, 0), (128, 128)), ((60, 60), (64, 64))):
+                assert np.array_equal(eng._f_take(lo, hi), _wrap_take(cut.values, lo, hi))
 
 
 def _y_pattern_search(n, r_px, N, thin):
@@ -415,7 +446,7 @@ class TestSupportLocal:
 
     def _fields(self):
         f = spiky_field(seed=5)
-        cut = mask_to_box(f, Box((-0.6, -0.4), (0.5, 0.7)))
+        cut = _cut(f, Box((-0.6, -0.4), (0.5, 0.7)))
         return {"real": cut, "complex": SampledField(SPEC, cut.values * (1 - 0.5j), cut.support),
                 "unsupported": SampledField(SPEC, f.values)}
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import brlab.sparse as sparse
-from brlab.grid import Box, GridSpec, SampledField, make_test_function, mask_to_box
+from brlab.grid import Box, GridSpec, SampledField, make_test_function
 from brlab.maximal import MaximalConfig, MaximalEngine
 from brlab.sparse import (
     DyadicCube,
@@ -30,6 +30,13 @@ CFG = MaximalConfig(p0=P0, q0=2.0)
 
 def bump(radius=0.25, center=0.0, amp=1.0, spec=SPEC):
     return make_test_function(spec, "bump", center=center, radius=radius, amp=amp)
+
+
+def spiked_trig(spec=GridSpec(n=2, L=32.0, N=512)):
+    """A sharp bump on a random trigonometric field: its root node selects
+    children, and the root's 6Q leaves room for support outside it."""
+    return bump(radius=0.375, amp=15.0, center=(0.3, -0.2), spec=spec) + make_test_function(
+        spec, "random_trig", seed=2, window_radius=1.8, num_modes=5)
 
 
 class TestDyadicCube:
@@ -114,8 +121,7 @@ class TestExceptionalSet:
         f = bump(radius=0.375, amp=15.0, center=(0.3, -0.2), spec=spec) + make_test_function(
             spec, "random_trig", seed=2, window_radius=1.8, num_modes=5)
         q0 = root_cube(f, None)
-        f0 = mask_to_box(f, q0.box6())
-        res = exceptional_set(f0, q0, DELTA, CFG)
+        res = exceptional_set(f, q0, DELTA, CFG)
         assert res.cube == q0
         assert len(res.children) >= 1
         # half-measure guarantee in exact integers
@@ -131,13 +137,12 @@ class TestExceptionalSet:
         f = bump(radius=0.375, amp=15.0, center=(-0.4, 0.1), spec=spec) + make_test_function(
             spec, "random_trig", seed=7, window_radius=1.8, num_modes=5)
         q0 = root_cube(f, None)
-        f0 = mask_to_box(f, q0.box6())
         cfg = CFG
-        res = exceptional_set(f0, q0, DELTA, cfg)
+        res = exceptional_set(f, q0, DELTA, cfg)
         assert res.children
         # rebuild the level-set mask exactly as the algorithm saw it, on the
         # window of Q0
-        engine = MaximalEngine(f0, DELTA, cfg)
+        engine = MaximalEngine(f, DELTA, cfg, box=q0.box6())
         window = q0.window()
         phi = (engine.star_values(window) + engine.starstar_values(window)
                + engine.hl_values(window))
@@ -157,7 +162,19 @@ class TestExceptionalSet:
         f = bump(radius=0.3, amp=5.0)
         q0 = root_cube(f, None)
         with pytest.raises(ThresholdFailure):
-            exceptional_set(mask_to_box(f, q0.box6()), q0, DELTA, CFG)
+            exceptional_set(f, q0, DELTA, CFG)
+
+    def test_node_reads_f_only_through_6q(self):
+        # a large bump outside 6Q leaves the node unchanged: the node reads
+        # f * 1_{6Q}, not f
+        f = spiked_trig()
+        q0 = root_cube(f, None)
+        far = bump(radius=0.3, amp=1e5, center=(3.5, 0.0), spec=f.spec)
+        assert far.support.lo[0] >= q0.box6().hi[0]
+        nodes = [exceptional_set(h, q0, DELTA, CFG) for h in (f, f + far)]
+        assert nodes[0].children
+        for attr in ("c", "threshold", "e_ratio", "children", "flagged"):
+            assert getattr(nodes[0], attr) == getattr(nodes[1], attr), attr
 
 
 class TestBuildSparse:
@@ -179,6 +196,22 @@ class TestBuildSparse:
             assert isinstance(ratio, Fraction)
             assert ratio <= Fraction(1, 2)
         assert trace.depth <= int(math.log2(SPEC.N)) + 1
+
+    def test_builds_no_node_fields(self, monkeypatch):
+        # nodes read f through their 6Q box: the selection constructs no
+        # SampledField, however many nodes it visits
+        f = spiked_trig()
+        built = []
+        init = SampledField.__post_init__
+
+        def counting(self):
+            built.append(self.values.shape)
+            init(self)
+
+        monkeypatch.setattr(SampledField, "__post_init__", counting)
+        coll, trace = build_sparse(f, None, DELTA, CFG)
+        assert len(trace.nodes) > 1 and coll.verify()
+        assert built == []
 
     def test_children_disjoint_and_inside(self):
         f = bump(radius=0.15, amp=30.0) + make_test_function(
