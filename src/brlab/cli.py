@@ -92,6 +92,9 @@ def _run_indices(args) -> int:
         delta=Fraction(args.delta_exact) if args.delta_exact else None,
         provider=args.provider,
     )
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # fail before printing
     rows = record.rows()
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
@@ -100,8 +103,6 @@ def _run_indices(args) -> int:
     print(",".join(k for k, _ in rows))
     print(",".join(v for _, v in rows))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         text = (",".join(k for k, _ in rows) + "\n"
                 + ",".join(v for _, v in rows) + "\n")
         (out / "indices.csv").write_text(text, encoding="utf-8", newline="\n")

@@ -27,11 +27,12 @@ index box ``Z``.  It is the exact ``mode="valid"`` convolution of the
 source with the wrapped kernel crop, whose cost scales with ``|Z| + |S|``,
 not with ``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does the
 source go on a zero grid for one ``grid.apply_symbol`` call.  The choice
-depends on geometry alone, so results do not depend on call order.  Two
-sources occur: f on its support box (``_g_window``, read by the ball means
-of ``br_starstar``, by ``br_star``'s disjoint tiles and partial tiles, and
-by the displacement path), and f cut to a partial tile's mask ball, on the
-bounding box of its nonzeros there.
+depends on geometry alone, so results do not depend on call order.  Every
+linear convolution here is ``_fftconvolve``, on ``scipy.fft`` like every
+other transform of brlab.  Two sources occur: f on its support box
+(``_g_window``, read by the ball means of ``br_starstar``, by ``br_star``'s
+disjoint tiles and partial tiles, and by the displacement path), and f cut
+to a partial tile's mask ball, on the bounding box of its nonzeros there.
 
 ``br_star`` masks depend on the evaluation point, which is the expensive
 part.  Two regimes bound the work per scale:
@@ -103,7 +104,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
-from scipy.signal import fftconvolve
 
 from .grid import Box, GridSpec, SampledField, apply_symbol, sum_of_squares
 from .multiplier import truncated_symbol
@@ -212,11 +212,43 @@ def _ball_mask(n: int, r_px: int, N: int) -> np.ndarray:
     return mask
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """Linear convolution of two arrays of equal rank, cropped centrally to
+    ``a``'s shape (``mode="same"``) or to the points where the smaller input
+    fits inside the larger (``mode="valid"``); a new array either way.
+
+    The arithmetic is that of SciPy's ``signal.fftconvolve``: only axes where
+    neither input has length 1 are transformed (none left: the plain
+    product), at ``next_fast_len`` sizes, by ``rfftn`` for real inputs and
+    ``fftn`` for complex ones.
+    """
+    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
+    if mode == "valid" and not all(a.shape[i] >= b.shape[i] for i in axes):
+        if not all(b.shape[i] >= a.shape[i] for i in axes):
+            raise ValueError("mode='valid' needs one input at least as large "
+                             "as the other on every axis")
+        a, b = b, a
+    full = [a.shape[i] + b.shape[i] - 1 if i in axes else max(a.shape[i], b.shape[i])
+            for i in range(a.ndim)]
+    if not axes:
+        out = a * b
+    else:
+        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+        fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
+        fshape = [fft.next_fast_len(full[i], real) for i in axes]
+        out = inv(fwd(a, fshape, axes=axes) * fwd(b, fshape, axes=axes), fshape, axes=axes)
+        out = out[tuple(slice(m) for m in full)]
+    crop = a.shape if mode == "same" else [
+        a.shape[i] - b.shape[i] + 1 if i in axes else full[i] for i in range(a.ndim)]
+    start = [(m - k) // 2 for m, k in zip(full, crop)]
+    return out[tuple(slice(l, l + k) for l, k in zip(start, crop))].copy()
+
+
 def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
     """Mean of ``arr`` over the r-ball around each of its points, zero beyond
     its edges (a linear, not periodic, convolution)."""
     ball = _ball_mask(arr.ndim, r_px, N)
-    conv = fftconvolve(arr, ball.astype(float), mode="same")
+    conv = _fftconvolve(arr, ball.astype(float), mode="same")
     return np.maximum(conv, 0.0) / np.count_nonzero(ball)
 
 
@@ -444,7 +476,7 @@ class MaximalEngine:
         kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
                         tuple(l - b + 1 for l, b in zip(zlo, shi)),
                         tuple(h - a for h, a in zip(zhi, slo)))
-        return fftconvolve(kc, src, mode="valid")
+        return _fftconvolve(kc, src, mode="valid")
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
@@ -74,7 +74,6 @@ class Weight:
         self._base = vals if base_values is None else base_values
         self._exp = exp
         self._images = {} if image_cache is None else image_cache
-        self._minmax: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -102,22 +101,29 @@ class Weight:
         sums = box_sums(self._images[key], lo, lo + self.fam_side)
         return sums / self.fam_side.astype(float) ** self.spec.n
 
-    def _mins_maxs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Min and max over every family cube: per distinct side ``s``, sliding
-        filters over ``[lo, lo + s)`` on each axis, read at the low corners."""
-        if self._minmax is None:
-            vals = self.field.values.real
-            mins, maxs = np.empty(len(self.fam_lo)), np.empty(len(self.fam_lo))
-            for s in np.unique(self.fam_side).tolist():
-                sel = self.fam_side == s
-                at = tuple(self.fam_lo[sel].T)
-                for out, filt in ((mins, minimum_filter1d), (maxs, maximum_filter1d)):
-                    box = vals
-                    for ax in range(self.spec.n):
-                        box = filt(box, s, axis=ax, origin=-(s // 2))
-                    out[sel] = box[at]
-            self._minmax = (mins, maxs)
-        return self._minmax
+    @cached_property
+    def _mins(self) -> np.ndarray:
+        """Min over every family cube, computed on first use."""
+        return self._cube_extremes(minimum_filter1d)
+
+    @cached_property
+    def _maxs(self) -> np.ndarray:
+        """Max over every family cube, computed on first use."""
+        return self._cube_extremes(maximum_filter1d)
+
+    def _cube_extremes(self, filt) -> np.ndarray:
+        """``filt`` (a sliding min or max filter) over every family cube: per
+        distinct side ``s``, filters over ``[lo, lo + s)`` on each axis, read
+        at the low corners."""
+        vals = self.field.values.real
+        out = np.empty(len(self.fam_lo))
+        for s in np.unique(self.fam_side).tolist():
+            sel = self.fam_side == s
+            box = vals
+            for ax in range(self.spec.n):
+                box = filt(box, s, axis=ax, origin=-(s // 2))
+            out[sel] = box[tuple(self.fam_lo[sel].T)]
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -157,15 +163,13 @@ def ap_characteristic(w: Weight, p: float) -> float:
 def a1_characteristic(w: Weight) -> float:
     """``sup_B (avg_B w) * (ess sup_B 1/w)``, grid min standing in for inf."""
     avg_w = w._avgs(1.0)
-    mins, _ = w._mins_maxs()
-    return float(np.max(avg_w / mins))
+    return float(np.max(avg_w / w._mins))
 
 
 def rh_inf_characteristic(w: Weight) -> float:
     """``sup_B (ess sup_B w) / (avg_B w)``: the scale-invariant RH_infty constant."""
     avg_w = w._avgs(1.0)
-    _, maxs = w._mins_maxs()
-    return float(np.max(maxs / avg_w))
+    return float(np.max(w._maxs / avg_w))
 
 
 def rh_characteristic(w: Weight, s: float) -> float:

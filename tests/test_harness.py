@@ -548,6 +548,14 @@ class TestCli:
         taken.write_text("", encoding="utf-8")
         assert cli_main(["decay", "--grid-n", "64", "--out", str(taken)]) == 2
 
+    def test_indices_out_is_existing_file_prints_nothing(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert cli_main(["indices", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:") and str(taken) in captured.err
+
     @pytest.mark.parametrize("argv", [["--dim", "0"],
                                       ["--dim", "-1", "--provider", "assume_conjecture"]])
     def test_indices_rejects_dimension_below_one(self, capsys, argv):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 import brlab.maximal as maximal
 from brlab.grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function
@@ -12,6 +13,7 @@ from brlab.maximal import (
     MaximalEngine,
     _ball_mean_linear,
     _ball_offsets,
+    _fftconvolve,
     _full_window,
     _touch_tables,
     _wrap_take,
@@ -599,3 +601,41 @@ class TestBallAverage:
         c = SPEC.N // 2
         expected = (np.abs(f.values[((b[:, 0] + c) % SPEC.N, (b[:, 1] + c) % SPEC.N)]) ** 2).mean() ** 0.5
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
+
+
+class TestFftconvolve:
+    """The ``scipy.fft`` linear convolution against SciPy's own, bitwise."""
+
+    SHAPES = [
+        ((60,), (38,)),            # full length 97, not a fast FFT size
+        ((38,), (60,)),            # 'valid' with the second input the larger
+        ((50, 30), (48, 20)),      # full shape (97, 49)
+        ((9, 12), (23, 31)),
+        ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
+        ((1, 7), (4, 1)),          # no axis left: the plain product
+        ((1, 1), (1, 1)),
+        ((1,), (1,)),
+    ]
+
+    @pytest.mark.parametrize("mode", ["same", "valid"])
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_scipy_signal(self, shapes, kinds, mode):
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        expected = fftconvolve(a, b, mode=mode)
+        got = _fftconvolve(a, b, mode=mode)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    def test_valid_needs_one_input_containing_the_other(self):
+        a, b = np.ones((5, 3)), np.ones((3, 5))
+        with pytest.raises(ValueError):
+            fftconvolve(a, b, mode="valid")
+        with pytest.raises(ValueError, match="at least as large"):
+            _fftconvolve(a, b, mode="valid")

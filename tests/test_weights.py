@@ -48,12 +48,19 @@ class TestCubeFamily:
                   power_weight(spec, -0.5, n_random=2000),
                   checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
             vals = w.field.values.real
-            mins, maxs = w._mins_maxs()
+            mins, maxs = w._mins, w._maxs
             for i in range(len(w.fam_lo)):
                 sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
                            for ax in range(spec.n))
                 assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
         assert set(w.fam_side.tolist()) == set(range(2, 16)) | {1, 16, 32}
+
+    def test_extremes_built_on_first_use(self):
+        w = power_weight(SPEC, -0.5, n_random=300)
+        a1_characteristic(w)
+        assert "_mins" in vars(w) and "_maxs" not in vars(w)
+        rh_inf_characteristic(w)
+        assert "_maxs" in vars(w)
 
     def test_family_shared_and_read_only(self):
         a = constant_weight(SPEC, 1.0, family_seed=5, n_random=300)
