@@ -133,6 +133,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "indices":
             return _run_indices(args)
+        # a bad --out is named first; a bad config then fails before --out is made
+        if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
+            raise FileExistsError(f"--out is not a directory: {args.out}")
         cfg = _build_config(args.command, args)
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)  # fail before the run
         report = _RUNNERS[args.command](cfg)

@@ -86,6 +86,19 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
+        try:
+            self.spec()
+        except ValueError as exc:
+            raise ValueError(f"grid_dim, grid_l, grid_n: {exc}") from None
+        # the exponent record of every report needs p0 in (1, 2) and p > 1;
+        # q0 enters the sparse form through its dual and q is an l^q exponent
+        if not 1 < self.p0 < 2:
+            raise ValueError(f"p0 must lie in (1, 2), got {self.p0}")
+        for key, value in (("p", self.p), ("q0", self.q0)):
+            if not value > 1:
+                raise ValueError(f"{key} must be > 1, got {value}")
+        if not self.q >= 1:
+            raise ValueError(f"q must be >= 1, got {self.q}")
 
     def spec(self) -> GridSpec:
         return GridSpec(n=self.grid_dim, L=self.grid_l, N=self.grid_n)
@@ -453,12 +466,11 @@ def _weight_presets(spec: GridSpec, seed: int) -> list[tuple[str, Weight]]:
 
 
 def run_weights(cfg: ExperimentConfig) -> Report:
-    """Characteristics, predicted bounds, and empirical weighted ratios per
-    preset weight; plus the product-inequality check and the mixed preset."""
+    """Characteristics, predicted bounds (exponents exact from ``indices``)
+    and empirical weighted ratios per preset weight; plus the
+    product-inequality check and the mixed preset with the exact A_inf."""
     spec = cfg.spec()
     p, p0 = float(cfg.p), float(cfg.p0)
-    if not p0 < p < 2:
-        raise ValueError(f"run_weights uses the below-2 side: need p in ({p0}, 2)")
     columns = ("weight_id", "p", "p0", "delta", "ApChar", "RHChar", "alpha",
                "predicted", "empirical_ratio")
     report = Report("weights", columns)
@@ -468,7 +480,7 @@ def run_weights(cfg: ExperimentConfig) -> Report:
     product_all_hold = True
     presets = _weight_presets(spec, cfg.seed)
     for wid, w in presets:
-        pb = predicted_bound_report(w, p, p0, "below2")
+        pb = predicted_bound_report(w, cfg.p, cfg.p0, "below2")
         emp = max(weighted_operator_ratio(f, w, p, cfg.delta) for f in fs)
         report.rows.append((wid, p, p0, cfg.delta, pb.ap_char, pb.rh_char,
                             pb.alpha, pb.value, emp))

@@ -9,6 +9,7 @@ string like ``"6/5"``.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ __all__ = [
     "admissible_pair",
     "admissible_vv",
     "alpha_exponent",
+    "weight_indices",
     "ExponentRecord",
 ]
 
@@ -172,16 +174,26 @@ def alpha_exponent(p, p0, side: str) -> Fraction:
     ``below2`` (p0 < p < 2): ``max{1/(p - p0), 1/(2 - p)}``.
     ``above2`` (2 < p < p0'): ``max{1/(p - 2), (p0' - 2)/(p0' - p)}``.
     """
+    return _bound_exponents(p, p0, side)[0]
+
+
+def weight_indices(p, p0, side: str) -> tuple[Fraction, Fraction]:
+    """A_p and reverse-Hoelder indices of the weighted bound on the ranges of
+    :func:`alpha_exponent`: ``(p/p0, (2/p)')`` below 2, ``(p/2, (p0'/2)')`` above."""
+    return _bound_exponents(p, p0, side)[1:]
+
+
+def _bound_exponents(p, p0, side: str) -> tuple[Fraction, Fraction, Fraction]:
     p, p0 = as_fraction(p), as_fraction(p0)
     if side == "below2":
         if not p0 < p < 2:
             raise ValueError(f"side below2 needs p in ({p0}, 2), got {p}")
-        return max(1 / (p - p0), 1 / (2 - p))
+        return max(1 / (p - p0), 1 / (2 - p)), p / p0, conjugate(2 / p)
     if side == "above2":
         p0c = conjugate(p0)
         if not 2 < p < p0c:
             raise ValueError(f"side above2 needs p in (2, {p0c}), got {p}")
-        return max(1 / (p - 2), (p0c - 2) / (p0c - p))
+        return max(1 / (p - 2), (p0c - 2) / (p0c - p)), p / 2, conjugate(p0c / 2)
     raise ValueError(f"side must be 'below2' or 'above2', got {side!r}")
 
 
@@ -218,19 +230,13 @@ class ExponentRecord:
         q = as_fraction(q) if q is not None else None
         delta = as_fraction(delta) if delta is not None else None
         p1 = p1_of(p0)
-        alpha_b = alpha_a = None
-        try:
-            alpha_b = alpha_exponent(p, p0, "below2")
-        except ValueError:
-            pass
-        try:
-            alpha_a = alpha_exponent(p, p0, "above2")
-        except ValueError:
-            pass
+        alphas = dict.fromkeys(("below2", "above2"))
+        for side in alphas:
+            with suppress(ValueError):
+                alphas[side] = alpha_exponent(p, p0, side)
         dbar = delta_bar(p0, n, provider)
-        dbar2 = delta_bar_2(p0) if 1 <= p0 <= 2 else None
-        if n == 2 and Fraction(6, 5) <= p0 < 2:
-            assert dbar == dbar2
+        dbar2 = delta_bar_2(p0)  # p1_of has checked p0 in (1, 2)
+        assert n != 2 or p0 < Fraction(6, 5) or dbar == dbar2
         return cls(
             n=n, p0=p0, q0=q0, p=p, q=q, delta=delta,
             delta_p=delta_critical(p, n),
@@ -240,8 +246,8 @@ class ExponentRecord:
             delta_bar=dbar,
             nu2=nu_2(p0),
             delta_bar2=dbar2,
-            alpha_below=alpha_b,
-            alpha_above=alpha_a,
+            alpha_below=alphas["below2"],
+            alpha_above=alphas["above2"],
             pair_admissible=admissible_pair(p0, q0),
             vv_admissible=admissible_vv(p, q) if q is not None else None,
             provider=provider,

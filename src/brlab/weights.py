@@ -3,22 +3,22 @@
 Characteristics are suprema over a *fixed* finite cube family (every
 grid-aligned dyadic cube plus a seeded sample of general axis-aligned
 cubes), so they are certified lower bounds of the continuum quantities and
-inequalities between them compare like with like.  ``Weight.pow`` shares
-the per-exponent average cache of its base weight, which makes algebraic
-identities between characteristics (A_2 duality, the product inequality)
-hold to the last float.
+inequalities between them compare like with like.  A weight and all of its
+powers ``Weight.pow(s)`` read one table of per-cube statistics of the base
+field, which makes algebraic identities between characteristics (A_2
+duality, the product inequality) hold to the last float.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
+from . import indices
 from .grid import (
     GridSpec,
     SampledField,
@@ -35,6 +35,7 @@ __all__ = [
     "Weight",
     "ap_characteristic",
     "a1_characteristic",
+    "ainf_characteristic",
     "rh_inf_characteristic",
     "rh_characteristic",
     "check_ap_rh_product",
@@ -52,78 +53,86 @@ __all__ = [
 ]
 
 
+class _CubeStats:
+    """Per-cube statistics of a base field over its family, each computed on
+    first use: the average of base^e keyed by e, of log(base), min and max."""
+
+    def __init__(self, base: np.ndarray, fam_lo: np.ndarray, fam_side: np.ndarray):
+        self.base, self.fam_lo, self.fam_side = base, fam_lo, fam_side
+        self.avgs: dict[float, np.ndarray] = {}
+
+    def avg(self, e: float) -> np.ndarray:
+        if e not in self.avgs:
+            self.avgs[e] = self._means(self.base ** e)
+        return self.avgs[e]
+
+    @cached_property
+    def log_avg(self) -> np.ndarray:
+        return self._means(np.log(self.base))
+
+    @cached_property
+    def mins(self) -> np.ndarray:
+        return self._extremes(minimum_filter1d)
+
+    @cached_property
+    def maxs(self) -> np.ndarray:
+        return self._extremes(maximum_filter1d)
+
+    def _means(self, vals: np.ndarray) -> np.ndarray:
+        lo = self.fam_lo.T
+        sums = box_sums(prefix_sum(vals), lo, lo + self.fam_side)
+        return sums / self.fam_side.astype(float) ** vals.ndim
+
+    def _extremes(self, filt) -> np.ndarray:
+        """``filt`` (a sliding min or max filter) over every family cube: per
+        side ``s``, filters over ``[lo, lo + s)`` on each axis, read at ``lo``."""
+        out = np.empty(len(self.fam_lo))
+        for s in np.unique(self.fam_side).tolist():
+            sel = self.fam_side == s
+            box = self.base
+            for ax in range(box.ndim):
+                box = filt(box, s, axis=ax, origin=-(s // 2))
+            out[sel] = box[tuple(self.fam_lo[sel].T)]
+        return out
+
+
 class Weight:
-    """Strictly positive field with cached characteristic evaluations.
+    """Strictly positive field over a fixed cube family: the grid's dyadic cubes
+    plus ``n_random`` general cubes drawn from ``family_seed``.  ``pow(s)`` is
+    ``w^s`` on the same family and statistics; as ``x -> x^s`` is monotone, its
+    extremes are the base's raised to ``s``, min and max swapping for ``s < 0``."""
 
-    The cube family is fixed at construction: all dyadic subdivisions of
-    the grid, plus ``n_random`` general axis-aligned cubes drawn from
-    ``family_seed``.  ``pow(s)`` returns the weight ``w^s`` sharing the
-    same family and the same per-exponent average cache.
-    """
-
-    def __init__(self, field: SampledField, fam_lo: np.ndarray,
-                 fam_side: np.ndarray, base_values: np.ndarray | None = None,
-                 exp: float = 1.0, image_cache: dict | None = None):
+    def __init__(self, field: SampledField, fam_lo: np.ndarray, fam_side: np.ndarray,
+                 stats: _CubeStats | None = None, exp: float = 1.0):
         vals = field.values.real
         if np.any(vals <= 0) or np.any(field.values.imag != 0):
             raise ValueError("weights must be strictly positive real fields")
-        self.field = field
-        self.spec = field.spec
-        self.fam_lo = fam_lo
-        self.fam_side = fam_side
-        self._base = vals if base_values is None else base_values
+        self.field, self.spec = field, field.spec
+        self.fam_lo, self.fam_side = fam_lo, fam_side
+        self._stats = _CubeStats(vals, fam_lo, fam_side) if stats is None else stats
         self._exp = exp
-        self._images = {} if image_cache is None else image_cache
-
-    # -- construction ----------------------------------------------------
 
     @classmethod
     def build(cls, field: SampledField, family_seed: int = 0,
               n_random: int = 10_000) -> "Weight":
-        spec = field.spec
-        fam_lo, fam_side = _build_family(spec, family_seed, n_random)
-        return cls(field, fam_lo, fam_side)
+        return cls(field, *_build_family(field.spec, family_seed, n_random))
 
     def pow(self, s: float) -> "Weight":
-        vals = self._base ** (self._exp * s)
-        fld = SampledField(self.spec, vals)
-        return Weight(fld, self.fam_lo, self.fam_side, base_values=self._base,
-                      exp=self._exp * s, image_cache=self._images)
-
-    # -- per-cube primitives ----------------------------------------------
+        e = self._exp * s
+        fld = SampledField(self.spec, self._stats.base ** e)
+        return Weight(fld, self.fam_lo, self.fam_side, self._stats, e)
 
     def _avgs(self, e: float) -> np.ndarray:
         """Average of (this weight)^e over every family cube."""
-        key = self._exp * e
-        if key not in self._images:
-            self._images[key] = prefix_sum(self._base ** key)
-        lo = self.fam_lo.T
-        sums = box_sums(self._images[key], lo, lo + self.fam_side)
-        return sums / self.fam_side.astype(float) ** self.spec.n
+        return self._stats.avg(self._exp * e)
 
-    @cached_property
+    @property
     def _mins(self) -> np.ndarray:
-        """Min over every family cube, computed on first use."""
-        return self._cube_extremes(minimum_filter1d)
+        return (self._stats.maxs if self._exp < 0 else self._stats.mins) ** self._exp
 
-    @cached_property
+    @property
     def _maxs(self) -> np.ndarray:
-        """Max over every family cube, computed on first use."""
-        return self._cube_extremes(maximum_filter1d)
-
-    def _cube_extremes(self, filt) -> np.ndarray:
-        """``filt`` (a sliding min or max filter) over every family cube: per
-        distinct side ``s``, filters over ``[lo, lo + s)`` on each axis, read
-        at the low corners."""
-        vals = self.field.values.real
-        out = np.empty(len(self.fam_lo))
-        for s in np.unique(self.fam_side).tolist():
-            sel = self.fam_side == s
-            box = vals
-            for ax in range(self.spec.n):
-                box = filt(box, s, axis=ax, origin=-(s // 2))
-            out[sel] = box[tuple(self.fam_lo[sel].T)]
-        return out
+        return (self._stats.mins if self._exp < 0 else self._stats.maxs) ** self._exp
 
 
 @lru_cache(maxsize=8)
@@ -133,8 +142,7 @@ def _build_family(spec: GridSpec, seed: int, n_random: int):
     lo_list, side_list = [], []
     side = N
     while side >= 1:
-        k = N // side
-        for idx in itertools.product(range(k), repeat=n):
+        for idx in itertools.product(range(N // side), repeat=n):
             lo_list.append([i * side for i in idx])
             side_list.append(side)
         side //= 2
@@ -155,30 +163,30 @@ def ap_characteristic(w: Weight, p: float) -> float:
     """``sup_B (avg_B w)(avg_B w^{1-p'})^{p-1}`` over the weight's family."""
     if p <= 1:
         raise ValueError("ap_characteristic needs p > 1; use a1_characteristic")
-    avg_w = w._avgs(1.0)
-    avg_dual = w._avgs(-1.0 / (p - 1.0))
-    return float(np.max(avg_w * avg_dual ** (p - 1.0)))
+    return float(np.max(w._avgs(1.0) * w._avgs(-1.0 / (p - 1.0)) ** (p - 1.0)))
 
 
 def a1_characteristic(w: Weight) -> float:
     """``sup_B (avg_B w) * (ess sup_B 1/w)``, grid min standing in for inf."""
-    avg_w = w._avgs(1.0)
-    return float(np.max(avg_w / w._mins))
+    return float(np.max(w._avgs(1.0) / w._mins))
 
 
 def rh_inf_characteristic(w: Weight) -> float:
     """``sup_B (ess sup_B w) / (avg_B w)``: the scale-invariant RH_infty constant."""
-    avg_w = w._avgs(1.0)
-    return float(np.max(w._maxs / avg_w))
+    return float(np.max(w._maxs / w._avgs(1.0)))
 
 
 def rh_characteristic(w: Weight, s: float) -> float:
     """``sup_B (avg_B w^s)^{1/s} / (avg_B w)``."""
     if s <= 1:
         raise ValueError(f"reverse-Hoelder exponent must satisfy s > 1, got {s}")
-    avg_w = w._avgs(1.0)
-    avg_s = w._avgs(s)
-    return float(np.max(avg_s ** (1.0 / s) / avg_w))
+    return float(np.max(w._avgs(s) ** (1.0 / s) / w._avgs(1.0)))
+
+
+def ainf_characteristic(w: Weight) -> float:
+    """``sup_B (avg_B w) exp(-avg_B log w)``: the limit of ``[w]_{A_p}`` as
+    p -> infinity on the weight's family (Hruscev's A_inf constant)."""
+    return float(np.max(w._avgs(1.0) * np.exp(-w._exp * w._stats.log_avg)))
 
 
 def _char_any(w: Weight, p: float) -> float:
@@ -215,26 +223,13 @@ class PredictedBound:
     rh_char: float
 
 
-def predicted_bound_report(w: Weight, p: float, p0: float,
-                           side: str) -> PredictedBound:
-    """Right-hand side of the weighted bound with the constant set to 1."""
-    if side == "below2":
-        if not p0 < p < 2:
-            raise ValueError(f"side below2 admits p in ({p0}, 2), got {p}")
-        alpha = max(1.0 / (p - p0), 1.0 / (2.0 - p))
-        ap_idx = p / p0
-        rh_idx = 2.0 / (2.0 - p)            # (2/p)'
-    elif side == "above2":
-        p0c = p0 / (p0 - 1.0)
-        if not 2 < p < p0c:
-            raise ValueError(f"side above2 admits p in (2, {p0c}), got {p}")
-        alpha = max(1.0 / (p - 2.0), (p0c - 2.0) / (p0c - p))
-        ap_idx = p / 2.0
-        rh_idx = p0c / (p0c - 2.0)          # (p0'/2)'
-    else:
-        raise ValueError(f"side must be 'below2' or 'above2', got {side!r}")
-    ap = ap_characteristic(w, ap_idx)
-    rh = rh_characteristic(w, rh_idx)
+def predicted_bound_report(w: Weight, p, p0, side: str) -> PredictedBound:
+    """Right-hand side ``([w]_{A_a} [w]_{RH_b})^alpha`` of the weighted bound
+    with the constant set to 1; ``alpha`` and the indices ``a``, ``b`` come
+    exactly from :mod:`indices` (``p``, ``p0`` are exact rationals)."""
+    alpha = float(indices.alpha_exponent(p, p0, side))
+    ap_idx, rh_idx = indices.weight_indices(p, p0, side)
+    ap, rh = ap_characteristic(w, float(ap_idx)), rh_characteristic(w, float(rh_idx))
     return PredictedBound((ap * rh) ** alpha, alpha, ap, rh)
 
 
@@ -271,18 +266,17 @@ def vector_valued_norm(fs: list[SampledField], p: float, q: float,
     out = lp_norm(lq_stack([apply_bochner_riesz(h, delta) for h in fs]), p)
     admissible = (1.2 <= p <= 6.0 and 1.2 <= q <= 6.0
                   and abs(1.0 / p - 1.0 / q) < 1.0 / 3.0)
-    ratio = out / inp if inp > 0 else math.inf if out > 0 else 0.0
+    ratio = out / inp if inp > 0 else np.inf if out > 0 else 0.0
     return VectorValuedReport(inp, out, ratio, admissible)
 
 
-def mixed_preset_report(w: Weight, ainf_p: float = 2.0 ** 10) -> float:
-    """Mixed-characteristic preset: ``[w^3]_{A_2}^{1/6} [w^3 + w^{-3}]_{A_inf}^{1/2}``
-    with A_inf approximated by A_p at a large p (documented approximation)."""
-    w3 = w.pow(3.0)
+def mixed_preset_report(w: Weight) -> float:
+    """Mixed-characteristic preset ``[w^3]_{A_2}^{1/6} [w^3 + w^{-3}]_{A_inf}^{1/2}``,
+    with the exact A_inf constant of :func:`ainf_characteristic`."""
     mix_vals = w.field.values.real ** 3 + w.field.values.real ** (-3)
     mix = Weight(SampledField(w.spec, mix_vals), w.fam_lo, w.fam_side)
-    return (ap_characteristic(w3, 2.0) ** (1.0 / 6.0)
-            * ap_characteristic(mix, ainf_p) ** 0.5)
+    return (ap_characteristic(w.pow(3.0), 2.0) ** (1.0 / 6.0)
+            * ainf_characteristic(mix) ** 0.5)
 
 
 # -- weight presets ------------------------------------------------------------

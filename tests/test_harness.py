@@ -458,6 +458,7 @@ class TestWeightsRun:
         assert const_row[4] == pytest.approx(1.0)   # ApChar
         assert const_row[7] == pytest.approx(1.0)   # predicted
         assert const_row[8] <= 1.0 + 1e-9           # empirical ratio on w = 1
+        assert {row[6] for row in rep.rows} == {2.5}  # alpha, exactly 5/2
 
 
 class TestVectorValuedRun:
@@ -520,6 +521,17 @@ class TestCli:
                          "--delta", "-0.5", "--out", str(out)])
         assert code == 2
         assert "delta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,flags,field", [
+        ("weights", ["--grid-n", "100"], "grid_n"),
+        ("dominate", ["--p0", "3"], "p0"),
+        ("vv", ["--q", "0"], "q must"),
+    ])
+    def test_bad_config_leaves_no_output_dir(self, tmp_path, capsys, cmd, flags, field):
+        out = tmp_path / "out"
+        assert cli_main([cmd, *flags, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

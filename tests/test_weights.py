@@ -2,14 +2,18 @@
 weighted ratios and vector-valued norms."""
 
 import math
+from collections import Counter
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from brlab import harness, weights
 from brlab.grid import GridSpec, SampledField, lp_norm, make_test_function
 from brlab.weights import (
     Weight,
     a1_characteristic,
+    ainf_characteristic,
     ap_characteristic,
     check_ap_rh_product,
     checkerboard_weight,
@@ -42,25 +46,53 @@ def brute_force_ap(w: Weight, p: float) -> float:
 class TestCubeFamily:
     def test_mins_maxs_match_per_cube_loop(self):
         # the sliding-filter gather against one slice per cube, on every
-        # side the family holds: 1 to N/2, and N
+        # side the family holds: 1 to N/2, and N; a power w^s reads the
+        # base's extremes raised to s, which is exact only if float ** is
+        # monotone, so it is compared bitwise with its own values too
         spec = GridSpec(n=2, L=4.0, N=32)
-        for w in (random_smooth_weight(spec, seed=3, n_random=2000),
-                  power_weight(spec, -0.5, n_random=2000),
-                  checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
-            vals = w.field.values.real
-            mins, maxs = w._mins, w._maxs
-            for i in range(len(w.fam_lo)):
-                sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
-                           for ax in range(spec.n))
-                assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
+        for base in (random_smooth_weight(spec, seed=3, n_random=2000),
+                     power_weight(spec, -0.5, n_random=2000),
+                     checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
+            for w in (base, *(base.pow(s) for s in (2.0, 0.5, -0.5, -1.0))):
+                vals = w.field.values.real
+                mins, maxs = w._mins, w._maxs
+                for i in range(len(w.fam_lo)):
+                    sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
+                               for ax in range(spec.n))
+                    assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
         assert set(w.fam_side.tolist()) == set(range(2, 16)) | {1, 16, 32}
 
-    def test_extremes_built_on_first_use(self):
-        w = power_weight(SPEC, -0.5, n_random=300)
-        a1_characteristic(w)
-        assert "_mins" in vars(w) and "_maxs" not in vars(w)
-        rh_inf_characteristic(w)
-        assert "_maxs" in vars(w)
+    def test_weights_run_builds_each_statistic_once(self, monkeypatch):
+        # one min-filter build per base weight, read by all of its powers,
+        # and one box-sum pass per (base, exponent) pair
+        calls = Counter()
+        tables = []
+
+        def counted(name):
+            orig = getattr(weights, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(weights, name, wrapper)
+
+        for name in ("minimum_filter1d", "maximum_filter1d", "prefix_sum", "box_sums"):
+            counted(name)
+        init = weights._CubeStats.__init__
+
+        def recorded_init(stats, *args):
+            init(stats, *args)
+            tables.append(stats)
+        monkeypatch.setattr(weights._CubeStats, "__init__", recorded_init)
+        cfg = harness.ExperimentConfig(grid_l=4.0, grid_n=32, trials=1, seed=7)
+        harness.run_weights(cfg)
+        spec = cfg.spec()
+        n_presets = len(harness._weight_presets(spec, cfg.seed))
+        n_sides = len(np.unique(tables[0].fam_side))
+        assert calls["minimum_filter1d"] == n_presets * n_sides * spec.n
+        assert calls["maximum_filter1d"] == 0
+        pairs = sum(len(st.avgs) + ("log_avg" in vars(st)) for st in tables)
+        assert calls["box_sums"] == calls["prefix_sum"] == pairs
 
     def test_family_shared_and_read_only(self):
         a = constant_weight(SPEC, 1.0, family_seed=5, n_random=300)
@@ -140,6 +172,27 @@ class TestCharacteristics:
         with pytest.raises(ValueError, match="positive"):
             Weight.build(SampledField(SPEC, vals))
 
+    def test_ap_decreases_to_ainf_limit(self):
+        # [w]_{A_p} decreases in p to sup_B <w>_B exp(-<log w>_B) on a fixed
+        # family; at p = 2^20 the gap is of order 1/p
+        for w in (random_smooth_weight(SPEC, seed=4, amplitude=1.5, n_random=300),
+                  power_weight(SPEC, 1.0, n_random=300),
+                  checkerboard_weight(SPEC, 1.0, 3.0, block_px=4, n_random=300)):
+            limit = ainf_characteristic(w)
+            vals = [ap_characteristic(w, p) for p in (2.0, 16.0, 2.0 ** 10, 2.0 ** 20)]
+            for lo, hi in zip(vals, vals[1:]):
+                assert hi <= lo * (1 + 1e-12)
+            assert all(v >= limit for v in vals)
+            assert vals[-1] == pytest.approx(limit, rel=1e-5)
+
+    def test_ainf_of_powers_scales_the_log_average(self):
+        # w^s reads s * <log w>_B from its base's table
+        w = random_smooth_weight(SPEC, seed=3, n_random=300)
+        for s in (3.0, -2.0):
+            fresh = Weight(w.pow(s).field, w.fam_lo, w.fam_side)
+            assert ainf_characteristic(w.pow(s)) == pytest.approx(
+                ainf_characteristic(fresh), rel=1e-12)
+
     def test_ap_needs_p_above_one(self):
         w = constant_weight(SPEC, n_random=10)
         with pytest.raises(ValueError, match="a1"):
@@ -178,32 +231,36 @@ class TestProductInequality:
 class TestPredictedBound:
     def test_alpha_reference_value(self):
         w = constant_weight(SPEC, n_random=50)
-        rep = predicted_bound_report(w, 8.0 / 5.0, 6.0 / 5.0, "below2")
-        assert rep.alpha == pytest.approx(2.5)
+        rep = predicted_bound_report(w, F(8, 5), F(6, 5), "below2")
+        assert rep.alpha == 2.5
         assert rep.value == pytest.approx(1.0)
 
     def test_constant_weight_gives_one(self):
         w = constant_weight(SPEC, n_random=50)
-        assert predicted_bound_report(w, 1.5, 1.2, "below2").value == pytest.approx(1.0)
+        assert predicted_bound_report(w, F(3, 2), F(6, 5), "below2").value == pytest.approx(1.0)
 
     def test_alpha_blows_up_towards_endpoints(self):
         w = constant_weight(SPEC, n_random=50)
-        alphas = [predicted_bound_report(w, p, 1.2, "below2").alpha
-                  for p in (1.5, 1.3, 1.25, 1.21)]
+        alphas = [predicted_bound_report(w, F(p), F(6, 5), "below2").alpha
+                  for p in ("3/2", "13/10", "5/4", "121/100")]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
     def test_range_errors(self):
         w = constant_weight(SPEC, n_random=50)
         with pytest.raises(ValueError, match="below2"):
-            predicted_bound_report(w, 2.5, 1.2, "below2")
+            predicted_bound_report(w, F(5, 2), F(6, 5), "below2")
         with pytest.raises(ValueError, match="above2"):
-            predicted_bound_report(w, 1.5, 1.2, "above2")
+            predicted_bound_report(w, F(3, 2), F(6, 5), "above2")
+        with pytest.raises(TypeError, match="exact rational"):
+            predicted_bound_report(w, 1.6, 1.2, "below2")
 
     def test_above2_side(self):
         w = checkerboard_weight(SPEC, 1.0, 2.0, block_px=4, n_random=200)
-        rep = predicted_bound_report(w, 3.0, 1.2, "above2")
-        # p0' = 6: alpha = max{1, 4/3}
-        assert rep.alpha == pytest.approx(4.0 / 3.0)
+        rep = predicted_bound_report(w, F(3), F(6, 5), "above2")
+        # p0' = 6: alpha = max{1, 4/3}; indices p/2 = 3/2 and (p0'/2)' = 3/2
+        assert rep.alpha == float(F(4, 3))
+        assert rep.ap_char == ap_characteristic(w, 1.5)
+        assert rep.rh_char == rh_characteristic(w, 1.5)
         assert rep.value >= 1.0
 
 
@@ -233,7 +290,7 @@ class TestWeightedRatio:
               for s in range(3)]
         for seed in range(3):
             w = random_smooth_weight(spec, seed=seed, amplitude=0.8, n_random=200)
-            bound = predicted_bound_report(w, 1.6, 1.2, "below2").value
+            bound = predicted_bound_report(w, F(8, 5), F(6, 5), "below2").value
             for f in fs:
                 assert weighted_operator_ratio(f, w, 1.6, 0.2) <= 10.0 * bound
 
