@@ -26,7 +26,7 @@ from .harness import (
     run_vector_valued,
     run_weights,
 )
-from .indices import ExponentRecord
+from .indices import ExponentRecord, weight_indices
 from .sparse import ThresholdFailure
 
 _RUNNERS = {
@@ -83,11 +83,12 @@ def _build_config(cmd: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _run_indices(args) -> int:
+    defaults = ExperimentConfig()
     record = ExponentRecord.compute(
         n=args.dim,
-        p0=Fraction(args.p0 or "6/5"),
-        q0=Fraction(args.q0 or "2"),
-        p=Fraction(args.p or "8/5"),
+        p0=Fraction(args.p0 or defaults.p0),
+        q0=Fraction(args.q0 or defaults.q0),
+        p=Fraction(args.p or defaults.p),
         q=Fraction(args.q) if args.q else None,
         delta=Fraction(args.delta_exact) if args.delta_exact else None,
         provider=args.provider,
@@ -137,6 +138,11 @@ def main(argv=None) -> int:
         if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
             raise FileExistsError(f"--out is not a directory: {args.out}")
         cfg = _build_config(args.command, args)
+        # exponent ranges that only one command needs, also before --out is made
+        if args.command == "dominate":
+            cfg.maximal_cfg()
+        elif args.command == "weights":
+            weight_indices(cfg.p, cfg.p0, "below2")
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)  # fail before the run
         report = _RUNNERS[args.command](cfg)
         csv_path, json_path = report.write(cfg.output_dir)

@@ -96,11 +96,6 @@ class GridSpec:
         return np.meshgrid(*([self.axis_coords()] * self.n), indexing="ij")
 
 
-@lru_cache(maxsize=64)
-def _freq_axis(spec: GridSpec) -> np.ndarray:
-    return fft.fftfreq(spec.N, d=spec.dx)
-
-
 def sum_of_squares(axes) -> np.ndarray:
     """``sum_i a_i^2`` on the outer grid of the 1-D coordinate arrays ``axes``."""
     out = np.zeros(tuple(len(a) for a in axes))
@@ -114,7 +109,7 @@ def sum_of_squares(axes) -> np.ndarray:
 @lru_cache(maxsize=64)
 def freq_sq(spec: GridSpec) -> np.ndarray:
     """``|xi|^2`` on the discrete frequency lattice, in fft ordering."""
-    return sum_of_squares([_freq_axis(spec)] * spec.n)
+    return sum_of_squares([fft.fftfreq(spec.N, d=spec.dx)] * spec.n)
 
 @lru_cache(maxsize=64)
 def _radius_sq_grid(spec: GridSpec) -> np.ndarray:

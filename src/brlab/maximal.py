@@ -16,7 +16,7 @@ finite dyadic radius set and a per-ball candidate set of at most
 ``y_thin`` centers.  That discretization alone gives lower bounds of the
 continuum operators, which the selection algorithm absorbs into its
 adaptive threshold constant.  The mask snapping of ``br_star`` below is not
-one-sided: the default tiled path can exceed the ``exact=True`` values
+one-sided: the tiled path can exceed the masked operator's definition
 (the exact ``br_star`` item of ROADMAP.md replaces it).
 
 Truncated fields
@@ -30,38 +30,40 @@ source go on a zero grid for one ``grid.apply_symbol`` call.  The choice
 depends on geometry alone, so results do not depend on call order.  Every
 linear convolution here is ``_fftconvolve``, on ``scipy.fft`` like every
 other transform of brlab.  Two sources occur: f on its support box
-(``_g_window``, read by the ball means of ``br_starstar``, by ``br_star``'s
-disjoint tiles and partial tiles, and by the displacement path), and f cut
-to a partial tile's mask ball, on the bounding box of its nonzeros there.
+(``_g_window``, read by the ball means of the unmasked y-max, by
+``br_star``'s partial tiles and by the displacement path), and f cut to a
+partial tile's mask ball, on the bounding box of its nonzeros there.
 
 ``br_star`` masks depend on the evaluation point, which is the expensive
-part.  Two regimes bound the work per scale:
+part.  Each radius first tests which window points x have a mask ball
+``B(x, 3 eps)`` that provably holds every nonzero of f: there the value is
+0, and a radius where every point is covered does no masking work.  The
+radius then picks one of two paths:
 
-* small radii (``eps < SNAP_MIN_PX`` pixels, default config): the masked
-  transform is evaluated exactly at every point of the window.  The near
-  field of each displacement ``d = z - x`` is one batched convolution of a
-  periodically wrapped crop of ``f`` around the window with a masked
-  kernel slice, whose spectra are cached per window shape; ``g`` at
-  ``x + d`` is a view of one ``_g_window`` over the window ``+- 2 eps``.
-  Which displacements feed which candidate center is a cached index table,
-  and each candidate sums its displacements in a fixed order;
-* large radii (``eps >= SNAP_MIN_PX``), and every radius with
-  ``exact=True``: mask centers are snapped to a per-scale tile lattice of
-  side ``eps`` (``|x - x'| <= eps/2``; side 1 with ``exact=True``).  Each
+* small radii (``eps < SNAP_MIN_PX`` pixels): the masked transform is
+  evaluated exactly at every point of the window.  The near field of each
+  displacement ``d = z - x`` is one batched convolution of a periodically
+  wrapped crop of ``f`` around the window with a masked kernel slice,
+  whose spectra are cached per window shape; ``g`` at ``x + d`` is a view
+  of one ``_g_window`` over the window ``+- 2 eps``.  Which displacements
+  feed which candidate center is a cached index table, and each candidate
+  sums its displacements in a fixed order;
+* large radii (``eps >= SNAP_MIN_PX``): mask centers are snapped to a
+  per-scale tile lattice of side ``eps`` (``|x - x'| <= eps/2``).  Each
   tile is classified exactly by counting f's nonzeros in its center's mask
   ball: a ball that holds all of them gives 0 (covered), one that holds
   none gives the unmasked y-max (disjoint).  A partial tile subtracts the
   truncated field of f cut to the ball from ``g`` on the tile ``+- 2 eps``,
   a slice of one ``_g_window`` over the whole window ``+- 2 eps``.
 
-``exact=True`` is priced for small grids only.  Every ball mean is a
-linear convolution over a periodically wrapped crop of the window plus the
-radius: ``eps <= N/4`` keeps the ball's offsets distinct mod ``N``, so the
-crop gives exact torus means even where it holds a grid point twice.  A
-crop wider than the grid (``eps = N/4`` around a small window) takes one
-circular convolution of the whole-grid density with the ball, whose
-spectrum is cached.  All ball geometry uses grid pixels with the
-minimal-image torus metric, ties at the boundary included.
+Every ball mean is a linear convolution over a periodically wrapped crop
+of the window plus the radius: ``eps <= N/4`` keeps the ball's offsets
+distinct mod ``N``, so the crop gives exact torus means even where it
+holds a grid point twice.  A crop wider than the grid (``eps = N/4``
+around a small window) takes one circular convolution of the whole-grid
+density with the ball, whose spectrum is cached.  All ball geometry uses
+grid pixels with the minimal-image torus metric, ties at the boundary
+included.
 
 Radius pruning
 --------------
@@ -128,9 +130,7 @@ class MaximalConfig:
 
     ``eps`` radii are ``2^m`` grid pixels for ``m`` in
     ``[eps_min_exp, eps_max_exp]`` (default upper end: ``log2(N/4)``).
-    ``y_thin`` (at least 1) caps the candidate centers per ball (None = all);
-    ``exact=True`` disables the snapping of mask centers (radii of at least
-    ``SNAP_MIN_PX`` pixels) to the tile lattice.
+    ``y_thin`` (at least 1) caps the candidate centers per ball (None = all).
     """
 
     p0: float = 1.2
@@ -138,7 +138,6 @@ class MaximalConfig:
     eps_min_exp: int = 2
     eps_max_exp: int | None = None
     y_thin: int | None = 64
-    exact: bool = False
 
     def __post_init__(self):
         if not 1.0 < self.p0 < 2.0:
@@ -375,7 +374,7 @@ def _full_window(spec: GridSpec) -> Window:
 
 class MaximalEngine:
     """Evaluates the three maximal operators for one field, sharing the
-    per-scale ball averages and the coordinates of f's nonzeros."""
+    support index box and the coordinates of f's nonzeros."""
 
     def __init__(self, f: SampledField, delta: float, cfg: MaximalConfig,
                  box: Box | None = None):
@@ -384,7 +383,6 @@ class MaximalEngine:
         self.delta = float(delta)
         self.cfg = cfg
         self.eps_list = cfg.eps_px_list(f.spec)
-        self._avg: dict[tuple[int, Window], np.ndarray] = {}
         # f is read as f * 1_box: exactly zero outside the support index box,
         # where the sample ranges of the box and of f's support meet
         self._bounded = f.support is not None or box is not None
@@ -505,26 +503,19 @@ class MaximalEngine:
         inner = tuple(slice(eps_px, eps_px + (h - l)) for l, h in ywin)
         return _ball_mean_linear(dens_on(lo, hi), eps_px, N)[inner]
 
-    def _avg_window(self, eps_px: int, ywin: Window) -> np.ndarray:
-        """Ball L^{q0} average of the unmasked truncated field on ``ywin``."""
-        key = (eps_px, ywin)
-        if key not in self._avg:
-            q0 = self.cfg.q0
-            mean = self._ball_mean_window(
-                lambda lo, hi: np.abs(self._g_window(eps_px, lo, hi)) ** q0, eps_px, ywin)
-            self._avg[key] = mean ** (1.0 / q0)
-        return self._avg[key]
-
     @staticmethod
     def _expand(window: Window, pad: int) -> Window:
         return tuple((l - pad, h + pad) for l, h in window)
 
     def _y_max(self, eps_px: int, window: Window) -> np.ndarray:
-        """max over candidate centers y (|y - x| <= eps) of the unmasked
-        average field, for x in ``window``."""
-        avg = self._avg_window(eps_px, self._expand(window, eps_px))
+        """max over candidate centers y (|y - x| <= eps) of the ball L^{q0}
+        average of the unmasked truncated field, for x in ``window``."""
+        q0 = self.cfg.q0
+        mean = self._ball_mean_window(
+            lambda lo, hi: np.abs(self._g_window(eps_px, lo, hi)) ** q0,
+            eps_px, self._expand(window, eps_px))
         pat = _y_pattern(self.spec.n, eps_px, self.spec.N, self.cfg.y_thin)
-        return _pattern_max(avg, pat, (eps_px,) * self.spec.n,
+        return _pattern_max(mean ** (1.0 / q0), pat, (eps_px,) * self.spec.n,
                             tuple(h - l for l, h in window))
 
     # -- the unmasked operator ------------------------------------------
@@ -562,11 +553,11 @@ class MaximalEngine:
         for eps_px in self.eps_list:
             if self._l2_prunes(eps_px, acc):
                 continue
-            if eps_px < SNAP_MIN_PX and not self.cfg.exact:
-                self._star_displacement(acc, window, eps_px)
-            else:
-                self._star_tiled(acc, window, eps_px,
-                                 tile=1 if self.cfg.exact else max(eps_px, 1))
+            covered = self._covered_mask(window, 3 * eps_px)
+            if covered.all():
+                continue
+            path = self._star_displacement if eps_px < SNAP_MIN_PX else self._star_tiled
+            np.maximum(acc, np.where(covered, 0.0, path(window, eps_px)), out=acc)
         return acc
 
     def _covered_mask(self, window: Window, mask_r: int) -> np.ndarray:
@@ -576,18 +567,18 @@ class MaximalEngine:
         d2 = sum_of_squares([np.arange(l, h) - center[i] for i, (l, h) in enumerate(window)])
         return np.sqrt(d2) + radius <= mask_r
 
-    def _star_tiled(self, acc: np.ndarray, window: Window, eps_px: int, tile: int):
-        """Snapped masks: every point of a tile (side ``tile``) of the window
-        takes the mask ball ``B(c, 3 eps)`` of the tile center ``c``.  A tile
-        whose ball holds every nonzero of f is covered (its values are 0),
-        one whose ball holds none is disjoint (the unmasked y-max), and any
-        other tile is partial."""
+    def _star_tiled(self, window: Window, eps_px: int) -> np.ndarray:
+        """Snapped masks: every point of an eps-tile of the window takes the
+        mask ball ``B(c, 3 eps)`` of the tile center ``c``.  A tile whose
+        ball holds every nonzero of f is covered (its values are 0), one
+        whose ball holds none is disjoint (the unmasked y-max), and any other
+        tile is partial."""
         mask_r = 3 * eps_px
         vals = np.zeros(tuple(h - l for l, h in window))
         avg = None  # y-maxed unmasked average on the window, for disjoint tiles
         gwin = None  # truncated field on the window +- 2 eps, for partial tiles
-        for tlo in itertools.product(*(range(l, h, tile) for l, h in window)):
-            thi = tuple(min(a + tile, h) for a, (_, h) in zip(tlo, window))
+        for tlo in itertools.product(*(range(l, h, eps_px) for l, h in window)):
+            thi = tuple(min(a + eps_px, h) for a, (_, h) in zip(tlo, window))
             center = [a + (b - a) // 2 for a, b in zip(tlo, thi)]
             inside = self._nz_in_ball(center, mask_r)
             if inside.all():
@@ -602,7 +593,7 @@ class MaximalEngine:
                 gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
             gz = gwin[tuple(slice(r.start, r.stop + 4 * eps_px) for r in rel)]
             vals[rel] = self._masked_tile_values(tlo, thi, center, inside, eps_px, gz)
-        np.maximum(acc, np.where(self._covered_mask(window, mask_r), 0.0, vals), out=acc)
+        return vals
 
     def _masked_tile_values(self, tlo, thi, center, inside, eps_px, gz) -> np.ndarray:
         """Ball-average field, y-maxed on the tile, of ``B_eps`` of f masked
@@ -625,7 +616,7 @@ class MaximalEngine:
         return _pattern_max(avg, pat, (2 * eps_px,) * n,
                             tuple(b - a for a, b in zip(tlo, thi)))
 
-    def _star_displacement(self, acc: np.ndarray, window: Window, eps_px: int):
+    def _star_displacement(self, window: Window, eps_px: int) -> np.ndarray:
         """Exact per-point masks for small radii.
 
         near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u) gives the masked
@@ -637,9 +628,6 @@ class MaximalEngine:
         mask_r, d_r = 3 * eps_px, 2 * eps_px
 
         wshape = tuple(h - l for l, h in window)
-        covered = self._covered_mask(window, mask_r)
-        if covered.all():
-            return
         # f on the window +- 3 eps, wrapped: exact at any window size, since
         # the mask-ball offsets are distinct mod N
         fwin = self._f_take(*zip(*self._expand(window, mask_r)))
@@ -667,8 +655,7 @@ class MaximalEngine:
                 sums += t[table[:, k]]
 
         count = len(_ball_offsets(n, eps_px, N))
-        vals = np.max((np.maximum(sums, 0.0) / count), axis=0) ** (1.0 / q0)
-        np.maximum(acc, np.where(covered, 0.0, vals), out=acc)
+        return np.max((np.maximum(sums, 0.0) / count), axis=0) ** (1.0 / q0)
 
 
 def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:

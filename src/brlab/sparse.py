@@ -213,10 +213,6 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
     window, box6 = q0_cube.window(), q0_cube.box6()
 
     base = cube_average(f, box6, cfg.p0)
-    if not np.any(f.values[box6.samples(f.spec)[0]]):
-        return TraceNode(q0_cube, C_INIT, C_INIT * base,
-                         Fraction(0, q0_cube.cell_count), (), ())
-
     engine = MaximalEngine(f, delta, cfg, box=box6)
     phi = engine.star_values(window) + engine.starstar_values(window) + engine.hl_values(window)
 

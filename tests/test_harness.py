@@ -402,6 +402,28 @@ class TestProp41:
                 assert _annulus_average(f, a_in, a_out, 1.2) == expected
                 jj += 1
 
+    def test_input_vanishes_on_every_other_annulus(self, monkeypatch):
+        # run_prop41 adds only the tail term of the input's own annulus; on
+        # every other dyadic annulus inside L/2 its average is exactly 0.0
+        import brlab.harness as harness
+        inputs = []
+
+        def recording(spec, r_in, r_out, seed):
+            inputs.append((r_in, r_out, _annulus_field(spec, r_in, r_out, seed)))
+            return inputs[-1][2]
+
+        monkeypatch.setattr(harness, "_annulus_field", recording)
+        rep = run_prop41(LOCAL_GOLDEN_CFG)
+        assert len(inputs) == len(rep.rows) == 10
+        half = LOCAL_GOLDEN_CFG.grid_l / 2.0
+        annuli = [(2.0 ** m, 2.0 ** (m + 1)) for m in range(5) if 2.0 ** (m + 1) <= half]
+        for r_in, r_out, f in inputs:
+            assert (r_in, r_out) in annuli
+            assert _annulus_average(f, r_in, r_out, 1.2) > 0.0
+            for a_in, a_out in annuli:
+                if (a_in, a_out) != (r_in, r_out):
+                    assert _annulus_average(f, a_in, a_out, 1.2) == 0.0, (r_in, a_in)
+
     def test_homogeneity_of_ratio(self):
         # the lhs and rhs columns are both 1-homogeneous in f, so the ratio
         # of any row is invariant under rescaling the trial fields
@@ -527,6 +549,10 @@ class TestCli:
         ("weights", ["--grid-n", "100"], "grid_n"),
         ("dominate", ["--p0", "3"], "p0"),
         ("vv", ["--q", "0"], "q must"),
+        # ranges only one command's own checks know: MaximalConfig's q0 and
+        # the weighted bound's side below 2
+        ("dominate", ["--q0", "3/2", "--trials", "1"], "q0 must"),
+        ("weights", ["--p", "5/2"], "below2"),
     ])
     def test_bad_config_leaves_no_output_dir(self, tmp_path, capsys, cmd, flags, field):
         out = tmp_path / "out"

@@ -153,20 +153,8 @@ class TestBrStarStar:
 
 
 class TestBrStar:
-    def test_exact_mode_matches_brute_force(self):
-        f = spiky_field()
-        cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4,
-                            y_thin=16, exact=True)
-        star = br_star(f, DELTA, cfg).values
-        rng = np.random.default_rng(1)
-        pts = [(int(a), int(b)) for a, b in rng.integers(4, 60, size=(12, 2))]
-        brute = brute_star_at(f, DELTA, cfg, pts)
-        scale = max(brute.values())
-        for p, v in brute.items():
-            assert abs(star[p] - v) < 1e-10 * scale
-
     def test_displacement_path_matches_brute_force(self):
-        # eps = 4 px < SNAP_MIN_PX: the default (exact=False) small-radius path
+        # eps = 4 px < SNAP_MIN_PX: the small-radius path
         f = spiky_field()
         cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16)
         star = br_star(f, DELTA, cfg).values
@@ -186,13 +174,37 @@ class TestBrStar:
         star = br_star(f, DELTA, cfg).values
         center = (spec.N // 2, spec.N // 2)
         assert star[center] == 0.0
-        # exact mode agrees at the strict 3 eps boundary too
-        cfg_exact = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4,
-                                  y_thin=8, exact=True)
+        # at the strict 3 eps boundary too, on a one-point window (whose
+        # only tile is centered at the point itself), as the oracle says
         f2 = make_test_function(spec, "bump", radius=2.9 * 4 * spec.dx)
-        star2 = MaximalEngine(f2, DELTA, cfg_exact).star_values(
+        star2 = MaximalEngine(f2, DELTA, cfg).star_values(
             ((center[0], center[0] + 1), (center[1], center[1] + 1)))
+        assert brute_star_at(f2, DELTA, cfg, [center]) == {center: 0.0}
         assert star2.shape == (1, 1) and star2[0, 0] == 0.0
+
+    def test_covered_radius_does_no_masking_work(self, monkeypatch):
+        # the support lies inside B(x, 3 eps) for every window point x at
+        # every radius, so no radius enters either masking path
+        spec = GridSpec(n=2, L=16.0, N=128)
+        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=4, y_thin=8)
+        eps_list = cfg.eps_px_list(spec)
+        assert min(eps_list) < SNAP_MIN_PX <= max(eps_list)
+        f = make_test_function(spec, "bump", radius=2 * spec.dx)
+        c = spec.N // 2
+        window = ((c - 4, c + 4), (c - 3, c + 5))
+        nz = np.argwhere(f.values != 0)
+        pts = np.argwhere(np.ones((8, 8), dtype=bool)) + (c - 4, c - 3)
+        d2 = ((pts[:, None, :] - nz[None, :, :]) ** 2).sum(axis=-1)
+        assert d2.max() <= (3 * min(eps_list)) ** 2
+        calls = []
+
+        def entered(name):
+            return lambda self, *args, **kwargs: calls.append(name)
+
+        for name in ("_star_tiled", "_star_displacement"):
+            monkeypatch.setattr(MaximalEngine, name, entered(name))
+        star = MaximalEngine(f, DELTA, cfg).star_values(window)
+        assert calls == [] and star.shape == (8, 8) and not np.any(star)
 
     def test_requires_support(self):
         f = SampledField(SPEC, np.ones(SPEC.shape))
@@ -253,18 +265,21 @@ class TestBrStar:
             assert abs(star[p] - v) < 1e-10 * scale, p
         assert all(brute[p] == 0.0 for p in pts["covered"])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the default tiled path (eps >= SNAP_MIN_PX) snaps mask centers to "
-        "the eps-tile lattice, so it can exceed the exact masked operator "
-        "(by up to a third of its maximum here); this is the open br_star "
-        "snapping defect in ROADMAP.md"))
-    def test_default_matches_exact_on_full_grid(self):
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the tiled path (eps >= SNAP_MIN_PX) snaps mask centers to the "
+        "eps-tile lattice, so it can exceed the masked operator's "
+        "definition; this is the open br_star snapping defect in ROADMAP.md"))
+    def test_default_matches_brute_force_at_sampled_points(self):
         spec = GridSpec(n=2, L=8.0, N=128)
+        cfg = MaximalConfig()
         for seed in (11, 5):
             f = spiky_field(spec, seed=seed)
-            default = br_star(f, DELTA, MaximalConfig()).values
-            exact = br_star(f, DELTA, MaximalConfig(exact=True)).values
-            assert np.abs(default - exact).max() <= 1e-10 * exact.max()
+            star = br_star(f, DELTA, cfg).values
+            pts = [(int(a), int(b)) for a, b in
+                   np.random.default_rng(seed).integers(0, spec.N, size=(48, 2))]
+            brute = brute_star_at(f, DELTA, cfg, pts)
+            scale = max(brute.values())
+            assert all(abs(star[p] - v) <= 1e-10 * scale for p, v in brute.items())
 
     def test_star_below_starstar_of_masked_term_by_term(self):
         # at the same (x, y, eps), the masked inner term is the unmasked
@@ -361,15 +376,14 @@ class TestRadiusPruning:
 
 class TestWindowContract:
     # Engine methods return the window's shape and agree with the public
-    # whole-grid operators cropped to it.  br_star's default tiled path
-    # (eps >= SNAP_MIN_PX) is left out: its snapped tile lattice depends on
-    # the window, so the two are not comparable there.
+    # whole-grid operators cropped to it.  br_star's tiled path (eps >=
+    # SNAP_MIN_PX) is left out: its snapped tile lattice depends on the
+    # window, so the two are not comparable there.
     @pytest.mark.parametrize("op, cfg", [
         ("hl", MaximalConfig(eps_min_exp=0, y_thin=16)),
         ("starstar", MaximalConfig(eps_min_exp=0, y_thin=16)),
         ("star", MaximalConfig(eps_min_exp=0, eps_max_exp=2, y_thin=16)),
-        ("star", MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16, exact=True)),
-    ], ids=["hl", "starstar", "star-displacement", "star-exact"])
+    ], ids=["hl", "starstar", "star-displacement"])
     def test_window_values_match_public_operator_cropped(self, op, cfg):
         public = {"hl": lambda f: hl_maximal(f, cfg),
                   "starstar": lambda f: br_starstar(f, DELTA, cfg),

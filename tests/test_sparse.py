@@ -17,6 +17,7 @@ from brlab.sparse import (
     build_sparse,
     collection_to_csv,
     exceptional_set,
+    TraceNode,
     root_cube,
     sparse_form,
     trace_to_json,
@@ -115,6 +116,16 @@ class TestExceptionalSet:
         res = exceptional_set(f, q0, DELTA, CFG)
         assert res.children == ()
         assert res.e_ratio == 0
+
+    @pytest.mark.parametrize("q0", [2.0, 3.0])
+    def test_zero_on_6q_gives_the_empty_node(self, q0):
+        # f is nonzero only outside 6Q: the node has C_INIT, a zero
+        # threshold, an empty level set and no cubes
+        f = bump(radius=0.4, center=(1.5, 0.0))
+        q0_cube = DyadicCube(SPEC, (56, 56), 4, 0, (0, 0))
+        assert f.support.lo[0] >= q0_cube.box6().hi[0]
+        res = exceptional_set(f, q0_cube, DELTA, MaximalConfig(p0=P0, q0=q0))
+        assert res == TraceNode(q0_cube, sparse.C_INIT, 0.0, Fraction(0), (), ())
 
     def test_sharp_bump_selects_center(self):
         spec = GridSpec(n=2, L=16.0, N=256)
