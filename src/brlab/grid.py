@@ -66,8 +66,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.L <= 0:
-            raise ValueError(f"domain side must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"domain side must be finite and positive, got {self.L}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if self.nyquist <= 2.0:
@@ -338,14 +338,14 @@ def _bump_window(rho2: np.ndarray) -> np.ndarray:
         return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
 
 
-def _trig_sum(axes, freqs: np.ndarray, phases: np.ndarray,
+def _trig_sum(coords, freqs: np.ndarray, phases: np.ndarray,
               amps: np.ndarray) -> np.ndarray:
-    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the outer grid
-    of the 1-D coordinate arrays ``axes``, from broadcast 1-D products."""
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    vals = np.zeros(tuple(len(a) for a in axes))
+    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` at the points whose
+    ``i``-th coordinates are ``coords[i]``; the arrays broadcast together, as a
+    sparse meshgrid or as gathered points do."""
+    vals = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
     for m in range(len(amps)):
-        phase = 2.0 * np.pi * sum(mesh[i] * freqs[m, i] for i in range(len(mesh)))
+        phase = 2.0 * np.pi * sum(c * freqs[m, i] for i, c in enumerate(coords))
         vals = vals + amps[m] * np.cos(phase + phases[m])
     return vals
 
@@ -430,7 +430,8 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         box = Box.from_center(center, window_radius)
         _require_inside_quarter(spec, box, kind)
         return on_box(spec, box, lambda axes: amp * _bump_window(
-            radial_sq(axes) / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps))
+            radial_sq(axes) / window_radius ** 2) * _trig_sum(
+            np.meshgrid(*axes, indexing="ij", sparse=True), freqs, phases, amps))
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
 
@@ -441,30 +442,43 @@ def write_field(f: SampledField, path: str | Path):
     spec = f.spec
     flat = f.values.reshape(-1)
     lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"]
-    lines.extend(f"{float(v.real)!r},{float(v.imag)!r}" for v in flat)
+    lines.extend(f"{re!r},{im!r}" for re, im in zip(flat.real.tolist(), flat.imag.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_field(path: str | Path) -> SampledField:
     """Inverse of :func:`write_field`: float64 values when every imaginary
     part is 0, complex128 otherwise.  Raises ``ValueError`` on a malformed
-    header or a sample count that does not match it."""
+    header (no ``field`` tag, a token without one ``=``, a repeated key, or
+    a missing ``n=``/``N=``/``L=``), on a sample count that does not match
+    it, and on a sample line that is not two floats split by one comma."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split() if lines else []
     if not header or header[0] != "field":
         raise ValueError(f"not a field file: {path}")
-    meta = dict(kv.split("=") for kv in header[1:])
+    meta = {}
+    for token in header[1:]:
+        key, _, value = token.partition("=")
+        if token.count("=") != 1 or key in meta:
+            raise ValueError(f"field header needs distinct key=value tokens, "
+                             f"got {token!r}: {lines[0]!r}")
+        meta[key] = value
     if not {"n", "N", "L"} <= meta.keys():
         raise ValueError(f"field header needs n=, N= and L=: {lines[0]!r}")
     spec = GridSpec(n=int(meta["n"]), L=float(meta["L"]), N=int(meta["N"]))
     count = spec.N ** spec.n
-    if len(lines) - 1 != count:
+    body = lines[1:]
+    if len(body) != count:
         raise ValueError(f"{path}: header promises {count} samples, file has "
-                         f"{len(lines) - 1} lines")
-    data = np.empty(count, dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        re_s, im_s = line.split(",")
-        data[i] = complex(float(re_s), float(im_s))
-    if not data.imag.any():
-        data = data.real.copy()
+                         f"{len(body)} lines")
+    if list(map(str.count, body, itertools.repeat(","))).count(1) != count:
+        raise ValueError(f"{path}: every sample line must read 're,im'")
+    pairs = np.fromiter(map(float, ",".join(body).split(",")), dtype=np.float64,
+                        count=2 * count)
+    re, im = pairs[0::2], pairs[1::2]
+    if im.any():
+        data = np.empty(count, dtype=np.complex128)
+        data.real, data.imag = re, im
+    else:
+        data = re.copy()
     return SampledField(spec, data.reshape(spec.shape))

@@ -84,8 +84,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         try:
             self.spec()
         except ValueError as exc:
@@ -292,8 +292,9 @@ def _in_annulus(axes, r_in: float, r_out: float) -> np.ndarray:
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
-    """Random trigonometric sum (6 modes, frequencies below 1.5) cut to the
-    annulus ``r_in <= |x| < r_out``, evaluated on the annulus's box."""
+    """Random trigonometric sum (6 modes, frequencies below 1.5) on the
+    annulus ``r_in <= |x| < r_out``, evaluated at the annulus's points and
+    exact ``+0.0`` elsewhere."""
     num_modes, freq_max = 6, 1.5
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((num_modes, spec.n))
@@ -301,8 +302,14 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> Samp
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    return on_box(spec, _annulus_box(spec, r_out), lambda axes: _trig_sum(
-        axes, freqs, phases, amps) * _in_annulus(axes, r_in, r_out))
+
+    def local(axes):
+        inside = np.nonzero(_in_annulus(axes, r_in, r_out))
+        vals = np.zeros(tuple(len(a) for a in axes))
+        vals[inside] = _trig_sum([a[i] for a, i in zip(axes, inside)], freqs, phases, amps)
+        return vals
+
+    return on_box(spec, _annulus_box(spec, r_out), local)
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:

@@ -392,6 +392,7 @@ class MaximalEngine:
                 self._sbox = tuple(slice(max(s.start, l), min(s.stop, h))
                                    for s, (l, h) in zip(self._sbox, b.index_ranges(f.spec)))
         self._fs = f.values[self._sbox]
+        self._g: dict[tuple, np.ndarray] = {}
 
     def _f_take(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
         """The read of f on the wrapped index box ``[lo, hi)``: exactly +0.0
@@ -478,8 +479,15 @@ class MaximalEngine:
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
-        """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``."""
-        return self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo, zhi)
+        """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``,
+        read-only and computed once per engine: ``br_star`` and
+        ``br_starstar`` read the same box at each radius."""
+        key = (eps_px, zlo, zhi)
+        if key not in self._g:
+            g = self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo, zhi)
+            g.flags.writeable = False
+            self._g[key] = g
+        return self._g[key]
 
     def _ball_mean_window(self, dens_on, eps_px: int, ywin: Window) -> np.ndarray:
         """Mean over eps-balls centered at each point of ``ywin`` of a

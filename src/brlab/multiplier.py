@@ -66,14 +66,22 @@ def k_min(spec_or_L) -> int:
     return math.ceil(math.log2(8.0 / L))
 
 
-def _br_base(t, delta):
-    """``t_+^delta``, 0 where ``t <= 0`` (also at delta = 0)."""
-    return np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
-
-
 def _sk_of_t(t, k: int, delta: float):
-    """``2^{-k delta} t_+^delta chi(2^{-k} t)``, with ``t = 1 - |xi|^2``."""
-    return 2.0 ** (-k * delta) * _br_base(t, delta) * chi(np.ldexp(t, -k))
+    """``2^{-k delta} t^delta chi(2^{-k} t)`` for ``t = 1 - |xi|^2 > 0``."""
+    return 2.0 ** (-k * delta) * t ** delta * chi(np.ldexp(t, -k))
+
+
+def _on_ball(spec: GridSpec, sym_of_t) -> np.ndarray:
+    """Read-only lattice symbol that is ``sym_of_t(t)`` where
+    ``t = 1 - |xi|^2 > 0`` and exact ``+0.0`` elsewhere; every symbol here
+    carries the factor ``t_+^delta``, which is ``+0.0`` off the open unit
+    ball (also at delta = 0), so only the ball's points are evaluated."""
+    t = 1.0 - freq_sq(spec)
+    ball = t > 0.0
+    out = np.zeros(spec.shape)
+    out[ball] = sym_of_t(t[ball])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -82,9 +90,7 @@ def bochner_riesz_symbol(spec: GridSpec, delta: float) -> np.ndarray:
     open unit ball when delta = 0)."""
     if delta < 0:
         raise ValueError(f"smoothness exponent must satisfy delta >= 0, got {delta}")
-    out = _br_base(1.0 - freq_sq(spec), delta)
-    out.flags.writeable = False
-    return out
+    return _on_ball(spec, lambda t: t ** delta)
 
 
 @lru_cache(maxsize=128)
@@ -99,10 +105,7 @@ def truncated_symbol(spec: GridSpec, delta: float, epsilon: float) -> np.ndarray
     base = bochner_riesz_symbol(spec, delta)
     if epsilon <= 1.0:
         return base
-    t = 1.0 - freq_sq(spec)
-    out = base * chi_tilde(epsilon * t)
-    out.flags.writeable = False
-    return out
+    return _on_ball(spec, lambda t: t ** delta * chi_tilde(epsilon * t))
 
 
 @lru_cache(maxsize=256)
@@ -116,9 +119,7 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
             f"scale below grid resolution: 2^{k} < 8/L = {8.0 / spec.L} "
             f"(smallest resolvable index is {k_min(spec)})"
         )
-    out = _sk_of_t(1.0 - freq_sq(spec), k, delta)
-    out.flags.writeable = False
-    return out
+    return _on_ball(spec, lambda t: _sk_of_t(t, k, delta))
 
 
 # A multiplier spreads support, so the applications below drop it.
@@ -152,23 +153,31 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
     """
     if k > 0:
         raise ValueError("scale index must satisfy k <= 0")
+    if np.any(radii <= 0):
+        raise ValueError("radii must be positive")
     rho_hi = math.sqrt(1.0 - 2.0 ** (k - 1))
     rho_lo = math.sqrt(max(0.0, 1.0 - (1.0 + TRANSITION) * 2.0 ** k))
     order = n / 2.0 - 1.0
     nodes0, weights0 = leggauss(12)
-    out = np.empty(len(radii))
+    # nodes, weights and the radius-free factors are built once per panel
+    # count and shared by the radii that use it
+    by_panels: dict[int, list[int]] = {}
     for i, r in enumerate(radii):
-        if r <= 0:
-            raise ValueError("radii must be positive")
-        panels = max(8, int(math.ceil(4.0 * r * (rho_hi - rho_lo))))
+        by_panels.setdefault(max(8, int(math.ceil(4.0 * r * (rho_hi - rho_lo)))), []).append(i)
+    out = np.empty(len(radii))
+    for panels, members in by_panels.items():
         edges = np.linspace(rho_lo, rho_hi, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         rho = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
         wts = (half[:, None] * weights0[None, :]).ravel()
-        fvals = (_sk_of_t(1.0 - rho ** 2, k, delta) * special.jv(order, 2.0 * np.pi * rho * r)
-                 * rho ** (n / 2.0))
-        out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
+        sk = _sk_of_t(1.0 - rho ** 2, k, delta)
+        arg = 2.0 * np.pi * rho
+        rho_pow = rho ** (n / 2.0)
+        for i in members:
+            r = radii[i]
+            fvals = sk * special.jv(order, arg * r) * rho_pow
+            out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
     return out
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from . import indices
 from .grid import (
@@ -72,28 +71,44 @@ class _CubeStats:
 
     @cached_property
     def mins(self) -> np.ndarray:
-        return self._extremes(minimum_filter1d)
+        return self._extremes(np.minimum)
 
     @cached_property
     def maxs(self) -> np.ndarray:
-        return self._extremes(maximum_filter1d)
+        return self._extremes(np.maximum)
 
     def _means(self, vals: np.ndarray) -> np.ndarray:
         lo = self.fam_lo.T
         sums = box_sums(prefix_sum(vals), lo, lo + self.fam_side)
         return sums / self.fam_side.astype(float) ** vals.ndim
 
-    def _extremes(self, filt) -> np.ndarray:
-        """``filt`` (a sliding min or max filter) over every family cube: per
-        side ``s``, filters over ``[lo, lo + s)`` on each axis, read at ``lo``."""
+    def _extremes(self, op) -> np.ndarray:
+        """``op`` (``np.minimum`` or ``np.maximum``) over every family cube: a
+        cube of side ``s`` reads its ``2^n`` corner windows at level
+        ``floor(log2 s)`` of :func:`_doubling_table`, which cover it."""
+        levels = _doubling_table(self.base, op, int(self.fam_side.max()).bit_length())
         out = np.empty(len(self.fam_lo))
-        for s in np.unique(self.fam_side).tolist():
-            sel = self.fam_side == s
-            box = self.base
-            for ax in range(box.ndim):
-                box = filt(box, s, axis=ax, origin=-(s // 2))
-            out[sel] = box[tuple(self.fam_lo[sel].T)]
+        for k, table in enumerate(levels):
+            sel = (self.fam_side >> k) == 1
+            lo, shift = self.fam_lo[sel].T, self.fam_side[sel] - (1 << k)
+            corners = itertools.product((0, 1), repeat=self.base.ndim)
+            out[sel] = reduce(op, (table[tuple(l + c * shift for l, c in zip(lo, corner))]
+                                   for corner in corners))
         return out
+
+
+def _doubling_table(base: np.ndarray, op, n_levels: int) -> list[np.ndarray]:
+    """Levels ``0 .. n_levels - 1``: level ``k`` holds, at each ``x``, ``op``
+    over the cube ``[x, x + 2^k)`` of ``base`` (elementwise, so exact)."""
+    levels = [base]
+    for k in range(1, n_levels):
+        w, table = 1 << (k - 1), levels[-1]
+        for ax in range(base.ndim):
+            head = tuple(slice(None, -w) if a == ax else slice(None) for a in range(base.ndim))
+            tail = tuple(slice(w, None) if a == ax else slice(None) for a in range(base.ndim))
+            table = op(table[head], table[tail])
+        levels.append(table)
+    return levels
 
 
 class Weight:

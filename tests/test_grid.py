@@ -55,6 +55,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+    def test_non_finite_side_rejected(self, L):
+        # every comparison with NaN is False, so L > 0 alone let NaN through
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(n=2, L=L, N=128)
+
     def test_nyquist_must_exceed_two(self):
         # N=64, L=16 sits exactly at Nyquist 2: the unit ball is unresolved
         with pytest.raises(ValueError, match="Nyquist"):
@@ -256,7 +262,8 @@ def _full_grid_field(spec, kind, center, amp, radius=None, half_width=None,
     freqs = dirs * (2.0 * rng.random(6)[:, None] ** (1.0 / spec.n))
     phases = rng.uniform(0.0, 2.0 * np.pi, 6)
     amps = rng.standard_normal(6) / math.sqrt(6)
-    return amp * _bump_window(rho2 / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps)
+    return (amp * _bump_window(rho2 / window_radius ** 2)
+            * _trig_sum(spec.meshgrid(), freqs, phases, amps))
 
 
 class TestBoxLocalGenerators:
@@ -333,6 +340,61 @@ class TestFieldFile:
         path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_field(path)
+
+
+    @pytest.mark.parametrize("header, token", [
+        ("field n=2 N=8 L=1.0 N=16", "'N=16'"),
+        ("field n=2 N=8 L=1.0 x", "'x'"),
+        ("field n=2 N==8 L=1.0", "'N==8'"),
+    ], ids=["repeated-key", "no-equals", "two-equals"])
+    def test_header_tokens_must_be_distinct_key_value_pairs(self, tmp_path, header, token):
+        path, lines = self._written(tmp_path)
+        path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{token}: '{header}'"):
+            read_field(path)
+
+    @pytest.mark.parametrize("line", ["0.5", "0.5,0.25,1.0", "0.5;0.25", "0.5,abc"])
+    def test_bad_sample_line_rejected(self, tmp_path, line):
+        path, lines = self._written(tmp_path)
+        lines[7] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_field(path)
+
+    def test_unbalanced_commas_rejected(self, tmp_path):
+        # one line short of a comma and one with a spare: the total is right
+        path, lines = self._written(tmp_path)
+        lines[3], lines[9] = "0.5", "0.5,0.25,1.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="re,im"):
+            read_field(path)
+
+    @staticmethod
+    def _write_per_sample(f, path):
+        """The former writer: one float() conversion and format per sample."""
+        spec = f.spec
+        lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"]
+        lines.extend(f"{float(v.real)!r},{float(v.imag)!r}" for v in f.values.reshape(-1))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "extremes"])
+    def test_bytes_match_per_sample_writer(self, tmp_path, kind):
+        spec = GridSpec(n=2, L=2.0, N=16)
+        if kind == "extremes":
+            vals = random_field(spec, seed=5).values
+            special_vals = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]
+            vals.real.flat[:7] = special_vals
+            vals.imag.flat[7:14] = special_vals
+            f = SampledField(spec, vals)
+        else:
+            f = random_field(spec, seed=5, complex_=kind == "complex")
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_field(f, new)
+        self._write_per_sample(f, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = read_field(new)
+        assert back.values.dtype == f.values.dtype
+        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
 class TestFieldInvariants:

@@ -11,7 +11,8 @@ import pytest
 import brlab.cli as cli
 import brlab.maximal as maximal
 from brlab.cli import main as cli_main
-from brlab.grid import GridSpec, _radius_sq_grid, _trig_sum, read_field, write_field
+from brlab.grid import (GridSpec, _radius_sq_grid, _trig_sum, make_test_function, read_field,
+                        write_field)
 from brlab.harness import (
     ExperimentConfig,
     Report,
@@ -343,6 +344,33 @@ class TestLocalEstimateGolden:
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
 
 
+class TestLabGolden:
+    # sha256 of lab outputs, recorded before the symbols, the decay
+    # quadrature, the annulus fields, the cube extremes and the field writer
+    # stopped computing values no report reads: each must stay byte-identical.
+    @pytest.mark.parametrize("run, cfg, csv_sha, json_sha", [
+        (run_decay, ExperimentConfig(),
+         "020e937dd23e539c40563bd01df05a953234ec5f0696828e00ac65724e9a7fed",
+         "25fdcbed63c442a0fb9c7e0bb32aefc763d9798bdac786912659722f2bfa1a9e"),
+        (run_weights, ExperimentConfig(grid_l=4.0, grid_n=64, trials=1, seed=2),
+         "b0efd6125cce2dc930e40d0fe147dbfc624d260d8e7ea717c57dd1365ab941f1",
+         "d3cae05d39268c60a652c6948009c4db069799ebf932521968aadad6c39553be"),
+        (run_vector_valued, ExperimentConfig(grid_l=16.0, grid_n=256, trials=1, seed=2),
+         "0c3ccc9008ba788693a33f17b911678e1fb4253f71f9ae29aa24d2cf7bfeb8bc",
+         "8586fa599b527af79ebb50c5c5863e99cb98588fa5e49b22975783429bc2e929"),
+    ], ids=["decay", "weights", "vv"])
+    def test_reports_pinned(self, run, cfg, csv_sha, json_sha, tmp_path):
+        csv_path, json_path = run(cfg).write(tmp_path)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
+
+    def test_field_file_pinned(self, tmp_path):
+        f = make_test_function(GridSpec(2, 4.0, 64), "random_trig", seed=5)
+        write_field(f, tmp_path / "f.txt")
+        assert hashlib.sha256((tmp_path / "f.txt").read_bytes()).hexdigest() == \
+            "c3cca4a013ad7ca2aceb8338f1181b0411936a46e08311c2a281f038da453496"
+
+
 class TestProp41:
     def test_suite_runs_with_finite_ratios(self):
         cfg = ExperimentConfig(grid_l=64.0, grid_n=512, trials=1, seed=5)
@@ -384,14 +412,12 @@ class TestProp41:
             freqs = dirs * (1.5 * rng.random(6)[:, None])
             phases = rng.uniform(0.0, 2.0 * np.pi, 6)
             amps = rng.standard_normal(6)
-            ref = (_trig_sum([spec.axis_coords()] * spec.n, freqs, phases, amps)
-                   * ((r_grid >= r_in) & (r_grid < r_out)))
-            x = spec.axis_coords()
-            inside = np.logical_and.outer(*[(x >= -r_out) & (x < r_out)] * 2)
-            assert f.values[inside].tobytes() == ref[inside].tobytes()
-            assert np.all(f.values[~inside] == 0.0)
-            assert not np.signbit(f.values[~inside]).any()
-            assert np.all(ref[~inside] == 0.0)
+            ref = _trig_sum(spec.meshgrid(), freqs, phases, amps)
+            annulus = (r_grid >= r_in) & (r_grid < r_out)
+            # bitwise the formula on the annulus, +0.0 (no sign bit) elsewhere
+            assert f.values[annulus].tobytes() == ref[annulus].tobytes()
+            assert np.all(f.values[~annulus] == 0.0)
+            assert not np.signbit(f.values[~annulus]).any()
             # what the deleted mask of run_prop41 multiplied by 0
             assert np.all(f.values[r_grid < 2.0 * r] == 0.0)
             jj = 1
@@ -559,6 +585,28 @@ class TestCli:
         assert cli_main([cmd, *flags, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,flags,field", [
+        ("decay", ["--delta", "nan"], "delta"),
+        ("decay", ["--delta", "inf"], "delta"),
+        ("vv", ["--grid-l", "nan"], "grid_l"),
+        ("prop42", ["--delta", "nan"], "delta"),
+        ("dominate", ["--delta", "nan"], "delta"),
+    ])
+    def test_non_finite_value_leaves_no_output_dir(self, tmp_path, capsys, cmd, flags, field):
+        # every comparison with NaN is False, so range checks alone let it in
+        out = tmp_path / "out"
+        assert cli_main([cmd, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert not out.exists()
+
+    def test_non_finite_delta_in_config_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        for value in ("nan", "inf"):
+            path.write_text(f"delta = {value}\n")
+            with pytest.raises(ValueError, match="delta must be finite"):
+                ExperimentConfig().with_file(path)
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -416,6 +416,36 @@ class TestNodeBox:
             for lo, hi in (((-40, 20), (90, 150)), ((0, 0), (128, 128)), ((60, 60), (64, 64))):
                 assert np.array_equal(eng._f_take(lo, hi), _wrap_take(cut.values, lo, hi))
 
+    def test_each_truncated_box_computed_once(self, monkeypatch):
+        # br_star and br_starstar read B_eps f on the same boxes; a node's
+        # engine computes each (eps, box) once and hands out read-only arrays
+        truncate, g_window = MaximalEngine._truncate, MaximalEngine._g_window
+        computed, reads = [], []
+
+        def counting(eng, src, slo, eps_px, zlo, zhi):
+            if src is eng._fs:
+                computed.append((eps_px, zlo, zhi))
+            return truncate(eng, src, slo, eps_px, zlo, zhi)
+
+        def reading(eng, eps_px, zlo, zhi):
+            reads.append((eps_px, zlo, zhi))
+            g = g_window(eng, eps_px, zlo, zhi)
+            assert not g.flags.writeable
+            return g
+
+        monkeypatch.setattr(MaximalEngine, "_truncate", counting)
+        monkeypatch.setattr(MaximalEngine, "_g_window", reading)
+        shared = 0
+        for f, box, window in _node_cases():
+            computed.clear()
+            reads.clear()
+            eng = MaximalEngine(f, DELTA, MaximalConfig(), box=box)
+            eng.star_values(window)
+            eng.starstar_values(window)
+            assert len(computed) == len(set(computed)) == len(set(reads)), window
+            shared += len(reads) - len(computed)
+        assert shared > 0
+
 
 def _y_pattern_search(n, r_px, N, thin):
     """The former stride search: filter the whole ball at every stride."""

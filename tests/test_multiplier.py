@@ -1,8 +1,13 @@
 """Multiplier module: cutoffs, symbols, dyadic pieces, kernel decay."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy import special
 
+from brlab import harness
 from brlab.grid import (
     GridSpec,
     SampledField,
@@ -13,6 +18,8 @@ from brlab.grid import (
     lp_norm,
 )
 from brlab.multiplier import (
+    TRANSITION,
+    _radial_kernel,
     apply_bochner_riesz,
     apply_Sk,
     apply_truncated,
@@ -226,3 +233,62 @@ class TestKernelProfile:
     def test_positive_radii_required(self):
         with pytest.raises(ValueError, match="positive"):
             kernel_profile(-2, DELTA, [0.0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBallOnlySymbols:
+    # The symbols evaluate only the open unit ball 1 - |xi|^2 > 0; each must
+    # equal, as uint64, the former formula evaluated on every lattice point.
+    @pytest.mark.parametrize("N, L", [(1024, 16.0), (512, 64.0), (256, 16.0)])
+    def test_bitwise_equal_to_whole_lattice_formula(self, N, L):
+        spec = GridSpec(n=2, L=L, N=N)
+        t = 1.0 - freq_sq(spec)
+        for delta in (0.0, 0.2):
+            base = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
+            assert np.array_equal(_bits(bochner_riesz_symbol(spec, delta)), _bits(base))
+            for eps in (2.0, 4.0):
+                want = base * chi_tilde(eps * t)
+                assert np.array_equal(_bits(truncated_symbol(spec, delta, eps)), _bits(want))
+            for k in range(k_min(spec), 1):
+                want = 2.0 ** (-k * delta) * base * chi(np.ldexp(t, -k))
+                assert np.array_equal(_bits(sk_symbol(spec, k, delta)), _bits(want)), k
+
+
+def _radial_kernel_per_radius(k, delta, radii, n=2):
+    """The former quadrature: nodes, weights and factors built per radius."""
+    rho_hi = math.sqrt(1.0 - 2.0 ** (k - 1))
+    rho_lo = math.sqrt(max(0.0, 1.0 - (1.0 + TRANSITION) * 2.0 ** k))
+    order = n / 2.0 - 1.0
+    nodes0, weights0 = leggauss(12)
+    out = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        panels = max(8, int(math.ceil(4.0 * r * (rho_hi - rho_lo))))
+        edges = np.linspace(rho_lo, rho_hi, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        rho = (mid[:, None] + half[:, None] * nodes0[None, :]).ravel()
+        wts = (half[:, None] * weights0[None, :]).ravel()
+        t = 1.0 - rho ** 2
+        sk = 2.0 ** (-k * delta) * np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0) \
+            * chi(np.ldexp(t, -k))
+        fvals = sk * special.jv(order, 2.0 * np.pi * rho * r) * rho ** (n / 2.0)
+        out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
+    return out
+
+
+class TestRadialKernelSharing:
+    def test_decay_radii_bitwise_equal_to_per_radius_quadrature(self, monkeypatch):
+        # every radius list the decay report evaluates, at k = -4, -6, -8
+        calls = []
+        monkeypatch.setattr(harness, "kernel_profile",
+                            lambda k, delta, radii, n=2: calls.append((k, delta, radii, n))
+                            or [1.0] * len(radii))
+        harness.run_decay(harness.ExperimentConfig())
+        assert {c[0] for c in calls} == {-4, -6, -8} and len(calls) == 36
+        for k, delta, radii, n in calls:
+            radii = np.asarray(radii, dtype=float)
+            got = _radial_kernel(k, delta, radii, n=n)
+            assert np.array_equal(_bits(got), _bits(_radial_kernel_per_radius(k, delta, radii, n)))

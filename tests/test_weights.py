@@ -45,39 +45,41 @@ def brute_force_ap(w: Weight, p: float) -> float:
 
 class TestCubeFamily:
     def test_mins_maxs_match_per_cube_loop(self):
-        # the sliding-filter gather against one slice per cube, on every
-        # side the family holds: 1 to N/2, and N; a power w^s reads the
-        # base's extremes raised to s, which is exact only if float ** is
-        # monotone, so it is compared bitwise with its own values too
-        spec = GridSpec(n=2, L=4.0, N=32)
-        for base in (random_smooth_weight(spec, seed=3, n_random=2000),
-                     power_weight(spec, -0.5, n_random=2000),
-                     checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
-            for w in (base, *(base.pow(s) for s in (2.0, 0.5, -0.5, -1.0))):
-                vals = w.field.values.real
-                mins, maxs = w._mins, w._maxs
-                for i in range(len(w.fam_lo)):
-                    sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
-                               for ax in range(spec.n))
-                    assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
-        assert set(w.fam_side.tolist()) == set(range(2, 16)) | {1, 16, 32}
+        # the doubling-table corners against one slice per cube, in 2-D and
+        # 3-D, on every side the family holds: 1 to N/2 (powers of two and
+        # the sides between) and N; a power w^s reads the base's extremes
+        # raised to s, which is exact only if float ** is monotone, so it is
+        # compared bitwise with its own values too
+        for spec in (GridSpec(n=2, L=4.0, N=32), GridSpec(n=3, L=2.0, N=16)):
+            for base in (random_smooth_weight(spec, seed=3, n_random=2000),
+                         power_weight(spec, -0.5, n_random=2000),
+                         checkerboard_weight(spec, 1.0, 2.0, block_px=3, n_random=2000)):
+                for w in (base, *(base.pow(s) for s in (2.0, 0.5, -0.5, -1.0))):
+                    vals = w.field.values.real
+                    mins, maxs = w._mins, w._maxs
+                    for i in range(len(w.fam_lo)):
+                        sl = tuple(slice(w.fam_lo[i, ax], w.fam_lo[i, ax] + w.fam_side[i])
+                                   for ax in range(spec.n))
+                        assert mins[i] == vals[sl].min() and maxs[i] == vals[sl].max(), i
+            assert set(w.fam_side.tolist()) == set(range(1, spec.N // 2 + 1)) | {spec.N}
 
     def test_weights_run_builds_each_statistic_once(self, monkeypatch):
-        # one min-filter build per base weight, read by all of its powers,
-        # and one box-sum pass per (base, exponent) pair
+        # one min table per base weight, read by all of its powers, no max
+        # table, and one box-sum pass per (base, exponent) pair
         calls = Counter()
         tables = []
 
-        def counted(name):
+        def counted(name, key=None):
             orig = getattr(weights, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name if key is None else key(*args)] += 1
                 return orig(*args, **kwargs)
             monkeypatch.setattr(weights, name, wrapper)
 
-        for name in ("minimum_filter1d", "maximum_filter1d", "prefix_sum", "box_sums"):
+        for name in ("prefix_sum", "box_sums"):
             counted(name)
+        counted("_doubling_table", lambda base, op, n_levels: op.__name__)
         init = weights._CubeStats.__init__
 
         def recorded_init(stats, *args):
@@ -88,9 +90,8 @@ class TestCubeFamily:
         harness.run_weights(cfg)
         spec = cfg.spec()
         n_presets = len(harness._weight_presets(spec, cfg.seed))
-        n_sides = len(np.unique(tables[0].fam_side))
-        assert calls["minimum_filter1d"] == n_presets * n_sides * spec.n
-        assert calls["maximum_filter1d"] == 0
+        assert calls["minimum"] == n_presets
+        assert calls["maximum"] == 0
         pairs = sum(len(st.avgs) + ("log_avg" in vars(st)) for st in tables)
         assert calls["box_sums"] == calls["prefix_sum"] == pairs
 
