@@ -65,27 +65,42 @@ density with the ball, whose spectrum is cached.  All ball geometry uses
 grid pixels with the minimal-image torus metric, ties at the boundary
 included.
 
-Radius pruning
---------------
+Radius bounds
+-------------
 Each operator walks its radii in ascending order and skips a radius whose
 certified upper bound, times ``1 + 1e-9``, is at or below the minimum of
 its running maximum over the window.  A ball mean of a density never
 exceeds the density's total over the ball's point count, so the HL bound
-at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``.  For ``q0 == 2`` the
-truncated symbol lies in [0, 1], and discrete Parseval gives
+at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``.  The truncated
+symbol lies in [0, 1], and discrete Parseval gives
 ``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and for every
-masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so ``br_starstar`` and
-``br_star`` share the bound ``(sum |f|^2 / |ball_eps|)^(1/2)``.  For
-``q0 > 2`` no such bound holds and every radius is evaluated.  A skipped
-radius could not have changed ``np.maximum``, so the outputs are bitwise
-those of the full walk; the margin absorbs the rounding of the FFT means.
-Elementwise work on ``f`` itself (power sums, the nonzero scan) runs on
-the support index box, outside which the read of ``f`` is exactly 0.
+masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so for ``q0 == 2``
+``br_starstar`` and ``br_star`` share the bound
+``l2 = (sum |f|^2 / |ball_eps|)^(1/2)``.  For ``q0 > 2``, Cauchy-Schwarz
+also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
+``mean |B_eps h|^q0 <= max |B_eps h|^(q0 - 2) mean |B_eps h|^2`` gives the
+bound ``(||K_eps||_2 ||f||_2)^(1 - 2/q0) l2^(2/q0)``, with ``||K_eps||_2``
+taken as its largest value over the radii from ``eps`` on.  Every bound
+is then nonincreasing in the radius, so the bound of a radius covers every
+larger one.  A skipped radius could not have changed ``np.maximum``, so
+the outputs are bitwise those of the full walk; the margin absorbs the
+rounding of the FFT means.  Elementwise work on ``f`` itself (power sums,
+the nonzero scan) runs on the support index box, outside which the read
+of ``f`` is exactly 0.
+
+The selection needs only the comparisons ``phi > t`` of
+``phi = star + starstar + M_{p0}`` with a ladder of thresholds ``t``.
+``phi_values`` walks the radii once for all three operators.  Before each
+radius it brackets every point's final ``phi`` between the running sum and
+the running sum with each accumulator raised to its bound, and it returns
+the running sum at the first radius where no threshold lies inside any
+point's bracket.  Rounding is monotone, so every comparison, and with it
+the whole selection node, is that of the full walk.
 
 Windows
 -------
-``star_values``, ``starstar_values`` and ``hl_values`` take a window (an
-index box) and return an array of its shape, from window-shaped
+``star_values``, ``starstar_values``, ``hl_values`` and ``phi_values`` take
+a window (an index box) and return an array of its shape, from window-shaped
 accumulators and crops; the public operators pass the whole grid.
 A selection node also passes its ``6Q`` box, and the engine then reads
 ``f * 1_{6Q}`` without building it: the support index box is the box's
@@ -121,6 +136,7 @@ __all__ = [
 
 
 SNAP_MIN_PX = 8  # br_star radii from here on snap mask centers to the tile lattice
+_MARGIN = 1.0 + 1e-9  # radius bounds absorb the rounding of the FFT means
 
 
 @dataclass(frozen=True)
@@ -304,6 +320,14 @@ def _kernel_offsets(spec: GridSpec, delta: float, eps: float) -> np.ndarray:
     return kern
 
 
+@lru_cache(maxsize=64)
+def _kernel_l2(spec: GridSpec, delta: float, eps_px: int) -> float:
+    """``||K_eps||_2`` of the truncated kernel at radius ``eps_px``, by
+    discrete Parseval from its symbol."""
+    sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px))
+    return math.sqrt(float(np.sum(sym * sym)) / sym.size)
+
+
 _DISP_CHUNK = 32  # displacements per batched FFT of the displacement path
 
 
@@ -425,24 +449,31 @@ class MaximalEngine:
         d2 = sum((_torus_dist(c, 0, N, N) ** 2)[idx] for idx, c in zip(self._nz, center))
         return d2 <= r * r
 
-    # -- radius pruning ---------------------------------------------------
+    # -- certified radius bounds ------------------------------------------
 
     @cached_property
     def _sq_sum(self) -> float:
         return float(np.sum(np.abs(self._fs) ** 2))
 
-    def _prunes(self, power_sum: float, r_px: int, p: float, acc_min: float) -> bool:
-        """True when radius ``r_px`` cannot raise an accumulator (in the
-        operator's units) whose minimum over the window is ``acc_min``."""
-        bound = _radius_bound(power_sum, self.spec.n, r_px, self.spec.N, p)
-        return bound * (1.0 + 1e-9) <= acc_min
+    @cached_property
+    def _p0_sum(self) -> float:
+        return float(np.sum(np.abs(self._fs) ** self.cfg.p0))
 
-    def _l2_prunes(self, eps_px: int, acc_w: np.ndarray) -> bool:
-        """:meth:`_prunes` for the truncated operators, which only have a
-        bound when ``q0 == 2``."""
-        if self.cfg.q0 != 2.0:
-            return False
-        return self._prunes(self._sq_sum, eps_px, 2.0, acc_w.min())
+    def _l2_bound(self, eps_px: int) -> float:
+        """No value of either truncated operator at radius ``eps_px`` or any
+        larger one exceeds this (margin included)."""
+        q0 = self.cfg.q0
+        l2 = _radius_bound(self._sq_sum, self.spec.n, eps_px, self.spec.N, 2.0)
+        if q0 == 2.0:
+            return l2 * _MARGIN
+        k2 = max(_kernel_l2(self.spec, self.delta, e) for e in self.eps_list if e >= eps_px)
+        return (k2 * math.sqrt(self._sq_sum)) ** (1.0 - 2.0 / q0) * l2 ** (2.0 / q0) * _MARGIN
+
+    def _hl_bound(self, r_px: int) -> float:
+        """No L^{p0} ball mean of f at radius ``r_px`` or any larger one
+        exceeds this (margin included)."""
+        return _radius_bound(self._p0_sum, self.spec.n, r_px, self.spec.N,
+                             self.cfg.p0) * _MARGIN
 
     # -- shared per-scale artifacts ------------------------------------
 
@@ -526,47 +557,77 @@ class MaximalEngine:
         return _pattern_max(mean ** (1.0 / q0), pat, (eps_px,) * self.spec.n,
                             tuple(h - l for l, h in window))
 
-    # -- the unmasked operator ------------------------------------------
+    # -- one radius of each operator ---------------------------------------
+    # Each step raises its accumulator in place, unless the radius's bound
+    # shows that it cannot raise it anywhere in the window.
 
-    def starstar_values(self, window: Window) -> np.ndarray:
-        acc = np.zeros(tuple(h - l for l, h in window))
-        for eps_px in self.eps_list:
-            if self._l2_prunes(eps_px, acc):
-                continue
-            acc = np.maximum(acc, self._y_max(eps_px, window))
-        return acc
+    def _starstar_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
+        if self._l2_bound(eps_px) > acc.min():
+            np.maximum(acc, self._y_max(eps_px, window), out=acc)
 
-    # -- Hardy-Littlewood ------------------------------------------------
-
-    def hl_values(self, window: Window) -> np.ndarray:
+    def _hl_step(self, window: Window, r_px: int, best: np.ndarray) -> None:
+        """``best`` holds the running max of the ball means of ``|f|^p0``."""
         p0 = self.cfg.p0
-        total = float(np.sum(np.abs(self._fs) ** p0))
-        best = np.zeros(tuple(h - l for l, h in window))
-        for r_px in self.eps_list:
-            if self._prunes(total, r_px, p0, best.min() ** (1.0 / p0)):
-                continue
-            best = np.maximum(best, self._ball_mean_window(
-                lambda lo, hi: np.abs(self._f_take(lo, hi)) ** p0, r_px, window))
-        return best ** (1.0 / p0)
+        if self._hl_bound(r_px) > best.min() ** (1.0 / p0):
+            np.maximum(best, self._ball_mean_window(
+                lambda lo, hi: np.abs(self._f_take(lo, hi)) ** p0, r_px, window), out=best)
 
-    # -- the masked (off-diagonal) operator ------------------------------
-
-    def star_values(self, window: Window) -> np.ndarray:
+    def _star_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
         if not self._bounded:
             raise ValueError("br_star needs a compactly supported field "
                              "(declared support box missing)")
+        if not self._nz[0].size or self._l2_bound(eps_px) <= acc.min():
+            return
+        covered = self._covered_mask(window, 3 * eps_px)
+        if covered.all():
+            return
+        path = self._star_displacement if eps_px < SNAP_MIN_PX else self._star_tiled
+        np.maximum(acc, np.where(covered, 0.0, path(window, eps_px)), out=acc)
+
+    # -- the operators on a window ------------------------------------------
+
+    def _walk(self, step, window: Window) -> np.ndarray:
         acc = np.zeros(tuple(h - l for l, h in window))
-        if not np.any(self._fs):
-            return acc
         for eps_px in self.eps_list:
-            if self._l2_prunes(eps_px, acc):
-                continue
-            covered = self._covered_mask(window, 3 * eps_px)
-            if covered.all():
-                continue
-            path = self._star_displacement if eps_px < SNAP_MIN_PX else self._star_tiled
-            np.maximum(acc, np.where(covered, 0.0, path(window, eps_px)), out=acc)
+            step(window, eps_px, acc)
         return acc
+
+    def starstar_values(self, window: Window) -> np.ndarray:
+        return self._walk(self._starstar_step, window)
+
+    def hl_values(self, window: Window) -> np.ndarray:
+        return self._walk(self._hl_step, window) ** (1.0 / self.cfg.p0)
+
+    def star_values(self, window: Window) -> np.ndarray:
+        return self._walk(self._star_step, window)
+
+    def phi_values(self, window: Window, thresholds) -> np.ndarray:
+        """``star + starstar + M_{p0}`` of f on the window, summed in that
+        order, exact as far as every comparison ``phi > t`` with ``t`` in
+        ``thresholds`` goes (module docstring, "Radius bounds").
+
+        Before each radius, a point's running sum ``lo`` and the same sum
+        with each accumulator raised to its bound, ``hi``, bracket its final
+        value.  Once no ``t`` satisfies ``lo <= t < hi`` at any point, the
+        walk returns ``lo``.
+        """
+        inv_p0 = 1.0 / self.cfg.p0
+        shape = tuple(h - l for l, h in window)
+        star, starstar, best = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        ts = np.sort(np.asarray(thresholds, dtype=float))
+        for eps_px in self.eps_list:
+            hl = best ** inv_p0
+            lo = star + starstar + hl
+            b = self._l2_bound(eps_px)
+            hi = (np.maximum(star, b) + np.maximum(starstar, b)
+                  + np.maximum(hl, self._hl_bound(eps_px)))
+            # the count of thresholds below lo equals that below hi everywhere
+            if np.array_equal(np.searchsorted(ts, lo), np.searchsorted(ts, hi)):
+                return lo
+            self._star_step(window, eps_px, star)
+            self._starstar_step(window, eps_px, starstar)
+            self._hl_step(window, eps_px, best)
+        return star + starstar + best ** inv_p0
 
     def _covered_mask(self, window: Window, mask_r: int) -> np.ndarray:
         """Points x in the window where B(x, mask_r) provably contains every

@@ -12,6 +12,18 @@ maximal dyadic cubes of ``D(Q)`` no smaller than ``RECURSION_FLOOR_CELLS``
 cells per axis, and the recursion descends on ``(f * 1_{6Q_j}, Q_j)``.
 Since ``6Q_j`` lies inside ``6Q``, restricting ``f`` itself to ``6Q_j``
 equals restricting the parent's input.
+
+A node's outputs depend on the operator sum ``phi`` only through the
+comparisons ``phi > C * base`` on the ladder ``C = C_INIT, 2 C_INIT, ...``
+up to ``C_MAX``, with ``base = (avg_{6Q} |f|^{p0})^{1/p0}``.  So
+``MaximalEngine.phi_values`` walks the radii once for all three operators
+and stops at the first radius that settles all of them: at every point,
+the running sum and the sum with each operator's running maximum raised to
+its certified bound for the radii left lie between the same two rungs.
+The final ``phi`` lies in that bracket, and floating-point rounding is
+monotone, so ``C``, the thresholded set, the children and the flagged
+cubes are exactly those of the walk over every radius.
+
 The exponents ``p0`` and ``q0`` come from the ``MaximalConfig`` passed in,
 and each node is recorded as one ``TraceNode``.  Because ``|E| <= |Q|/2``
 is certified before selection, the collection is sparse by construction,
@@ -211,23 +223,22 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
     range, or of grid pathology).
     """
     window, box6 = q0_cube.window(), q0_cube.box6()
+    ladder = [C_INIT]
+    while 2.0 * ladder[-1] <= C_MAX:
+        ladder.append(2.0 * ladder[-1])
 
     base = cube_average(f, box6, cfg.p0)
     engine = MaximalEngine(f, delta, cfg, box=box6)
-    phi = engine.star_values(window) + engine.starstar_values(window) + engine.hl_values(window)
+    phi = engine.phi_values(window, [c * base for c in ladder])
 
     half = q0_cube.cell_count // 2
-    c = C_INIT
-    while True:
+    for c in ladder:
         mask = phi > c * base  # strict, as the level-set definition is written
         e_cells = int(np.count_nonzero(mask))
         if e_cells <= half:
             break
-        c *= 2.0
-        if c > C_MAX:
-            raise ThresholdFailure(
-                f"threshold failure: |E| > |Q|/2 up to C = {C_MAX}"
-            )
+    else:
+        raise ThresholdFailure(f"threshold failure: |E| > |Q|/2 up to C = {C_MAX}")
     cubes, flagged = _maximal_cubes(q0_cube, mask)
     return TraceNode(q0_cube, c, c * base, Fraction(e_cells, q0_cube.cell_count),
                      tuple(cubes), tuple(flagged))

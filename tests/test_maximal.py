@@ -24,7 +24,7 @@ from brlab.maximal import (
     hl_maximal,
 )
 from brlab.multiplier import truncated_symbol
-from brlab.sparse import root_cube
+from brlab.sparse import DyadicCube, root_cube
 
 SPEC = GridSpec(n=2, L=8.0, N=64)
 DELTA = 0.3
@@ -319,41 +319,74 @@ def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
 OPERATORS = ("star", "starstar", "hl")
 
 
-class TestRadiusPruning:
-    def test_outputs_bitwise_equal_to_unpruned(self, monkeypatch):
-        cfg = MaximalConfig(eps_min_exp=0, y_thin=16)
-        prunes = MaximalEngine._prunes
-        skips = []
+# the call each operator makes once for every radius it evaluates
+_EVALUATES = {"star": "_covered_mask", "starstar": "_y_max", "hl": "_ball_mean_window"}
 
-        def recording(self, *args):
-            skips.append(prunes(self, *args))
-            return skips[-1]
 
-        pruned = dict.fromkeys(OPERATORS, 0)
-        for f, box, window in _node_cases():
-            fast, eng = {}, MaximalEngine(f, DELTA, cfg, box=box)
+def _radii_evaluated(monkeypatch, eng, op, window):
+    """``{op}_values`` of the engine on the window, and how many radii it
+    evaluated rather than skipped."""
+    name = _EVALUATES[op]
+    orig, calls = getattr(MaximalEngine, name), []
+
+    def counting(self, *args):
+        calls.append(args)
+        return orig(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(MaximalEngine, name, counting)
+        out = getattr(eng, f"{op}_values")(window)
+    return out, len(calls)
+
+
+def _pruned_radii(monkeypatch, cfg):
+    """Radii skipped per operator over the node cases, after checking that
+    every output is bitwise that of the walk with no bounds."""
+    pruned = dict.fromkeys(OPERATORS, 0)
+    for f, box, window in _node_cases():
+        for op in OPERATORS:
+            fast, n_fast = _radii_evaluated(monkeypatch, MaximalEngine(f, DELTA, cfg, box=box),
+                                            op, window)
             with monkeypatch.context() as m:
-                m.setattr(MaximalEngine, "_prunes", recording)
-                for op in OPERATORS:
-                    skips.clear()
-                    fast[op] = getattr(eng, f"{op}_values")(window=window)
-                    pruned[op] += sum(skips)
-            with monkeypatch.context() as m:
-                m.setattr(MaximalEngine, "_prunes", recording)
                 m.setattr(maximal, "_radius_bound", lambda *args: np.inf)
                 eng = MaximalEngine(f, DELTA, cfg, box=box)
-                skips.clear()
-                for op in OPERATORS:
-                    full = getattr(eng, f"{op}_values")(window=window)
-                    assert np.array_equal(fast[op], full), op
-                assert skips and not any(skips)
+                full, n_full = _radii_evaluated(monkeypatch, eng, op, window)
+            assert np.array_equal(fast, full), op
+            assert n_full == len(eng.eps_list), op
+            pruned[op] += n_full - n_fast
+    return pruned
+
+
+class TestRadiusPruning:
+    def test_outputs_bitwise_equal_to_unpruned(self, monkeypatch):
+        pruned = _pruned_radii(monkeypatch, MaximalConfig(eps_min_exp=0, y_thin=16))
         assert all(pruned.values()), pruned
 
-    def test_q0_above_two_evaluates_every_radius(self):
-        f, box, _ = next(_node_cases())
-        eng = MaximalEngine(f, DELTA, MaximalConfig(q0=3.0, eps_min_exp=0, y_thin=16), box=box)
-        acc = np.full(3, np.finfo(float).max)
-        assert not any(eng._l2_prunes(eps, acc) for eps in eng.eps_list)
+    def test_q0_above_two_prunes_with_the_kernel_bound(self, monkeypatch):
+        pruned = _pruned_radii(monkeypatch, MaximalConfig(q0=3.0, eps_min_exp=0, y_thin=16))
+        assert pruned["starstar"] > 0, pruned
+
+    @pytest.mark.parametrize("q0", [2.0, 3.0])
+    def test_bound_covers_every_contribution(self, q0):
+        # on selection nodes, each radius's contribution stays within its
+        # bound: br_starstar's y-max, both br_star paths and the HL ball
+        # mean; and the bounds do not increase with the radius, so each one
+        # covers every larger radius
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0, y_thin=16)
+        for f, box, window in _node_cases():
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            l2 = [eng._l2_bound(eps_px) for eps_px in eng.eps_list]
+            hl = [eng._hl_bound(eps_px) for eps_px in eng.eps_list]
+            assert l2 == sorted(l2, reverse=True) and hl == sorted(hl, reverse=True)
+            assert np.isfinite(l2).all()
+            for eps_px, b_l2, b_hl in zip(eng.eps_list, l2, hl):
+                assert eng._y_max(eps_px, window).max() <= b_l2, eps_px
+                assert eng._star_tiled(window, eps_px).max() <= b_l2, eps_px
+                if eps_px <= SNAP_MIN_PX:
+                    assert eng._star_displacement(window, eps_px).max() <= b_l2, eps_px
+                mean = eng._ball_mean_window(
+                    lambda lo, hi: np.abs(eng._f_take(lo, hi)) ** cfg.p0, eps_px, window)
+                assert mean.max() ** (1.0 / cfg.p0) <= b_hl, eps_px
 
     @pytest.mark.parametrize("seed", [3, 5, 11])
     @pytest.mark.parametrize("eps_exp", [1, 2, 3, 4])
@@ -372,6 +405,57 @@ class TestRadiusPruning:
         assert eng.hl_values(window).max() <= bound_hl * (1.0 + 1e-9)
         assert eng.starstar_values(window).max() <= bound_l2 * (1.0 + 1e-9)
         assert eng.star_values(window).max() <= bound_l2 * (1.0 + 1e-9)
+
+
+def _off_window_case(spec=GridSpec(n=2, L=8.0, N=128)):
+    """(f, 6Q, window of Q) for a sharp bump in 6Q about 14 px off Q: only
+    the larger radii reach it from the window."""
+    cube = DyadicCube(spec, (56, 56), 8, 0, (0, 0))
+    f = make_test_function(spec, "bump", center=(0.8, -0.2), radius=2 * spec.dx, amp=10.0)
+    return f, cube.box6(), cube.window()
+
+
+def _tightest_bounds(f, box, window, cfg):
+    """The least valid ``_l2_bound`` and ``_hl_bound`` on the window: for
+    each radius, the largest contribution of that radius or a larger one."""
+    l2, hl = {}, {}
+    for eps_px in reversed(cfg.eps_px_list(f.spec)):
+        m = eps_px.bit_length() - 1
+        one = MaximalEngine(f, DELTA, MaximalConfig(q0=cfg.q0, eps_min_exp=m, eps_max_exp=m,
+                                                    y_thin=cfg.y_thin), box=box)
+        l2[eps_px] = max(l2.get(2 * eps_px, 0.0), one.star_values(window).max(),
+                         one.starstar_values(window).max())
+        hl[eps_px] = max(hl.get(2 * eps_px, 0.0), one.hl_values(window).max())
+    return l2, hl
+
+
+class TestPhiValues:
+    @pytest.mark.parametrize("tightest", [False, True], ids=["certified", "tightest"])
+    @pytest.mark.parametrize("q0", [2.0, 3.0])
+    def test_decides_every_rung_like_the_full_sum(self, q0, tightest, monkeypatch):
+        # doubling ladders at base scales spread over phi's range: the joint
+        # walk may stop early, but each rung's comparison is the full sum's.
+        # The tightest bounds leave the brackets no slack to hide a missing
+        # term in.
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0, y_thin=16)
+        rng = np.random.default_rng(0)
+        stopped = 0
+        for f, box, window in [*_node_cases(), _off_window_case()]:
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
+            if tightest:
+                l2, hl = _tightest_bounds(f, box, window, cfg)
+                monkeypatch.setattr(MaximalEngine, "_l2_bound", lambda self, r: l2[r])
+                monkeypatch.setattr(MaximalEngine, "_hl_bound", lambda self, r: hl[r])
+                eng = MaximalEngine(f, DELTA, cfg, box=box)
+            for base in full.max() * 2.0 ** rng.uniform(-20.0, 0.0, 25):
+                ladder = base * 2.0 ** np.arange(18)
+                phi = eng.phi_values(window, ladder)
+                for t in ladder:
+                    assert np.array_equal(phi > t, full > t), (window, base, t)
+                stopped += not np.array_equal(phi, full)
+            monkeypatch.undo()
+        assert stopped > 0
 
 
 class TestWindowContract:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import brlab.sparse as sparse
-from brlab.grid import Box, GridSpec, SampledField, make_test_function
+from brlab.grid import Box, GridSpec, SampledField, cube_average, make_test_function
+from brlab.harness import ExperimentConfig, _trial_fields
 from brlab.maximal import MaximalConfig, MaximalEngine
 from brlab.sparse import (
     DyadicCube,
@@ -186,6 +187,73 @@ class TestExceptionalSet:
         assert nodes[0].children
         for attr in ("c", "threshold", "e_ratio", "children", "flagged"):
             assert getattr(nodes[0], attr) == getattr(nodes[1], attr), attr
+
+
+def _full_walk_node(f, cube, delta, cfg):
+    """The node of ``cube`` from the three operators' walks over every
+    radius, summed and thresholded as the level-set definition reads."""
+    window, box6 = cube.window(), cube.box6()
+    base = cube_average(f, box6, cfg.p0)
+    eng = MaximalEngine(f, delta, cfg, box=box6)
+    phi = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
+    half = cube.cell_count // 2
+    c = sparse.C_INIT
+    while True:
+        mask = phi > c * base
+        e_cells = int(np.count_nonzero(mask))
+        if e_cells <= half:
+            break
+        c *= 2.0
+        if c > sparse.C_MAX:
+            raise ThresholdFailure("no admissible C")
+    cubes, flagged = sparse._maximal_cubes(cube, mask)
+    return TraceNode(cube, c, c * base, Fraction(e_cells, cube.cell_count),
+                     tuple(cubes), tuple(flagged))
+
+
+class TestDecisionExactWalk:
+    # exceptional_set stops its walk over the radii once every threshold
+    # decision is settled; each of its nodes equals the full walk's
+    @staticmethod
+    def _checked_nodes(monkeypatch, ecfg, trials):
+        """Every selection node of the trials, each checked against the full
+        walk, with the number of radii the joint walks entered and the
+        number their radius lists hold."""
+        step, steps, nodes = MaximalEngine._starstar_step, [], []
+
+        def counting(eng, *args):
+            steps.append(args[1])
+            return step(eng, *args)
+
+        cfg = ecfg.maximal_cfg()
+        for trial in trials:
+            f, g = _trial_fields(ecfg, trial)
+            with monkeypatch.context() as m:
+                m.setattr(MaximalEngine, "_starstar_step", counting)
+                _, trace = build_sparse(f, g, ecfg.delta, cfg)
+            for node in trace.nodes:
+                assert node == _full_walk_node(f, node.cube, ecfg.delta, cfg), (trial, node.cube)
+            nodes += trace.nodes
+        return nodes, len(steps), len(nodes) * len(cfg.eps_px_list(ecfg.spec()))
+
+    def test_equals_full_walk_at_256(self, monkeypatch):
+        ecfg = ExperimentConfig(grid_n=256, seed=7, trials=1)
+        nodes, _, _ = self._checked_nodes(monkeypatch, ecfg, range(10))
+        assert len(nodes) > 10 and any(n.children for n in nodes)
+
+    def test_equals_full_walk_at_1024_on_floor_nodes(self, monkeypatch):
+        # seed 7 trial 0: 17 nodes of every size, 9 of them floor nodes
+        ecfg = ExperimentConfig(grid_n=1024, eps_min_exp=4, seed=7, trials=1)
+        nodes, walked, listed = self._checked_nodes(monkeypatch, ecfg, [0])
+        floor = [n for n in nodes if n.cube.cells < 2 * sparse.RECURSION_FLOOR_CELLS]
+        assert len(floor) >= 3
+        assert walked < listed / 2
+
+    def test_equals_full_walk_at_q0_3(self, monkeypatch):
+        # q0 > 2 brackets with the kernel bound of the truncated operators
+        ecfg = ExperimentConfig(grid_n=256, q0=Fraction(3), seed=7, trials=1)
+        _, walked, listed = self._checked_nodes(monkeypatch, ecfg, range(4))
+        assert walked < listed
 
 
 class TestBuildSparse:
