@@ -17,10 +17,25 @@ which discretizes the continuum Fourier integral; Parseval then reads
 Field values are stored as float64 when the input is real and as complex128
 otherwise.  Every transform runs on ``scipy.fft``, called through the module
 so that its entry points can be wrapped from outside.  :func:`apply_symbol`
-is the one place a Fourier multiplier meets a field: real values take the
-``rfftn``/``irfftn`` pair on the half symbol and stay real (every symbol
-here is even), complex values take ``fftn``/``ifftn``.  The ``dx^n`` factors
-of the transform convention cancel in a multiplier and are left out.
+is the one place a Fourier multiplier meets a field.  Complex values take
+``fftn``/``ifftn``.  Real values stay real (every symbol here is even) and
+take pocketfft's own separable passes of the ``rfftn``/``irfftn`` pair on
+the half symbol: ``rfftn`` is an r2c pass along the last axis, then c2c
+passes along axes 0, ..., n-2; ``irfftn`` is the unscaled inverse c2c
+passes in the same order, then a c2r pass along the last axis scaled by
+``1/N^n``.  The passes are pruned to the lines that can change the result:
+the r2c pass runs only on the rows of the source box, where the values can
+be nonzero, the c2c passes only on the lines where the symbol has a
+nonzero, and the c2r pass only on the rows of the box that is read,
+followed by one multiply by ``1/N^n``.  Every symbol carrying
+``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16, N = 512: 31 of 512
+rows and 16 of 257 half-spectrum columns); a symbol without zeros keeps
+its full passes.  The pruned result has the bits of the whole-grid pair:
+the passes run in the same order, each 1-D line is the same pocketfft
+transform, a line left out holds zeros that add nothing, and the scale is
+a power of two applied once at the end.  :func:`symbol_kernel` is the same
+inverse read on the whole grid.  The ``dx^n`` factors of the transform
+convention cancel in a multiplier and are left out.
 """
 
 from __future__ import annotations
@@ -42,8 +57,10 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_symbol",
+    "symbol_kernel",
     "cube_average",
     "lp_norm",
+    "lp_mean",
     "make_test_function",
     "on_box",
     "write_field",
@@ -232,6 +249,11 @@ class SampledField:
 
     __rmul__ = __mul__
 
+    def support_ranges(self) -> list[tuple[int, int]] | None:
+        """Index ranges of the support box (the ``src`` of
+        :func:`apply_symbol`), or None without one."""
+        return None if self.support is None else self.support.index_ranges(self.spec)
+
     def __add__(self, other: "SampledField") -> "SampledField":
         sup = None
         if self.support is not None and other.support is not None:
@@ -266,17 +288,106 @@ def inverse_transform(F: SpectralField) -> SampledField:
     return SampledField(spec, vals)
 
 
-def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def _span(box, N: int, shift: int = 0) -> list[np.ndarray]:
+    """Per axis, the indices ``lo + shift, ..., hi - 1 + shift`` mod N of the
+    index box ``box``; ``shift = N // 2`` maps centered indices to the
+    unshifted ones of the fft ordering."""
+    return [np.arange(lo + shift, hi + shift) % N for lo, hi in box]
+
+
+def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
+    """arr over the index box [lo, hi) with periodic wrapping."""
+    return arr[np.ix_(*_span(zip(lo, hi), arr.shape[0]))]
+
+
+def _band(half: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the indices of the lines of ``half`` that hold a nonzero."""
+    nz = half != 0
+    axes = range(nz.ndim)
+    return [np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a))) for a in axes]
+
+
+def _take(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
+    """``arr`` at the indices ``idx`` of ``axis``, one slice per run of
+    consecutive indices; a view when there is one run."""
+    pre = (slice(None),) * axis
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
+    parts = [arr[pre + (slice(r[0], r[-1] + 1),)] for r in runs if len(r)]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=axis) if parts else np.take(arr, idx, axis=axis)
+
+
+def _put(part: np.ndarray, idx: np.ndarray, axis: int, length: int) -> np.ndarray:
+    """Complex array with ``length`` points on ``axis`` that holds ``part`` at
+    the indices ``idx`` of that axis and zeros elsewhere."""
+    if np.array_equal(idx, np.arange(length)):
+        return np.asarray(part, dtype=np.complex128)
+    shape = list(part.shape)
+    shape[axis] = length
+    out = np.zeros(shape, dtype=np.complex128)
+    out[(slice(None),) * axis + (idx,)] = part
+    return out
+
+
+def _half_inverse(spectrum: np.ndarray, band: list[np.ndarray],
+                  rows: list[np.ndarray], N: int) -> np.ndarray:
+    """``irfftn`` of the half spectrum that is ``spectrum`` on the index grid
+    ``band`` and zero elsewhere, read on the index grid ``rows`` (unshifted
+    indices, one array per axis): the unscaled c2c passes on the band's lines
+    only, the c2r pass on the read rows only, then the scale ``1/N^n``."""
+    n = spectrum.ndim
+    for a in range(n - 1):
+        spectrum = _take(fft.ifft(_put(spectrum, band[a], a, N), axis=a, norm="forward"),
+                         rows[a], a)
+    out = _take(fft.irfft(_put(spectrum, band[-1], n - 1, N // 2 + 1), n=N, axis=-1,
+                          norm="forward"), rows[-1], n - 1)
+    out *= 1.0 / N ** n
+    return out
+
+
+def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
+                 read=None) -> np.ndarray:
     """Multiply the spectrum of centered grid ``values`` by a lattice
-    ``symbol`` in fft ordering; real values must meet an even symbol, and
-    then the result is real."""
-    x = fft.ifftshift(values)
-    if np.isrealobj(x):
-        half = symbol[..., : x.shape[-1] // 2 + 1]
-        out = fft.irfftn(fft.rfftn(x) * half, s=x.shape)
-    else:
-        out = fft.ifftn(fft.fftn(x) * symbol)
-    return fft.fftshift(out)
+    ``symbol`` in fft ordering and return the result on the index box
+    ``read`` (the whole grid by default).  ``src`` is an index box outside
+    which ``values`` vanish (the whole grid by default).  An index box gives
+    per axis a range ``(lo, hi)`` of centered indices, taken mod N, as
+    :meth:`Box.index_ranges` does.
+
+    Complex values take ``fftn``/``ifftn`` on the whole grid.  Real values
+    must meet an even symbol; the result is real and has the bits of
+    ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))`` (an exact zero
+    may differ in sign), from the pruned passes of the module docstring.
+    """
+    N, n = values.shape[0], values.ndim
+    full = [(0, N)] * n
+    if np.iscomplexobj(values):
+        out = fft.fftshift(fft.ifftn(fft.fftn(fft.ifftshift(values)) * symbol))
+        return out if read is None else _wrap_take(out, *zip(*read))
+    half = symbol[..., : N // 2 + 1]
+    band = _band(half)
+    src = full if src is None else src
+    # r2c on the rows of src: the last axis whole, in ifftshift order
+    x = values
+    for a, rows in enumerate(_span(src[:-1], N)):
+        x = _take(x, rows, a)
+    x = _take(fft.rfft(fft.ifftshift(x, axes=-1), axis=-1), band[-1], n - 1)
+    for a, rows in enumerate(_span(src[:-1], N, N // 2)):
+        x = _take(fft.fft(_put(x, rows, a, N), axis=a), band[a], a)
+    for a in range(n):
+        half = _take(half, band[a], a)
+    return _half_inverse(x * half, band, _span(full if read is None else read, N, N // 2), N)
+
+
+def symbol_kernel(symbol: np.ndarray) -> np.ndarray:
+    """Kernel of the even lattice ``symbol`` (fft ordering), indexed by
+    offset mod N: the bits of ``irfftn`` of the half symbol, by the pruned
+    inverse of :func:`apply_symbol`."""
+    N, n = symbol.shape[0], symbol.ndim
+    half = symbol[..., : N // 2 + 1]
+    band = _band(half)
+    return _half_inverse(half[np.ix_(*band)], band, [np.arange(N)] * n, N)
 
 
 def cube_average(f: SampledField, box: Box, p: float) -> float:
@@ -307,6 +418,11 @@ def lp_norm(f: SampledField, p: float, w: "SampledField | None" = None) -> float
     if w is not None:
         dens = dens * w.values.real
     return float(np.sum(dens) * f.spec.dx ** f.spec.n) ** (1.0 / p)
+
+
+def lp_mean(vals: np.ndarray, p: float) -> float:
+    """``(mean |vals|^p)^{1/p}`` over the entries of ``vals``."""
+    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
 
 
 def _mollifier_ramp(u):

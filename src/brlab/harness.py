@@ -16,6 +16,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,9 +24,10 @@ import numpy as np
 
 from . import indices
 from .grid import (Box, GridSpec, SampledField, _radius_sq_grid, _trig_sum,
-                   make_test_function, on_box, sum_of_squares)
-from .maximal import MaximalConfig, ball_average
-from .multiplier import apply_Sk, k_min, kernel_profile
+                   apply_symbol, lp_mean, make_test_function, on_box,
+                   sum_of_squares)
+from .maximal import MaximalConfig, ball_average, ball_points
+from .multiplier import k_min, kernel_profile, sk_symbol
 from .sparse import bilinear_pairing, build_sparse, sparse_form
 from .weights import (
     Weight,
@@ -285,10 +287,18 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
     return Box((-r_out,) * spec.n, (r_out,) * spec.n)
 
 
-def _in_annulus(axes, r_in: float, r_out: float) -> np.ndarray:
-    """Indicator of ``r_in <= |x| < r_out`` on the outer grid of ``axes``."""
+@lru_cache(maxsize=16)
+def _annulus(spec: GridSpec, r_in: float, r_out: float):
+    """The points of the annulus ``r_in <= |x| < r_out``, shared by every
+    field and average on it: the slices of its box, the points' indices in
+    the box (row-major order) and their coordinates."""
+    sl, axes = _annulus_box(spec, r_out).samples(spec)
     r = np.sqrt(sum_of_squares(axes))
-    return (r >= r_in) & (r < r_out)
+    inside = np.nonzero((r >= r_in) & (r < r_out))
+    coords = [a[i] for a, i in zip(axes, inside)]
+    for arr in (*inside, *coords):
+        arr.flags.writeable = False
+    return sl, inside, coords
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
@@ -302,20 +312,29 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> Samp
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
+    _, inside, coords = _annulus(spec, r_in, r_out)
 
     def local(axes):
-        inside = np.nonzero(_in_annulus(axes, r_in, r_out))
         vals = np.zeros(tuple(len(a) for a in axes))
-        vals[inside] = _trig_sum([a[i] for a, i in zip(axes, inside)], freqs, phases, amps)
+        vals[inside] = _trig_sum(coords, freqs, phases, amps)
         return vals
 
     return on_box(spec, _annulus_box(spec, r_out), local)
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    sl, axes = _annulus_box(f.spec, r_out).samples(f.spec)
-    vals = np.abs(f.values[sl][_in_annulus(axes, r_in, r_out)])
-    return float(np.mean(vals ** p) ** (1.0 / p)) if vals.size else 0.0
+    sl, inside, _ = _annulus(f.spec, r_in, r_out)
+    vals = f.values[sl][inside]
+    return lp_mean(vals, p) if vals.size else 0.0
+
+
+def _sk_ball_average(f: SampledField, k: int, delta: float, radius: float) -> float:
+    """``ball_average(apply_Sk(f, k, delta), 0, radius, 2)``, with ``S_k f``
+    computed only on the index box of the ball's points."""
+    box, idx = ball_points(f.spec, 0.0, radius)
+    vals = apply_symbol(f.values, sk_symbol(f.spec, int(k), float(delta)),
+                        f.support_ranges(), box)
+    return lp_mean(vals[idx], 2.0)
 
 
 def _local_estimates(cfg: ExperimentConfig, name: str, columns: tuple[str, ...],
@@ -366,7 +385,7 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
     def lhs_rhs(k, r, j, trial, rho):
         seed = cfg.seed ^ hash((k, int(r * 16), j, trial)) & 0x7FFFFFFF
         f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r, seed)
-        lhs = ball_average(apply_Sk(f, k, cfg.delta), 0.0, r, 2.0)
+        lhs = _sk_ball_average(f, k, cfg.delta, r)
         # f vanishes on every annulus but its own: one tail term is active
         tail = (2.0 ** (-j * M_DECAY)
                 * _annulus_average(f, 2.0 ** j * r, 2.0 ** (j + 1) * r, float(cfg.p0)))
@@ -396,7 +415,7 @@ def run_prop42(cfg: ExperimentConfig) -> Report:
             window_radius=spec.L / 8.0 * 0.9, num_modes=6, freq_max=1.5,
         )
         local = SampledField(spec, f.values * (r_grid <= 3.0 * eps), support=f.support)
-        lhs = ball_average(apply_Sk(local, k, cfg.delta), 0.0, 2.0 * eps, 2.0)
+        lhs = _sk_ball_average(local, k, cfg.delta, 2.0 * eps)
         return lhs, 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, float(cfg.p0))
 
     return _local_estimates(cfg, "prop42", ("k", "eps", "trial", "lhs", "rhs", "ratio"),

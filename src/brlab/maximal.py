@@ -26,10 +26,13 @@ of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
 index box ``Z``.  It is the exact ``mode="valid"`` convolution of the
 source with the wrapped kernel crop, whose cost scales with ``|Z| + |S|``,
 not with ``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does the
-source go on a zero grid for one ``grid.apply_symbol`` call.  The choice
-depends on geometry alone, so results do not depend on call order.  Every
-linear convolution here is ``_fftconvolve``, on ``scipy.fft`` like every
-other transform of brlab.  Two sources occur: f on its support box
+source go on a zero grid for one ``grid.apply_symbol`` call, which runs its
+transforms only on the rows of ``S``, the symbol's band and the rows of
+``Z``, with the bits of the whole-grid pair.  The kernel crop comes from
+``_kernel_offsets``, the same pruned inverse read on the whole grid.  The
+choice depends on geometry alone, so results do not depend on call order.
+Every linear convolution here is ``_fftconvolve``, on ``scipy.fft`` like
+every other transform of brlab.  Two sources occur: f on its support box
 (``_g_window``, read by the ball means of the unmasked y-max, by
 ``br_star``'s partial tiles and by the displacement path), and f cut to a
 partial tile's mask ball, on the bounding box of its nonzeros there.
@@ -122,7 +125,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .grid import Box, GridSpec, SampledField, apply_symbol, sum_of_squares
+from .grid import (Box, GridSpec, SampledField, _wrap_take, apply_symbol, lp_mean,
+                   sum_of_squares, symbol_kernel)
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -132,6 +136,7 @@ __all__ = [
     "br_star",
     "br_starstar",
     "ball_average",
+    "ball_points",
 ]
 
 
@@ -295,13 +300,6 @@ def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
     return out
 
 
-def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-    """arr over the index box [lo, hi) with periodic wrapping."""
-    N = arr.shape[0]
-    idx = [np.arange(l, h) % N for l, h in zip(lo, hi)]
-    return arr[np.ix_(*idx)]
-
-
 def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
     """Truncation parameter of the radius ``eps_px``.  Every ``eps <= 1``
     gives the untruncated symbol, so they all share the value 1."""
@@ -313,9 +311,8 @@ def _kernel_offsets(spec: GridSpec, delta: float, eps: float) -> np.ndarray:
     """Spatial kernel of the truncated multiplier, indexed by pixel offset
     (wrap semantics): B_eps(h) = circular convolution of h with this.  The
     symbol is even, so the half-spectrum inverse gives the kernel exactly
-    and it is real."""
-    sym = truncated_symbol(spec, delta, eps)
-    kern = fft.irfftn(sym[..., : spec.N // 2 + 1], s=spec.shape)
+    and it is real; it runs only on the symbol's band."""
+    kern = symbol_kernel(truncated_symbol(spec, delta, eps))
     kern.flags.writeable = False
     return kern
 
@@ -489,8 +486,9 @@ class MaximalEngine:
         is exact for any z-box: the points of ``S`` are distinct, and a
         kernel offset the crop holds twice is read correctly both times.
         Where the convolution would be longer than the grid on some axis,
-        ``src`` goes on a zero grid for one whole-grid symbol application
-        instead; the choice depends on geometry only.
+        ``src`` goes on a zero grid for one symbol application with source
+        box ``S`` and read box ``Z`` instead; the choice depends on geometry
+        only.
         """
         spec = self.spec
         zshape = tuple(h - l for l, h in zip(zlo, zhi))
@@ -501,8 +499,8 @@ class MaximalEngine:
         if any(z + s - 1 > spec.N for z, s in zip(zshape, src.shape)):
             vals = np.zeros(spec.shape, dtype=src.dtype)
             vals[tuple(slice(a, b) for a, b in zip(slo, shi))] = src
-            return _wrap_take(apply_symbol(vals, truncated_symbol(spec, self.delta, eps)),
-                              zlo, zhi)
+            return apply_symbol(vals, truncated_symbol(spec, self.delta, eps),
+                                list(zip(slo, shi)), list(zip(zlo, zhi)))
         kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
                         tuple(l - b + 1 for l, b in zip(zlo, shi)),
                         tuple(h - a for h, a in zip(zhi, slo)))
@@ -745,12 +743,20 @@ def br_starstar(f: SampledField, delta: float, cfg: MaximalConfig) -> SampledFie
     return SampledField(f.spec, eng.starstar_values(_full_window(f.spec)))
 
 
+def ball_points(spec: GridSpec, center, radius: float
+                ) -> tuple[list[tuple[int, int]], tuple[np.ndarray, ...]]:
+    """The grid points of the ball B(center, radius): the index box spanned
+    by their offsets (ranges taken mod N, as ``grid.apply_symbol`` reads
+    them) and their indices inside that box, in ``_ball_offsets`` order."""
+    c = np.broadcast_to(np.asarray(center, dtype=float), (spec.n,))
+    c_px = np.round(c / spec.dx + spec.N // 2).astype(int)
+    offs = _ball_offsets(spec.n, int(math.floor(radius / spec.dx)), spec.N)
+    lo, hi = offs.min(axis=0), offs.max(axis=0) + 1
+    return ([(int(ci + l), int(ci + h)) for ci, l, h in zip(c_px, lo, hi)],
+            tuple((offs - lo).T))
+
+
 def ball_average(f: SampledField, center, radius: float, p: float) -> float:
     """L^p average of f over the grid points of the ball B(center, radius)."""
-    spec = f.spec
-    c_px = np.asarray([ci / spec.dx + spec.N // 2 for ci in np.atleast_1d(center)])
-    r_px = radius / spec.dx
-    offs = _ball_offsets(spec.n, int(math.floor(r_px)), spec.N)
-    idx = tuple(((offs + np.round(c_px).astype(int)) % spec.N).T)
-    vals = np.abs(f.values[idx])
-    return float(np.mean(vals ** p) ** (1.0 / p))
+    box, idx = ball_points(f.spec, center, radius)
+    return lp_mean(_wrap_take(f.values, *zip(*box))[idx], p)

@@ -122,24 +122,26 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
     return _on_ball(spec, lambda t: _sk_of_t(t, k, delta))
 
 
-# A multiplier spreads support, so the applications below drop it.
+# A multiplier spreads support, so the applications below drop it; f's
+# support box is the source box of the transform.
+
+def _apply(f: SampledField, sym: np.ndarray) -> SampledField:
+    return SampledField(f.spec, apply_symbol(f.values, sym, f.support_ranges()))
+
 
 def apply_bochner_riesz(f: SampledField, delta: float) -> SampledField:
     """Spectral multiplication by ``(1-|xi|^2)_+^delta``; self-adjoint and an
     L^2 contraction by construction."""
-    sym = bochner_riesz_symbol(f.spec, float(delta))
-    return SampledField(f.spec, apply_symbol(f.values, sym))
+    return _apply(f, bochner_riesz_symbol(f.spec, float(delta)))
 
 
 def apply_truncated(f: SampledField, delta: float, epsilon: float) -> SampledField:
-    sym = truncated_symbol(f.spec, float(delta), float(epsilon))
-    return SampledField(f.spec, apply_symbol(f.values, sym))
+    return _apply(f, truncated_symbol(f.spec, float(delta), float(epsilon)))
 
 
 def apply_Sk(f: SampledField, k: int, delta: float) -> SampledField:
     """Littlewood-Paley piece supported where ``1-|xi|^2 ~ 2^k``."""
-    sym = sk_symbol(f.spec, int(k), float(delta))
-    return SampledField(f.spec, apply_symbol(f.values, sym))
+    return _apply(f, sk_symbol(f.spec, int(k), float(delta)))
 
 
 def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.ndarray:

@@ -44,12 +44,13 @@ from .grid import (
     Box,
     GridSpec,
     SampledField,
+    apply_symbol,
     box_sums,
     cube_average,
     prefix_sum,
 )
 from .maximal import MaximalConfig, MaximalEngine
-from .multiplier import apply_bochner_riesz
+from .multiplier import bochner_riesz_symbol
 
 __all__ = [
     "ThresholdFailure",
@@ -343,10 +344,18 @@ def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,
 
 
 def bilinear_pairing(f: SampledField, g: SampledField, delta: float) -> complex:
-    """``<B f, g> = int B(f) conj(g) dx`` by Riemann sum."""
-    bf = apply_bochner_riesz(f, delta)
+    """``<B f, g> = int B(f) conj(g) dx`` by Riemann sum.  ``B f`` is computed
+    only on g's support box, outside which ``conj(g)`` is 0, and summed with
+    zeros elsewhere, so the whole-grid sum keeps its order and its bits."""
     spec = f.spec
-    return complex(np.sum(bf.values * np.conj(g.values)) * spec.dx ** spec.n)
+    read = g.support_ranges()
+    bf = apply_symbol(f.values, bochner_riesz_symbol(spec, float(delta)),
+                      f.support_ranges(), read)
+    if read is not None:
+        whole = np.zeros(spec.shape, dtype=bf.dtype)
+        whole[tuple(slice(lo, hi) for lo, hi in read)] = bf
+        bf = whole
+    return complex(np.sum(bf * np.conj(g.values)) * spec.dx ** spec.n)
 
 
 def collection_to_csv(coll: SparseCollection) -> str:

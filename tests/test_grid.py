@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from brlab.grid import (
     Box,
@@ -24,8 +25,10 @@ from brlab.grid import (
     make_test_function,
     read_field,
     sum_of_squares,
+    symbol_kernel,
     write_field,
 )
+from brlab.multiplier import bochner_riesz_symbol, k_min, sk_symbol, truncated_symbol
 
 SPEC = GridSpec(n=2, L=16.0, N=128)
 
@@ -139,6 +142,85 @@ class TestApplySymbol:
         ref = apply_symbol(f.values.astype(np.complex128), self.SYM)
         assert out.dtype == np.float64
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def whole_grid(values, symbol):
+    """The whole-grid real transform pair that ``apply_symbol`` prunes."""
+    x = fft.ifftshift(values)
+    half = symbol[..., : x.shape[-1] // 2 + 1]
+    return fft.fftshift(fft.irfftn(fft.rfftn(x) * half, s=x.shape))
+
+
+def package_symbols(spec):
+    """The symbols brlab applies: Bochner-Riesz, truncations, every S_k and
+    the weights' Gaussian smoothing symbol (nonzero everywhere)."""
+    syms = {"bochner_riesz": bochner_riesz_symbol(spec, 0.3),
+            "truncated_1.25": truncated_symbol(spec, 0.3, 1.25),
+            "truncated_8": truncated_symbol(spec, 0.3, 8.0),
+            "gaussian": np.exp(-freq_sq(spec) * (spec.L * 8 / spec.N) ** 2 / 2.0)}
+    for k in range(k_min(spec), 1):
+        syms[f"S_{k}"] = sk_symbol(spec, k, 0.2)
+    return {name: sym for name, sym in syms.items() if sym.any()}
+
+
+class TestApplySymbolBitwise:
+    # The pruned passes of apply_symbol give the bits of the whole-grid
+    # rfftn/irfftn pair, signs included, for every symbol of the package.
+    SPECS = [GridSpec(1, 1.9, 8), GridSpec(1, 8.0, 64), GridSpec(1, 16.0, 512),
+             GridSpec(1, 64.0, 1024), GridSpec(2, 1.9, 8), GridSpec(2, 8.0, 64),
+             GridSpec(2, 16.0, 512), GridSpec(2, 64.0, 1024), GridSpec(3, 1.9, 8),
+             GridSpec(3, 8.0, 64)]
+
+    @staticmethod
+    def boxes(N, n):
+        """(src, read) index boxes: both at the center, then both touching
+        the grid edge (src at the low end of even axes and the high end of
+        odd ones, read the other way round)."""
+        w, v = max(N // 8, 1), max(N // 16, 1)
+        center = ([(N // 2 - w, N // 2 + w)] * n, [(N // 2 - v, N // 2 + v + 1)] * n)
+        low, high = (0, N // 4), (N - N // 4, N)
+        edge = ([low if a % 2 == 0 else high for a in range(n)],
+                [(N - v, N) if a % 2 == 0 else (0, v) for a in range(n)])
+        return [center, edge]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}")
+    def test_matches_whole_grid_pair(self, spec):
+        rng = np.random.default_rng(spec.N + spec.n)
+        N, n = spec.N, spec.n
+        for src, read in self.boxes(N, n):
+            vals = np.zeros(spec.shape)
+            sl = tuple(slice(lo, hi) for lo, hi in src)
+            vals[sl] = rng.standard_normal(vals[sl].shape)
+            for name, sym in package_symbols(spec).items():
+                ref = whole_grid(vals, sym)
+                self.assert_same_bits(apply_symbol(vals, sym), ref)
+                self.assert_same_bits(apply_symbol(vals, sym, src, read),
+                                      ref[tuple(slice(lo, hi) for lo, hi in read)])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}")
+    def test_kernel_matches_half_spectrum_inverse(self, spec):
+        for name, sym in package_symbols(spec).items():
+            half = sym[..., : spec.N // 2 + 1]
+            self.assert_same_bits(symbol_kernel(sym), fft.irfftn(half, s=spec.shape))
+
+    def test_boxes_wrap_mod_n(self):
+        # a read box past the grid edge reads the wrapped points, and the
+        # complex branch crops the same box
+        spec = GridSpec(2, 8.0, 64)
+        f = random_field(spec, seed=3)
+        sym = bochner_riesz_symbol(spec, 0.3)
+        read = [(-5, 7), (60, 70)]
+        idx = np.ix_(np.arange(-5, 7) % 64, np.arange(60, 70) % 64)
+        assert np.array_equal(apply_symbol(f.values.real, sym, read=read),
+                              whole_grid(f.values.real, sym)[idx])
+        assert np.array_equal(apply_symbol(f.values, sym, read=read),
+                              apply_symbol(f.values, sym)[idx])
 
 
 class TestCubeAverage:

@@ -7,12 +7,15 @@ from dataclasses import replace
 from fractions import Fraction
 import numpy as np
 import pytest
+from scipy import fft
 
 import brlab.cli as cli
+import brlab.grid as grid
+import brlab.harness as harness
 import brlab.maximal as maximal
 from brlab.cli import main as cli_main
-from brlab.grid import (GridSpec, _radius_sq_grid, _trig_sum, make_test_function, read_field,
-                        write_field)
+from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function,
+                        read_field, write_field)
 from brlab.harness import (
     ExperimentConfig,
     Report,
@@ -28,8 +31,9 @@ from brlab.harness import (
     run_vector_valued,
     run_weights,
 )
-from brlab.multiplier import apply_Sk
-from brlab.sparse import build_sparse
+from brlab.maximal import ball_average
+from brlab.multiplier import apply_Sk, bochner_riesz_symbol, sk_symbol
+from brlab.sparse import bilinear_pairing, build_sparse
 from brlab.weights import random_smooth_weight
 
 SMALL = dict(grid_l=16.0, grid_n=256, trials=2, seed=11, eps_min_exp=2)
@@ -318,6 +322,79 @@ class TestNodeLocality:
             f, g = _trial_fields(cfg, trial)
             coll, trace = build_sparse(f, g, cfg.delta, cfg.maximal_cfg())
             assert coll.cubes and trace.nodes
+
+
+def whole_grid(values, symbol):
+    """The whole-grid real transform pair that ``grid.apply_symbol`` prunes."""
+    x = fft.ifftshift(values)
+    half = symbol[..., : x.shape[-1] // 2 + 1]
+    return fft.fftshift(fft.irfftn(fft.rfftn(x) * half, s=x.shape))
+
+
+class TestBandLimitedReads:
+    # The local estimates read S_k f only on the index box of the ball's
+    # points and the pairing reads B f only on g's support box; both keep
+    # the bits of the whole-grid computation (a config off the goldens).
+    SEEDS = (1, 5, 9)
+
+    @staticmethod
+    def cfg(seed):
+        return ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=seed)
+
+    @pytest.mark.parametrize("run", [run_prop41, run_prop42], ids=["prop41", "prop42"])
+    def test_local_estimates_match_whole_grid(self, run, monkeypatch):
+        def whole_grid_lhs(f, k, delta, radius):
+            sk = whole_grid(f.values, sk_symbol(f.spec, k, delta))
+            return ball_average(SampledField(f.spec, sk), 0.0, radius, 2.0)
+
+        for seed in self.SEEDS:
+            got = run(self.cfg(seed)).rows
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_sk_ball_average", whole_grid_lhs)
+                want = run(self.cfg(seed)).rows
+            assert got == want
+            assert any(row[-3] > 0.0 for row in got)
+
+    def test_pairing_matches_whole_grid(self):
+        for seed in self.SEEDS:
+            cfg = self.cfg(seed)
+            spec = cfg.spec()
+            f, g = _trial_fields(cfg, 0)
+            assert g.support is not None
+            bf = whole_grid(f.values, bochner_riesz_symbol(spec, cfg.delta))
+            want = complex(np.sum(bf * np.conj(g.values)) * spec.dx ** spec.n)
+            got = bilinear_pairing(f, g, cfg.delta)
+            assert got == want and got != 0
+
+    @pytest.mark.parametrize("run", [run_prop41, run_prop42], ids=["prop41", "prop42"])
+    def test_c2r_rows_within_read_box(self, run, monkeypatch):
+        # like TestNodeLocality: fails if an S_k application of the local
+        # estimates inverts more rows than its read box holds
+        made, checked = [], []
+
+        class CountingFFT:
+            def __getattr__(self, name):
+                return getattr(fft, name)
+
+            @staticmethod
+            def irfft(x, *args, **kwargs):
+                made.append(math.prod(x.shape[:-1]))
+                return fft.irfft(x, *args, **kwargs)
+
+        def checking(values, symbol, src=None, read=None):
+            assert read is not None, "S_k f read on the whole grid"
+            made.clear()
+            out = grid.apply_symbol(values, symbol, src, read)
+            rows = math.prod(hi - lo for lo, hi in read[:-1])
+            assert made == [rows]
+            assert rows < values.shape[0]
+            checked.append(rows)
+            return out
+
+        monkeypatch.setattr(grid, "fft", CountingFFT())
+        monkeypatch.setattr(harness, "apply_symbol", checking)
+        rep = run(self.cfg(1))
+        assert len(checked) == len(rep.rows)
 
 
 LOCAL_GOLDEN_CFG = ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=3)

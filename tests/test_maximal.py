@@ -591,9 +591,9 @@ class TestSupportLocal:
     def _count_whole_grid(monkeypatch):
         calls = []
 
-        def counting(values, symbol):
+        def counting(values, symbol, *boxes):
             calls.append(values.shape)
-            return apply_symbol(values, symbol)
+            return apply_symbol(values, symbol, *boxes)
 
         monkeypatch.setattr(maximal, "apply_symbol", counting)
         return calls
