@@ -100,18 +100,13 @@ def delta_tilde(p1, n: int = 2, provider: str = "dim2_solved") -> Fraction:
 
     ``dim2_solved`` returns the critical threshold, which is the true value
     in dimension two; ``assume_conjecture`` returns the same number for
-    n >= 3 where it is only conjectural (callers must surface the flag from
-    :func:`delta_tilde_is_conjectural`).
+    n >= 3 where it is only conjectural.
     """
     if provider not in PROVIDERS:
         raise ValueError(f"unknown provider {provider!r}; choose from {PROVIDERS}")
     if provider == "dim2_solved" and n != 2:
         raise ValueError("provider 'dim2_solved' is only valid in dimension 2")
     return delta_critical(p1, n)
-
-
-def delta_tilde_is_conjectural(n: int, provider: str) -> bool:
-    return provider == "assume_conjecture" and n >= 3
 
 
 def delta_bar(p0, n: int = 2, provider: str = "dim2_solved") -> Fraction:
@@ -251,7 +246,7 @@ class ExponentRecord:
             pair_admissible=admissible_pair(p0, q0),
             vv_admissible=admissible_vv(p, q) if q is not None else None,
             provider=provider,
-            conjectural=delta_tilde_is_conjectural(n, provider),
+            conjectural=provider == "assume_conjecture" and n >= 3,
         )
 
     def rows(self) -> list[tuple[str, str]]:

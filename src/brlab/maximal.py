@@ -44,13 +44,14 @@ part.  Each radius first tests which window points x have a mask ball
 radius then picks one of two paths:
 
 * small radii (``eps < SNAP_MIN_PX`` pixels): the masked transform is
-  evaluated exactly at every point of the window.  The near field of each
-  displacement ``d = z - x`` is one batched convolution of a periodically
-  wrapped crop of ``f`` around the window with a masked kernel slice,
-  whose spectra are cached per window shape; ``g`` at ``x + d`` is a view
-  of one ``_g_window`` over the window ``+- 2 eps``.  Which displacements
-  feed which candidate center is a cached index table, and each candidate
-  sums its displacements in a fixed order;
+  evaluated exactly at every point of the window, as two matrix products
+  per block of ``_STAR_BLOCK`` window points.  The near field
+  ``near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u)`` at each
+  displacement ``|d| <= 2 eps`` is the block's patches of a periodically
+  wrapped crop of ``f`` times the cached kernel matrix ``K(d - u)``; the
+  candidates' ball sums of ``|g(x + d) - near(x, d)|^q0``, with ``g`` read
+  from one ``_g_window`` over the window ``+- 2 eps``, are one product with
+  the cached candidate/displacement incidence matrix;
 * large radii (``eps >= SNAP_MIN_PX``): mask centers are snapped to a
   per-scale tile lattice of side ``eps`` (``|x - x'| <= eps/2``).  Each
   tile is classified exactly by counting f's nonzeros in its center's mask
@@ -122,7 +123,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
 from .grid import (Box, GridSpec, SampledField, _wrap_take, apply_symbol, lp_mean,
@@ -325,65 +325,33 @@ def _kernel_l2(spec: GridSpec, delta: float, eps_px: int) -> float:
     return math.sqrt(float(np.sum(sym * sym)) / sym.size)
 
 
-_DISP_CHUNK = 32  # displacements per batched FFT of the displacement path
-
-
-@lru_cache(maxsize=64)
-def _touch_tables(n: int, eps_px: int, N: int, thin: int | None) -> tuple[np.ndarray, ...]:
-    """Candidate/displacement incidence of the displacement path, one table
-    per chunk of ``_DISP_CHUNK`` displacements (``_ball_offsets(n, 2 eps_px, N)``
-    order).  Row ``a`` of a chunk's table lists, ascending, the chunk-local
-    indices of the displacements ``d`` with ``d - a`` in the eps-ball
-    (``a`` indexes the candidate pattern), padded with the chunk length."""
-    d_offs = _ball_offsets(n, 2 * eps_px, N)
-    pat = _y_pattern(n, eps_px, N, thin)
-    lut = np.full((2 * eps_px + 1,) * n, -1)
-    lut[tuple((pat + eps_px).T)] = np.arange(len(pat))
-    a = d_offs[:, None, :] - _ball_offsets(n, eps_px, N)[None, :, :]
-    di, bi = np.nonzero(np.all(np.abs(a) <= eps_px, axis=-1))
-    ai = lut[tuple((a[di, bi] + eps_px).T)]
-    di, ai = di[ai >= 0], ai[ai >= 0]
-    tables = []
-    for start in range(0, len(d_offs), _DISP_CHUNK):
-        stop = min(start + _DISP_CHUNK, len(d_offs))
-        sel = (di >= start) & (di < stop)
-        order = np.lexsort((di[sel], ai[sel]))
-        d_c, a_c = di[sel][order] - start, ai[sel][order]
-        rank = np.arange(len(a_c)) - np.searchsorted(a_c, a_c)
-        table = np.full((len(pat), rank.max(initial=-1) + 1), stop - start)
-        table[a_c, rank] = d_c
-        table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
+_STAR_BLOCK = 2048  # window points per matrix product of the small-radius br_star path
 
 
 @lru_cache(maxsize=8)
-def _kernel_slice_spectra(spec: GridSpec, delta: float, eps_px: int,
-                          shape: tuple[int, ...], real: bool) -> tuple[np.ndarray, ...]:
-    """Spectra, for f-windows of ``shape``, of the masked kernel slices of the
-    displacement path: slice ``d`` is ``K(d + v)`` on ``|v| <= 3 eps`` and 0
-    elsewhere.  One stacked array per chunk of ``_DISP_CHUNK`` displacements."""
+def _near_matrix(spec: GridSpec, delta: float, eps_px: int) -> np.ndarray:
+    """``M[j, i] = K(d_i - u_j)`` for ``u_j`` in the ``3 eps``-ball and ``d_i``
+    in the ``2 eps``-ball (``_ball_offsets`` order): the masked transform of f
+    at ``x + d_i`` is ``sum_j f(x + u_j) M[j, i]``."""
     n, N = spec.n, spec.N
-    mask_r, kr = 3 * eps_px, 5 * eps_px  # |d - u| <= 5 eps
     kern = _kernel_offsets(spec, delta, _trunc_eps(spec, eps_px))
-    kc = _wrap_take(kern, (-kr,) * n, (kr + 1,) * n)
-    ball_mask = _ball_mask(n, mask_r, N)
-    ins = tuple(slice(0, 2 * mask_r + 1) for _ in range(n))
-    fwd = fft.rfftn if real else fft.fftn
-    d_offs = _ball_offsets(n, 2 * eps_px, N)
-    out = []
-    for start in range(0, len(d_offs), _DISP_CHUNK):
-        ds = d_offs[start:start + _DISP_CHUNK]
-        kpad = np.zeros((len(ds),) + shape)
-        for j, d in enumerate(ds):
-            # m_rev[v] = K(d + v) on |v| <= 3 eps: a contiguous slice of kc
-            sl = tuple(slice(int(d[i]) + kr - mask_r, int(d[i]) + kr + mask_r + 1)
-                       for i in range(n))
-            kpad[(j,) + ins] = np.where(ball_mask, kc[sl], 0.0)
-        kspec = fwd(kpad, axes=tuple(range(1, n + 1)))
-        kspec.flags.writeable = False
-        out.append(kspec)
-    return tuple(out)
+    diff = _ball_offsets(n, 2 * eps_px, N)[None] - _ball_offsets(n, 3 * eps_px, N)[:, None]
+    m = kern[tuple(np.moveaxis(diff % N, -1, 0))]
+    m.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=64)
+def _incidence(n: int, eps_px: int, N: int, thin: int | None) -> np.ndarray:
+    """``A[i, a] = 1`` where the displacement ``d_i`` (``2 eps``-ball) lies in
+    the eps-ball around candidate ``a`` (``_y_pattern``), in the minimal-image
+    metric, else 0: each candidate touches every point of its ball once,
+    also where the ``2 eps``-ball wraps around the torus."""
+    diff = _ball_offsets(n, 2 * eps_px, N)[:, None] - _y_pattern(n, eps_px, N, thin)[None]
+    m = diff % N
+    a = (np.sum(np.minimum(m, N - m) ** 2, axis=-1) <= eps_px * eps_px).astype(float)
+    a.flags.writeable = False
+    return a
 
 
 Window = tuple[tuple[int, int], ...]
@@ -684,45 +652,39 @@ class MaximalEngine:
                             tuple(b - a for a, b in zip(tlo, thi)))
 
     def _star_displacement(self, window: Window, eps_px: int) -> np.ndarray:
-        """Exact per-point masks for small radii.
+        """Exact per-point masks for small radii, as two matrix products.
 
-        near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u) gives the masked
-        transform at z = x + d; the kernel slice makes each correlation a
-        complete (wrap-consistent) evaluation.
+        The masked transform at ``z = x + d`` is
+        ``near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u)``, so for a block
+        of window points ``near = P @ M`` with ``P[x, j] = f(x + u_j)``
+        (:func:`_near_matrix`), and the candidates' ball sums of
+        ``|g(x + d) - near(x, d)|^q0`` are one product with the incidence
+        matrix (:func:`_incidence`).  f is read on the wrapped window
+        ``+- 3 eps``, exact at any window size since the mask-ball offsets
+        are distinct mod N, and g on the window ``+- 2 eps``.
         """
         spec, n = self.spec, self.spec.n
         N, q0 = spec.N, self.cfg.q0
         mask_r, d_r = 3 * eps_px, 2 * eps_px
-
-        wshape = tuple(h - l for l, h in window)
-        # f on the window +- 3 eps, wrapped: exact at any window size, since
-        # the mask-ball offsets are distinct mod N
         fwin = self._f_take(*zip(*self._expand(window, mask_r)))
-        real = np.isrealobj(fwin)
-        fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
-        axes = tuple(range(1, n + 1))
-        FW = fwd(fwin)[None]
-        # valid region: x + u inside the f-window for all |u| <= 3 eps
-        valid = (slice(None),) + tuple(slice(2 * mask_r, 2 * mask_r + s) for s in wshape)
-        # g at z = x + d for every |d| <= 2 eps, as views of one window
         gwin = self._g_window(eps_px, *zip(*self._expand(window, d_r)))
-        gz_views = sliding_window_view(gwin, wshape)
-
-        d_offs = _ball_offsets(n, d_r, N)
-        spectra = _kernel_slice_spectra(spec, self.delta, eps_px, fwin.shape, real)
-        tables = _touch_tables(n, eps_px, N, self.cfg.y_thin)
-        sums = np.zeros((len(tables[0]),) + wshape)
-        zero = np.zeros((1,) + wshape)
-        for start, kspec, table in zip(range(0, len(d_offs), _DISP_CHUNK), spectra, tables):
-            ds = d_offs[start:start + _DISP_CHUNK]
-            nears = inv(FW * kspec, s=fwin.shape, axes=axes)[valid]
-            t = np.concatenate([np.abs(gz_views[tuple((ds + d_r).T)] - nears) ** q0, zero])
-            # each candidate sums its displacements in ascending order
-            for k in range(table.shape[1]):
-                sums += t[table[:, k]]
-
+        near_m = _near_matrix(spec, self.delta, eps_px)
+        touch = _incidence(n, eps_px, N, self.cfg.y_thin)
+        # flat indices of each window point and of each offset in the two
+        # windows; a point's patch is its index plus the offsets'
+        wshape = tuple(h - l for l, h in window)
+        xs = np.indices(wshape).reshape(n, -1)
+        x_f, x_g = (np.ravel_multi_index(xs, w.shape) for w in (fwin, gwin))
+        u_f = np.ravel_multi_index(tuple((_ball_offsets(n, mask_r, N) + mask_r).T), fwin.shape)
+        d_g = np.ravel_multi_index(tuple((_ball_offsets(n, d_r, N) + d_r).T), gwin.shape)
+        fflat, gflat = fwin.ravel(), gwin.ravel()
+        top = np.empty(x_f.size)
+        for s in range(0, x_f.size, _STAR_BLOCK):
+            b = slice(s, s + _STAR_BLOCK)
+            near = fflat[x_f[b, None] + u_f] @ near_m
+            top[b] = np.max(np.abs(gflat[x_g[b, None] + d_g] - near) ** q0 @ touch, axis=1)
         count = len(_ball_offsets(n, eps_px, N))
-        return np.max((np.maximum(sums, 0.0) / count), axis=0) ** (1.0 / q0)
+        return (np.maximum(top, 0.0) / count).reshape(wshape) ** (1.0 / q0)
 
 
 def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:

@@ -7,7 +7,7 @@ from scipy.signal import fftconvolve
 import brlab.maximal as maximal
 from brlab.grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function
 from brlab.maximal import (
-    _DISP_CHUNK,
+    _STAR_BLOCK,
     SNAP_MIN_PX,
     MaximalConfig,
     MaximalEngine,
@@ -15,7 +15,7 @@ from brlab.maximal import (
     _ball_offsets,
     _fftconvolve,
     _full_window,
-    _touch_tables,
+    _incidence,
     _wrap_take,
     _y_pattern,
     ball_average,
@@ -62,7 +62,8 @@ def brute_starstar(f, delta, cfg):
 
 
 def brute_star_at(f, delta, cfg, points, mask_center=None):
-    """Per-point masked transform: the definition, with no shared work.
+    """Per-point masked transform: the definition, with no shared work, at
+    the index tuples ``points`` of a grid of any dimension.
 
     ``mask_center(x, eps_px)`` moves the mask ball of point x at radius
     eps_px to another center (default: x itself)."""
@@ -70,22 +71,20 @@ def brute_star_at(f, delta, cfg, points, mask_center=None):
     N = spec.N
     idx = np.indices(spec.shape)
     values = {}
-    for (x0, x1) in points:
+    for x in points:
         best = 0.0
         for eps_px in cfg.eps_px_list(spec):
             sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
-            c0, c1 = (x0, x1) if mask_center is None else mask_center((x0, x1), eps_px)
-            d0 = np.minimum(np.abs(idx[0] - c0), N - np.abs(idx[0] - c0))
-            d1 = np.minimum(np.abs(idx[1] - c1), N - np.abs(idx[1] - c1))
-            masked = np.where(d0 ** 2 + d1 ** 2 <= (3 * eps_px) ** 2, 0.0, f.values)
+            c = x if mask_center is None else mask_center(x, eps_px)
+            d2 = sum(np.minimum(np.abs(i - ci), N - np.abs(i - ci)) ** 2 for i, ci in zip(idx, c))
+            masked = np.where(d2 <= (3 * eps_px) ** 2, 0.0, f.values)
             dens = np.abs(_apply_sym(masked, sym)) ** cfg.q0
             b = _ball_offsets(spec.n, eps_px, N)
             pat = _y_pattern(spec.n, eps_px, N, cfg.y_thin)
             for a in pat:
-                y = ((x0 + a[0]) % N, (x1 + a[1]) % N)
-                s = dens[((b[:, 0] + y[0]) % N, (b[:, 1] + y[1]) % N)].mean()
+                s = dens[tuple(((b + a + np.array(x)) % N).T)].mean()
                 best = max(best, s ** (1.0 / cfg.q0))
-        values[(x0, x1)] = best
+        values[x] = best
     return values
 
 
@@ -164,6 +163,64 @@ class TestBrStar:
         scale = max(brute.values())
         for p, v in brute.items():
             assert abs(star[p] - v) < 1e-10 * scale
+
+    @pytest.mark.parametrize("eps_exp", [0, 1, 2])
+    def test_displacement_path_where_the_mask_ball_wraps(self, eps_exp):
+        # N = 16: at eps = 4 = N/4 the mask ball B(x, 12) and the
+        # displacement ball B(2 eps) both wrap around the torus (in 2-D the
+        # mask ball then covers it, so the exact value is 0); every point
+        # of the grid, at 1e-10 of the operator's size over all three radii
+        spec = GridSpec(n=2, L=3.0, N=16)
+        f = make_test_function(spec, "random_trig", seed=11, window_radius=0.35,
+                               num_modes=5, freq_max=1.5)
+        cfg = MaximalConfig(eps_min_exp=eps_exp, eps_max_exp=2, y_thin=16)
+        pts = [(int(a), int(b)) for a, b in np.argwhere(np.ones(spec.shape))]
+        scale = max(brute_star_at(f, DELTA, MaximalConfig(eps_min_exp=0, y_thin=16),
+                                  pts[::5]).values())
+        assert scale > 0
+        star = br_star(f, DELTA, cfg).values
+        for p, v in brute_star_at(f, DELTA, cfg, pts).items():
+            assert abs(star[p] - v) < 1e-10 * scale, p
+
+    @pytest.mark.parametrize("N, eps_px", [(8, 1), (8, 2)])
+    def test_displacement_path_wraps_partial_masks_in_three_dimensions(self, N, eps_px):
+        # in 3-D the wrapped mask ball of eps = N/4 = 2 leaves the torus's
+        # far corners outside it, and candidate balls reach displacements
+        # that the 2 eps-ball holds only mod N (eps = 1 wraps nothing); f is
+        # noise on the whole grid
+        L = N / 5.0
+        spec = GridSpec(n=3, L=L, N=N)
+        f = SampledField(spec, np.random.default_rng(3).standard_normal(spec.shape),
+                         support=Box((-L / 2,) * 3, (L / 2,) * 3))
+        m = eps_px.bit_length() - 1
+        cfg = MaximalConfig(eps_min_exp=m, eps_max_exp=m, y_thin=None)
+        star = br_star(f, DELTA, cfg).values
+        pts = [tuple(int(v) for v in p) for p in
+               np.random.default_rng(eps_px).integers(0, N, size=(12, 3))]
+        brute = brute_star_at(f, DELTA, cfg, pts)
+        scale = max(brute.values())
+        assert scale > 0
+        for p, v in brute.items():
+            assert abs(star[p] - v) < 1e-10 * scale, p
+
+    def test_displacement_path_across_blocks(self):
+        # a 128^2 whole grid at eps = 4 runs through eight blocks of window
+        # points; three sampled points in each
+        spec = GridSpec(n=2, L=8.0, N=128)
+        f = spiky_field(spec)
+        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2)
+        n_blocks = -(-spec.N ** 2 // _STAR_BLOCK)
+        assert n_blocks == 8
+        rng = np.random.default_rng(2)
+        flat = [int(b * _STAR_BLOCK + k) for b in range(n_blocks)
+                for k in rng.integers(0, _STAR_BLOCK, size=3)]
+        pts = [tuple(int(v) for v in np.unravel_index(i, spec.shape)) for i in flat]
+        star = br_star(f, DELTA, cfg).values
+        brute = brute_star_at(f, DELTA, cfg, pts)
+        scale = max(brute.values())
+        assert scale > 0
+        for p, v in brute.items():
+            assert abs(star[p] - v) < 1e-10 * scale, p
 
     def test_masked_support_gives_zero(self):
         # support inside B(x, 3 eps) for every radius, with snapping margin
@@ -662,26 +719,22 @@ class TestSupportLocal:
     @pytest.mark.parametrize("eps_px", [1, 2, 4])
     @pytest.mark.parametrize("thin", [None, 64, 8])
     def test_touch_tables_match_brute_force(self, N, eps_px, thin):
+        # the incidence matrix: candidate a touches the displacement a + b
+        # (mod N) once for each b in the eps-ball, also where the 2 eps-ball
+        # wraps (N = 16, eps = 4)
         d_offs = _ball_offsets(2, 2 * eps_px, N)
         b_offs = _ball_offsets(2, eps_px, N)
         pat = _y_pattern(2, eps_px, N, thin)
-        pat_set = {tuple(a): i for i, a in enumerate(pat)}
-        want = [[] for _ in pat]
-        for di, d in enumerate(d_offs):
+        row = {tuple(int(v) % N for v in d): i for i, d in enumerate(d_offs)}
+        assert len(row) == len(d_offs)
+        want = np.zeros((len(d_offs), len(pat)))
+        for ai, a in enumerate(pat):
             for b in b_offs:
-                a = tuple(int(d[i] - b[i]) for i in range(2))
-                if a in pat_set:
-                    want[pat_set[a]].append(di)
-        got = [[] for _ in pat]
-        tables = _touch_tables(2, eps_px, N, thin)
-        assert len(tables) == -(-len(d_offs) // _DISP_CHUNK)
-        for c, table in enumerate(tables):
-            pad = min(_DISP_CHUNK, len(d_offs) - c * _DISP_CHUNK)
-            for ai, row in enumerate(table):
-                got[ai].extend(int(d) + c * _DISP_CHUNK for d in row if d != pad)
-        assert got == want
-        if 4 * eps_px + 1 <= N:  # no wrapped displacements
-            assert all(len(lst) == len(b_offs) for lst in got)
+                want[row[tuple(int(v) % N for v in a + b)], ai] += 1
+        got = _incidence(2, eps_px, N, thin)
+        assert np.array_equal(got, want)
+        assert np.all(got.sum(axis=0) == len(b_offs))
+        assert not got.flags.writeable
 
 
 def _weak_type_ratio(mf: SampledField, f: SampledField, p0: float) -> float:

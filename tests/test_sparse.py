@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brlab
 import brlab.sparse as sparse
 from brlab.grid import Box, GridSpec, SampledField, cube_average, make_test_function
 from brlab.harness import ExperimentConfig, _trial_fields
@@ -316,6 +321,25 @@ class TestBuildSparse:
             coll, trace = build_sparse(f, g, DELTA, CFG)
             assert coll.verify()
             assert trace.depth <= int(math.log2(SPEC.N)) + 1
+
+
+    def test_selection_independent_of_blas_threads(self):
+        # br_star's small-radius path sums through BLAS matrix products,
+        # whose last bits can depend on the thread count; the selection
+        # nodes at N = 256 (where that path runs at eps = 4) must not
+        src = str(Path(brlab.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "from brlab.harness import ExperimentConfig, _trial_fields\n"
+                "from brlab.sparse import build_sparse, trace_to_json\n"
+                "cfg = ExperimentConfig(grid_l=16.0, grid_n=256, eps_min_exp=2, seed=7)\n"
+                "for trial in range(4):\n"
+                "    f, g = _trial_fields(cfg, trial)\n"
+                "    print(trace_to_json(build_sparse(f, g, cfg.delta, cfg.maximal_cfg())[1]))\n")
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": k}).stdout
+                for k in ("1", "2")]
+        assert outs[0].count('"nodes"') == 4
+        assert outs[0] == outs[1]
 
 
 class TestSparseForm:
