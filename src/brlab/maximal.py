@@ -23,17 +23,20 @@ Truncated fields
 ----------------
 Every truncated field is read through ``MaximalEngine._truncate``: ``B_eps``
 of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
-index box ``Z``.  It is the exact ``mode="valid"`` convolution of the
-source with the wrapped kernel crop, whose cost scales with ``|Z| + |S|``,
-not with ``N^n``.  Only when ``|Z| + |S| - 1 > N`` on some axis does the
-source go on a zero grid for one ``grid.apply_symbol`` call, which runs its
-transforms only on the rows of ``S``, the symbol's band and the rows of
-``Z``, with the bits of the whole-grid pair.  The kernel crop comes from
-``_kernel_offsets``, the same pruned inverse read on the whole grid.  The
-choice depends on geometry alone, so results do not depend on call order.
-Every linear convolution here is ``_fftconvolve``, on ``scipy.fft`` like
-every other transform of brlab.  Two sources occur: f on its support box
-(``_g_window``, read by the ball means of the unmasked y-max, by
+index box ``Z``.  It is the exact valid convolution of the source with the
+wrapped kernel crop (``|Z| + |S| - 1`` points per axis), whose cost scales
+with the crop, not with ``N^n``.  Only when the crop is longer than ``N``
+on some axis does the source go on a zero grid for one
+``grid.apply_symbol`` call, which runs its transforms only on the rows of
+``S``, the symbol's band and the rows of ``Z``, with the bits of the
+whole-grid pair.  The kernel crop comes from ``_kernel_offsets``, the same
+pruned inverse read on the whole grid.  The choice depends on geometry
+alone, so results do not depend on call order.  Every linear convolution
+here (``_fftconvolve``, and ``_ball_mean_linear`` with a cached ball
+spectrum) computes only its valid part, from one circular convolution at
+``next_fast_len`` of the larger operand (overlap-save), on ``scipy.fft``
+like every other transform of brlab.  Two sources occur: f on its support
+box (``_g_window``, read by the ball means of the unmasked y-max, by
 ``br_star``'s partial tiles and by the displacement path), and f cut to a
 partial tile's mask ball, on the bounding box of its nonzeros there.
 
@@ -61,13 +64,12 @@ radius then picks one of two paths:
   a slice of one ``_g_window`` over the whole window ``+- 2 eps``.
 
 Every ball mean is a linear convolution over a periodically wrapped crop
-of the window plus the radius: ``eps <= N/4`` keeps the ball's offsets
-distinct mod ``N``, so the crop gives exact torus means even where it
-holds a grid point twice.  A crop wider than the grid (``eps = N/4``
-around a small window) takes one circular convolution of the whole-grid
-density with the ball, whose spectrum is cached.  All ball geometry uses
-grid pixels with the minimal-image torus metric, ties at the boundary
-included.
+of the window plus the radius, kept on the window: ``eps <= N/4`` keeps
+the ball's offsets distinct mod ``N``, so the crop gives exact torus means
+even where it holds a grid point twice.  A crop wider than the grid
+(``eps = N/4`` around a small window) takes one circular convolution of
+the whole-grid density with the ball instead.  All ball geometry uses grid
+pixels with the minimal-image torus metric, ties at the boundary included.
 
 Radius bounds
 -------------
@@ -182,9 +184,9 @@ class MaximalConfig:
 
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
 
-def _torus_dist(c: int, lo: int, hi: int, N: int) -> np.ndarray:
-    """Minimal-image distance from ``c`` of the indices ``lo .. hi - 1`` on
-    an axis of ``N`` points."""
+def _torus_dist(c: float | np.ndarray, lo: int, hi: int, N: int) -> np.ndarray:
+    """Minimal-image distance from ``c`` (a number, or a column of them) of
+    the indices ``lo .. hi - 1`` on an axis of ``N`` points."""
     m = (np.arange(lo, hi) - c) % N
     return np.minimum(m, N - m)
 
@@ -222,65 +224,56 @@ def _y_pattern(n: int, r_px: int, N: int, thin: int | None) -> np.ndarray:
     return sub
 
 
-@lru_cache(maxsize=256)
-def _ball_mask(n: int, r_px: int, N: int) -> np.ndarray:
-    """Boolean ``(2 r_px + 1)^n`` array of the offsets in :func:`_ball_offsets`,
-    offset 0 at the center."""
-    mask = np.zeros((2 * r_px + 1,) * n, dtype=bool)
-    mask[tuple((_ball_offsets(n, r_px, N) + r_px).T)] = True
-    mask.flags.writeable = False
-    return mask
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two arrays of equal rank at the points where the
+    smaller input fits inside the larger (SciPy's ``mode="valid"``).
 
-
-def _fftconvolve(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """Linear convolution of two arrays of equal rank, cropped centrally to
-    ``a``'s shape (``mode="same"``) or to the points where the smaller input
-    fits inside the larger (``mode="valid"``); a new array either way.
-
-    The arithmetic is that of SciPy's ``signal.fftconvolve``: only axes where
-    neither input has length 1 are transformed (none left: the plain
-    product), at ``next_fast_len`` sizes, by ``rfftn`` for real inputs and
-    ``fftn`` for complex ones.
+    Only axes where neither input has length 1 are transformed (none left:
+    the plain product), by ``rfftn`` for real inputs and ``fftn`` for
+    complex ones, each at ``next_fast_len`` of the larger input's length
+    ``m``.  The circular product at the indices ``[k - 1, m - 1]`` (``k`` the
+    smaller length) wraps nothing, so it is the linear one there
+    (overlap-save).  The result shares no memory with the inputs.
     """
     axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
-    if mode == "valid" and not all(a.shape[i] >= b.shape[i] for i in axes):
+    if not all(a.shape[i] >= b.shape[i] for i in axes):
         if not all(b.shape[i] >= a.shape[i] for i in axes):
-            raise ValueError("mode='valid' needs one input at least as large "
-                             "as the other on every axis")
+            raise ValueError("the valid convolution needs one input at least as "
+                             "large as the other on every axis")
         a, b = b, a
-    full = [a.shape[i] + b.shape[i] - 1 if i in axes else max(a.shape[i], b.shape[i])
-            for i in range(a.ndim)]
     if not axes:
-        out = a * b
-    else:
-        real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-        fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
-        fshape = [fft.next_fast_len(full[i], real) for i in axes]
-        out = inv(fwd(a, fshape, axes=axes) * fwd(b, fshape, axes=axes), fshape, axes=axes)
-        out = out[tuple(slice(m) for m in full)]
-    crop = a.shape if mode == "same" else [
-        a.shape[i] - b.shape[i] + 1 if i in axes else full[i] for i in range(a.ndim)]
-    start = [(m - k) // 2 for m, k in zip(full, crop)]
-    return out[tuple(slice(l, l + k) for l, k in zip(start, crop))].copy()
+        return a * b
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
+    fshape = [fft.next_fast_len(a.shape[i], real) for i in axes]
+    out = inv(fwd(a, fshape, axes=axes) * fwd(b, fshape, axes=axes), fshape, axes=axes)
+    return out[tuple(slice(b.shape[i] - 1, a.shape[i]) if i in axes else slice(None)
+                     for i in range(a.ndim))]
 
 
-def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
-    """Mean of ``arr`` over the r-ball around each of its points, zero beyond
-    its edges (a linear, not periodic, convolution)."""
-    ball = _ball_mask(arr.ndim, r_px, N)
-    conv = _fftconvolve(arr, ball.astype(float), mode="same")
-    return np.maximum(conv, 0.0) / np.count_nonzero(ball)
-
-
-@lru_cache(maxsize=8)
-def _ball_spectrum(n: int, r_px: int, N: int) -> np.ndarray:
-    """Half spectrum of the r-ball indicator on the whole torus, offset 0 at
-    index 0: the circular convolution counterpart of :func:`_ball_mean_linear`."""
-    ball = np.zeros((N,) * n)
-    ball[tuple((_ball_offsets(n, r_px, N) % N).T)] = 1.0
+@lru_cache(maxsize=16)
+def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Half spectrum of the r-ball indicator on a periodic array of
+    ``shape``, offset 0 at index 0."""
+    ball = np.zeros(shape)
+    ball[tuple((_ball_offsets(n, r_px, N) % shape).T)] = 1.0
     spec = fft.rfftn(ball)
     spec.flags.writeable = False
     return spec
+
+
+def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
+    """Mean of ``arr`` over the r-ball around each of its points at least
+    ``r_px`` inside its edges: an array ``2 r_px`` shorter on every axis.
+
+    One circular convolution with the ball at ``next_fast_len`` of
+    ``arr``'s shape: from those points the ball reaches no wrapped sample.
+    """
+    fshape = tuple(fft.next_fast_len(m, True) for m in arr.shape)
+    conv = fft.irfftn(fft.rfftn(arr, fshape) * _ball_spectrum(arr.ndim, r_px, N, fshape),
+                      fshape)
+    conv = conv[tuple(slice(r_px, m - r_px) for m in arr.shape)]
+    return np.maximum(conv, 0.0) / len(_ball_offsets(arr.ndim, r_px, N))
 
 
 def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> float:
@@ -472,7 +465,7 @@ class MaximalEngine:
         kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
                         tuple(l - b + 1 for l, b in zip(zlo, shi)),
                         tuple(h - a for h, a in zip(zhi, slo)))
-        return _fftconvolve(kc, src, mode="valid")
+        return _fftconvolve(kc, src)
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
@@ -502,11 +495,11 @@ class MaximalEngine:
         lo, hi = zip(*self._expand(ywin, eps_px))
         if any(h - l > N for l, h in zip(lo, hi)):
             dens = dens_on((0,) * n, (N,) * n)
-            conv = fft.irfftn(fft.rfftn(dens) * _ball_spectrum(n, eps_px, N), s=dens.shape)
+            conv = fft.irfftn(fft.rfftn(dens) * _ball_spectrum(n, eps_px, N, dens.shape),
+                              s=dens.shape)
             conv = _wrap_take(conv, *zip(*ywin))
             return np.maximum(conv, 0.0) / len(_ball_offsets(n, eps_px, N))
-        inner = tuple(slice(eps_px, eps_px + (h - l)) for l, h in ywin)
-        return _ball_mean_linear(dens_on(lo, hi), eps_px, N)[inner]
+        return _ball_mean_linear(dens_on(lo, hi), eps_px, N)
 
     @staticmethod
     def _expand(window: Window, pad: int) -> Window:
@@ -597,10 +590,16 @@ class MaximalEngine:
 
     def _covered_mask(self, window: Window, mask_r: int) -> np.ndarray:
         """Points x in the window where B(x, mask_r) provably contains every
-        nonzero of f, so the masked input vanishes identically."""
+        nonzero of f, so the masked input vanishes identically: where, in the
+        minimal-image metric, x's distance to the center of a ball that holds
+        them plus its radius (triangle inequality), or to the farthest point
+        of their bounding index box, is at most mask_r."""
         center, radius = self._nz_ball
-        d2 = sum_of_squares([np.arange(l, h) - center[i] for i, (l, h) in enumerate(window)])
-        return np.sqrt(d2) + radius <= mask_r
+        N = self.spec.N
+        d2 = sum_of_squares([_torus_dist(c, l, h, N) for c, (l, h) in zip(center, window)])
+        far = [_torus_dist(np.arange(l, h)[:, None], idx.min(), idx.max() + 1, N).max(axis=1)
+               for idx, (l, h) in zip(self._nz, window)]
+        return (np.sqrt(d2) + radius <= mask_r) | (sum_of_squares(far) <= mask_r * mask_r)
 
     def _star_tiled(self, window: Window, eps_px: int) -> np.ndarray:
         """Snapped masks: every point of an eps-tile of the window takes the
@@ -645,10 +644,10 @@ class MaximalEngine:
         h = np.where(d2 <= mask_r * mask_r,
                      self.f.values[tuple(slice(a, b) for a, b in zip(hlo, hhi))], 0.0)
         gm = gz - self._truncate(h, hlo, eps_px, zlo, zhi)
-        # valid for y at least eps inside the z-window, i.e. on tile (+-eps)
+        # the means at y at least eps inside the z-window, i.e. on tile +- eps
         avg = _ball_mean_linear(np.abs(gm) ** q0, eps_px, N) ** (1.0 / q0)
         pat = _y_pattern(n, eps_px, N, self.cfg.y_thin)
-        return _pattern_max(avg, pat, (2 * eps_px,) * n,
+        return _pattern_max(avg, pat, (eps_px,) * n,
                             tuple(b - a for a, b in zip(tlo, thi)))
 
     def _star_displacement(self, window: Window, eps_px: int) -> np.ndarray:

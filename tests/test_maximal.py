@@ -1,11 +1,14 @@
 """Maximal operators: brute-force oracles, domination, scaling, weak type."""
 
+import itertools
+
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
+import scipy.fft
 
 import brlab.maximal as maximal
 from brlab.grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function
+from brlab.harness import ExperimentConfig, _trial_fields
 from brlab.maximal import (
     _STAR_BLOCK,
     SNAP_MIN_PX,
@@ -24,7 +27,7 @@ from brlab.maximal import (
     hl_maximal,
 )
 from brlab.multiplier import truncated_symbol
-from brlab.sparse import DyadicCube, root_cube
+from brlab.sparse import DyadicCube, exceptional_set, root_cube
 
 SPEC = GridSpec(n=2, L=8.0, N=64)
 DELTA = 0.3
@@ -181,6 +184,27 @@ class TestBrStar:
         star = br_star(f, DELTA, cfg).values
         for p, v in brute_star_at(f, DELTA, cfg, pts).items():
             assert abs(star[p] - v) < 1e-10 * scale, p
+
+    @pytest.mark.parametrize("n, N, eps_px", [(2, 16, 4), (3, 8, 2), (3, 32, 8)])
+    def test_zero_where_the_wrapped_mask_ball_holds_every_nonzero(self, n, N, eps_px):
+        # eps = N/4, f on a box at a corner of the grid: the mask ball
+        # B(x, 3 eps) wraps around the torus and holds every nonzero of f at
+        # points beyond the seam, where the definition gives exactly 0 (in
+        # 2-D at every point; eps = 8 runs the tiled path)
+        L = N / 5.0
+        spec = GridSpec(n=n, L=L, N=N)
+        f = SampledField(spec, np.zeros(spec.shape),
+                         support=Box((-L / 2,) * n, (-L / 2 + 2.5 * spec.dx,) * n))
+        f.values[(slice(0, 3),) * n] = np.random.default_rng(N).standard_normal((3,) * n)
+        m = eps_px.bit_length() - 1
+        star = br_star(f, DELTA, MaximalConfig(eps_min_exp=m, eps_max_exp=m)).values
+        pts, nz = np.indices(spec.shape).reshape(n, -1).T, np.argwhere(f.values)
+        diff = np.abs(pts[:, None] - nz[None])
+        wrapped = np.sum(np.minimum(diff, N - diff) ** 2, axis=-1) <= (3 * eps_px) ** 2
+        plain = np.sum(diff ** 2, axis=-1) <= (3 * eps_px) ** 2
+        covered = wrapped.all(axis=1)
+        assert (covered & ~plain.all(axis=1)).any() and (n == 2 or not covered.all())
+        assert np.all(star.reshape(-1)[covered] == 0.0)
 
     @pytest.mark.parametrize("N, eps_px", [(8, 1), (8, 2)])
     def test_displacement_path_wraps_partial_masks_in_three_dimensions(self, N, eps_px):
@@ -711,8 +735,7 @@ class TestSupportLocal:
         lo = tuple(l - eps_px for l, _ in ywin)
         hi = tuple(h + eps_px for _, h in ywin)
         assert hi[0] - lo[0] > SPEC.N
-        inner = tuple(slice(eps_px, eps_px + h - l) for l, h in ywin)
-        want = _ball_mean_linear(_wrap_take(dens, lo, hi), eps_px, SPEC.N)[inner]
+        want = _ball_mean_linear(_wrap_take(dens, lo, hi), eps_px, SPEC.N)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("N", [16, 64])
@@ -784,13 +807,32 @@ class TestBallAverage:
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
+def _direct_valid(a, b):
+    """The valid linear convolution as a direct sum over the smaller input's
+    points, with broadcasting on axes where either input has length 1."""
+    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
+    if not all(a.shape[i] >= b.shape[i] for i in axes):
+        a, b = b, a
+    shape = [a.shape[i] - b.shape[i] + 1 if i in axes else max(a.shape[i], b.shape[i])
+             for i in range(a.ndim)]
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for j in np.ndindex(*(b.shape[i] if i in axes else 1 for i in range(a.ndim))):
+        # out[x] += a[x + k - 1 - j] b[j] on the transformed axes
+        a_sl = tuple(slice(b.shape[i] - 1 - j[i], b.shape[i] - 1 - j[i] + shape[i])
+                     if i in axes else slice(None) for i in range(a.ndim))
+        b_sl = tuple(slice(j[i], j[i] + 1) if i in axes else slice(None)
+                     for i in range(a.ndim))
+        out = out + a[a_sl] * b[b_sl]
+    return out
+
+
 class TestFftconvolve:
-    """The ``scipy.fft`` linear convolution against SciPy's own, bitwise."""
+    """The valid linear convolution and the ball means against direct sums."""
 
     SHAPES = [
-        ((60,), (38,)),            # full length 97, not a fast FFT size
-        ((38,), (60,)),            # 'valid' with the second input the larger
-        ((50, 30), (48, 20)),      # full shape (97, 49)
+        ((60,), (38,)),            # larger length 60, a fast FFT size; 97 is not
+        ((38,), (60,)),            # the second input the larger
+        ((50, 30), (48, 20)),
         ((9, 12), (23, 31)),
         ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
         ((1, 7), (4, 1)),          # no axis left: the plain product
@@ -798,10 +840,9 @@ class TestFftconvolve:
         ((1,), (1,)),
     ]
 
-    @pytest.mark.parametrize("mode", ["same", "valid"])
     @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
     @pytest.mark.parametrize("shapes", SHAPES, ids=str)
-    def test_matches_scipy_signal(self, shapes, kinds, mode):
+    def test_matches_direct_sum(self, shapes, kinds):
         rng = np.random.default_rng(5)
 
         def draw(shape, kind):
@@ -809,14 +850,73 @@ class TestFftconvolve:
             return x + 1j * rng.standard_normal(shape) if kind == "c" else x
 
         a, b = (draw(s, k) for s, k in zip(shapes, kinds))
-        expected = fftconvolve(a, b, mode=mode)
-        got = _fftconvolve(a, b, mode=mode)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        want = _direct_valid(a, b)
+        got = _fftconvolve(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
 
     def test_valid_needs_one_input_containing_the_other(self):
         a, b = np.ones((5, 3)), np.ones((3, 5))
-        with pytest.raises(ValueError):
-            fftconvolve(a, b, mode="valid")
         with pytest.raises(ValueError, match="at least as large"):
-            _fftconvolve(a, b, mode="valid")
+            _fftconvolve(a, b)
+
+    @pytest.mark.parametrize("shape, r_px, N", [((23, 30), 1, 64), ((23, 30), 4, 64),
+                                                ((41,), 8, 32), ((9, 10, 11), 2, 8)])
+    def test_ball_mean_matches_direct_sum(self, shape, r_px, N):
+        # the mean over _ball_offsets at each point at least r_px inside
+        arr = np.random.default_rng(r_px).random(shape)
+        offs = _ball_offsets(len(shape), r_px, N)
+        inner = [range(r_px, m - r_px) for m in shape]
+        want = np.array([arr[tuple((offs + x).T)].mean() for x in itertools.product(*inner)])
+        got = _ball_mean_linear(arr, r_px, N)
+        assert got.shape == tuple(m - 2 * r_px for m in shape)
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * arr.max()
+
+    def test_transforms_at_the_larger_operands_fast_length(self, monkeypatch):
+        # every convolution of an N = 256 selection node (truncated fields,
+        # partial tiles, ball means) transforms each axis at next_fast_len
+        # of its larger operand, not of the full length m + k - 1
+        ecfg = ExperimentConfig(grid_n=256, eps_min_exp=2, seed=7, trials=1)
+        f, g = _trial_fields(ecfg, 0)
+        operands, checked = [], []
+
+        def spy_inverse(name, real):
+            inv = getattr(scipy.fft, name)
+
+            def spy(x, s=None, axes=None, *args, **kwargs):
+                if operands:
+                    fn, shapes = operands[-1]
+                    axes_ = range(len(s)) if axes is None else axes
+                    want = [scipy.fft.next_fast_len(max(m[i] for m in shapes), real)
+                            for i in axes_]
+                    assert list(s) == want, (fn, shapes, s)
+                    checked.append(fn)
+                return inv(x, s, axes, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, spy)
+
+        def spy_conv(name, operand_shapes):
+            fn = getattr(maximal, name)
+
+            def spy(*args):
+                operands.append((name, operand_shapes(*args)))
+                try:
+                    return fn(*args)
+                finally:
+                    operands.pop()
+            monkeypatch.setattr(maximal, name, spy)
+
+        spy_inverse("irfftn", True)
+        spy_inverse("ifftn", False)
+        spy_conv("_fftconvolve", lambda a, b: (a.shape, b.shape))
+        spy_conv("_ball_mean_linear", lambda arr, r, N: (arr.shape, (2 * r + 1,) * arr.ndim))
+        tiles, masked = [], MaximalEngine._masked_tile_values
+
+        def counted(eng, *args):
+            tiles.append(args[0])
+            return masked(eng, *args)
+        monkeypatch.setattr(MaximalEngine, "_masked_tile_values", counted)
+        exceptional_set(f, root_cube(f, g), ecfg.delta, ecfg.maximal_cfg())
+        assert set(checked) == {"_fftconvolve", "_ball_mean_linear"}
+        assert tiles, "the node has no partial tile"
