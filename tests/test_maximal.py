@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.signal import fftconvolve
 
 import brlab.maximal as maximal
 from brlab.grid import Box, GridSpec, SampledField, apply_symbol, lp_norm, make_test_function
@@ -855,6 +856,39 @@ class TestFftconvolve:
         assert got.dtype == want.dtype and got.shape == want.shape
         scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    @pytest.mark.parametrize("mode", ["same", "valid"])
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_scipy_signal(self, shapes, kinds, mode):
+        # SciPy's output of either mode and the valid convolution are crops of
+        # the full one (length m + k - 1 per axis, m where either input has
+        # length 1); they must agree on every full index both hold
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        expected = fftconvolve(a, b, mode=mode)
+        got = _fftconvolve(a, b)
+        assert got.dtype == expected.dtype
+        full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
+        got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
+        exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
+        lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
+        hi = [min(g + m, e + k) for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
+        if mode == "valid":
+            assert got.shape == expected.shape
+        assert all(h > l for l, h in zip(lo, hi))
+
+        def common(start):
+            return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
+
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
         assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
 
     def test_valid_needs_one_input_containing_the_other(self):
