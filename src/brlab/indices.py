@@ -224,6 +224,13 @@ class ExponentRecord:
         p0, q0, p = as_fraction(p0), as_fraction(q0), as_fraction(p)
         q = as_fraction(q) if q is not None else None
         delta = as_fraction(delta) if delta is not None else None
+        # the ranges ExperimentConfig enforces for every other subcommand
+        if not q0 > 1:
+            raise ValueError(f"q0 must be > 1, got {q0}")
+        if q is not None and not q >= 1:
+            raise ValueError(f"q must be >= 1, got {q}")
+        if delta is not None and delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         p1 = p1_of(p0)
         alphas = dict.fromkeys(("below2", "above2"))
         for side in alphas:

@@ -25,20 +25,19 @@ Every truncated field is read through ``MaximalEngine._truncate``: ``B_eps``
 of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
 index box ``Z``.  It is the exact valid convolution of the source with the
 wrapped kernel crop (``|Z| + |S| - 1`` points per axis), whose cost scales
-with the crop, not with ``N^n``.  Only when the crop is longer than ``N``
-on some axis does the source go on a zero grid for one
-``grid.apply_symbol`` call, which runs its transforms only on the rows of
-``S``, the symbol's band and the rows of ``Z``, with the bits of the
-whole-grid pair.  The kernel crop comes from ``_kernel_offsets``, the same
-pruned inverse read on the whole grid.  The choice depends on geometry
-alone, so results do not depend on call order.  Every linear convolution
-here (``_fftconvolve``, and ``_ball_mean_linear`` with a cached ball
-spectrum) computes only its valid part, from one circular convolution at
-``next_fast_len`` of the larger operand (overlap-save), on ``scipy.fft``
-like every other transform of brlab.  Two sources occur: f on its support
-box (``_g_window``, read by the ball means of the unmasked y-max, by
-``br_star``'s partial tiles and by the displacement path), and f cut to a
-partial tile's mask ball, on the bounding box of its nonzeros there.
+with the crop, not with ``N^n``; a crop longer than ``N`` holds some kernel
+offsets twice and is still exact.  The kernel comes from
+``_kernel_offsets``, the pruned inverse read of the symbol on the whole
+grid.  Every linear convolution here (``_fftconvolve``, and
+``_ball_mean_linear`` with a cached ball spectrum) computes only its valid
+part, from one circular convolution at ``next_fast_len`` of the larger
+operand (overlap-save), on ``scipy.fft`` like every other transform of
+brlab.  Two sources occur: f on its support box (``_g_window``, read by the
+unmasked y-max, by ``br_star``'s partial tiles and by the displacement
+path), and f cut to a partial tile's mask ball, on the bounding box of its
+nonzeros there.  One ``_y_max`` turns a truncated field on a box
+``+- 2 eps`` into its y-maxed ball L^{q0} means: for ``br_starstar``, for
+``br_star``'s disjoint tiles and for its partial tiles.
 
 ``br_star`` masks depend on the evaluation point, which is the expensive
 part.  Each radius first tests which window points x have a mask ball
@@ -66,10 +65,9 @@ radius then picks one of two paths:
 Every ball mean is a linear convolution over a periodically wrapped crop
 of the window plus the radius, kept on the window: ``eps <= N/4`` keeps
 the ball's offsets distinct mod ``N``, so the crop gives exact torus means
-even where it holds a grid point twice.  A crop wider than the grid
-(``eps = N/4`` around a small window) takes one circular convolution of
-the whole-grid density with the ball instead.  All ball geometry uses grid
-pixels with the minimal-image torus metric, ties at the boundary included.
+even where it is wider than the grid and holds a grid point twice.  All
+ball geometry uses grid pixels with the minimal-image torus metric, ties
+at the boundary included.
 
 Radius bounds
 -------------
@@ -112,9 +110,9 @@ A selection node also passes its ``6Q`` box, and the engine then reads
 ``f * 1_{6Q}`` without building it: the support index box is the box's
 sample ranges cut to f's support, and the reads that reach past it (HL's
 density crop and the displacement path's f-window) are one wrapped take
-that is exactly +0.0 outside it.  The public operators pass no box.
-Whole-grid arrays remain only in the geometry fallbacks of ``_truncate``
-and of ``_ball_mean_window``'s torus branch.
+that is exactly +0.0 outside it.  The public operators pass no box; their
+whole-grid window takes crops longer than the grid, through the same
+convolutions.
 """
 
 from __future__ import annotations
@@ -127,8 +125,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _wrap_take, apply_symbol, lp_mean,
-                   sum_of_squares, symbol_kernel)
+from .grid import (Box, GridSpec, SampledField, _wrap_take, lp_mean, sum_of_squares,
+                   symbol_kernel)
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -444,24 +442,15 @@ class MaximalEngine:
         ``g(z) = sum_{u in S} K((z - u) mod N) src(u - slo)`` over the box
         ``S = [slo, shi)`` is the ``mode="valid"`` convolution of ``src``
         with the kernel crop of offsets ``[zlo - shi + 1, zhi - slo)``.  That
-        is exact for any z-box: the points of ``S`` are distinct, and a
-        kernel offset the crop holds twice is read correctly both times.
-        Where the convolution would be longer than the grid on some axis,
-        ``src`` goes on a zero grid for one symbol application with source
-        box ``S`` and read box ``Z`` instead; the choice depends on geometry
-        only.
+        is exact for any z-box, also where the crop is longer than the grid:
+        the points of ``S`` are distinct, and a kernel offset the crop holds
+        twice is read correctly both times.
         """
         spec = self.spec
-        zshape = tuple(h - l for l, h in zip(zlo, zhi))
         if src.size == 0:
-            return np.zeros(zshape, dtype=src.dtype)
+            return np.zeros(tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
         eps = _trunc_eps(spec, eps_px)
         shi = tuple(a + s for a, s in zip(slo, src.shape))
-        if any(z + s - 1 > spec.N for z, s in zip(zshape, src.shape)):
-            vals = np.zeros(spec.shape, dtype=src.dtype)
-            vals[tuple(slice(a, b) for a, b in zip(slo, shi))] = src
-            return apply_symbol(vals, truncated_symbol(spec, self.delta, eps),
-                                list(zip(slo, shi)), list(zip(zlo, zhi)))
         kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
                         tuple(l - b + 1 for l, b in zip(zlo, shi)),
                         tuple(h - a for h, a in zip(zhi, slo)))
@@ -479,42 +468,18 @@ class MaximalEngine:
             self._g[key] = g
         return self._g[key]
 
-    def _ball_mean_window(self, dens_on, eps_px: int, ywin: Window) -> np.ndarray:
-        """Mean over eps-balls centered at each point of ``ywin`` of a
-        density, which ``dens_on(lo, hi)`` gives on the wrapped index box
-        ``[lo, hi)``.
-
-        Where the crop ``ywin +- eps`` fits in the grid, a linear convolution
-        over it is exact on the torus: ``eps_px <= N/4`` keeps the offsets of
-        the minimal-image ball distinct mod N, so each point of a ball is
-        counted once even where the crop holds a grid point twice.  A crop
-        wider than the grid on some axis takes one circular convolution of
-        the whole-grid density with the ball instead.
-        """
-        n, N = self.spec.n, self.spec.N
-        lo, hi = zip(*self._expand(ywin, eps_px))
-        if any(h - l > N for l, h in zip(lo, hi)):
-            dens = dens_on((0,) * n, (N,) * n)
-            conv = fft.irfftn(fft.rfftn(dens) * _ball_spectrum(n, eps_px, N, dens.shape),
-                              s=dens.shape)
-            conv = _wrap_take(conv, *zip(*ywin))
-            return np.maximum(conv, 0.0) / len(_ball_offsets(n, eps_px, N))
-        return _ball_mean_linear(dens_on(lo, hi), eps_px, N)
-
     @staticmethod
     def _expand(window: Window, pad: int) -> Window:
         return tuple((l - pad, h + pad) for l, h in window)
 
-    def _y_max(self, eps_px: int, window: Window) -> np.ndarray:
+    def _y_max(self, g: np.ndarray, eps_px: int) -> np.ndarray:
         """max over candidate centers y (|y - x| <= eps) of the ball L^{q0}
-        average of the unmasked truncated field, for x in ``window``."""
-        q0 = self.cfg.q0
-        mean = self._ball_mean_window(
-            lambda lo, hi: np.abs(self._g_window(eps_px, lo, hi)) ** q0,
-            eps_px, self._expand(window, eps_px))
-        pat = _y_pattern(self.spec.n, eps_px, self.spec.N, self.cfg.y_thin)
-        return _pattern_max(mean ** (1.0 / q0), pat, (eps_px,) * self.spec.n,
-                            tuple(h - l for l, h in window))
+        average of a truncated field ``g`` given on a box +- 2 eps, for x in
+        that box: no candidate's ball reaches a sample outside ``g``."""
+        n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
+        avg = _ball_mean_linear(np.abs(g) ** q0, eps_px, N) ** (1.0 / q0)
+        return _pattern_max(avg, _y_pattern(n, eps_px, N, self.cfg.y_thin), (eps_px,) * n,
+                            tuple(m - 4 * eps_px for m in g.shape))
 
     # -- one radius of each operator ---------------------------------------
     # Each step raises its accumulator in place, unless the radius's bound
@@ -522,14 +487,15 @@ class MaximalEngine:
 
     def _starstar_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
         if self._l2_bound(eps_px) > acc.min():
-            np.maximum(acc, self._y_max(eps_px, window), out=acc)
+            g = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
+            np.maximum(acc, self._y_max(g, eps_px), out=acc)
 
     def _hl_step(self, window: Window, r_px: int, best: np.ndarray) -> None:
         """``best`` holds the running max of the ball means of ``|f|^p0``."""
         p0 = self.cfg.p0
         if self._hl_bound(r_px) > best.min() ** (1.0 / p0):
-            np.maximum(best, self._ball_mean_window(
-                lambda lo, hi: np.abs(self._f_take(lo, hi)) ** p0, r_px, window), out=best)
+            dens = np.abs(self._f_take(*zip(*self._expand(window, r_px)))) ** p0
+            np.maximum(best, _ball_mean_linear(dens, r_px, self.spec.N), out=best)
 
     def _star_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
         if not self._bounded:
@@ -609,22 +575,22 @@ class MaximalEngine:
         tile is partial."""
         mask_r = 3 * eps_px
         vals = np.zeros(tuple(h - l for l, h in window))
-        avg = None  # y-maxed unmasked average on the window, for disjoint tiles
-        gwin = None  # truncated field on the window +- 2 eps, for partial tiles
+        gwin = None  # truncated field on the window +- 2 eps, once a tile needs it
+        avg = None  # its y-max on the window, for disjoint tiles
         for tlo in itertools.product(*(range(l, h, eps_px) for l, h in window)):
             thi = tuple(min(a + eps_px, h) for a, (_, h) in zip(tlo, window))
             center = [a + (b - a) // 2 for a, b in zip(tlo, thi)]
             inside = self._nz_in_ball(center, mask_r)
             if inside.all():
                 continue
+            if gwin is None:
+                gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
             rel = tuple(slice(a - l, b - l) for a, b, (l, _) in zip(tlo, thi, window))
             if not inside.any():
                 if avg is None:
-                    avg = self._y_max(eps_px, window)
+                    avg = self._y_max(gwin, eps_px)
                 vals[rel] = avg[rel]
                 continue
-            if gwin is None:
-                gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
             gz = gwin[tuple(slice(r.start, r.stop + 4 * eps_px) for r in rel)]
             vals[rel] = self._masked_tile_values(tlo, thi, center, inside, eps_px, gz)
         return vals
@@ -634,8 +600,7 @@ class MaximalEngine:
         outside ``B(center, 3 eps)``, whose nonzeros ``inside`` marks: the
         truncated field ``gz`` on the tile +- 2 eps minus ``B_eps`` of f cut
         to the ball, on the bounding box of its nonzeros there."""
-        n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
-        mask_r = 3 * eps_px
+        N, mask_r = self.spec.N, 3 * eps_px
         zlo = tuple(a - 2 * eps_px for a in tlo)
         zhi = tuple(b + 2 * eps_px for b in thi)
         hlo, hhi = zip(*((int(sel.min()), int(sel.max()) + 1)
@@ -643,12 +608,7 @@ class MaximalEngine:
         d2 = sum_of_squares([_torus_dist(c, a, b, N) for c, a, b in zip(center, hlo, hhi)])
         h = np.where(d2 <= mask_r * mask_r,
                      self.f.values[tuple(slice(a, b) for a, b in zip(hlo, hhi))], 0.0)
-        gm = gz - self._truncate(h, hlo, eps_px, zlo, zhi)
-        # the means at y at least eps inside the z-window, i.e. on tile +- eps
-        avg = _ball_mean_linear(np.abs(gm) ** q0, eps_px, N) ** (1.0 / q0)
-        pat = _y_pattern(n, eps_px, N, self.cfg.y_thin)
-        return _pattern_max(avg, pat, (eps_px,) * n,
-                            tuple(b - a for a, b in zip(tlo, thi)))
+        return self._y_max(gz - self._truncate(h, hlo, eps_px, zlo, zhi), eps_px)
 
     def _star_displacement(self, window: Window, eps_px: int) -> np.ndarray:
         """Exact per-point masks for small radii, as two matrix products.

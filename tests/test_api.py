@@ -21,13 +21,13 @@ def test_all_names_resolve(name):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
-    # brlab uses scipy.fft, scipy.special and scipy.ndimage only; the signal
-    # module (with the stats and interpolate modules it pulls in) tripled
-    # the start-up time of every CLI call
+    # of scipy's subpackages, importing the CLI loads scipy.fft and
+    # scipy.special only; the signal module (with the stats and interpolate
+    # modules it pulls in) tripled the start-up time of every CLI call
     src = str(Path(brlab.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import brlab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate', "
+            "'scipy.ndimage') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

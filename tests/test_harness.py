@@ -12,7 +12,6 @@ from scipy import fft
 import brlab.cli as cli
 import brlab.grid as grid
 import brlab.harness as harness
-import brlab.maximal as maximal
 from brlab.cli import main as cli_main
 from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function,
                         read_field, write_field)
@@ -33,7 +32,7 @@ from brlab.harness import (
 )
 from brlab.maximal import ball_average
 from brlab.multiplier import apply_Sk, bochner_riesz_symbol, sk_symbol
-from brlab.sparse import bilinear_pairing, build_sparse
+from brlab.sparse import bilinear_pairing
 from brlab.weights import random_smooth_weight
 
 SMALL = dict(grid_l=16.0, grid_n=256, trials=2, seed=11, eps_min_exp=2)
@@ -307,23 +306,6 @@ class TestOneFFTBackend:
         assert np.array_equal(read_field(tmp_path / "f.txt").values, f.values)
 
 
-class TestNodeLocality:
-    # Selection nodes never build a whole-grid truncated field: every
-    # truncated field on the sweep's trials at N = 256 and 512 comes from a
-    # window-sized convolution.
-    @pytest.mark.parametrize("grid_n, eps_min_exp", [(256, 2), (512, 3)])
-    def test_no_whole_grid_truncated_field(self, monkeypatch, grid_n, eps_min_exp):
-        def refuse(*args, **kwargs):
-            raise AssertionError("whole-grid truncated field in a selection node")
-
-        monkeypatch.setattr(maximal, "apply_symbol", refuse)
-        cfg = ExperimentConfig(grid_n=grid_n, eps_min_exp=eps_min_exp, seed=7)
-        for trial in range(3):
-            f, g = _trial_fields(cfg, trial)
-            coll, trace = build_sparse(f, g, cfg.delta, cfg.maximal_cfg())
-            assert coll.cubes and trace.nodes
-
-
 def whole_grid(values, symbol):
     """The whole-grid real transform pair that ``grid.apply_symbol`` prunes."""
     x = fft.ifftshift(values)
@@ -368,8 +350,8 @@ class TestBandLimitedReads:
 
     @pytest.mark.parametrize("run", [run_prop41, run_prop42], ids=["prop41", "prop42"])
     def test_c2r_rows_within_read_box(self, run, monkeypatch):
-        # like TestNodeLocality: fails if an S_k application of the local
-        # estimates inverts more rows than its read box holds
+        # fails if an S_k application of the local estimates inverts more
+        # rows than its read box holds
         made, checked = [], []
 
         class CountingFFT:
@@ -727,3 +709,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("precondition error:") and captured.err.count("\n") == 1
         assert "dimension" in captured.err and argv[1] in captured.err
+
+    @pytest.mark.parametrize("argv, name", [(["--q0", "1/2"], "q0"), (["--q0", "-3"], "q0"),
+                                            (["--q", "0"], "q"), (["--q", "-1"], "q"),
+                                            (["--delta-exact", "-1"], "delta")])
+    def test_indices_rejects_exponents_out_of_range(self, capsys, argv, name):
+        # the ranges every other subcommand enforces: q0 > 1, q >= 1, delta >= 0
+        assert cli_main(["indices"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:") and captured.err.count("\n") == 1
+        assert f"{name} must be" in captured.err and argv[1] in captured.err

@@ -44,24 +44,39 @@ def _apply_sym(vals, sym):
     return np.fft.fftshift(np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(vals)) * sym))
 
 
-def brute_starstar(f, delta, cfg):
-    """Independent evaluation: explicit loops over centers and candidates."""
+def brute_starstar(f, delta, cfg, points=None):
+    """Independent evaluation: explicit loops over centers and candidates,
+    at the index pairs ``points`` (default: the whole grid, as an array of
+    its shape)."""
     spec = f.spec
     N = spec.N
-    out = np.zeros(spec.shape)
+    pts = list(itertools.product(range(N), repeat=2)) if points is None else points
+    out = np.zeros(len(pts))
     for eps_px in cfg.eps_px_list(spec):
         sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
         dens = np.abs(_apply_sym(f.values, sym)) ** cfg.q0
         b = _ball_offsets(spec.n, eps_px, N)
         pat = _y_pattern(spec.n, eps_px, N, cfg.y_thin)
-        for x0 in range(N):
-            for x1 in range(N):
-                best = out[x0, x1]
-                for a in pat:
-                    y = ((x0 + a[0]) % N, (x1 + a[1]) % N)
-                    s = dens[((b[:, 0] + y[0]) % N, (b[:, 1] + y[1]) % N)].mean()
-                    best = max(best, s ** (1.0 / cfg.q0))
-                out[x0, x1] = best
+        for i, (x0, x1) in enumerate(pts):
+            best = out[i]
+            for a in pat:
+                y = ((x0 + a[0]) % N, (x1 + a[1]) % N)
+                s = dens[((b[:, 0] + y[0]) % N, (b[:, 1] + y[1]) % N)].mean()
+                best = max(best, s ** (1.0 / cfg.q0))
+            out[i] = best
+    return out.reshape(spec.shape) if points is None else out
+
+
+def brute_hl(f, cfg, points):
+    """L^{p0} HL maximal function by explicit ball sums at the index pairs
+    ``points``."""
+    dens, N = np.abs(f.values) ** cfg.p0, f.spec.N
+    out = np.zeros(len(points))
+    for i, (x0, x1) in enumerate(points):
+        for eps_px in cfg.eps_px_list(f.spec):
+            b = _ball_offsets(2, eps_px, N)
+            s = dens[((b[:, 0] + x0) % N, (b[:, 1] + x1) % N)].mean()
+            out[i] = max(out[i], s ** (1 / cfg.p0))
     return out
 
 
@@ -101,15 +116,8 @@ class TestHardyLittlewood:
     def test_indicator_against_brute_force(self):
         f = make_test_function(SPEC, "bump", radius=0.5, amp=2.0)
         out = hl_maximal(f, CFG).values
-        dens = np.abs(f.values) ** 1.2
-        N = SPEC.N
-        rng = np.random.default_rng(0)
-        for x0, x1 in rng.integers(0, N, size=(25, 2)):
-            best = 0.0
-            for eps_px in CFG.eps_px_list(SPEC):
-                b = _ball_offsets(2, eps_px, N)
-                s = dens[((b[:, 0] + x0) % N, (b[:, 1] + x1) % N)].mean()
-                best = max(best, s ** (1 / 1.2))
+        pts = np.random.default_rng(0).integers(0, SPEC.N, size=(25, 2))
+        for (x0, x1), best in zip(pts, brute_hl(f, CFG, pts)):
             assert out[x0, x1] == pytest.approx(best, rel=1e-10, abs=1e-13)
 
     def test_bounded_over_random_fields(self):
@@ -153,6 +161,22 @@ class TestBrStarStar:
         ss = br_starstar(f, DELTA, MaximalConfig(p0=1.2, q0=2.0)).values
         slack = 0.1 * bf.max()
         assert np.all(bf <= ss + slack)
+
+
+class TestNoSupportBox:
+    # A field with no declared support box: the crops of the whole-grid
+    # window are longer than the grid at every radius, up to eps = N/4.
+    @pytest.mark.parametrize("op", ["hl", "starstar"])
+    def test_matches_brute_force(self, op):
+        f = SampledField(SPEC, spiky_field().values)
+        assert f.support is None and max(CFG.eps_px_list(SPEC)) == SPEC.N // 4
+        pts = [tuple(p) for p in np.random.default_rng(4).integers(0, SPEC.N, size=(32, 2))]
+        if op == "hl":
+            out, want = hl_maximal(f, CFG).values, brute_hl(f, CFG, pts)
+        else:
+            out, want = br_starstar(f, DELTA, CFG).values, brute_starstar(f, DELTA, CFG, pts)
+        got = np.array([out[p] for p in pts])
+        assert np.max(np.abs(got - want)) <= 1e-10 * want.max()
 
 
 class TestBrStar:
@@ -402,7 +426,7 @@ OPERATORS = ("star", "starstar", "hl")
 
 
 # the call each operator makes once for every radius it evaluates
-_EVALUATES = {"star": "_covered_mask", "starstar": "_y_max", "hl": "_ball_mean_window"}
+_EVALUATES = {"star": "_covered_mask", "starstar": "_y_max", "hl": "_f_take"}
 
 
 def _radii_evaluated(monkeypatch, eng, op, window):
@@ -462,12 +486,13 @@ class TestRadiusPruning:
             assert l2 == sorted(l2, reverse=True) and hl == sorted(hl, reverse=True)
             assert np.isfinite(l2).all()
             for eps_px, b_l2, b_hl in zip(eng.eps_list, l2, hl):
-                assert eng._y_max(eps_px, window).max() <= b_l2, eps_px
+                g = eng._g_window(eps_px, *zip(*eng._expand(window, 2 * eps_px)))
+                assert eng._y_max(g, eps_px).max() <= b_l2, eps_px
                 assert eng._star_tiled(window, eps_px).max() <= b_l2, eps_px
                 if eps_px <= SNAP_MIN_PX:
                     assert eng._star_displacement(window, eps_px).max() <= b_l2, eps_px
-                mean = eng._ball_mean_window(
-                    lambda lo, hi: np.abs(eng._f_take(lo, hi)) ** cfg.p0, eps_px, window)
+                dens = np.abs(eng._f_take(*zip(*eng._expand(window, eps_px)))) ** cfg.p0
+                mean = _ball_mean_linear(dens, eps_px, f.spec.N)
                 assert mean.max() ** (1.0 / cfg.p0) <= b_hl, eps_px
 
     @pytest.mark.parametrize("seed", [3, 5, 11])
@@ -652,8 +677,8 @@ class TestYPattern:
 
 class TestSupportLocal:
     # The truncated field of a box-supported source on a z-box is a valid
-    # convolution over the source box when that fits in the grid, else one
-    # whole-grid symbol application of the source on a zero grid.
+    # convolution over the source box, also where that is longer than the
+    # grid and the kernel crop holds some offsets twice.
     EPS_PX = 4
 
     def _fields(self):
@@ -664,39 +689,29 @@ class TestSupportLocal:
 
     # (zlo, zhi, fits): the support crop is [28, 36) x [29, 38); the second,
     # fourth and fifth boxes wrap across the grid edge, and the sixth is as
-    # long as fits (57 + 8 - 1 = N on axis 0)
+    # long as fits (57 + 8 - 1 = N on axis 0).  The convolution of the two
+    # boxes that do not fit is longer than the grid, as is every one of the
+    # unsupported field.
     ZBOXES = [((20, 30), (36, 41), True), ((-9, 50), (5, 70), True),
               ((0, 0), (47, 12), True), ((-20, 10), (40, 18), False),
               ((3, -7), (80, 30), False), ((0, 0), (57, 12), True)]
 
-    @staticmethod
-    def _count_whole_grid(monkeypatch):
-        calls = []
-
-        def counting(values, symbol, *boxes):
-            calls.append(values.shape)
-            return apply_symbol(values, symbol, *boxes)
-
-        monkeypatch.setattr(maximal, "apply_symbol", counting)
-        return calls
-
     @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
-    def test_g_window_matches_whole_grid_field(self, kind, monkeypatch):
+    def test_g_window_matches_whole_grid_field(self, kind):
         f = self._fields()[kind]
         sym = truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx)
         g = apply_symbol(f.values, sym)
-        calls = self._count_whole_grid(monkeypatch)
         for zlo, zhi, fits in self.ZBOXES:
-            calls.clear()
-            got = MaximalEngine(f, DELTA, CFG)._g_window(self.EPS_PX, zlo, zhi)
+            eng = MaximalEngine(f, DELTA, CFG)
+            got = eng._g_window(self.EPS_PX, zlo, zhi)
             want = _wrap_take(g, zlo, zhi)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(g)), (zlo, zhi)
-            # the whole-grid field is built only when the crop cannot fit
-            assert len(calls) == (not fits or kind == "unsupported"), (zlo, zhi)
+            crop = [b - a + s - 1 for a, b, s in zip(zlo, zhi, eng._fs.shape)]
+            assert (max(crop) <= SPEC.N) == (fits and kind != "unsupported"), (zlo, zhi)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
-    def test_masked_tile_source_matches_whole_grid_field(self, kind, monkeypatch):
+    def test_masked_tile_source_matches_whole_grid_field(self, kind):
         # a partial tile's source: f cut to the mask ball B(c, 3 eps) of a
         # tile center c, on the bounding box of its nonzeros there
         f = self._fields()[kind]
@@ -709,18 +724,15 @@ class TestSupportLocal:
         lo, hi = nz.min(axis=0), nz.max(axis=0) + 1
         src = h[lo[0]:hi[0], lo[1]:hi[1]]
         g = apply_symbol(h, truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx))
-        calls, paths = self._count_whole_grid(monkeypatch), set()
+        fits = set()
         for zlo, zhi, _ in self.ZBOXES:
-            calls.clear()
             eng = MaximalEngine(f, DELTA, CFG)
             got = eng._truncate(src, tuple(int(a) for a in lo), self.EPS_PX, zlo, zhi)
             want = _wrap_take(g, zlo, zhi)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(g)), (zlo, zhi)
-            fits = all(b - a + s - 1 <= SPEC.N for a, b, s in zip(zlo, zhi, src.shape))
-            assert len(calls) == (not fits), (zlo, zhi)
-            paths.add(fits)
-        assert paths == {True, False}
+            fits.add(all(b - a + s - 1 <= SPEC.N for a, b, s in zip(zlo, zhi, src.shape)))
+        assert fits == {True, False}
 
     def test_g_window_of_empty_support_box_is_zero(self):
         f = SampledField(SPEC, np.zeros(SPEC.shape), support=Box((0.01, 0.01), (0.1, 0.1)))
@@ -728,15 +740,18 @@ class TestSupportLocal:
 
     @pytest.mark.parametrize("ywin", [((10, 50), (3, 20)), ((-12, 30), (40, 70))])
     def test_torus_ball_mean_matches_crop(self, ywin):
-        # eps = N/4: the crop ywin +- eps is wider than the grid on axis 0
-        eps_px = SPEC.N // 4
+        # eps = N/4: the crop ywin +- eps is wider than the grid on axis 0,
+        # and its linear ball mean is still the torus mean of each ball
+        eps_px, N = SPEC.N // 4, SPEC.N
         dens = np.abs(spiky_field(seed=3).values) ** 1.2 + 0.1
-        eng = MaximalEngine(spiky_field(seed=3), DELTA, CFG)
-        got = eng._ball_mean_window(lambda lo, hi: _wrap_take(dens, lo, hi), eps_px, ywin)
         lo = tuple(l - eps_px for l, _ in ywin)
         hi = tuple(h + eps_px for _, h in ywin)
-        assert hi[0] - lo[0] > SPEC.N
-        want = _ball_mean_linear(_wrap_take(dens, lo, hi), eps_px, SPEC.N)
+        assert hi[0] - lo[0] > N
+        got = _ball_mean_linear(_wrap_take(dens, lo, hi), eps_px, N)
+        want = np.zeros(got.shape)
+        for off in _ball_offsets(2, eps_px, N):
+            want += dens[np.ix_(*((np.arange(l, h) + o) % N for (l, h), o in zip(ywin, off)))]
+        want /= len(_ball_offsets(2, eps_px, N))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("N", [16, 64])
