@@ -7,7 +7,8 @@ Three operators act on a field ``f``:
 * ``br_starstar``     -- sup over radii ``eps`` and centers ``y`` near ``x``
   of local L^{q0} averages of the truncated multiplier applied to ``f``.
 * ``br_star``         -- same, but the input is masked outside the ball
-  ``B(x, 3 eps)`` first (the off-diagonal / tail operator).
+  ``B(c, 3 eps)`` first, ``c`` the center of x's tile (the off-diagonal /
+  tail operator).
 
 Discretization policy
 ---------------------
@@ -15,52 +16,48 @@ The continuum sup over ``eps > 0`` and ``|x - y| < eps`` is replaced by a
 finite dyadic radius set and a per-ball candidate set of at most
 ``y_thin`` centers.  That discretization alone gives lower bounds of the
 continuum operators, which the selection algorithm absorbs into its
-adaptive threshold constant.  The mask snapping of ``br_star`` below is not
-one-sided: the tiled path can exceed the masked operator's definition
-(the exact ``br_star`` item of ROADMAP.md replaces it).
+adaptive threshold constant.
+
+The mask of ``br_star``
+-----------------------
+At radius ``eps`` the window is cut into tiles of side
+``t = min(eps, window side)`` from its low corner, and ``x`` takes the mask
+ball ``B(c, 3 eps)`` of its tile's center ``c``: the form of Lerner's local
+grand maximal truncation, which masks ``1_{(3Q)^c}`` for the dyadic cube
+``Q`` that holds ``x``.  As ``|x - c| <= (sqrt(n)/2) eps``, the triangle
+inequality of the minimal-image metric gives what the sparse argument
+needs.  Every averaging ball ``B(y, eps)`` with ``|y - x| <= eps`` lies in
+``B(c, (2 + sqrt(n)/2) eps)``, at least ``(1 - sqrt(n)/2) eps > 0`` inside
+the mask ball for ``n <= 3``, so the masked input stays that far from it;
+and the mask ball lies between ``B(x, (3 - sqrt(n)/2) eps)`` and
+``B(x, (3 + sqrt(n)/2) eps)``.
+
+A tile whose mask ball holds every nonzero of f is covered (value 0), one
+whose ball holds none is disjoint (the unmasked y-max), and any other is
+partial.  The partial tiles of a radius run as one stack along a leading
+axis: f on each center's mask-ball box (one read of their union) cut to
+the ball, one valid convolution with the kernel crop they share (both
+boxes sit at fixed offsets from the center), subtracted from the tiles'
+crops of ``B_eps f``, and one ``_y_max``.  Every transform acts on the
+trailing axes line by line, so each tile keeps the bits of its own call.
 
 Truncated fields
 ----------------
 Every truncated field is read through ``MaximalEngine._truncate``: ``B_eps``
 of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
-index box ``Z``.  It is the exact valid convolution of the source with the
-wrapped kernel crop (``|Z| + |S| - 1`` points per axis), whose cost scales
-with the crop, not with ``N^n``; a crop longer than ``N`` holds some kernel
-offsets twice and is still exact.  The kernel comes from
+index box ``Z``, as the exact valid convolution of the source with the
+wrapped kernel crop (``|Z| + |S| - 1`` points per axis): its cost scales
+with the crop, not with ``N^n``, and a crop longer than ``N`` holds some
+kernel offsets twice and is still exact.  The kernel comes from
 ``_kernel_offsets``, the pruned inverse read of the symbol on the whole
 grid.  Every linear convolution here (``_fftconvolve``, and
 ``_ball_mean_linear`` with a cached ball spectrum) computes only its valid
 part, from one circular convolution at ``next_fast_len`` of the larger
 operand (overlap-save), on ``scipy.fft`` like every other transform of
-brlab.  Two sources occur: f on its support box (``_g_window``, read by the
-unmasked y-max, by ``br_star``'s partial tiles and by the displacement
-path), and f cut to a partial tile's mask ball, on the bounding box of its
-nonzeros there.  One ``_y_max`` turns a truncated field on a box
-``+- 2 eps`` into its y-maxed ball L^{q0} means: for ``br_starstar``, for
-``br_star``'s disjoint tiles and for its partial tiles.
-
-``br_star`` masks depend on the evaluation point, which is the expensive
-part.  Each radius first tests which window points x have a mask ball
-``B(x, 3 eps)`` that provably holds every nonzero of f: there the value is
-0, and a radius where every point is covered does no masking work.  The
-radius then picks one of two paths:
-
-* small radii (``eps < SNAP_MIN_PX`` pixels): the masked transform is
-  evaluated exactly at every point of the window, as two matrix products
-  per block of ``_STAR_BLOCK`` window points.  The near field
-  ``near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u)`` at each
-  displacement ``|d| <= 2 eps`` is the block's patches of a periodically
-  wrapped crop of ``f`` times the cached kernel matrix ``K(d - u)``; the
-  candidates' ball sums of ``|g(x + d) - near(x, d)|^q0``, with ``g`` read
-  from one ``_g_window`` over the window ``+- 2 eps``, are one product with
-  the cached candidate/displacement incidence matrix;
-* large radii (``eps >= SNAP_MIN_PX``): mask centers are snapped to a
-  per-scale tile lattice of side ``eps`` (``|x - x'| <= eps/2``).  Each
-  tile is classified exactly by counting f's nonzeros in its center's mask
-  ball: a ball that holds all of them gives 0 (covered), one that holds
-  none gives the unmasked y-max (disjoint).  A partial tile subtracts the
-  truncated field of f cut to the ball from ``g`` on the tile ``+- 2 eps``,
-  a slice of one ``_g_window`` over the whole window ``+- 2 eps``.
+brlab.  ``_g_window`` computes the N-periodic ``B_eps f`` of f on its support
+box at up to ``N`` points per axis and repeats them on a longer box.  One
+``_y_max`` turns a truncated field on a box ``+- 2 eps`` into its y-maxed
+ball L^{q0} means, for ``br_starstar`` and for both kinds of tiles.
 
 Every ball mean is a linear convolution over a periodically wrapped crop
 of the window plus the radius, kept on the window: ``eps <= N/4`` keeps
@@ -78,7 +75,7 @@ exceeds the density's total over the ball's point count, so the HL bound
 at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``.  The truncated
 symbol lies in [0, 1], and discrete Parseval gives
 ``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and for every
-masked restriction ``h = f 1_{B(x, 3 eps)^c}``; so for ``q0 == 2``
+masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2``
 ``br_starstar`` and ``br_star`` share the bound
 ``l2 = (sum |f|^2 / |ball_eps|)^(1/2)``.  For ``q0 > 2``, Cauchy-Schwarz
 also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
@@ -109,7 +106,7 @@ accumulators and crops; the public operators pass the whole grid.
 A selection node also passes its ``6Q`` box, and the engine then reads
 ``f * 1_{6Q}`` without building it: the support index box is the box's
 sample ranges cut to f's support, and the reads that reach past it (HL's
-density crop and the displacement path's f-window) are one wrapped take
+density crop and the partial tiles' mask-ball boxes) are one wrapped take
 that is exactly +0.0 outside it.  The public operators pass no box; their
 whole-grid window takes crops longer than the grid, through the same
 convolutions.
@@ -123,6 +120,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
 from .grid import (Box, GridSpec, SampledField, _wrap_take, lp_mean, sum_of_squares,
@@ -140,7 +138,6 @@ __all__ = [
 ]
 
 
-SNAP_MIN_PX = 8  # br_star radii from here on snap mask centers to the tile lattice
 _MARGIN = 1.0 + 1e-9  # radius bounds absorb the rounding of the FFT means
 
 
@@ -260,18 +257,35 @@ def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndar
     return spec
 
 
-def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int) -> np.ndarray:
+def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int, n: int | None = None) -> np.ndarray:
     """Mean of ``arr`` over the r-ball around each of its points at least
-    ``r_px`` inside its edges: an array ``2 r_px`` shorter on every axis.
+    ``r_px`` inside its edges, on its trailing ``n`` axes (default: all of
+    them; leading axes stack independent arrays): an array ``2 r_px``
+    shorter on each of those axes.
 
     One circular convolution with the ball at ``next_fast_len`` of
     ``arr``'s shape: from those points the ball reaches no wrapped sample.
     """
-    fshape = tuple(fft.next_fast_len(m, True) for m in arr.shape)
-    conv = fft.irfftn(fft.rfftn(arr, fshape) * _ball_spectrum(arr.ndim, r_px, N, fshape),
-                      fshape)
-    conv = conv[tuple(slice(r_px, m - r_px) for m in arr.shape)]
-    return np.maximum(conv, 0.0) / len(_ball_offsets(arr.ndim, r_px, N))
+    n = arr.ndim if n is None else n
+    axes = tuple(range(arr.ndim - n, arr.ndim))
+    fshape = tuple(fft.next_fast_len(arr.shape[a], True) for a in axes)
+    conv = fft.irfftn(fft.rfftn(arr, fshape, axes) * _ball_spectrum(n, r_px, N, fshape),
+                      fshape, axes)
+    conv = conv[(...,) + tuple(slice(r_px, arr.shape[a] - r_px) for a in axes)]
+    return np.maximum(conv, 0.0) / len(_ball_offsets(n, r_px, N))
+
+
+@lru_cache(maxsize=16)
+def _ball_box(n: int, r_px: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The low corner of the index box spanned by the r-ball's offsets, and
+    the ball's indicator on that box (its nonzeros in ``_ball_offsets``
+    order)."""
+    offs = _ball_offsets(n, r_px, N)
+    lo = offs.min(axis=0)
+    mask = np.zeros(tuple(offs.max(axis=0) + 1 - lo), dtype=bool)
+    mask[tuple((offs - lo).T)] = True
+    mask.flags.writeable = False
+    return tuple(int(v) for v in lo), mask
 
 
 def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> float:
@@ -283,10 +297,11 @@ def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> floa
 def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
                  shape: tuple[int, ...]) -> np.ndarray:
     """max over candidate offsets ``a`` in ``pat`` of the ``shape`` block of
-    ``avg`` that starts at ``base + a``."""
+    ``avg``'s trailing axes that starts at ``base + a``."""
     out = None
     for a in pat:
-        sl = tuple(slice(b + int(ai), b + int(ai) + s) for b, ai, s in zip(base, a, shape))
+        sl = (...,) + tuple(slice(b + int(ai), b + int(ai) + s)
+                            for b, ai, s in zip(base, a, shape))
         out = avg[sl].copy() if out is None else np.maximum(out, avg[sl])
     return out
 
@@ -314,35 +329,6 @@ def _kernel_l2(spec: GridSpec, delta: float, eps_px: int) -> float:
     discrete Parseval from its symbol."""
     sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px))
     return math.sqrt(float(np.sum(sym * sym)) / sym.size)
-
-
-_STAR_BLOCK = 2048  # window points per matrix product of the small-radius br_star path
-
-
-@lru_cache(maxsize=8)
-def _near_matrix(spec: GridSpec, delta: float, eps_px: int) -> np.ndarray:
-    """``M[j, i] = K(d_i - u_j)`` for ``u_j`` in the ``3 eps``-ball and ``d_i``
-    in the ``2 eps``-ball (``_ball_offsets`` order): the masked transform of f
-    at ``x + d_i`` is ``sum_j f(x + u_j) M[j, i]``."""
-    n, N = spec.n, spec.N
-    kern = _kernel_offsets(spec, delta, _trunc_eps(spec, eps_px))
-    diff = _ball_offsets(n, 2 * eps_px, N)[None] - _ball_offsets(n, 3 * eps_px, N)[:, None]
-    m = kern[tuple(np.moveaxis(diff % N, -1, 0))]
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=64)
-def _incidence(n: int, eps_px: int, N: int, thin: int | None) -> np.ndarray:
-    """``A[i, a] = 1`` where the displacement ``d_i`` (``2 eps``-ball) lies in
-    the eps-ball around candidate ``a`` (``_y_pattern``), in the minimal-image
-    metric, else 0: each candidate touches every point of its ball once,
-    also where the ``2 eps``-ball wraps around the torus."""
-    diff = _ball_offsets(n, 2 * eps_px, N)[:, None] - _y_pattern(n, eps_px, N, thin)[None]
-    m = diff % N
-    a = (np.sum(np.minimum(m, N - m) ** 2, axis=-1) <= eps_px * eps_px).astype(float)
-    a.flags.writeable = False
-    return a
 
 
 Window = tuple[tuple[int, int], ...]
@@ -388,16 +374,6 @@ class MaximalEngine:
         """Grid indices of f's nonzeros, one array per axis."""
         return tuple(idx + s.start for idx, s in zip(np.nonzero(self._fs), self._sbox))
 
-    @cached_property
-    def _nz_ball(self) -> tuple[np.ndarray, float]:
-        """Center and radius (px) of a ball that holds every nonzero of f
-        (radius -1 when there is none)."""
-        if len(self._nz[0]) == 0:
-            return np.zeros(self.spec.n), -1.0
-        center = np.array([0.5 * (idx.min() + idx.max()) for idx in self._nz])
-        d2 = sum((idx - c) ** 2 for idx, c in zip(self._nz, center))
-        return center, float(np.sqrt(d2.max()))
-
     def _nz_in_ball(self, center: list[int], r: int) -> np.ndarray:
         """Which of f's nonzeros lie in B(center, r) (minimal-image metric,
         ties included)."""
@@ -437,7 +413,8 @@ class MaximalEngine:
                   zlo: tuple[int, ...], zhi: tuple[int, ...]) -> np.ndarray:
         """``B_eps`` of the field that is ``src`` on the index box of the grid
         starting at ``slo`` and zero elsewhere, on the wrapped index box
-        ``[zlo, zhi)``.
+        ``[zlo, zhi)``.  Leading axes of ``src`` beyond the grid's ``n``
+        stack sources that share the boxes.
 
         ``g(z) = sum_{u in S} K((z - u) mod N) src(u - slo)`` over the box
         ``S = [slo, shi)`` is the ``mode="valid"`` convolution of ``src``
@@ -447,23 +424,31 @@ class MaximalEngine:
         twice is read correctly both times.
         """
         spec = self.spec
+        lead = src.shape[:src.ndim - spec.n]
         if src.size == 0:
-            return np.zeros(tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
+            return np.zeros(lead + tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
         eps = _trunc_eps(spec, eps_px)
-        shi = tuple(a + s for a, s in zip(slo, src.shape))
+        shi = tuple(a + s for a, s in zip(slo, src.shape[len(lead):]))
         kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
                         tuple(l - b + 1 for l, b in zip(zlo, shi)),
                         tuple(h - a for h, a in zip(zhi, slo)))
-        return _fftconvolve(kc, src)
+        return _fftconvolve(kc.reshape((1,) * len(lead) + kc.shape), src)
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
         """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``,
         read-only and computed once per engine: ``br_star`` and
-        ``br_starstar`` read the same box at each radius."""
+        ``br_starstar`` read the same box at each radius.  ``B_eps f`` is
+        N-periodic, so at most ``N`` points per axis are computed and a
+        longer box repeats them."""
         key = (eps_px, zlo, zhi)
         if key not in self._g:
-            g = self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo, zhi)
+            N = self.spec.N
+            shape = tuple(h - l for l, h in zip(zlo, zhi))
+            g = self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo,
+                               tuple(l + min(m, N) for l, m in zip(zlo, shape)))
+            if max(shape) > N:
+                g = g[np.ix_(*(np.arange(m) % N for m in shape))]
             g.flags.writeable = False
             self._g[key] = g
         return self._g[key]
@@ -475,11 +460,12 @@ class MaximalEngine:
     def _y_max(self, g: np.ndarray, eps_px: int) -> np.ndarray:
         """max over candidate centers y (|y - x| <= eps) of the ball L^{q0}
         average of a truncated field ``g`` given on a box +- 2 eps, for x in
-        that box: no candidate's ball reaches a sample outside ``g``."""
+        that box: no candidate's ball reaches a sample outside ``g``.  Leading
+        axes of ``g`` beyond the grid's ``n`` stack independent fields."""
         n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
-        avg = _ball_mean_linear(np.abs(g) ** q0, eps_px, N) ** (1.0 / q0)
+        avg = _ball_mean_linear(np.abs(g) ** q0, eps_px, N, n) ** (1.0 / q0)
         return _pattern_max(avg, _y_pattern(n, eps_px, N, self.cfg.y_thin), (eps_px,) * n,
-                            tuple(m - 4 * eps_px for m in g.shape))
+                            tuple(m - 4 * eps_px for m in g.shape[g.ndim - n:]))
 
     # -- one radius of each operator ---------------------------------------
     # Each step raises its accumulator in place, unless the radius's bound
@@ -501,13 +487,49 @@ class MaximalEngine:
         if not self._bounded:
             raise ValueError("br_star needs a compactly supported field "
                              "(declared support box missing)")
-        if not self._nz[0].size or self._l2_bound(eps_px) <= acc.min():
-            return
-        covered = self._covered_mask(window, 3 * eps_px)
-        if covered.all():
-            return
-        path = self._star_displacement if eps_px < SNAP_MIN_PX else self._star_tiled
-        np.maximum(acc, np.where(covered, 0.0, path(window, eps_px)), out=acc)
+        if self._nz[0].size and self._l2_bound(eps_px) > acc.min():
+            np.maximum(acc, self._star_tiles(window, eps_px), out=acc)
+
+    def _star_tiles(self, window: Window, eps_px: int) -> np.ndarray:
+        """``br_star`` at one radius on the window, each point masked by the
+        ball ``B(c, 3 eps)`` of its tile's center ``c`` (module docstring).
+        The tile side ``t = min(eps, window side)`` divides the window's
+        sides, all powers of two.  ``B_eps f`` is read only if some tile is
+        not covered."""
+        n, N, mask_r, pad = self.spec.n, self.spec.N, 3 * eps_px, 2 * eps_px
+        t = tuple(min(eps_px, h - l) for l, h in window)
+        lo = tuple(l for l, _ in window)
+        tiled = sum((((h - l) // s, s) for (l, h), s in zip(window, t)), ())
+        order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))  # tile index..., offset...
+        vals = np.zeros(tiled)
+        partial, disjoint = [], []
+        for j in itertools.product(*map(range, tiled[::2])):
+            inside = self._nz_in_ball([a + k * s + s // 2 for a, k, s in zip(lo, j, t)], mask_r)
+            if not inside.all():
+                (partial if inside.any() else disjoint).append(j)
+        if partial or disjoint:
+            gwin = self._g_window(eps_px, *zip(*self._expand(window, pad)))
+        if disjoint:
+            idx = tuple(np.array(disjoint).T)
+            avg = self._y_max(gwin, eps_px).reshape(tiled)
+            vals.transpose(order)[idx] = avg.transpose(order)[idx]
+        if partial:
+            # f on each tile center's mask-ball box (one read of their union),
+            # cut to the ball, and its B_eps on the tile +- 2 eps: both boxes
+            # sit at fixed offsets from the center
+            j = np.array(partial)
+            cs = np.add(lo, j * t) + np.floor_divide(t, 2)
+            blo, ball = _ball_box(n, mask_r, N)
+            fu = self._f_take(tuple(cs.min(axis=0) + blo),
+                              tuple(cs.max(axis=0) + blo + ball.shape))
+            every = tuple(slice(None, None, s) for s in t)
+            src = sliding_window_view(fu, ball.shape)[every][tuple((j - j.min(axis=0)).T)]
+            src[:, ~ball] = 0.0
+            near = self._truncate(src, blo, eps_px, tuple(-(s // 2) - pad for s in t),
+                                  tuple(s - s // 2 + pad for s in t))
+            crops = sliding_window_view(gwin, tuple(s + 2 * pad for s in t))[every][tuple(j.T)]
+            vals.transpose(order)[tuple(j.T)] = self._y_max(crops - near, eps_px)
+        return vals.reshape(tuple(h - l for l, h in window))
 
     # -- the operators on a window ------------------------------------------
 
@@ -554,97 +576,6 @@ class MaximalEngine:
             self._hl_step(window, eps_px, best)
         return star + starstar + best ** inv_p0
 
-    def _covered_mask(self, window: Window, mask_r: int) -> np.ndarray:
-        """Points x in the window where B(x, mask_r) provably contains every
-        nonzero of f, so the masked input vanishes identically: where, in the
-        minimal-image metric, x's distance to the center of a ball that holds
-        them plus its radius (triangle inequality), or to the farthest point
-        of their bounding index box, is at most mask_r."""
-        center, radius = self._nz_ball
-        N = self.spec.N
-        d2 = sum_of_squares([_torus_dist(c, l, h, N) for c, (l, h) in zip(center, window)])
-        far = [_torus_dist(np.arange(l, h)[:, None], idx.min(), idx.max() + 1, N).max(axis=1)
-               for idx, (l, h) in zip(self._nz, window)]
-        return (np.sqrt(d2) + radius <= mask_r) | (sum_of_squares(far) <= mask_r * mask_r)
-
-    def _star_tiled(self, window: Window, eps_px: int) -> np.ndarray:
-        """Snapped masks: every point of an eps-tile of the window takes the
-        mask ball ``B(c, 3 eps)`` of the tile center ``c``.  A tile whose
-        ball holds every nonzero of f is covered (its values are 0), one
-        whose ball holds none is disjoint (the unmasked y-max), and any other
-        tile is partial."""
-        mask_r = 3 * eps_px
-        vals = np.zeros(tuple(h - l for l, h in window))
-        gwin = None  # truncated field on the window +- 2 eps, once a tile needs it
-        avg = None  # its y-max on the window, for disjoint tiles
-        for tlo in itertools.product(*(range(l, h, eps_px) for l, h in window)):
-            thi = tuple(min(a + eps_px, h) for a, (_, h) in zip(tlo, window))
-            center = [a + (b - a) // 2 for a, b in zip(tlo, thi)]
-            inside = self._nz_in_ball(center, mask_r)
-            if inside.all():
-                continue
-            if gwin is None:
-                gwin = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
-            rel = tuple(slice(a - l, b - l) for a, b, (l, _) in zip(tlo, thi, window))
-            if not inside.any():
-                if avg is None:
-                    avg = self._y_max(gwin, eps_px)
-                vals[rel] = avg[rel]
-                continue
-            gz = gwin[tuple(slice(r.start, r.stop + 4 * eps_px) for r in rel)]
-            vals[rel] = self._masked_tile_values(tlo, thi, center, inside, eps_px, gz)
-        return vals
-
-    def _masked_tile_values(self, tlo, thi, center, inside, eps_px, gz) -> np.ndarray:
-        """Ball-average field, y-maxed on the tile, of ``B_eps`` of f masked
-        outside ``B(center, 3 eps)``, whose nonzeros ``inside`` marks: the
-        truncated field ``gz`` on the tile +- 2 eps minus ``B_eps`` of f cut
-        to the ball, on the bounding box of its nonzeros there."""
-        N, mask_r = self.spec.N, 3 * eps_px
-        zlo = tuple(a - 2 * eps_px for a in tlo)
-        zhi = tuple(b + 2 * eps_px for b in thi)
-        hlo, hhi = zip(*((int(sel.min()), int(sel.max()) + 1)
-                         for sel in (idx[inside] for idx in self._nz)))
-        d2 = sum_of_squares([_torus_dist(c, a, b, N) for c, a, b in zip(center, hlo, hhi)])
-        h = np.where(d2 <= mask_r * mask_r,
-                     self.f.values[tuple(slice(a, b) for a, b in zip(hlo, hhi))], 0.0)
-        return self._y_max(gz - self._truncate(h, hlo, eps_px, zlo, zhi), eps_px)
-
-    def _star_displacement(self, window: Window, eps_px: int) -> np.ndarray:
-        """Exact per-point masks for small radii, as two matrix products.
-
-        The masked transform at ``z = x + d`` is
-        ``near(x, d) = sum_{|u| <= 3 eps} K(d - u) f(x + u)``, so for a block
-        of window points ``near = P @ M`` with ``P[x, j] = f(x + u_j)``
-        (:func:`_near_matrix`), and the candidates' ball sums of
-        ``|g(x + d) - near(x, d)|^q0`` are one product with the incidence
-        matrix (:func:`_incidence`).  f is read on the wrapped window
-        ``+- 3 eps``, exact at any window size since the mask-ball offsets
-        are distinct mod N, and g on the window ``+- 2 eps``.
-        """
-        spec, n = self.spec, self.spec.n
-        N, q0 = spec.N, self.cfg.q0
-        mask_r, d_r = 3 * eps_px, 2 * eps_px
-        fwin = self._f_take(*zip(*self._expand(window, mask_r)))
-        gwin = self._g_window(eps_px, *zip(*self._expand(window, d_r)))
-        near_m = _near_matrix(spec, self.delta, eps_px)
-        touch = _incidence(n, eps_px, N, self.cfg.y_thin)
-        # flat indices of each window point and of each offset in the two
-        # windows; a point's patch is its index plus the offsets'
-        wshape = tuple(h - l for l, h in window)
-        xs = np.indices(wshape).reshape(n, -1)
-        x_f, x_g = (np.ravel_multi_index(xs, w.shape) for w in (fwin, gwin))
-        u_f = np.ravel_multi_index(tuple((_ball_offsets(n, mask_r, N) + mask_r).T), fwin.shape)
-        d_g = np.ravel_multi_index(tuple((_ball_offsets(n, d_r, N) + d_r).T), gwin.shape)
-        fflat, gflat = fwin.ravel(), gwin.ravel()
-        top = np.empty(x_f.size)
-        for s in range(0, x_f.size, _STAR_BLOCK):
-            b = slice(s, s + _STAR_BLOCK)
-            near = fflat[x_f[b, None] + u_f] @ near_m
-            top[b] = np.max(np.abs(gflat[x_g[b, None] + d_g] - near) ** q0 @ touch, axis=1)
-        count = len(_ball_offsets(n, eps_px, N))
-        return (np.maximum(top, 0.0) / count).reshape(wshape) ** (1.0 / q0)
-
 
 def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:
     """L^{p0} Hardy-Littlewood maximal function at ``cfg.p0`` over the
@@ -671,10 +602,9 @@ def ball_points(spec: GridSpec, center, radius: float
     them) and their indices inside that box, in ``_ball_offsets`` order."""
     c = np.broadcast_to(np.asarray(center, dtype=float), (spec.n,))
     c_px = np.round(c / spec.dx + spec.N // 2).astype(int)
-    offs = _ball_offsets(spec.n, int(math.floor(radius / spec.dx)), spec.N)
-    lo, hi = offs.min(axis=0), offs.max(axis=0) + 1
-    return ([(int(ci + l), int(ci + h)) for ci, l, h in zip(c_px, lo, hi)],
-            tuple((offs - lo).T))
+    lo, ball = _ball_box(spec.n, int(math.floor(radius / spec.dx)), spec.N)
+    return ([(int(ci + l), int(ci + l + m)) for ci, l, m in zip(c_px, lo, ball.shape)],
+            np.nonzero(ball))
 
 
 def ball_average(f: SampledField, center, radius: float, p: float) -> float:

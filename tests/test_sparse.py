@@ -324,9 +324,8 @@ class TestBuildSparse:
 
 
     def test_selection_independent_of_blas_threads(self):
-        # br_star's small-radius path sums through BLAS matrix products,
-        # whose last bits can depend on the thread count; the selection
-        # nodes at N = 256 (where that path runs at eps = 4) must not
+        # the selection nodes at N = 256 (br_star's partial tiles at eps = 4
+        # px included) must not depend on the BLAS thread count
         src = str(Path(brlab.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r})\n"
                 "from brlab.harness import ExperimentConfig, _trial_fields\n"
