@@ -27,10 +27,13 @@ passes in the same order, then a c2r pass along the last axis scaled by
 the r2c pass runs only on the rows of the source box, where the values can
 be nonzero, the c2c passes only on the lines where the symbol has a
 nonzero, and the c2r pass only on the rows of the box that is read,
-followed by one multiply by ``1/N^n``.  Every symbol carrying
-``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16, N = 512: 31 of 512
-rows and 16 of 257 half-spectrum columns); a symbol without zeros keeps
-its full passes.  The pruned result has the bits of the whole-grid pair:
+followed by one multiply by ``1/N^n``.  Axes that the source box covers
+are shifted together with the last axis in one copy before the r2c pass,
+axes read once around are rotated together in one copy after the c2r
+pass, and the c2c passes may overwrite the temporaries they read.  Every
+symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16,
+N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a symbol
+without zeros keeps its full passes.  The pruned result has the bits of the whole-grid pair:
 the passes run in the same order, each 1-D line is the same pocketfft
 transform, a line left out holds zeros that add nothing, and the scale is
 a power of two applied once at the end.  :func:`symbol_kernel` is the same
@@ -330,20 +333,28 @@ def _put(part: np.ndarray, idx: np.ndarray, axis: int, length: int) -> np.ndarra
     return out
 
 
-def _half_inverse(spectrum: np.ndarray, band: list[np.ndarray],
-                  rows: list[np.ndarray], N: int) -> np.ndarray:
+def _half_inverse(spectrum: np.ndarray, band: list[np.ndarray], read, N: int,
+                  shift: int = 0) -> np.ndarray:
     """``irfftn`` of the half spectrum that is ``spectrum`` on the index grid
-    ``band`` and zero elsewhere, read on the index grid ``rows`` (unshifted
-    indices, one array per axis): the unscaled c2c passes on the band's lines
-    only, the c2r pass on the read rows only, then the scale ``1/N^n``."""
+    ``band`` and zero elsewhere, read on the index box ``read`` (ranges of
+    indices plus ``shift``, taken mod N): the unscaled c2c passes on the
+    band's lines only, the c2r pass on the read rows only, then the scale
+    ``1/N^n``.  An axis read once around runs whole and is rotated at the
+    end, all such axes in one copy."""
     n = spectrum.ndim
+    rows = _span(read, N, shift)
+    turn = {a: -(lo + shift) % N for a, (lo, hi) in enumerate(read) if hi - lo == N}
     for a in range(n - 1):
-        spectrum = _take(fft.ifft(_put(spectrum, band[a], a, N), axis=a, norm="forward"),
-                         rows[a], a)
-    out = _take(fft.irfft(_put(spectrum, band[-1], n - 1, N // 2 + 1), n=N, axis=-1,
-                          norm="forward"), rows[-1], n - 1)
+        spectrum = fft.ifft(_put(spectrum, band[a], a, N), axis=a, norm="forward",
+                            overwrite_x=True)
+        if a not in turn:
+            spectrum = _take(spectrum, rows[a], a)
+    out = fft.irfft(_put(spectrum, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
+    if n - 1 not in turn:
+        out = _take(out, rows[-1], n - 1)
     out *= 1.0 / N ** n
-    return out
+    turn = {a: s for a, s in turn.items() if s}
+    return np.roll(out, tuple(turn.values()), tuple(turn)) if turn else out
 
 
 def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
@@ -368,16 +379,23 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
     half = symbol[..., : N // 2 + 1]
     band = _band(half)
     src = full if src is None else src
-    # r2c on the rows of src: the last axis whole, in ifftshift order
+    # r2c on the rows of src: the last axis whole, in ifftshift order; the
+    # other axes that src covers are shifted in the same copy, and the rest
+    # take src's rows and are embedded in ifftshift order before their pass
+    whole = [a for a in range(n - 1) if tuple(src[a]) == (0, N)]
     x = values
     for a, rows in enumerate(_span(src[:-1], N)):
-        x = _take(x, rows, a)
-    x = _take(fft.rfft(fft.ifftshift(x, axes=-1), axis=-1), band[-1], n - 1)
+        if a not in whole:
+            x = _take(x, rows, a)
+    x = _take(fft.rfft(fft.ifftshift(x, axes=(*whole, n - 1)), axis=-1), band[-1], n - 1)
     for a, rows in enumerate(_span(src[:-1], N, N // 2)):
-        x = _take(fft.fft(_put(x, rows, a, N), axis=a), band[a], a)
+        if a not in whole:
+            x = _put(x, rows, a, N)
+        x = _take(fft.fft(x, axis=a, overwrite_x=True), band[a], a)
     for a in range(n):
         half = _take(half, band[a], a)
-    return _half_inverse(x * half, band, _span(full if read is None else read, N, N // 2), N)
+    x *= half
+    return _half_inverse(x, band, full if read is None else read, N, N // 2)
 
 
 def symbol_kernel(symbol: np.ndarray) -> np.ndarray:
@@ -387,7 +405,7 @@ def symbol_kernel(symbol: np.ndarray) -> np.ndarray:
     N, n = symbol.shape[0], symbol.ndim
     half = symbol[..., : N // 2 + 1]
     band = _band(half)
-    return _half_inverse(half[np.ix_(*band)], band, [np.arange(N)] * n, N)
+    return _half_inverse(half[np.ix_(*band)], band, [(0, N)] * n, N)
 
 
 def cube_average(f: SampledField, box: Box, p: float) -> float:
@@ -459,10 +477,17 @@ def _trig_sum(coords, freqs: np.ndarray, phases: np.ndarray,
     """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` at the points whose
     ``i``-th coordinates are ``coords[i]``; the arrays broadcast together, as a
     sparse meshgrid or as gathered points do."""
-    vals = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    vals, phase = np.zeros(shape), np.empty(shape)
     for m in range(len(amps)):
-        phase = 2.0 * np.pi * sum(c * freqs[m, i] for i, c in enumerate(coords))
-        vals = vals + amps[m] * np.cos(phase + phases[m])
+        np.multiply(coords[0], freqs[m, 0], out=phase)
+        for i in range(1, len(coords)):
+            phase += coords[i] * freqs[m, i]
+        phase *= 2.0 * np.pi
+        phase += phases[m]
+        np.cos(phase, out=phase)
+        phase *= amps[m]
+        vals += phase
     return vals
 
 

@@ -144,6 +144,17 @@ def apply_Sk(f: SampledField, k: int, delta: float) -> SampledField:
     return _apply(f, sk_symbol(f.spec, int(k), float(delta)))
 
 
+def _bessel_j(order: float):
+    """``x -> J_order(x)``: SciPy's ``j0`` for order 0, the closed form
+    ``sqrt(2/(pi x)) sin x`` for order 1/2, and SciPy's ``jv`` (AMOS, several
+    times slower) for any other order."""
+    if order == 0.0:
+        return special.j0
+    if order == 0.5:
+        return lambda x: np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+    return lambda x: special.jv(order, x)
+
+
 def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.ndarray:
     """Inverse Fourier transform of the radial symbol s_k, evaluated at |x| = r
     by Hankel quadrature:
@@ -151,7 +162,9 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
         kern(r) = 2 pi r^{-(n/2-1)} int s_k(rho) J_{n/2-1}(2 pi rho r) rho^{n/2} drho.
 
     Gauss-Legendre panels are sized to a quarter of the Bessel oscillation
-    wavelength, so the quadrature stays accurate at any radius.
+    wavelength, so the quadrature stays accurate at any radius.  The Bessel
+    factor comes from :func:`_bessel_j`: ``j0`` in dimension 2, the closed
+    form of J_{1/2} in dimension 3, ``jv`` in any other dimension.
     """
     if k > 0:
         raise ValueError("scale index must satisfy k <= 0")
@@ -160,6 +173,7 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
     rho_hi = math.sqrt(1.0 - 2.0 ** (k - 1))
     rho_lo = math.sqrt(max(0.0, 1.0 - (1.0 + TRANSITION) * 2.0 ** k))
     order = n / 2.0 - 1.0
+    bessel = _bessel_j(order)
     nodes0, weights0 = leggauss(12)
     # nodes, weights and the radius-free factors are built once per panel
     # count and shared by the radii that use it
@@ -178,7 +192,7 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
         rho_pow = rho ** (n / 2.0)
         for i in members:
             r = radii[i]
-            fvals = sk * special.jv(order, arg * r) * rho_pow
+            fvals = sk * bessel(arg * r) * rho_pow
             out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
     return out
 
@@ -187,6 +201,4 @@ def kernel_profile(k: int, delta: float, radii, n: int = 2) -> list[float]:
     """|kernel of S_k| at the given radii, by exact radial quadrature of the
     continuum transform (no periodization, any radius)."""
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
     return [float(v) for v in np.abs(_radial_kernel(int(k), float(delta), radii, n=n))]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -19,6 +20,7 @@ from brlab.grid import (
 )
 from brlab.multiplier import (
     TRANSITION,
+    _bessel_j,
     _radial_kernel,
     apply_bochner_riesz,
     apply_Sk,
@@ -257,8 +259,9 @@ class TestBallOnlySymbols:
                 assert np.array_equal(_bits(sk_symbol(spec, k, delta)), _bits(want)), k
 
 
-def _radial_kernel_per_radius(k, delta, radii, n=2):
-    """The former quadrature: nodes, weights and factors built per radius."""
+def _radial_kernel_per_radius(k, delta, radii, n, bessel):
+    """The former quadrature: nodes, weights and factors built per radius,
+    with ``bessel(x)`` for J_{n/2-1}(x)."""
     rho_hi = math.sqrt(1.0 - 2.0 ** (k - 1))
     rho_lo = math.sqrt(max(0.0, 1.0 - (1.0 + TRANSITION) * 2.0 ** k))
     order = n / 2.0 - 1.0
@@ -274,21 +277,82 @@ def _radial_kernel_per_radius(k, delta, radii, n=2):
         t = 1.0 - rho ** 2
         sk = 2.0 ** (-k * delta) * np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0) \
             * chi(np.ldexp(t, -k))
-        fvals = sk * special.jv(order, 2.0 * np.pi * rho * r) * rho ** (n / 2.0)
+        fvals = sk * bessel(2.0 * np.pi * rho * r) * rho ** (n / 2.0)
         out[i] = 2.0 * np.pi * float(np.sum(wts * fvals)) / r ** order
     return out
 
 
+def _decay_radius_lists(n):
+    """Every (k, delta, radii) that the decay report evaluates in dimension n."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "kernel_profile",
+                   lambda k, delta, radii, n=2: calls.append((k, delta, radii, n))
+                   or [1.0] * len(radii))
+        harness.run_decay(harness.ExperimentConfig(grid_dim=n))
+    assert {c[0] for c in calls} == {-4, -6, -8} and len(calls) == 36
+    assert {c[3] for c in calls} == {n}
+    return [(k, delta, np.asarray(radii, dtype=float)) for k, delta, radii, _ in calls]
+
+
 class TestRadialKernelSharing:
-    def test_decay_radii_bitwise_equal_to_per_radius_quadrature(self, monkeypatch):
-        # every radius list the decay report evaluates, at k = -4, -6, -8
-        calls = []
-        monkeypatch.setattr(harness, "kernel_profile",
-                            lambda k, delta, radii, n=2: calls.append((k, delta, radii, n))
-                            or [1.0] * len(radii))
-        harness.run_decay(harness.ExperimentConfig())
-        assert {c[0] for c in calls} == {-4, -6, -8} and len(calls) == 36
-        for k, delta, radii, n in calls:
-            radii = np.asarray(radii, dtype=float)
+    def test_decay_radii_bitwise_equal_to_per_radius_quadrature(self):
+        # every radius list the decay report evaluates, at k = -4, -6, -8,
+        # in dimensions 2 and 3, with the Bessel routine of the dimension
+        for n in (2, 3):
+            bessel = _bessel_j(n / 2.0 - 1.0)
+            for k, delta, radii in _decay_radius_lists(n):
+                got = _radial_kernel(k, delta, radii, n=n)
+                want = _radial_kernel_per_radius(k, delta, radii, n, bessel)
+                assert np.array_equal(_bits(got), _bits(want)), (n, k, radii[0])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_decay_radii_within_1e_12_of_jv_quadrature(self, n):
+        # j0 and the closed form of J_{1/2} move each kernel value by at
+        # most 1e-12 of the sum of its quadrature's absolute terms (s_k >= 0,
+        # so that sum is the quadrature with |J|).  Far out the kernel
+        # cancels to 1e-6..1e-9 of that sum, and the moves there reach
+        # 3e-11 of a list's largest value; in the mid zone (radii below 50)
+        # they stay under 3e-14 of it.
+        order = n / 2.0 - 1.0
+        for k, delta, radii in _decay_radius_lists(n):
             got = _radial_kernel(k, delta, radii, n=n)
-            assert np.array_equal(_bits(got), _bits(_radial_kernel_per_radius(k, delta, radii, n)))
+            ref = _radial_kernel_per_radius(k, delta, radii, n, lambda x: special.jv(order, x))
+            terms = _radial_kernel_per_radius(k, delta, radii, n,
+                                              lambda x: np.abs(special.jv(order, x)))
+            assert np.all(np.abs(got - ref) <= 1e-12 * terms), (k, radii[0])
+            if radii[0] < 50.0:
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (k, radii[0])
+
+
+class TestBesselRoutines:
+    # Arguments log-uniform on [1e-3, 3.3e6]; the decay report's largest
+    # argument is 2 pi rho r < 2 pi (2048 * 2^8 + 3) ~ 3.3e6.
+    ARGS = np.exp(np.random.default_rng(23).uniform(math.log(1e-3), math.log(3.3e6), 300))
+
+    @staticmethod
+    def reference(order, x):
+        return np.array([float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x])
+
+    @pytest.mark.parametrize("order", [0.0, 0.5, 1.5])
+    def test_error_against_mpmath_within_jv_error(self, order):
+        # The caller's argument 2 pi rho r carries a rounding of its own,
+        # which moves J by up to ulp(x) |J'(x)| ~ ulp(x) sqrt(2 / (pi x)).
+        # j0 reduces x - pi/4 in double precision and so errs by at most
+        # half that much above jv's error; the closed form of J_{1/2} and
+        # jv itself meet jv's error + 1e-15.
+        x = self.ARGS
+        want = self.reference(order, x)
+        err = np.abs(_bessel_j(order)(x) - want)
+        err_jv = np.abs(special.jv(order, x) - want)
+        slack = np.spacing(x) * np.sqrt(2.0 / (np.pi * x)) if order == 0.0 else 0.0
+        assert np.all(err <= err_jv + 1e-15 + slack)
+
+    def test_jv_only_for_other_orders(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(special, "jv", lambda v, x: calls.append(v) or np.zeros_like(x))
+        x = self.ARGS[:5]
+        _bessel_j(0.0)(x), _bessel_j(0.5)(x)
+        assert calls == []
+        _bessel_j(1.5)(x)
+        assert calls == [1.5]
