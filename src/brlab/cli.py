@@ -138,9 +138,9 @@ def main(argv=None) -> int:
         if args.out and Path(args.out).exists() and not Path(args.out).is_dir():
             raise FileExistsError(f"--out is not a directory: {args.out}")
         cfg = _build_config(args.command, args)
-        # exponent ranges that only one command needs, also before --out is made
+        # ranges and radius sets that only one command checks, also before --out is made
         if args.command == "dominate":
-            cfg.maximal_cfg()
+            cfg.maximal_cfg().eps_px_list(cfg.spec())
         elif args.command == "weights":
             weight_indices(cfg.p, cfg.p0, "below2")
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)  # fail before the run

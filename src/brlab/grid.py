@@ -156,6 +156,23 @@ def box_sums(prefix: np.ndarray, lo, hi):
     return total
 
 
+def doubling_table(base: np.ndarray, op, n_levels: int, axes=None):
+    """Levels ``0 .. n_levels - 1`` of the running ``op`` (``np.minimum`` or
+    ``np.maximum``) of ``base``, yielded in turn: level ``k`` holds at ``x``
+    ``op`` over ``[x, x + 2^k)`` on each axis in ``axes`` (default: all), so
+    a width ``w`` is ``op`` of two level-``floor(log2 w)`` windows.  Exact."""
+    axes = range(base.ndim) if axes is None else axes
+    table = base
+    for k in range(n_levels):
+        if k:
+            w = 1 << (k - 1)
+            for ax in axes:
+                head = (slice(None),) * ax + (slice(None, -w),)
+                tail = (slice(None),) * ax + (slice(w, None),)
+                table = op(table[head], table[tail])
+        yield table
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box ``[lo, hi)`` in physical coordinates."""

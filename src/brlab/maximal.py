@@ -12,11 +12,15 @@ Three operators act on a field ``f``:
 
 Discretization policy
 ---------------------
-The continuum sup over ``eps > 0`` and ``|x - y| < eps`` is replaced by a
-finite dyadic radius set and a per-ball candidate set of at most
-``y_thin`` centers.  That discretization alone gives lower bounds of the
-continuum operators, which the selection algorithm absorbs into its
-adaptive threshold constant.
+Only the radii are discretized: the continuum sup over ``eps > 0`` is
+replaced by a finite dyadic radius set, which gives lower bounds of the
+continuum operators that the selection algorithm absorbs into its adaptive
+threshold constant.  The sup over centers ``|x - y| <= eps`` takes every
+lattice point of the eps-ball: a grey dilation, the max over the ball's
+chords along the last axis of running maxima, each of width ``2h + 1``
+the max of two windows of ``grid.doubling_table`` (van Herk, Pattern
+Recognit. Lett. 13, 1992).  A max is exact, so this is bitwise the max
+over every candidate.
 
 The mask of ``br_star``
 -----------------------
@@ -123,8 +127,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _wrap_take, lp_mean, sum_of_squares,
-                   symbol_kernel)
+from .grid import (Box, GridSpec, SampledField, _wrap_take, doubling_table, lp_mean,
+                   sum_of_squares, symbol_kernel)
 from .multiplier import truncated_symbol
 
 __all__ = [
@@ -146,16 +150,14 @@ class MaximalConfig:
     """Exponents and discretization parameters shared by the three maximal
     operators; the selection in ``sparse`` reads ``p0`` and ``q0`` from here.
 
-    ``eps`` radii are ``2^m`` grid pixels for ``m`` in
-    ``[eps_min_exp, eps_max_exp]`` (default upper end: ``log2(N/4)``).
-    ``y_thin`` (at least 1) caps the candidate centers per ball (None = all).
+    The radii are the only discretization: ``2^m`` grid pixels for every
+    ``m >= eps_min_exp`` with ``2^m <= N/4``.  The candidate centers of a
+    ball are every lattice point of the eps-ball.
     """
 
     p0: float = 1.2
     q0: float = 2.0
     eps_min_exp: int = 2
-    eps_max_exp: int | None = None
-    y_thin: int | None = 64
 
     def __post_init__(self):
         if not 1.0 < self.p0 < 2.0:
@@ -164,17 +166,13 @@ class MaximalConfig:
             raise ValueError(f"q0 must lie in [2, 6], got {self.q0}")
         if self.eps_min_exp < 0:
             raise ValueError("eps_min_exp must be >= 0")
-        if self.y_thin is not None and self.y_thin < 1:
-            raise ValueError(f"y_thin must be >= 1 or None, got {self.y_thin}")
 
     def eps_px_list(self, spec: GridSpec) -> list[int]:
-        hi = self.eps_max_exp
-        if hi is None:
-            hi = int(math.log2(spec.N)) - 2
-        exps = [m for m in range(self.eps_min_exp, hi + 1) if 2 ** m <= spec.N // 4]
-        if not exps:
+        radii = [2 ** m for m in range(self.eps_min_exp, spec.N.bit_length())
+                 if 2 ** m <= spec.N // 4]
+        if not radii:
             raise ValueError("empty radius set: grid too small for eps_min_exp")
-        return [2 ** m for m in exps]
+        return radii
 
 
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
@@ -197,26 +195,21 @@ def _ball_offsets(n: int, r_px: int, N: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
-def _y_pattern(n: int, r_px: int, N: int, thin: int | None) -> np.ndarray:
-    """Candidate center offsets: the r-ball, strided down to <= thin points.
-
-    The pattern always contains the origin and is a fixed function of the
-    radius, so every evaluation point uses the same candidate geometry.
-    """
+@lru_cache(maxsize=64)
+def _ball_chords(n: int, r_px: int, N: int) -> tuple:
+    """The r-ball (``r_px <= N/4``, so the plain ball) as chords along the
+    last axis, by level: entry ``k`` pairs each half-width ``h`` with
+    ``floor(log2(2h + 1)) == k`` with the leading offsets ``a`` of its
+    chords ``{(a, j) : |j| <= h}``."""
     offs = _ball_offsets(n, r_px, N)
-    if thin is None or len(offs) <= thin:
-        return offs
-    # r_px <= N/4: stride s keeps the lattice points s k of the plain r-ball
-    stride = 2
-    while True:
-        k = np.arange(-(r_px // stride), r_px // stride + 1) * stride
-        if np.count_nonzero(sum_of_squares([k] * n) <= r_px * r_px) <= thin:
-            break
-        stride += 1
-    sub = offs[np.all(offs % stride == 0, axis=1)]
-    sub.flags.writeable = False
-    return sub
+    # offsets run in C order, so a chord starts where the leading ones change
+    first = np.r_[True, np.any(offs[1:, :-1] != offs[:-1, :-1], axis=1)]
+    leads: dict[int, list] = {}
+    for a, h in zip(offs[first, :-1].tolist(), (-offs[first, -1]).tolist()):
+        leads.setdefault(h, []).append(tuple(a))
+    return tuple(tuple((h, tuple(leads[h])) for h in sorted(leads)
+                       if (2 * h + 1).bit_length() == k + 1)
+                 for k in range((2 * r_px + 1).bit_length()))
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,18 +285,6 @@ def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> floa
     """``(power_sum / |ball_r|)^(1/p)``: no L^p mean over an r-ball of a
     density whose grid total is at most ``power_sum`` can exceed it."""
     return (power_sum / len(_ball_offsets(n, r_px, N))) ** (1.0 / p)
-
-
-def _pattern_max(avg: np.ndarray, pat: np.ndarray, base: tuple[int, ...],
-                 shape: tuple[int, ...]) -> np.ndarray:
-    """max over candidate offsets ``a`` in ``pat`` of the ``shape`` block of
-    ``avg``'s trailing axes that starts at ``base + a``."""
-    out = None
-    for a in pat:
-        sl = (...,) + tuple(slice(b + int(ai), b + int(ai) + s)
-                            for b, ai, s in zip(base, a, shape))
-        out = avg[sl].copy() if out is None else np.maximum(out, avg[sl])
-    return out
 
 
 def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
@@ -458,14 +439,25 @@ class MaximalEngine:
         return tuple((l - pad, h + pad) for l, h in window)
 
     def _y_max(self, g: np.ndarray, eps_px: int) -> np.ndarray:
-        """max over candidate centers y (|y - x| <= eps) of the ball L^{q0}
+        """max over every center y with |y - x| <= eps of the ball L^{q0}
         average of a truncated field ``g`` given on a box +- 2 eps, for x in
         that box: no candidate's ball reaches a sample outside ``g``.  Leading
-        axes of ``g`` beyond the grid's ``n`` stack independent fields."""
+        axes of ``g`` beyond the grid's ``n`` stack independent fields.  A
+        chord of half-width ``h`` at leading offsets ``a`` reads the running
+        max of width ``2h + 1`` of the averages from ``-h``, shifted by ``a``;
+        the averages are at least +0.0, so the max may start from zeros."""
         n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
         avg = _ball_mean_linear(np.abs(g) ** q0, eps_px, N, n) ** (1.0 / q0)
-        return _pattern_max(avg, _y_pattern(n, eps_px, N, self.cfg.y_thin), (eps_px,) * n,
-                            tuple(m - 4 * eps_px for m in g.shape[g.ndim - n:]))
+        shape = tuple(m - 2 * eps_px for m in avg.shape[avg.ndim - n:])
+        out, chords = np.zeros(avg.shape[:avg.ndim - n] + shape), _ball_chords(n, eps_px, N)
+        for k, table in enumerate(doubling_table(avg, np.maximum, len(chords), (avg.ndim - 1,))):
+            for h, leads in chords[k]:
+                lo, hi = eps_px - h, eps_px + h + 1 - (1 << k)
+                run = np.maximum(table[..., lo:lo + shape[-1]], table[..., hi:hi + shape[-1]])
+                for a in leads:
+                    sl = tuple(slice(eps_px + ai, eps_px + ai + m) for ai, m in zip(a, shape))
+                    np.maximum(out, run[(...,) + sl + (slice(None),)], out=out)
+        return out
 
     # -- one radius of each operator ---------------------------------------
     # Each step raises its accumulator in place, unless the radius's bound

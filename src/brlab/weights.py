@@ -24,6 +24,7 @@ from .grid import (
     _radius_sq_grid,
     apply_symbol,
     box_sums,
+    doubling_table,
     freq_sq,
     lp_norm,
     prefix_sum,
@@ -85,8 +86,8 @@ class _CubeStats:
     def _extremes(self, op) -> np.ndarray:
         """``op`` (``np.minimum`` or ``np.maximum``) over every family cube: a
         cube of side ``s`` reads its ``2^n`` corner windows at level
-        ``floor(log2 s)`` of :func:`_doubling_table`, which cover it."""
-        levels = _doubling_table(self.base, op, int(self.fam_side.max()).bit_length())
+        ``floor(log2 s)`` of :func:`grid.doubling_table`, which cover it."""
+        levels = doubling_table(self.base, op, int(self.fam_side.max()).bit_length())
         out = np.empty(len(self.fam_lo))
         for k, table in enumerate(levels):
             sel = (self.fam_side >> k) == 1
@@ -95,20 +96,6 @@ class _CubeStats:
             out[sel] = reduce(op, (table[tuple(l + c * shift for l, c in zip(lo, corner))]
                                    for corner in corners))
         return out
-
-
-def _doubling_table(base: np.ndarray, op, n_levels: int) -> list[np.ndarray]:
-    """Levels ``0 .. n_levels - 1``: level ``k`` holds, at each ``x``, ``op``
-    over the cube ``[x, x + 2^k)`` of ``base`` (elementwise, so exact)."""
-    levels = [base]
-    for k in range(1, n_levels):
-        w, table = 1 << (k - 1), levels[-1]
-        for ax in range(base.ndim):
-            head = tuple(slice(None, -w) if a == ax else slice(None) for a in range(base.ndim))
-            tail = tuple(slice(w, None) if a == ax else slice(None) for a in range(base.ndim))
-            table = op(table[head], table[tail])
-        levels.append(table)
-    return levels
 
 
 class Weight:
@@ -263,7 +250,6 @@ class VectorValuedReport:
     input_norm: float
     output_norm: float
     ratio: float
-    admissible: bool
 
 
 def vector_valued_norm(fs: list[SampledField], p: float, q: float,
@@ -279,10 +265,8 @@ def vector_valued_norm(fs: list[SampledField], p: float, q: float,
 
     inp = lp_norm(lq_stack(fs), p)
     out = lp_norm(lq_stack([apply_bochner_riesz(h, delta) for h in fs]), p)
-    admissible = (1.2 <= p <= 6.0 and 1.2 <= q <= 6.0
-                  and abs(1.0 / p - 1.0 / q) < 1.0 / 3.0)
     ratio = out / inp if inp > 0 else np.inf if out > 0 else 0.0
-    return VectorValuedReport(inp, out, ratio, admissible)
+    return VectorValuedReport(inp, out, ratio)
 
 
 def mixed_preset_report(w: Weight) -> float:

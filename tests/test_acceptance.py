@@ -284,8 +284,8 @@ class TestCriterion10:
                 bumps.append(make_test_function(spec, "bump", center=center,
                                                 radius=radius,
                                                 amp=float(rng.standard_normal())))
+            assert indices.admissible_vv(F(8, 5), F(5, 2))
             rep = vector_valued_norm(bumps, 8.0 / 5.0, 5.0 / 2.0, delta)
-            assert rep.admissible
             vv[size] = rep.ratio
         slope_w = fit_slope_vs_log2((256, 512), [ratios[256], ratios[512]])
         slope_v = fit_slope_vs_log2((256, 512), [vv[256], vv[512]])

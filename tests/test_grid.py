@@ -1,11 +1,13 @@
 """Grid module: transform contract, averages, norms, generators, file format."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
 from brlab.grid import (
@@ -18,6 +20,7 @@ from brlab.grid import (
     _trig_sum,
     apply_symbol,
     cube_average,
+    doubling_table,
     forward_transform,
     freq_sq,
     inverse_transform,
@@ -259,6 +262,37 @@ class TestCubeAverage:
         avgs = [cube_average(f, box, p) for p in (1.0, 1.5, 2.0, 3.0)]
         for lo, hi in zip(avgs, avgs[1:]):
             assert lo <= hi * (1 + 1e-12)
+
+
+class TestDoublingTable:
+    # Running min and max against a direct reduction over every window:
+    # level k is the window of width 2^k, and a width w that is not a power
+    # of two is op of the level-floor(log2 w) windows at the corners of its
+    # window, on every axis the table runs on.
+    @pytest.mark.parametrize("axes", ["all", "last"])
+    @pytest.mark.parametrize("op", [np.minimum, np.maximum], ids=["min", "max"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_windows_match_brute_force(self, n, op, axes):
+        base = np.random.default_rng(n).standard_normal((19, 13, 11)[:n])
+        run = tuple(range(n)) if axes == "all" else (n - 1,)
+        levels = list(doubling_table(base, op, 4, None if axes == "all" else run))
+        assert len(levels) == 4 and levels[0] is base
+        for w in range(1, 10):
+            k = w.bit_length() - 1
+            if k >= len(levels):
+                continue
+            shape = [m - w + 1 if a in run else m for a, m in enumerate(base.shape)]
+            got = None
+            for corner in itertools.product((0, w - (1 << k)), repeat=len(run)):
+                start = dict(zip(run, corner))
+                part = levels[k][tuple(slice(start.get(a, 0), start.get(a, 0) + m)
+                                       for a, m in enumerate(shape))]
+                got = part if got is None else op(got, part)
+            windows = sliding_window_view(base, (w,) * len(run), axis=run)
+            want = op.reduce(windows.reshape(tuple(shape) + (-1,)), axis=-1)
+            assert np.array_equal(got, want), w
+            if w == 1 << k:
+                assert levels[k].shape == tuple(shape)
 
 
 class TestLpNorm:

@@ -268,17 +268,22 @@ class TestDominationGolden:
     # Seed 7, trials 0-3 at N = 512 with eps_min_exp 3: every br_star radius
     # takes the tiled path, and the truncated fields come from the support
     # box.  Recorded before the support-local truncated fields; the floats
-    # are compared at rel=1e-12 as above.
+    # are compared at rel=1e-12 as above.  Trials 0, 2 and 3 are those of the
+    # exact y-max over every candidate center.  It raised their root
+    # e_ratios from the 64 thinned centers' 0.26953125, 0.04296875 and
+    # 0.1611328125, and trial 2 now selects a cube at level 3 (it was
+    # depth 1, 1 cube, sparse_form 0.012302812974442301, ratio
+    # 6.853584337118093).
     EXPECTED_512 = [
         (0, "ok", 0.02577139131232651, 0.2009810157007435, 0.12822798821307366,
          32.0, 32.0, 4, 8, True,
-         "0:0.26953125;2:0.03125;2:0.046875;3:0.0;3:0.0;3:0.0;3:0.0;3:0.0"),
+         "0:0.2734375;2:0.03125;2:0.046875;3:0.0;3:0.0;3:0.0;3:0.0;3:0.0"),
         (1, "ok", 0.17498095678726214, 0.05193089544102038, 3.369496237283136,
          64.0, 64.0, 1, 1, True, "0:0.0"),
-        (2, "ok", 0.08431836630413102, 0.012302812974442301, 6.853584337118093,
-         32.0, 32.0, 1, 1, True, "0:0.04296875"),
+        (2, "ok", 0.08431836630413102, 0.01858430186367119, 4.537074726974681,
+         32.0, 32.0, 4, 2, True, "0:0.0458984375;3:0.0"),
         (3, "ok", 0.3738572912002912, 0.09623491413580136, 3.8848404922222364,
-         32.0, 32.0, 4, 4, True, "0:0.1611328125;2:0.0;3:0.0;3:0.0"),
+         32.0, 32.0, 4, 4, True, "0:0.162109375;2:0.0;3:0.0;3:0.0"),
     ]
 
     def test_tiled_path_rows_pinned_at_512(self):
@@ -657,6 +662,15 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main([cmd, *flags, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_radius_set_leaves_no_output_dir(self, tmp_path, capsys):
+        # 2^9 px exceeds N/4 = 64 px: dominate has no radius to walk
+        path, out = tmp_path / "cfg.txt", tmp_path / "out"
+        path.write_text("eps_min_exp = 9\n")
+        assert cli_main(["dominate", "--config", str(path), "--grid-n", "256",
+                         "--out", str(out)]) == 2
+        assert "empty radius set" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd,flags,field", [

@@ -21,7 +21,6 @@ from brlab.maximal import (
     _fftconvolve,
     _full_window,
     _wrap_take,
-    _y_pattern,
     ball_average,
     br_star,
     br_starstar,
@@ -33,7 +32,7 @@ from brlab.sparse import (C_INIT, RECURSION_FLOOR_CELLS, DyadicCube, TraceNode,
 
 SPEC = GridSpec(n=2, L=8.0, N=64)
 DELTA = 0.3
-CFG = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4, y_thin=16)
+CFG = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2)  # eps = 4, 8 and 16 px at N = 64
 
 
 def spiky_field(spec=SPEC, seed=11):
@@ -45,25 +44,37 @@ def _apply_sym(vals, sym):
     return np.fft.fftshift(np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(vals)) * sym))
 
 
+def torus_ball_means(dens, eps_px):
+    """Mean of ``dens`` over the eps-ball around every point of the torus:
+    a direct sum over the ball's offsets."""
+    N, n = dens.shape[0], dens.ndim
+    padded = np.pad(dens, eps_px, mode="wrap")
+    offs = _ball_offsets(n, eps_px, N)
+    acc = np.zeros(dens.shape)
+    for b in offs.tolist():
+        acc += padded[tuple(slice(eps_px + o, eps_px + o + N) for o in b)]
+    return acc / len(offs)
+
+
+def candidate_max(means, eps_px, points):
+    """max of ``means`` over every candidate center y = x + a, a in the
+    eps-ball, at each index tuple x of ``points``."""
+    N, n = means.shape[0], means.ndim
+    ys = (np.asarray(points)[:, None, :] + _ball_offsets(n, eps_px, N)[None]) % N
+    return means[tuple(np.moveaxis(ys, -1, 0))].max(axis=1)
+
+
 def brute_starstar(f, delta, cfg, points=None):
-    """Independent evaluation: explicit loops over centers and candidates,
-    at the index tuples ``points`` of a grid of any dimension (default: the
-    whole grid, as an array of its shape)."""
+    """Independent evaluation: direct ball sums on the torus and a max over
+    every candidate center, at the index tuples ``points`` of a grid of any
+    dimension (default: the whole grid, as an array of its shape)."""
     spec = f.spec
-    N = spec.N
-    pts = list(itertools.product(range(N), repeat=spec.n)) if points is None else points
+    pts = list(itertools.product(range(spec.N), repeat=spec.n)) if points is None else points
     out = np.zeros(len(pts))
     for eps_px in cfg.eps_px_list(spec):
         sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
-        dens = np.abs(_apply_sym(f.values, sym)) ** cfg.q0
-        b = _ball_offsets(spec.n, eps_px, N)
-        pat = _y_pattern(spec.n, eps_px, N, cfg.y_thin)
-        for i, x in enumerate(pts):
-            best = out[i]
-            for a in pat:
-                s = dens[tuple(((b + a + np.array(x)) % N).T)].mean()
-                best = max(best, s ** (1.0 / cfg.q0))
-            out[i] = best
+        means = torus_ball_means(np.abs(_apply_sym(f.values, sym)) ** cfg.q0, eps_px)
+        np.maximum(out, candidate_max(means, eps_px, pts) ** (1.0 / cfg.q0), out=out)
     return out.reshape(spec.shape) if points is None else out
 
 
@@ -80,32 +91,40 @@ def brute_hl(f, cfg, points):
     return out
 
 
-def brute_star_at(f, delta, cfg, points, mask_center=None):
-    """Per-point masked transform: the definition, with no shared work, at
-    the index tuples ``points`` of a grid of any dimension.
+def brute_star_at(f, delta, cfg, points, mask_center=None, radii=None):
+    """Masked transform by its definition at the index tuples ``points`` of a
+    grid of any dimension, over the radii ``radii`` (default: the config's):
+    for each mask ball, f masked on the whole grid, its transform, direct
+    ball sums on the torus and a max over every candidate center.
 
     ``mask_center(x, eps_px)`` moves the mask ball of point x at radius
     eps_px to another center (default: x itself); ``tile_centers`` gives
-    br_star's."""
+    br_star's.  Points that share a mask ball share its work."""
     spec = f.spec
     N = spec.N
     idx = np.indices(spec.shape)
-    values = {}
-    for x in points:
-        best = 0.0
-        for eps_px in cfg.eps_px_list(spec):
-            sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
-            c = x if mask_center is None else mask_center(x, eps_px)
+    values = dict.fromkeys(points, 0.0)
+    for eps_px in cfg.eps_px_list(spec) if radii is None else radii:
+        sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
+        groups = {}
+        for x in points:
+            groups.setdefault(x if mask_center is None else mask_center(x, eps_px), []).append(x)
+        for c, xs in groups.items():
             d2 = sum(np.minimum(np.abs(i - ci), N - np.abs(i - ci)) ** 2 for i, ci in zip(idx, c))
             masked = np.where(d2 <= (3 * eps_px) ** 2, 0.0, f.values)
-            dens = np.abs(_apply_sym(masked, sym)) ** cfg.q0
-            b = _ball_offsets(spec.n, eps_px, N)
-            pat = _y_pattern(spec.n, eps_px, N, cfg.y_thin)
-            for a in pat:
-                s = dens[tuple(((b + a + np.array(x)) % N).T)].mean()
-                best = max(best, s ** (1.0 / cfg.q0))
-        values[x] = best
+            means = torus_ball_means(np.abs(_apply_sym(masked, sym)) ** cfg.q0, eps_px)
+            for x, v in zip(xs, candidate_max(means, eps_px, xs) ** (1.0 / cfg.q0)):
+                values[x] = max(values[x], float(v))
     return values
+
+
+def values_at(eng, op, window, radii):
+    """``{op}_values`` of the engine on the window over the radii ``radii``
+    only: the engine's per-radius steps on one zero accumulator."""
+    acc = np.zeros(tuple(h - l for l, h in window))
+    for eps_px in radii:
+        getattr(eng, f"_{op}_step")(window, eps_px, acc)
+    return acc ** (1.0 / eng.cfg.p0) if op == "hl" else acc
 
 
 def tile_centers(window):
@@ -191,21 +210,21 @@ class TestNoSupportBox:
 
 
 class TestBrStar:
-    def test_displacement_path_matches_brute_force(self):
-        # eps = 4 px, where every tile is eps wide and the mask center moves
-        # at most 2 sqrt(2) px from the point
+    def test_small_radius_matches_brute_force(self):
+        # eps = 4 px alone, where every tile is eps wide and the mask center
+        # moves at most 2 sqrt(2) px from the point
         f = spiky_field()
-        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2, y_thin=16)
-        star = br_star(f, DELTA, cfg).values
+        star = values_at(MaximalEngine(f, DELTA, CFG), "star", _full_window(SPEC), [4])
         rng = np.random.default_rng(1)
         pts = [(int(a), int(b)) for a, b in rng.integers(4, 60, size=(12, 2))]
-        brute = brute_star_at(f, DELTA, cfg, pts, mask_center=tile_centers(_full_window(SPEC)))
+        brute = brute_star_at(f, DELTA, CFG, pts, mask_center=tile_centers(_full_window(SPEC)),
+                              radii=[4])
         scale = max(brute.values())
         for p, v in brute.items():
             assert abs(star[p] - v) < 1e-10 * scale
 
     @pytest.mark.parametrize("eps_exp", [0, 1, 2])
-    def test_displacement_path_where_the_mask_ball_wraps(self, eps_exp):
+    def test_where_the_mask_ball_wraps(self, eps_exp):
         # N = 16: at eps = 4 = N/4 the mask ball B(c, 12) and the box
         # +- 2 eps around each tile both wrap around the torus (in 2-D the
         # mask ball then covers it, so the exact value is 0); every point
@@ -213,10 +232,10 @@ class TestBrStar:
         spec = GridSpec(n=2, L=3.0, N=16)
         f = make_test_function(spec, "random_trig", seed=11, window_radius=0.35,
                                num_modes=5, freq_max=1.5)
-        cfg = MaximalConfig(eps_min_exp=eps_exp, eps_max_exp=2, y_thin=16)
+        cfg = MaximalConfig(eps_min_exp=eps_exp)
         pts = [(int(a), int(b)) for a, b in np.argwhere(np.ones(spec.shape))]
         centers = tile_centers(_full_window(spec))
-        scale = max(brute_star_at(f, DELTA, MaximalConfig(eps_min_exp=0, y_thin=16),
+        scale = max(brute_star_at(f, DELTA, MaximalConfig(eps_min_exp=0),
                                   pts[::5], mask_center=centers).values())
         assert scale > 0
         star = br_star(f, DELTA, cfg).values
@@ -235,7 +254,7 @@ class TestBrStar:
                          support=Box((-L / 2,) * n, (-L / 2 + 2.5 * spec.dx,) * n))
         f.values[(slice(0, 3),) * n] = np.random.default_rng(N).standard_normal((3,) * n)
         m = eps_px.bit_length() - 1
-        star = br_star(f, DELTA, MaximalConfig(eps_min_exp=m, eps_max_exp=m)).values
+        star = br_star(f, DELTA, MaximalConfig(eps_min_exp=m)).values
         pts, nz = np.indices(spec.shape).reshape(n, -1).T, np.argwhere(f.values)
         diff = np.abs(pts[:, None] // eps_px * eps_px + eps_px // 2 - nz[None])
         wrapped = np.sum(np.minimum(diff, N - diff) ** 2, axis=-1) <= (3 * eps_px) ** 2
@@ -245,38 +264,40 @@ class TestBrStar:
         assert np.all(star.reshape(-1)[covered] == 0.0)
 
     @pytest.mark.parametrize("N, eps_px", [(8, 1), (8, 2), (32, 8)])
-    def test_displacement_path_wraps_partial_masks_in_three_dimensions(self, N, eps_px):
+    def test_wraps_partial_masks_in_three_dimensions(self, N, eps_px):
         # in 3-D the wrapped mask ball of eps = N/4 leaves the torus's far
         # corners outside it, and the box +- 2 eps around each tile wraps
-        # (eps = 1 at N = 8 wraps nothing); f is noise on the whole grid
+        # (eps = 1 at N = 8, alone, wraps nothing); f is noise on the whole
+        # grid
         L = N / 5.0
         spec = GridSpec(n=3, L=L, N=N)
         f = SampledField(spec, np.random.default_rng(3).standard_normal(spec.shape),
                          support=Box((-L / 2,) * 3, (L / 2,) * 3))
-        m = eps_px.bit_length() - 1
-        cfg = MaximalConfig(eps_min_exp=m, eps_max_exp=m, y_thin=None)
-        star = br_star(f, DELTA, cfg).values
+        cfg = MaximalConfig(eps_min_exp=0)
+        star = values_at(MaximalEngine(f, DELTA, cfg), "star", _full_window(spec), [eps_px])
         pts = [tuple(int(v) for v in p) for p in
                np.random.default_rng(eps_px).integers(0, N, size=(12, 3))]
-        brute = brute_star_at(f, DELTA, cfg, pts, mask_center=tile_centers(_full_window(spec)))
+        brute = brute_star_at(f, DELTA, cfg, pts, mask_center=tile_centers(_full_window(spec)),
+                              radii=[eps_px])
         scale = max(brute.values())
         assert scale > 0
         for p, v in brute.items():
             assert abs(star[p] - v) < 1e-10 * scale, p
 
-    def test_displacement_path_across_blocks(self):
-        # a 128^2 whole grid at eps = 4: its 1,024 tiles, many of them
+    def test_many_partial_tiles_in_one_batch(self):
+        # a 128^2 whole grid at eps = 4 alone: its 1,024 tiles, many of them
         # partial, run in one batch; three sampled points in each of eight
         # bands of 16 rows
         spec = GridSpec(n=2, L=8.0, N=128)
         f = spiky_field(spec)
-        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=2)
+        cfg = MaximalConfig()
         band = 16 * spec.N
         rng = np.random.default_rng(2)
         flat = [int(b * band + k) for b in range(8) for k in rng.integers(0, band, size=3)]
         pts = [tuple(int(v) for v in np.unravel_index(i, spec.shape)) for i in flat]
-        star = br_star(f, DELTA, cfg).values
-        brute = brute_star_at(f, DELTA, cfg, pts, mask_center=tile_centers(_full_window(spec)))
+        star = values_at(MaximalEngine(f, DELTA, cfg), "star", _full_window(spec), [4])
+        brute = brute_star_at(f, DELTA, cfg, pts, mask_center=tile_centers(_full_window(spec)),
+                              radii=[4])
         scale = max(brute.values())
         assert scale > 0
         for p, v in brute.items():
@@ -286,25 +307,25 @@ class TestBrStar:
         # support inside B(x, (3 - sqrt(2)/2) eps), which lies in the mask
         # ball of x's tile center, for every radius
         spec = GridSpec(n=2, L=16.0, N=128)
-        cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4, y_thin=8)
+        cfg, radii = MaximalConfig(p0=1.2, q0=2.0), [4, 8, 16]
         r_support = (3 - np.sqrt(2) / 2) * (2 ** 2) * spec.dx
         f = make_test_function(spec, "bump", radius=r_support)
-        star = br_star(f, DELTA, cfg).values
+        star = values_at(MaximalEngine(f, DELTA, cfg), "star", _full_window(spec), radii)
         center = (spec.N // 2, spec.N // 2)
         assert star[center] == 0.0
         # at the strict 3 eps boundary too, on a one-point window (whose
         # only tile is centered at the point itself), as the oracle says
         f2 = make_test_function(spec, "bump", radius=2.9 * 4 * spec.dx)
-        star2 = MaximalEngine(f2, DELTA, cfg).star_values(
-            ((center[0], center[0] + 1), (center[1], center[1] + 1)))
-        assert brute_star_at(f2, DELTA, cfg, [center]) == {center: 0.0}
+        star2 = values_at(MaximalEngine(f2, DELTA, cfg), "star",
+                          ((center[0], center[0] + 1), (center[1], center[1] + 1)), radii)
+        assert brute_star_at(f2, DELTA, cfg, [center], radii=radii) == {center: 0.0}
         assert star2.shape == (1, 1) and star2[0, 0] == 0.0
 
     def test_covered_radius_does_no_masking_work(self, monkeypatch):
         # the support lies inside the mask ball of every tile center of the
         # window at every radius, so no radius reads a truncated field
         spec = GridSpec(n=2, L=16.0, N=128)
-        cfg = MaximalConfig(eps_min_exp=2, eps_max_exp=4, y_thin=8)
+        cfg = MaximalConfig(eps_min_exp=2)
         f = make_test_function(spec, "bump", radius=2 * spec.dx)
         c = spec.N // 2
         window = ((c - 4, c + 4), (c - 3, c + 5))
@@ -337,10 +358,8 @@ class TestBrStar:
     def test_refinement_monotonicity(self):
         # adding radii to the candidate set never decreases the sup
         f = spiky_field(seed=6)
-        coarse = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=3, eps_max_exp=3, y_thin=16)
-        fine = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=4, y_thin=16)
-        a = br_star(f, DELTA, coarse).values
-        b = br_star(f, DELTA, fine).values
+        a = values_at(MaximalEngine(f, DELTA, CFG), "star", _full_window(SPEC), [8])
+        b = br_star(f, DELTA, CFG).values
         assert np.all(b >= a - 1e-13)
 
     @pytest.mark.parametrize("eps_exp", [3, 4])
@@ -350,7 +369,7 @@ class TestBrStar:
         spec = GridSpec(n=2, L=8.0, N=128)
         f = spiky_field(spec)
         eps = 2 ** eps_exp
-        cfg = MaximalConfig(eps_min_exp=eps_exp, eps_max_exp=eps_exp, y_thin=16)
+        cfg = MaximalConfig()
         tile_center = tile_centers(_full_window(spec))
         nz = np.argwhere(f.values != 0)
 
@@ -367,8 +386,9 @@ class TestBrStar:
             if len(cls) < 4:
                 cls.append((int(x[0]), int(x[1])))
         assert all(len(v) == 4 for v in pts.values()), pts
-        star = br_star(f, DELTA, cfg).values
-        brute = brute_star_at(f, DELTA, cfg, sum(pts.values(), []), mask_center=tile_center)
+        star = values_at(MaximalEngine(f, DELTA, cfg), "star", _full_window(spec), [eps])
+        brute = brute_star_at(f, DELTA, cfg, sum(pts.values(), []), mask_center=tile_center,
+                              radii=[eps])
         scale = max(brute.values())
         assert scale > 0
         for p, v in brute.items():
@@ -466,11 +486,11 @@ def _pruned_radii(monkeypatch, cfg):
 
 class TestRadiusPruning:
     def test_outputs_bitwise_equal_to_unpruned(self, monkeypatch):
-        pruned = _pruned_radii(monkeypatch, MaximalConfig(eps_min_exp=0, y_thin=16))
+        pruned = _pruned_radii(monkeypatch, MaximalConfig(eps_min_exp=0))
         assert all(pruned.values()), pruned
 
     def test_q0_above_two_prunes_with_the_kernel_bound(self, monkeypatch):
-        pruned = _pruned_radii(monkeypatch, MaximalConfig(q0=3.0, eps_min_exp=0, y_thin=16))
+        pruned = _pruned_radii(monkeypatch, MaximalConfig(q0=3.0, eps_min_exp=0))
         assert pruned["starstar"] > 0, pruned
 
     @pytest.mark.parametrize("q0", [2.0, 3.0])
@@ -479,7 +499,7 @@ class TestRadiusPruning:
         # bound: br_starstar's y-max, br_star's tiles and the HL ball mean;
         # and the bounds do not increase with the radius, so each one covers
         # every larger radius
-        cfg = MaximalConfig(q0=q0, eps_min_exp=0, y_thin=16)
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0)
         for f, box, window in _node_cases():
             eng = MaximalEngine(f, DELTA, cfg, box=box)
             l2 = [eng._l2_bound(eps_px) for eps_px in eng.eps_list]
@@ -499,16 +519,16 @@ class TestRadiusPruning:
     def test_bound_holds_at_single_radius(self, seed, eps_exp):
         # eps = 2 to 16 px, each alone
         f = spiky_field(seed=seed)
-        cfg = MaximalConfig(eps_min_exp=eps_exp, eps_max_exp=eps_exp, y_thin=16)
+        cfg = MaximalConfig(eps_min_exp=1)
         eps_px = 2 ** eps_exp
         count = len(_ball_offsets(SPEC.n, eps_px, SPEC.N))
         dens = np.abs(f.values)
         bound_hl = (np.sum(dens ** cfg.p0) / count) ** (1.0 / cfg.p0)
         bound_l2 = (np.sum(dens ** 2) / count) ** 0.5
         eng, window = MaximalEngine(f, DELTA, cfg), _full_window(SPEC)
-        assert eng.hl_values(window).max() <= bound_hl * (1.0 + 1e-9)
-        assert eng.starstar_values(window).max() <= bound_l2 * (1.0 + 1e-9)
-        assert eng.star_values(window).max() <= bound_l2 * (1.0 + 1e-9)
+        assert values_at(eng, "hl", window, [eps_px]).max() <= bound_hl * (1.0 + 1e-9)
+        assert values_at(eng, "starstar", window, [eps_px]).max() <= bound_l2 * (1.0 + 1e-9)
+        assert values_at(eng, "star", window, [eps_px]).max() <= bound_l2 * (1.0 + 1e-9)
 
 
 def _off_window_case(spec=GridSpec(n=2, L=8.0, N=128)):
@@ -524,12 +544,10 @@ def _tightest_bounds(f, box, window, cfg):
     each radius, the largest contribution of that radius or a larger one."""
     l2, hl = {}, {}
     for eps_px in reversed(cfg.eps_px_list(f.spec)):
-        m = eps_px.bit_length() - 1
-        one = MaximalEngine(f, DELTA, MaximalConfig(q0=cfg.q0, eps_min_exp=m, eps_max_exp=m,
-                                                    y_thin=cfg.y_thin), box=box)
-        l2[eps_px] = max(l2.get(2 * eps_px, 0.0), one.star_values(window).max(),
-                         one.starstar_values(window).max())
-        hl[eps_px] = max(hl.get(2 * eps_px, 0.0), one.hl_values(window).max())
+        one = MaximalEngine(f, DELTA, cfg, box=box)
+        l2[eps_px] = max(l2.get(2 * eps_px, 0.0), values_at(one, "star", window, [eps_px]).max(),
+                         values_at(one, "starstar", window, [eps_px]).max())
+        hl[eps_px] = max(hl.get(2 * eps_px, 0.0), values_at(one, "hl", window, [eps_px]).max())
     return l2, hl
 
 
@@ -541,7 +559,7 @@ class TestPhiValues:
         # walk may stop early, but each rung's comparison is the full sum's.
         # The tightest bounds leave the brackets no slack to hide a missing
         # term in.
-        cfg = MaximalConfig(q0=q0, eps_min_exp=0, y_thin=16)
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0)
         rng = np.random.default_rng(0)
         stopped = 0
         for f, box, window in [*_node_cases(), _off_window_case()]:
@@ -567,19 +585,20 @@ class TestWindowContract:
     # whole-grid operators cropped to it.  br_star's tiles start at the
     # window's low corner, so it is compared only at the radii whose tiles
     # the node windows (at index 30, sides 4 and 2) share with the whole
-    # grid's: eps = 1 and 2 px.
-    @pytest.mark.parametrize("op, cfg", [
-        ("hl", MaximalConfig(eps_min_exp=0, y_thin=16)),
-        ("starstar", MaximalConfig(eps_min_exp=0, y_thin=16)),
-        ("star", MaximalConfig(eps_min_exp=0, eps_max_exp=1, y_thin=16)),
-    ], ids=["hl", "starstar", "star"])
-    def test_window_values_match_public_operator_cropped(self, op, cfg):
-        public = {"hl": lambda f: hl_maximal(f, cfg),
-                  "starstar": lambda f: br_starstar(f, DELTA, cfg),
-                  "star": lambda f: br_star(f, DELTA, cfg)}[op]
+    # grid's: eps = 1 and 2 px, through the engine's per-radius steps on the
+    # whole-grid window that ``br_star`` passes.
+    @pytest.mark.parametrize("op", ["hl", "starstar", "star"])
+    def test_window_values_match_public_operator_cropped(self, op):
+        cfg = MaximalConfig(eps_min_exp=0)
+        public = {"hl": lambda f: hl_maximal(f, cfg).values,
+                  "starstar": lambda f: br_starstar(f, DELTA, cfg).values,
+                  "star": lambda f: values_at(MaximalEngine(f, DELTA, cfg), "star",
+                                              _full_window(SPEC), [1, 2])}[op]
         for f, box, window in _node_cases(SPEC):
-            whole = public(_cut(f, box)).values
-            got = getattr(MaximalEngine(f, DELTA, cfg, box=box), f"{op}_values")(window)
+            whole = public(_cut(f, box))
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            got = (values_at(eng, op, window, [1, 2]) if op == "star"
+                   else getattr(eng, f"{op}_values")(window))
             want = whole[tuple(slice(l, h) for l, h in window)]
             assert got.shape == want.shape == tuple(h - l for l, h in window)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(whole), window
@@ -706,7 +725,7 @@ class TestNodeOracle:
     def test_trace_nodes_match_brute_force(self, case, q0):
         n, N, root_cells, seeds = self.CASES[case]
         spec = GridSpec(n=n, L=4.0, N=N)
-        cfg = MaximalConfig(q0=q0, eps_min_exp=0, y_thin=16)
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0)
         compared, tied = 0, []
         for seed in seeds:
             f = self._field(spec, seed)
@@ -734,7 +753,7 @@ class TestBatchedTiles:
     def test_stacked_calls_equal_looped_calls(self, n, N, eps_px, kind):
         spec = GridSpec(n=n, L=N / 8.0, N=N)
         eng = MaximalEngine(SampledField(spec, np.zeros(spec.shape)), DELTA,
-                            MaximalConfig(q0=3.0, y_thin=16))
+                            MaximalConfig(q0=3.0))
         rng = np.random.default_rng(eps_px)
 
         def draw(shape):
@@ -754,41 +773,32 @@ class TestBatchedTiles:
         assert np.array_equal(near, np.stack([eng._truncate(s, *boxes) for s in src]))
 
 
-def _y_pattern_search(n, r_px, N, thin):
-    """The former stride search: filter the whole ball at every stride."""
-    offs = _ball_offsets(n, r_px, N)
-    if thin is None or len(offs) <= thin:
-        return offs
-    stride = 2
-    while True:
-        keep = np.all(offs % stride == 0, axis=1)
-        if keep.sum() <= thin:
-            return offs[keep]
-        stride += 1
-
-
-class TestYPattern:
-    # every r <= N/4 where the oracle is cheap; at N = 1024 the two radii
-    # above 64 px that the domination sweep uses, at the sweep's thin values.
-    # thin = 1, 4 and 12 stop some radii at a stride that puts lattice
-    # points on the ball's boundary.
-    CASES = ([(n, N, r) for n in (2, 3) for N in (16, 64) for r in range(N // 4 + 1)]
-             + [(2, 256, r) for r in range(65)])
-    LARGE = [(2, 1024, 128), (2, 1024, 256)]
-
-    @pytest.mark.parametrize("thin", [None, 1, 4, 8, 12, 16, 64])
-    def test_matches_whole_ball_stride_search(self, thin):
-        for n, N, r in self.CASES + (self.LARGE if thin in (None, 8, 16, 64) else []):
-            got = _y_pattern(n, r, N, thin)
-            assert np.array_equal(got, _y_pattern_search(n, r, N, thin)), (n, N, r)
-            assert not got.flags.writeable
-
-    @pytest.mark.parametrize("thin", [0, -3])
-    def test_config_rejects_thin_below_one(self, thin):
-        # the stride search could never reach so few centers: the config
-        # refuses the value before any pattern is built
-        with pytest.raises(ValueError, match="y_thin"):
-            MaximalConfig(y_thin=thin)
+class TestYMax:
+    # _y_max against its definition: direct ball sums on the torus and a max
+    # over every candidate center of the eps-ball, at 1e-12 of the result's
+    # size.  The window sits at the grid's center, across its seam, or
+    # across the seam for a stack of three fields; its crop +- 2 eps is
+    # wider than the grid at eps = N/4.
+    @pytest.mark.parametrize("layout", ["centered", "seam", "stacked"])
+    @pytest.mark.parametrize("n, N, eps_px", [(2, 64, 8), (2, 128, 16), (2, 128, 32),
+                                              (3, 16, 4), (3, 32, 8)])
+    def test_matches_every_candidate(self, n, N, eps_px, layout):
+        spec = GridSpec(n=n, L=N / 8.0, N=N)
+        eng = MaximalEngine(SampledField(spec, np.zeros(spec.shape)), DELTA,
+                            MaximalConfig(q0=3.0))
+        fields = np.random.default_rng(N + eps_px).standard_normal(
+            (3 if layout == "stacked" else 1,) + spec.shape)
+        sides = (5, 3, 4)[:n]
+        lo = (N // 2,) * n if layout == "centered" else (N - 2,) + (1,) * (n - 1)
+        window = tuple((l, l + m) for l, m in zip(lo, sides))
+        crops = np.stack([_wrap_take(g, *zip(*eng._expand(window, 2 * eps_px))) for g in fields])
+        got = eng._y_max(crops if layout == "stacked" else crops[0], eps_px)
+        pts = list(itertools.product(*(range(l, h) for l, h in window)))
+        want = np.stack([candidate_max(torus_ball_means(np.abs(g) ** 3, eps_px), eps_px, pts)
+                         for g in fields]) ** (1 / 3)
+        want = want.reshape((len(fields),) + sides)
+        assert got.shape == (want.shape if layout == "stacked" else sides)
+        assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-12 * want.max()
 
 
 class TestSupportLocal:
@@ -872,23 +882,22 @@ class TestSupportLocal:
 
     @pytest.mark.parametrize("N", [16, 64])
     @pytest.mark.parametrize("eps_px", [1, 2, 4])
-    @pytest.mark.parametrize("thin", [None, 64, 8])
-    def test_touch_tables_match_brute_force(self, N, eps_px, thin):
+    def test_touch_tables_match_brute_force(self, N, eps_px):
         # the y-max touches x + a + b (mod N) once for each candidate a and
         # each b in the eps-ball: a wrapped crop of a torus field against
         # the direct sums, on a window whose crop +- 2 eps crosses the grid
         # edge (and is wider than the grid at N = 16, eps = 4)
         spec = GridSpec(n=2, L=N / 8.0, N=N)
         eng = MaximalEngine(SampledField(spec, np.zeros(spec.shape)), DELTA,
-                            MaximalConfig(q0=3.0, y_thin=thin))
+                            MaximalConfig(q0=3.0))
         g = np.random.default_rng(N + eps_px).standard_normal(spec.shape)
         window = ((N - 3, N + 2), (2, 9))
         got = eng._y_max(_wrap_take(g, *zip(*eng._expand(window, 2 * eps_px))), eps_px)
-        b_offs, pat = _ball_offsets(2, eps_px, N), _y_pattern(2, eps_px, N, thin)
+        b_offs = _ball_offsets(2, eps_px, N)
         want = np.zeros(got.shape)
         for i, x in enumerate(itertools.product(*(range(l, h) for l, h in window))):
             want.flat[i] = max(np.mean(np.abs(g[tuple(((x + a + b_offs) % N).T)]) ** 3)
-                               for a in pat) ** (1 / 3)
+                               for a in b_offs) ** (1 / 3)
         assert got.shape == (5, 7)
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 

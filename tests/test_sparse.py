@@ -408,7 +408,7 @@ class TestThreeDimensions:
         spec = GridSpec(n=3, L=4.0, N=32)
         f = make_test_function(spec, "bump", radius=0.4, amp=8.0)
         g = make_test_function(spec, "bump", radius=0.35, center=(0.05, -0.05, 0.0))
-        cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2, eps_max_exp=3, y_thin=8)
+        cfg = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2)  # eps = 4 and 8 px at N = 32
         coll, trace = build_sparse(f, g, 0.3, cfg)
         assert coll.verify()
         form = sparse_form(coll, f, g, 1.2, 2.0)

@@ -79,7 +79,7 @@ class TestCubeFamily:
 
         for name in ("prefix_sum", "box_sums"):
             counted(name)
-        counted("_doubling_table", lambda base, op, n_levels: op.__name__)
+        counted("doubling_table", lambda base, op, n_levels, axes=None: op.__name__)
         init = weights._CubeStats.__init__
 
         def recorded_init(stats, *args):
@@ -323,10 +323,14 @@ class TestVectorValued:
         assert rep.input_norm == pytest.approx(stacked, rel=1e-12)
 
     def test_admissibility_flag(self):
-        spec = GridSpec(n=2, L=16.0, N=128)
-        f = make_test_function(spec, "bump", radius=0.5)
-        assert vector_valued_norm([f], 8.0 / 5.0, 5.0 / 2.0, 0.2).admissible
-        assert not vector_valued_norm([f], 6.0 / 5.0, 6.0, 0.2).admissible
+        # the vv report's flag is the exact rule of its exponent record:
+        # |7/9 - 4/9| = 1/3 is not < 1/3, where a float test can say it is
+        for p, q, admissible in [(F(8, 5), F(5, 2), True), (F(6, 5), F(6), False),
+                                 (F(9, 7), F(9, 4), False)]:
+            cfg = harness.ExperimentConfig(grid_l=8.0, grid_n=64, trials=1, seed=2, p=p, q=q)
+            rep = harness.run_vector_valued(cfg)
+            assert rep.rows[0][2] is admissible and rep.summary["admissible"] is admissible
+            assert rep.summary["exponent_record"]["vv_admissible"] == str(admissible).lower()
 
 
 class TestMixedPreset:
