@@ -17,8 +17,9 @@ which discretizes the continuum Fourier integral; Parseval then reads
 Field values are stored as float64 when the input is real and as complex128
 otherwise.  Every transform runs on ``scipy.fft``, called through the module
 so that its entry points can be wrapped from outside.  :func:`apply_symbol`
-is the one place a Fourier multiplier meets a field.  Complex values take
-``fftn``/``ifftn``.  Real values stay real (every symbol here is even) and
+is the one place a Fourier multiplier meets a whole field (``maximal``
+reads truncated fields on boxes through the symbol's band).  Complex
+values take ``fftn``/``ifftn``.  Real values stay real (every symbol here is even) and
 take pocketfft's own separable passes of the ``rfftn``/``irfftn`` pair on
 the half symbol: ``rfftn`` is an r2c pass along the last axis, then c2c
 passes along axes 0, ..., n-2; ``irfftn`` is the unscaled inverse c2c
@@ -36,9 +37,8 @@ N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a symbol
 without zeros keeps its full passes.  The pruned result has the bits of the whole-grid pair:
 the passes run in the same order, each 1-D line is the same pocketfft
 transform, a line left out holds zeros that add nothing, and the scale is
-a power of two applied once at the end.  :func:`symbol_kernel` is the same
-inverse read on the whole grid.  The ``dx^n`` factors of the transform
-convention cancel in a multiplier and are left out.
+a power of two applied once at the end.  The ``dx^n`` factors of the
+transform convention cancel in a multiplier and are left out.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_symbol",
-    "symbol_kernel",
     "cube_average",
     "lp_norm",
     "lp_mean",
@@ -350,30 +349,6 @@ def _put(part: np.ndarray, idx: np.ndarray, axis: int, length: int) -> np.ndarra
     return out
 
 
-def _half_inverse(spectrum: np.ndarray, band: list[np.ndarray], read, N: int,
-                  shift: int = 0) -> np.ndarray:
-    """``irfftn`` of the half spectrum that is ``spectrum`` on the index grid
-    ``band`` and zero elsewhere, read on the index box ``read`` (ranges of
-    indices plus ``shift``, taken mod N): the unscaled c2c passes on the
-    band's lines only, the c2r pass on the read rows only, then the scale
-    ``1/N^n``.  An axis read once around runs whole and is rotated at the
-    end, all such axes in one copy."""
-    n = spectrum.ndim
-    rows = _span(read, N, shift)
-    turn = {a: -(lo + shift) % N for a, (lo, hi) in enumerate(read) if hi - lo == N}
-    for a in range(n - 1):
-        spectrum = fft.ifft(_put(spectrum, band[a], a, N), axis=a, norm="forward",
-                            overwrite_x=True)
-        if a not in turn:
-            spectrum = _take(spectrum, rows[a], a)
-    out = fft.irfft(_put(spectrum, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
-    if n - 1 not in turn:
-        out = _take(out, rows[-1], n - 1)
-    out *= 1.0 / N ** n
-    turn = {a: s for a, s in turn.items() if s}
-    return np.roll(out, tuple(turn.values()), tuple(turn)) if turn else out
-
-
 def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
                  read=None) -> np.ndarray:
     """Multiply the spectrum of centered grid ``values`` by a lattice
@@ -412,17 +387,22 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
     for a in range(n):
         half = _take(half, band[a], a)
     x *= half
-    return _half_inverse(x, band, full if read is None else read, N, N // 2)
-
-
-def symbol_kernel(symbol: np.ndarray) -> np.ndarray:
-    """Kernel of the even lattice ``symbol`` (fft ordering), indexed by
-    offset mod N: the bits of ``irfftn`` of the half symbol, by the pruned
-    inverse of :func:`apply_symbol`."""
-    N, n = symbol.shape[0], symbol.ndim
-    half = symbol[..., : N // 2 + 1]
-    band = _band(half)
-    return _half_inverse(half[np.ix_(*band)], band, [(0, N)] * n, N)
+    # the unscaled c2c passes on the band's lines, the c2r pass on the read
+    # rows, then the scale 1/N^n; an axis read once around runs whole and is
+    # rotated at the end, all such axes in one copy
+    read = full if read is None else read
+    rows = _span(read, N, N // 2)
+    turn = {a: -(lo + N // 2) % N for a, (lo, hi) in enumerate(read) if hi - lo == N}
+    for a in range(n - 1):
+        x = fft.ifft(_put(x, band[a], a, N), axis=a, norm="forward", overwrite_x=True)
+        if a not in turn:
+            x = _take(x, rows[a], a)
+    out = fft.irfft(_put(x, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
+    if n - 1 not in turn:
+        out = _take(out, rows[-1], n - 1)
+    out *= 1.0 / N ** n
+    turn = {a: s for a, s in turn.items() if s}
+    return np.roll(out, tuple(turn.values()), tuple(turn)) if turn else out
 
 
 def cube_average(f: SampledField, box: Box, p: float) -> float:

@@ -345,17 +345,16 @@ def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,
 
 def bilinear_pairing(f: SampledField, g: SampledField, delta: float) -> complex:
     """``<B f, g> = int B(f) conj(g) dx`` by Riemann sum.  ``B f`` is computed
-    only on g's support box, outside which ``conj(g)`` is 0, and summed with
-    zeros elsewhere, so the whole-grid sum keeps its order and its bits."""
+    only on g's support box, outside which ``conj(g)`` is 0; its products
+    fill that box of one zero grid, so the sum keeps its order and bits."""
     spec = f.spec
     read = g.support_ranges()
     bf = apply_symbol(f.values, bochner_riesz_symbol(spec, float(delta)),
                       f.support_ranges(), read)
-    if read is not None:
-        whole = np.zeros(spec.shape, dtype=bf.dtype)
-        whole[tuple(slice(lo, hi) for lo, hi in read)] = bf
-        bf = whole
-    return complex(np.sum(bf * np.conj(g.values)) * spec.dx ** spec.n)
+    box = tuple(slice(lo, hi) for lo, hi in read or [(0, spec.N)] * spec.n)
+    prod = np.zeros(spec.shape, dtype=np.result_type(bf, g.values))
+    prod[box] = bf * np.conj(g.values[box])
+    return complex(np.sum(prod) * spec.dx ** spec.n)
 
 
 def collection_to_csv(coll: SparseCollection) -> str:

@@ -28,7 +28,6 @@ from brlab.grid import (
     make_test_function,
     read_field,
     sum_of_squares,
-    symbol_kernel,
     write_field,
 )
 from brlab.multiplier import bochner_riesz_symbol, k_min, sk_symbol, truncated_symbol
@@ -205,12 +204,6 @@ class TestApplySymbolBitwise:
                 self.assert_same_bits(apply_symbol(vals, sym), ref)
                 self.assert_same_bits(apply_symbol(vals, sym, src, read),
                                       ref[tuple(slice(lo, hi) for lo, hi in read)])
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}")
-    def test_kernel_matches_half_spectrum_inverse(self, spec):
-        for name, sym in package_symbols(spec).items():
-            half = sym[..., : spec.N // 2 + 1]
-            self.assert_same_bits(symbol_kernel(sym), fft.irfftn(half, s=spec.shape))
 
     def test_boxes_wrap_mod_n(self):
         # a read box past the grid edge reads the wrapped points, and the

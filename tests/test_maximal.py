@@ -7,18 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.signal import fftconvolve
 
 import brlab.maximal as maximal
 from brlab.grid import (Box, GridSpec, SampledField, apply_symbol, cube_average, lp_norm,
                         make_test_function)
-from brlab.harness import ExperimentConfig, _trial_fields
 from brlab.maximal import (
     MaximalConfig,
     MaximalEngine,
     _ball_mean_linear,
     _ball_offsets,
-    _fftconvolve,
     _full_window,
     _wrap_take,
     ball_average,
@@ -626,14 +623,21 @@ class TestNodeBox:
 
     def test_each_truncated_box_computed_once(self, monkeypatch):
         # br_star and br_starstar read B_eps f on the same boxes; a node's
-        # engine computes each (eps, box) once and hands out read-only arrays
-        truncate, g_window = MaximalEngine._truncate, MaximalEngine._g_window
-        computed, reads = [], []
+        # engine computes the band spectrum of f once and each (eps, box)
+        # once, and hands out read-only arrays
+        spectrum, band_field = MaximalEngine._band_spectrum, MaximalEngine._band_field
+        g_window = MaximalEngine._g_window
+        spectra, computed, reads = [], [], []
 
-        def counting(eng, src, slo, eps_px, zlo, zhi):
+        def transforming(eng, src, slo):
             if src is eng._fs:
+                spectra.append(slo)
+            return spectrum(eng, src, slo)
+
+        def counting(eng, spec_, eps_px, zlo, zhi):
+            if spec_ is eng.__dict__.get("_f_hat"):
                 computed.append((eps_px, zlo, zhi))
-            return truncate(eng, src, slo, eps_px, zlo, zhi)
+            return band_field(eng, spec_, eps_px, zlo, zhi)
 
         def reading(eng, eps_px, zlo, zhi):
             reads.append((eps_px, zlo, zhi))
@@ -641,16 +645,19 @@ class TestNodeBox:
             assert not g.flags.writeable
             return g
 
-        monkeypatch.setattr(MaximalEngine, "_truncate", counting)
+        monkeypatch.setattr(MaximalEngine, "_band_spectrum", transforming)
+        monkeypatch.setattr(MaximalEngine, "_band_field", counting)
         monkeypatch.setattr(MaximalEngine, "_g_window", reading)
         shared = 0
         for f, box, window in _node_cases():
+            spectra.clear()
             computed.clear()
             reads.clear()
             eng = MaximalEngine(f, DELTA, MaximalConfig(), box=box)
             eng.star_values(window)
             eng.starstar_values(window)
             assert len(computed) == len(set(computed)) == len(set(reads)), window
+            assert len(spectra) == (1 if reads else 0), window
             shared += len(reads) - len(computed)
         assert shared > 0
 
@@ -773,6 +780,29 @@ class TestBatchedTiles:
         assert np.array_equal(near, np.stack([eng._truncate(s, *boxes) for s in src]))
 
 
+class TestTileClasses:
+    # one broadcast pass sorts the tiles of a radius: the same "holds every
+    # nonzero" and "holds some nonzero" flags as a loop over the centers,
+    # also where the pass runs in several blocks of centers
+    @pytest.mark.parametrize("n, N, r", [(2, 128, 24), (3, 32, 8)])
+    def test_matches_loop_over_centers(self, n, N, r):
+        spec = GridSpec(n=n, L=N / 8.0, N=N)
+        rng = np.random.default_rng(N)
+        vals = np.zeros(spec.shape)
+        vals[(slice(3 * N // 8, 5 * N // 8),) * n] = 1.0
+        eng = MaximalEngine(SampledField(spec, vals), DELTA, CFG)
+        # centers across the seam, and near the box's center, whose balls
+        # hold every nonzero
+        centers = np.vstack([rng.integers(-N // 2, 3 * N // 2, size=(5000, n)),
+                             rng.integers(N // 2 - 1, N // 2 + 2, size=(500, n))])
+        covered, touched = eng._nz_in_balls(centers, r)
+        assert len(centers) * eng._nz[0].size > 2 * (1 << 20)  # several blocks
+        for c, cov, tou in zip(centers, covered, touched):
+            d2 = sum(np.minimum((i - ci) % N, (ci - i) % N) ** 2 for i, ci in zip(eng._nz, c))
+            assert cov == np.all(d2 <= r * r) and tou == np.any(d2 <= r * r), c
+        assert covered.any() and (touched & ~covered).any() and (~touched).any()
+
+
 class TestYMax:
     # _y_max against its definition: direct ball sums on the torus and a max
     # over every candidate center of the eps-ball, at 1e-12 of the result's
@@ -802,9 +832,9 @@ class TestYMax:
 
 
 class TestSupportLocal:
-    # The truncated field of a box-supported source on a z-box is a valid
-    # convolution over the source box, also where that is longer than the
-    # grid and the kernel crop holds some offsets twice.
+    # The truncated field of a box-supported source on a z-box, against the
+    # whole-grid symbol application, also on boxes where the source box and
+    # the z-box together span more than the grid.
     EPS_PX = 4
 
     def _fields(self):
@@ -949,93 +979,9 @@ class TestBallAverage:
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
-def _direct_valid(a, b):
-    """The valid linear convolution as a direct sum over the smaller input's
-    points, with broadcasting on axes where either input has length 1."""
-    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
-    if not all(a.shape[i] >= b.shape[i] for i in axes):
-        a, b = b, a
-    shape = [a.shape[i] - b.shape[i] + 1 if i in axes else max(a.shape[i], b.shape[i])
-             for i in range(a.ndim)]
-    out = np.zeros(shape, dtype=np.result_type(a, b))
-    for j in np.ndindex(*(b.shape[i] if i in axes else 1 for i in range(a.ndim))):
-        # out[x] += a[x + k - 1 - j] b[j] on the transformed axes
-        a_sl = tuple(slice(b.shape[i] - 1 - j[i], b.shape[i] - 1 - j[i] + shape[i])
-                     if i in axes else slice(None) for i in range(a.ndim))
-        b_sl = tuple(slice(j[i], j[i] + 1) if i in axes else slice(None)
-                     for i in range(a.ndim))
-        out = out + a[a_sl] * b[b_sl]
-    return out
-
-
 class TestFftconvolve:
-    """The valid linear convolution and the ball means against direct sums."""
-
-    SHAPES = [
-        ((60,), (38,)),            # larger length 60, a fast FFT size; 97 is not
-        ((38,), (60,)),            # the second input the larger
-        ((50, 30), (48, 20)),
-        ((9, 12), (23, 31)),
-        ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
-        ((1, 7), (4, 1)),          # no axis left: the plain product
-        ((1, 1), (1, 1)),
-        ((1,), (1,)),
-    ]
-
-    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
-    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
-    def test_matches_direct_sum(self, shapes, kinds):
-        rng = np.random.default_rng(5)
-
-        def draw(shape, kind):
-            x = rng.standard_normal(shape)
-            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
-
-        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
-        want = _direct_valid(a, b)
-        got = _fftconvolve(a, b)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
-
-    @pytest.mark.parametrize("mode", ["same", "valid"])
-    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
-    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
-    def test_matches_scipy_signal(self, shapes, kinds, mode):
-        # SciPy's output of either mode and the valid convolution are crops of
-        # the full one (length m + k - 1 per axis, m where either input has
-        # length 1); they must agree on every full index both hold
-        rng = np.random.default_rng(5)
-
-        def draw(shape, kind):
-            x = rng.standard_normal(shape)
-            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
-
-        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
-        expected = fftconvolve(a, b, mode=mode)
-        got = _fftconvolve(a, b)
-        assert got.dtype == expected.dtype
-        full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
-        got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
-        exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
-        lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
-        hi = [min(g + m, e + k) for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
-        if mode == "valid":
-            assert got.shape == expected.shape
-        assert all(h > l for l, h in zip(lo, hi))
-
-        def common(start):
-            return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
-
-        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
-        assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
-        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
-
-    def test_valid_needs_one_input_containing_the_other(self):
-        a, b = np.ones((5, 3)), np.ones((3, 5))
-        with pytest.raises(ValueError, match="at least as large"):
-            _fftconvolve(a, b)
+    """The one FFT convolution of ``maximal``, the ball mean, against direct
+    sums."""
 
     @pytest.mark.parametrize("shape, r_px, N", [((23, 30), 1, 64), ((23, 30), 4, 64),
                                                 ((41,), 8, 32), ((9, 10, 11), 2, 8)])
@@ -1049,51 +995,52 @@ class TestFftconvolve:
         assert got.shape == tuple(m - 2 * r_px for m in shape)
         assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * arr.max()
 
-    def test_transforms_at_the_larger_operands_fast_length(self, monkeypatch):
-        # every convolution of an N = 256 selection node (truncated fields,
-        # partial tiles, ball means) transforms each axis at next_fast_len
-        # of its larger operand, not of the full length m + k - 1
-        ecfg = ExperimentConfig(grid_n=256, eps_min_exp=2, seed=7, trials=1)
-        f, g = _trial_fields(ecfg, 0)
-        operands, checked = [], []
 
-        def spy_inverse(name, real):
-            inv = getattr(scipy.fft, name)
+def _direct_truncate(spec, delta, eps_px, src, slo, zlo, zhi):
+    """``sum_u K((z - u) mod N) src(u - slo)`` over the source box, for z in
+    the index box ``[zlo, zhi)``, by a loop over the source points; K is the
+    ``irfftn`` of the whole half symbol.  Leading axes of ``src`` stack
+    sources.  Also returns the scale ``max |K| * sum |src|``, which bounds
+    every value."""
+    N, n = spec.N, spec.n
+    sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 1.0))
+    kern = scipy.fft.irfftn(sym[..., : N // 2 + 1], s=spec.shape)
+    lead = src.shape[: src.ndim - n]
+    out = np.zeros(lead + tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
+    zs = [np.arange(l, h) for l, h in zip(zlo, zhi)]
+    for u in np.ndindex(*src.shape[len(lead):]):
+        k = kern[np.ix_(*((z - s - ui) % N for z, s, ui in zip(zs, slo, u)))]
+        out += src[(...,) + u][(...,) + (None,) * n] * k
+    return out, np.max(np.abs(kern)) * np.sum(np.abs(src), axis=tuple(range(len(lead), src.ndim)))
 
-            def spy(x, s=None, axes=None, *args, **kwargs):
-                if operands:
-                    fn, shapes = operands[-1]
-                    axes_ = range(len(s)) if axes is None else axes
-                    want = [scipy.fft.next_fast_len(max(m[i] for m in shapes), real)
-                            for i in axes_]
-                    assert list(s) == want, (fn, shapes, s)
-                    checked.append(fn)
-                return inv(x, s, axes, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, spy)
 
-        def spy_conv(name, operand_shapes):
-            fn = getattr(maximal, name)
+class TestTruncate:
+    # _truncate against the direct sum over the source box, at 1e-12 of the
+    # scale max |K| * sum |src|.  The z-boxes lie inside the grid, across its
+    # seam and longer than the grid; the source boxes start at negative
+    # offsets as the partial tiles' do.
+    CASES = [
+        (GridSpec(2, 8.0, 64), 4, (-6, 3), (9, 11),
+         [((20, 30), (36, 41)), ((-9, 50), (5, 70)), ((-20, 10), (60, 18))]),
+        (GridSpec(2, 8.0, 64), 16, (28, -2), (7, 5),
+         [((0, 0), (47, 12)), ((3, -7), (80, 30))]),
+        (GridSpec(3, 6.0, 32), 8, (-3, 14, 30), (5, 4, 6),
+         [((0, 0, 0), (9, 7, 5)), ((-5, 28, 30), (6, 36, 70))]),
+    ]
 
-            def spy(*args):
-                operands.append((name, operand_shapes(*args)))
-                try:
-                    return fn(*args)
-                finally:
-                    operands.pop()
-            monkeypatch.setattr(maximal, name, spy)
-
-        spy_inverse("irfftn", True)
-        spy_inverse("ifftn", False)
-        spy_conv("_fftconvolve", lambda a, b: (a.shape, b.shape))
-        spy_conv("_ball_mean_linear",
-                 lambda arr, r, N, n=None: (arr.shape, (2 * r + 1,) * arr.ndim))
-        tiles, truncate = [], MaximalEngine._truncate
-
-        def counted(eng, src, *args):
-            if src.ndim > eng.spec.n:
-                tiles.append(len(src))
-            return truncate(eng, src, *args)
-        monkeypatch.setattr(MaximalEngine, "_truncate", counted)
-        exceptional_set(f, root_cube(f, g), ecfg.delta, ecfg.maximal_cfg())
-        assert set(checked) == {"_fftconvolve", "_ball_mean_linear"}
-        assert tiles, "the node has no partial tile"
+    @pytest.mark.parametrize("kind", ["real", "complex", "stacked"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_direct_sum(self, case, kind):
+        spec, eps_px, slo, shape, zboxes = self.CASES[case]
+        rng = np.random.default_rng(case)
+        src = rng.standard_normal(((3,) if kind == "stacked" else ()) + shape)
+        if kind == "complex":
+            src = src + 1j * rng.standard_normal(shape)
+        eng = MaximalEngine(SampledField(spec, np.zeros(spec.shape)), DELTA, CFG)
+        for zlo, zhi in zboxes:
+            want, scale = _direct_truncate(spec, DELTA, eps_px, src, slo, zlo, zhi)
+            got = eng._truncate(src, slo, eps_px, zlo, zhi)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            err = np.max(np.abs(got - want), axis=tuple(range(got.ndim - spec.n, got.ndim)))
+            assert np.all(err <= 1e-12 * scale), (zlo, zhi)
+        assert any(h - l > spec.N for zlo, zhi in zboxes for l, h in zip(zlo, zhi))

@@ -13,9 +13,11 @@ import pytest
 
 import brlab
 import brlab.sparse as sparse
-from brlab.grid import Box, GridSpec, SampledField, cube_average, make_test_function
+from brlab.grid import (Box, GridSpec, SampledField, apply_symbol, cube_average,
+                        make_test_function)
 from brlab.harness import ExperimentConfig, _trial_fields
 from brlab.maximal import MaximalConfig, MaximalEngine
+from brlab.multiplier import bochner_riesz_symbol
 from brlab.sparse import (
     DyadicCube,
     ThresholdFailure,
@@ -324,20 +326,24 @@ class TestBuildSparse:
 
 
     def test_selection_independent_of_blas_threads(self):
-        # the selection nodes at N = 256 (br_star's partial tiles at eps = 4
-        # px included) must not depend on the BLAS thread count
+        # the selection nodes must not depend on the BLAS thread count, which
+        # can move the last bits of the truncated fields' matrix products:
+        # at N = 256 (br_star's partial tiles at eps = 4 px included) and at
+        # N = 1024, where threaded products moved the values between the
+        # thread counts 1 and 2
         src = str(Path(brlab.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r})\n"
                 "from brlab.harness import ExperimentConfig, _trial_fields\n"
                 "from brlab.sparse import build_sparse, trace_to_json\n"
-                "cfg = ExperimentConfig(grid_l=16.0, grid_n=256, eps_min_exp=2, seed=7)\n"
-                "for trial in range(4):\n"
-                "    f, g = _trial_fields(cfg, trial)\n"
-                "    print(trace_to_json(build_sparse(f, g, cfg.delta, cfg.maximal_cfg())[1]))\n")
+                "for n, e, seed, trials in ((256, 2, 7, 4), (1024, 4, 11, 2)):\n"
+                "    cfg = ExperimentConfig(grid_l=16.0, grid_n=n, eps_min_exp=e, seed=seed)\n"
+                "    for trial in range(trials):\n"
+                "        f, g = _trial_fields(cfg, trial)\n"
+                "        print(trace_to_json(build_sparse(f, g, cfg.delta, cfg.maximal_cfg())[1]))\n")
         outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": k}).stdout
                 for k in ("1", "2")]
-        assert outs[0].count('"nodes"') == 4
+        assert outs[0].count('"nodes"') == 6
         assert outs[0] == outs[1]
 
 
@@ -401,6 +407,29 @@ class TestBilinearPairing:
             f = SampledField(SPEC, np.random.default_rng(seed).standard_normal(SPEC.shape))
             g = SampledField(SPEC, np.random.default_rng(seed + 50).standard_normal(SPEC.shape))
             assert abs(bilinear_pairing(f, g, DELTA)) <= lp_norm(f, 2.0) * lp_norm(g, 2.0) * (1 + 1e-10)
+
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unsupported"])
+    def test_bitwise_equal_to_whole_grid_product(self, kind):
+        # the sum over one zero grid that holds the products on g's support
+        # box has the bits of B f embedded in a zero grid times conj(g) on
+        # the whole grid
+        f = make_test_function(SPEC, "random_trig", seed=3, window_radius=1.5, num_modes=5)
+        g = make_test_function(SPEC, "random_trig", seed=9, window_radius=1.2, num_modes=5)
+        if kind == "complex":
+            g = SampledField(SPEC, g.values * (0.6 - 0.8j), g.support)
+        elif kind == "unsupported":
+            g = SampledField(SPEC, g.values)
+        read = g.support_ranges()
+        assert (read is None) == (kind == "unsupported")
+        bf = apply_symbol(f.values, bochner_riesz_symbol(SPEC, DELTA), f.support_ranges(), read)
+        if read is not None:
+            whole = np.zeros(SPEC.shape, dtype=bf.dtype)
+            whole[tuple(slice(lo, hi) for lo, hi in read)] = bf
+            bf = whole
+        want = complex(np.sum(bf * np.conj(g.values)) * SPEC.dx ** SPEC.n)
+        got = bilinear_pairing(f, g, DELTA)
+        assert want != 0 and got == want
 
 
 class TestThreeDimensions:
