@@ -38,37 +38,33 @@ and the mask ball lies between ``B(x, (3 - sqrt(n)/2) eps)`` and
 
 A tile whose mask ball holds every nonzero of f is covered (value 0), one
 whose ball holds none is disjoint (the unmasked y-max), and any other is
-partial.  The partial tiles of a radius run as one stack along a leading
-axis: f on each center's mask-ball box (one read of their union) cut to
-the ball, one valid convolution with the kernel crop they share (both
-boxes sit at fixed offsets from the center), subtracted from the tiles'
-crops of ``B_eps f``, and one ``_y_max``.  Every transform acts on the
-trailing axes line by line, so each tile keeps the bits of its own call.
+partial; one broadcast pass over f's nonzeros sorts the tiles.  The
+partial tiles of a radius run as one stack along a leading axis: f on each
+center's mask-ball box cut to the ball, one ``_truncate`` onto the tiles
++- 2 eps (both boxes sit at fixed offsets from the center), subtracted
+from the tiles' crops of ``B_eps f``, and one ``_y_max``.  Every product
+and transform acts on the trailing axes, one tile at a time, so each tile
+keeps the bits of its own call.
 
 Truncated fields
 ----------------
-Every truncated field is read through ``MaximalEngine._truncate``: ``B_eps``
-of a source that lives on an index box ``S`` (zero elsewhere), on a wrapped
-index box ``Z``, as the exact valid convolution of the source with the
-wrapped kernel crop (``|Z| + |S| - 1`` points per axis): its cost scales
-with the crop, not with ``N^n``, and a crop longer than ``N`` holds some
-kernel offsets twice and is still exact.  The kernel comes from
-``_kernel_offsets``, the pruned inverse read of the symbol on the whole
-grid.  Every linear convolution here (``_fftconvolve``, and
-``_ball_mean_linear`` with a cached ball spectrum) computes only its valid
-part, from one circular convolution at ``next_fast_len`` of the larger
-operand (overlap-save), on ``scipy.fft`` like every other transform of
-brlab.  ``_g_window`` computes the N-periodic ``B_eps f`` of f on its support
-box at up to ``N`` points per axis and repeats them on a longer box.  One
-``_y_max`` turns a truncated field on a box ``+- 2 eps`` into its y-maxed
-ball L^{q0} means, for ``br_starstar`` and for both kinds of tiles.
+``m_eps`` vanishes off the lines with ``|xi| < 1`` (``2L - 1`` of ``N`` per
+axis), so ``B_eps`` of a source ``h`` on an index box, read on an index
+box, is ``N^{-n} sum_{xi in band} m_eps(xi) h^(xi) exp(2 pi i xi.z / N)``:
+a partial DFT onto the half band (``_band_spectrum``), the multiply and a
+partial inverse (``_band_field``), one matrix product per axis each.  The
+cost follows the boxes times the band, not ``N^n``, and the N-periodic
+phases read boxes longer than the grid too.  ``_g_window`` reuses the band
+spectrum of ``f * 1_box`` at every radius.  One ``_y_max`` turns a
+truncated field on a box ``+- 2 eps`` into its y-maxed ball L^{q0} means.
 
 Every ball mean is a linear convolution over a periodically wrapped crop
-of the window plus the radius, kept on the window: ``eps <= N/4`` keeps
-the ball's offsets distinct mod ``N``, so the crop gives exact torus means
-even where it is wider than the grid and holds a grid point twice.  All
-ball geometry uses grid pixels with the minimal-image torus metric, ties
-at the boundary included.
+of the window plus the radius, kept on the window (``_ball_mean_linear``,
+one circular convolution at ``next_fast_len`` of the crop): ``eps <= N/4``
+keeps the ball's offsets distinct mod ``N``, so the crop gives exact torus
+means even where it is wider than the grid and holds a grid point twice.
+All ball geometry uses grid pixels with the minimal-image torus metric,
+ties at the boundary included.
 
 Radius bounds
 -------------
@@ -112,13 +108,12 @@ A selection node also passes its ``6Q`` box, and the engine then reads
 sample ranges cut to f's support, and the reads that reach past it (HL's
 density crop and the partial tiles' mask-ball boxes) are one wrapped take
 that is exactly +0.0 outside it.  The public operators pass no box; their
-whole-grid window takes crops longer than the grid, through the same
-convolutions.
+whole-grid window takes boxes longer than the grid, through the same
+products and ball means.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -127,9 +122,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _wrap_take, doubling_table, lp_mean,
-                   sum_of_squares, symbol_kernel)
-from .multiplier import truncated_symbol
+from .grid import (Box, GridSpec, SampledField, _band, _wrap_take, doubling_table, lp_mean,
+                   sum_of_squares)
+from .multiplier import bochner_riesz_symbol, truncated_symbol
 
 __all__ = [
     "MaximalConfig",
@@ -293,15 +288,50 @@ def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
     return max(eps_px * spec.dx, 1.0)
 
 
-@lru_cache(maxsize=8)
-def _kernel_offsets(spec: GridSpec, delta: float, eps: float) -> np.ndarray:
-    """Spatial kernel of the truncated multiplier, indexed by pixel offset
-    (wrap semantics): B_eps(h) = circular convolution of h with this.  The
-    symbol is even, so the half-spectrum inverse gives the kernel exactly
-    and it is real; it runs only on the symbol's band."""
-    kern = symbol_kernel(truncated_symbol(spec, delta, eps))
-    kern.flags.writeable = False
-    return kern
+@lru_cache(maxsize=32)
+def _band_lines(spec: GridSpec, delta: float) -> tuple[tuple[int, ...], ...]:
+    """Per axis, the frequencies (fft order) of the lines where the
+    Bochner-Riesz symbol, and so each truncation, is nonzero; the last axis
+    keeps the half band ``xi <= N/2`` of a real source."""
+    half = bochner_riesz_symbol(spec, delta)[..., : spec.N // 2 + 1]
+    return tuple(tuple(idx.tolist()) for idx in _band(half))
+
+
+@lru_cache(maxsize=64)
+def _phases(N: int, lines: tuple[int, ...], lo: int, hi: int, sign: int) -> np.ndarray:
+    """``exp(sign 2 pi i u xi / N)`` for ``u`` in ``[lo, hi)`` (rows) and
+    ``xi`` in ``lines`` (columns), with ``u xi`` reduced mod N first."""
+    turns = np.multiply.outer(np.arange(lo, hi), np.array(lines, dtype=np.int64)) % N
+    out = np.exp(turns * (sign * 2j * math.pi / N))
+    out.flags.writeable = False
+    return out
+
+
+# Real multiply-adds per BLAS call (a complex one counts 8): OpenBLAS 0.3.31
+# kept products below 2^19 (2^16 complex) on the calling thread.  Its idle
+# threads spin, which made a 2-process sweep 2.7x slower, and the thread
+# count moved the last bits of the fields.
+_BLAS_CALL = 1 << 18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in blocks of ``a``'s rows of at most ``_BLAS_CALL``
+    multiply-adds each."""
+    (m, k), n, dtype = a.shape[-2:], b.shape[-1], np.result_type(a, b)
+    rows = max(1, _BLAS_CALL // max(k * n * (8 if dtype.kind == "c" else 1), 1))
+    if rows >= m:
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype=dtype)
+    for i in range(0, m, rows):
+        np.matmul(a[..., i:i + rows, :], b, out=out[..., i:i + rows, :])
+    return out
+
+
+def _left_product(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` applied along ``axis`` of ``x``, the axes after it flattened."""
+    shape = x.shape
+    out = _matmul(mat, x.reshape(shape[:axis + 1] + (math.prod(shape[axis + 1:]),)))
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
 @lru_cache(maxsize=64)
@@ -355,12 +385,17 @@ class MaximalEngine:
         """Grid indices of f's nonzeros, one array per axis."""
         return tuple(idx + s.start for idx, s in zip(np.nonzero(self._fs), self._sbox))
 
-    def _nz_in_ball(self, center: list[int], r: int) -> np.ndarray:
-        """Which of f's nonzeros lie in B(center, r) (minimal-image metric,
-        ties included)."""
-        N = self.spec.N
-        d2 = sum((_torus_dist(c, 0, N, N) ** 2)[idx] for idx, c in zip(self._nz, center))
-        return d2 <= r * r
+    def _nz_in_balls(self, centers: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``centers``, whether B(center, r) holds every nonzero
+        of f and whether it holds any (minimal-image metric, ties included),
+        in blocks of centers that bound the memory."""
+        N, step = self.spec.N, max(1, (1 << 20) // max(self._nz[0].size, 1))
+        flags = []
+        for c in np.split(centers, range(step, len(centers), step)):
+            inside = sum(np.take(_torus_dist(c[:, a, None], 0, N, N) ** 2, idx, axis=1)
+                         for a, idx in enumerate(self._nz)) <= r * r
+            flags.append((inside.all(axis=1), inside.any(axis=1)))
+        return tuple(np.concatenate(f) for f in zip(*flags))
 
     # -- certified radius bounds ------------------------------------------
 
@@ -390,46 +425,58 @@ class MaximalEngine:
 
     # -- shared per-scale artifacts ------------------------------------
 
+    def _band_spectrum(self, src: np.ndarray, slo: tuple[int, ...]) -> np.ndarray:
+        """``sum_u src(u - slo) exp(-2 pi i xi.u / N)`` of a real ``src`` for
+        ``xi`` on the half band grid, the last axis first, through real
+        phases whose interleaved columns are the real and imaginary parts."""
+        n, N, lines = self.spec.n, self.spec.N, _band_lines(self.spec, self.delta)
+        last = _phases(N, lines[-1], slo[-1], slo[-1] + src.shape[-1], -1)
+        x = _matmul(src, last.view(np.float64)).view(np.complex128)
+        for a in range(n - 2, -1, -1):
+            x = _left_product(_phases(N, lines[a], slo[a], slo[a] + src.shape[a - n], -1).T,
+                              x, a - n)
+        return x
+
+    def _band_field(self, spectrum: np.ndarray, eps_px: int, zlo: tuple[int, ...],
+                    zhi: tuple[int, ...]) -> np.ndarray:
+        """The real ``N^{-n} sum_xi m_eps(xi) spectrum(xi) exp(2 pi i xi.z / N)``
+        of a half-band spectrum on the wrapped index box ``[zlo, zhi)``."""
+        spec, n, N, lines = self.spec, self.spec.n, self.spec.N, _band_lines(self.spec, self.delta)
+        # each line but xi = 0 stands for -xi too (the band is below N/4)
+        sym = truncated_symbol(spec, self.delta, _trunc_eps(spec, eps_px))[np.ix_(*lines)]
+        x = spectrum * (sym * np.where(np.array(lines[-1]) == 0, 1.0, 2.0) / N ** n)
+        for a in range(n - 1):
+            x = _left_product(_phases(N, lines[a], zlo[a], zhi[a], 1), x, a - n)
+        # Re(y e^{i t}) = (Re y, Im y) . (Re e^{-i t}, Im e^{-i t})
+        last = _phases(N, lines[-1], zlo[-1], zhi[-1], -1)
+        return _matmul(x.view(np.float64), last.view(np.float64).T)
+
     def _truncate(self, src: np.ndarray, slo: tuple[int, ...], eps_px: int,
                   zlo: tuple[int, ...], zhi: tuple[int, ...]) -> np.ndarray:
         """``B_eps`` of the field that is ``src`` on the index box of the grid
         starting at ``slo`` and zero elsewhere, on the wrapped index box
         ``[zlo, zhi)``.  Leading axes of ``src`` beyond the grid's ``n``
-        stack sources that share the boxes.
+        stack sources that share the boxes; each runs its own products."""
+        if np.iscomplexobj(src):  # B_eps keeps real fields real
+            g = self._truncate(np.stack([src.real, src.imag]), slo, eps_px, zlo, zhi)
+            return g[0] + 1j * g[1]
+        return self._band_field(self._band_spectrum(src, slo), eps_px, zlo, zhi)
 
-        ``g(z) = sum_{u in S} K((z - u) mod N) src(u - slo)`` over the box
-        ``S = [slo, shi)`` is the ``mode="valid"`` convolution of ``src``
-        with the kernel crop of offsets ``[zlo - shi + 1, zhi - slo)``.  That
-        is exact for any z-box, also where the crop is longer than the grid:
-        the points of ``S`` are distinct, and a kernel offset the crop holds
-        twice is read correctly both times.
-        """
-        spec = self.spec
-        lead = src.shape[:src.ndim - spec.n]
-        if src.size == 0:
-            return np.zeros(lead + tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
-        eps = _trunc_eps(spec, eps_px)
-        shi = tuple(a + s for a, s in zip(slo, src.shape[len(lead):]))
-        kc = _wrap_take(_kernel_offsets(spec, self.delta, eps),
-                        tuple(l - b + 1 for l, b in zip(zlo, shi)),
-                        tuple(h - a for h, a in zip(zhi, slo)))
-        return _fftconvolve(kc.reshape((1,) * len(lead) + kc.shape), src)
+    @cached_property
+    def _f_hat(self) -> np.ndarray:
+        """The band spectrum of ``f * 1_box`` (of its two parts if complex)."""
+        fs = np.stack([self._fs.real, self._fs.imag]) if np.iscomplexobj(self._fs) else self._fs
+        return self._band_spectrum(fs, tuple(s.start for s in self._sbox))
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
         """The truncated field ``B_eps f`` on the wrapped index box ``[zlo, zhi)``,
         read-only and computed once per engine: ``br_star`` and
-        ``br_starstar`` read the same box at each radius.  ``B_eps f`` is
-        N-periodic, so at most ``N`` points per axis are computed and a
-        longer box repeats them."""
+        ``br_starstar`` read the same box at each radius."""
         key = (eps_px, zlo, zhi)
         if key not in self._g:
-            N = self.spec.N
-            shape = tuple(h - l for l, h in zip(zlo, zhi))
-            g = self._truncate(self._fs, tuple(s.start for s in self._sbox), eps_px, zlo,
-                               tuple(l + min(m, N) for l, m in zip(zlo, shape)))
-            if max(shape) > N:
-                g = g[np.ix_(*(np.arange(m) % N for m in shape))]
+            g = self._band_field(self._f_hat, eps_px, zlo, zhi)
+            g = g[0] + 1j * g[1] if np.iscomplexobj(self._fs) else g
             g.flags.writeable = False
             self._g[key] = g
         return self._g[key]
@@ -494,23 +541,21 @@ class MaximalEngine:
         tiled = sum((((h - l) // s, s) for (l, h), s in zip(window, t)), ())
         order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))  # tile index..., offset...
         vals = np.zeros(tiled)
-        partial, disjoint = [], []
-        for j in itertools.product(*map(range, tiled[::2])):
-            inside = self._nz_in_ball([a + k * s + s // 2 for a, k, s in zip(lo, j, t)], mask_r)
-            if not inside.all():
-                (partial if inside.any() else disjoint).append(j)
-        if partial or disjoint:
+        tiles = np.indices(tiled[::2]).reshape(n, -1).T
+        centers = np.add(lo, tiles * t) + np.floor_divide(t, 2)
+        covered, touched = self._nz_in_balls(centers, mask_r)
+        partial, disjoint = touched & ~covered, ~touched
+        if not covered.all():
             gwin = self._g_window(eps_px, *zip(*self._expand(window, pad)))
-        if disjoint:
-            idx = tuple(np.array(disjoint).T)
+        if disjoint.any():
+            idx = tuple(tiles[disjoint].T)
             avg = self._y_max(gwin, eps_px).reshape(tiled)
             vals.transpose(order)[idx] = avg.transpose(order)[idx]
-        if partial:
+        if partial.any():
             # f on each tile center's mask-ball box (one read of their union),
             # cut to the ball, and its B_eps on the tile +- 2 eps: both boxes
             # sit at fixed offsets from the center
-            j = np.array(partial)
-            cs = np.add(lo, j * t) + np.floor_divide(t, 2)
+            j, cs = tiles[partial], centers[partial]
             blo, ball = _ball_box(n, mask_r, N)
             fu = self._f_take(tuple(cs.min(axis=0) + blo),
                               tuple(cs.max(axis=0) + blo + ball.shape))

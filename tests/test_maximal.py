@@ -7,15 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.signal import fftconvolve
 
 import brlab.maximal as maximal
 from brlab.grid import (Box, GridSpec, SampledField, apply_symbol, cube_average, lp_norm,
                         make_test_function)
+from brlab.harness import ExperimentConfig, _trial_fields
 from brlab.maximal import (
     MaximalConfig,
     MaximalEngine,
     _ball_mean_linear,
     _ball_offsets,
+    _fftconvolve,
     _full_window,
     _wrap_take,
     ball_average,
@@ -979,9 +982,93 @@ class TestBallAverage:
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
+def _direct_valid(a, b):
+    """The valid linear convolution as a direct sum over the smaller input's
+    points, with broadcasting on axes where either input has length 1."""
+    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
+    if not all(a.shape[i] >= b.shape[i] for i in axes):
+        a, b = b, a
+    shape = [a.shape[i] - b.shape[i] + 1 if i in axes else max(a.shape[i], b.shape[i])
+             for i in range(a.ndim)]
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for j in np.ndindex(*(b.shape[i] if i in axes else 1 for i in range(a.ndim))):
+        # out[x] += a[x + k - 1 - j] b[j] on the transformed axes
+        a_sl = tuple(slice(b.shape[i] - 1 - j[i], b.shape[i] - 1 - j[i] + shape[i])
+                     if i in axes else slice(None) for i in range(a.ndim))
+        b_sl = tuple(slice(j[i], j[i] + 1) if i in axes else slice(None)
+                     for i in range(a.ndim))
+        out = out + a[a_sl] * b[b_sl]
+    return out
+
+
 class TestFftconvolve:
-    """The one FFT convolution of ``maximal``, the ball mean, against direct
-    sums."""
+    """The valid linear convolution and the ball means against direct sums."""
+
+    SHAPES = [
+        ((60,), (38,)),            # larger length 60, a fast FFT size; 97 is not
+        ((38,), (60,)),            # the second input the larger
+        ((50, 30), (48, 20)),
+        ((9, 12), (23, 31)),
+        ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
+        ((1, 7), (4, 1)),          # no axis left: the plain product
+        ((1, 1), (1, 1)),
+        ((1,), (1,)),
+    ]
+
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_direct_sum(self, shapes, kinds):
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        want = _direct_valid(a, b)
+        got = _fftconvolve(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    @pytest.mark.parametrize("mode", ["same", "valid"])
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_scipy_signal(self, shapes, kinds, mode):
+        # SciPy's output of either mode and the valid convolution are crops of
+        # the full one (length m + k - 1 per axis, m where either input has
+        # length 1); they must agree on every full index both hold
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        expected = fftconvolve(a, b, mode=mode)
+        got = _fftconvolve(a, b)
+        assert got.dtype == expected.dtype
+        full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
+        got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
+        exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
+        lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
+        hi = [min(g + m, e + k) for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
+        if mode == "valid":
+            assert got.shape == expected.shape
+        assert all(h > l for l, h in zip(lo, hi))
+
+        def common(start):
+            return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
+
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    def test_valid_needs_one_input_containing_the_other(self):
+        a, b = np.ones((5, 3)), np.ones((3, 5))
+        with pytest.raises(ValueError, match="at least as large"):
+            _fftconvolve(a, b)
 
     @pytest.mark.parametrize("shape, r_px, N", [((23, 30), 1, 64), ((23, 30), 4, 64),
                                                 ((41,), 8, 32), ((9, 10, 11), 2, 8)])
@@ -994,6 +1081,55 @@ class TestFftconvolve:
         got = _ball_mean_linear(arr, r_px, N)
         assert got.shape == tuple(m - 2 * r_px for m in shape)
         assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * arr.max()
+
+    def test_transforms_at_the_larger_operands_fast_length(self, monkeypatch):
+        # every convolution of an N = 256 selection node (the ball means;
+        # truncated fields, partial tiles included, are band products)
+        # transforms each axis at next_fast_len of its larger operand, not
+        # of the full length m + k - 1
+        ecfg = ExperimentConfig(grid_n=256, eps_min_exp=2, seed=7, trials=1)
+        f, g = _trial_fields(ecfg, 0)
+        operands, checked = [], []
+
+        def spy_inverse(name, real):
+            inv = getattr(scipy.fft, name)
+
+            def spy(x, s=None, axes=None, *args, **kwargs):
+                if operands:
+                    fn, shapes = operands[-1]
+                    axes_ = range(len(s)) if axes is None else axes
+                    want = [scipy.fft.next_fast_len(max(m[i] for m in shapes), real)
+                            for i in axes_]
+                    assert list(s) == want, (fn, shapes, s)
+                    checked.append(fn)
+                return inv(x, s, axes, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, spy)
+
+        def spy_conv(name, operand_shapes):
+            fn = getattr(maximal, name)
+
+            def spy(*args):
+                operands.append((name, operand_shapes(*args)))
+                try:
+                    return fn(*args)
+                finally:
+                    operands.pop()
+            monkeypatch.setattr(maximal, name, spy)
+
+        spy_inverse("irfftn", True)
+        spy_inverse("ifftn", False)
+        spy_conv("_ball_mean_linear",
+                 lambda arr, r, N, n=None: (arr.shape, (2 * r + 1,) * arr.ndim))
+        tiles, truncate = [], MaximalEngine._truncate
+
+        def counted(eng, src, *args):
+            if src.ndim > eng.spec.n:
+                tiles.append(len(src))
+            return truncate(eng, src, *args)
+        monkeypatch.setattr(MaximalEngine, "_truncate", counted)
+        exceptional_set(f, root_cube(f, g), ecfg.delta, ecfg.maximal_cfg())
+        assert set(checked) == {"_ball_mean_linear"}
+        assert tiles, "the node has no partial tile"
 
 
 def _direct_truncate(spec, delta, eps_px, src, slo, zlo, zhi):
