@@ -19,6 +19,8 @@ from pathlib import Path
 
 from .harness import (
     ExperimentConfig,
+    prop41_combos,
+    prop42_combos,
     run_decay,
     run_domination,
     run_prop41,
@@ -143,6 +145,10 @@ def main(argv=None) -> int:
             cfg.maximal_cfg().eps_px_list(cfg.spec())
         elif args.command == "weights":
             weight_indices(cfg.p, cfg.p0, "below2")
+        elif args.command == "prop41":
+            prop41_combos(cfg.spec())
+        elif args.command == "prop42":
+            prop42_combos(cfg.spec())
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)  # fail before the run
         report = _RUNNERS[args.command](cfg)
         csv_path, json_path = report.write(cfg.output_dir)

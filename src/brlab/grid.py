@@ -57,7 +57,6 @@ __all__ = [
     "Box",
     "SampledField",
     "SpectralField",
-    "forward_transform",
     "inverse_transform",
     "apply_symbol",
     "cube_average",
@@ -292,13 +291,6 @@ class SpectralField:
         if coeffs.shape != self.spec.shape:
             raise ValueError("coefficient shape mismatch")
         object.__setattr__(self, "coefficients", coeffs)
-
-
-def forward_transform(f: SampledField) -> SpectralField:
-    """Discrete Fourier transform under the unitary Parseval convention."""
-    spec = f.spec
-    coeffs = fft.fftn(fft.ifftshift(f.values)) * spec.dx ** spec.n
-    return SpectralField(spec, coeffs)
 
 
 def inverse_transform(F: SpectralField) -> SampledField:

@@ -48,6 +48,8 @@ __all__ = [
     "run_domination",
     "run_prop41",
     "run_prop42",
+    "prop41_combos",
+    "prop42_combos",
     "run_decay",
     "run_weights",
     "run_vector_valued",
@@ -342,8 +344,6 @@ def _local_estimates(cfg: ExperimentConfig, name: str, columns: tuple[str, ...],
     """Rows ``combo + (trial, lhs, rhs, ratio)`` for every combo and trial,
     with ``(lhs, rhs) = lhs_rhs(*combo, trial, rho)``; the ratio is 0 where
     rhs is 0, and the summary's ratio statistics skip those rows."""
-    if not combos:
-        raise ValueError(f"no admissible {name} configuration on this grid: enlarge L")
     rho = float(indices.rho_n(cfg.p0, cfg.grid_dim)) + 0.05
     report = Report(name, columns)
     for combo in combos:
@@ -364,14 +364,15 @@ def _local_estimates(cfg: ExperimentConfig, name: str, columns: tuple[str, ...],
     return report
 
 
-def run_prop41(cfg: ExperimentConfig) -> Report:
-    """Off-ball local estimate: at admissible (k, r), compare the local L^2
-    average of the dyadic piece applied off 2B_r against the weighted sum of
-    annulus averages (single-annulus inputs make one term active).
+def _admissible(name: str, combos: list[tuple]) -> list[tuple]:
+    if not combos:
+        raise ValueError(f"no admissible {name} configuration on this grid: enlarge L")
+    return combos
 
-    Each input lives on the annulus ``2^j r <= |x| < 2^{j+1} r`` with
-    ``j >= 1``, so it already vanishes on 2B_r and needs no mask."""
-    spec = cfg.spec()
+
+def prop41_combos(spec: GridSpec) -> list[tuple[int, float, int]]:
+    """The ``(k, r, j)`` that :func:`run_prop41` runs, ball radii ``r >= 1``
+    with ``4r <= L/2``; ``ValueError`` when the grid has none."""
     combos = []
     r = 1.0
     while 4.0 * r <= spec.L / 2.0:
@@ -381,6 +382,30 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
                 combos.append((k, r, j))
                 j += 1
         r *= 2.0
+    return _admissible("prop41", combos)
+
+
+def prop42_combos(spec: GridSpec) -> list[tuple[int, float]]:
+    """The ``(k, eps)`` that :func:`run_prop42` runs, ball radii ``eps >= 1``
+    with ``3 eps <= L/2``; ``ValueError`` when the grid has none."""
+    combos = []
+    eps = 1.0
+    while 3.0 * eps <= spec.L / 2.0:
+        for k in range(k_min(spec), min(0, math.floor(-math.log2(eps))) + 1):
+            if 2.0 ** k * eps <= 1.0:
+                combos.append((k, eps))
+        eps *= 2.0
+    return _admissible("prop42", combos)
+
+
+def run_prop41(cfg: ExperimentConfig) -> Report:
+    """Off-ball local estimate: at admissible (k, r), compare the local L^2
+    average of the dyadic piece applied off 2B_r against the weighted sum of
+    annulus averages (single-annulus inputs make one term active).
+
+    Each input lives on the annulus ``2^j r <= |x| < 2^{j+1} r`` with
+    ``j >= 1``, so it already vanishes on 2B_r and needs no mask."""
+    spec = cfg.spec()
 
     def lhs_rhs(k, r, j, trial, rho):
         seed = cfg.seed ^ hash((k, int(r * 16), j, trial)) & 0x7FFFFFFF
@@ -392,19 +417,12 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
         return lhs, 2.0 ** (-k * rho) * tail
 
     return _local_estimates(cfg, "prop41", ("k", "r", "j", "trial", "lhs", "rhs", "ratio"),
-                            combos, lhs_rhs, m_decay=M_DECAY)
+                            prop41_combos(spec), lhs_rhs, m_decay=M_DECAY)
 
 
 def run_prop42(cfg: ExperimentConfig) -> Report:
     """Diagonal local estimate at unit-or-larger ball radii with 2^k eps <= 1."""
     spec = cfg.spec()
-    combos = []
-    eps = 1.0
-    while 3.0 * eps <= spec.L / 2.0:
-        for k in range(k_min(spec), min(0, math.floor(-math.log2(eps))) + 1):
-            if 2.0 ** k * eps <= 1.0:
-                combos.append((k, eps))
-        eps *= 2.0
     r_grid = np.sqrt(_radius_sq_grid(spec))
 
     def lhs_rhs(k, eps, trial, rho):
@@ -419,7 +437,7 @@ def run_prop42(cfg: ExperimentConfig) -> Report:
         return lhs, 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, float(cfg.p0))
 
     return _local_estimates(cfg, "prop42", ("k", "eps", "trial", "lhs", "rhs", "ratio"),
-                            combos, lhs_rhs)
+                            prop42_combos(spec), lhs_rhs)
 
 
 # -- kernel decay -------------------------------------------------------------

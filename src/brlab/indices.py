@@ -21,7 +21,6 @@ __all__ = [
     "theta_of",
     "delta_tilde",
     "delta_bar",
-    "delta_bar_constraint",
     "nu_2",
     "delta_bar_2",
     "conjugate",
@@ -115,13 +114,6 @@ def delta_bar(p0, n: int = 2, provider: str = "dim2_solved") -> Fraction:
     value = delta_tilde(p1_of(p0), n, provider) + Fraction(n - 1, 2) * (1 / p0 - HALF)
     assert value >= rho_n(p0, n)
     return value
-
-
-def delta_bar_constraint(p0, n: int = 2, provider: str = "dim2_solved") -> Fraction:
-    """The full constraint on delta: ``max{n(1/p0-1/2)-1/2, delta_bar}``."""
-    p0 = as_fraction(p0)
-    x = 1 / p0 - HALF
-    return max(n * x - HALF, delta_bar(p0, n, provider))
 
 
 def nu_2(p0) -> Fraction:

@@ -1,9 +1,12 @@
-"""Public API: every name a module exports resolves."""
+"""Public API: every name a module exports resolves, and every definition
+has a caller in the library."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,41 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+
+def _uses(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` refers to: names, attributes and import aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_every_definition_has_a_library_caller():
+    # a module-level function or class that no other library statement names
+    # lives for its tests alone; the names below pass without a caller: those
+    # the acceptance criteria import, the three maximal operators, the field
+    # format, and the sidecar writers of the sparse collections and traces
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    exempt = {a.name for node in ast.walk(acceptance)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("brlab")
+              for a in node.names}
+    exempt |= {"br_star", "br_starstar", "hl_maximal", "write_field", "read_field",
+               "collection_to_csv", "trace_to_json"}
+    definitions, refs = [], Counter()
+    for path in sorted(Path(brlab.__file__).resolve().parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            uses = _uses(stmt)
+            refs.update(uses)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                # a name used only inside its own definition has no caller
+                definitions.append((f"{path.stem}.{stmt.name}", stmt.name, stmt.name in uses))
+    orphans = [qual for qual, name, self_use in definitions
+               if refs[name] == self_use and name not in exempt]
+    assert not orphans, f"defined in src/brlab but called by no library code: {orphans}"

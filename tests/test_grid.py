@@ -21,7 +21,6 @@ from brlab.grid import (
     apply_symbol,
     cube_average,
     doubling_table,
-    forward_transform,
     freq_sq,
     inverse_transform,
     lp_norm,
@@ -33,6 +32,14 @@ from brlab.grid import (
 from brlab.multiplier import bochner_riesz_symbol, k_min, sk_symbol, truncated_symbol
 
 SPEC = GridSpec(n=2, L=16.0, N=128)
+
+
+def forward_transform(f: SampledField) -> SpectralField:
+    """Discrete Fourier transform under the convention of the grid module's
+    docstring: the reference for ``inverse_transform`` and ``apply_symbol``."""
+    spec = f.spec
+    coeffs = fft.fftn(fft.ifftshift(f.values)) * spec.dx ** spec.n
+    return SpectralField(spec, coeffs)
 
 
 def random_field(spec, seed=0, complex_=True):

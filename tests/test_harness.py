@@ -673,6 +673,15 @@ class TestCli:
         assert "empty radius set" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["prop41", "prop42"])
+    def test_no_admissible_configuration_leaves_no_output_dir(self, tmp_path, capsys, cmd):
+        # at L = 4 no ball radius r >= 1 fits: 4r and 3r exceed L/2 = 2
+        out = tmp_path / "out"
+        assert cli_main([cmd, "--grid-l", "4", "--grid-n", "64", "--trials", "1",
+                         "--out", str(out)]) == 2
+        assert f"no admissible {cmd} configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd,flags,field", [
         ("decay", ["--delta", "nan"], "delta"),
         ("decay", ["--delta", "inf"], "delta"),

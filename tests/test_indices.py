@@ -15,7 +15,6 @@ from brlab.indices import (
     conjugate,
     delta_bar,
     delta_bar_2,
-    delta_bar_constraint,
     delta_critical,
     nu_2,
     p1_of,
@@ -82,13 +81,6 @@ class TestIdentities:
         # the chained definition equals the piecewise two-dimensional form
         if p0 >= F(6, 5):
             assert delta_bar(p0, 2, "dim2_solved") == delta_bar_2(p0)
-
-    @given(rational_p0)
-    @settings(max_examples=100, deadline=None)
-    def test_constraint_dominates(self, p0):
-        c = delta_bar_constraint(p0, 2, "dim2_solved")
-        assert c >= delta_bar(p0, 2, "dim2_solved")
-        assert c >= rho_n(p0, 2)
 
     def test_delta_bar_2_continuous_at_breakpoint(self):
         left = delta_bar_2(F(6, 5) - F(1, 10 ** 9))
