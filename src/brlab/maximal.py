@@ -207,6 +207,33 @@ def _ball_chords(n: int, r_px: int, N: int) -> tuple:
                  for k in range((2 * r_px + 1).bit_length()))
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two arrays of equal rank at the points where the
+    smaller input fits inside the larger (SciPy's ``mode="valid"``).
+
+    Only axes where neither input has length 1 are transformed (none left:
+    the plain product), by ``rfftn`` for real inputs and ``fftn`` for
+    complex ones, each at ``next_fast_len`` of the larger input's length
+    ``m``.  The circular product at the indices ``[k - 1, m - 1]`` (``k`` the
+    smaller length) wraps nothing, so it is the linear one there
+    (overlap-save).  The result shares no memory with the inputs.
+    """
+    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
+    if not all(a.shape[i] >= b.shape[i] for i in axes):
+        if not all(b.shape[i] >= a.shape[i] for i in axes):
+            raise ValueError("the valid convolution needs one input at least as "
+                             "large as the other on every axis")
+        a, b = b, a
+    if not axes:
+        return a * b
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
+    fshape = [fft.next_fast_len(a.shape[i], real) for i in axes]
+    out = inv(fwd(a, fshape, axes=axes) * fwd(b, fshape, axes=axes), fshape, axes=axes)
+    return out[tuple(slice(b.shape[i] - 1, a.shape[i]) if i in axes else slice(None)
+                     for i in range(a.ndim))]
+
+
 @lru_cache(maxsize=16)
 def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndarray:
     """Half spectrum of the r-ball indicator on a periodic array of

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.signal import fftconvolve
 
 import brlab.maximal as maximal
 from brlab.grid import (Box, GridSpec, SampledField, apply_symbol, cube_average, lp_norm,
@@ -17,6 +18,7 @@ from brlab.maximal import (
     MaximalEngine,
     _ball_mean_linear,
     _ball_offsets,
+    _fftconvolve,
     _full_window,
     _wrap_take,
     ball_average,
@@ -980,8 +982,93 @@ class TestBallAverage:
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
-class TestBallMeanLinear:
-    """The ball means against direct sums and their transform lengths."""
+def _direct_valid(a, b):
+    """The valid linear convolution as a direct sum over the smaller input's
+    points, with broadcasting on axes where either input has length 1."""
+    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
+    if not all(a.shape[i] >= b.shape[i] for i in axes):
+        a, b = b, a
+    shape = [a.shape[i] - b.shape[i] + 1 if i in axes else max(a.shape[i], b.shape[i])
+             for i in range(a.ndim)]
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for j in np.ndindex(*(b.shape[i] if i in axes else 1 for i in range(a.ndim))):
+        # out[x] += a[x + k - 1 - j] b[j] on the transformed axes
+        a_sl = tuple(slice(b.shape[i] - 1 - j[i], b.shape[i] - 1 - j[i] + shape[i])
+                     if i in axes else slice(None) for i in range(a.ndim))
+        b_sl = tuple(slice(j[i], j[i] + 1) if i in axes else slice(None)
+                     for i in range(a.ndim))
+        out = out + a[a_sl] * b[b_sl]
+    return out
+
+
+class TestFftconvolve:
+    """The valid linear convolution and the ball means against direct sums."""
+
+    SHAPES = [
+        ((60,), (38,)),            # larger length 60, a fast FFT size; 97 is not
+        ((38,), (60,)),            # the second input the larger
+        ((50, 30), (48, 20)),
+        ((9, 12), (23, 31)),
+        ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
+        ((1, 7), (4, 1)),          # no axis left: the plain product
+        ((1, 1), (1, 1)),
+        ((1,), (1,)),
+    ]
+
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_direct_sum(self, shapes, kinds):
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        want = _direct_valid(a, b)
+        got = _fftconvolve(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    @pytest.mark.parametrize("mode", ["same", "valid"])
+    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_matches_scipy_signal(self, shapes, kinds, mode):
+        # SciPy's output of either mode and the valid convolution are crops of
+        # the full one (length m + k - 1 per axis, m where either input has
+        # length 1); they must agree on every full index both hold
+        rng = np.random.default_rng(5)
+
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
+
+        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
+        expected = fftconvolve(a, b, mode=mode)
+        got = _fftconvolve(a, b)
+        assert got.dtype == expected.dtype
+        full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
+        got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
+        exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
+        lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
+        hi = [min(g + m, e + k) for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
+        if mode == "valid":
+            assert got.shape == expected.shape
+        assert all(h > l for l, h in zip(lo, hi))
+
+        def common(start):
+            return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
+
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
+        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+    def test_valid_needs_one_input_containing_the_other(self):
+        a, b = np.ones((5, 3)), np.ones((3, 5))
+        with pytest.raises(ValueError, match="at least as large"):
+            _fftconvolve(a, b)
 
     @pytest.mark.parametrize("shape, r_px, N", [((23, 30), 1, 64), ((23, 30), 4, 64),
                                                 ((41,), 8, 32), ((9, 10, 11), 2, 8)])
