@@ -18,27 +18,28 @@ Field values are stored as float64 when the input is real and as complex128
 otherwise.  Every transform runs on ``scipy.fft``, called through the module
 so that its entry points can be wrapped from outside.  :func:`apply_symbol`
 is the one place a Fourier multiplier meets a whole field (``maximal``
-reads truncated fields on boxes through the symbol's band).  Complex
-values take ``fftn``/``ifftn``.  Real values stay real (every symbol here is even) and
-take pocketfft's own separable passes of the ``rfftn``/``irfftn`` pair on
-the half symbol: ``rfftn`` is an r2c pass along the last axis, then c2c
-passes along axes 0, ..., n-2; ``irfftn`` is the unscaled inverse c2c
-passes in the same order, then a c2r pass along the last axis scaled by
-``1/N^n``.  The passes are pruned to the lines that can change the result:
-the r2c pass runs only on the rows of the source box, where the values can
-be nonzero, the c2c passes only on the lines where the symbol has a
-nonzero, and the c2r pass only on the rows of the box that is read,
-followed by one multiply by ``1/N^n``.  Axes that the source box covers
-are shifted together with the last axis in one copy before the r2c pass,
-axes read once around are rotated together in one copy after the c2r
-pass, and the c2c passes may overwrite the temporaries they read.  Every
+reads truncated fields on boxes as band products).  Every symbol here is
+even, so real values stay real, and complex values take the passes below on
+their real and imaginary parts.  The passes are pocketfft's own separable
+passes of the ``rfftn``/``irfftn`` pair on the half symbol: ``rfftn`` is an
+r2c pass along the last axis, then c2c passes along axes 0, ..., n-2;
+``irfftn`` is the unscaled inverse c2c passes in the same order, then a c2r
+pass along the last axis scaled by ``1/N^n``.  The passes are pruned to the
+lines that can change the result: the r2c pass runs only on the rows of the
+source box, where the values can be nonzero, the c2c passes only on the
+lines where the symbol has a nonzero, and the c2r pass only on the rows of
+the box that is read, followed by one multiply by ``1/N^n``.  Each axis
+but the last takes the source box's rows before its forward pass and the
+read box's rows after its inverse pass; the last axis is taken whole in
+``ifftshift`` order and cut to the read box after the c2r pass.  Every
 symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16,
 N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a symbol
-without zeros keeps its full passes.  The pruned result has the bits of the whole-grid pair:
-the passes run in the same order, each 1-D line is the same pocketfft
-transform, a line left out holds zeros that add nothing, and the scale is
-a power of two applied once at the end.  The ``dx^n`` factors of the
-transform convention cancel in a multiplier and are left out.
+without zeros keeps its full passes.  The pruned result has the bits of the
+whole-grid pair: the passes run in the same order, each 1-D line is the
+same pocketfft transform, a line left out holds zeros that add nothing, the
+takes only move values, and the scale is a power of two applied once at
+the end.  The ``dx^n`` factors of the transform convention cancel in a
+multiplier and are left out.
 """
 
 from __future__ import annotations
@@ -350,51 +351,41 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
     per axis a range ``(lo, hi)`` of centered indices, taken mod N, as
     :meth:`Box.index_ranges` does.
 
-    Complex values take ``fftn``/``ifftn`` on the whole grid.  Real values
-    must meet an even symbol; the result is real and has the bits of
+    ``symbol`` must be even.  A real result has the bits of
     ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))`` (an exact zero
-    may differ in sign), from the pruned passes of the module docstring.
+    may differ in sign), from the pruned passes of the module docstring;
+    complex values take those passes on their real and imaginary parts.
     """
+    if np.iscomplexobj(values):
+        return (apply_symbol(values.real, symbol, src, read)
+                + 1j * apply_symbol(values.imag, symbol, src, read))
     N, n = values.shape[0], values.ndim
     full = [(0, N)] * n
-    if np.iscomplexobj(values):
-        out = fft.fftshift(fft.ifftn(fft.fftn(fft.ifftshift(values)) * symbol))
-        return out if read is None else _wrap_take(out, *zip(*read))
     half = symbol[..., : N // 2 + 1]
     band = _band(half)
     src = full if src is None else src
     # r2c on the rows of src: the last axis whole, in ifftshift order; the
-    # other axes that src covers are shifted in the same copy, and the rest
-    # take src's rows and are embedded in ifftshift order before their pass
-    whole = [a for a in range(n - 1) if tuple(src[a]) == (0, N)]
+    # other axes take src's rows and are embedded in ifftshift order before
+    # their pass
     x = values
     for a, rows in enumerate(_span(src[:-1], N)):
-        if a not in whole:
-            x = _take(x, rows, a)
-    x = _take(fft.rfft(fft.ifftshift(x, axes=(*whole, n - 1)), axis=-1), band[-1], n - 1)
+        x = _take(x, rows, a)
+    x = _take(fft.rfft(fft.ifftshift(x, axes=n - 1), axis=-1), band[-1], n - 1)
     for a, rows in enumerate(_span(src[:-1], N, N // 2)):
-        if a not in whole:
-            x = _put(x, rows, a, N)
-        x = _take(fft.fft(x, axis=a, overwrite_x=True), band[a], a)
+        x = _take(fft.fft(_put(x, rows, a, N), axis=a, overwrite_x=True), band[a], a)
     for a in range(n):
         half = _take(half, band[a], a)
     x *= half
-    # the unscaled c2c passes on the band's lines, the c2r pass on the read
-    # rows, then the scale 1/N^n; an axis read once around runs whole and is
-    # rotated at the end, all such axes in one copy
-    read = full if read is None else read
-    rows = _span(read, N, N // 2)
-    turn = {a: -(lo + N // 2) % N for a, (lo, hi) in enumerate(read) if hi - lo == N}
+    # the unscaled c2c passes on the band's lines, each followed by a take
+    # of the read rows, the c2r pass and its take, then the scale 1/N^n
+    rows = _span(full if read is None else read, N, N // 2)
     for a in range(n - 1):
         x = fft.ifft(_put(x, band[a], a, N), axis=a, norm="forward", overwrite_x=True)
-        if a not in turn:
-            x = _take(x, rows[a], a)
+        x = _take(x, rows[a], a)
     out = fft.irfft(_put(x, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
-    if n - 1 not in turn:
-        out = _take(out, rows[-1], n - 1)
+    out = _take(out, rows[-1], n - 1)
     out *= 1.0 / N ** n
-    turn = {a: s for a, s in turn.items() if s}
-    return np.roll(out, tuple(turn.values()), tuple(turn)) if turn else out
+    return out
 
 
 def cube_average(f: SampledField, box: Box, p: float) -> float:
@@ -496,18 +487,14 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
 
     Kinds
     -----
-    gaussian : ``amp * exp(-pi |x-c|^2 / s^2)``; params ``center``, ``width``,
-        ``amp``.  Effective support (4 widths) must sit in the central quarter.
     bump : classic C-infinity bump of radius ``r``, exactly zero outside;
         the ``2r`` support box is recorded on the field.
     random_trig : random trigonometric polynomial times a bump window of
         radius ``window_radius``; params ``num_modes``, ``freq_max``.  Mode
         parameters are drawn from ``seed`` only, so the same seed yields the
         same continuum function on every grid.
-    indicator_smooth : smoothed box indicator, 1 on the ``half_width`` box,
-        0 outside ``half_width + transition``; support box recorded.
 
-    Kinds that record a support box are evaluated on its sample points only
+    Both kinds are evaluated on the sample points of their support box only
     and hold exact ``+0.0`` everywhere else.
     """
     n = spec.n
@@ -519,31 +506,11 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
     def radial_sq(axes):
         return sum_of_squares([a - ci for a, ci in zip(axes, center)])
 
-    if kind == "gaussian":
-        width = float(params.get("width", spec.L / 40.0))
-        _require_inside_quarter(spec, Box.from_center(center, 4.0 * width), kind)
-        vals = amp * np.exp(-np.pi * radial_sq([spec.axis_coords()] * n) / width ** 2)
-        return SampledField(spec, vals)
-
     if kind == "bump":
         radius = float(params.get("radius", spec.L / 32.0))
         box = Box.from_center(center, radius)
         _require_inside_quarter(spec, box, kind)
         return on_box(spec, box, lambda axes: amp * _bump_window(radial_sq(axes) / radius ** 2))
-
-    if kind == "indicator_smooth":
-        half = float(params.get("half_width", spec.L / 32.0))
-        trans = float(params.get("transition", half / 2.0))
-        box = Box.from_center(center, half + trans)
-        _require_inside_quarter(spec, box, kind)
-
-        def plateau(axes):
-            vals = np.ones(tuple(len(a) for a in axes))
-            for i, x in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-                vals = vals * _mollifier_ramp((half + trans - np.abs(x - center[i])) / trans)
-            return amp * vals
-
-        return on_box(spec, box, plateau)
 
     if kind == "random_trig":
         rng = np.random.default_rng(seed)

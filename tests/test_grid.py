@@ -16,7 +16,6 @@ from brlab.grid import (
     SampledField,
     SpectralField,
     _bump_window,
-    _mollifier_ramp,
     _trig_sum,
     apply_symbol,
     cube_average,
@@ -200,21 +199,30 @@ class TestApplySymbolBitwise:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}")
     def test_matches_whole_grid_pair(self, spec):
+        # real values u, and complex values u + iv whose real and imaginary
+        # parts must have the bits of the pair on u and on v
         rng = np.random.default_rng(spec.N + spec.n)
+        rng_im = np.random.default_rng((spec.N, spec.n))
         N, n = spec.N, spec.n
         for src, read in self.boxes(N, n):
-            vals = np.zeros(spec.shape)
+            vals, imag = np.zeros(spec.shape), np.zeros(spec.shape)
             sl = tuple(slice(lo, hi) for lo, hi in src)
             vals[sl] = rng.standard_normal(vals[sl].shape)
+            imag[sl] = rng_im.standard_normal(imag[sl].shape)
+            crop = tuple(slice(lo, hi) for lo, hi in read)
             for name, sym in package_symbols(spec).items():
-                ref = whole_grid(vals, sym)
+                ref, ref_im = whole_grid(vals, sym), whole_grid(imag, sym)
                 self.assert_same_bits(apply_symbol(vals, sym), ref)
-                self.assert_same_bits(apply_symbol(vals, sym, src, read),
-                                      ref[tuple(slice(lo, hi) for lo, hi in read)])
+                self.assert_same_bits(apply_symbol(vals, sym, src, read), ref[crop])
+                for got, box in ((apply_symbol(vals + 1j * imag, sym), ...),
+                                 (apply_symbol(vals + 1j * imag, sym, src, read), crop)):
+                    assert got.dtype == np.complex128
+                    self.assert_same_bits(got.real, ref[box])
+                    self.assert_same_bits(got.imag, ref_im[box])
 
     def test_boxes_wrap_mod_n(self):
-        # a read box past the grid edge reads the wrapped points, and the
-        # complex branch crops the same box
+        # a read box past the grid edge reads the wrapped points, for real
+        # and for complex values
         spec = GridSpec(2, 8.0, 64)
         f = random_field(spec, seed=3)
         sym = bochner_riesz_symbol(spec, 0.3)
@@ -310,7 +318,8 @@ class TestLpNorm:
     def test_gaussian_analytic(self):
         spec = GridSpec(n=2, L=16.0, N=512)
         width = 0.5
-        f = make_test_function(spec, "gaussian", width=width)
+        f = SampledField(spec, np.exp(-np.pi * sum_of_squares([spec.axis_coords()] * 2)
+                                      / width ** 2))
         # ||exp(-pi |x|^2 / s^2)||_2 = s^{n/2} 2^{-n/4}
         assert lp_norm(f, 2.0) == pytest.approx(width * 2.0 ** -0.5, rel=1e-6)
 
@@ -346,31 +355,15 @@ class TestMakeTestFunction:
     def test_support_exceeding_quarter_rejected(self):
         with pytest.raises(ValueError, match="central"):
             make_test_function(SPEC, "bump", radius=3.0)
-        with pytest.raises(ValueError, match="central"):
-            make_test_function(SPEC, "gaussian", width=1.0)
-
-    def test_indicator_smooth_plateau(self):
-        f = make_test_function(SPEC, "indicator_smooth", half_width=1.0, transition=0.5)
-        mesh = SPEC.meshgrid()
-        inside = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) <= 1.0
-        assert np.allclose(f.values[inside], 1.0)
-        outside = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 1.5
-        assert np.abs(f.values[outside]).max() == 0.0
 
 
-def _full_grid_field(spec, kind, center, amp, radius=None, half_width=None,
-                     transition=None, window_radius=None, seed=None, **_):
+def _full_grid_field(spec, kind, center, amp, radius=None, window_radius=None,
+                     seed=None, **_):
     """The generators' formulas evaluated on every grid point."""
     axes = [spec.axis_coords()] * spec.n
     rho2 = sum_of_squares([a - c for a, c in zip(axes, center)])
     if kind == "bump":
         return amp * _bump_window(rho2 / radius ** 2)
-    if kind == "indicator_smooth":
-        vals = np.ones(spec.shape)
-        for i, x in enumerate(spec.meshgrid()):
-            vals = vals * _mollifier_ramp((half_width + transition - np.abs(x - center[i]))
-                                          / transition)
-        return amp * vals
     # random_trig with num_modes=6, freq_max=2: the generator's draws, in order
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((6, spec.n))
@@ -383,9 +376,9 @@ def _full_grid_field(spec, kind, center, amp, radius=None, half_width=None,
 
 
 class TestBoxLocalGenerators:
-    # bump, indicator_smooth and random_trig evaluate on their support box
-    # only; inside it they must agree bitwise with the whole-grid formula
-    @pytest.mark.parametrize("kind", ["bump", "indicator_smooth", "random_trig"])
+    # bump and random_trig evaluate on their support box only; inside it
+    # they must agree bitwise with the whole-grid formula
+    @pytest.mark.parametrize("kind", ["bump", "random_trig"])
     @pytest.mark.parametrize("spec,center", [
         (SPEC, (0.3, -0.45)),
         (SPEC, (1.25, -1.25)),  # the support box touches the central quarter's edge
@@ -396,8 +389,6 @@ class TestBoxLocalGenerators:
         amp = -2.5
         if kind == "bump":
             params = dict(radius=r)
-        elif kind == "indicator_smooth":
-            params = dict(half_width=r / 2, transition=r / 2)
         else:
             params = dict(window_radius=r, seed=17, num_modes=6, freq_max=2.0)
         f = make_test_function(spec, kind, center=center, amp=amp, **params)

@@ -12,6 +12,7 @@ from scipy import fft
 import brlab.cli as cli
 import brlab.grid as grid
 import brlab.harness as harness
+import brlab.sparse as sparse
 from brlab.cli import main as cli_main
 from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function,
                         read_field, write_field)
@@ -355,35 +356,51 @@ class TestBandLimitedReads:
             got = bilinear_pairing(f, g, cfg.delta)
             assert got == want and got != 0
 
-    @pytest.mark.parametrize("run", [run_prop41, run_prop42], ids=["prop41", "prop42"])
-    def test_c2r_rows_within_read_box(self, run, monkeypatch):
-        # fails if an S_k application of the local estimates inverts more
-        # rows than its read box holds
-        made, checked = [], []
+    @pytest.mark.parametrize("case", ["prop41", "prop42", "pairing"])
+    def test_c2r_rows_within_read_box(self, case, monkeypatch):
+        # fails if an S_k application of the local estimates, or the
+        # pairing's B f, inverts more rows than its read box holds or
+        # transforms more rows than its source box holds
+        r2c, c2r, checked = [], [], []
 
         class CountingFFT:
             def __getattr__(self, name):
                 return getattr(fft, name)
 
             @staticmethod
+            def rfft(x, *args, **kwargs):
+                r2c.append(math.prod(x.shape[:-1]))
+                return fft.rfft(x, *args, **kwargs)
+
+            @staticmethod
             def irfft(x, *args, **kwargs):
-                made.append(math.prod(x.shape[:-1]))
+                c2r.append(math.prod(x.shape[:-1]))
                 return fft.irfft(x, *args, **kwargs)
 
         def checking(values, symbol, src=None, read=None):
-            assert read is not None, "S_k f read on the whole grid"
-            made.clear()
+            assert read is not None, "multiplier read on the whole grid"
+            r2c.clear()
+            c2r.clear()
             out = grid.apply_symbol(values, symbol, src, read)
+            full = [(0, values.shape[0])] * values.ndim
+            assert r2c == [math.prod(hi - lo for lo, hi in (src or full)[:-1])]
             rows = math.prod(hi - lo for lo, hi in read[:-1])
-            assert made == [rows]
+            assert c2r == [rows]
             assert rows < values.shape[0]
             checked.append(rows)
             return out
 
         monkeypatch.setattr(grid, "fft", CountingFFT())
-        monkeypatch.setattr(harness, "apply_symbol", checking)
-        rep = run(self.cfg(1))
-        assert len(checked) == len(rep.rows)
+        if case == "pairing":
+            monkeypatch.setattr(sparse, "apply_symbol", checking)
+            for seed in self.SEEDS:
+                cfg = self.cfg(seed)
+                bilinear_pairing(*_trial_fields(cfg, 0), cfg.delta)
+            assert len(checked) == len(self.SEEDS)
+        else:
+            monkeypatch.setattr(harness, "apply_symbol", checking)
+            rep = {"prop41": run_prop41, "prop42": run_prop42}[case](self.cfg(1))
+            assert len(checked) == len(rep.rows)
 
 
 LOCAL_GOLDEN_CFG = ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=3)

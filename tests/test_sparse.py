@@ -274,7 +274,7 @@ class TestBuildSparse:
     def test_bump_tree_certificate_exact(self):
         f = bump(radius=0.15, amp=30.0) + make_test_function(
             SPEC, "random_trig", seed=9, window_radius=1.8, num_modes=5)
-        g = make_test_function(SPEC, "indicator_smooth", half_width=0.8, transition=0.4)
+        g = bump(radius=1.2)
         coll, trace = build_sparse(f, g, DELTA, CFG)
         assert coll.verify()
         cert = coll.certificate()
