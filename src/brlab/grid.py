@@ -15,7 +15,14 @@ which discretizes the continuum Fourier integral; Parseval then reads
 ``sum |fhat|^2 / L^n = sum |f|^2 dx^n``.
 
 Field values are stored as float64 when the input is real and as complex128
-otherwise.  Every transform runs on ``scipy.fft``, called through the module
+otherwise.  A field with a declared support box stores only its block on
+the box's sample points and is exact ``+0.0`` elsewhere: the test fields
+cover 2-5% of the grid at N = 1024, so building, adding and scaling them,
+their cube and ball averages and the source rows of :func:`apply_symbol`
+work on boxes, reading through :func:`_wrap_take`, which meets the stored
+block with the read box and fills the rest with zeros.  The whole grid
+(``SampledField.values``) is built on first use, for the whole-grid
+operations: norms, weights and field files.  Every transform runs on ``scipy.fft``, called through the module
 so that its entry points can be wrapped from outside.  :func:`apply_symbol`
 is the one place a Fourier multiplier meets a whole field (``maximal``
 reads truncated fields on boxes as band products).  Every symbol here is
@@ -31,7 +38,10 @@ lines where the symbol has a nonzero, and the c2r pass only on the rows of
 the box that is read, followed by one multiply by ``1/N^n``.  Each axis
 but the last takes the source box's rows before its forward pass and the
 read box's rows after its inverse pass; the last axis is taken whole in
-``ifftshift`` order and cut to the read box after the c2r pass.  Every
+``ifftshift`` order and cut to the read box after the c2r pass.  One copy
+before the r2c pass turns every axis so that the source rows start at
+their lowest index in fft order, and one after the c2r pass turns the read
+box back, so rows that span an axis need no embed and no take.  Every
 symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16,
 N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a symbol
 without zeros keeps its full passes.  The pruned result has the bits of the
@@ -47,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -222,12 +232,14 @@ class Box:
         )
 
     def index_ranges(self, spec: GridSpec) -> list[tuple[int, int]]:
-        """Half-open grid-index ranges of the sample points inside the box."""
+        """Half-open grid-index ranges ``0 <= lo <= hi <= N`` of the sample
+        points inside the box."""
         ranges = []
         for axis in range(spec.n):
             lo = self.lo[axis] / spec.dx + spec.N // 2
             hi = self.hi[axis] / spec.dx + spec.N // 2
-            ranges.append((max(math.ceil(lo - 1e-9), 0), min(math.ceil(hi - 1e-9), spec.N)))
+            j0 = min(max(math.ceil(lo - 1e-9), 0), spec.N)
+            ranges.append((j0, max(min(math.ceil(hi - 1e-9), spec.N), j0)))
         return ranges
 
     def samples(self, spec: GridSpec) -> tuple[tuple[slice, ...], list[np.ndarray]]:
@@ -239,7 +251,6 @@ class Box:
                 [coords[j0:j1] for j0, j1 in ranges])
 
 
-@dataclass(frozen=True, eq=False)
 class SampledField:
     """Field sampled on the grid, with an optional declared support box.
 
@@ -247,37 +258,97 @@ class SampledField:
 
     ``support`` is a certificate that the values vanish identically outside
     the box; generators that window their output record it, multiplier
-    applications drop it (a Fourier multiplier spreads support).
+    applications drop it (a Fourier multiplier spreads support).  A field
+    with a support stores only its block on the box's index ranges; the
+    values may be given there or on the whole grid, where a nonzero or
+    non-finite sample outside the box raises ``ValueError``.  Only the block
+    is checked for finiteness.
+
+    The field is immutable and its stored array read-only (an array it
+    neither crops nor converts is kept, so the caller must not write into
+    it).  :meth:`take` reads the values on any index box; ``values``, the
+    read-only whole grid, is built on first use and cached.  ``shape`` and
+    ``ndim`` are the grid's, so :func:`apply_symbol` takes a field where it
+    takes an array.
     """
 
-    spec: GridSpec
-    values: np.ndarray
-    support: Box | None = None
+    def __init__(self, spec: GridSpec, values, support: Box | None = None):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_block", values)
+        self.__post_init__()
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
+        spec = self.spec
+        vals = np.asarray(self._block)
         vals = vals.astype(np.float64 if np.isrealobj(vals) else np.complex128, copy=False)
-        if vals.shape != self.spec.shape:
-            raise ValueError(f"values shape {vals.shape} != grid shape {self.spec.shape}")
-        if not np.all(np.isfinite(vals)):
+        at = tuple(self.support.index_ranges(spec) if self.support is not None
+                   else [(0, spec.N)] * spec.n)
+        shape = tuple(h - l for l, h in at)
+        if vals.shape == spec.shape and shape != spec.shape:
+            block = vals[tuple(slice(l, h) for l, h in at)].copy()
+            # NaN and inf count as nonzero
+            if np.count_nonzero(vals) != np.count_nonzero(block):
+                raise ValueError("field values must vanish outside the support box: "
+                                 "a sample there is nonzero or not finite")
+        elif vals.shape == shape:
+            block = vals.view()
+        else:
+            raise ValueError(f"values shape {vals.shape} != grid shape {spec.shape}"
+                             + ("" if self.support is None else
+                                f" or support block shape {shape}"))
+        if not np.all(np.isfinite(block)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
+        block.flags.writeable = False
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_at", at)
 
-    def __mul__(self, c):
-        return SampledField(self.spec, self.values * c, self.support)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampledField is immutable: cannot set {name!r}")
 
-    __rmul__ = __mul__
+    __delattr__ = __setattr__
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.spec.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.spec.n
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The values on the whole grid (read-only)."""
+        if self._block.shape == self.spec.shape:
+            return self._block
+        vals = self.take([(0, self.spec.N)] * self.spec.n)
+        vals.flags.writeable = False
+        return vals
+
+    def take(self, box) -> np.ndarray:
+        """The values on the index box ``box`` (per axis a range ``(lo, hi)``
+        of centered indices, taken mod N): the stored block where the two
+        boxes meet and exact ``+0.0`` elsewhere, through :func:`_wrap_take`."""
+        return _wrap_take(self._block, *zip(*box), at=self._at, N=self.spec.N)
 
     def support_ranges(self) -> list[tuple[int, int]] | None:
         """Index ranges of the support box (the ``src`` of
         :func:`apply_symbol`), or None without one."""
-        return None if self.support is None else self.support.index_ranges(self.spec)
+        return None if self.support is None else list(self._at)
+
+    def __mul__(self, c):
+        return SampledField(self.spec, self._block * c, self.support)
+
+    __rmul__ = __mul__
 
     def __add__(self, other: "SampledField") -> "SampledField":
-        sup = None
-        if self.support is not None and other.support is not None:
-            sup = self.support.union(other.support)
-        return SampledField(self.spec, self.values + other.values, sup)
+        """The sum on the union of the support boxes: the bits of the sum of
+        the two whole grids there."""
+        if self.support is None or other.support is None:
+            return SampledField(self.spec, self.values + other.values)
+        sup = self.support.union(other.support)
+        box = sup.index_ranges(self.spec)
+        return SampledField(self.spec, self.take(box) + other.take(box), sup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +378,45 @@ def _span(box, N: int, shift: int = 0) -> list[np.ndarray]:
     return [np.arange(lo + shift, hi + shift) % N for lo, hi in box]
 
 
-def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-    """arr over the index box [lo, hi) with periodic wrapping."""
-    return arr[np.ix_(*_span(zip(lo, hi), arr.shape[0]))]
+def _meet(at, lo, hi, N: int) -> tuple[tuple, tuple]:
+    """Where the index box ``[lo, hi)`` of an N-point grid, indices taken mod
+    N, meets the index box ``at`` (ranges inside ``[0, N]``): an index into
+    an array on the first box and the matching index into one on ``at``,
+    slices on boxes that do not wrap."""
+    dst, src = [], []
+    for l, h, (a, b) in zip(lo, hi, at):
+        if 0 <= l and h <= N:
+            s, e = max(l, a), max(l, a, min(h, b))
+            dst.append(slice(s - l, e - l))
+            src.append(slice(s - a, e - a))
+        else:
+            idx = np.arange(l, h) % N
+            pos = np.flatnonzero((idx >= a) & (idx < b))
+            dst.append(pos)
+            src.append(idx[pos] - a)
+    if all(isinstance(d, slice) for d in dst):
+        return tuple(dst), tuple(src)
+    # mixed: index arrays on every axis, as an open mesh
+    dst = [np.arange(max(h - l, 0))[d] for d, l, h in zip(dst, lo, hi)]
+    src = [np.arange(b - a)[s] for s, (a, b) in zip(src, at)]
+    return np.ix_(*dst), np.ix_(*src)
+
+
+def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...], at=None,
+               N: int | None = None) -> np.ndarray:
+    """The values over the index box ``[lo, hi)`` with periodic wrapping,
+    where ``arr`` holds them on the index box ``at`` of an N-point grid (by
+    default the whole grid, N being ``arr``'s length) and they are exact
+    ``+0.0`` outside it: the one read of a block on a box.  A view of
+    ``arr`` when the box lies inside ``at``."""
+    N = arr.shape[0] if N is None else N
+    at = [(0, N)] * arr.ndim if at is None else at
+    dst, src = _meet(at, lo, hi, N)
+    if all(a <= l and h <= b for l, h, (a, b) in zip(lo, hi, at)):
+        return arr[src]
+    out = np.zeros(tuple(max(h - l, 0) for l, h in zip(lo, hi)), dtype=arr.dtype)
+    out[dst] = arr[src]
+    return out
 
 
 def _band(half: np.ndarray) -> list[np.ndarray]:
@@ -342,48 +449,66 @@ def _put(part: np.ndarray, idx: np.ndarray, axis: int, length: int) -> np.ndarra
     return out
 
 
-def apply_symbol(values: np.ndarray, symbol: np.ndarray, src=None,
-                 read=None) -> np.ndarray:
-    """Multiply the spectrum of centered grid ``values`` by a lattice
-    ``symbol`` in fft ordering and return the result on the index box
-    ``read`` (the whole grid by default).  ``src`` is an index box outside
-    which ``values`` vanish (the whole grid by default).  An index box gives
-    per axis a range ``(lo, hi)`` of centered indices, taken mod N, as
-    :meth:`Box.index_ranges` does.
+def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
+    """Multiply the spectrum of centered grid ``values`` (an array, or a
+    :class:`SampledField` read through :meth:`SampledField.take`) by a
+    lattice ``symbol`` in fft ordering and return the result on the index
+    box ``read`` (the whole grid by default).  ``src`` is an index box
+    outside which ``values`` vanish (the whole grid by default).  An index
+    box gives per axis a range ``(lo, hi)`` of centered indices, taken mod
+    N, as :meth:`Box.index_ranges` does.
 
     ``symbol`` must be even.  A real result has the bits of
     ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))`` (an exact zero
     may differ in sign), from the pruned passes of the module docstring;
     complex values take those passes on their real and imaginary parts.
     """
-    if np.iscomplexobj(values):
-        return (apply_symbol(values.real, symbol, src, read)
-                + 1j * apply_symbol(values.imag, symbol, src, read))
     N, n = values.shape[0], values.ndim
-    full = [(0, N)] * n
+    src = [(0, N)] * n if src is None else src
+    # the rows of src, the last axis whole
+    if isinstance(values, SampledField):
+        return _pruned_passes(values.take([*src[:-1], (0, N)]), symbol, src, read)
+    for a, rows in enumerate(_span(src[:-1], N)):
+        values = _take(values, rows, a)
+    return _pruned_passes(values, symbol, src, read)
+
+
+def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
+    """:func:`apply_symbol` of the values ``x`` on the rows of ``src``, the
+    last axis whole."""
+    if np.iscomplexobj(x):
+        return (_pruned_passes(x.real, symbol, src, read)
+                + 1j * _pruned_passes(x.imag, symbol, src, read))
+    N, n = x.shape[-1], x.ndim
     half = symbol[..., : N // 2 + 1]
     band = _band(half)
-    src = full if src is None else src
-    # r2c on the rows of src: the last axis whole, in ifftshift order; the
-    # other axes take src's rows and are embedded in ifftshift order before
-    # their pass
-    x = values
-    for a, rows in enumerate(_span(src[:-1], N)):
-        x = _take(x, rows, a)
-    x = _take(fft.rfft(fft.ifftshift(x, axes=n - 1), axis=-1), band[-1], n - 1)
-    for a, rows in enumerate(_span(src[:-1], N, N // 2)):
-        x = _take(fft.fft(_put(x, rows, a, N), axis=a, overwrite_x=True), band[a], a)
+    # each axis is turned so that its rows of src, and later of read, start
+    # at their lowest index in fft order: an axis they span runs 0..N-1 and
+    # needs no embed and no take
+    src_rows = _span(src[:-1], N, N // 2)
+    turn = [-int(np.argmin(rows)) if len(rows) else 0 for rows in src_rows]
+    # r2c along the last axis in ifftshift order, turned with the other axes
+    # in one copy; those hold src's rows, embedded before their pass
+    x = np.roll(x, (*turn, -(N // 2)), axis=tuple(range(n)))
+    x = _take(fft.rfft(x, axis=-1), band[-1], n - 1)
+    for a, rows in enumerate(src_rows):
+        x = _take(fft.fft(_put(x, np.roll(rows, turn[a]), a, N), axis=a, overwrite_x=True),
+                  band[a], a)
     for a in range(n):
         half = _take(half, band[a], a)
     x *= half
     # the unscaled c2c passes on the band's lines, each followed by a take
-    # of the read rows, the c2r pass and its take, then the scale 1/N^n
-    rows = _span(full if read is None else read, N, N // 2)
+    # of the turned read rows, the c2r pass and its take, one copy that
+    # turns the read box back, then the scale 1/N^n
+    rows = _span([(0, N)] * n if read is None else read, N, N // 2)
+    turn = [int(np.argmin(r)) if len(r) else 0 for r in rows]
     for a in range(n - 1):
         x = fft.ifft(_put(x, band[a], a, N), axis=a, norm="forward", overwrite_x=True)
-        x = _take(x, rows[a], a)
+        x = _take(x, np.roll(rows[a], -turn[a]), a)
     out = fft.irfft(_put(x, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
-    out = _take(out, rows[-1], n - 1)
+    out = _take(out, np.roll(rows[-1], -turn[-1]), n - 1)
+    if any(turn):
+        out = np.roll(out, turn, axis=tuple(range(n)))
     out *= 1.0 / N ** n
     return out
 
@@ -394,15 +519,20 @@ def cube_average(f: SampledField, box: Box, p: float) -> float:
     The full measure ``|R|`` sits in the denominator and the integrand is
     extended by zero outside the sampled domain, so dilated cubes that
     spill over the boundary are handled consistently with compactly
-    supported integrands.
+    supported integrands.  ``|f|^p`` is taken only where the box meets f's
+    stored block and summed over one array of the box's sample points, zero
+    elsewhere: the array, and so the bits, of the sum on the whole grid.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     spec = f.spec
-    chunk = np.abs(f.values[box.samples(spec)[0]])
-    if chunk.size == 0:
+    ranges = box.index_ranges(spec)
+    if any(h == l for l, h in ranges):
         raise ValueError("empty intersection: box contains no sample points")
-    integral = float(np.sum(chunk ** p)) * spec.dx ** spec.n
+    dst, src = _meet(f._at, *zip(*ranges), spec.N)
+    dens = np.zeros(tuple(h - l for l, h in ranges))
+    dens[dst] = np.abs(f._block[src]) ** p
+    integral = float(np.sum(dens)) * spec.dx ** spec.n
     return (integral / box.volume) ** (1.0 / p)
 
 
@@ -473,12 +603,9 @@ def _trig_sum(coords, freqs: np.ndarray, phases: np.ndarray,
 
 def on_box(spec: GridSpec, box: Box, local) -> SampledField:
     """Field with support ``box``: ``local(axes)`` on the box's sample points,
-    where ``axes`` are their 1-D coordinate arrays, and exact ``+0.0``
-    elsewhere."""
-    sl, axes = box.samples(spec)
-    vals = np.zeros(spec.shape)
-    vals[sl] = local(axes)
-    return SampledField(spec, vals, support=box)
+    where ``axes`` are their 1-D coordinate arrays (an array of the box's
+    shape, stored as the field's block), and exact ``+0.0`` elsewhere."""
+    return SampledField(spec, local(box.samples(spec)[1]), support=box)
 
 
 def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,

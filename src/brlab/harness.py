@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import indices
-from .grid import (Box, GridSpec, SampledField, _radius_sq_grid, _trig_sum,
+from .grid import (Box, GridSpec, SampledField, _trig_sum,
                    apply_symbol, lp_mean, make_test_function, on_box,
                    sum_of_squares)
 from .maximal import MaximalConfig, ball_average, ball_points
@@ -292,15 +292,16 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
 @lru_cache(maxsize=16)
 def _annulus(spec: GridSpec, r_in: float, r_out: float):
     """The points of the annulus ``r_in <= |x| < r_out``, shared by every
-    field and average on it: the slices of its box, the points' indices in
-    the box (row-major order) and their coordinates."""
-    sl, axes = _annulus_box(spec, r_out).samples(spec)
+    field and average on it: the index ranges of its box, the points'
+    indices in the box (row-major order) and their coordinates."""
+    box = _annulus_box(spec, r_out)
+    axes = box.samples(spec)[1]
     r = np.sqrt(sum_of_squares(axes))
     inside = np.nonzero((r >= r_in) & (r < r_out))
     coords = [a[i] for a, i in zip(axes, inside)]
     for arr in (*inside, *coords):
         arr.flags.writeable = False
-    return sl, inside, coords
+    return box.index_ranges(spec), inside, coords
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
@@ -325,8 +326,8 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> Samp
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    sl, inside, _ = _annulus(f.spec, r_in, r_out)
-    vals = f.values[sl][inside]
+    ranges, inside, _ = _annulus(f.spec, r_in, r_out)
+    vals = f.take(ranges)[inside]
     return lp_mean(vals, p) if vals.size else 0.0
 
 
@@ -334,8 +335,7 @@ def _sk_ball_average(f: SampledField, k: int, delta: float, radius: float) -> fl
     """``ball_average(apply_Sk(f, k, delta), 0, radius, 2)``, with ``S_k f``
     computed only on the index box of the ball's points."""
     box, idx = ball_points(f.spec, 0.0, radius)
-    vals = apply_symbol(f.values, sk_symbol(f.spec, int(k), float(delta)),
-                        f.support_ranges(), box)
+    vals = apply_symbol(f, sk_symbol(f.spec, int(k), float(delta)), f.support_ranges(), box)
     return lp_mean(vals[idx], 2.0)
 
 
@@ -423,7 +423,6 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
 def run_prop42(cfg: ExperimentConfig) -> Report:
     """Diagonal local estimate at unit-or-larger ball radii with 2^k eps <= 1."""
     spec = cfg.spec()
-    r_grid = np.sqrt(_radius_sq_grid(spec))
 
     def lhs_rhs(k, eps, trial, rho):
         seed = cfg.seed ^ hash((k, int(eps), trial)) & 0x7FFFFFFF
@@ -432,7 +431,9 @@ def run_prop42(cfg: ExperimentConfig) -> Report:
             spec, "random_trig", seed=int(rng.integers(2 ** 31)),
             window_radius=spec.L / 8.0 * 0.9, num_modes=6, freq_max=1.5,
         )
-        local = SampledField(spec, f.values * (r_grid <= 3.0 * eps), support=f.support)
+        # f * 1_{|x| <= 3 eps} on f's support box
+        near = np.sqrt(sum_of_squares(f.support.samples(spec)[1])) <= 3.0 * eps
+        local = SampledField(spec, f.take(f.support_ranges()) * near, support=f.support)
         lhs = _sk_ball_average(local, k, cfg.delta, 2.0 * eps)
         return lhs, 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, float(cfg.p0))
 

@@ -38,7 +38,10 @@ and the mask ball lies between ``B(x, (3 - sqrt(n)/2) eps)`` and
 
 A tile whose mask ball holds every nonzero of f is covered (value 0), one
 whose ball holds none is disjoint (the unmasked y-max), and any other is
-partial; one broadcast pass over f's nonzeros sorts the tiles.  The
+partial.  The per-axis nearest and farthest minimal-image distances from
+the tile's center to the box spanned by f's nonzeros settle every tile
+whose ball holds all or none of that box, and one broadcast pass over the
+nonzeros sorts the rest.  The
 partial tiles of a radius run as one stack along a leading axis: f on each
 center's mask-ball box cut to the ball, one ``_truncate`` onto the tiles
 +- 2 eps (both boxes sit at fixed offsets from the center), subtracted
@@ -105,11 +108,12 @@ a window (an index box) and return an array of its shape, from window-shaped
 accumulators and crops; the public operators pass the whole grid.
 A selection node also passes its ``6Q`` box, and the engine then reads
 ``f * 1_{6Q}`` without building it: the support index box is the box's
-sample ranges cut to f's support, and the reads that reach past it (HL's
-density crop and the partial tiles' mask-ball boxes) are one wrapped take
-that is exactly +0.0 outside it.  The public operators pass no box; their
-whole-grid window takes boxes longer than the grid, through the same
-products and ball means.
+sample ranges cut to f's support, the engine keeps a view of f's stored
+block on it, and the reads that reach past it (HL's density crop and the
+partial tiles' mask-ball boxes) go through ``grid._wrap_take``, exactly
++0.0 outside it.  No whole grid of f is built.  The public operators pass
+no box; their whole-grid window takes boxes longer than the grid, through
+the same products and ball means.
 """
 
 from __future__ import annotations
@@ -363,39 +367,55 @@ class MaximalEngine:
         # f is read as f * 1_box: exactly zero outside the support index box,
         # where the sample ranges of the box and of f's support meet
         self._bounded = f.support is not None or box is not None
-        self._sbox = tuple(slice(0, f.spec.N) for _ in range(f.spec.n))
-        for b in (f.support, box):
-            if b is not None:
-                self._sbox = tuple(slice(max(s.start, l), min(s.stop, h))
-                                   for s, (l, h) in zip(self._sbox, b.index_ranges(f.spec)))
-        self._fs = f.values[self._sbox]
+        at = f.support_ranges() or _full_window(f.spec)
+        if box is not None:
+            at = [(max(a, c), max(a, c, min(b, d)))
+                  for (a, b), (c, d) in zip(at, box.index_ranges(f.spec))]
+        self._at = tuple(at)
+        self._fs = f.take(self._at)
         self._g: dict[tuple, np.ndarray] = {}
 
     def _f_take(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
         """The read of f on the wrapped index box ``[lo, hi)``: exactly +0.0
         outside the support index box."""
-        idx = [np.arange(l, h) % self.spec.N for l, h in zip(lo, hi)]
-        inside = [(i >= s.start) & (i < s.stop) for i, s in zip(idx, self._sbox)]
-        out = np.zeros(tuple(len(i) for i in idx), dtype=self._fs.dtype)
-        out[np.ix_(*inside)] = self.f.values[np.ix_(*(i[m] for i, m in zip(idx, inside)))]
-        return out
+        return _wrap_take(self._fs, lo, hi, self._at, self.spec.N)
 
     @cached_property
     def _nz(self) -> tuple[np.ndarray, ...]:
         """Grid indices of f's nonzeros, one array per axis."""
-        return tuple(idx + s.start for idx, s in zip(np.nonzero(self._fs), self._sbox))
+        return tuple(idx + l for idx, (l, _) in zip(np.nonzero(self._fs), self._at))
 
     def _nz_in_balls(self, centers: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``centers``, whether B(center, r) holds every nonzero
-        of f and whether it holds any (minimal-image metric, ties included),
-        in blocks of centers that bound the memory."""
-        N, step = self.spec.N, max(1, (1 << 20) // max(self._nz[0].size, 1))
-        flags = []
-        for c in np.split(centers, range(step, len(centers), step)):
+        of f and whether it holds any (minimal-image metric, ties included).
+
+        The box spanned by the nonzeros settles a row exactly when its ball
+        holds all of the box or none of it: on each axis the box's indices
+        form one arc of the torus, nearest to and farthest from a center at
+        the arc's ends, or at distance 0 (the center on the arc) and N/2
+        (the antipode on it).  If the farthest distances give
+        ``sum max^2 <= r^2`` the ball holds the whole box; if the nearest
+        give ``sum min^2 > r^2`` it holds none of it.  The rows left over go
+        to one broadcast over every nonzero, in blocks that bound the
+        memory."""
+        N, nz = self.spec.N, self._nz
+        if not nz[0].size:
+            return np.ones(len(centers), dtype=bool), np.zeros(len(centers), dtype=bool)
+        near = far = 0
+        for c, idx in zip(centers.T, nz):
+            lo, hi = idx.min(), idx.max()
+            ends = [np.minimum(m, N - m) for m in ((c - lo) % N, (c - hi) % N)]
+            near = near + np.where((c - lo) % N <= hi - lo, 0, np.minimum(*ends)) ** 2
+            far = far + np.where((c + N // 2 - lo) % N <= hi - lo, N // 2, np.maximum(*ends)) ** 2
+        covered, touched = far <= r * r, near <= r * r
+        open_rows = np.flatnonzero(touched & ~covered)
+        step = max(1, (1 << 20) // nz[0].size)
+        for rows in np.split(open_rows, range(step, len(open_rows), step)):
+            c = centers[rows]
             inside = sum(np.take(_torus_dist(c[:, a, None], 0, N, N) ** 2, idx, axis=1)
-                         for a, idx in enumerate(self._nz)) <= r * r
-            flags.append((inside.all(axis=1), inside.any(axis=1)))
-        return tuple(np.concatenate(f) for f in zip(*flags))
+                         for a, idx in enumerate(nz)) <= r * r
+            covered[rows], touched[rows] = inside.all(axis=1), inside.any(axis=1)
+        return covered, touched
 
     # -- certified radius bounds ------------------------------------------
 
@@ -466,7 +486,7 @@ class MaximalEngine:
     def _f_hat(self) -> np.ndarray:
         """The band spectrum of ``f * 1_box`` (of its two parts if complex)."""
         fs = np.stack([self._fs.real, self._fs.imag]) if np.iscomplexobj(self._fs) else self._fs
-        return self._band_spectrum(fs, tuple(s.start for s in self._sbox))
+        return self._band_spectrum(fs, tuple(l for l, _ in self._at))
 
     def _g_window(self, eps_px: int, zlo: tuple[int, ...],
                   zhi: tuple[int, ...]) -> np.ndarray:
@@ -647,4 +667,4 @@ def ball_points(spec: GridSpec, center, radius: float
 def ball_average(f: SampledField, center, radius: float, p: float) -> float:
     """L^p average of f over the grid points of the ball B(center, radius)."""
     box, idx = ball_points(f.spec, center, radius)
-    return lp_mean(_wrap_take(f.values, *zip(*box))[idx], p)
+    return lp_mean(f.take(box)[idx], p)

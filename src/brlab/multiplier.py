@@ -126,7 +126,7 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
 # support box is the source box of the transform.
 
 def _apply(f: SampledField, sym: np.ndarray) -> SampledField:
-    return SampledField(f.spec, apply_symbol(f.values, sym, f.support_ranges()))
+    return SampledField(f.spec, apply_symbol(f, sym, f.support_ranges()))
 
 
 def apply_bochner_riesz(f: SampledField, delta: float) -> SampledField:

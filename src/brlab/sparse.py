@@ -345,15 +345,16 @@ def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,
 
 def bilinear_pairing(f: SampledField, g: SampledField, delta: float) -> complex:
     """``<B f, g> = int B(f) conj(g) dx`` by Riemann sum.  ``B f`` is computed
-    only on g's support box, outside which ``conj(g)`` is 0; its products
-    fill that box of one zero grid, so the sum keeps its order and bits."""
+    from f's support rows only on g's support box, outside which ``conj(g)``
+    is 0; its products fill that box of one zero grid, so the sum keeps the
+    order, and the bits, of the sum over the whole grid."""
     spec = f.spec
     read = g.support_ranges()
-    bf = apply_symbol(f.values, bochner_riesz_symbol(spec, float(delta)),
-                      f.support_ranges(), read)
-    box = tuple(slice(lo, hi) for lo, hi in read or [(0, spec.N)] * spec.n)
-    prod = np.zeros(spec.shape, dtype=np.result_type(bf, g.values))
-    prod[box] = bf * np.conj(g.values[box])
+    bf = apply_symbol(f, bochner_riesz_symbol(spec, float(delta)), f.support_ranges(), read)
+    box = read or [(0, spec.N)] * spec.n
+    gs = g.take(box)
+    prod = np.zeros(spec.shape, dtype=np.result_type(bf, gs))
+    prod[tuple(slice(lo, hi) for lo, hi in box)] = bf * np.conj(gs)
     return complex(np.sum(prod) * spec.dx ** spec.n)
 
 

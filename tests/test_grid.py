@@ -17,17 +17,21 @@ from brlab.grid import (
     SpectralField,
     _bump_window,
     _trig_sum,
+    _wrap_take,
     apply_symbol,
     cube_average,
     doubling_table,
     freq_sq,
     inverse_transform,
+    lp_mean,
     lp_norm,
     make_test_function,
+    on_box,
     read_field,
     sum_of_squares,
     write_field,
 )
+from brlab.maximal import ball_average, ball_points
 from brlab.multiplier import bochner_riesz_symbol, k_min, sk_symbol, truncated_symbol
 
 SPEC = GridSpec(n=2, L=16.0, N=128)
@@ -488,7 +492,7 @@ class TestFieldFile:
     def test_bytes_match_per_sample_writer(self, tmp_path, kind):
         spec = GridSpec(n=2, L=2.0, N=16)
         if kind == "extremes":
-            vals = random_field(spec, seed=5).values
+            vals = random_field(spec, seed=5).values.copy()
             special_vals = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]
             vals.real.flat[:7] = special_vals
             vals.imag.flat[7:14] = special_vals
@@ -519,3 +523,152 @@ class TestFieldInvariants:
     def test_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SampledField(SPEC, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("bad", [1e-300, -2.0, np.nan, np.inf, -np.inf])
+    def test_sample_outside_support_rejected(self, bad):
+        # the support box is a certificate: a nonzero or non-finite sample
+        # outside it raises instead of being dropped
+        box = Box((-1.0, -1.0), (1.0, 1.0))
+        vals = indicator_of(SPEC, box).values.copy()
+        (i0, _), (j0, _) = box.index_ranges(SPEC)
+        vals[i0 - 1, j0 + 3] = bad
+        with pytest.raises(ValueError, match="outside the support box"):
+            SampledField(SPEC, vals, support=box)
+        vals[i0 - 1, j0 + 3] = -0.0
+        assert SampledField(SPEC, vals, support=box).values[i0 - 1, j0 + 3] == 0.0
+
+    def test_stored_values_read_only(self):
+        box = Box((-1.0, -1.0), (1.0, 1.5))
+        for f in (make_test_function(SPEC, "bump", radius=1.0), random_field(SPEC, seed=2),
+                  SampledField(SPEC, indicator_of(SPEC, box).values, support=box)):
+            ranges = f.support_ranges() or [(0, SPEC.N)] * 2
+            for arr in (f.values, f.take(ranges)):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[ranges[0][0], ranges[1][0]] = 1.0
+        vals = np.ones(SPEC.shape)
+        SampledField(SPEC, vals)
+        vals[0, 0] = 2.0  # the caller's own array stays writeable
+
+
+def _whole(spec, block, box):
+    """Reference: ``block`` on the index ranges of ``box`` in a zero grid."""
+    vals = np.zeros(spec.shape, dtype=block.dtype)
+    vals[tuple(slice(lo, hi) for lo, hi in box.index_ranges(spec))] = block
+    return vals
+
+
+def _bits(arr):
+    return np.asarray(arr).view(np.uint64)
+
+
+class TestBoxLocalLayer:
+    # A field with a support box stores only its block there.  Every
+    # operation on such fields must have the bits of its former definition
+    # on whole grids, kept here as the reference, also on boxes that spill
+    # past the support, past the grid edge and across the seam.
+    SPEC2 = GridSpec(n=2, L=8.0, N=64)
+    # support boxes: inside the grid, past its low edge on axis 0, and past
+    # its high edge on axis 1
+    BOXES = [Box((-1.3, 0.2), (0.9, 1.7)), Box((-4.6, -2.0), (-2.9, 0.5)),
+             Box((0.4, 2.5), (2.0, 4.8))]
+
+    def fields(self):
+        """(field, its whole-grid reference): random blocks with exact zeros
+        of both signs, real and complex."""
+        rng = np.random.default_rng(21)
+        out = []
+        for box in self.BOXES:
+            shape = tuple(hi - lo for lo, hi in box.index_ranges(self.SPEC2))
+            block = rng.standard_normal(shape)
+            block[rng.random(shape) < 0.2] = -0.0
+            for vals in (block, block * (0.6 - 0.8j)):
+                out.append((SampledField(self.SPEC2, vals, support=box),
+                            _whole(self.SPEC2, vals, box)))
+        return out
+
+    def test_constructions_keep_bits(self):
+        for f, ref in self.fields():
+            assert _bits(f.values).tolist() == _bits(ref).tolist()
+            g = SampledField(self.SPEC2, ref, support=f.support)  # cropped to the box
+            assert np.array_equal(_bits(g.values), _bits(ref))
+
+    @pytest.mark.parametrize("spec, center", [(SPEC, (0.3, -0.45)),
+                                              (GridSpec(n=3, L=4.0, N=32), (0.1, 0.0, -0.2))])
+    def test_on_box_matches_zero_grid(self, spec, center):
+        box = Box.from_center(center, 0.4)
+        local = lambda axes: -_bump_window(sum_of_squares(axes) / 0.16)
+        sl, axes = box.samples(spec)
+        want = np.zeros(spec.shape)
+        want[sl] = local(axes)
+        f = on_box(spec, box, local)
+        assert f._block.shape == want[sl].shape
+        assert np.array_equal(_bits(f.values), _bits(want))
+
+    def test_sum_on_union_box(self):
+        fs = self.fields()
+        for (a, ra), (b, rb) in itertools.product(fs, repeat=2):
+            s = a + b
+            assert s.support == a.support.union(b.support)
+            assert np.array_equal(_bits(s.values), _bits(ra + rb))
+        # one field without a support box: the whole-grid sum
+        r = random_field(self.SPEC2, seed=4, complex_=False)
+        s = fs[0][0] + r
+        assert s.support is None and np.array_equal(_bits(s.values), _bits(fs[0][1] + r.values))
+
+    @pytest.mark.parametrize("c", [2.5, -0.75, 1 - 0.5j])
+    def test_scaled_block(self, c):
+        # bits of the whole-grid product on the support box, exact +0.0
+        # outside it (the whole-grid product has -0.0 there for c < 0)
+        for f, ref in self.fields():
+            inside = _whole(self.SPEC2, np.ones(f._block.shape, dtype=bool), f.support)
+            want = np.where(inside, ref * c, 0.0)
+            for g in (f * c, c * f):
+                assert g.support == f.support
+                assert np.array_equal(_bits(g.values), _bits(want))
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 2.0, 3.0])
+    def test_cube_average_matches_whole_grid_sum(self, p):
+        def reference(ref, box):
+            chunk = np.abs(ref[box.samples(self.SPEC2)[0]])
+            integral = float(np.sum(chunk ** p)) * self.SPEC2.dx ** 2
+            return (integral / box.volume) ** (1.0 / p)
+
+        cubes = [Box((-0.5, 0.5), (0.5, 1.5)), Box((-4.0, -3.0), (-2.0, -1.0)),
+                 Box((-1.0, -1.0), (1.0, 1.0)).dilate(6.0), Box((2.0, -3.0), (3.5, -1.5)),
+                 Box((-4.5, 2.0), (-3.0, 5.0))]
+        seen = set()
+        for f, ref in self.fields():
+            for cube in cubes:
+                got = cube_average(f, cube, p)
+                assert got == reference(ref, cube)
+                seen.add(got == 0.0)
+        assert seen == {True, False}
+
+    def test_ball_average_and_take_across_the_seam(self):
+        N = self.SPEC2.N
+        boxes = [((2, 20), (9, 41)), ((-7, 30), (5, 70)), ((-3, -5), (N + 4, 3)),
+                 ((10, 40), (60, 66)), ((0, 0), (N, N))]
+        centers = [(0.0, 0.0), (-3.9, 0.3), (-4.0, -3.9), (1.2, 3.8)]  # the last two wrap
+        for f, ref in self.fields():
+            for lo, hi in boxes:
+                got = f.take(list(zip(lo, hi)))
+                assert np.array_equal(_bits(got), _bits(_wrap_take(ref, lo, hi)))
+            for c, r, p in itertools.product(centers, (0.4, 1.3), (1.2, 2.0)):
+                box, idx = ball_points(self.SPEC2, c, r)
+                want = lp_mean(_wrap_take(ref, *zip(*box))[idx], p)
+                assert ball_average(f, c, r, p) == want
+
+    def test_symbol_from_box_source(self):
+        # apply_symbol reads a field's source rows through take: the bits of
+        # the whole-grid pair on its reference, on whole and wrapped reads
+        N = self.SPEC2.N
+        sym = bochner_riesz_symbol(self.SPEC2, 0.3)
+        reads = [None, [(20, 40), (-6, 9)], [(N - 5, N + 7), (30, 31)]]
+        for f, ref in self.fields():
+            for read in reads:
+                got = apply_symbol(f, sym, f.support_ranges(), read)
+                crop = ... if read is None else np.ix_(*(np.arange(lo, hi) % N for lo, hi in read))
+                parts = ([(got.real, ref.real), (got.imag, ref.imag)] if np.iscomplexobj(ref)
+                         else [(got, ref)])
+                for part, want in parts:
+                    TestApplySymbolBitwise.assert_same_bits(part, whole_grid(want, sym)[crop])

@@ -144,6 +144,63 @@ class TestTrialFields:
         assert f.support is not None and g.support is not None
 
 
+class TestBoxLocalTrial:
+    # A domination trial at N = 1024 keeps its fields on their support
+    # boxes.  tracemalloc follows numpy's buffers: building the fields, the
+    # pairing's apply_symbol, the sparse form and the certificate check each
+    # hold less than one float grid of N^n entries at any moment, so none of
+    # them builds one, and the pairing holds its one zero grid (kept for the
+    # bits of its sum) and less than one grid besides.  No step builds a
+    # field's whole-grid view.  The selection's ball means at the largest
+    # radii run on crops wider than the grid, so its peak is not bounded
+    # here.
+    def test_no_whole_grid_but_the_pairings(self, monkeypatch):
+        import tracemalloc
+
+        cfg = ExperimentConfig(grid_l=16.0, grid_n=1024, eps_min_exp=4, seed=7, trials=1)
+        _domination_trial((cfg, 0))  # fills the symbol caches
+        grid_bytes = 8 * cfg.grid_n ** 2
+        peaks, open_steps = {}, []
+
+        def fold():
+            peak = tracemalloc.get_traced_memory()[1]
+            for step in open_steps:
+                step[1] = max(step[1], peak)
+            tracemalloc.reset_peak()
+
+        def measured(name, fn):
+            def wrapper(*args, **kwargs):
+                fold()
+                base = tracemalloc.get_traced_memory()[0]
+                open_steps.append([name, base])
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    fold()
+                    peaks.setdefault(name, []).append(open_steps.pop()[1] - base)
+            return wrapper
+
+        for mod, name in ((harness, "_trial_fields"), (harness, "bilinear_pairing"),
+                          (sparse, "apply_symbol"), (harness, "sparse_form")):
+            monkeypatch.setattr(mod, name, measured(name, getattr(mod, name)))
+        monkeypatch.setattr(sparse.SparseCollection, "verify",
+                            measured("verify", sparse.SparseCollection.verify))
+        views, whole = [], SampledField.__dict__["values"].func
+        monkeypatch.setattr(SampledField, "values",
+                            property(lambda f: views.append(f) or whole(f)))
+        tracemalloc.start()
+        try:
+            row = _domination_trial((cfg, 1))
+        finally:
+            tracemalloc.stop()
+        assert row[1] == "ok" and views == []
+        assert sorted(peaks) == ["_trial_fields", "apply_symbol", "bilinear_pairing",
+                                 "sparse_form", "verify"]
+        for name, [peak] in peaks.items():
+            assert peak < (2 if name == "bilinear_pairing" else 1) * grid_bytes, name
+        assert peaks["bilinear_pairing"][0] >= grid_bytes
+
+
 class TestDomination:
     def test_report_shape_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(**SMALL)
