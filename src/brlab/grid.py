@@ -22,8 +22,10 @@ their cube and ball averages and the source rows of :func:`apply_symbol`
 work on boxes, reading through :func:`_wrap_take`, which meets the stored
 block with the read box and fills the rest with zeros.  The whole grid
 (``SampledField.values``) is built on first use, for the whole-grid
-operations: norms, weights and field files.  Every transform runs on ``scipy.fft``, called through the module
-so that its entry points can be wrapped from outside.  :func:`apply_symbol`
+operations: norms, weights and field files.
+
+Every transform runs on ``scipy.fft``, called through the module so that
+its entry points can be wrapped from outside.  :func:`apply_symbol`
 is the one place a Fourier multiplier meets a whole field (``maximal``
 reads truncated fields on boxes as band products).  Every symbol here is
 even, so real values stay real, and complex values take the passes below on
@@ -40,15 +42,15 @@ but the last takes the source box's rows before its forward pass and the
 read box's rows after its inverse pass; the last axis is taken whole in
 ``ifftshift`` order and cut to the read box after the c2r pass.  One copy
 before the r2c pass turns every axis so that the source rows start at
-their lowest index in fft order, and one after the c2r pass turns the read
-box back, so rows that span an axis need no embed and no take.  Every
-symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16,
-N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a symbol
-without zeros keeps its full passes.  The pruned result has the bits of the
-whole-grid pair: the passes run in the same order, each 1-D line is the
-same pocketfft transform, a line left out holds zeros that add nothing, the
-takes only move values, and the scale is a power of two applied once at
-the end.  The ``dx^n`` factors of the transform convention cancel in a
+their lowest index in fft order, and one after the c2r pass turns back
+the axes that the read box spans, so rows that span an axis need no embed
+and no take.  Every symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow
+band (at L = 16, N = 512: 31 of 512 rows and 16 of 257 half-spectrum
+columns); a symbol without zeros keeps its full passes.  The pruned
+result has the bits of the whole-grid pair: the passes run in the same
+order, each 1-D line is the same pocketfft transform, a line left out holds
+zeros that add nothing, the takes only move values, and the scale is a
+power of two applied once at the end.  The ``dx^n`` factors of the transform convention cancel in a
 multiplier and are left out.
 """
 
@@ -267,9 +269,7 @@ class SampledField:
     The field is immutable and its stored array read-only (an array it
     neither crops nor converts is kept, so the caller must not write into
     it).  :meth:`take` reads the values on any index box; ``values``, the
-    read-only whole grid, is built on first use and cached.  ``shape`` and
-    ``ndim`` are the grid's, so :func:`apply_symbol` takes a field where it
-    takes an array.
+    read-only whole grid, is built on first use and cached.
     """
 
     def __init__(self, spec: GridSpec, values, support: Box | None = None):
@@ -278,6 +278,8 @@ class SampledField:
         object.__setattr__(self, "_block", values)
         self.__post_init__()
 
+    # kept as a method of its own: ``perfbench/tracing.py`` wraps it to count
+    # the fields built
     def __post_init__(self):
         spec = self.spec
         vals = np.asarray(self._block)
@@ -308,14 +310,6 @@ class SampledField:
 
     __delattr__ = __setattr__
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.spec.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.spec.n
-
     @cached_property
     def values(self) -> np.ndarray:
         """The values on the whole grid (read-only)."""
@@ -329,7 +323,7 @@ class SampledField:
         """The values on the index box ``box`` (per axis a range ``(lo, hi)``
         of centered indices, taken mod N): the stored block where the two
         boxes meet and exact ``+0.0`` elsewhere, through :func:`_wrap_take`."""
-        return _wrap_take(self._block, *zip(*box), at=self._at, N=self.spec.N)
+        return _wrap_take(self._block, *zip(*box), self._at, self.spec.N)
 
     def support_ranges(self) -> list[tuple[int, int]] | None:
         """Index ranges of the support box (the ``src`` of
@@ -378,6 +372,12 @@ def _span(box, N: int, shift: int = 0) -> list[np.ndarray]:
     return [np.arange(lo + shift, hi + shift) % N for lo, hi in box]
 
 
+def _cap(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
+    """The index range where the ranges ``r`` and ``s`` meet, empty at the
+    larger start when they do not."""
+    return max(r[0], s[0]), max(r[0], s[0], min(r[1], s[1]))
+
+
 def _meet(at, lo, hi, N: int) -> tuple[tuple, tuple]:
     """Where the index box ``[lo, hi)`` of an N-point grid, indices taken mod
     N, meets the index box ``at`` (ranges inside ``[0, N]``): an index into
@@ -386,7 +386,7 @@ def _meet(at, lo, hi, N: int) -> tuple[tuple, tuple]:
     dst, src = [], []
     for l, h, (a, b) in zip(lo, hi, at):
         if 0 <= l and h <= N:
-            s, e = max(l, a), max(l, a, min(h, b))
+            s, e = _cap((l, h), (a, b))
             dst.append(slice(s - l, e - l))
             src.append(slice(s - a, e - a))
         else:
@@ -402,15 +402,12 @@ def _meet(at, lo, hi, N: int) -> tuple[tuple, tuple]:
     return np.ix_(*dst), np.ix_(*src)
 
 
-def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...], at=None,
-               N: int | None = None) -> np.ndarray:
+def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...], at,
+               N: int) -> np.ndarray:
     """The values over the index box ``[lo, hi)`` with periodic wrapping,
-    where ``arr`` holds them on the index box ``at`` of an N-point grid (by
-    default the whole grid, N being ``arr``'s length) and they are exact
-    ``+0.0`` outside it: the one read of a block on a box.  A view of
-    ``arr`` when the box lies inside ``at``."""
-    N = arr.shape[0] if N is None else N
-    at = [(0, N)] * arr.ndim if at is None else at
+    where ``arr`` holds them on the index box ``at`` of an N-point grid and
+    they are exact ``+0.0`` outside it: the one read of a block on a box.  A
+    view of ``arr`` when the box lies inside ``at``."""
     dst, src = _meet(at, lo, hi, N)
     if all(a <= l and h <= b for l, h, (a, b) in zip(lo, hi, at)):
         return arr[src]
@@ -463,11 +460,13 @@ def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
     may differ in sign), from the pruned passes of the module docstring;
     complex values take those passes on their real and imaginary parts.
     """
-    N, n = values.shape[0], values.ndim
-    src = [(0, N)] * n if src is None else src
     # the rows of src, the last axis whole
     if isinstance(values, SampledField):
+        N = values.spec.N
+        src = [(0, N)] * values.spec.n if src is None else src
         return _pruned_passes(values.take([*src[:-1], (0, N)]), symbol, src, read)
+    N = values.shape[0]
+    src = [(0, N)] * values.ndim if src is None else src
     for a, rows in enumerate(_span(src[:-1], N)):
         values = _take(values, rows, a)
     return _pruned_passes(values, symbol, src, read)
@@ -482,9 +481,9 @@ def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
     N, n = x.shape[-1], x.ndim
     half = symbol[..., : N // 2 + 1]
     band = _band(half)
-    # each axis is turned so that its rows of src, and later of read, start
-    # at their lowest index in fft order: an axis they span runs 0..N-1 and
-    # needs no embed and no take
+    # each axis is turned so that its rows of src start at their lowest
+    # index in fft order, and each axis that read spans so that its rows do:
+    # such an axis runs 0..N-1 and needs no embed and no take
     src_rows = _span(src[:-1], N, N // 2)
     turn = [-int(np.argmin(rows)) if len(rows) else 0 for rows in src_rows]
     # r2c along the last axis in ifftshift order, turned with the other axes
@@ -499,9 +498,9 @@ def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
     x *= half
     # the unscaled c2c passes on the band's lines, each followed by a take
     # of the turned read rows, the c2r pass and its take, one copy that
-    # turns the read box back, then the scale 1/N^n
+    # turns back the axes read spans, then the scale 1/N^n
     rows = _span([(0, N)] * n if read is None else read, N, N // 2)
-    turn = [int(np.argmin(r)) if len(r) else 0 for r in rows]
+    turn = [int(np.argmin(r)) if len(r) == N else 0 for r in rows]
     for a in range(n - 1):
         x = fft.ifft(_put(x, band[a], a, N), axis=a, norm="forward", overwrite_x=True)
         x = _take(x, np.roll(rows[a], -turn[a]), a)
@@ -520,8 +519,9 @@ def cube_average(f: SampledField, box: Box, p: float) -> float:
     extended by zero outside the sampled domain, so dilated cubes that
     spill over the boundary are handled consistently with compactly
     supported integrands.  ``|f|^p`` is taken only where the box meets f's
-    stored block and summed over one array of the box's sample points, zero
-    elsewhere: the array, and so the bits, of the sum on the whole grid.
+    support box, read through :meth:`SampledField.take`, and summed over one
+    array of the box's sample points, zero elsewhere: the array, and so the
+    bits, of the sum on the whole grid.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -529,9 +529,11 @@ def cube_average(f: SampledField, box: Box, p: float) -> float:
     ranges = box.index_ranges(spec)
     if any(h == l for l, h in ranges):
         raise ValueError("empty intersection: box contains no sample points")
-    dst, src = _meet(f._at, *zip(*ranges), spec.N)
+    # a field without a support box is stored whole and covers the box
+    inner = [_cap(r, a) for r, a in zip(ranges, f.support_ranges() or ranges)]
     dens = np.zeros(tuple(h - l for l, h in ranges))
-    dens[dst] = np.abs(f._block[src]) ** p
+    cut = tuple(slice(s - l, e - l) for (s, e), (l, _) in zip(inner, ranges))
+    dens[cut] = np.abs(f.take(inner)) ** p
     integral = float(np.sum(dens)) * spec.dx ** spec.n
     return (integral / box.volume) ** (1.0 / p)
 

@@ -38,10 +38,7 @@ and the mask ball lies between ``B(x, (3 - sqrt(n)/2) eps)`` and
 
 A tile whose mask ball holds every nonzero of f is covered (value 0), one
 whose ball holds none is disjoint (the unmasked y-max), and any other is
-partial.  The per-axis nearest and farthest minimal-image distances from
-the tile's center to the box spanned by f's nonzeros settle every tile
-whose ball holds all or none of that box, and one broadcast pass over the
-nonzeros sorts the rest.  The
+partial; one broadcast pass over f's nonzeros sorts the tiles.  The
 partial tiles of a radius run as one stack along a leading axis: f on each
 center's mask-ball box cut to the ball, one ``_truncate`` onto the tiles
 +- 2 eps (both boxes sit at fixed offsets from the center), subtracted
@@ -126,8 +123,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _band, _wrap_take, doubling_table, lp_mean,
-                   sum_of_squares)
+from .grid import (Box, GridSpec, SampledField, _band, _cap, _wrap_take, doubling_table,
+                   lp_mean, sum_of_squares)
 from .multiplier import bochner_riesz_symbol, truncated_symbol
 
 __all__ = [
@@ -369,8 +366,7 @@ class MaximalEngine:
         self._bounded = f.support is not None or box is not None
         at = f.support_ranges() or _full_window(f.spec)
         if box is not None:
-            at = [(max(a, c), max(a, c, min(b, d)))
-                  for (a, b), (c, d) in zip(at, box.index_ranges(f.spec))]
+            at = [_cap(r, s) for r, s in zip(at, box.index_ranges(f.spec))]
         self._at = tuple(at)
         self._fs = f.take(self._at)
         self._g: dict[tuple, np.ndarray] = {}
@@ -387,35 +383,15 @@ class MaximalEngine:
 
     def _nz_in_balls(self, centers: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``centers``, whether B(center, r) holds every nonzero
-        of f and whether it holds any (minimal-image metric, ties included).
-
-        The box spanned by the nonzeros settles a row exactly when its ball
-        holds all of the box or none of it: on each axis the box's indices
-        form one arc of the torus, nearest to and farthest from a center at
-        the arc's ends, or at distance 0 (the center on the arc) and N/2
-        (the antipode on it).  If the farthest distances give
-        ``sum max^2 <= r^2`` the ball holds the whole box; if the nearest
-        give ``sum min^2 > r^2`` it holds none of it.  The rows left over go
-        to one broadcast over every nonzero, in blocks that bound the
-        memory."""
-        N, nz = self.spec.N, self._nz
-        if not nz[0].size:
-            return np.ones(len(centers), dtype=bool), np.zeros(len(centers), dtype=bool)
-        near = far = 0
-        for c, idx in zip(centers.T, nz):
-            lo, hi = idx.min(), idx.max()
-            ends = [np.minimum(m, N - m) for m in ((c - lo) % N, (c - hi) % N)]
-            near = near + np.where((c - lo) % N <= hi - lo, 0, np.minimum(*ends)) ** 2
-            far = far + np.where((c + N // 2 - lo) % N <= hi - lo, N // 2, np.maximum(*ends)) ** 2
-        covered, touched = far <= r * r, near <= r * r
-        open_rows = np.flatnonzero(touched & ~covered)
-        step = max(1, (1 << 20) // nz[0].size)
-        for rows in np.split(open_rows, range(step, len(open_rows), step)):
-            c = centers[rows]
+        of f and whether it holds any (minimal-image metric, ties included),
+        in blocks of centers that bound the memory."""
+        N, step = self.spec.N, max(1, (1 << 20) // max(self._nz[0].size, 1))
+        flags = []
+        for c in np.split(centers, range(step, len(centers), step)):
             inside = sum(np.take(_torus_dist(c[:, a, None], 0, N, N) ** 2, idx, axis=1)
-                         for a, idx in enumerate(nz)) <= r * r
-            covered[rows], touched[rows] = inside.all(axis=1), inside.any(axis=1)
-        return covered, touched
+                         for a, idx in enumerate(self._nz)) <= r * r
+            flags.append((inside.all(axis=1), inside.any(axis=1)))
+        return tuple(np.concatenate(f) for f in zip(*flags))
 
     # -- certified radius bounds ------------------------------------------
 

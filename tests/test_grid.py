@@ -17,7 +17,6 @@ from brlab.grid import (
     SpectralField,
     _bump_window,
     _trig_sum,
-    _wrap_take,
     apply_symbol,
     cube_average,
     doubling_table,
@@ -555,6 +554,12 @@ def _whole(spec, block, box):
     vals = np.zeros(spec.shape, dtype=block.dtype)
     vals[tuple(slice(lo, hi) for lo, hi in box.index_ranges(spec))] = block
     return vals
+
+
+def _wrap_take(arr, lo, hi):
+    """Reference: the whole grid ``arr`` over the index box ``[lo, hi)``,
+    indices taken mod N."""
+    return arr[np.ix_(*(np.arange(l, h) % arr.shape[0] for l, h in zip(lo, hi)))]
 
 
 def _bits(arr):

@@ -439,11 +439,12 @@ class TestBandLimitedReads:
             r2c.clear()
             c2r.clear()
             out = grid.apply_symbol(values, symbol, src, read)
-            full = [(0, values.shape[0])] * values.ndim
+            spec = values.spec  # each case passes a field, not a grid
+            full = [(0, spec.N)] * spec.n
             assert r2c == [math.prod(hi - lo for lo, hi in (src or full)[:-1])]
             rows = math.prod(hi - lo for lo, hi in read[:-1])
             assert c2r == [rows]
-            assert rows < values.shape[0]
+            assert rows < spec.N
             checked.append(rows)
             return out
 

@@ -20,7 +20,6 @@ from brlab.maximal import (
     _ball_offsets,
     _fftconvolve,
     _full_window,
-    _wrap_take,
     ball_average,
     br_star,
     br_starstar,
@@ -33,6 +32,12 @@ from brlab.sparse import (C_INIT, RECURSION_FLOOR_CELLS, DyadicCube, TraceNode,
 SPEC = GridSpec(n=2, L=8.0, N=64)
 DELTA = 0.3
 CFG = MaximalConfig(p0=1.2, q0=2.0, eps_min_exp=2)  # eps = 4, 8 and 16 px at N = 64
+
+
+def _wrap_take(arr, lo, hi):
+    """Reference: the whole grid ``arr`` over the index box ``[lo, hi)``,
+    indices taken mod N."""
+    return arr[np.ix_(*(np.arange(l, h) % arr.shape[0] for l, h in zip(lo, hi)))]
 
 
 def spiky_field(spec=SPEC, seed=11):
@@ -804,39 +809,6 @@ class TestTileClasses:
             d2 = sum(np.minimum((i - ci) % N, (ci - i) % N) ** 2 for i, ci in zip(eng._nz, c))
             assert cov == np.all(d2 <= r * r) and tou == np.any(d2 <= r * r), c
         assert covered.any() and (touched & ~covered).any() and (~touched).any()
-
-    @pytest.mark.parametrize("n, N, eps_px", [(2, 16, 4), (3, 8, 2), (3, 32, 8), (2, 64, 4),
-                                              (2, 64, 16), (3, 16, 4)])
-    @pytest.mark.parametrize("layout", ["corner", "center", "spread"])
-    def test_box_of_nonzeros_decides_as_the_broadcast(self, n, N, eps_px, layout):
-        # the box of f's nonzeros settles covered and disjoint tiles before
-        # the broadcast; on every tile of the whole window and of a cube's
-        # window the flags equal a broadcast over every nonzero, also at
-        # eps = N/4, where the mask ball B(c, 3 eps) wraps
-        spec = GridSpec(n=n, L=N / 5.0, N=N)
-        vals = np.zeros(spec.shape)
-        rng = np.random.default_rng(N + eps_px)
-        if layout == "corner":
-            vals[(slice(0, 3),) * n] = rng.standard_normal((3,) * n)
-        elif layout == "center":
-            vals[(slice(N // 2 - 2, N // 2 + 1),) * n] = rng.standard_normal((3,) * n)
-        else:
-            vals[tuple(rng.integers(0, N, size=(n, 6)))] = 1.0
-        eng = MaximalEngine(SampledField(spec, vals), DELTA, MaximalConfig(eps_min_exp=0))
-        r = 3 * eps_px
-        classes = set()
-        for window in (_full_window(spec), ((N // 4, N // 2),) * n):
-            t = min(eps_px, window[0][1] - window[0][0])
-            tiles = np.indices(((window[0][1] - window[0][0]) // t,) * n).reshape(n, -1).T
-            centers = np.add([l for l, _ in window], tiles * t) + t // 2
-            covered, touched = eng._nz_in_balls(centers, r)
-            m = (centers[:, None, :] - np.stack(eng._nz, axis=-1)[None]) % N
-            inside = (np.minimum(m, N - m) ** 2).sum(axis=-1) <= r * r
-            assert np.array_equal(covered, inside.all(axis=1))
-            assert np.array_equal(touched, inside.any(axis=1))
-            classes |= set(np.where(covered, "covered", np.where(touched, "partial", "disjoint")))
-        if layout == "center" and 4 * eps_px < N:
-            assert classes == {"covered", "partial", "disjoint"}
 
 
 class TestYMax:
