@@ -36,21 +36,20 @@ r2c pass along the last axis, then c2c passes along axes 0, ..., n-2;
 pass along the last axis scaled by ``1/N^n``.  The passes are pruned to the
 lines that can change the result: the r2c pass runs only on the rows of the
 source box, where the values can be nonzero, the c2c passes only on the
-lines where the symbol has a nonzero, and the c2r pass only on the rows of
-the box that is read, followed by one multiply by ``1/N^n``.  Each axis
-but the last takes the source box's rows before its forward pass and the
-read box's rows after its inverse pass; the last axis is taken whole in
-``ifftshift`` order and cut to the read box after the c2r pass.  One copy
-before the r2c pass turns every axis so that the source rows start at
-their lowest index in fft order, and one after the c2r pass turns back
-the axes that the read box spans, so rows that span an axis need no embed
-and no take.  Every symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow
-band (at L = 16, N = 512: 31 of 512 rows and 16 of 257 half-spectrum
-columns); a symbol without zeros keeps its full passes.  The pruned
-result has the bits of the whole-grid pair: the passes run in the same
-order, each 1-D line is the same pocketfft transform, a line left out holds
-zeros that add nothing, the takes only move values, and the scale is a
-power of two applied once at the end.  The ``dx^n`` factors of the transform convention cancel in a
+band, a range of lines per axis that holds every nonzero of the symbol, and
+the c2r pass only on the rows of the box that is read, followed by one
+multiply by ``1/N^n``.  Each axis but the last takes the source box's rows
+before its forward pass and the read box's rows after its inverse pass; the
+last axis is taken whole in ``ifftshift`` order and cut to the read box
+after the c2r pass.  Every index set is a range taken mod N (a box's rows,
+the band's lines, the last axis whole) and is read by :func:`_wrap_take`.
+Every symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at
+L = 16, N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a
+symbol without zeros keeps its full passes.  The pruned result has the bits
+of the whole-grid pair: the passes run in the same order, each 1-D line is
+the same pocketfft transform, a line left out holds zeros that add nothing,
+the takes only move values, and the scale is a power of two applied once at
+the end.  The ``dx^n`` factors of the transform convention cancel in a
 multiplier and are left out.
 """
 
@@ -321,9 +320,11 @@ class SampledField:
 
     def take(self, box) -> np.ndarray:
         """The values on the index box ``box`` (per axis a range ``(lo, hi)``
-        of centered indices, taken mod N): the stored block where the two
-        boxes meet and exact ``+0.0`` elsewhere, through :func:`_wrap_take`."""
-        return _wrap_take(self._block, *zip(*box), self._at, self.spec.N)
+        of centered indices, taken mod N), through :func:`_wrap_take`: a
+        read-only view of the stored block when the box lies inside the
+        stored one, else a new array holding the block where the two boxes
+        meet and exact ``+0.0`` elsewhere."""
+        return _wrap_take(self._block, box, self._at, self.spec.N)
 
     def support_ranges(self) -> list[tuple[int, int]] | None:
         """Index ranges of the support box (the ``src`` of
@@ -365,149 +366,114 @@ def inverse_transform(F: SpectralField) -> SampledField:
     return SampledField(spec, vals)
 
 
-def _span(box, N: int, shift: int = 0) -> list[np.ndarray]:
-    """Per axis, the indices ``lo + shift, ..., hi - 1 + shift`` mod N of the
-    index box ``box``; ``shift = N // 2`` maps centered indices to the
-    unshifted ones of the fft ordering."""
-    return [np.arange(lo + shift, hi + shift) % N for lo, hi in box]
-
-
 def _cap(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
     """The index range where the ranges ``r`` and ``s`` meet, empty at the
     larger start when they do not."""
     return max(r[0], s[0]), max(r[0], s[0], min(r[1], s[1]))
 
 
-def _meet(at, lo, hi, N: int) -> tuple[tuple, tuple]:
-    """Where the index box ``[lo, hi)`` of an N-point grid, indices taken mod
-    N, meets the index box ``at`` (ranges inside ``[0, N]``): an index into
-    an array on the first box and the matching index into one on ``at``,
-    slices on boxes that do not wrap."""
-    dst, src = [], []
-    for l, h, (a, b) in zip(lo, hi, at):
-        if 0 <= l and h <= N:
-            s, e = _cap((l, h), (a, b))
-            dst.append(slice(s - l, e - l))
-            src.append(slice(s - a, e - a))
-        else:
-            idx = np.arange(l, h) % N
-            pos = np.flatnonzero((idx >= a) & (idx < b))
-            dst.append(pos)
-            src.append(idx[pos] - a)
-    if all(isinstance(d, slice) for d in dst):
-        return tuple(dst), tuple(src)
-    # mixed: index arrays on every axis, as an open mesh
-    dst = [np.arange(max(h - l, 0))[d] for d, l, h in zip(dst, lo, hi)]
-    src = [np.arange(b - a)[s] for s, (a, b) in zip(src, at)]
-    return np.ix_(*dst), np.ix_(*src)
-
-
-def _wrap_take(arr: np.ndarray, lo: tuple[int, ...], hi: tuple[int, ...], at,
-               N: int) -> np.ndarray:
-    """The values over the index box ``[lo, hi)`` with periodic wrapping,
-    where ``arr`` holds them on the index box ``at`` of an N-point grid and
-    they are exact ``+0.0`` outside it: the one read of a block on a box.  A
-    view of ``arr`` when the box lies inside ``at``."""
-    dst, src = _meet(at, lo, hi, N)
-    if all(a <= l and h <= b for l, h, (a, b) in zip(lo, hi, at)):
-        return arr[src]
-    out = np.zeros(tuple(max(h - l, 0) for l, h in zip(lo, hi)), dtype=arr.dtype)
-    out[dst] = arr[src]
+def _wrap_take(arr: np.ndarray, box, at, N: int) -> np.ndarray:
+    """The values on the index box ``box`` (per axis a range ``(lo, hi)`` of
+    indices, taken mod N), where ``arr`` holds them on the index box ``at``
+    (ranges of at most N indices) and they are exact ``+0.0`` elsewhere: the
+    one read of an array on a box.  On each axis the read range meets the
+    copies of ``at``'s range shifted by multiples of N, each meeting one
+    slice pair.  A view of ``arr`` when ``box`` lies inside ``at``;
+    otherwise the pieces are copied into one zero array."""
+    if all(a <= l and h <= b for (l, h), (a, b) in zip(box, at)):
+        return arr[tuple(slice(l - a, h - a) for (l, h), (a, _) in zip(box, at))]
+    pairs = []
+    for (l, h), (a, b) in zip(box, at):
+        # the copies [c, c + b - a), c = a mod N, that end past l and start before h
+        copies = range(a + ((l - b) // N + 1) * N, h, N)
+        pairs.append([(slice(s - l, e - l), slice(s - c, e - c))
+                      for c in copies for s, e in [_cap((l, h), (c, c + b - a))]])
+    out = np.zeros(tuple(max(h - l, 0) for l, h in box), dtype=arr.dtype)
+    for piece in itertools.product(*pairs):
+        dst, src = zip(*piece)
+        out[dst] = arr[src]
     return out
 
 
-def _band(half: np.ndarray) -> list[np.ndarray]:
-    """Per axis, the indices of the lines of ``half`` that hold a nonzero."""
+def _along(arr: np.ndarray, axis: int, rows: tuple[int, int], at: tuple[int, int],
+           N: int) -> np.ndarray:
+    """:func:`_wrap_take` on one axis: the range ``rows`` of ``axis``, where
+    ``arr`` holds the range ``at``; the other axes are taken whole."""
+    whole = [(0, m) for m in arr.shape]
+    return _wrap_take(arr, whole[:axis] + [rows] + whole[axis + 1:],
+                      whole[:axis] + [at] + whole[axis + 1:], N)
+
+
+def _band(half: np.ndarray, N: int) -> list[tuple[int, int]]:
+    """Per axis, a range of fft indices, taken mod N, that holds every line
+    of the half symbol ``half`` with a nonzero: ``(-m, m + 1)`` for an even
+    symbol whose nonzeros reach line ``m``, ``(0, m + 1)`` on the half axis,
+    and empty for a zero symbol."""
     nz = half != 0
     axes = range(nz.ndim)
-    return [np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a))) for a in axes]
-
-
-def _take(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
-    """``arr`` at the indices ``idx`` of ``axis``, one slice per run of
-    consecutive indices; a view when there is one run."""
-    pre = (slice(None),) * axis
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
-    parts = [arr[pre + (slice(r[0], r[-1] + 1),)] for r in runs if len(r)]
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=axis) if parts else np.take(arr, idx, axis=axis)
-
-
-def _put(part: np.ndarray, idx: np.ndarray, axis: int, length: int) -> np.ndarray:
-    """Complex array with ``length`` points on ``axis`` that holds ``part`` at
-    the indices ``idx`` of that axis and zeros elsewhere."""
-    if np.array_equal(idx, np.arange(length)):
-        return np.asarray(part, dtype=np.complex128)
-    shape = list(part.shape)
-    shape[axis] = length
-    out = np.zeros(shape, dtype=np.complex128)
-    out[(slice(None),) * axis + (idx,)] = part
-    return out
+    band = []
+    for a in axes:
+        lines = np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a)))
+        if a < nz.ndim - 1:
+            lines = (lines + N // 2) % N - N // 2
+        band.append((int(lines.min(initial=0)), int(lines.max(initial=-1)) + 1))
+    return band
 
 
 def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
     """Multiply the spectrum of centered grid ``values`` (an array, or a
-    :class:`SampledField` read through :meth:`SampledField.take`) by a
-    lattice ``symbol`` in fft ordering and return the result on the index
-    box ``read`` (the whole grid by default).  ``src`` is an index box
-    outside which ``values`` vanish (the whole grid by default).  An index
-    box gives per axis a range ``(lo, hi)`` of centered indices, taken mod
-    N, as :meth:`Box.index_ranges` does.
+    :class:`SampledField`) by a lattice ``symbol`` in fft ordering and
+    return the result on the index box ``read`` (the whole grid by default).
+    ``src`` is an index box outside which ``values`` vanish (the whole grid
+    by default).  An index box gives per axis a range ``(lo, hi)`` of
+    centered indices, taken mod N, as :meth:`Box.index_ranges` does.  Arrays
+    and fields take the same read through :func:`_wrap_take`: ``src``'s rows
+    on every axis but the last, and the last axis whole in fft order.
 
     ``symbol`` must be even.  A real result has the bits of
     ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))`` (an exact zero
     may differ in sign), from the pruned passes of the module docstring;
     complex values take those passes on their real and imaginary parts.
     """
-    # the rows of src, the last axis whole
     if isinstance(values, SampledField):
-        N = values.spec.N
-        src = [(0, N)] * values.spec.n if src is None else src
-        return _pruned_passes(values.take([*src[:-1], (0, N)]), symbol, src, read)
-    N = values.shape[0]
-    src = [(0, N)] * values.ndim if src is None else src
-    for a, rows in enumerate(_span(src[:-1], N)):
-        values = _take(values, rows, a)
-    return _pruned_passes(values, symbol, src, read)
+        arr, at, N = values._block, values._at, values.spec.N
+    else:
+        arr, at, N = values, None, len(values)
+    # every range from here on in fft indices: centered index j is fft index j - N/2
+    at, src, read = ([(l - N // 2, h - N // 2) for l, h in box or [(0, N)] * arr.ndim]
+                     for box in (at, src, read))
+    return _pruned_passes(_wrap_take(arr, [*src[:-1], (0, N)], at, N), symbol, src, read)
 
 
 def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
     """:func:`apply_symbol` of the values ``x`` on the rows of ``src``, the
-    last axis whole."""
+    last axis whole, every range in fft indices."""
     if np.iscomplexobj(x):
         return (_pruned_passes(x.real, symbol, src, read)
                 + 1j * _pruned_passes(x.imag, symbol, src, read))
     N, n = x.shape[-1], x.ndim
     half = symbol[..., : N // 2 + 1]
-    band = _band(half)
-    # each axis is turned so that its rows of src start at their lowest
-    # index in fft order, and each axis that read spans so that its rows do:
-    # such an axis runs 0..N-1 and needs no embed and no take
-    src_rows = _span(src[:-1], N, N // 2)
-    turn = [-int(np.argmin(rows)) if len(rows) else 0 for rows in src_rows]
-    # r2c along the last axis in ifftshift order, turned with the other axes
-    # in one copy; those hold src's rows, embedded before their pass
-    x = np.roll(x, (*turn, -(N // 2)), axis=tuple(range(n)))
-    x = _take(fft.rfft(x, axis=-1), band[-1], n - 1)
-    for a, rows in enumerate(src_rows):
-        x = _take(fft.fft(_put(x, np.roll(rows, turn[a]), a, N), axis=a, overwrite_x=True),
-                  band[a], a)
-    for a in range(n):
-        half = _take(half, band[a], a)
-    x *= half
-    # the unscaled c2c passes on the band's lines, each followed by a take
-    # of the turned read rows, the c2r pass and its take, one copy that
-    # turns back the axes read spans, then the scale 1/N^n
-    rows = _span([(0, N)] * n if read is None else read, N, N // 2)
-    turn = [int(np.argmin(r)) if len(r) == N else 0 for r in rows]
+    band = _band(half, N)
+    # the r2c pass along the last axis, then along each other axis its rows
+    # of src embedded in N points for the c2c pass, each pass followed by a
+    # keep of the band's lines
+    x = _along(fft.rfft(x, axis=-1), n - 1, band[-1], (0, N // 2 + 1), N)
     for a in range(n - 1):
-        x = fft.ifft(_put(x, band[a], a, N), axis=a, norm="forward", overwrite_x=True)
-        x = _take(x, np.roll(rows[a], -turn[a]), a)
-    out = fft.irfft(_put(x, band[-1], n - 1, N // 2 + 1), n=N, axis=-1, norm="forward")
-    out = _take(out, np.roll(rows[-1], -turn[-1]), n - 1)
-    if any(turn):
-        out = np.roll(out, turn, axis=tuple(range(n)))
+        x = fft.fft(_along(x, a, (0, N), src[a], N), axis=a, overwrite_x=True)
+        x = _along(x, a, band[a], (0, N), N)
+    for a in range(n):
+        half = _along(half, a, band[a], (0, half.shape[a]), N)
+    x *= half
+    # the unscaled c2c passes on the band's lines embedded in N points, each
+    # followed by a take of the read rows, the c2r pass and its take, then
+    # the scale 1/N^n
+    for a in range(n - 1):
+        x = fft.ifft(_along(x, a, (0, N), band[a], N), axis=a, norm="forward",
+                     overwrite_x=True)
+        x = _along(x, a, read[a], (0, N), N)
+    out = fft.irfft(_along(x, n - 1, (0, N // 2 + 1), band[-1], N), n=N, axis=-1,
+                    norm="forward")
+    out = _along(out, n - 1, read[-1], (0, N), N)
     out *= 1.0 / N ** n
     return out
 

@@ -291,11 +291,12 @@ def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
 
 @lru_cache(maxsize=32)
 def _band_lines(spec: GridSpec, delta: float) -> tuple[tuple[int, ...], ...]:
-    """Per axis, the frequencies (fft order) of the lines where the
-    Bochner-Riesz symbol, and so each truncation, is nonzero; the last axis
-    keeps the half band ``xi <= N/2`` of a real source."""
+    """Per axis, the frequencies (fft order, ascending) of the lines where the
+    Bochner-Riesz symbol, and so each truncation, is nonzero, from the ranges
+    of ``grid._band``; the last axis keeps the half band ``xi <= N/2`` of a
+    real source."""
     half = bochner_riesz_symbol(spec, delta)[..., : spec.N // 2 + 1]
-    return tuple(tuple(idx.tolist()) for idx in _band(half))
+    return tuple(tuple(sorted(j % spec.N for j in range(*r))) for r in _band(half, spec.N))
 
 
 @lru_cache(maxsize=64)
@@ -371,10 +372,10 @@ class MaximalEngine:
         self._fs = f.take(self._at)
         self._g: dict[tuple, np.ndarray] = {}
 
-    def _f_take(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> np.ndarray:
-        """The read of f on the wrapped index box ``[lo, hi)``: exactly +0.0
+    def _f_take(self, box: Window) -> np.ndarray:
+        """The read of f on the wrapped index box ``box``: exactly +0.0
         outside the support index box."""
-        return _wrap_take(self._fs, lo, hi, self._at, self.spec.N)
+        return _wrap_take(self._fs, box, self._at, self.spec.N)
 
     @cached_property
     def _nz(self) -> tuple[np.ndarray, ...]:
@@ -515,7 +516,7 @@ class MaximalEngine:
         """``best`` holds the running max of the ball means of ``|f|^p0``."""
         p0 = self.cfg.p0
         if self._hl_bound(r_px) > best.min() ** (1.0 / p0):
-            dens = np.abs(self._f_take(*zip(*self._expand(window, r_px)))) ** p0
+            dens = np.abs(self._f_take(self._expand(window, r_px))) ** p0
             np.maximum(best, _ball_mean_linear(dens, r_px, self.spec.N), out=best)
 
     def _star_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
@@ -553,8 +554,8 @@ class MaximalEngine:
             # sit at fixed offsets from the center
             j, cs = tiles[partial], centers[partial]
             blo, ball = _ball_box(n, mask_r, N)
-            fu = self._f_take(tuple(cs.min(axis=0) + blo),
-                              tuple(cs.max(axis=0) + blo + ball.shape))
+            fu = self._f_take(tuple(zip(cs.min(axis=0) + blo,
+                                        cs.max(axis=0) + blo + ball.shape)))
             every = tuple(slice(None, None, s) for s in t)
             src = sliding_window_view(fu, ball.shape)[every][tuple((j - j.min(axis=0)).T)]
             src[:, ~ball] = 0.0

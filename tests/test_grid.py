@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
+from brlab import grid
 from brlab.grid import (
     Box,
     GridSpec,
@@ -222,6 +223,18 @@ class TestApplySymbolBitwise:
                     assert got.dtype == np.complex128
                     self.assert_same_bits(got.real, ref[box])
                     self.assert_same_bits(got.imag, ref_im[box])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}")
+    def test_zero_symbol_gives_zeros(self, spec):
+        # no line holds a nonzero: zeros of the read box's shape, compared by
+        # value since the sign of a zero is free
+        vals = np.random.default_rng(spec.N).standard_normal(spec.shape)
+        zero = np.zeros(spec.shape)
+        for src, read in self.boxes(spec.N, spec.n) + [(None, None)]:
+            shape = spec.shape if read is None else tuple(h - l for l, h in read)
+            for v in (vals, vals - 2j * vals):
+                got = apply_symbol(v, zero, src, read)
+                assert got.shape == shape and np.array_equal(got, np.zeros(shape))
 
     def test_boxes_wrap_mod_n(self):
         # a read box past the grid edge reads the wrapped points, for real
@@ -564,6 +577,47 @@ def _wrap_take(arr, lo, hi):
 
 def _bits(arr):
     return np.asarray(arr).view(np.uint64)
+
+
+class TestWrapTake:
+    # grid._wrap_take against the reference above on a block embedded in a
+    # zero grid on the index box ``at``: read boxes that start below 0, end
+    # past N, are longer than N (up to 2N + 3) or are empty, and views of
+    # the block for boxes inside ``at``
+    N = 16
+
+    def cases(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            ends = np.sort(rng.integers(0, self.N + 1, (n, 2)), axis=1)
+            at = [(int(a), int(b)) for a, b in ends]
+            block = rng.standard_normal([b - a for a, b in at])
+            block[rng.random(block.shape) < 0.2] = -0.0
+            full = np.zeros((self.N,) * n)
+            full[tuple(slice(a, b) for a, b in at)] = block
+            yield at, block, full
+
+    def test_matches_embedded_block(self):
+        rng = np.random.default_rng(29)
+        for at, block, full in self.cases(rng):
+            lo = rng.integers(-self.N - 3, self.N + 3, len(at))
+            hi = lo + rng.integers(0, 2 * self.N + 4, len(at))
+            got = grid._wrap_take(block, list(zip(lo.tolist(), hi.tolist())), at, self.N)
+            assert np.array_equal(_bits(got), _bits(_wrap_take(full, lo, hi)))
+
+    def test_box_inside_at_is_a_view(self):
+        rng = np.random.default_rng(30)
+        for at, block, full in self.cases(rng):
+            lo, hi = np.array([np.sort(rng.integers(a, b + 1, 2)) for a, b in at]).T
+            got = grid._wrap_take(block, list(zip(lo.tolist(), hi.tolist())), at, self.N)
+            assert np.array_equal(_bits(got), _bits(_wrap_take(full, lo, hi)))
+            assert got.size == 0 or np.shares_memory(got, block)
+
+    def test_empty_ranges(self):
+        block = np.ones((4, 5))
+        for box in ([(3, 3), (-2, 30)], [(-9, -9), (0, 5)], [(0, 16), (7, 7)]):
+            got = grid._wrap_take(block, box, [(2, 6), (0, 5)], self.N)
+            assert got.shape == tuple(h - l for l, h in box) and got.size == 0
 
 
 class TestBoxLocalLayer:

@@ -25,7 +25,7 @@ from brlab.maximal import (
     br_starstar,
     hl_maximal,
 )
-from brlab.multiplier import truncated_symbol
+from brlab.multiplier import bochner_riesz_symbol, truncated_symbol
 from brlab.sparse import (C_INIT, RECURSION_FLOOR_CELLS, DyadicCube, TraceNode,
                           exceptional_set, root_cube)
 
@@ -515,7 +515,7 @@ class TestRadiusPruning:
                 g = eng._g_window(eps_px, *zip(*eng._expand(window, 2 * eps_px)))
                 assert eng._y_max(g, eps_px).max() <= b_l2, eps_px
                 assert eng._star_tiles(window, eps_px).max() <= b_l2, eps_px
-                dens = np.abs(eng._f_take(*zip(*eng._expand(window, eps_px)))) ** cfg.p0
+                dens = np.abs(eng._f_take(eng._expand(window, eps_px))) ** cfg.p0
                 mean = _ball_mean_linear(dens, eps_px, f.spec.N)
                 assert mean.max() ** (1.0 / cfg.p0) <= b_hl, eps_px
 
@@ -627,7 +627,8 @@ class TestNodeBox:
         for f, box, _ in _node_cases():
             eng, cut = MaximalEngine(f, DELTA, MaximalConfig(), box=box), _cut(f, box)
             for lo, hi in (((-40, 20), (90, 150)), ((0, 0), (128, 128)), ((60, 60), (64, 64))):
-                assert np.array_equal(eng._f_take(lo, hi), _wrap_take(cut.values, lo, hi))
+                assert np.array_equal(eng._f_take(tuple(zip(lo, hi))),
+                                      _wrap_take(cut.values, lo, hi))
 
     def test_each_truncated_box_computed_once(self, monkeypatch):
         # br_star and br_starstar read B_eps f on the same boxes; a node's
@@ -1020,30 +1021,14 @@ class TestFftconvolve:
         ((1,), (1,)),
     ]
 
-    @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
-    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
-    def test_matches_direct_sum(self, shapes, kinds):
-        rng = np.random.default_rng(5)
-
-        def draw(shape, kind):
-            x = rng.standard_normal(shape)
-            return x + 1j * rng.standard_normal(shape) if kind == "c" else x
-
-        a, b = (draw(s, k) for s, k in zip(shapes, kinds))
-        want = _direct_valid(a, b)
-        got = _fftconvolve(a, b)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
-
     @pytest.mark.parametrize("mode", ["same", "valid"])
     @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
     @pytest.mark.parametrize("shapes", SHAPES, ids=str)
     def test_matches_scipy_signal(self, shapes, kinds, mode):
-        # SciPy's output of either mode and the valid convolution are crops of
-        # the full one (length m + k - 1 per axis, m where either input has
-        # length 1); they must agree on every full index both hold
+        # the valid convolution against the direct sum; then SciPy's output of
+        # either mode and the valid convolution are crops of the full one
+        # (length m + k - 1 per axis, m where either input has length 1);
+        # they must agree on every full index both hold
         rng = np.random.default_rng(5)
 
         def draw(shape, kind):
@@ -1051,8 +1036,12 @@ class TestFftconvolve:
             return x + 1j * rng.standard_normal(shape) if kind == "c" else x
 
         a, b = (draw(s, k) for s, k in zip(shapes, kinds))
-        expected = fftconvolve(a, b, mode=mode)
         got = _fftconvolve(a, b)
+        want = _direct_valid(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        expected = fftconvolve(a, b, mode=mode)
         assert got.dtype == expected.dtype
         full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
         got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
@@ -1066,7 +1055,6 @@ class TestFftconvolve:
         def common(start):
             return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
 
-        scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
         assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
         assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
 
@@ -1185,3 +1173,14 @@ class TestTruncate:
             err = np.max(np.abs(got - want), axis=tuple(range(got.ndim - spec.n, got.ndim)))
             assert np.all(err <= 1e-12 * scale), (zlo, zhi)
         assert any(h - l > spec.N for zlo, zhi in zboxes for l, h in zip(zlo, zhi))
+
+    @pytest.mark.parametrize("spec", [GridSpec(2, 16.0, 256), GridSpec(2, 16.0, 1024),
+                                      GridSpec(3, 4.0, 32)], ids=lambda s: f"n{s.n}-N{s.N}")
+    def test_band_lines_are_the_ascending_nonzero_lines(self, spec):
+        # the band products sum over these lines in this order, which the
+        # domination digests depend on
+        nz = bochner_riesz_symbol(spec, 0.2)[..., : spec.N // 2 + 1] != 0
+        axes = range(spec.n)
+        want = tuple(tuple(np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a))).tolist())
+                     for a in axes)
+        assert maximal._band_lines(spec, 0.2) == want
