@@ -38,7 +38,10 @@ and the mask ball lies between ``B(x, (3 - sqrt(n)/2) eps)`` and
 
 A tile whose mask ball holds every nonzero of f is covered (value 0), one
 whose ball holds none is disjoint (the unmasked y-max), and any other is
-partial; one broadcast pass over f's nonzeros sorts the tiles.  The
+partial.  The classes come from running counts of f's nonzeros along each
+support row: a row at distance ``d`` from the center on the leading axes
+meets the ball in an arc of half-width ``isqrt((3 eps)^2 - d^2)``, so a
+tile costs one lookup per row instead of one distance per nonzero.  The
 partial tiles of a radius run as one stack along a leading axis: f on each
 center's mask-ball box cut to the ball, one ``_truncate`` onto the tiles
 +- 2 eps (both boxes sit at fixed offsets from the center), subtracted
@@ -81,13 +84,22 @@ masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2``
 also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
 ``mean |B_eps h|^q0 <= max |B_eps h|^(q0 - 2) mean |B_eps h|^2`` gives the
 bound ``(||K_eps||_2 ||f||_2)^(1 - 2/q0) l2^(2/q0)``, with ``||K_eps||_2``
-taken as its largest value over the radii from ``eps`` on.  Every bound
-is then nonincreasing in the radius, so the bound of a radius covers every
-larger one.  A skipped radius could not have changed ``np.maximum``, so
-the outputs are bitwise those of the full walk; the margin absorbs the
-rounding of the FFT means.  Elementwise work on ``f`` itself (power sums,
-the nonzero scan) runs on the support index box, outside which the read
-of ``f`` is exactly 0.
+taken as its largest value over the radii from ``eps`` on.
+
+Two sharper bounds read what a radius computes anyway.  ``br_starstar``'s
+band bound puts ``sum |B_e f|^2``, which discrete Parseval reads off the
+band spectrum of f, in place of ``sum |f|^2``, taken as its largest value
+over the radii ``e >= eps``; the smaller of the two bounds applies.
+``br_star``'s bound is 0 where every tile of the window is covered, and
+then at every larger radius ``e >= 2 eps`` of the same window: a tile
+center ``c'`` at ``e`` lies in some eps-tile, within ``(sqrt(n)/2) eps`` of
+its center, so every nonzero of f lies within ``3 eps + (sqrt(n)/2) eps <=
+6 eps <= 3 e`` of ``c'``.  Every bound is nonincreasing in the radius, so
+the bound of a radius covers every larger one.  A skipped radius could not
+have changed ``np.maximum``, so the outputs are bitwise those of the full
+walk; the margin absorbs the rounding of the FFT means.  Elementwise work
+on ``f`` itself (power sums, the row counts) runs on the support index
+box, outside which the read of ``f`` is exactly 0.
 
 The selection needs only the comparisons ``phi > t`` of
 ``phi = star + starstar + M_{p0}`` with a ladder of thresholds ``t``.
@@ -95,8 +107,9 @@ The selection needs only the comparisons ``phi > t`` of
 radius it brackets every point's final ``phi`` between the running sum and
 the running sum with each accumulator raised to its bound, and it returns
 the running sum at the first radius where no threshold lies inside any
-point's bracket.  Rounding is monotone, so every comparison, and with it
-the whole selection node, is that of the full walk.
+point's bracket: first with the l2 bounds, then, where a threshold is left
+inside, with the coverage and band bounds.  Rounding is monotone, so every
+comparison, and with it the whole selection node, is that of the full walk.
 
 Windows
 -------
@@ -300,6 +313,21 @@ def _band_lines(spec: GridSpec, delta: float) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
+def _band_symbol(spec: GridSpec, delta: float, eps_px: int) -> np.ndarray:
+    """The truncated symbol of radius ``eps_px`` on the half band grid."""
+    sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px))
+    sym = sym[np.ix_(*_band_lines(spec, delta))]
+    sym.flags.writeable = False
+    return sym
+
+
+def _line_weights(lines: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Per last-axis line of the half band, 2 where it stands for -xi too
+    (every line but xi = 0, as the band is below N/4), else 1."""
+    return np.where(np.array(lines[-1]) == 0, 1.0, 2.0)
+
+
+@lru_cache(maxsize=64)
 def _phases(N: int, lines: tuple[int, ...], lo: int, hi: int, sign: int) -> np.ndarray:
     """``exp(sign 2 pi i u xi / N)`` for ``u`` in ``[lo, hi)`` (rows) and
     ``xi`` in ``lines`` (columns), with ``u xi`` reduced mod N first."""
@@ -371,6 +399,7 @@ class MaximalEngine:
         self._at = tuple(at)
         self._fs = f.take(self._at)
         self._g: dict[tuple, np.ndarray] = {}
+        self._classes: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def _f_take(self, box: Window) -> np.ndarray:
         """The read of f on the wrapped index box ``box``: exactly +0.0
@@ -378,21 +407,38 @@ class MaximalEngine:
         return _wrap_take(self._fs, box, self._at, self.spec.N)
 
     @cached_property
-    def _nz(self) -> tuple[np.ndarray, ...]:
-        """Grid indices of f's nonzeros, one array per axis."""
-        return tuple(idx + l for idx, (l, _) in zip(np.nonzero(self._fs), self._at))
+    def _row_counts(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The support rows (grid indices on every axis but the last) that
+        hold a nonzero of f, and along each the running count of its
+        nonzeros over the support index box's last range, from 0."""
+        nz = self._fs != 0
+        counts = np.zeros(nz.shape[:-1] + (nz.shape[-1] + 1,), dtype=np.int64)
+        np.cumsum(nz, axis=-1, out=counts[..., 1:])
+        rows = np.nonzero(counts[..., -1])
+        return tuple(i + l for i, (l, _) in zip(rows, self._at)), counts[rows]
 
     def _nz_in_balls(self, centers: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``centers``, whether B(center, r) holds every nonzero
-        of f and whether it holds any (minimal-image metric, ties included),
-        in blocks of centers that bound the memory."""
-        N, step = self.spec.N, max(1, (1 << 20) // max(self._nz[0].size, 1))
-        flags = []
-        for c in np.split(centers, range(step, len(centers), step)):
-            inside = sum(np.take(_torus_dist(c[:, a, None], 0, N, N) ** 2, idx, axis=1)
-                         for a, idx in enumerate(self._nz)) <= r * r
-            flags.append((inside.all(axis=1), inside.any(axis=1)))
-        return tuple(np.concatenate(f) for f in zip(*flags))
+        of f and whether it holds any (minimal-image metric, ties included).
+        A support row at squared distance ``d2 <= r^2`` from the center on
+        the leading axes meets the ball in the arc of half-width
+        ``isqrt(r^2 - d2)`` around the center's last index (the whole row
+        once ``2h + 1 >= N``), whose nonzeros are differences of the row's
+        running counts, in two pieces where the arc crosses the seam."""
+        N = self.spec.N
+        lead, counts = self._row_counts
+        rows, m = np.arange(len(counts)), counts.shape[1] - 1
+        d2 = sum(np.minimum(d, N - d) ** 2
+                 for d in ((i - c[:, None]) % N for i, c in zip(lead, centers.T)))
+        h2 = r * r - d2
+        # floor of a correctly rounded root: exact for h2 < 2^52
+        h = np.sqrt(np.maximum(h2, 0)).astype(np.int64)
+        s = (centers[:, -1:] - h - self._at[-1][0]) % N  # arc start, on the box's range
+        e = s + np.minimum(2 * h + 1, N)
+        arcs = (counts[rows, np.minimum(e, m)] - counts[rows, np.minimum(s, m)]
+                + counts[rows, np.clip(e - N, 0, m)])
+        held = np.where(h2 >= 0, arcs, 0).sum(axis=1)
+        return held == counts[:, -1].sum(), held > 0
 
     # -- certified radius bounds ------------------------------------------
 
@@ -404,15 +450,49 @@ class MaximalEngine:
     def _p0_sum(self) -> float:
         return float(np.sum(np.abs(self._fs) ** self.cfg.p0))
 
-    def _l2_bound(self, eps_px: int) -> float:
-        """No value of either truncated operator at radius ``eps_px`` or any
-        larger one exceeds this (margin included)."""
+    def _q0_bound(self, eps_px: int, l2: float) -> float:
+        """The bound of a truncated operator at radius ``eps_px`` and every
+        larger one, given a bound ``l2`` of its ball L^2 means there
+        (margin included)."""
         q0 = self.cfg.q0
-        l2 = _radius_bound(self._sq_sum, self.spec.n, eps_px, self.spec.N, 2.0)
         if q0 == 2.0:
             return l2 * _MARGIN
         k2 = max(_kernel_l2(self.spec, self.delta, e) for e in self.eps_list if e >= eps_px)
         return (k2 * math.sqrt(self._sq_sum)) ** (1.0 - 2.0 / q0) * l2 ** (2.0 / q0) * _MARGIN
+
+    def _l2_bound(self, eps_px: int) -> float:
+        """No value of either truncated operator at radius ``eps_px`` or any
+        larger one exceeds this (margin included)."""
+        return self._q0_bound(eps_px, _radius_bound(self._sq_sum, self.spec.n, eps_px,
+                                                    self.spec.N, 2.0))
+
+    @cached_property
+    def _band_l2(self) -> dict[int, float]:
+        """Per radius ``eps``, the largest over the radii ``e >= eps`` of
+        ``(sum |B_e f|^2 / |ball_e|)^(1/2)``, the sums by discrete Parseval
+        on the half band of ``_f_hat``: ``N^{-n} sum w |m_e f^|^2``, ``w``
+        the line weights of ``_band_field``, both parts of a complex f."""
+        n, N = self.spec.n, self.spec.N
+        power = np.abs(self._f_hat) ** 2
+        if np.iscomplexobj(self._fs):
+            power = power[0] + power[1]
+        power = power * _line_weights(_band_lines(self.spec, self.delta)) / N ** n
+        out, top = {}, 0.0
+        for e in reversed(self.eps_list):
+            sq = float(np.sum(power * _band_symbol(self.spec, self.delta, e) ** 2))
+            out[e] = top = max(top, _radius_bound(sq, n, e, N, 2.0))
+        return out
+
+    def _band_bound(self, eps_px: int) -> float:
+        """No value of ``br_starstar`` at radius ``eps_px`` or any larger one
+        exceeds this (margin included): the L^2 bound of ``_band_l2``."""
+        return self._q0_bound(eps_px, self._band_l2[eps_px])
+
+    def _star_bound(self, window: Window, eps_px: int) -> float:
+        """No value of ``br_star`` on the window at radius ``eps_px`` or any
+        larger one exceeds this: 0 where every tile is covered (module
+        docstring, "Radius bounds"), else the l2 bound."""
+        return 0.0 if self._tile_classes(window, eps_px)[2].all() else self._l2_bound(eps_px)
 
     def _hl_bound(self, r_px: int) -> float:
         """No L^{p0} ball mean of f at radius ``r_px`` or any larger one
@@ -438,10 +518,9 @@ class MaximalEngine:
                     zhi: tuple[int, ...]) -> np.ndarray:
         """The real ``N^{-n} sum_xi m_eps(xi) spectrum(xi) exp(2 pi i xi.z / N)``
         of a half-band spectrum on the wrapped index box ``[zlo, zhi)``."""
-        spec, n, N, lines = self.spec, self.spec.n, self.spec.N, _band_lines(self.spec, self.delta)
-        # each line but xi = 0 stands for -xi too (the band is below N/4)
-        sym = truncated_symbol(spec, self.delta, _trunc_eps(spec, eps_px))[np.ix_(*lines)]
-        x = spectrum * (sym * np.where(np.array(lines[-1]) == 0, 1.0, 2.0) / N ** n)
+        n, N, lines = self.spec.n, self.spec.N, _band_lines(self.spec, self.delta)
+        x = spectrum * (_band_symbol(self.spec, self.delta, eps_px) * _line_weights(lines)
+                        / N ** n)
         for a in range(n - 1):
             x = _left_product(_phases(N, lines[a], zlo[a], zhi[a], 1), x, a - n)
         # Re(y e^{i t}) = (Re y, Im y) . (Re e^{-i t}, Im e^{-i t})
@@ -508,7 +587,8 @@ class MaximalEngine:
     # shows that it cannot raise it anywhere in the window.
 
     def _starstar_step(self, window: Window, eps_px: int, acc: np.ndarray) -> None:
-        if self._l2_bound(eps_px) > acc.min():
+        low = acc.min()
+        if self._l2_bound(eps_px) > low and self._band_bound(eps_px) > low:
             g = self._g_window(eps_px, *zip(*self._expand(window, 2 * eps_px)))
             np.maximum(acc, self._y_max(g, eps_px), out=acc)
 
@@ -523,24 +603,34 @@ class MaximalEngine:
         if not self._bounded:
             raise ValueError("br_star needs a compactly supported field "
                              "(declared support box missing)")
-        if self._nz[0].size and self._l2_bound(eps_px) > acc.min():
+        if self._l2_bound(eps_px) > acc.min():
             np.maximum(acc, self._star_tiles(window, eps_px), out=acc)
+
+    def _tile_classes(self, window: Window, eps_px: int) -> tuple[np.ndarray, ...]:
+        """The tiles of the window at radius ``eps_px`` (tile side
+        ``t = min(eps, window side)``, which divides the window's sides, all
+        powers of two; their indices in C order), their centers, and per
+        tile whether its mask ball ``B(c, 3 eps)`` holds every nonzero of f
+        (covered) and whether it holds any; once per window and radius."""
+        key = (window, eps_px)
+        if key not in self._classes:
+            t = tuple(min(eps_px, h - l) for l, h in window)
+            tiles = np.indices(tuple((h - l) // s for (l, h), s in zip(window, t)))
+            tiles = tiles.reshape(self.spec.n, -1).T
+            centers = np.add([l for l, _ in window], tiles * t) + np.floor_divide(t, 2)
+            self._classes[key] = (tiles, centers, *self._nz_in_balls(centers, 3 * eps_px))
+        return self._classes[key]
 
     def _star_tiles(self, window: Window, eps_px: int) -> np.ndarray:
         """``br_star`` at one radius on the window, each point masked by the
         ball ``B(c, 3 eps)`` of its tile's center ``c`` (module docstring).
-        The tile side ``t = min(eps, window side)`` divides the window's
-        sides, all powers of two.  ``B_eps f`` is read only if some tile is
-        not covered."""
+        ``B_eps f`` is read only if some tile is not covered."""
         n, N, mask_r, pad = self.spec.n, self.spec.N, 3 * eps_px, 2 * eps_px
         t = tuple(min(eps_px, h - l) for l, h in window)
-        lo = tuple(l for l, _ in window)
         tiled = sum((((h - l) // s, s) for (l, h), s in zip(window, t)), ())
         order = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))  # tile index..., offset...
         vals = np.zeros(tiled)
-        tiles = np.indices(tiled[::2]).reshape(n, -1).T
-        centers = np.add(lo, tiles * t) + np.floor_divide(t, 2)
-        covered, touched = self._nz_in_balls(centers, mask_r)
+        tiles, centers, covered, touched = self._tile_classes(window, eps_px)
         partial, disjoint = touched & ~covered, ~touched
         if not covered.all():
             gwin = self._g_window(eps_px, *zip(*self._expand(window, pad)))
@@ -589,23 +679,38 @@ class MaximalEngine:
 
         Before each radius, a point's running sum ``lo`` and the same sum
         with each accumulator raised to its bound, ``hi``, bracket its final
-        value.  Once no ``t`` satisfies ``lo <= t < hi`` at any point, the
-        walk returns ``lo``.
+        value: first with the l2 bounds, which cost nothing, and where that
+        leaves a threshold inside a bracket, with ``br_star``'s coverage
+        bound and the band bound of ``br_starstar``, which read the tile
+        classes and ``_f_hat`` that the radius's steps need anyway.  Once no
+        ``t`` satisfies ``lo <= t < hi`` at any point, the walk returns
+        ``lo``.  Each bound covers every larger radius, so from the first
+        zero bound of ``br_star`` on its steps are skipped.
         """
         inv_p0 = 1.0 / self.cfg.p0
         shape = tuple(h - l for l, h in window)
         star, starstar, best = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         ts = np.sort(np.asarray(thresholds, dtype=float))
+        covered = False
         for eps_px in self.eps_list:
             hl = best ** inv_p0
             lo = star + starstar + hl
+            below, hl_hi = np.searchsorted(ts, lo), np.maximum(hl, self._hl_bound(eps_px))
+
+            def decided(b_star: float, b_starstar: float) -> bool:
+                # the count of thresholds below lo equals that below hi everywhere
+                hi = np.maximum(star, b_star) + np.maximum(starstar, b_starstar) + hl_hi
+                return np.array_equal(below, np.searchsorted(ts, hi))
+
             b = self._l2_bound(eps_px)
-            hi = (np.maximum(star, b) + np.maximum(starstar, b)
-                  + np.maximum(hl, self._hl_bound(eps_px)))
-            # the count of thresholds below lo equals that below hi everywhere
-            if np.array_equal(np.searchsorted(ts, lo), np.searchsorted(ts, hi)):
+            if decided(0.0 if covered else b, b):
                 return lo
-            self._star_step(window, eps_px, star)
+            b_star = 0.0 if covered else self._star_bound(window, eps_px)
+            covered = b_star == 0.0
+            if decided(b_star, min(b, self._band_bound(eps_px))):
+                return lo
+            if not covered:
+                self._star_step(window, eps_px, star)
             self._starstar_step(window, eps_px, starstar)
             self._hl_step(window, eps_px, best)
         return star + starstar + best ** inv_p0

@@ -448,6 +448,15 @@ def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
             yield f, cube.box6(), cube.window()
 
 
+def _complex_node_cases():
+    """The node cases of ``_node_cases`` as the imaginary part, the larger
+    one, of a complex field."""
+    for f, box, window in _node_cases():
+        re = make_test_function(f.spec, "random_trig", seed=3, window_radius=0.6,
+                                num_modes=4, freq_max=1.5)
+        yield re + 1j * f, box, window
+
+
 OPERATORS = ("star", "starstar", "hl")
 
 
@@ -519,6 +528,52 @@ class TestRadiusPruning:
                 mean = _ball_mean_linear(dens, eps_px, f.spec.N)
                 assert mean.max() ** (1.0 / cfg.p0) <= b_hl, eps_px
 
+    @pytest.mark.parametrize("q0", [2.0, 3.0])
+    def test_band_bound_covers_every_larger_radius(self, q0):
+        # br_starstar's band bound at eps stays above the y-max of B_e f at
+        # every radius e >= eps, for real and complex f; it does not increase
+        # with the radius, and at the largest radius it is below the l2 bound
+        cfg = MaximalConfig(q0=q0, eps_min_exp=0)
+        for f, box, window in [*_node_cases(), *_complex_node_cases()]:
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            band = [eng._band_bound(eps_px) for eps_px in eng.eps_list]
+            assert band == sorted(band, reverse=True) and np.isfinite(band).all()
+            assert band[-1] < eng._l2_bound(eng.eps_list[-1])
+            tops = [eng._y_max(eng._g_window(e, *zip(*eng._expand(window, 2 * e))), e).max()
+                    for e in eng.eps_list]
+            for i, b_band in enumerate(band):
+                assert max(tops[i:]) <= b_band, eng.eps_list[i]
+
+    def test_covered_window_stays_covered(self):
+        # where every tile of a window is covered at eps (checked against
+        # the distances to every nonzero), so is every tile at each larger
+        # radius, past N/4 too, and br_star's tiles there are exactly 0:
+        # node windows and the whole-grid window, n = 2 and 3
+        spec3 = GridSpec(n=3, L=6.4, N=32)
+        f3 = make_test_function(spec3, "random_trig", seed=5, window_radius=0.7,
+                                num_modes=4, freq_max=1.5)
+        root3 = root_cube(f3)
+        cases = [*_node_cases(),
+                 *((f3, c.box6(), c.window()) for c in (root3, root3.children()[1]))]
+        checked = {2: 0, 3: 0}
+        for f, box, window in cases:
+            N, n = f.spec.N, f.spec.n
+            for cut, eng, win in ((_cut(f, box), MaximalEngine(f, DELTA, CFG, box=box), window),
+                                  (f, MaximalEngine(f, DELTA, CFG), _full_window(f.spec))):
+                nz = np.argwhere(cut.values != 0)
+                radii = [2 ** k for k in range(N.bit_length())]
+                first = next(i for i, e in enumerate(radii) if eng._tile_classes(win, e)[2].all())
+                for e in radii[first:]:
+                    t = [min(e, h - l) for l, h in win]
+                    axes = [np.arange(l, h, s) + s // 2 for (l, h), s in zip(win, t)]
+                    cs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+                    d = np.abs(cs[:, None, :] - nz[None, :, :]) % N
+                    assert (np.minimum(d, N - d) ** 2).sum(axis=-1).max() <= (3 * e) ** 2, e
+                    assert eng._tile_classes(win, e)[2].all(), e
+                    assert not np.any(eng._star_tiles(win, e)), e
+                    checked[n] += e > radii[first]
+        assert all(checked.values()), checked
+
     @pytest.mark.parametrize("seed", [3, 5, 11])
     @pytest.mark.parametrize("eps_exp", [1, 2, 3, 4])
     def test_bound_holds_at_single_radius(self, seed, eps_exp):
@@ -545,15 +600,17 @@ def _off_window_case(spec=GridSpec(n=2, L=8.0, N=128)):
 
 
 def _tightest_bounds(f, box, window, cfg):
-    """The least valid ``_l2_bound`` and ``_hl_bound`` on the window: for
+    """The least valid bound of each operator on the window (``star`` for
+    ``_star_bound``, ``starstar`` for ``_band_bound``, ``l2`` for
+    ``_l2_bound``, the larger of the two, and ``hl`` for ``_hl_bound``): for
     each radius, the largest contribution of that radius or a larger one."""
-    l2, hl = {}, {}
+    bounds = {op: {} for op in OPERATORS}
     for eps_px in reversed(cfg.eps_px_list(f.spec)):
         one = MaximalEngine(f, DELTA, cfg, box=box)
-        l2[eps_px] = max(l2.get(2 * eps_px, 0.0), values_at(one, "star", window, [eps_px]).max(),
-                         values_at(one, "starstar", window, [eps_px]).max())
-        hl[eps_px] = max(hl.get(2 * eps_px, 0.0), values_at(one, "hl", window, [eps_px]).max())
-    return l2, hl
+        for op, b in bounds.items():
+            b[eps_px] = max(b.get(2 * eps_px, 0.0), values_at(one, op, window, [eps_px]).max())
+    bounds["l2"] = {e: max(bounds["star"][e], bounds["starstar"][e]) for e in bounds["star"]}
+    return bounds
 
 
 class TestPhiValues:
@@ -571,9 +628,11 @@ class TestPhiValues:
             eng = MaximalEngine(f, DELTA, cfg, box=box)
             full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
             if tightest:
-                l2, hl = _tightest_bounds(f, box, window, cfg)
-                monkeypatch.setattr(MaximalEngine, "_l2_bound", lambda self, r: l2[r])
-                monkeypatch.setattr(MaximalEngine, "_hl_bound", lambda self, r: hl[r])
+                b = _tightest_bounds(f, box, window, cfg)
+                monkeypatch.setattr(MaximalEngine, "_l2_bound", lambda self, r: b["l2"][r])
+                monkeypatch.setattr(MaximalEngine, "_hl_bound", lambda self, r: b["hl"][r])
+                monkeypatch.setattr(MaximalEngine, "_star_bound", lambda self, w, r: b["star"][r])
+                monkeypatch.setattr(MaximalEngine, "_band_bound", lambda self, r: b["starstar"][r])
                 eng = MaximalEngine(f, DELTA, cfg, box=box)
             for base in full.max() * 2.0 ** rng.uniform(-20.0, 0.0, 25):
                 ladder = base * 2.0 ** np.arange(18)
@@ -669,6 +728,29 @@ class TestNodeBox:
             assert len(spectra) == (1 if reads else 0), window
             shared += len(reads) - len(computed)
         assert shared > 0
+
+    def test_tile_classes_counted_once(self, monkeypatch):
+        # phi_values' bracket and br_star's steps share the tile classes of
+        # each window and radius: one count of the mask balls per radius
+        orig, calls = MaximalEngine._nz_in_balls, []
+
+        def counting(eng, centers, r):
+            calls.append(r)
+            return orig(eng, centers, r)
+
+        monkeypatch.setattr(MaximalEngine, "_nz_in_balls", counting)
+        cfg = MaximalConfig(eps_min_exp=0)
+        for f, box, window in _node_cases():
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
+            calls.clear()
+            # thresholds at the values themselves keep the brackets open
+            eng.phi_values(window, np.unique(full))
+            assert calls == [], window
+            eng = MaximalEngine(f, DELTA, cfg, box=box)
+            eng.phi_values(window, np.unique(full))
+            eng.star_values(window)
+            assert calls and len(calls) == len(set(calls)), (window, calls)
 
 
 def _oracle_node(f, cube, delta, cfg):
@@ -790,24 +872,27 @@ class TestBatchedTiles:
 
 
 class TestTileClasses:
-    # one broadcast pass sorts the tiles of a radius: the same "holds every
-    # nonzero" and "holds some nonzero" flags as a loop over the centers,
-    # also where the pass runs in several blocks of centers
-    @pytest.mark.parametrize("n, N, r", [(2, 128, 24), (3, 32, 8)])
+    # the running counts of f's nonzeros along each support row, arc by arc,
+    # give the same "holds every nonzero" and "holds some nonzero" flags as
+    # a loop over the centers, on a batch of many centers against many
+    # nonzeros, and where the ball's arcs are wider than the grid
+    # (2r + 1 > N: whole rows, and leading axes where the ball wraps)
+    @pytest.mark.parametrize("n, N, r", [(2, 128, 24), (3, 32, 8), (2, 128, 66)])
     def test_matches_loop_over_centers(self, n, N, r):
         spec = GridSpec(n=n, L=N / 8.0, N=N)
         rng = np.random.default_rng(N)
         vals = np.zeros(spec.shape)
         vals[(slice(3 * N // 8, 5 * N // 8),) * n] = 1.0
         eng = MaximalEngine(SampledField(spec, vals), DELTA, CFG)
+        nz = np.nonzero(vals)
         # centers across the seam, and near the box's center, whose balls
         # hold every nonzero
         centers = np.vstack([rng.integers(-N // 2, 3 * N // 2, size=(5000, n)),
                              rng.integers(N // 2 - 1, N // 2 + 2, size=(500, n))])
         covered, touched = eng._nz_in_balls(centers, r)
-        assert len(centers) * eng._nz[0].size > 2 * (1 << 20)  # several blocks
+        assert len(centers) * nz[0].size > 2 * (1 << 20)  # many center-nonzero pairs
         for c, cov, tou in zip(centers, covered, touched):
-            d2 = sum(np.minimum((i - ci) % N, (ci - i) % N) ** 2 for i, ci in zip(eng._nz, c))
+            d2 = sum(np.minimum((i - ci) % N, (ci - i) % N) ** 2 for i, ci in zip(nz, c))
             assert cov == np.all(d2 <= r * r) and tou == np.any(d2 <= r * r), c
         assert covered.any() and (touched & ~covered).any() and (~touched).any()
 
@@ -1021,12 +1106,11 @@ class TestFftconvolve:
         ((1,), (1,)),
     ]
 
-    @pytest.mark.parametrize("mode", ["same", "valid"])
     @pytest.mark.parametrize("kinds", ["rr", "cr", "rc", "cc"])
     @pytest.mark.parametrize("shapes", SHAPES, ids=str)
-    def test_matches_scipy_signal(self, shapes, kinds, mode):
+    def test_matches_scipy_signal(self, shapes, kinds):
         # the valid convolution against the direct sum; then SciPy's output of
-        # either mode and the valid convolution are crops of the full one
+        # each mode and the valid convolution are crops of the full one
         # (length m + k - 1 per axis, m where either input has length 1);
         # they must agree on every full index both hold
         rng = np.random.default_rng(5)
@@ -1041,21 +1125,24 @@ class TestFftconvolve:
         assert got.dtype == want.dtype and got.shape == want.shape
         scale = np.max(_direct_valid(np.abs(a), np.abs(b)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        expected = fftconvolve(a, b, mode=mode)
-        assert got.dtype == expected.dtype
         full = [m + k - 1 for m, k in zip(a.shape, b.shape)]
         got_lo = [min(m, k) - 1 for m, k in zip(a.shape, b.shape)]
-        exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
-        lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
-        hi = [min(g + m, e + k) for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
-        if mode == "valid":
-            assert got.shape == expected.shape
-        assert all(h > l for l, h in zip(lo, hi))
+        for mode in ("same", "valid"):
+            expected = fftconvolve(a, b, mode=mode)
+            assert got.dtype == expected.dtype
+            exp_lo = [(f - e) // 2 for f, e in zip(full, expected.shape)]
+            lo = [max(g, e) for g, e in zip(got_lo, exp_lo)]
+            hi = [min(g + m, e + k)
+                  for g, e, m, k in zip(got_lo, exp_lo, got.shape, expected.shape)]
+            if mode == "valid":
+                assert got.shape == expected.shape
+            assert all(h > l for l, h in zip(lo, hi))
 
-        def common(start):
-            return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
+            def common(start):
+                return tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, start))
 
-        assert np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)])) <= 1e-12 * scale
+            assert (np.max(np.abs(got[common(got_lo)] - expected[common(exp_lo)]))
+                    <= 1e-12 * scale), mode
         assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
 
     def test_valid_needs_one_input_containing_the_other(self):
