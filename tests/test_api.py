@@ -54,7 +54,7 @@ def test_every_definition_has_a_library_caller():
     # lives for its tests alone; the names below pass without a caller: those
     # the acceptance criteria import, the three maximal operators, the field
     # format, the sidecar writers of the sparse collections and traces, and
-    # maximal._fftconvolve, whose 33 test cases are more than one change may
+    # maximal._fftconvolve, whose 65 test cases are more than one change may
     # drop at once (ROADMAP item 5 plans its removal in steps)
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
     exempt = {a.name for node in ast.walk(acceptance)
