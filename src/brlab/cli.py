@@ -142,6 +142,9 @@ def main(argv=None) -> int:
         cfg = _build_config(args.command, args)
         # ranges and radius sets that only one command checks, also before --out is made
         if args.command == "dominate":
+            if cfg.grid_dim == 1:
+                raise ValueError("dominate needs grid_dim >= 2 (the maximal operators "
+                                 "have no one-dimensional case), got 1")
             cfg.maximal_cfg().eps_px_list(cfg.spec())
         elif args.command == "weights":
             weight_indices(cfg.p, cfg.p0, "below2")

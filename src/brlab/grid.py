@@ -628,13 +628,20 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
     raise ValueError(f"unknown test-function kind: {kind!r}")
 
 
+_ZERO_LINE = "0.0,0.0"  # the line of a +0.0 sample
+
+
 def write_field(f: SampledField, path: str | Path):
     """Field file format: header ``field n=<n> N=<N> L=<L>``, then one
-    ``re,im`` line per sample in row-major order (UTF-8, LF)."""
+    ``re,im`` line per sample in row-major order (UTF-8, LF), each part
+    written as its ``repr``.  Only samples other than ``+0.0 + 0.0j`` are
+    formatted; every other line is the zero line ``0.0,0.0``."""
     spec = f.spec
     flat = f.values.reshape(-1)
-    lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"]
-    lines.extend(f"{re!r},{im!r}" for re, im in zip(flat.real.tolist(), flat.imag.tolist()))
+    nz = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+    lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"] + [_ZERO_LINE] * flat.size
+    for i, re, im in zip(nz.tolist(), flat.real[nz].tolist(), flat.imag[nz].tolist()):
+        lines[1 + i] = f"{re!r},{im!r}"
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -643,7 +650,8 @@ def read_field(path: str | Path) -> SampledField:
     part is 0, complex128 otherwise.  Raises ``ValueError`` on a malformed
     header (no ``field`` tag, a token without one ``=``, a repeated key, or
     a missing ``n=``/``N=``/``L=``), on a sample count that does not match
-    it, and on a sample line that is not two floats split by one comma."""
+    it, and on a sample line that is not two floats split by one comma.
+    Zero lines ``0.0,0.0`` are taken as ``+0.0`` without a parse."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split() if lines else []
     if not header or header[0] != "field":
@@ -663,14 +671,14 @@ def read_field(path: str | Path) -> SampledField:
     if len(body) != count:
         raise ValueError(f"{path}: header promises {count} samples, file has "
                          f"{len(body)} lines")
-    if list(map(str.count, body, itertools.repeat(","))).count(1) != count:
+    idx = [i for i, line in enumerate(body) if line != _ZERO_LINE]
+    rest = [body[i] for i in idx]
+    if list(map(str.count, rest, itertools.repeat(","))).count(1) != len(rest):
         raise ValueError(f"{path}: every sample line must read 're,im'")
-    pairs = np.fromiter(map(float, ",".join(body).split(",")), dtype=np.float64,
-                        count=2 * count)
-    re, im = pairs[0::2], pairs[1::2]
-    if im.any():
-        data = np.empty(count, dtype=np.complex128)
-        data.real, data.imag = re, im
-    else:
-        data = re.copy()
+    pairs = np.fromiter(map(float, ",".join(rest).split(",") if rest else ()),
+                        dtype=np.float64, count=2 * len(rest))
+    data = np.zeros(count, dtype=np.complex128)
+    data.real[idx], data.imag[idx] = pairs[0::2], pairs[1::2]
+    if not data.imag.any():
+        data = data.real.copy()
     return SampledField(spec, data.reshape(spec.shape))

@@ -292,16 +292,17 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
 @lru_cache(maxsize=16)
 def _annulus(spec: GridSpec, r_in: float, r_out: float):
     """The points of the annulus ``r_in <= |x| < r_out``, shared by every
-    field and average on it: the index ranges of its box, the points'
+    field and average on it: the index ranges of its box, the points' flat
     indices in the box (row-major order) and their coordinates."""
     box = _annulus_box(spec, r_out)
     axes = box.samples(spec)[1]
     r = np.sqrt(sum_of_squares(axes))
     inside = np.nonzero((r >= r_in) & (r < r_out))
+    flat = np.ravel_multi_index(inside, r.shape)
     coords = [a[i] for a, i in zip(axes, inside)]
-    for arr in (*inside, *coords):
+    for arr in (flat, *coords):
         arr.flags.writeable = False
-    return box.index_ranges(spec), inside, coords
+    return box.index_ranges(spec), flat, coords
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
@@ -315,19 +316,19 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> Samp
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    _, inside, coords = _annulus(spec, r_in, r_out)
+    _, flat, coords = _annulus(spec, r_in, r_out)
 
     def local(axes):
         vals = np.zeros(tuple(len(a) for a in axes))
-        vals[inside] = _trig_sum(coords, freqs, phases, amps)
+        vals.reshape(-1)[flat] = _trig_sum(coords, freqs, phases, amps)
         return vals
 
     return on_box(spec, _annulus_box(spec, r_out), local)
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    ranges, inside, _ = _annulus(f.spec, r_in, r_out)
-    vals = f.take(ranges)[inside]
+    ranges, flat, _ = _annulus(f.spec, r_in, r_out)
+    vals = f.take(ranges).reshape(-1)[flat]
     return lp_mean(vals, p) if vals.size else 0.0
 
 

@@ -155,6 +155,15 @@ def _bessel_j(order: float):
     return lambda x: special.jv(order, x)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-point Gauss-Legendre nodes and weights of every panel,
+    read-only and shared."""
+    nodes, weights = leggauss(12)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.ndarray:
     """Inverse Fourier transform of the radial symbol s_k, evaluated at |x| = r
     by Hankel quadrature:
@@ -174,7 +183,7 @@ def _radial_kernel(k: int, delta: float, radii: np.ndarray, n: int = 2) -> np.nd
     rho_lo = math.sqrt(max(0.0, 1.0 - (1.0 + TRANSITION) * 2.0 ** k))
     order = n / 2.0 - 1.0
     bessel = _bessel_j(order)
-    nodes0, weights0 = leggauss(12)
+    nodes0, weights0 = _gauss_legendre()
     # nodes, weights and the radius-free factors are built once per panel
     # count and shared by the radii that use it
     by_panels: dict[int, list[int]] = {}

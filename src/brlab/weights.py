@@ -141,19 +141,19 @@ class Weight:
 def _build_family(spec: GridSpec, seed: int, n_random: int):
     """Low corners and sides of the cube family, read-only and shared."""
     N, n = spec.N, spec.n
-    lo_list, side_list = [], []
-    side = N
-    while side >= 1:
-        for idx in itertools.product(range(N // side), repeat=n):
-            lo_list.append([i * side for i in idx])
-            side_list.append(side)
-        side //= 2
+    sides = [N >> j for j in range(N.bit_length())]  # N, N/2, ..., 1
+    # every dyadic cube of each side, corners in row-major order
+    lo = [np.indices((N // s,) * n, dtype=np.int64).reshape(n, -1).T * s for s in sides]
+    side = [np.full(len(corners), s, dtype=np.int64) for corners, s in zip(lo, sides)]
+    rand_lo, rand_side = [], []
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         s = int(rng.integers(2, N // 2 + 1))
-        lo_list.append([int(rng.integers(0, N - s + 1)) for _ in range(n)])
-        side_list.append(s)
-    fam = np.asarray(lo_list, dtype=np.int64), np.asarray(side_list, dtype=np.int64)
+        rand_lo.append(rng.integers(0, N - s + 1, size=n))  # the stream of n scalar draws
+        rand_side.append(s)
+    lo.append(np.array(rand_lo, dtype=np.int64).reshape(-1, n))
+    side.append(np.array(rand_side, dtype=np.int64))
+    fam = np.concatenate(lo), np.concatenate(side)
     for arr in fam:
         arr.flags.writeable = False
     return fam

@@ -500,7 +500,22 @@ class TestFieldFile:
         lines.extend(f"{float(v.real)!r},{float(v.imag)!r}" for v in f.values.reshape(-1))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "extremes"])
+    @staticmethod
+    def _sparse_fields(spec):
+        """Box-local fields, +0.0 outside the box: a real one with -0.0 in
+        the box, a complex one with -0.0 in either part, and a complex one
+        whose imaginary part is +0.0 but at one sample."""
+        box = Box((-0.5, -0.5), (0.5, 0.75))
+        (i0, _), (j0, _) = box.index_ranges(spec)
+        inside = indicator_of(spec, box).values * random_field(spec, seed=5, complex_=False).values
+        real, signed, one_imag = inside.copy(), inside.astype(complex), inside.astype(complex)
+        real[i0, j0:j0 + 3] = -0.0
+        signed.real[i0 + 1, j0] = signed.imag[i0 + 2, j0 + 1] = -0.0
+        signed.imag[i0 + 3, j0 + 2] = 0.5
+        one_imag.imag[i0 + 1, j0 + 1] = 0.25
+        return [SampledField(spec, v, support=box) for v in (real, signed, one_imag)]
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "extremes", "sparse"])
     def test_bytes_match_per_sample_writer(self, tmp_path, kind):
         spec = GridSpec(n=2, L=2.0, N=16)
         if kind == "extremes":
@@ -508,16 +523,54 @@ class TestFieldFile:
             special_vals = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]
             vals.real.flat[:7] = special_vals
             vals.imag.flat[7:14] = special_vals
-            f = SampledField(spec, vals)
+            fields = [SampledField(spec, vals)]
+        elif kind == "sparse":
+            fields = self._sparse_fields(spec)
         else:
-            f = random_field(spec, seed=5, complex_=kind == "complex")
-        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
-        write_field(f, new)
-        self._write_per_sample(f, old)
-        assert new.read_bytes() == old.read_bytes()
-        back = read_field(new)
-        assert back.values.dtype == f.values.dtype
-        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+            fields = [random_field(spec, seed=5, complex_=kind == "complex")]
+        for f in fields:
+            new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+            write_field(f, new)
+            self._write_per_sample(f, old)
+            assert new.read_bytes() == old.read_bytes()
+            back = read_field(new)
+            assert back.values.dtype == f.values.dtype
+            assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+    def _zero_file(self, tmp_path, body):
+        """A 16-sample field file of zero lines with ``body`` ({index: line}) put in."""
+        lines = ["0.0,0.0"] * 16
+        for i, line in body.items():
+            lines[i] = line
+        path = tmp_path / "field.txt"
+        path.write_text("\n".join(["field n=1 N=16 L=1.0", *lines]) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("line", ["0.5", "0.0,0.0,0.0", "0.0;0.0"])
+    def test_malformed_line_among_zero_lines_rejected(self, tmp_path, line):
+        with pytest.raises(ValueError, match="re,im"):
+            read_field(self._zero_file(tmp_path, {6: line}))
+
+    @pytest.mark.parametrize("body, dtype", [
+        ({3: "-0.0,0.0", 9: "0.0,-0.0", 12: "1.0,2.0"}, np.complex128),
+        ({3: "-0.0,0.0", 9: "0.0,-0.0"}, np.float64),
+        ({1: "0.00,0.0", 2: "0,0", 4: "+0.0,-0", 5: " 0.0,0.0", 7: "0.0,0.0 ", 8: "0e5,0."},
+         np.float64),
+        ({1: "0.00,0.0", 2: "-0e0,0.000", 3: "0.0,0.25"}, np.complex128),
+        ({}, np.float64),
+    ], ids=["signed-complex", "signed-real", "noncanonical-real", "noncanonical-complex",
+            "all-zero"])
+    def test_zero_lines_parse_as_floats(self, tmp_path, body, dtype):
+        # every line reads as float(re), float(im); a float64 file keeps the
+        # sign of its real parts only
+        re, im = np.zeros(16), np.zeros(16)
+        for i, line in body.items():
+            re[i], im[i] = map(float, line.split(","))
+        back = read_field(self._zero_file(tmp_path, body)).values.reshape(-1)
+        assert back.dtype == dtype
+        assert np.array_equal(back.real.view(np.uint64), re.view(np.uint64))
+        if dtype == np.complex128:
+            assert np.array_equal(back.imag.view(np.uint64), im.view(np.uint64))
 
 
 class TestFieldInvariants:

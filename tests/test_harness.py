@@ -748,6 +748,15 @@ class TestCli:
         assert "empty radius set" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_dimensional_dominate_leaves_no_output_dir(self, tmp_path, capsys):
+        path, out = tmp_path / "cfg.txt", tmp_path / "out"
+        path.write_text("grid_dim = 1\n")
+        assert cli_main(["dominate", "--config", str(path), "--grid-n", "256",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error:") and "grid_dim" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["prop41", "prop42"])
     def test_no_admissible_configuration_leaves_no_output_dir(self, tmp_path, capsys, cmd):
         # at L = 4 no ball radius r >= 1 fits: 4r and 3r exceed L/2 = 2

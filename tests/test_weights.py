@@ -1,6 +1,7 @@
 """Weight characteristics over the fixed cube family, predicted bounds,
 weighted ratios and vector-valued norms."""
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -100,6 +101,33 @@ class TestCubeFamily:
         b = power_weight(SPEC, 0.5, family_seed=5, n_random=300)
         assert a.fam_lo is b.fam_lo and a.fam_side is b.fam_side
         assert not a.fam_lo.flags.writeable and not a.fam_side.flags.writeable
+
+    @staticmethod
+    def _family_per_cube(spec, seed, n_random):
+        """One itertools.product tuple per dyadic cube, then the random cubes."""
+        N, n = spec.N, spec.n
+        lo_list, side_list = [], []
+        side = N
+        while side >= 1:
+            for idx in itertools.product(range(N // side), repeat=n):
+                lo_list.append([i * side for i in idx])
+                side_list.append(side)
+            side //= 2
+        rng = np.random.default_rng(seed)
+        for _ in range(n_random):
+            s = int(rng.integers(2, N // 2 + 1))
+            lo_list.append([int(rng.integers(0, N - s + 1)) for _ in range(n)])
+            side_list.append(s)
+        return np.asarray(lo_list, dtype=np.int64), np.asarray(side_list, dtype=np.int64)
+
+    @pytest.mark.parametrize("n, N, n_random", [(1, 64, 40), (2, 32, 300), (3, 16, 60), (3, 16, 0)])
+    def test_family_matches_per_cube_construction(self, n, N, n_random):
+        spec = GridSpec(n=n, L=2.0, N=N)
+        lo, side = weights._build_family(spec, 9, n_random)
+        ref_lo, ref_side = self._family_per_cube(spec, 9, n_random)
+        assert lo.dtype == side.dtype == np.int64
+        assert lo.shape == ref_lo.shape and np.array_equal(lo, ref_lo)
+        assert np.array_equal(side, ref_side)
 
 
 class TestCharacteristics:
