@@ -43,9 +43,11 @@ before its forward pass and the read box's rows after its inverse pass; the
 last axis is taken whole in ``ifftshift`` order and cut to the read box
 after the c2r pass.  Every index set is a range taken mod N (a box's rows,
 the band's lines, the last axis whole) and is read by :func:`_wrap_take`.
-Every symbol carrying ``(1 - |xi|^2)_+^delta`` has a narrow band (at
-L = 16, N = 512: 31 of 512 rows and 16 of 257 half-spectrum columns); a
-symbol without zeros keeps its full passes.  The pruned result has the bits
+A symbol is a :class:`BandSymbol`, which carries its band and its half
+there, so no pass scans the symbol.  Every symbol carrying
+``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16, N = 512: 31 of 512
+rows and 16 of 257 half-spectrum columns); a symbol without zeros keeps its
+full passes.  The pruned result has the bits
 of the whole-grid pair: the passes run in the same order, each 1-D line is
 the same pocketfft transform, a line left out holds zeros that add nothing,
 the takes only move values, and the scale is a power of two applied once at
@@ -69,6 +71,7 @@ __all__ = [
     "Box",
     "SampledField",
     "SpectralField",
+    "BandSymbol",
     "inverse_transform",
     "apply_symbol",
     "cube_average",
@@ -122,6 +125,10 @@ class GridSpec:
         """Sample coordinates along one axis: ``L*(j/N - 1/2)``."""
         return (np.arange(self.N) - self.N // 2) * self.dx
 
+    def axis_freqs(self) -> np.ndarray:
+        """Lattice frequencies along one axis, in fft ordering."""
+        return fft.fftfreq(self.N, d=self.dx)
+
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*([self.axis_coords()] * self.n), indexing="ij")
 
@@ -139,7 +146,7 @@ def sum_of_squares(axes) -> np.ndarray:
 @lru_cache(maxsize=64)
 def freq_sq(spec: GridSpec) -> np.ndarray:
     """``|xi|^2`` on the discrete frequency lattice, in fft ordering."""
-    return sum_of_squares([fft.fftfreq(spec.N, d=spec.dx)] * spec.n)
+    return sum_of_squares([spec.axis_freqs()] * spec.n)
 
 @lru_cache(maxsize=64)
 def _radius_sq_grid(spec: GridSpec) -> np.ndarray:
@@ -404,26 +411,62 @@ def _along(arr: np.ndarray, axis: int, rows: tuple[int, int], at: tuple[int, int
                       whole[:axis] + [at] + whole[axis + 1:], N)
 
 
-def _band(half: np.ndarray, N: int) -> list[tuple[int, int]]:
-    """Per axis, a range of fft indices, taken mod N, that holds every line
-    of the half symbol ``half`` with a nonzero: ``(-m, m + 1)`` for an even
-    symbol whose nonzeros reach line ``m``, ``(0, m + 1)`` on the half axis,
-    and empty for a zero symbol."""
-    nz = half != 0
-    axes = range(nz.ndim)
-    band = []
-    for a in axes:
-        lines = np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a)))
-        if a < nz.ndim - 1:
-            lines = (lines + N // 2) % N - N // 2
-        band.append((int(lines.min(initial=0)), int(lines.max(initial=-1)) + 1))
-    return band
+class BandSymbol:
+    """An even lattice symbol in fft order, stored as its half (the last
+    axis from 0 to N/2) on its band: per axis a range of fft indices, taken
+    mod N, holding every line with a nonzero.
+
+    ``values`` is the whole symbol, or its half on the index box ``box``
+    of a grid of ``N`` points per axis; one scan for its lines with a
+    nonzero cuts it to the band.  The band is a certificate, as a field's
+    support box is: the symbol is exact ``+0.0`` off it.  ``block``, the
+    half on the band, is read-only (a view of ``values`` where the band
+    lies inside ``box``, so the caller must not write into them), and
+    ``values``, the read-only whole grid, is built on first use and cached.
+    """
+
+    def __init__(self, values, box=None, N: int | None = None):
+        values = np.asarray(values, dtype=np.float64)
+        N = values.shape[-1] if N is None else N
+        if box is None:
+            values = values[..., : N // 2 + 1]
+            box = [(0, N)] * (values.ndim - 1) + [(0, N // 2 + 1)]
+        if values.shape != tuple(h - l for l, h in box):
+            raise ValueError(f"symbol shape {values.shape} != box shape of {box}")
+        # the scan for the lines with a nonzero: (-m, m + 1) for an even
+        # symbol whose nonzeros reach line m, (0, m + 1) on the half axis,
+        # and empty for a zero symbol
+        nz, band = values != 0, []
+        for a, (lo, _) in enumerate(box):
+            lines = lo + np.flatnonzero(nz.any(axis=tuple(b for b in range(nz.ndim) if b != a)))
+            if a < nz.ndim - 1:
+                lines = (lines + N // 2) % N - N // 2
+            band.append((int(lines.min(initial=0)), int(lines.max(initial=-1)) + 1))
+        self.N, self.band = N, tuple(band)
+        self.block = _wrap_take(values, band, box, N)
+        self.block.flags.writeable = False
+
+    def take(self, box) -> np.ndarray:
+        """The half symbol on the index box ``box`` (fft indices, taken mod
+        N), through :func:`_wrap_take`: exact ``+0.0`` off the band."""
+        return _wrap_take(self.block, box, self.band, self.N)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The whole symbol in fft order (read-only), its columns past N/2
+        from the half by evenness."""
+        N, lead = self.N, tuple(range(self.block.ndim - 1))
+        half = self.take([(0, N)] * len(lead) + [(0, N // 2 + 1)])
+        mirror = np.roll(np.flip(half, lead), 1, lead)  # leading index i at -i mod N
+        out = np.concatenate([half, mirror[..., N // 2 - 1:0:-1]], axis=-1)
+        out.flags.writeable = False
+        return out
 
 
-def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
+def apply_symbol(values, symbol: BandSymbol, src=None, read=None) -> np.ndarray:
     """Multiply the spectrum of centered grid ``values`` (an array, or a
-    :class:`SampledField`) by a lattice ``symbol`` in fft ordering and
-    return the result on the index box ``read`` (the whole grid by default).
+    :class:`SampledField`) by a lattice ``symbol`` and return the result
+    on the index box ``read`` (the whole grid by default).
     ``src`` is an index box outside which ``values`` vanish (the whole grid
     by default).  An index box gives per axis a range ``(lo, hi)`` of
     centered indices, taken mod N, as :meth:`Box.index_ranges` does.  Arrays
@@ -431,9 +474,10 @@ def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
     on every axis but the last, and the last axis whole in fft order.
 
     ``symbol`` must be even.  A real result has the bits of
-    ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))`` (an exact zero
-    may differ in sign), from the pruned passes of the module docstring;
-    complex values take those passes on their real and imaginary parts.
+    ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))``, ``half`` the
+    columns ``0 .. N/2`` of ``symbol.values`` (an exact zero may differ in
+    sign), from the pruned passes of the module docstring; complex values
+    take those passes on their real and imaginary parts.
     """
     if isinstance(values, SampledField):
         arr, at, N = values._block, values._at, values.spec.N
@@ -445,15 +489,13 @@ def apply_symbol(values, symbol: np.ndarray, src=None, read=None) -> np.ndarray:
     return _pruned_passes(_wrap_take(arr, [*src[:-1], (0, N)], at, N), symbol, src, read)
 
 
-def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
+def _pruned_passes(x: np.ndarray, symbol: BandSymbol, src, read) -> np.ndarray:
     """:func:`apply_symbol` of the values ``x`` on the rows of ``src``, the
     last axis whole, every range in fft indices."""
     if np.iscomplexobj(x):
         return (_pruned_passes(x.real, symbol, src, read)
                 + 1j * _pruned_passes(x.imag, symbol, src, read))
-    N, n = x.shape[-1], x.ndim
-    half = symbol[..., : N // 2 + 1]
-    band = _band(half, N)
+    N, n, band = x.shape[-1], x.ndim, symbol.band
     # the r2c pass along the last axis, then along each other axis its rows
     # of src embedded in N points for the c2c pass, each pass followed by a
     # keep of the band's lines
@@ -461,9 +503,7 @@ def _pruned_passes(x: np.ndarray, symbol: np.ndarray, src, read) -> np.ndarray:
     for a in range(n - 1):
         x = fft.fft(_along(x, a, (0, N), src[a], N), axis=a, overwrite_x=True)
         x = _along(x, a, band[a], (0, N), N)
-    for a in range(n):
-        half = _along(half, a, band[a], (0, half.shape[a]), N)
-    x *= half
+    x *= symbol.block
     # the unscaled c2c passes on the band's lines embedded in N points, each
     # followed by a take of the read rows, the c2r pass and its take, then
     # the scale 1/N^n

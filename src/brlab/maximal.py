@@ -56,10 +56,16 @@ axis), so ``B_eps`` of a source ``h`` on an index box, read on an index
 box, is ``N^{-n} sum_{xi in band} m_eps(xi) h^(xi) exp(2 pi i xi.z / N)``:
 a partial DFT onto the half band (``_band_spectrum``), the multiply and a
 partial inverse (``_band_field``), one matrix product per axis each.  The
-cost follows the boxes times the band, not ``N^n``, and the N-periodic
+symbols are built on their band (``multiplier``), and ``_band_symbol``
+reads ``m_eps`` there directly, its leading lines in ascending fft order;
+the phase matrices gather one table of ``exp(+- 2 pi i k / N)`` per grid.
+The cost follows the boxes times the band, not ``N^n``, and the N-periodic
 phases read boxes longer than the grid too.  ``_g_window`` reuses the band
 spectrum of ``f * 1_box`` at every radius.  One ``_y_max`` turns a
 truncated field on a box ``+- 2 eps`` into its y-maxed ball L^{q0} means.
+``br_star`` and ``br_starstar`` have no one-dimensional case (their tiles
+and band products need a leading axis) and reject a line before any work;
+``hl_maximal`` takes every dimension.
 
 Every ball mean is a linear convolution over a periodically wrapped crop
 of the window plus the radius, kept on the window (``_ball_mean_linear``,
@@ -75,7 +81,9 @@ Each operator walks its radii in ascending order and skips a radius whose
 certified upper bound, times ``1 + 1e-9``, is at or below the minimum of
 its running maximum over the window.  A ball mean of a density never
 exceeds the density's total over the ball's point count, so the HL bound
-at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``.  The truncated
+at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``, the count
+``|ball_r|`` summed in closed form over the leading offsets (no ball is
+built for it).  The truncated
 symbol lies in [0, 1], and discrete Parseval gives
 ``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and for every
 masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2``
@@ -84,7 +92,8 @@ masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2``
 also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
 ``mean |B_eps h|^q0 <= max |B_eps h|^(q0 - 2) mean |B_eps h|^2`` gives the
 bound ``(||K_eps||_2 ||f||_2)^(1 - 2/q0) l2^(2/q0)``, with ``||K_eps||_2``
-taken as its largest value over the radii from ``eps`` on.
+taken as its largest value over the radii from ``eps`` on, by discrete
+Parseval from the symbol on its band.
 
 Two sharper bounds read what a radius computes anyway.  ``br_starstar``'s
 band bound puts ``sum |B_e f|^2``, which discrete Parseval reads off the
@@ -101,20 +110,22 @@ walk; the margin absorbs the rounding of the FFT means.  Elementwise work
 on ``f`` itself (power sums, the row counts) runs on the support index
 box, outside which the read of ``f`` is exactly 0.
 
-The selection needs only the comparisons ``phi > t`` of
-``phi = star + starstar + M_{p0}`` with a ladder of thresholds ``t``.
-``phi_values`` walks the radii once for all three operators.  Before each
-radius it brackets every point's final ``phi`` between the running sum and
-the running sum with each accumulator raised to its bound, and it returns
-the running sum at the first radius where no threshold lies inside any
-point's bracket: first with the l2 bounds, then, where a threshold is left
-inside, with the coverage and band bounds.  Rounding is monotone, so every
-comparison, and with it the whole selection node, is that of the full walk.
+A selection node needs only one thing of ``phi = star + starstar +
+M_{p0}``: the first threshold ``t_k`` of its ladder with at most half the
+window in ``{phi > t_k}``, and that set.  ``decide`` walks the radii once
+for all three operators.  Before each radius it brackets every point's
+final ``phi`` between the running sum ``lo`` and the running sum with each
+accumulator raised to its bound, ``hi``, and takes the first ``k`` with at
+most half the window in ``{lo > t_k}``; every earlier rung fails, as
+``phi >= lo``.  It returns at the first radius where no point has
+``lo <= t_k < hi``: first with the l2 bounds, then with the coverage and
+band bounds.  Rounding is monotone, so the rung and the set, and with them
+the whole selection node, are those of the full walk.
 
 Windows
 -------
-``star_values``, ``starstar_values``, ``hl_values`` and ``phi_values`` take
-a window (an index box) and return an array of its shape, from window-shaped
+``star_values``, ``starstar_values``, ``hl_values`` and ``decide`` take a
+window (an index box) and return arrays of its shape, from window-shaped
 accumulators and crops; the public operators pass the whole grid.
 A selection node also passes its ``6Q`` box, and the engine then reads
 ``f * 1_{6Q}`` without building it: the support index box is the box's
@@ -136,8 +147,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _band, _cap, _wrap_take, doubling_table,
-                   lp_mean, sum_of_squares)
+from .grid import (Box, GridSpec, SampledField, _cap, _wrap_take, doubling_table, lp_mean,
+                   sum_of_squares)
 from .multiplier import bochner_riesz_symbol, truncated_symbol
 
 __all__ = [
@@ -290,10 +301,19 @@ def _ball_box(n: int, r_px: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(int(v) for v in lo), mask
 
 
-def _radius_bound(power_sum: float, n: int, r_px: int, N: int, p: float) -> float:
+@lru_cache(maxsize=256)
+def _ball_count(n: int, r_px: int) -> int:
+    """The number of lattice points ``a`` of R^n with ``|a| <= r_px``: over
+    the leading offsets ``a'``, ``2 isqrt(r^2 - |a'|^2) + 1`` each."""
+    h2 = r_px * r_px - sum_of_squares([np.arange(-r_px, r_px + 1)] * (n - 1))
+    # floor of a correctly rounded root: exact for h2 < 2^52
+    return int(np.sum(2 * np.sqrt(h2[h2 >= 0]).astype(np.int64) + 1))
+
+
+def _radius_bound(power_sum: float, n: int, r_px: int, p: float) -> float:
     """``(power_sum / |ball_r|)^(1/p)``: no L^p mean over an r-ball of a
     density whose grid total is at most ``power_sum`` can exceed it."""
-    return (power_sum / len(_ball_offsets(n, r_px, N))) ** (1.0 / p)
+    return (power_sum / _ball_count(n, r_px)) ** (1.0 / p)
 
 
 def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
@@ -305,18 +325,20 @@ def _trunc_eps(spec: GridSpec, eps_px: int) -> float:
 @lru_cache(maxsize=32)
 def _band_lines(spec: GridSpec, delta: float) -> tuple[tuple[int, ...], ...]:
     """Per axis, the frequencies (fft order, ascending) of the lines where the
-    Bochner-Riesz symbol, and so each truncation, is nonzero, from the ranges
-    of ``grid._band``; the last axis keeps the half band ``xi <= N/2`` of a
-    real source."""
-    half = bochner_riesz_symbol(spec, delta)[..., : spec.N // 2 + 1]
-    return tuple(tuple(sorted(j % spec.N for j in range(*r))) for r in _band(half, spec.N))
+    Bochner-Riesz symbol, and so each truncation, is nonzero: its band; the
+    last axis keeps the half band ``xi <= N/2`` of a real source."""
+    band = bochner_riesz_symbol(spec, delta).band
+    return tuple(tuple(sorted(j % spec.N for j in range(*r))) for r in band)
 
 
 @lru_cache(maxsize=64)
 def _band_symbol(spec: GridSpec, delta: float, eps_px: int) -> np.ndarray:
-    """The truncated symbol of radius ``eps_px`` on the half band grid."""
-    sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px))
-    sym = sym[np.ix_(*_band_lines(spec, delta))]
+    """The truncated symbol of radius ``eps_px`` on the half band grid, its
+    lines in ``_band_lines`` order: the band's leading ranges ``(l, h)``
+    rolled by ``l``, so that lines ``0 .. h - 1`` come first."""
+    band = bochner_riesz_symbol(spec, delta).band
+    sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px)).take(band)
+    sym = np.roll(sym, [l for l, _ in band[:-1]], tuple(range(spec.n - 1)))
     sym.flags.writeable = False
     return sym
 
@@ -327,12 +349,20 @@ def _line_weights(lines: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return np.where(np.array(lines[-1]) == 0, 1.0, 2.0)
 
 
+@lru_cache(maxsize=16)
+def _phase_table(N: int, sign: int) -> np.ndarray:
+    """``exp(sign 2 pi i k / N)`` for ``k = 0 .. N - 1``."""
+    table = np.exp(np.arange(N) * (sign * 2j * math.pi / N))
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=64)
 def _phases(N: int, lines: tuple[int, ...], lo: int, hi: int, sign: int) -> np.ndarray:
     """``exp(sign 2 pi i u xi / N)`` for ``u`` in ``[lo, hi)`` (rows) and
-    ``xi`` in ``lines`` (columns), with ``u xi`` reduced mod N first."""
+    ``xi`` in ``lines`` (columns): ``_phase_table`` at ``u xi`` mod N."""
     turns = np.multiply.outer(np.arange(lo, hi), np.array(lines, dtype=np.int64)) % N
-    out = np.exp(turns * (sign * 2j * math.pi / N))
+    out = _phase_table(N, sign)[turns]
     out.flags.writeable = False
     return out
 
@@ -367,9 +397,10 @@ def _left_product(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _kernel_l2(spec: GridSpec, delta: float, eps_px: int) -> float:
     """``||K_eps||_2`` of the truncated kernel at radius ``eps_px``, by
-    discrete Parseval from its symbol."""
-    sym = truncated_symbol(spec, delta, _trunc_eps(spec, eps_px))
-    return math.sqrt(float(np.sum(sym * sym)) / sym.size)
+    discrete Parseval from its symbol on the half band."""
+    sym = _band_symbol(spec, delta, eps_px)
+    weights = _line_weights(_band_lines(spec, delta))
+    return math.sqrt(float(np.sum(sym * sym * weights)) / spec.N ** spec.n)
 
 
 Window = tuple[tuple[int, int], ...]
@@ -463,8 +494,7 @@ class MaximalEngine:
     def _l2_bound(self, eps_px: int) -> float:
         """No value of either truncated operator at radius ``eps_px`` or any
         larger one exceeds this (margin included)."""
-        return self._q0_bound(eps_px, _radius_bound(self._sq_sum, self.spec.n, eps_px,
-                                                    self.spec.N, 2.0))
+        return self._q0_bound(eps_px, _radius_bound(self._sq_sum, self.spec.n, eps_px, 2.0))
 
     @cached_property
     def _band_l2(self) -> dict[int, float]:
@@ -480,7 +510,7 @@ class MaximalEngine:
         out, top = {}, 0.0
         for e in reversed(self.eps_list):
             sq = float(np.sum(power * _band_symbol(self.spec, self.delta, e) ** 2))
-            out[e] = top = max(top, _radius_bound(sq, n, e, N, 2.0))
+            out[e] = top = max(top, _radius_bound(sq, n, e, 2.0))
         return out
 
     def _band_bound(self, eps_px: int) -> float:
@@ -497,8 +527,7 @@ class MaximalEngine:
     def _hl_bound(self, r_px: int) -> float:
         """No L^{p0} ball mean of f at radius ``r_px`` or any larger one
         exceeds this (margin included)."""
-        return _radius_bound(self._p0_sum, self.spec.n, r_px, self.spec.N,
-                             self.cfg.p0) * _MARGIN
+        return _radius_bound(self._p0_sum, self.spec.n, r_px, self.cfg.p0) * _MARGIN
 
     # -- shared per-scale artifacts ------------------------------------
 
@@ -672,48 +701,54 @@ class MaximalEngine:
     def star_values(self, window: Window) -> np.ndarray:
         return self._walk(self._star_step, window)
 
-    def phi_values(self, window: Window, thresholds) -> np.ndarray:
-        """``star + starstar + M_{p0}`` of f on the window, summed in that
-        order, exact as far as every comparison ``phi > t`` with ``t`` in
-        ``thresholds`` goes (module docstring, "Radius bounds").
+    def decide(self, window: Window, thresholds, most: int) -> tuple[int, np.ndarray | None]:
+        """The first of the ascending ``thresholds`` ``t`` with at most
+        ``most`` points of the window where ``phi = star + starstar + M_{p0}``
+        of f, summed in that order, exceeds ``t``, as its index ``k`` and the
+        mask ``phi > t``; ``len(thresholds)`` and None where there is none.
+        Each comparison is that of the walk over every radius (module
+        docstring, "Radius bounds").
 
         Before each radius, a point's running sum ``lo`` and the same sum
         with each accumulator raised to its bound, ``hi``, bracket its final
-        value: first with the l2 bounds, which cost nothing, and where that
-        leaves a threshold inside a bracket, with ``br_star``'s coverage
-        bound and the band bound of ``br_starstar``, which read the tile
-        classes and ``_f_hat`` that the radius's steps need anyway.  Once no
-        ``t`` satisfies ``lo <= t < hi`` at any point, the walk returns
-        ``lo``.  Each bound covers every larger radius, so from the first
-        zero bound of ``br_star`` on its steps are skipped.
+        value.  ``k`` is the first index with at most ``most`` points of
+        ``lo > t_k``: as ``phi >= lo``, every earlier threshold has more.
+        Once no point has ``lo <= t_k < hi``, ``phi > t_k`` exactly where
+        ``lo > t_k``, and the walk returns: first with the l2 bounds, which
+        cost nothing, then with ``br_star``'s coverage bound and the band
+        bound of ``br_starstar``, which read the tile classes and ``_f_hat``
+        that the radius's steps need anyway.  Each bound covers every larger
+        radius, so from the first zero bound of ``br_star`` on its steps are
+        skipped.  After the last radius ``lo`` is ``phi``.
         """
         inv_p0 = 1.0 / self.cfg.p0
         shape = tuple(h - l for l, h in window)
         star, starstar, best = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        ts = np.sort(np.asarray(thresholds, dtype=float))
         covered = False
-        for eps_px in self.eps_list:
+        for eps_px in [*self.eps_list, None]:
             hl = best ** inv_p0
             lo = star + starstar + hl
-            below, hl_hi = np.searchsorted(ts, lo), np.maximum(hl, self._hl_bound(eps_px))
+            k = next((k for k, t in enumerate(thresholds) if np.count_nonzero(lo > t) <= most),
+                     len(thresholds))
+            if k == len(thresholds) or eps_px is None:
+                return k, None if k == len(thresholds) else lo > thresholds[k]
+            t, hl_hi = thresholds[k], np.maximum(hl, self._hl_bound(eps_px))
 
             def decided(b_star: float, b_starstar: float) -> bool:
-                # the count of thresholds below lo equals that below hi everywhere
                 hi = np.maximum(star, b_star) + np.maximum(starstar, b_starstar) + hl_hi
-                return np.array_equal(below, np.searchsorted(ts, hi))
+                return not np.any((lo <= t) & (t < hi))
 
             b = self._l2_bound(eps_px)
             if decided(0.0 if covered else b, b):
-                return lo
+                return k, lo > t
             b_star = 0.0 if covered else self._star_bound(window, eps_px)
             covered = b_star == 0.0
             if decided(b_star, min(b, self._band_bound(eps_px))):
-                return lo
+                return k, lo > t
             if not covered:
                 self._star_step(window, eps_px, star)
             self._starstar_step(window, eps_px, starstar)
             self._hl_step(window, eps_px, best)
-        return star + starstar + best ** inv_p0
 
 
 def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:
@@ -723,14 +758,26 @@ def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:
     return SampledField(f.spec, eng.hl_values(_full_window(f.spec)))
 
 
+def _truncation_engine(f: SampledField, delta: float, cfg: MaximalConfig,
+                       box: Box | None = None) -> MaximalEngine:
+    """The engine of ``br_star`` and ``br_starstar``, whose tiles and band
+    products have no one-dimensional case: a one-dimensional grid is
+    rejected before any work."""
+    if f.spec.n < 2:
+        raise ValueError("br_star and br_starstar need grid dimension n >= 2, "
+                         f"got n = {f.spec.n}")
+    return MaximalEngine(f, delta, cfg, box=box)
+
+
 def br_star(f: SampledField, delta: float, cfg: MaximalConfig) -> SampledField:
     """Masked (off-diagonal) maximal truncation of the multiplier."""
-    return SampledField(f.spec, MaximalEngine(f, delta, cfg).star_values(_full_window(f.spec)))
+    eng = _truncation_engine(f, delta, cfg)
+    return SampledField(f.spec, eng.star_values(_full_window(f.spec)))
 
 
 def br_starstar(f: SampledField, delta: float, cfg: MaximalConfig) -> SampledField:
     """Unmasked maximal truncation of the multiplier."""
-    eng = MaximalEngine(f, delta, cfg)
+    eng = _truncation_engine(f, delta, cfg)
     return SampledField(f.spec, eng.starstar_values(_full_window(f.spec)))
 
 

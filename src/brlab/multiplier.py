@@ -5,6 +5,14 @@ transition width of 1/100, so the dyadic partition of unity telescopes by
 algebra rather than by numerical tuning:
 
     chi(x) = H(x) - H(2x)   =>   sum_{k=-K..0} chi(2^{-k} x) = H(x) - H(2^{K+1} x).
+
+Every symbol carries the factor ``(1 - |xi|^2)_+^delta``, so it is exact
+``+0.0`` off the ``2L - 1`` lines per axis that meet the open unit ball (31
+of ``N`` at L = 16).  The symbols are evaluated on those lines only and
+returned as a :class:`grid.BandSymbol`: the half symbol on its nonzero
+band, which ``grid.apply_symbol`` and the band products of ``maximal`` read
+directly, with the bits of the whole-grid formula there.  The whole grid
+is a lazy view for whole-grid readers, and no ``|xi|^2`` grid is built.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from .grid import (
+    BandSymbol,
     GridSpec,
     SampledField,
     _mollifier_ramp,
     apply_symbol,
-    freq_sq,
+    sum_of_squares,
 )
 
 __all__ = [
@@ -71,21 +80,26 @@ def _sk_of_t(t, k: int, delta: float):
     return 2.0 ** (-k * delta) * t ** delta * chi(np.ldexp(t, -k))
 
 
-def _on_ball(spec: GridSpec, sym_of_t) -> np.ndarray:
-    """Read-only lattice symbol that is ``sym_of_t(t)`` where
-    ``t = 1 - |xi|^2 > 0`` and exact ``+0.0`` elsewhere; every symbol here
-    carries the factor ``t_+^delta``, which is ``+0.0`` off the open unit
-    ball (also at delta = 0), so only the ball's points are evaluated."""
-    t = 1.0 - freq_sq(spec)
+def _on_ball(spec: GridSpec, sym_of_t) -> BandSymbol:
+    """Lattice symbol that is ``sym_of_t(t)`` where ``t = 1 - |xi|^2 > 0``
+    and exact ``+0.0`` elsewhere; every symbol here carries the factor
+    ``t_+^delta``, which is ``+0.0`` off the open unit ball (also at
+    delta = 0).  Only the lines ``|j| <= m`` with ``1 - xi_j^2 > 0`` meet the
+    ball, so ``t`` is formed on their half box alone, each sum of squares in
+    the order of ``grid.freq_sq`` (the same bits), and only the ball's points
+    are evaluated; :class:`grid.BandSymbol` trims the box to the band."""
+    xi = spec.axis_freqs()
+    m = int(np.count_nonzero(1.0 - xi ** 2 > 0.0)) // 2
+    box = [(-m, m + 1)] * (spec.n - 1) + [(0, m + 1)]
+    t = 1.0 - sum_of_squares([xi[np.arange(l, h)] for l, h in box])
     ball = t > 0.0
-    out = np.zeros(spec.shape)
+    out = np.zeros(t.shape)
     out[ball] = sym_of_t(t[ball])
-    out.flags.writeable = False
-    return out
+    return BandSymbol(out, box, spec.N)
 
 
 @lru_cache(maxsize=128)
-def bochner_riesz_symbol(spec: GridSpec, delta: float) -> np.ndarray:
+def bochner_riesz_symbol(spec: GridSpec, delta: float) -> BandSymbol:
     """``(1 - |xi|^2)_+^delta`` on the frequency lattice (indicator of the
     open unit ball when delta = 0)."""
     if delta < 0:
@@ -94,7 +108,7 @@ def bochner_riesz_symbol(spec: GridSpec, delta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def truncated_symbol(spec: GridSpec, delta: float, epsilon: float) -> np.ndarray:
+def truncated_symbol(spec: GridSpec, delta: float, epsilon: float) -> BandSymbol:
     """Symbol of the truncated operator: ``(1-|xi|^2)_+^delta * chi_tilde(eps*(1-|xi|^2))``.
 
     For ``epsilon <= 1`` the cutoff is identically 1 on the support of the
@@ -109,7 +123,7 @@ def truncated_symbol(spec: GridSpec, delta: float, epsilon: float) -> np.ndarray
 
 
 @lru_cache(maxsize=256)
-def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
+def sk_symbol(spec: GridSpec, k: int, delta: float) -> BandSymbol:
     """L-infinity normalized dyadic piece
     ``2^{-k delta} (1-|xi|^2)_+^delta chi(2^{-k} (1-|xi|^2))``."""
     if k > 0:
@@ -125,7 +139,7 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> np.ndarray:
 # A multiplier spreads support, so the applications below drop it; f's
 # support box is the source box of the transform.
 
-def _apply(f: SampledField, sym: np.ndarray) -> SampledField:
+def _apply(f: SampledField, sym: BandSymbol) -> SampledField:
     return SampledField(f.spec, apply_symbol(f, sym, f.support_ranges()))
 
 

@@ -13,16 +13,18 @@ cells per axis, and the recursion descends on ``(f * 1_{6Q_j}, Q_j)``.
 Since ``6Q_j`` lies inside ``6Q``, restricting ``f`` itself to ``6Q_j``
 equals restricting the parent's input.
 
-A node's outputs depend on the operator sum ``phi`` only through the
-comparisons ``phi > C * base`` on the ladder ``C = C_INIT, 2 C_INIT, ...``
-up to ``C_MAX``, with ``base = (avg_{6Q} |f|^{p0})^{1/p0}``.  So
-``MaximalEngine.phi_values`` walks the radii once for all three operators
-and stops at the first radius that settles all of them: at every point,
-the running sum and the sum with each operator's running maximum raised to
-its certified bound for the radii left lie between the same two rungs.
-The final ``phi`` lies in that bracket, and floating-point rounding is
-monotone, so ``C``, the thresholded set, the children and the flagged
-cubes are exactly those of the walk over every radius.
+A node's outputs depend on the operator sum ``phi`` only through its rung:
+the first ``C`` of the ladder ``C_INIT, 2 C_INIT, ...`` up to ``C_MAX`` with
+``|{phi > C * base}| <= |Q|/2``, ``base = (avg_{6Q} |f|^{p0})^{1/p0}``, and
+that set.  So ``MaximalEngine.decide`` walks the radii once for all three
+operators and stops at the first radius that settles the rung: the running
+sum ``lo <= phi`` picks the first rung it leaves at most half the cube
+above, which every earlier rung of ``phi`` fails, and no point's bracket,
+the running sum up to the sum with each operator's running maximum raised
+to its certified bound for the radii left, holds that rung's threshold.
+Floating-point rounding is monotone, so ``C``, the thresholded set, the
+children and the flagged cubes are exactly those of the walk over every
+radius.
 
 The exponents ``p0`` and ``q0`` come from the ``MaximalConfig`` passed in,
 and each node is recorded as one ``TraceNode``.  Because ``|E| <= |Q|/2``
@@ -49,7 +51,7 @@ from .grid import (
     cube_average,
     prefix_sum,
 )
-from .maximal import MaximalConfig, MaximalEngine
+from .maximal import MaximalConfig, _truncation_engine
 from .multiplier import bochner_riesz_symbol
 
 __all__ = [
@@ -229,17 +231,11 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
         ladder.append(2.0 * ladder[-1])
 
     base = cube_average(f, box6, cfg.p0)
-    engine = MaximalEngine(f, delta, cfg, box=box6)
-    phi = engine.phi_values(window, [c * base for c in ladder])
-
-    half = q0_cube.cell_count // 2
-    for c in ladder:
-        mask = phi > c * base  # strict, as the level-set definition is written
-        e_cells = int(np.count_nonzero(mask))
-        if e_cells <= half:
-            break
-    else:
+    engine = _truncation_engine(f, delta, cfg, box=box6)
+    k, mask = engine.decide(window, [c * base for c in ladder], q0_cube.cell_count // 2)
+    if mask is None:
         raise ThresholdFailure(f"threshold failure: |E| > |Q|/2 up to C = {C_MAX}")
+    c, e_cells = ladder[k], int(np.count_nonzero(mask))
     cubes, flagged = _maximal_cubes(q0_cube, mask)
     return TraceNode(q0_cube, c, c * base, Fraction(e_cells, q0_cube.cell_count),
                      tuple(cubes), tuple(flagged))

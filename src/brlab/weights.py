@@ -19,6 +19,7 @@ import numpy as np
 
 from . import indices
 from .grid import (
+    BandSymbol,
     GridSpec,
     SampledField,
     _radius_sq_grid,
@@ -308,6 +309,6 @@ def random_smooth_weight(spec: GridSpec, seed: int = 0, amplitude: float = 1.0,
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(spec.shape)
     gauss = np.exp(-freq_sq(spec) * (spec.L * corr_px / spec.N) ** 2 / 2.0)
-    smooth = apply_symbol(noise, gauss)
+    smooth = apply_symbol(noise, BandSymbol(gauss))
     smooth = smooth / max(np.abs(smooth).max(), 1e-12)
     return Weight.build(SampledField(spec, np.exp(amplitude * smooth)), **kw)

@@ -12,6 +12,7 @@ from scipy import fft
 
 from brlab import grid
 from brlab.grid import (
+    BandSymbol,
     Box,
     GridSpec,
     SampledField,
@@ -138,13 +139,13 @@ def indicator_of(spec, box):
 
 
 class TestApplySymbol:
-    SYM = np.exp(-freq_sq(SPEC))  # even, like every symbol in the package
+    SYM = BandSymbol(np.exp(-freq_sq(SPEC)))  # even, like every symbol in the package
 
     def test_complex_path_follows_transform_convention(self):
         f = random_field(SPEC, seed=5)
         out = apply_symbol(f.values, self.SYM)
         F = forward_transform(f)
-        ref = inverse_transform(SpectralField(SPEC, F.coefficients * self.SYM)).values
+        ref = inverse_transform(SpectralField(SPEC, F.coefficients * self.SYM.values)).values
         assert out.dtype == np.complex128
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -159,7 +160,7 @@ class TestApplySymbol:
 def whole_grid(values, symbol):
     """The whole-grid real transform pair that ``apply_symbol`` prunes."""
     x = fft.ifftshift(values)
-    half = symbol[..., : x.shape[-1] // 2 + 1]
+    half = symbol.values[..., : x.shape[-1] // 2 + 1]
     return fft.fftshift(fft.irfftn(fft.rfftn(x) * half, s=x.shape))
 
 
@@ -169,10 +170,10 @@ def package_symbols(spec):
     syms = {"bochner_riesz": bochner_riesz_symbol(spec, 0.3),
             "truncated_1.25": truncated_symbol(spec, 0.3, 1.25),
             "truncated_8": truncated_symbol(spec, 0.3, 8.0),
-            "gaussian": np.exp(-freq_sq(spec) * (spec.L * 8 / spec.N) ** 2 / 2.0)}
+            "gaussian": BandSymbol(np.exp(-freq_sq(spec) * (spec.L * 8 / spec.N) ** 2 / 2.0))}
     for k in range(k_min(spec), 1):
         syms[f"S_{k}"] = sk_symbol(spec, k, 0.2)
-    return {name: sym for name, sym in syms.items() if sym.any()}
+    return {name: sym for name, sym in syms.items() if sym.block.any()}
 
 
 class TestApplySymbolBitwise:
@@ -229,7 +230,7 @@ class TestApplySymbolBitwise:
         # no line holds a nonzero: zeros of the read box's shape, compared by
         # value since the sign of a zero is free
         vals = np.random.default_rng(spec.N).standard_normal(spec.shape)
-        zero = np.zeros(spec.shape)
+        zero = BandSymbol(np.zeros(spec.shape))
         for src, read in self.boxes(spec.N, spec.n) + [(None, None)]:
             shape = spec.shape if read is None else tuple(h - l for l, h in read)
             for v in (vals, vals - 2j * vals):
@@ -248,6 +249,37 @@ class TestApplySymbolBitwise:
                               whole_grid(f.values.real, sym)[idx])
         assert np.array_equal(apply_symbol(f.values, sym, read=read),
                               apply_symbol(f.values, sym)[idx])
+
+
+class TestBandSymbol:
+    # A symbol evaluated on its band keeps the band of one scan of its whole
+    # grid, and the bits of that grid's half there; its whole-grid view is
+    # exact +0.0 off the band
+    SPECS = [GridSpec(1, 8.0, 64), GridSpec(2, 8.0, 64), GridSpec(2, 16.0, 1024),
+             GridSpec(2, 10.3, 128), GridSpec(3, 6.5, 64)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"n{s.n}-N{s.N}-L{s.L}")
+    def test_band_is_the_scan_of_the_whole_grid(self, spec):
+        N, n = spec.N, spec.n
+        for name, sym in package_symbols(spec).items():
+            whole = sym.values
+            scanned = BandSymbol(whole)
+            assert scanned.band == sym.band, name
+            assert np.array_equal(scanned.block.view(np.uint64), sym.block.view(np.uint64))
+            assert not (sym.block.flags.writeable or whole.flags.writeable)
+            # every line off the band is +0.0, and the band is tight
+            off = np.ones(whole.shape, dtype=bool)
+            on = [np.arange(lo, hi) % N for lo, hi in sym.band[:-1]]
+            on.append(np.r_[np.arange(*sym.band[-1]), N - np.arange(1, sym.band[-1][1])])
+            off[np.ix_(*on)] = False
+            assert not np.any(whole.view(np.uint64)[off]), name
+            for a, (lo, hi) in enumerate(sym.band):
+                edge = np.take(whole, [(hi - 1) % N], axis=a)
+                assert np.any(edge) and (a == n - 1 or np.any(np.take(whole, [lo % N], axis=a)))
+
+    def test_shape_must_match_the_box(self):
+        with pytest.raises(ValueError, match="box shape"):
+            BandSymbol(np.ones((3, 2)), [(-1, 2), (0, 3)], 16)
 
 
 class TestCubeAverage:

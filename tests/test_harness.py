@@ -153,12 +153,22 @@ class TestBoxLocalTrial:
     # bits of its sum) and less than one grid besides.  No step builds a
     # field's whole-grid view.  The selection's ball means at the largest
     # radii run on crops wider than the grid, so its peak is not bounded
-    # here.
+    # here.  The trial starts from empty caches, so it pays for its symbols:
+    # they are built on their band, with no |xi|^2 grid (freq_sq) and no
+    # whole-grid view of a symbol.
     def test_no_whole_grid_but_the_pairings(self, monkeypatch):
+        import sys
         import tracemalloc
 
         cfg = ExperimentConfig(grid_l=16.0, grid_n=1024, eps_min_exp=4, seed=7, trials=1)
-        _domination_trial((cfg, 0))  # fills the symbol caches
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "brlab"]
+        for obj in [obj for m in modules for obj in vars(m).values()]:
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+        squares, freq_sq = [], grid.freq_sq
+        for m in modules:
+            if vars(m).get("freq_sq") is freq_sq:
+                monkeypatch.setattr(m, "freq_sq", lambda spec: squares.append(spec) or freq_sq(spec))
         grid_bytes = 8 * cfg.grid_n ** 2
         peaks, open_steps = {}, []
 
@@ -188,12 +198,15 @@ class TestBoxLocalTrial:
         views, whole = [], SampledField.__dict__["values"].func
         monkeypatch.setattr(SampledField, "values",
                             property(lambda f: views.append(f) or whole(f)))
+        sym_views, sym_whole = [], grid.BandSymbol.__dict__["values"].func
+        monkeypatch.setattr(grid.BandSymbol, "values",
+                            property(lambda s: sym_views.append(s) or sym_whole(s)))
         tracemalloc.start()
         try:
             row = _domination_trial((cfg, 1))
         finally:
             tracemalloc.stop()
-        assert row[1] == "ok" and views == []
+        assert row[1] == "ok" and views == [] and sym_views == [] and squares == []
         assert sorted(peaks) == ["_trial_fields", "apply_symbol", "bilinear_pairing",
                                  "sparse_form", "verify"]
         for name, [peak] in peaks.items():
@@ -374,7 +387,7 @@ class TestOneFFTBackend:
 def whole_grid(values, symbol):
     """The whole-grid real transform pair that ``grid.apply_symbol`` prunes."""
     x = fft.ifftshift(values)
-    half = symbol[..., : x.shape[-1] // 2 + 1]
+    half = symbol.values[..., : x.shape[-1] // 2 + 1]
     return fft.fftshift(fft.irfftn(fft.rfftn(x) * half, s=x.shape))
 
 

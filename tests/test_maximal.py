@@ -77,7 +77,7 @@ def brute_starstar(f, delta, cfg, points=None):
     pts = list(itertools.product(range(spec.N), repeat=spec.n)) if points is None else points
     out = np.zeros(len(pts))
     for eps_px in cfg.eps_px_list(spec):
-        sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
+        sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5)).values
         means = torus_ball_means(np.abs(_apply_sym(f.values, sym)) ** cfg.q0, eps_px)
         np.maximum(out, candidate_max(means, eps_px, pts) ** (1.0 / cfg.q0), out=out)
     return out.reshape(spec.shape) if points is None else out
@@ -110,7 +110,7 @@ def brute_star_at(f, delta, cfg, points, mask_center=None, radii=None):
     idx = np.indices(spec.shape)
     values = dict.fromkeys(points, 0.0)
     for eps_px in cfg.eps_px_list(spec) if radii is None else radii:
-        sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5))
+        sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 0.5)).values
         groups = {}
         for x in points:
             groups.setdefault(x if mask_center is None else mask_center(x, eps_px), []).append(x)
@@ -613,35 +613,47 @@ def _tightest_bounds(f, box, window, cfg):
     return bounds
 
 
-class TestPhiValues:
+class TestDecide:
     @pytest.mark.parametrize("tightest", [False, True], ids=["certified", "tightest"])
     @pytest.mark.parametrize("q0", [2.0, 3.0])
-    def test_decides_every_rung_like_the_full_sum(self, q0, tightest, monkeypatch):
-        # doubling ladders at base scales spread over phi's range: the joint
-        # walk may stop early, but each rung's comparison is the full sum's.
-        # The tightest bounds leave the brackets no slack to hide a missing
-        # term in.
+    def test_decides_the_node_like_the_full_sum(self, q0, tightest, monkeypatch):
+        # doubling ladders at base scales spread over phi's range, each with
+        # the selection's half of the window and with a random count: the
+        # walk may stop early, but the rung and its mask, or that no rung
+        # holds, are the full sum's.  The tightest bounds leave the brackets
+        # no slack to hide a missing term in.
         cfg = MaximalConfig(q0=q0, eps_min_exp=0)
         rng = np.random.default_rng(0)
-        stopped = 0
+        walked, hl_step = [], MaximalEngine._hl_step
+        monkeypatch.setattr(MaximalEngine, "_hl_step",
+                            lambda eng, *args: walked.append(args[1]) or hl_step(eng, *args))
+        stopped = failed = 0
         for f, box, window in [*_node_cases(), _off_window_case()]:
             eng = MaximalEngine(f, DELTA, cfg, box=box)
             full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
-            if tightest:
-                b = _tightest_bounds(f, box, window, cfg)
-                monkeypatch.setattr(MaximalEngine, "_l2_bound", lambda self, r: b["l2"][r])
-                monkeypatch.setattr(MaximalEngine, "_hl_bound", lambda self, r: b["hl"][r])
-                monkeypatch.setattr(MaximalEngine, "_star_bound", lambda self, w, r: b["star"][r])
-                monkeypatch.setattr(MaximalEngine, "_band_bound", lambda self, r: b["starstar"][r])
-                eng = MaximalEngine(f, DELTA, cfg, box=box)
-            for base in full.max() * 2.0 ** rng.uniform(-20.0, 0.0, 25):
-                ladder = base * 2.0 ** np.arange(18)
-                phi = eng.phi_values(window, ladder)
-                for t in ladder:
-                    assert np.array_equal(phi > t, full > t), (window, base, t)
-                stopped += not np.array_equal(phi, full)
-            monkeypatch.undo()
-        assert stopped > 0
+            with monkeypatch.context() as m:
+                if tightest:
+                    b = _tightest_bounds(f, box, window, cfg)
+                    m.setattr(MaximalEngine, "_l2_bound", lambda self, r: b["l2"][r])
+                    m.setattr(MaximalEngine, "_hl_bound", lambda self, r: b["hl"][r])
+                    m.setattr(MaximalEngine, "_star_bound", lambda self, w, r: b["star"][r])
+                    m.setattr(MaximalEngine, "_band_bound", lambda self, r: b["starstar"][r])
+                    eng = MaximalEngine(f, DELTA, cfg, box=box)
+                for base in full.max() * 2.0 ** rng.uniform(-20.0, 0.0, 25):
+                    ladder = base * 2.0 ** np.arange(18)
+                    for most in (full.size // 2, int(rng.integers(0, full.size + 1))):
+                        over = [np.count_nonzero(full > t) for t in ladder]
+                        want = next((k for k, c in enumerate(over) if c <= most), len(ladder))
+                        walked.clear()
+                        k, mask = eng.decide(window, ladder, most)
+                        assert k == want, (window, base, most)
+                        if k == len(ladder):
+                            assert mask is None
+                            failed += 1
+                        else:
+                            assert np.array_equal(mask, full > ladder[k]), (window, base, most)
+                        stopped += len(walked) < len(eng.eps_list)
+        assert stopped > 0 and failed > 0
 
 
 class TestWindowContract:
@@ -730,7 +742,7 @@ class TestNodeBox:
         assert shared > 0
 
     def test_tile_classes_counted_once(self, monkeypatch):
-        # phi_values' bracket and br_star's steps share the tile classes of
+        # decide's bracket and br_star's steps share the tile classes of
         # each window and radius: one count of the mask balls per radius
         orig, calls = MaximalEngine._nz_in_balls, []
 
@@ -744,11 +756,11 @@ class TestNodeBox:
             eng = MaximalEngine(f, DELTA, cfg, box=box)
             full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
             calls.clear()
-            # thresholds at the values themselves keep the brackets open
-            eng.phi_values(window, np.unique(full))
+            # a threshold at the values themselves keeps the brackets open
+            eng.decide(window, np.unique(full), full.size)
             assert calls == [], window
             eng = MaximalEngine(f, DELTA, cfg, box=box)
-            eng.phi_values(window, np.unique(full))
+            eng.decide(window, np.unique(full), full.size)
             eng.star_values(window)
             assert calls and len(calls) == len(set(calls)), (window, calls)
 
@@ -1073,6 +1085,62 @@ class TestBallAverage:
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
+class TestBallCount:
+    # the exact lattice count of the radius bounds equals the number of the
+    # ball's offsets; at n = 3 and r = 128, 256 the offsets would take GBs,
+    # so a plane-by-plane count of the points stands in for them
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_ball_offsets(self, n):
+        for r in [*range(33), 64, 128, 256]:
+            if n == 3 and r > 64:
+                ar = np.arange(-r, r + 1)
+                plane = np.add.outer(ar ** 2, ar ** 2)
+                want = sum(int(np.count_nonzero(plane <= r * r - a * a)) for a in ar)
+            else:
+                want = len(_ball_offsets(n, r, 4 * r + 8))
+            assert maximal._ball_count(n, r) == want, (n, r)
+
+
+class TestPhases:
+    # the phase matrices gather one table of exp(sign 2 pi i k / N): the
+    # bits of one complex exp per entry, at every row range (negative
+    # starts, ranges longer than N) and both signs
+    @pytest.mark.parametrize("N", [16, 64, 1024])
+    def test_bitwise_equal_to_one_exp_per_entry(self, N):
+        lines = tuple(sorted({0, 1, 2, 5 % N, N - 3, N - 1}))
+        for lo, hi in ((0, N), (-7, 9), (-N - 5, 2 * N + 3), (N - 2, N + 1)):
+            for sign in (1, -1):
+                turns = np.multiply.outer(np.arange(lo, hi), np.array(lines, dtype=np.int64)) % N
+                want = np.exp(turns * (sign * 2j * np.pi / N))
+                got = maximal._phases(N, lines, lo, hi, sign)
+                assert got.shape == want.shape and not got.flags.writeable
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (lo, hi, sign)
+
+
+class TestOneDimensional:
+    # on a line, hl_maximal matches its brute force, while br_star,
+    # br_starstar and the selection reject the grid before any work
+    SPEC1 = GridSpec(n=1, L=8.0, N=64)
+
+    @pytest.mark.parametrize("op", OPERATORS)
+    def test_operators_on_a_line(self, op, monkeypatch):
+        f = make_test_function(self.SPEC1, "bump", center=0.3, radius=0.6)
+        if op == "hl":
+            got = hl_maximal(f, CFG).values
+            want = brute_hl(f, CFG, [(i,) for i in range(self.SPEC1.N)])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+            return
+        init, built = MaximalEngine.__init__, []
+        monkeypatch.setattr(MaximalEngine, "__init__",
+                            lambda eng, *args, **kw: built.append(args) or init(eng, *args, **kw))
+        run = {"star": br_star, "starstar": br_starstar}[op]
+        for call in (lambda: run(f, DELTA, CFG), lambda: exceptional_set(f, root_cube(f),
+                                                                        DELTA, CFG)):
+            with pytest.raises(ValueError, match="grid dimension n >= 2, got n = 1"):
+                call()
+        assert built == []
+
+
 def _direct_valid(a, b):
     """The valid linear convolution as a direct sum over the smaller input's
     points, with broadcasting on axes where either input has length 1."""
@@ -1217,7 +1285,7 @@ def _direct_truncate(spec, delta, eps_px, src, slo, zlo, zhi):
     sources.  Also returns the scale ``max |K| * sum |src|``, which bounds
     every value."""
     N, n = spec.N, spec.n
-    sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 1.0))
+    sym = truncated_symbol(spec, delta, max(eps_px * spec.dx, 1.0)).values
     kern = scipy.fft.irfftn(sym[..., : N // 2 + 1], s=spec.shape)
     lead = src.shape[: src.ndim - n]
     out = np.zeros(lead + tuple(h - l for l, h in zip(zlo, zhi)), dtype=src.dtype)
@@ -1264,7 +1332,7 @@ class TestTruncate:
     def test_band_lines_are_the_ascending_nonzero_lines(self, spec):
         # the band products sum over these lines in this order, which the
         # domination digests depend on
-        nz = bochner_riesz_symbol(spec, 0.2)[..., : spec.N // 2 + 1] != 0
+        nz = bochner_riesz_symbol(spec, 0.2).values[..., : spec.N // 2 + 1] != 0
         axes = range(spec.n)
         want = tuple(tuple(np.flatnonzero(nz.any(axis=tuple(b for b in axes if b != a))).tolist())
                      for a in axes)

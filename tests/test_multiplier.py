@@ -146,7 +146,7 @@ class TestTruncated:
         assert np.abs(out.values).max() < 1e-12
 
     def test_contraction_for_large_epsilon(self):
-        sym = truncated_symbol(SPEC, DELTA, 2.0)
+        sym = truncated_symbol(SPEC, DELTA, 2.0).values
         assert np.abs(sym).max() <= 1.0 + 1e-12  # direct symbol scan
         f = band_limited(SPEC, seed=6, cap=3.0)
         assert lp_norm(apply_truncated(f, DELTA, 2.0), 2.0) <= lp_norm(f, 2.0) * (1 + 1e-12)
@@ -176,7 +176,7 @@ class TestSk:
             apply_Sk(plane_wave(SPEC, (0.5, 0.0)), k_min(SPEC) - 1, DELTA)
 
     def test_symbol_bound(self):
-        sym = sk_symbol(SPEC, -1, DELTA)
+        sym = sk_symbol(SPEC, -1, DELTA).values
         assert np.abs(sym).max() <= (1 + 1 / 100.0) ** DELTA + 1e-12
 
     def test_decomposition_identity_on_lattice(self):
@@ -186,8 +186,8 @@ class TestSk:
         km = k_min(spec)
         total = np.zeros(spec.shape)
         for k in range(km, 1):
-            total = total + 2.0 ** (k * DELTA) * sk_symbol(spec, k, DELTA)
-        target = bochner_riesz_symbol(spec, DELTA)
+            total = total + 2.0 ** (k * DELTA) * sk_symbol(spec, k, DELTA).values
+        target = bochner_riesz_symbol(spec, DELTA).values
         shell = (1.0 - freq_sq(spec)) >= 2.0 ** km
         err = np.abs(total - target)[shell]
         assert err.max() < 1e-12
@@ -241,22 +241,34 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _assert_whole_lattice_formula(spec, deltas):
+    """Each symbol's whole grid equals, as uint64, the formula evaluated on
+    every lattice point."""
+    t = 1.0 - freq_sq(spec)
+    for delta in deltas:
+        base = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
+        assert np.array_equal(_bits(bochner_riesz_symbol(spec, delta).values), _bits(base))
+        for eps in (2.0, 4.0):
+            want = base * chi_tilde(eps * t)
+            assert np.array_equal(_bits(truncated_symbol(spec, delta, eps).values), _bits(want))
+        for k in range(k_min(spec), 1):
+            want = 2.0 ** (-k * delta) * base * chi(np.ldexp(t, -k))
+            assert np.array_equal(_bits(sk_symbol(spec, k, delta).values), _bits(want)), k
+
+
 class TestBallOnlySymbols:
-    # The symbols evaluate only the open unit ball 1 - |xi|^2 > 0; each must
-    # equal, as uint64, the former formula evaluated on every lattice point.
+    # The symbols evaluate only the open unit ball 1 - |xi|^2 > 0, on the
+    # lines that meet it; each must equal, as uint64, the former formula
+    # evaluated on every lattice point, with +0.0 off the band.
     @pytest.mark.parametrize("N, L", [(1024, 16.0), (512, 64.0), (256, 16.0)])
     def test_bitwise_equal_to_whole_lattice_formula(self, N, L):
-        spec = GridSpec(n=2, L=L, N=N)
-        t = 1.0 - freq_sq(spec)
-        for delta in (0.0, 0.2):
-            base = np.where(t > 0.0, np.maximum(t, 0.0) ** delta, 0.0)
-            assert np.array_equal(_bits(bochner_riesz_symbol(spec, delta)), _bits(base))
-            for eps in (2.0, 4.0):
-                want = base * chi_tilde(eps * t)
-                assert np.array_equal(_bits(truncated_symbol(spec, delta, eps)), _bits(want))
-            for k in range(k_min(spec), 1):
-                want = 2.0 ** (-k * delta) * base * chi(np.ldexp(t, -k))
-                assert np.array_equal(_bits(sk_symbol(spec, k, delta)), _bits(want)), k
+        _assert_whole_lattice_formula(GridSpec(n=2, L=L, N=N), (0.0, 0.2))
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 8.0, 64), GridSpec(2, 10.3, 128),
+                                      GridSpec(3, 6.5, 64), GridSpec(3, 1.9, 8)],
+                             ids=lambda s: f"n{s.n}-N{s.N}-L{s.L}")
+    def test_band_evaluation_in_every_dimension(self, spec):
+        _assert_whole_lattice_formula(spec, (0.0, 0.2, 0.5))
 
 
 def _radial_kernel_per_radius(k, delta, radii, n, bessel):

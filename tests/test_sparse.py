@@ -219,8 +219,8 @@ def _full_walk_node(f, cube, delta, cfg):
 
 
 class TestDecisionExactWalk:
-    # exceptional_set stops its walk over the radii once every threshold
-    # decision is settled; each of its nodes equals the full walk's
+    # exceptional_set stops its walk over the radii once the node's rung
+    # and mask are settled; each of its nodes equals the full walk's
     @staticmethod
     def _checked_nodes(monkeypatch, ecfg, trials):
         """Every selection node of the trials, each checked against the full
@@ -249,12 +249,13 @@ class TestDecisionExactWalk:
         assert len(nodes) > 10 and any(n.children for n in nodes)
 
     def test_equals_full_walk_at_1024_on_floor_nodes(self, monkeypatch):
-        # seed 7 trial 0: 17 nodes of every size, 9 of them floor nodes
+        # seed 7 trial 0: 17 nodes of every size, 9 of them floor nodes; the
+        # 110 listed radii walk as 4 (5 while every rung had to be decided)
         ecfg = ExperimentConfig(grid_n=1024, eps_min_exp=4, seed=7, trials=1)
         nodes, walked, listed = self._checked_nodes(monkeypatch, ecfg, [0])
         floor = [n for n in nodes if n.cube.cells < 2 * sparse.RECURSION_FLOOR_CELLS]
         assert len(floor) >= 3
-        assert walked < listed / 2
+        assert walked <= 4 < listed / 2
 
     def test_equals_full_walk_at_q0_3(self, monkeypatch):
         # q0 > 2 brackets with the kernel bound of the truncated operators
