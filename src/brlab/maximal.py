@@ -701,17 +701,17 @@ class MaximalEngine:
     def star_values(self, window: Window) -> np.ndarray:
         return self._walk(self._star_step, window)
 
-    def decide(self, window: Window, thresholds, most: int) -> tuple[int, np.ndarray | None]:
-        """The first of the ascending ``thresholds`` ``t`` with at most
-        ``most`` points of the window where ``phi = star + starstar + M_{p0}``
-        of f, summed in that order, exceeds ``t``, as its index ``k`` and the
+    def decide(self, window: Window, thresholds) -> tuple[int, np.ndarray | None]:
+        """The first of the ascending ``thresholds`` ``t`` with at most half
+        the points of the window where ``phi = star + starstar + M_{p0}`` of
+        f, summed in that order, exceeds ``t``, as its index ``k`` and the
         mask ``phi > t``; ``len(thresholds)`` and None where there is none.
         Each comparison is that of the walk over every radius (module
         docstring, "Radius bounds").
 
         Before each radius, a point's running sum ``lo`` and the same sum
         with each accumulator raised to its bound, ``hi``, bracket its final
-        value.  ``k`` is the first index with at most ``most`` points of
+        value.  ``k`` is the first index with at most half the window in
         ``lo > t_k``: as ``phi >= lo``, every earlier threshold has more.
         Once no point has ``lo <= t_k < hi``, ``phi > t_k`` exactly where
         ``lo > t_k``, and the walk returns: first with the l2 bounds, which
@@ -728,8 +728,8 @@ class MaximalEngine:
         for eps_px in [*self.eps_list, None]:
             hl = best ** inv_p0
             lo = star + starstar + hl
-            k = next((k for k, t in enumerate(thresholds) if np.count_nonzero(lo > t) <= most),
-                     len(thresholds))
+            k = next((k for k, t in enumerate(thresholds)
+                      if np.count_nonzero(lo > t) <= lo.size // 2), len(thresholds))
             if k == len(thresholds) or eps_px is None:
                 return k, None if k == len(thresholds) else lo > thresholds[k]
             t, hl_hi = thresholds[k], np.maximum(hl, self._hl_bound(eps_px))

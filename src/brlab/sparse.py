@@ -232,7 +232,7 @@ def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,
 
     base = cube_average(f, box6, cfg.p0)
     engine = _truncation_engine(f, delta, cfg, box=box6)
-    k, mask = engine.decide(window, [c * base for c in ladder], q0_cube.cell_count // 2)
+    k, mask = engine.decide(window, [c * base for c in ladder])
     if mask is None:
         raise ThresholdFailure(f"threshold failure: |E| > |Q|/2 up to C = {C_MAX}")
     c, e_cells = ladder[k], int(np.count_nonzero(mask))

@@ -617,11 +617,10 @@ class TestDecide:
     @pytest.mark.parametrize("tightest", [False, True], ids=["certified", "tightest"])
     @pytest.mark.parametrize("q0", [2.0, 3.0])
     def test_decides_the_node_like_the_full_sum(self, q0, tightest, monkeypatch):
-        # doubling ladders at base scales spread over phi's range, each with
-        # the selection's half of the window and with a random count: the
-        # walk may stop early, but the rung and its mask, or that no rung
-        # holds, are the full sum's.  The tightest bounds leave the brackets
-        # no slack to hide a missing term in.
+        # doubling ladders at base scales spread over phi's range: the walk
+        # may stop early, but the rung and its mask, or that no rung holds,
+        # are the full sum's.  The tightest bounds leave the brackets no
+        # slack to hide a missing term in.
         cfg = MaximalConfig(q0=q0, eps_min_exp=0)
         rng = np.random.default_rng(0)
         walked, hl_step = [], MaximalEngine._hl_step
@@ -641,18 +640,18 @@ class TestDecide:
                     eng = MaximalEngine(f, DELTA, cfg, box=box)
                 for base in full.max() * 2.0 ** rng.uniform(-20.0, 0.0, 25):
                     ladder = base * 2.0 ** np.arange(18)
-                    for most in (full.size // 2, int(rng.integers(0, full.size + 1))):
-                        over = [np.count_nonzero(full > t) for t in ladder]
-                        want = next((k for k, c in enumerate(over) if c <= most), len(ladder))
-                        walked.clear()
-                        k, mask = eng.decide(window, ladder, most)
-                        assert k == want, (window, base, most)
-                        if k == len(ladder):
-                            assert mask is None
-                            failed += 1
-                        else:
-                            assert np.array_equal(mask, full > ladder[k]), (window, base, most)
-                        stopped += len(walked) < len(eng.eps_list)
+                    over = [np.count_nonzero(full > t) for t in ladder]
+                    want = next((k for k, c in enumerate(over) if c <= full.size // 2),
+                                len(ladder))
+                    walked.clear()
+                    k, mask = eng.decide(window, ladder)
+                    assert k == want, (window, base)
+                    if k == len(ladder):
+                        assert mask is None
+                        failed += 1
+                    else:
+                        assert np.array_equal(mask, full > ladder[k]), (window, base)
+                    stopped += len(walked) < len(eng.eps_list)
         assert stopped > 0 and failed > 0
 
 
@@ -757,10 +756,10 @@ class TestNodeBox:
             full = eng.star_values(window) + eng.starstar_values(window) + eng.hl_values(window)
             calls.clear()
             # a threshold at the values themselves keeps the brackets open
-            eng.decide(window, np.unique(full), full.size)
+            eng.decide(window, np.unique(full))
             assert calls == [], window
             eng = MaximalEngine(f, DELTA, cfg, box=box)
-            eng.decide(window, np.unique(full), full.size)
+            eng.decide(window, np.unique(full))
             eng.star_values(window)
             assert calls and len(calls) == len(set(calls)), (window, calls)
 
