@@ -83,11 +83,10 @@ its running maximum over the window.  A ball mean of a density never
 exceeds the density's total over the ball's point count, so the HL bound
 at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``, the count
 ``|ball_r|`` summed in closed form over the leading offsets (no ball is
-built for it).  The truncated
-symbol lies in [0, 1], and discrete Parseval gives
-``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and for every
-masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2``
-``br_starstar`` and ``br_star`` share the bound
+built for it).  The truncated symbol lies in [0, 1], and discrete
+Parseval gives ``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and
+for every masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for
+``q0 == 2`` ``br_starstar`` and ``br_star`` share the bound
 ``l2 = (sum |f|^2 / |ball_eps|)^(1/2)``.  For ``q0 > 2``, Cauchy-Schwarz
 also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
 ``mean |B_eps h|^q0 <= max |B_eps h|^(q0 - 2) mean |B_eps h|^2`` gives the
@@ -760,9 +759,10 @@ def hl_maximal(f: SampledField, cfg: MaximalConfig) -> SampledField:
 
 def _truncation_engine(f: SampledField, delta: float, cfg: MaximalConfig,
                        box: Box | None = None) -> MaximalEngine:
-    """The engine of ``br_star`` and ``br_starstar``, whose tiles and band
-    products have no one-dimensional case: a one-dimensional grid is
-    rejected before any work."""
+    """The engine of ``br_star``, ``br_starstar`` and the selection nodes
+    (``sparse.exceptional_set``): the tiles and band products of the two
+    truncated operators have no one-dimensional case, so a one-dimensional
+    grid is rejected before any work."""
     if f.spec.n < 2:
         raise ValueError("br_star and br_starstar need grid dimension n >= 2, "
                          f"got n = {f.spec.n}")
