@@ -72,8 +72,20 @@ of the window plus the radius, kept on the window (``_ball_mean_linear``,
 one circular convolution at ``next_fast_len`` of the crop): ``eps <= N/4``
 keeps the ball's offsets distinct mod ``N``, so the crop gives exact torus
 means even where it is wider than the grid and holds a grid point twice.
-All ball geometry uses grid pixels with the minimal-image torus metric,
-ties at the boundary included.
+
+Balls
+-----
+Every ball is read from one chord table, ``_ball_rows(n, r)``: the leading
+offsets ``a`` with ``|a| <= r`` in C order and, for each, the half-width
+``h = isqrt(r^2 - |a|^2)`` of its chord ``{(a, j) : |j| <= h}`` along the
+last axis.  The point count is the sum of ``2h + 1``, the y-max reads the
+chords by level, and the ball's indicator on its index box (``ball_points``,
+the partial tiles' mask balls) and its spectrum (the ball means) fill the
+chords; no ``(2r + 1)^n`` grid of offsets is built.  Where ``2r + 1 > N``
+(a mask ball ``B(c, 3 eps)`` from ``6 eps >= N`` on, or ``ball_points`` at a
+large radius) the ball is cut to the window ``[-N/2, N/2)^n``, on which
+each offset is its own minimal image: every grid point within ``r`` of the
+center in the minimal-image torus metric, ties included, once.
 
 Radius bounds
 -------------
@@ -82,11 +94,11 @@ certified upper bound, times ``1 + 1e-9``, is at or below the minimum of
 its running maximum over the window.  A ball mean of a density never
 exceeds the density's total over the ball's point count, so the HL bound
 at radius ``r`` is ``(sum |f|^p0 / |ball_r|)^(1/p0)``, the count
-``|ball_r|`` summed in closed form over the leading offsets (no ball is
-built for it).  The truncated symbol lies in [0, 1], and discrete
-Parseval gives ``sum |B_eps h|^2 <= sum |h|^2 <= sum |f|^2`` for ``f`` and
-for every masked restriction ``h = f 1_{B(c, 3 eps)^c}``; so for
-``q0 == 2`` ``br_starstar`` and ``br_star`` share the bound
+``|ball_r|`` read off the chord table.  The truncated symbol lies in
+[0, 1], and discrete Parseval gives ``sum |B_eps h|^2 <= sum |h|^2 <=
+sum |f|^2`` for ``f`` and for every masked restriction
+``h = f 1_{B(c, 3 eps)^c}``; so for ``q0 == 2`` ``br_starstar`` and
+``br_star`` share the bound
 ``l2 = (sum |f|^2 / |ball_eps|)^(1/2)``.  For ``q0 > 2``, Cauchy-Schwarz
 also gives ``|B_eps h| <= ||K_eps||_2 ||f||_2`` pointwise, and
 ``mean |B_eps h|^q0 <= max |B_eps h|^(q0 - 2) mean |B_eps h|^2`` gives the
@@ -196,39 +208,52 @@ class MaximalConfig:
 
 # -- ball geometry in grid pixels (minimal-image torus metric) ---------------
 
-def _torus_dist(c: float | np.ndarray, lo: int, hi: int, N: int) -> np.ndarray:
-    """Minimal-image distance from ``c`` (a number, or a column of them) of
-    the indices ``lo .. hi - 1`` on an axis of ``N`` points."""
-    m = (np.arange(lo, hi) - c) % N
-    return np.minimum(m, N - m)
+@lru_cache(maxsize=64)
+def _ball_rows(n: int, r_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-ball as chords along the last axis: the leading offsets ``a``
+    with ``|a| <= r_px`` in C order, one row each, and each chord's
+    half-width ``isqrt(r^2 - |a|^2)``."""
+    h2 = r_px * r_px - sum_of_squares([np.arange(-r_px, r_px + 1)] * (n - 1))
+    rows = np.argwhere(h2 >= 0) - r_px
+    # floor of a correctly rounded root: exact for h2 < 2^52
+    half = np.sqrt(h2[h2 >= 0]).astype(np.int64)
+    rows.flags.writeable = half.flags.writeable = False
+    return rows, half
 
 
 @lru_cache(maxsize=256)
-def _ball_offsets(n: int, r_px: int, N: int) -> np.ndarray:
-    """Integer offsets with torus distance <= r_px (ties included)."""
-    lo, hi = (-r_px, r_px + 1) if 2 * r_px + 1 <= N else (-(N // 2), N - N // 2)
-    mask = sum_of_squares([_torus_dist(0, lo, hi, N)] * n) <= r_px * r_px
-    grids = np.meshgrid(*([np.arange(lo, hi)] * n), indexing="ij")
-    out = np.stack([g[mask] for g in grids], axis=-1)
-    out.flags.writeable = False
-    return out
+def _ball_count(n: int, r_px: int) -> int:
+    """The number of lattice points ``a`` of R^n with ``|a| <= r_px``."""
+    return int(np.sum(2 * _ball_rows(n, r_px)[1] + 1))
 
 
 @lru_cache(maxsize=64)
-def _ball_chords(n: int, r_px: int, N: int) -> tuple:
-    """The r-ball (``r_px <= N/4``, so the plain ball) as chords along the
-    last axis, by level: entry ``k`` pairs each half-width ``h`` with
-    ``floor(log2(2h + 1)) == k`` with the leading offsets ``a`` of its
-    chords ``{(a, j) : |j| <= h}``."""
-    offs = _ball_offsets(n, r_px, N)
-    # offsets run in C order, so a chord starts where the leading ones change
-    first = np.r_[True, np.any(offs[1:, :-1] != offs[:-1, :-1], axis=1)]
+def _ball_chords(n: int, r_px: int) -> tuple:
+    """The r-ball's chords by level: entry ``k`` pairs each half-width ``h``
+    with ``floor(log2(2h + 1)) == k`` with the leading offsets ``a`` of its
+    chords ``{(a, j) : |j| <= h}``, in C order."""
+    rows, half = _ball_rows(n, r_px)
     leads: dict[int, list] = {}
-    for a, h in zip(offs[first, :-1].tolist(), (-offs[first, -1]).tolist()):
+    for a, h in zip(rows.tolist(), half.tolist()):
         leads.setdefault(h, []).append(tuple(a))
     return tuple(tuple((h, tuple(leads[h])) for h in sorted(leads)
                        if (2 * h + 1).bit_length() == k + 1)
                  for k in range((2 * r_px + 1).bit_length()))
+
+
+@lru_cache(maxsize=16)
+def _ball_box(n: int, r_px: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The low corner of the index box spanned by the r-ball's offsets, and
+    the ball's indicator on that box.  Where ``2 r_px + 1 > N`` the ball is
+    cut to the window ``[-N/2, N/2)^n``, on which each offset is its own
+    minimal image: every grid point within ``r_px`` of 0, once."""
+    lo, hi = max(-r_px, -(N // 2)), min(r_px, N - N // 2 - 1)
+    rows, half = _ball_rows(n, r_px)
+    keep = np.all((rows >= lo) & (rows <= hi), axis=1)
+    mask = np.zeros((hi + 1 - lo,) * n, dtype=bool)
+    mask[tuple((rows[keep] - lo).T)] = np.abs(np.arange(lo, hi + 1)) <= half[keep, None]
+    mask.flags.writeable = False
+    return (lo,) * n, mask
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,8 +287,9 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndarray:
     """Half spectrum of the r-ball indicator on a periodic array of
     ``shape``, offset 0 at index 0."""
+    lo, box = _ball_box(n, r_px, N)
     ball = np.zeros(shape)
-    ball[tuple((_ball_offsets(n, r_px, N) % shape).T)] = 1.0
+    ball[tuple((i + l) % m for i, l, m in zip(np.nonzero(box), lo, shape))] = 1.0
     spec = fft.rfftn(ball)
     spec.flags.writeable = False
     return spec
@@ -284,29 +310,7 @@ def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int, n: int | None = None) 
     conv = fft.irfftn(fft.rfftn(arr, fshape, axes) * _ball_spectrum(n, r_px, N, fshape),
                       fshape, axes)
     conv = conv[(...,) + tuple(slice(r_px, arr.shape[a] - r_px) for a in axes)]
-    return np.maximum(conv, 0.0) / len(_ball_offsets(n, r_px, N))
-
-
-@lru_cache(maxsize=16)
-def _ball_box(n: int, r_px: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The low corner of the index box spanned by the r-ball's offsets, and
-    the ball's indicator on that box (its nonzeros in ``_ball_offsets``
-    order)."""
-    offs = _ball_offsets(n, r_px, N)
-    lo = offs.min(axis=0)
-    mask = np.zeros(tuple(offs.max(axis=0) + 1 - lo), dtype=bool)
-    mask[tuple((offs - lo).T)] = True
-    mask.flags.writeable = False
-    return tuple(int(v) for v in lo), mask
-
-
-@lru_cache(maxsize=256)
-def _ball_count(n: int, r_px: int) -> int:
-    """The number of lattice points ``a`` of R^n with ``|a| <= r_px``: over
-    the leading offsets ``a'``, ``2 isqrt(r^2 - |a'|^2) + 1`` each."""
-    h2 = r_px * r_px - sum_of_squares([np.arange(-r_px, r_px + 1)] * (n - 1))
-    # floor of a correctly rounded root: exact for h2 < 2^52
-    return int(np.sum(2 * np.sqrt(h2[h2 >= 0]).astype(np.int64) + 1))
+    return np.maximum(conv, 0.0) / _ball_count(n, r_px)
 
 
 def _radius_bound(power_sum: float, n: int, r_px: int, p: float) -> float:
@@ -600,7 +604,7 @@ class MaximalEngine:
         n, N, q0 = self.spec.n, self.spec.N, self.cfg.q0
         avg = _ball_mean_linear(np.abs(g) ** q0, eps_px, N, n) ** (1.0 / q0)
         shape = tuple(m - 2 * eps_px for m in avg.shape[avg.ndim - n:])
-        out, chords = np.zeros(avg.shape[:avg.ndim - n] + shape), _ball_chords(n, eps_px, N)
+        out, chords = np.zeros(avg.shape[:avg.ndim - n] + shape), _ball_chords(n, eps_px)
         for k, table in enumerate(doubling_table(avg, np.maximum, len(chords), (avg.ndim - 1,))):
             for h, leads in chords[k]:
                 lo, hi = eps_px - h, eps_px + h + 1 - (1 << k)
@@ -785,7 +789,7 @@ def ball_points(spec: GridSpec, center, radius: float
                 ) -> tuple[list[tuple[int, int]], tuple[np.ndarray, ...]]:
     """The grid points of the ball B(center, radius): the index box spanned
     by their offsets (ranges taken mod N, as ``grid.apply_symbol`` reads
-    them) and their indices inside that box, in ``_ball_offsets`` order."""
+    them) and their indices inside that box, in C order."""
     c = np.broadcast_to(np.asarray(center, dtype=float), (spec.n,))
     c_px = np.round(c / spec.dx + spec.N // 2).astype(int)
     lo, ball = _ball_box(spec.n, int(math.floor(radius / spec.dx)), spec.N)

@@ -1,6 +1,7 @@
 """Maximal operators: brute-force oracles, domination, scaling, weak type."""
 
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from brlab.maximal import (
     MaximalConfig,
     MaximalEngine,
     _ball_mean_linear,
-    _ball_offsets,
     _fftconvolve,
     _full_window,
     ball_average,
@@ -38,6 +38,18 @@ def _wrap_take(arr, lo, hi):
     """Reference: the whole grid ``arr`` over the index box ``[lo, hi)``,
     indices taken mod N."""
     return arr[np.ix_(*(np.arange(l, h) % arr.shape[0] for l, h in zip(lo, hi)))]
+
+
+def _ball_offsets(n, r_px, N):
+    """Reference: the integer offsets within ``r_px`` of 0 in the
+    minimal-image torus metric (ties included), in C order; offsets of a
+    ball wider than the grid are taken from the window ``[-N/2, N/2)``."""
+    lo, hi = (-r_px, r_px + 1) if 2 * r_px + 1 <= N else (-(N // 2), N - N // 2)
+    m = np.arange(lo, hi) % N
+    dist = np.minimum(m, N - m)
+    mask = sum(np.meshgrid(*([dist ** 2] * n), indexing="ij")) <= r_px * r_px
+    grids = np.meshgrid(*([np.arange(lo, hi)] * n), indexing="ij")
+    return np.stack([g[mask] for g in grids], axis=-1)
 
 
 def spiky_field(spec=SPEC, seed=11):
@@ -1100,6 +1112,51 @@ class TestBallCount:
             assert maximal._ball_count(n, r) == want, (n, r)
 
 
+class TestBallRows:
+    # every ball of maximal is read from one chord table, _ball_rows; the
+    # oracle lists the offsets of the whole (2r + 1)^n grid, on both sides
+    # of 2r + 1 = N, where the ball is cut to the window [-N/2, N/2)^n
+    @pytest.mark.parametrize("n, N, radii", [(1, 16, range(10)), (2, 16, range(10)),
+                                             (3, 8, range(6))], ids=["n1", "n2", "n3"])
+    def test_matches_offset_oracle(self, n, N, radii):
+        spec = GridSpec(n=n, L=N / 8.0, N=N)
+        for r in radii:
+            offs, plain = _ball_offsets(n, r, N), _ball_offsets(n, r, 2 * r + 1)
+            lo, box = maximal._ball_box(n, r, N)
+            assert box.shape == tuple(offs.max(axis=0) + 1 - offs.min(axis=0)), r
+            ranges, idx = maximal.ball_points(spec, 0.0, (r + 0.5) * spec.dx)
+            assert ranges == [(N // 2 + l, N // 2 + l + m) for l, m in zip(lo, box.shape)]
+            # the same points, in the oracle's C order
+            assert np.array_equal(np.stack(idx, axis=-1) + lo, offs), r
+            assert maximal._ball_count(n, r) == len(plain), r
+            # the chords, ascending in h by level, rebuild the plain ball
+            points = []
+            for k, level in enumerate(maximal._ball_chords(n, r)):
+                assert [h for h, _ in level] == sorted({h for h, _ in level}), r
+                for h, leads in level:
+                    assert (2 * h + 1).bit_length() == k + 1 and list(leads) == sorted(leads)
+                    points += [(*a, j) for a in leads for j in range(-h, h + 1)]
+            assert sorted(points) == list(map(tuple, plain.tolist())), r
+            shape = tuple(N + 1 + a for a in range(n))
+            ball = np.zeros(shape)
+            ball[tuple((offs % shape).T)] = 1.0
+            assert np.array_equal(maximal._ball_spectrum(n, r, N, shape),
+                                  scipy.fft.rfftn(ball)), r
+
+    def test_box_fill_builds_no_offset_grid(self):
+        # the indicator of a ball wider than the grid comes from the chord
+        # table: a (2r + 1)^n grid of offsets took 152 MB here
+        maximal._ball_box.cache_clear()
+        maximal._ball_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            maximal._ball_box(3, 96, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+
+
 class TestPhases:
     # the phase matrices gather one table of exp(sign 2 pi i k / N): the
     # bits of one complex exp per entry, at every row range (negative
@@ -1163,8 +1220,6 @@ class TestFftconvolve:
     """The valid linear convolution and the ball means against direct sums."""
 
     SHAPES = [
-        ((60,), (38,)),            # larger length 60, a fast FFT size; 97 is not
-        ((38,), (60,)),            # the second input the larger
         ((50, 30), (48, 20)),
         ((9, 12), (23, 31)),
         ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
