@@ -19,8 +19,9 @@ otherwise.  A field with a declared support box stores only its block on
 the box's sample points and is exact ``+0.0`` elsewhere: the test fields
 cover 2-5% of the grid at N = 1024, so building, adding and scaling them,
 their cube and ball averages and the source rows of :func:`apply_symbol`
-work on boxes, reading through :func:`_wrap_take`, which meets the stored
-block with the read box and fills the rest with zeros.  The whole grid
+work on the stored block (``SampledField.block_ranges``: the support box,
+or the whole grid without one), reading through :func:`_wrap_take`, which
+meets the stored block with the read box and fills the rest with zeros.  The whole grid
 (``SampledField.values``) is built on first use, for the whole-grid
 operations: norms, weights and field files.
 
@@ -35,10 +36,10 @@ r2c pass along the last axis, then c2c passes along axes 0, ..., n-2;
 ``irfftn`` is the unscaled inverse c2c passes in the same order, then a c2r
 pass along the last axis scaled by ``1/N^n``.  The passes are pruned to the
 lines that can change the result: the r2c pass runs only on the rows of the
-source box, where the values can be nonzero, the c2c passes only on the
+field's block, where the values can be nonzero, the c2c passes only on the
 band, a range of lines per axis that holds every nonzero of the symbol, and
 the c2r pass only on the rows of the box that is read, followed by one
-multiply by ``1/N^n``.  Each axis but the last takes the source box's rows
+multiply by ``1/N^n``.  Each axis but the last takes the block's rows
 before its forward pass and the read box's rows after its inverse pass; the
 last axis is taken whole in ``ifftshift`` order and cut to the read box
 after the c2r pass.  Every index set is a range taken mod N (a box's rows,
@@ -333,10 +334,11 @@ class SampledField:
         meet and exact ``+0.0`` elsewhere."""
         return _wrap_take(self._block, box, self._at, self.spec.N)
 
-    def support_ranges(self) -> list[tuple[int, int]] | None:
-        """Index ranges of the support box (the ``src`` of
-        :func:`apply_symbol`), or None without one."""
-        return None if self.support is None else list(self._at)
+    @property
+    def block_ranges(self) -> tuple[tuple[int, int], ...]:
+        """Index ranges of the stored block, the box outside which the field
+        vanishes: the support box's, or the whole grid without one."""
+        return self._at
 
     def __mul__(self, c):
         return SampledField(self.spec, self._block * c, self.support)
@@ -463,30 +465,26 @@ class BandSymbol:
         return out
 
 
-def apply_symbol(values, symbol: BandSymbol, src=None, read=None) -> np.ndarray:
-    """Multiply the spectrum of centered grid ``values`` (an array, or a
-    :class:`SampledField`) by a lattice ``symbol`` and return the result
-    on the index box ``read`` (the whole grid by default).
-    ``src`` is an index box outside which ``values`` vanish (the whole grid
-    by default).  An index box gives per axis a range ``(lo, hi)`` of
-    centered indices, taken mod N, as :meth:`Box.index_ranges` does.  Arrays
-    and fields take the same read through :func:`_wrap_take`: ``src``'s rows
-    on every axis but the last, and the last axis whole in fft order.
+def apply_symbol(f: SampledField, symbol: BandSymbol, read=None) -> np.ndarray:
+    """Multiply the spectrum of the field ``f`` by a lattice ``symbol`` and
+    return the result on the index box ``read`` (the whole grid by default).
+    An index box gives per axis a range ``(lo, hi)`` of centered indices,
+    taken mod N, as :meth:`Box.index_ranges` does.  The source rows are those
+    of ``f``'s stored block (:attr:`SampledField.block_ranges`), outside which
+    it vanishes: the block's rows on every axis but the last, read through
+    :func:`_wrap_take`, and the last axis whole in fft order.
 
     ``symbol`` must be even.  A real result has the bits of
-    ``fftshift(irfftn(rfftn(ifftshift(values)) * half, s))``, ``half`` the
+    ``fftshift(irfftn(rfftn(ifftshift(f.values)) * half, s))``, ``half`` the
     columns ``0 .. N/2`` of ``symbol.values`` (an exact zero may differ in
     sign), from the pruned passes of the module docstring; complex values
     take those passes on their real and imaginary parts.
     """
-    if isinstance(values, SampledField):
-        arr, at, N = values._block, values._at, values.spec.N
-    else:
-        arr, at, N = values, None, len(values)
+    N = f.spec.N
     # every range from here on in fft indices: centered index j is fft index j - N/2
-    at, src, read = ([(l - N // 2, h - N // 2) for l, h in box or [(0, N)] * arr.ndim]
-                     for box in (at, src, read))
-    return _pruned_passes(_wrap_take(arr, [*src[:-1], (0, N)], at, N), symbol, src, read)
+    at, read = ([(l - N // 2, h - N // 2) for l, h in box or [(0, N)] * f.spec.n]
+                for box in (f.block_ranges, read))
+    return _pruned_passes(_wrap_take(f._block, [*at[:-1], (0, N)], at, N), symbol, at, read)
 
 
 def _pruned_passes(x: np.ndarray, symbol: BandSymbol, src, read) -> np.ndarray:
@@ -535,8 +533,7 @@ def cube_average(f: SampledField, box: Box, p: float) -> float:
     ranges = box.index_ranges(spec)
     if any(h == l for l, h in ranges):
         raise ValueError("empty intersection: box contains no sample points")
-    # a field without a support box is stored whole and covers the box
-    inner = [_cap(r, a) for r, a in zip(ranges, f.support_ranges() or ranges)]
+    inner = [_cap(r, a) for r, a in zip(ranges, f.block_ranges)]
     dens = np.zeros(tuple(h - l for l, h in ranges))
     cut = tuple(slice(s - l, e - l) for (s, e), (l, _) in zip(inner, ranges))
     dens[cut] = np.abs(f.take(inner)) ** p

@@ -336,7 +336,7 @@ def _sk_ball_average(f: SampledField, k: int, delta: float, radius: float) -> fl
     """``ball_average(apply_Sk(f, k, delta), 0, radius, 2)``, with ``S_k f``
     computed only on the index box of the ball's points."""
     box, idx = ball_points(f.spec, 0.0, radius)
-    vals = apply_symbol(f, sk_symbol(f.spec, int(k), float(delta)), f.support_ranges(), box)
+    vals = apply_symbol(f, sk_symbol(f.spec, int(k), float(delta)), box)
     return lp_mean(vals[idx], 2.0)
 
 
@@ -434,7 +434,7 @@ def run_prop42(cfg: ExperimentConfig) -> Report:
         )
         # f * 1_{|x| <= 3 eps} on f's support box
         near = np.sqrt(sum_of_squares(f.support.samples(spec)[1])) <= 3.0 * eps
-        local = SampledField(spec, f.take(f.support_ranges()) * near, support=f.support)
+        local = SampledField(spec, f.take(f.block_ranges) * near, support=f.support)
         lhs = _sk_ball_average(local, k, cfg.delta, 2.0 * eps)
         return lhs, 2.0 ** (-k * rho) * ball_average(f, 0.0, 3.0 * eps, float(cfg.p0))
 

@@ -10,7 +10,7 @@ string like ``"6/5"``.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 __all__ = [
@@ -184,6 +184,13 @@ def _bound_exponents(p, p0, side: str) -> tuple[Fraction, Fraction, Fraction]:
     raise ValueError(f"side must be 'below2' or 'above2', got {side!r}")
 
 
+# the report labels of the fields not reported under their own name
+_ROW_LABELS = {"delta_p": "delta(p)", "rho": "rho_n(p0)", "delta_bar": "delta_bar_n(p0)",
+               "nu2": "nu_2(p0)", "delta_bar2": "delta_bar_2(p0)",
+               "alpha_below": "alpha(below2)", "alpha_above": "alpha(above2)",
+               "provider": "delta_tilde_provider"}
+
+
 @dataclass(frozen=True)
 class ExponentRecord:
     """Every closed-form index for a parameter choice (n, p0, q0, delta, p, q)."""
@@ -249,6 +256,9 @@ class ExponentRecord:
         )
 
     def rows(self) -> list[tuple[str, str]]:
+        """``(label, value)`` for every field in order, labelled by
+        :data:`_ROW_LABELS` or by its own name; None reads ``-`` and a bool
+        ``true``/``false``."""
         def fmt(v):
             if v is None:
                 return "-"
@@ -256,24 +266,5 @@ class ExponentRecord:
                 return "true" if v else "false"
             return str(v)
 
-        return [
-            ("n", fmt(self.n)),
-            ("p0", fmt(self.p0)),
-            ("q0", fmt(self.q0)),
-            ("p", fmt(self.p)),
-            ("q", fmt(self.q)),
-            ("delta", fmt(self.delta)),
-            ("delta(p)", fmt(self.delta_p)),
-            ("p1", fmt(self.p1)),
-            ("theta", fmt(self.theta)),
-            ("rho_n(p0)", fmt(self.rho)),
-            ("delta_bar_n(p0)", fmt(self.delta_bar)),
-            ("nu_2(p0)", fmt(self.nu2)),
-            ("delta_bar_2(p0)", fmt(self.delta_bar2)),
-            ("alpha(below2)", fmt(self.alpha_below)),
-            ("alpha(above2)", fmt(self.alpha_above)),
-            ("pair_admissible", fmt(self.pair_admissible)),
-            ("vv_admissible", fmt(self.vv_admissible)),
-            ("delta_tilde_provider", self.provider),
-            ("conjectural", fmt(self.conjectural)),
-        ]
+        return [(_ROW_LABELS.get(f.name, f.name), fmt(getattr(self, f.name)))
+                for f in fields(self)]

@@ -427,7 +427,7 @@ class MaximalEngine:
         # f is read as f * 1_box: exactly zero outside the support index box,
         # where the sample ranges of the box and of f's support meet
         self._bounded = f.support is not None or box is not None
-        at = f.support_ranges() or _full_window(f.spec)
+        at = f.block_ranges
         if box is not None:
             at = [_cap(r, s) for r, s in zip(at, box.index_ranges(f.spec))]
         self._at = tuple(at)
@@ -790,6 +790,8 @@ def ball_points(spec: GridSpec, center, radius: float
     """The grid points of the ball B(center, radius): the index box spanned
     by their offsets (ranges taken mod N, as ``grid.apply_symbol`` reads
     them) and their indices inside that box, in C order."""
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"ball radius must be finite and >= 0, got {radius}")
     c = np.broadcast_to(np.asarray(center, dtype=float), (spec.n,))
     c_px = np.round(c / spec.dx + spec.N // 2).astype(int)
     lo, ball = _ball_box(spec.n, int(math.floor(radius / spec.dx)), spec.N)

@@ -136,11 +136,10 @@ def sk_symbol(spec: GridSpec, k: int, delta: float) -> BandSymbol:
     return _on_ball(spec, lambda t: _sk_of_t(t, k, delta))
 
 
-# A multiplier spreads support, so the applications below drop it; f's
-# support box is the source box of the transform.
+# A multiplier spreads support, so the applications below drop it.
 
 def _apply(f: SampledField, sym: BandSymbol) -> SampledField:
-    return SampledField(f.spec, apply_symbol(f, sym, f.support_ranges()))
+    return SampledField(f.spec, apply_symbol(f, sym))
 
 
 def apply_bochner_riesz(f: SampledField, delta: float) -> SampledField:

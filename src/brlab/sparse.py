@@ -135,12 +135,6 @@ class DyadicCube:
                                          for i in range(self.spec.n))))
         return kids
 
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("root cube has no parent in D(Q0)")
-        return DyadicCube(self.spec, self.root_lo, self.root_cells,
-                          self.level - 1, tuple(ix // 2 for ix in self.index))
-
     @property
     def addr(self) -> tuple:
         return (self.level,) + self.index
@@ -341,13 +335,12 @@ def sparse_form(coll: SparseCollection, f: SampledField, g: SampledField,
 
 def bilinear_pairing(f: SampledField, g: SampledField, delta: float) -> complex:
     """``<B f, g> = int B(f) conj(g) dx`` by Riemann sum.  ``B f`` is computed
-    from f's support rows only on g's support box, outside which ``conj(g)``
-    is 0; its products fill that box of one zero grid, so the sum keeps the
-    order, and the bits, of the sum over the whole grid."""
+    from f's block rows only on g's block, outside which ``conj(g)`` is 0;
+    its products fill that box of one zero grid, so the sum keeps the order,
+    and the bits, of the sum over the whole grid."""
     spec = f.spec
-    read = g.support_ranges()
-    bf = apply_symbol(f, bochner_riesz_symbol(spec, float(delta)), f.support_ranges(), read)
-    box = read or [(0, spec.N)] * spec.n
+    box = g.block_ranges
+    bf = apply_symbol(f, bochner_riesz_symbol(spec, float(delta)), box)
     gs = g.take(box)
     prod = np.zeros(spec.shape, dtype=np.result_type(bf, gs))
     prod[tuple(slice(lo, hi) for lo, hi in box)] = bf * np.conj(gs)

@@ -309,6 +309,6 @@ def random_smooth_weight(spec: GridSpec, seed: int = 0, amplitude: float = 1.0,
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(spec.shape)
     gauss = np.exp(-freq_sq(spec) * (spec.L * corr_px / spec.N) ** 2 / 2.0)
-    smooth = apply_symbol(noise, BandSymbol(gauss))
+    smooth = apply_symbol(SampledField(spec, noise), BandSymbol(gauss))
     smooth = smooth / max(np.abs(smooth).max(), 1e-12)
     return Weight.build(SampledField(spec, np.exp(amplitude * smooth)), **kw)

@@ -143,7 +143,7 @@ class TestApplySymbol:
 
     def test_complex_path_follows_transform_convention(self):
         f = random_field(SPEC, seed=5)
-        out = apply_symbol(f.values, self.SYM)
+        out = apply_symbol(f, self.SYM)
         F = forward_transform(f)
         ref = inverse_transform(SpectralField(SPEC, F.coefficients * self.SYM.values)).values
         assert out.dtype == np.complex128
@@ -151,8 +151,8 @@ class TestApplySymbol:
 
     def test_real_input_stays_real(self):
         f = random_field(SPEC, seed=6, complex_=False)
-        out = apply_symbol(f.values, self.SYM)
-        ref = apply_symbol(f.values.astype(np.complex128), self.SYM)
+        out = apply_symbol(f, self.SYM)
+        ref = apply_symbol(SampledField(SPEC, f.values.astype(np.complex128)), self.SYM)
         assert out.dtype == np.float64
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -176,6 +176,17 @@ def package_symbols(spec):
     return {name: sym for name, sym in syms.items() if sym.block.any()}
 
 
+def field_on(spec, values, ranges):
+    """The field whose support box has the index ranges ``ranges`` (inside
+    [0, N]) and whose values are ``values``, given on that box or on the
+    whole grid."""
+    N, dx = spec.N, spec.dx
+    box = Box(tuple((lo - N // 2) * dx for lo, _ in ranges),
+              tuple((hi - N // 2) * dx for _, hi in ranges))
+    assert box.index_ranges(spec) == list(ranges)
+    return SampledField(spec, values, support=box)
+
+
 class TestApplySymbolBitwise:
     # The pruned passes of apply_symbol give the bits of the whole-grid
     # rfftn/irfftn pair, signs included, for every symbol of the package.
@@ -186,9 +197,9 @@ class TestApplySymbolBitwise:
 
     @staticmethod
     def boxes(N, n):
-        """(src, read) index boxes: both at the center, then both touching
-        the grid edge (src at the low end of even axes and the high end of
-        odd ones, read the other way round)."""
+        """(src, read) index boxes, src the field's block: both at the
+        center, then both touching the grid edge (src at the low end of even
+        axes and the high end of odd ones, read the other way round)."""
         w, v = max(N // 8, 1), max(N // 16, 1)
         center = ([(N // 2 - w, N // 2 + w)] * n, [(N // 2 - v, N // 2 + v + 1)] * n)
         low, high = (0, N // 4), (N - N // 4, N)
@@ -215,12 +226,15 @@ class TestApplySymbolBitwise:
             vals[sl] = rng.standard_normal(vals[sl].shape)
             imag[sl] = rng_im.standard_normal(imag[sl].shape)
             crop = tuple(slice(lo, hi) for lo, hi in read)
+            whole, boxed = SampledField(spec, vals), field_on(spec, vals, src)
+            cwhole, cboxed = (SampledField(spec, vals + 1j * imag),
+                              field_on(spec, vals + 1j * imag, src))
             for name, sym in package_symbols(spec).items():
                 ref, ref_im = whole_grid(vals, sym), whole_grid(imag, sym)
-                self.assert_same_bits(apply_symbol(vals, sym), ref)
-                self.assert_same_bits(apply_symbol(vals, sym, src, read), ref[crop])
-                for got, box in ((apply_symbol(vals + 1j * imag, sym), ...),
-                                 (apply_symbol(vals + 1j * imag, sym, src, read), crop)):
+                self.assert_same_bits(apply_symbol(whole, sym), ref)
+                self.assert_same_bits(apply_symbol(boxed, sym, read), ref[crop])
+                for got, box in ((apply_symbol(cwhole, sym), ...),
+                                 (apply_symbol(cboxed, sym, read), crop)):
                     assert got.dtype == np.complex128
                     self.assert_same_bits(got.real, ref[box])
                     self.assert_same_bits(got.imag, ref_im[box])
@@ -234,7 +248,9 @@ class TestApplySymbolBitwise:
         for src, read in self.boxes(spec.N, spec.n) + [(None, None)]:
             shape = spec.shape if read is None else tuple(h - l for l, h in read)
             for v in (vals, vals - 2j * vals):
-                got = apply_symbol(v, zero, src, read)
+                f = (SampledField(spec, v) if src is None else
+                     field_on(spec, v[tuple(slice(lo, hi) for lo, hi in src)], src))
+                got = apply_symbol(f, zero, read)
                 assert got.shape == shape and np.array_equal(got, np.zeros(shape))
 
     def test_boxes_wrap_mod_n(self):
@@ -245,10 +261,9 @@ class TestApplySymbolBitwise:
         sym = bochner_riesz_symbol(spec, 0.3)
         read = [(-5, 7), (60, 70)]
         idx = np.ix_(np.arange(-5, 7) % 64, np.arange(60, 70) % 64)
-        assert np.array_equal(apply_symbol(f.values.real, sym, read=read),
+        assert np.array_equal(apply_symbol(SampledField(spec, f.values.real), sym, read),
                               whole_grid(f.values.real, sym)[idx])
-        assert np.array_equal(apply_symbol(f.values, sym, read=read),
-                              apply_symbol(f.values, sym)[idx])
+        assert np.array_equal(apply_symbol(f, sym, read), apply_symbol(f, sym)[idx])
 
 
 class TestBandSymbol:
@@ -638,7 +653,7 @@ class TestFieldInvariants:
         box = Box((-1.0, -1.0), (1.0, 1.5))
         for f in (make_test_function(SPEC, "bump", radius=1.0), random_field(SPEC, seed=2),
                   SampledField(SPEC, indicator_of(SPEC, box).values, support=box)):
-            ranges = f.support_ranges() or [(0, SPEC.N)] * 2
+            ranges = f.block_ranges
             for arr in (f.values, f.take(ranges)):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[ranges[0][0], ranges[1][0]] = 1.0
@@ -803,14 +818,14 @@ class TestBoxLocalLayer:
                 assert ball_average(f, c, r, p) == want
 
     def test_symbol_from_box_source(self):
-        # apply_symbol reads a field's source rows through take: the bits of
+        # apply_symbol reads the rows of a field's block: the bits of
         # the whole-grid pair on its reference, on whole and wrapped reads
         N = self.SPEC2.N
         sym = bochner_riesz_symbol(self.SPEC2, 0.3)
         reads = [None, [(20, 40), (-6, 9)], [(N - 5, N + 7), (30, 31)]]
         for f, ref in self.fields():
             for read in reads:
-                got = apply_symbol(f, sym, f.support_ranges(), read)
+                got = apply_symbol(f, sym, read)
                 crop = ... if read is None else np.ix_(*(np.arange(lo, hi) % N for lo, hi in read))
                 parts = ([(got.real, ref.real), (got.imag, ref.imag)] if np.iscomplexobj(ref)
                          else [(got, ref)])

@@ -447,14 +447,13 @@ class TestBandLimitedReads:
                 c2r.append(math.prod(x.shape[:-1]))
                 return fft.irfft(x, *args, **kwargs)
 
-        def checking(values, symbol, src=None, read=None):
+        def checking(f, symbol, read=None):
             assert read is not None, "multiplier read on the whole grid"
             r2c.clear()
             c2r.clear()
-            out = grid.apply_symbol(values, symbol, src, read)
-            spec = values.spec  # each case passes a field, not a grid
-            full = [(0, spec.N)] * spec.n
-            assert r2c == [math.prod(hi - lo for lo, hi in (src or full)[:-1])]
+            out = grid.apply_symbol(f, symbol, read)
+            spec = f.spec
+            assert r2c == [math.prod(hi - lo for lo, hi in f.block_ranges[:-1])]
             rows = math.prod(hi - lo for lo, hi in read[:-1])
             assert c2r == [rows]
             assert rows < spec.N

@@ -1,6 +1,7 @@
 """Maximal operators: brute-force oracles, domination, scaling, weak type."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -808,7 +809,9 @@ def _oracle_node(f, cube, delta, cfg):
             q = DyadicCube(spec, cube.root_lo, cube.root_cells, cube.level + k,
                            tuple((i << k) + o for i, o in zip(cube.index, off)))
             part = cells_of(q)
-            if not part.any() or (k > 0 and cells_of(q.parent()).all()):
+            if not part.any() or (k > 0 and cells_of(DyadicCube(  # q's parent
+                    spec, q.root_lo, q.root_cells, q.level - 1,
+                    tuple(i // 2 for i in q.index))).all()):
                 continue
             if k > 0 and part.all():
                 selected.append(q)
@@ -973,7 +976,7 @@ class TestSupportLocal:
     def test_g_window_matches_whole_grid_field(self, kind):
         f = self._fields()[kind]
         sym = truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx)
-        g = apply_symbol(f.values, sym)
+        g = apply_symbol(f, sym)
         for zlo, zhi, fits in self.ZBOXES:
             eng = MaximalEngine(f, DELTA, CFG)
             got = eng._g_window(self.EPS_PX, zlo, zhi)
@@ -996,7 +999,7 @@ class TestSupportLocal:
         nz = np.argwhere(h != 0)
         lo, hi = nz.min(axis=0), nz.max(axis=0) + 1
         src = h[lo[0]:hi[0], lo[1]:hi[1]]
-        g = apply_symbol(h, truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx))
+        g = apply_symbol(SampledField(SPEC, h), truncated_symbol(SPEC, DELTA, self.EPS_PX * SPEC.dx))
         fits = set()
         for zlo, zhi, _ in self.ZBOXES:
             eng = MaximalEngine(f, DELTA, CFG)
@@ -1094,6 +1097,13 @@ class TestBallAverage:
         c = SPEC.N // 2
         expected = (np.abs(f.values[((b[:, 0] + c) % SPEC.N, (b[:, 1] + c) % SPEC.N)]) ** 2).mean() ** 0.5
         assert ball_average(f, 0.0, r_px * SPEC.dx, 2.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_radius_checked(self):
+        f = spiky_field(seed=3)
+        for radius in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"ball radius .*got {radius}"):
+                ball_average(f, 0.0, radius, 2.0)
+        assert ball_average(f, 0.0, 0.0, 2.0) == pytest.approx(abs(f.values[SPEC.N // 2, SPEC.N // 2]))
 
 
 class TestBallCount:
@@ -1224,8 +1234,6 @@ class TestFftconvolve:
         ((9, 12), (23, 31)),
         ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
         ((1, 7), (4, 1)),          # no axis left: the plain product
-        ((1, 1), (1, 1)),
-        ((1,), (1,)),
     ]
 
     @pytest.mark.parametrize("mode", ["same", "valid"])

@@ -41,6 +41,13 @@ def bump(radius=0.25, center=0.0, amp=1.0, spec=SPEC):
     return make_test_function(spec, "bump", center=center, radius=radius, amp=amp)
 
 
+def parent(cube: DyadicCube) -> DyadicCube:
+    """The dyadic parent in D(Q0) of a cube below the root."""
+    assert cube.level > 0
+    return DyadicCube(cube.spec, cube.root_lo, cube.root_cells, cube.level - 1,
+                      tuple(ix // 2 for ix in cube.index))
+
+
 def spiked_trig(spec=GridSpec(n=2, L=32.0, N=512)):
     """A sharp bump on a random trigonometric field: its root node selects
     children, and the root's 6Q leaves room for support outside it."""
@@ -64,7 +71,7 @@ class TestDyadicCube:
         assert len(kids) == 4
         assert sum(k.cell_count for k in kids) == cube.cell_count
         for k in kids:
-            assert k.parent() == cube
+            assert parent(k) == cube
             assert cube.box().contains_box(k.box())
 
     def test_level_and_index_guards(self):
@@ -171,7 +178,7 @@ class TestExceptionalSet:
             return tuple(slice(l - w, h - w) for (l, h), (w, _) in zip(cube.window(), window))
 
         for cube in res.children:
-            inside = phi[rel(cube.parent())] > res.threshold
+            inside = phi[rel(parent(cube))] > res.threshold
             assert not inside.all()  # the dyadic parent escapes the level set
             assert (phi[rel(cube)] > res.threshold).all()
 
@@ -421,13 +428,12 @@ class TestBilinearPairing:
             g = SampledField(SPEC, g.values * (0.6 - 0.8j), g.support)
         elif kind == "unsupported":
             g = SampledField(SPEC, g.values)
-        read = g.support_ranges()
-        assert (read is None) == (kind == "unsupported")
-        bf = apply_symbol(f.values, bochner_riesz_symbol(SPEC, DELTA), f.support_ranges(), read)
-        if read is not None:
-            whole = np.zeros(SPEC.shape, dtype=bf.dtype)
-            whole[tuple(slice(lo, hi) for lo, hi in read)] = bf
-            bf = whole
+        read = g.block_ranges
+        assert (read == ((0, SPEC.N),) * SPEC.n) == (kind == "unsupported")
+        bf = apply_symbol(f, bochner_riesz_symbol(SPEC, DELTA), read)
+        whole = np.zeros(SPEC.shape, dtype=bf.dtype)
+        whole[tuple(slice(lo, hi) for lo, hi in read)] = bf
+        bf = whole
         want = complex(np.sum(bf * np.conj(g.values)) * SPEC.dx ** SPEC.n)
         got = bilinear_pairing(f, g, DELTA)
         assert want != 0 and got == want
