@@ -587,23 +587,21 @@ def _bump_window(rho2: np.ndarray) -> np.ndarray:
         return np.where(rho2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
 
 
-def _trig_sum(coords, freqs: np.ndarray, phases: np.ndarray,
+def _trig_sum(axes, freqs: np.ndarray, phases: np.ndarray,
               amps: np.ndarray) -> np.ndarray:
-    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` at the points whose
-    ``i``-th coordinates are ``coords[i]``; the arrays broadcast together, as a
-    sparse meshgrid or as gathered points do."""
-    shape = np.broadcast_shapes(*(c.shape for c in coords))
-    vals, phase = np.zeros(shape), np.empty(shape)
-    for m in range(len(amps)):
-        np.multiply(coords[0], freqs[m, 0], out=phase)
-        for i in range(1, len(coords)):
-            phase += coords[i] * freqs[m, i]
-        phase *= 2.0 * np.pi
-        phase += phases[m]
-        np.cos(phase, out=phase)
-        phase *= amps[m]
-        vals += phase
-    return vals
+    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` on the outer grid
+    of the 1-D coordinate arrays ``axes``: the real part of the sum over modes
+    of ``amps[m] e^{i phases[m]}`` times the per-axis tables
+    ``exp(2 pi i a_i freqs[m, i])``.  The tables of all axes but the last are
+    multiplied out into ``h``; the sum over modes and the real part are then
+    one real matrix product of ``[Re h, -Im h]`` with the last table's
+    ``[Re, Im]``."""
+    tables = [np.exp(2j * np.pi * np.multiply.outer(f, a)) for f, a in zip(freqs.T, axes)]
+    head = amps * np.exp(1j * phases)
+    for t in tables[:-1]:
+        head = head[..., None] * np.expand_dims(t, tuple(range(1, head.ndim)))
+    return np.tensordot(np.concatenate([head.real, -head.imag]),
+                        np.concatenate([tables[-1].real, tables[-1].imag]), axes=(0, 0))
 
 
 def on_box(spec: GridSpec, box: Box, local) -> SampledField:
@@ -659,8 +657,7 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
         box = Box.from_center(center, window_radius)
         _require_inside_quarter(spec, box, kind)
         return on_box(spec, box, lambda axes: amp * _bump_window(
-            radial_sq(axes) / window_radius ** 2) * _trig_sum(
-            np.meshgrid(*axes, indexing="ij", sparse=True), freqs, phases, amps))
+            radial_sq(axes) / window_radius ** 2) * _trig_sum(axes, freqs, phases, amps))
 
     raise ValueError(f"unknown test-function kind: {kind!r}")
 

@@ -2,11 +2,16 @@
 kernel-decay diagnostics, weighted and vector-valued sweeps.
 
 Reports are deterministic: identical config + seed gives byte-identical CSV
-(floats serialized with ``repr``, no timestamps), and trials draw their
-randomness from ``master_seed XOR trial_index`` so they can run in any
+(floats serialized with ``repr``, no timestamps), and domination trials draw
+their randomness from ``master_seed XOR trial_index`` so they can run in any
 order or in parallel and still merge deterministically.  Master seeds that
 differ only in their low bits therefore share trial fields: seed 6 trial 1
-and seed 7 trial 0 both draw from 7.
+and seed 7 trial 0 both draw from 7.  A ``prop41``/``prop42`` row seeds its
+generator with the list ``[master_seed, -k, ..., trial]`` (its ball radius
+and, for ``prop41``, its annulus in between), which numpy's ``SeedSequence``
+hashes the same way on every Python.  The inputs of both are random
+trigonometric sums, each evaluated on a box as the real part of one product
+of per-axis phase tables (``grid._trig_sum``).
 """
 
 from __future__ import annotations
@@ -292,23 +297,21 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
 @lru_cache(maxsize=16)
 def _annulus(spec: GridSpec, r_in: float, r_out: float):
     """The points of the annulus ``r_in <= |x| < r_out``, shared by every
-    field and average on it: the index ranges of its box, the points' flat
-    indices in the box (row-major order) and their coordinates."""
+    field and average on it: the index ranges of its box and the points'
+    flat indices in the box (row-major order)."""
     box = _annulus_box(spec, r_out)
-    axes = box.samples(spec)[1]
-    r = np.sqrt(sum_of_squares(axes))
-    inside = np.nonzero((r >= r_in) & (r < r_out))
-    flat = np.ravel_multi_index(inside, r.shape)
-    coords = [a[i] for a, i in zip(axes, inside)]
-    for arr in (flat, *coords):
-        arr.flags.writeable = False
-    return box.index_ranges(spec), flat, coords
+    r = np.sqrt(sum_of_squares(box.samples(spec)[1]))
+    flat = np.flatnonzero((r >= r_in) & (r < r_out))
+    flat.flags.writeable = False
+    return box.index_ranges(spec), flat
 
 
-def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> SampledField:
+def _annulus_field(spec: GridSpec, r_in: float, r_out: float,
+                   seed: int | list[int]) -> SampledField:
     """Random trigonometric sum (6 modes, frequencies below 1.5) on the
-    annulus ``r_in <= |x| < r_out``, evaluated at the annulus's points and
-    exact ``+0.0`` elsewhere."""
+    annulus ``r_in <= |x| < r_out``: evaluated on the annulus's box, kept at
+    the annulus's points and exact ``+0.0`` elsewhere.  ``seed`` is any seed
+    that ``np.random.default_rng`` takes."""
     num_modes, freq_max = 6, 1.5
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((num_modes, spec.n))
@@ -316,18 +319,18 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float, seed: int) -> Samp
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    _, flat, coords = _annulus(spec, r_in, r_out)
+    _, flat = _annulus(spec, r_in, r_out)
 
     def local(axes):
         vals = np.zeros(tuple(len(a) for a in axes))
-        vals.reshape(-1)[flat] = _trig_sum(coords, freqs, phases, amps)
+        vals.reshape(-1)[flat] = _trig_sum(axes, freqs, phases, amps).reshape(-1)[flat]
         return vals
 
     return on_box(spec, _annulus_box(spec, r_out), local)
 
 
 def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    ranges, flat, _ = _annulus(f.spec, r_in, r_out)
+    ranges, flat = _annulus(f.spec, r_in, r_out)
     vals = f.take(ranges).reshape(-1)[flat]
     return lp_mean(vals, p) if vals.size else 0.0
 
@@ -409,8 +412,8 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
     spec = cfg.spec()
 
     def lhs_rhs(k, r, j, trial, rho):
-        seed = cfg.seed ^ hash((k, int(r * 16), j, trial)) & 0x7FFFFFFF
-        f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r, seed)
+        f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r,
+                           [cfg.seed, -k, int(r * 16), j, trial])
         lhs = _sk_ball_average(f, k, cfg.delta, r)
         # f vanishes on every annulus but its own: one tail term is active
         tail = (2.0 ** (-j * M_DECAY)
@@ -426,8 +429,7 @@ def run_prop42(cfg: ExperimentConfig) -> Report:
     spec = cfg.spec()
 
     def lhs_rhs(k, eps, trial, rho):
-        seed = cfg.seed ^ hash((k, int(eps), trial)) & 0x7FFFFFFF
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng([cfg.seed, -k, int(eps), trial])
         f = make_test_function(
             spec, "random_trig", seed=int(rng.integers(2 ** 31)),
             window_radius=spec.L / 8.0 * 0.9, num_modes=6, freq_max=1.5,

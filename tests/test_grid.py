@@ -46,6 +46,31 @@ def forward_transform(f: SampledField) -> SpectralField:
     return SpectralField(spec, coeffs)
 
 
+def cosine_sum(coords, freqs, phases, amps):
+    """``sum_m amps[m] cos(2 pi x . freqs[m] + phases[m])`` at the points whose
+    ``i``-th coordinates are ``coords[i]``, one cosine per point and mode: the
+    reference formula for ``_trig_sum``'s product of per-axis tables."""
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    vals, phase = np.zeros(shape), np.empty(shape)
+    for m in range(len(amps)):
+        np.multiply(coords[0], freqs[m, 0], out=phase)
+        for i in range(1, len(coords)):
+            phase += coords[i] * freqs[m, i]
+        phase *= 2.0 * np.pi
+        phase += phases[m]
+        np.cos(phase, out=phase)
+        phase *= amps[m]
+        vals += phase
+    return vals
+
+
+# the largest |_trig_sum - cosine_sum| the tests accept.  Both round the
+# phase 2 pi x . f, which reaches about 150 rad on prop41's annuli at L = 32,
+# so they differ by a few ulps of it per mode: at most 5.9e-14 there (values
+# up to 6.3) and 4.0e-14 in the direct test below
+TRIG_ATOL = 1e-13
+
+
 def random_field(spec, seed=0, complex_=True):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(spec.shape)
@@ -415,6 +440,18 @@ class TestMakeTestFunction:
         # coarse samples are a subset of the fine ones
         assert np.allclose(a.values, b.values[::2, ::2], atol=1e-12)
 
+    @pytest.mark.parametrize("n, side", [(1, 501), (2, 230), (3, 41), (4, 9)])
+    def test_trig_sum_matches_cosine_formula(self, n, side):
+        rng = np.random.default_rng(n)
+        freqs = rng.uniform(-2.0, 2.0, (6, n))
+        phases = rng.uniform(0.0, 2.0 * np.pi, 6)
+        amps = rng.standard_normal(6)
+        axes = [np.linspace(-4.0, 4.0, side) + 0.1 * i for i in range(n)]
+        got = _trig_sum(axes, freqs, phases, amps)
+        want = cosine_sum(np.meshgrid(*axes, indexing="ij", sparse=True), freqs, phases, amps)
+        assert got.shape == want.shape == (side,) * n
+        assert np.max(np.abs(got - want)) <= TRIG_ATOL
+
     def test_support_exceeding_quarter_rejected(self):
         with pytest.raises(ValueError, match="central"):
             make_test_function(SPEC, "bump", radius=3.0)
@@ -422,7 +459,8 @@ class TestMakeTestFunction:
 
 def _full_grid_field(spec, kind, center, amp, radius=None, window_radius=None,
                      seed=None, **_):
-    """The generators' formulas evaluated on every grid point."""
+    """The generators' formulas evaluated on every grid point, the trigonometric
+    sum as one cosine per point and mode."""
     axes = [spec.axis_coords()] * spec.n
     rho2 = sum_of_squares([a - c for a, c in zip(axes, center)])
     if kind == "bump":
@@ -435,12 +473,13 @@ def _full_grid_field(spec, kind, center, amp, radius=None, window_radius=None,
     phases = rng.uniform(0.0, 2.0 * np.pi, 6)
     amps = rng.standard_normal(6) / math.sqrt(6)
     return (amp * _bump_window(rho2 / window_radius ** 2)
-            * _trig_sum(spec.meshgrid(), freqs, phases, amps))
+            * cosine_sum(spec.meshgrid(), freqs, phases, amps))
 
 
 class TestBoxLocalGenerators:
-    # bump and random_trig evaluate on their support box only; inside it
-    # they must agree bitwise with the whole-grid formula
+    # bump and random_trig evaluate on their support box only; inside it the
+    # bump must agree bitwise with the whole-grid formula, and random_trig's
+    # product of per-axis tables with the cosine formula to TRIG_ATOL
     @pytest.mark.parametrize("kind", ["bump", "random_trig"])
     @pytest.mark.parametrize("spec,center", [
         (SPEC, (0.3, -0.45)),
@@ -456,7 +495,10 @@ class TestBoxLocalGenerators:
             params = dict(window_radius=r, seed=17, num_modes=6, freq_max=2.0)
         f = make_test_function(spec, kind, center=center, amp=amp, **params)
         want = _full_grid_field(spec, kind, center, amp, **params)
-        assert np.array_equal(f.values, want)
+        if kind == "bump":
+            assert np.array_equal(f.values, want)
+        else:
+            assert np.max(np.abs(f.values - want)) <= TRIG_ATOL
         # outside the support box the zeros are exact and positive
         outside = np.ones(spec.shape, dtype=bool)
         outside[tuple(slice(*jr) for jr in f.support.index_ranges(spec))] = False

@@ -1,20 +1,26 @@
 """Harness: config parsing, report schemas, determinism, ratio suites, CLI."""
 
+import builtins
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 import numpy as np
 import pytest
 from scipy import fft
 
+import brlab
 import brlab.cli as cli
 import brlab.grid as grid
 import brlab.harness as harness
 import brlab.sparse as sparse
 from brlab.cli import main as cli_main
-from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, _trig_sum, make_test_function,
+from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, make_test_function,
                         read_field, write_field)
 from brlab.harness import (
     ExperimentConfig,
@@ -35,6 +41,7 @@ from brlab.maximal import ball_average
 from brlab.multiplier import apply_Sk, bochner_riesz_symbol, sk_symbol
 from brlab.sparse import bilinear_pairing
 from brlab.weights import random_smooth_weight
+from test_grid import TRIG_ATOL, cosine_sum
 
 SMALL = dict(grid_l=16.0, grid_n=256, trials=2, seed=11, eps_min_exp=2)
 
@@ -477,17 +484,17 @@ LOCAL_GOLDEN_CFG = ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=3)
 
 
 class TestLocalEstimateGolden:
-    # sha256 of the rows CSV and the summary JSON, recorded before the
-    # annulus fields moved onto their support box and the two experiments
-    # shared one driver.  The per-trial seeds come from CPython's tuple
-    # ``hash``, so a change of trial seeding moves these pins.
+    # sha256 of the rows CSV and the summary JSON.  Recorded again when the
+    # per-row seeds moved from CPython's tuple ``hash`` to numpy's
+    # ``SeedSequence`` and the trigonometric sums to a product of per-axis
+    # tables; a change of either moves these pins.
     @pytest.mark.parametrize("run, trials, n_rows, csv_sha, json_sha", [
         (run_prop41, 1, 10,
-         "26d186e3d27ce6d8768430edd00641d9efc9548bfb7358b39197f6d7689d3d65",
-         "29f89659f56d9adf7387c664e59d4391c76230e55869584edf1d0ee2ce57e662"),
+         "695a0f85c83bae79a548bfeb78526ba5b9ff5ace140ed9f70d7b09485572d4d9",
+         "3035a569bf7e8ed224b3eed639baf979520c2bb19d4f51c3d95d7709fdcd01f8"),
         (run_prop42, 2, 12,
-         "141baba563ba448c3f9b63602008af00caecaf4aebbcb14684816fcf423a2b75",
-         "4fa123be4fa10c6a81feb8d2048600e3fec2d5e151d9b0a0b32273d8238ff3d4"),
+         "551a1188443b2d96c7107e4a81966f26ea38585a05f22228cc6759ba8eb3ea18",
+         "864ba8292358ebb68c68eadd907d2d6bf52773fa369d19cb44daf77415f2e0d6"),
     ], ids=["prop41", "prop42"])
     def test_reports_pinned(self, run, trials, n_rows, csv_sha, json_sha, tmp_path):
         rep = run(replace(LOCAL_GOLDEN_CFG, trials=trials))
@@ -496,6 +503,24 @@ class TestLocalEstimateGolden:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha
 
+    @pytest.mark.parametrize("run", [run_prop41, run_prop42], ids=["prop41", "prop42"])
+    def test_reports_without_python_hash(self, run, monkeypatch, tmp_path):
+        # no report may depend on the interpreter's hash algorithm: with every
+        # hash() call raising, except an object's own __hash__ (the dataclass
+        # keys of the caches), both files come out byte-identical
+        cfg = replace(LOCAL_GOLDEN_CFG, trials=1)
+        want = [path.read_bytes() for path in run(cfg).write(tmp_path / "with")]
+        real_hash = builtins.hash
+
+        def strict_hash(obj):
+            if sys._getframe(1).f_code.co_name != "__hash__":
+                raise AssertionError(f"hash({obj!r}) called")
+            return real_hash(obj)
+
+        monkeypatch.setattr(builtins, "hash", strict_hash)
+        got = [path.read_bytes() for path in run(cfg).write(tmp_path / "without")]
+        assert got == want
+
 
 class TestLabGolden:
     # sha256 of lab outputs, recorded before the symbols, the decay
@@ -503,13 +528,16 @@ class TestLabGolden:
     # stopped computing values no report reads: each must stay byte-identical.
     # The decay pin was recorded again when its Bessel factor moved from
     # jv(0, .) to j0, which moved its slopes by at most 2.1e-12 relative.
+    # The weights and field-file pins were recorded again when random_trig's
+    # sum became a product of per-axis tables, which moved the weights rows
+    # by at most 2.4e-16 relative and the field's samples by at most 4.4e-16.
     @pytest.mark.parametrize("run, cfg, csv_sha, json_sha", [
         (run_decay, ExperimentConfig(),
          "0ca86e86204ffdd8d8c5b8332e6201bb0ca0f3374d708fca83c5bc7e502d2821",
          "e92b41f0e62bafbacf71af5d98ca4d56c17b5090ca835a20ccb69a021bb2bf3b"),
         (run_weights, ExperimentConfig(grid_l=4.0, grid_n=64, trials=1, seed=2),
-         "b0efd6125cce2dc930e40d0fe147dbfc624d260d8e7ea717c57dd1365ab941f1",
-         "d3cae05d39268c60a652c6948009c4db069799ebf932521968aadad6c39553be"),
+         "f35e39c6bfb89f9e0c255f76614795ba90bd88fc95b8b31468f8b8feba0e8ec5",
+         "7845c236201f4535feca8322240f49574233a2fc9df326fcde2da441faa155c1"),
         (run_vector_valued, ExperimentConfig(grid_l=16.0, grid_n=256, trials=1, seed=2),
          "0c3ccc9008ba788693a33f17b911678e1fb4253f71f9ae29aa24d2cf7bfeb8bc",
          "8586fa599b527af79ebb50c5c5863e99cb98588fa5e49b22975783429bc2e929"),
@@ -523,7 +551,7 @@ class TestLabGolden:
         f = make_test_function(GridSpec(2, 4.0, 64), "random_trig", seed=5)
         write_field(f, tmp_path / "f.txt")
         assert hashlib.sha256((tmp_path / "f.txt").read_bytes()).hexdigest() == \
-            "c3cca4a013ad7ca2aceb8338f1181b0411936a46e08311c2a281f038da453496"
+            "7c957b6908d73e5ab123f832d405856119c5118d3820ee30fc0b1da62142e615"
 
 
 class TestProp41:
@@ -567,10 +595,11 @@ class TestProp41:
             freqs = dirs * (1.5 * rng.random(6)[:, None])
             phases = rng.uniform(0.0, 2.0 * np.pi, 6)
             amps = rng.standard_normal(6)
-            ref = _trig_sum(spec.meshgrid(), freqs, phases, amps)
+            ref = cosine_sum(spec.meshgrid(), freqs, phases, amps)
             annulus = (r_grid >= r_in) & (r_grid < r_out)
-            # bitwise the formula on the annulus, +0.0 (no sign bit) elsewhere
-            assert f.values[annulus].tobytes() == ref[annulus].tobytes()
+            # the cosine formula to TRIG_ATOL on the annulus, exact +0.0 (no
+            # sign bit) elsewhere
+            assert np.max(np.abs(f.values[annulus] - ref[annulus])) <= TRIG_ATOL
             assert np.all(f.values[~annulus] == 0.0)
             assert not np.signbit(f.values[~annulus]).any()
             # what the deleted mask of run_prop41 multiplied by 0
@@ -582,6 +611,33 @@ class TestProp41:
                 expected = float(np.mean(np.abs(f.values[sel]) ** 1.2) ** (1.0 / 1.2))
                 assert _annulus_average(f, a_in, a_out, 1.2) == expected
                 jj += 1
+
+    def test_trig_fields_independent_of_blas_threads(self):
+        # every trigonometric sum is one matrix product of per-axis tables,
+        # large enough for OpenBLAS to thread it; the bytes of the trial fields
+        # at N = 1024 (trials 0 and 1), of the input on the largest annulus at
+        # the defaults and of a prop41 rows CSV must not move between the
+        # thread counts 1 and 2
+        src = str(Path(brlab.__file__).resolve().parents[1])
+        code = (f"import hashlib, sys; sys.path.insert(0, {src!r})\n"
+                "from brlab.harness import (ExperimentConfig, _annulus_field, _trial_fields,\n"
+                "                           prop41_combos, run_prop41)\n"
+                "cfg = ExperimentConfig(grid_n=1024, seed=7)\n"
+                "for trial in range(2):\n"
+                "    for f in _trial_fields(cfg, trial):\n"
+                "        print(hashlib.sha256(f.values.tobytes()).hexdigest())\n"
+                "spec = ExperimentConfig().spec()\n"
+                "k, r, j = max(prop41_combos(spec), key=lambda c: c[1] * 2 ** c[2])\n"
+                "f = _annulus_field(spec, 2 ** j * r, 2 ** (j + 1) * r, [7, -k, int(r * 16), j, 0])\n"
+                "print(2 ** (j + 1) * r, hashlib.sha256(f.values.tobytes()).hexdigest())\n"
+                "cfg = ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=3)\n"
+                "print(run_prop41(cfg).csv())\n")
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": k}).stdout
+                for k in ("1", "2")]
+        assert outs[0].splitlines()[4].startswith("8.0 ")   # the annulus 4 <= |x| < 8
+        assert outs[0].count("\n") == 4 + 1 + 12          # 4 fields, 1 annulus, csv
+        assert outs[0] == outs[1]
 
     def test_input_vanishes_on_every_other_annulus(self, monkeypatch):
         # run_prop41 adds only the tail term of the input's own annulus; on

@@ -1230,8 +1230,6 @@ class TestFftconvolve:
     """The valid linear convolution and the ball means against direct sums."""
 
     SHAPES = [
-        ((50, 30), (48, 20)),
-        ((9, 12), (23, 31)),
         ((17, 1), (5, 6)),         # size-1 axes: only axis 0 is transformed
         ((1, 7), (4, 1)),          # no axis left: the plain product
     ]
