@@ -28,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import indices
-from .grid import (Box, GridSpec, SampledField, _trig_sum,
-                   apply_symbol, lp_mean, make_test_function, on_box,
-                   sum_of_squares)
+from .grid import (Box, GridSpec, SampledField, _trig_sum, apply_symbol, lp_mean,
+                   make_test_function, sum_of_squares)
 from .maximal import MaximalConfig, ball_average, ball_points
 from .multiplier import k_min, kernel_profile, sk_symbol
 from .sparse import bilinear_pairing, build_sparse, sparse_form
@@ -295,23 +294,22 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
 
 
 @lru_cache(maxsize=16)
-def _annulus(spec: GridSpec, r_in: float, r_out: float):
-    """The points of the annulus ``r_in <= |x| < r_out``, shared by every
-    field and average on it: the index ranges of its box and the points'
-    flat indices in the box (row-major order)."""
-    box = _annulus_box(spec, r_out)
-    r = np.sqrt(sum_of_squares(box.samples(spec)[1]))
+def _annulus(spec: GridSpec, r_in: float, r_out: float) -> np.ndarray:
+    """The flat indices (row-major order) in the annulus's box of the points
+    of the annulus ``r_in <= |x| < r_out``, shared by every field on it."""
+    r = np.sqrt(sum_of_squares(_annulus_box(spec, r_out).samples(spec)[1]))
     flat = np.flatnonzero((r >= r_in) & (r < r_out))
     flat.flags.writeable = False
-    return box.index_ranges(spec), flat
+    return flat
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float,
-                   seed: int | list[int]) -> SampledField:
+                   seed: int | list[int]) -> tuple[SampledField, np.ndarray]:
     """Random trigonometric sum (6 modes, frequencies below 1.5) on the
     annulus ``r_in <= |x| < r_out``: evaluated on the annulus's box, kept at
-    the annulus's points and exact ``+0.0`` elsewhere.  ``seed`` is any seed
-    that ``np.random.default_rng`` takes."""
+    the annulus's points and exact ``+0.0`` elsewhere; with its values at
+    those points, in row-major order.  ``seed`` is any seed that
+    ``np.random.default_rng`` takes."""
     num_modes, freq_max = 6, 1.5
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((num_modes, spec.n))
@@ -319,20 +317,12 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float,
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    _, flat = _annulus(spec, r_in, r_out)
-
-    def local(axes):
-        vals = np.zeros(tuple(len(a) for a in axes))
-        vals.reshape(-1)[flat] = _trig_sum(axes, freqs, phases, amps).reshape(-1)[flat]
-        return vals
-
-    return on_box(spec, _annulus_box(spec, r_out), local)
-
-
-def _annulus_average(f: SampledField, r_in: float, r_out: float, p: float) -> float:
-    ranges, flat = _annulus(f.spec, r_in, r_out)
-    vals = f.take(ranges).reshape(-1)[flat]
-    return lp_mean(vals, p) if vals.size else 0.0
+    box, flat = _annulus_box(spec, r_out), _annulus(spec, r_in, r_out)
+    axes = box.samples(spec)[1]
+    vals = _trig_sum(axes, freqs, phases, amps).reshape(-1)[flat]
+    block = np.zeros(tuple(len(a) for a in axes))
+    block.reshape(-1)[flat] = vals
+    return SampledField(spec, block, support=box), vals
 
 
 def _sk_ball_average(f: SampledField, k: int, delta: float, radius: float) -> float:
@@ -412,12 +402,11 @@ def run_prop41(cfg: ExperimentConfig) -> Report:
     spec = cfg.spec()
 
     def lhs_rhs(k, r, j, trial, rho):
-        f = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r,
-                           [cfg.seed, -k, int(r * 16), j, trial])
+        f, vals = _annulus_field(spec, 2.0 ** j * r, 2.0 ** (j + 1) * r,
+                                 [cfg.seed, -k, int(r * 16), j, trial])
         lhs = _sk_ball_average(f, k, cfg.delta, r)
         # f vanishes on every annulus but its own: one tail term is active
-        tail = (2.0 ** (-j * M_DECAY)
-                * _annulus_average(f, 2.0 ** j * r, 2.0 ** (j + 1) * r, float(cfg.p0)))
+        tail = 2.0 ** (-j * M_DECAY) * lp_mean(vals, float(cfg.p0))
         return lhs, 2.0 ** (-k * rho) * tail
 
     return _local_estimates(cfg, "prop41", ("k", "r", "j", "trial", "lhs", "rhs", "ratio"),

@@ -35,22 +35,13 @@ and the certificate is verified in exact integer arithmetic on cell counts
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .grid import (
-    Box,
-    GridSpec,
-    SampledField,
-    apply_symbol,
-    box_sums,
-    cube_average,
-    prefix_sum,
-)
+from .grid import Box, GridSpec, SampledField, apply_symbol, cube_average
 from .maximal import MaximalConfig, _truncation_engine
 from .multiplier import bochner_riesz_symbol
 
@@ -126,15 +117,6 @@ class DyadicCube:
     def box6(self) -> Box:
         return self.box().dilate(6.0)
 
-    def children(self) -> list["DyadicCube"]:
-        kids = []
-        for bits in itertools.product((0, 1), repeat=self.spec.n):
-            kids.append(DyadicCube(self.spec, self.root_lo, self.root_cells,
-                                   self.level + 1,
-                                   tuple(2 * self.index[i] + bits[i]
-                                         for i in range(self.spec.n))))
-        return kids
-
     @property
     def addr(self) -> tuple:
         return (self.level,) + self.index
@@ -181,30 +163,31 @@ class TraceNode:
 
 def _maximal_cubes(root: DyadicCube, e_mask: np.ndarray
                    ) -> tuple[list[DyadicCube], list[DyadicCube]]:
-    """Maximal dyadic cubes of D(root) fully inside the level set, recursion
-    stopping at the 4-cell floor (floor-terminated partial cubes flagged)."""
-    prefix = prefix_sum(e_mask.astype(np.int64))
+    """Maximal dyadic cubes of D(root) below the root fully inside the level
+    set ``e_mask`` (on the root's window), and the cubes of the 4-cell floor
+    level (the root, if it is there) that meet the set with no selected cube
+    holding them (flagged), each list in address order.
+
+    Level by level from the root down to the floor, one block sum of the
+    mask gives every cube's count: a cube is selected where it is full and
+    no selected cube holds it; ``np.argwhere`` lists a level in C order."""
+    n, m = root.spec.n, root.cells
+    held = np.zeros((1,) * n, dtype=bool)  # per cube of the level: inside a selected cube
+
+    def cubes(level: int, mask: np.ndarray) -> list[DyadicCube]:
+        return [DyadicCube(root.spec, root.root_lo, root.root_cells, root.level + level,
+                           tuple((i << level) + o for i, o in zip(root.index, off)))
+                for off in np.argwhere(mask).tolist()]
 
     selected: list[DyadicCube] = []
-    flagged: list[DyadicCube] = []
-    root_lo = root.lo_px
-    stack = [root]
-    while stack:
-        cube = stack.pop()
-        lo = tuple(cube.lo_px[i] - root_lo[i] for i in range(cube.spec.n))
-        hi = tuple(l + cube.cells for l in lo)
-        cnt = box_sums(prefix, lo, hi)
-        if cnt == 0:
-            continue
-        if cnt == cube.cell_count and cube is not root:
-            selected.append(cube)
-        elif cube.cells // 2 >= RECURSION_FLOOR_CELLS:
-            stack.extend(sorted(cube.children(), key=lambda c: c.addr, reverse=True))
-        else:
-            flagged.append(cube)
-    selected.sort(key=lambda c: c.addr)
-    flagged.sort(key=lambda c: c.addr)
-    return selected, flagged
+    for level in range(m.bit_length()):
+        cells = m >> level
+        count = e_mask.reshape((1 << level, cells) * n).sum(axis=tuple(range(1, 2 * n, 2)))
+        full = (count == cells ** n) & ~held & (level > 0)
+        selected += cubes(level, full)
+        if cells // 2 < RECURSION_FLOOR_CELLS:
+            return selected, cubes(level, (count > 0) & ~held & ~full)
+        held = np.kron(held | full, np.ones((2,) * n, dtype=bool))
 
 
 def exceptional_set(f: SampledField, q0_cube: DyadicCube, delta: float,

@@ -20,12 +20,11 @@ import brlab.grid as grid
 import brlab.harness as harness
 import brlab.sparse as sparse
 from brlab.cli import main as cli_main
-from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, make_test_function,
+from brlab.grid import (GridSpec, SampledField, _radius_sq_grid, lp_mean, make_test_function,
                         read_field, write_field)
 from brlab.harness import (
     ExperimentConfig,
     Report,
-    _annulus_average,
     _annulus_field,
     _domination_trial,
     _trial_fields,
@@ -570,7 +569,7 @@ class TestProp41:
 
         spec = GridSpec(n=2, L=64.0, N=512)
         f = _make_inside = __import__("brlab.harness", fromlist=["_annulus_field"])
-        inner = f._annulus_field(spec, 0.0, 1.9, seed=3)   # inside 2 B_1
+        inner, _ = f._annulus_field(spec, 0.0, 1.9, seed=3)   # inside 2 B_1
         masked = SampledField(
             spec, inner.values * (np.sqrt(_radius_sq_grid(spec)) >= 2.0),
             support=inner.support)
@@ -587,7 +586,7 @@ class TestProp41:
         for r, j in self.R_J:
             r_in, r_out = 2.0 ** j * r, 2.0 ** (j + 1) * r
             seed = 100 * j + int(r)
-            f = _annulus_field(spec, r_in, r_out, seed)
+            f, vals = _annulus_field(spec, r_in, r_out, seed)
             # the whole-grid formula: the same draw, then the annulus cut
             rng = np.random.default_rng(seed)
             dirs = rng.standard_normal((6, spec.n))
@@ -604,13 +603,9 @@ class TestProp41:
             assert not np.signbit(f.values[~annulus]).any()
             # what the deleted mask of run_prop41 multiplied by 0
             assert np.all(f.values[r_grid < 2.0 * r] == 0.0)
-            jj = 1
-            while 2.0 ** (jj + 1) * r <= spec.L / 2.0:
-                a_in, a_out = 2.0 ** jj * r, 2.0 ** (jj + 1) * r
-                sel = (r_grid >= a_in) & (r_grid < a_out)
-                expected = float(np.mean(np.abs(f.values[sel]) ** 1.2) ** (1.0 / 1.2))
-                assert _annulus_average(f, a_in, a_out, 1.2) == expected
-                jj += 1
+            # the values run_prop41's tail averages are the field's on the
+            # annulus, in row-major order, sign bits included
+            assert np.array_equal(vals.view(np.int64), f.values[annulus].view(np.int64))
 
     def test_trig_fields_independent_of_blas_threads(self):
         # every trigonometric sum is one matrix product of per-axis tables,
@@ -628,7 +623,7 @@ class TestProp41:
                 "        print(hashlib.sha256(f.values.tobytes()).hexdigest())\n"
                 "spec = ExperimentConfig().spec()\n"
                 "k, r, j = max(prop41_combos(spec), key=lambda c: c[1] * 2 ** c[2])\n"
-                "f = _annulus_field(spec, 2 ** j * r, 2 ** (j + 1) * r, [7, -k, int(r * 16), j, 0])\n"
+                "f, _ = _annulus_field(spec, 2 ** j * r, 2 ** (j + 1) * r, [7, -k, int(r * 16), j, 0])\n"
                 "print(2 ** (j + 1) * r, hashlib.sha256(f.values.tobytes()).hexdigest())\n"
                 "cfg = ExperimentConfig(grid_l=32.0, grid_n=256, trials=1, seed=3)\n"
                 "print(run_prop41(cfg).csv())\n")
@@ -641,25 +636,27 @@ class TestProp41:
 
     def test_input_vanishes_on_every_other_annulus(self, monkeypatch):
         # run_prop41 adds only the tail term of the input's own annulus; on
-        # every other dyadic annulus inside L/2 its average is exactly 0.0
+        # every other dyadic annulus inside L/2 the input is exactly 0.0
         import brlab.harness as harness
         inputs = []
 
         def recording(spec, r_in, r_out, seed):
-            inputs.append((r_in, r_out, _annulus_field(spec, r_in, r_out, seed)))
-            return inputs[-1][2]
+            inputs.append((r_in, r_out, *_annulus_field(spec, r_in, r_out, seed)))
+            return inputs[-1][2:]
 
         monkeypatch.setattr(harness, "_annulus_field", recording)
         rep = run_prop41(LOCAL_GOLDEN_CFG)
         assert len(inputs) == len(rep.rows) == 10
         half = LOCAL_GOLDEN_CFG.grid_l / 2.0
         annuli = [(2.0 ** m, 2.0 ** (m + 1)) for m in range(5) if 2.0 ** (m + 1) <= half]
-        for r_in, r_out, f in inputs:
+        r_grid = np.sqrt(_radius_sq_grid(LOCAL_GOLDEN_CFG.spec()))
+        for r_in, r_out, f, vals in inputs:
             assert (r_in, r_out) in annuli
-            assert _annulus_average(f, r_in, r_out, 1.2) > 0.0
+            assert lp_mean(vals, 1.2) > 0.0
             for a_in, a_out in annuli:
                 if (a_in, a_out) != (r_in, r_out):
-                    assert _annulus_average(f, a_in, a_out, 1.2) == 0.0, (r_in, a_in)
+                    other = (r_grid >= a_in) & (r_grid < a_out)
+                    assert not np.any(f.values[other]), (r_in, a_in)
 
     def test_homogeneity_of_ratio(self):
         # the lhs and rhs columns are both 1-homogeneous in f, so the ratio

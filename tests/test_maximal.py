@@ -27,8 +27,8 @@ from brlab.maximal import (
     hl_maximal,
 )
 from brlab.multiplier import bochner_riesz_symbol, truncated_symbol
-from brlab.sparse import (C_INIT, RECURSION_FLOOR_CELLS, DyadicCube, TraceNode,
-                          exceptional_set, root_cube)
+from brlab.sparse import C_INIT, DyadicCube, TraceNode, exceptional_set, root_cube
+from test_sparse import children, plain_maximal_cubes
 
 SPEC = GridSpec(n=2, L=8.0, N=64)
 DELTA = 0.3
@@ -457,7 +457,7 @@ def _node_cases(spec=GridSpec(n=2, L=8.0, N=128)):
         f = f + make_test_function(spec, "bump", center=(0.2, -0.1),
                                    radius=4 * spec.dx, amp=12.0)
         root = root_cube(f)
-        for cube in (root, root.children()[1]):
+        for cube in (root, children(root)[1]):
             yield f, cube.box6(), cube.window()
 
 
@@ -473,53 +473,7 @@ def _complex_node_cases():
 OPERATORS = ("star", "starstar", "hl")
 
 
-# the call each operator makes once for every radius it evaluates
-_EVALUATES = {"star": "_star_tiles", "starstar": "_y_max", "hl": "_f_take"}
-
-
-def _radii_evaluated(monkeypatch, eng, op, window):
-    """``{op}_values`` of the engine on the window, and how many radii it
-    evaluated rather than skipped."""
-    name = _EVALUATES[op]
-    orig, calls = getattr(MaximalEngine, name), []
-
-    def counting(self, *args):
-        calls.append(args)
-        return orig(self, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(MaximalEngine, name, counting)
-        out = getattr(eng, f"{op}_values")(window)
-    return out, len(calls)
-
-
-def _pruned_radii(monkeypatch, cfg):
-    """Radii skipped per operator over the node cases, after checking that
-    every output is bitwise that of the walk with no bounds."""
-    pruned = dict.fromkeys(OPERATORS, 0)
-    for f, box, window in _node_cases():
-        for op in OPERATORS:
-            fast, n_fast = _radii_evaluated(monkeypatch, MaximalEngine(f, DELTA, cfg, box=box),
-                                            op, window)
-            with monkeypatch.context() as m:
-                m.setattr(maximal, "_radius_bound", lambda *args: np.inf)
-                eng = MaximalEngine(f, DELTA, cfg, box=box)
-                full, n_full = _radii_evaluated(monkeypatch, eng, op, window)
-            assert np.array_equal(fast, full), op
-            assert n_full == len(eng.eps_list), op
-            pruned[op] += n_full - n_fast
-    return pruned
-
-
 class TestRadiusPruning:
-    def test_outputs_bitwise_equal_to_unpruned(self, monkeypatch):
-        pruned = _pruned_radii(monkeypatch, MaximalConfig(eps_min_exp=0))
-        assert all(pruned.values()), pruned
-
-    def test_q0_above_two_prunes_with_the_kernel_bound(self, monkeypatch):
-        pruned = _pruned_radii(monkeypatch, MaximalConfig(q0=3.0, eps_min_exp=0))
-        assert pruned["starstar"] > 0, pruned
-
     @pytest.mark.parametrize("q0", [2.0, 3.0])
     def test_bound_covers_every_contribution(self, q0):
         # on selection nodes, each radius's contribution stays within its
@@ -567,7 +521,7 @@ class TestRadiusPruning:
                                 num_modes=4, freq_max=1.5)
         root3 = root_cube(f3)
         cases = [*_node_cases(),
-                 *((f3, c.box6(), c.window()) for c in (root3, root3.children()[1]))]
+                 *((f3, c.box6(), c.window()) for c in (root3, children(root3)[1]))]
         checked = {2: 0, 3: 0}
         for f, box, window in cases:
             N, n = f.spec.N, f.spec.n
@@ -782,7 +736,7 @@ def _oracle_node(f, cube, delta, cfg):
     applied to ``f * 1_{6Q}``, and the window points whose phi lies within
     1e-9 of a rung it is compared with (ties, where the comparison with the
     engine is ill-posed)."""
-    spec, window, box6 = f.spec, cube.window(), cube.box6()
+    window, box6 = cube.window(), cube.box6()
     cut = _cut(f, box6)
     pts = list(itertools.product(*(range(l, h) for l, h in window)))
     star = brute_star_at(cut, delta, cfg, pts, mask_center=tile_centers(window))
@@ -797,29 +751,9 @@ def _oracle_node(f, cube, delta, cfg):
             break
         c *= 2.0
 
-    def cells_of(q):
-        return e[tuple(slice(a - l, a - l + q.cells) for a, (l, _) in zip(q.lo_px, window))]
-
-    # D(Q) level by level down to the floor: a cube is selected when it lies
-    # in E and its parent does not, and a floor cube that meets E without
-    # lying in it (or the root itself at the floor) is flagged
-    selected, flagged = [], []
-    for k in range(int(np.log2(cube.cells // RECURSION_FLOOR_CELLS)) + 1):
-        for off in itertools.product(range(2 ** k), repeat=spec.n):
-            q = DyadicCube(spec, cube.root_lo, cube.root_cells, cube.level + k,
-                           tuple((i << k) + o for i, o in zip(cube.index, off)))
-            part = cells_of(q)
-            if not part.any() or (k > 0 and cells_of(DyadicCube(  # q's parent
-                    spec, q.root_lo, q.root_cells, q.level - 1,
-                    tuple(i // 2 for i in q.index))).all()):
-                continue
-            if k > 0 and part.all():
-                selected.append(q)
-            elif q.cells < 2 * RECURSION_FLOOR_CELLS:
-                flagged.append(q)
+    selected, flagged = plain_maximal_cubes(cube, e)
     node = TraceNode(cube, c, c * base, Fraction(int(np.count_nonzero(e)), cube.cell_count),
-                     tuple(sorted(selected, key=lambda q: q.addr)),
-                     tuple(sorted(flagged, key=lambda q: q.addr)))
+                     tuple(selected), tuple(flagged))
     return node, ties
 
 
@@ -1132,9 +1066,9 @@ class TestBallRows:
         spec = GridSpec(n=n, L=N / 8.0, N=N)
         for r in radii:
             offs, plain = _ball_offsets(n, r, N), _ball_offsets(n, r, 2 * r + 1)
-            lo, box = maximal._ball_box(n, r, N)
+            lo, box = maximal._ball_box(n, r * r, N)
             assert box.shape == tuple(offs.max(axis=0) + 1 - offs.min(axis=0)), r
-            ranges, idx = maximal.ball_points(spec, 0.0, (r + 0.5) * spec.dx)
+            ranges, idx = maximal.ball_points(spec, 0.0, r * spec.dx)
             assert ranges == [(N // 2 + l, N // 2 + l + m) for l, m in zip(lo, box.shape)]
             # the same points, in the oracle's C order
             assert np.array_equal(np.stack(idx, axis=-1) + lo, offs), r
@@ -1160,11 +1094,61 @@ class TestBallRows:
         maximal._ball_rows.cache_clear()
         tracemalloc.start()
         try:
-            maximal._ball_box(3, 96, 128)
+            maximal._ball_box(3, 96 * 96, 128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("n, L, N, radii, counts", [
+        (2, 10.0, 64, (1.0, 0.7, 2.3), {1.0: 129}),
+        (2, 60.0, 512, (2.0,), {2.0: 917}),
+        (3, 5.0, 32, (0.6, 1.1), {})], ids=["n2-N64", "n2-N512", "n3-N32"])
+    def test_points_at_non_integer_pixel_radii(self, n, L, N, radii, counts):
+        # ball_points takes every grid point within the radius by the
+        # distance check, once, at pixel radii off the integers too (the
+        # floor of radius / dx dropped 16 of 129 points at L = 10, N = 64,
+        # R = 1), around the origin and a center across the seam
+        spec = GridSpec(n=n, L=L, N=N)
+        for center in (0.0, L / 2.0 - 3.2 * spec.dx):
+            c_px = np.round(np.broadcast_to(center, (n,)) / spec.dx + N // 2).astype(int)
+            d = [np.minimum((np.arange(N) - c) % N, (c - np.arange(N)) % N) * spec.dx
+                 for c in c_px]
+            dist = np.sqrt(sum(np.meshgrid(*[x ** 2 for x in d], indexing="ij")))
+            for radius in radii:
+                ranges, idx = maximal.ball_points(spec, center, radius)
+                got = sorted(tuple(int((l + i) % N) for (l, _), i in zip(ranges, point))
+                             for point in zip(*idx))
+                want = sorted(map(tuple, np.argwhere(dist <= radius).tolist()))
+                assert got == want, (center, radius)
+                assert len(got) == counts.get(radius, len(got)), radius
+
+
+class TestRadiusDiscretization:
+    # HL over every integer radius in [2^eps_min_exp, N/4] stays within the
+    # provable factor max_m (|B_{2^{m+1}}| / |B_{2^m}|)^{1/p0} of the dyadic
+    # HL, since a radius in [2^m, 2^{m+1}) has its ball inside B_{2^{m+1}}.
+    # The tolerance covers the FFT means, which leave about 1e-15 far from
+    # the support, where the exact mean is 0.
+    def test_dense_hl_within_provable_factor(self):
+        ecfg = ExperimentConfig(grid_l=8.0, grid_n=64, seed=7)
+        spec, cfg = ecfg.spec(), ecfg.maximal_cfg()
+        dyadic = cfg.eps_px_list(spec)
+        factor = max((maximal._ball_count(spec.n, 2 * r) / maximal._ball_count(spec.n, r))
+                     ** (1.0 / cfg.p0) for r in dyadic[:-1])
+        assert factor == pytest.approx(3.205, abs=5e-4)
+        spike = np.zeros(spec.shape)
+        spike[(spec.N // 2,) * spec.n] = 1.0
+        ratios = []
+        for f in (_trial_fields(ecfg, 0)[0], SampledField(spec, spike)):
+            eng = MaximalEngine(f, 0.0, cfg)
+            eng.eps_list = list(range(dyadic[0], dyadic[-1] + 1))
+            dense = eng.hl_values(_full_window(spec))
+            hl = hl_maximal(f, cfg).values
+            assert np.all(dense >= hl)
+            assert np.all(dense <= factor * hl + 1e-12 * np.abs(f.values).max())
+            ratios.append(np.max(dense[hl > 1e-6] / hl[hl > 1e-6]))
+        assert all(1.0 < r < factor for r in ratios), ratios
 
 
 class TestPhases:

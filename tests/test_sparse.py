@@ -1,5 +1,6 @@
 """Stopping-time selection: root cube, exceptional sets, certificates, forms."""
 
+import itertools
 import json
 import math
 import os
@@ -48,6 +49,39 @@ def parent(cube: DyadicCube) -> DyadicCube:
                       tuple(ix // 2 for ix in cube.index))
 
 
+def children(cube: DyadicCube) -> list[DyadicCube]:
+    """The 2^n dyadic children of a cube, in address order."""
+    return [DyadicCube(cube.spec, cube.root_lo, cube.root_cells, cube.level + 1,
+                       tuple(2 * ix + bit for ix, bit in zip(cube.index, bits)))
+            for bits in itertools.product((0, 1), repeat=cube.spec.n)]
+
+
+def plain_maximal_cubes(cube: DyadicCube, e: np.ndarray):
+    """Reference for ``sparse._maximal_cubes``: D(cube) cube by cube, level
+    by level down to the floor, ``e`` on cube's window.  A cube that meets
+    ``e`` and whose parent, if below ``cube``, does not lie in it is selected
+    when it lies in ``e`` and is below ``cube``, and else flagged when it is
+    at the floor (``cube`` itself too).  Both lists are sorted by address."""
+    window = cube.window()
+
+    def cells_of(q):
+        return e[tuple(slice(a - l, a - l + q.cells) for a, (l, _) in zip(q.lo_px, window))]
+
+    selected, flagged = [], []
+    for k in range(int(np.log2(cube.cells // sparse.RECURSION_FLOOR_CELLS)) + 1):
+        for off in itertools.product(range(2 ** k), repeat=cube.spec.n):
+            q = DyadicCube(cube.spec, cube.root_lo, cube.root_cells, cube.level + k,
+                           tuple((i << k) + o for i, o in zip(cube.index, off)))
+            part = cells_of(q)
+            if not part.any() or (k > 1 and cells_of(parent(q)).all()):
+                continue
+            if k > 0 and part.all():
+                selected.append(q)
+            elif q.cells < 2 * sparse.RECURSION_FLOOR_CELLS:
+                flagged.append(q)
+    return sorted(selected, key=lambda q: q.addr), sorted(flagged, key=lambda q: q.addr)
+
+
 def spiked_trig(spec=GridSpec(n=2, L=32.0, N=512)):
     """A sharp bump on a random trigonometric field: its root node selects
     children, and the root's 6Q leaves room for support outside it."""
@@ -67,7 +101,7 @@ class TestDyadicCube:
 
     def test_children_partition(self):
         cube = DyadicCube(SPEC, (48, 48), 32, 0, (0, 0))
-        kids = cube.children()
+        kids = children(cube)
         assert len(kids) == 4
         assert sum(k.cell_count for k in kids) == cube.cell_count
         for k in kids:
@@ -79,6 +113,40 @@ class TestDyadicCube:
             DyadicCube(SPEC, (0, 0), 12, 0, (0, 0))  # not a power of two
         with pytest.raises(ValueError):
             DyadicCube(SPEC, (0, 0), 8, 1, (2, 0))   # index out of range
+
+
+class TestMaximalCubes:
+    # the per-level block sums of _maximal_cubes give the lists of the plain
+    # per-cube walk: seeded random masks, unions of boxes, the empty and the
+    # full mask, n = 2 and 3, on a root above the floor, on nodes below it
+    # and on a root at the 4-cell floor
+    @pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+    def test_matches_per_cube_walk(self, n):
+        N = 64 if n == 2 else 32
+        spec = GridSpec(n=n, L=N / 8.0, N=N)
+        root = DyadicCube(spec, (N // 2 - 8,) * n, 16, 0, (0,) * n)
+        floor = DyadicCube(spec, (N // 2 - 2,) * n, 4, 0, (0,) * n)
+        rng = np.random.default_rng(n)
+        seen = set()
+        for cube in (root, children(root)[1], children(children(root)[-1])[0], floor):
+            shape = (cube.cells,) * n
+            masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+            for _ in range(40):
+                masks.append(rng.random(shape) < rng.random())
+                boxes = np.zeros(shape, dtype=bool)
+                for _ in range(3):
+                    lo, width = rng.integers(0, cube.cells, n), rng.integers(1, cube.cells + 1, n)
+                    boxes[tuple(slice(l, l + w) for l, w in zip(lo, width))] = True
+                masks.append(boxes)
+            for mask in masks:
+                got = sparse._maximal_cubes(cube, mask)
+                assert got == plain_maximal_cubes(cube, mask), (cube.addr, mask.sum())
+                seen |= {(cube.level, q.level - cube.level, kind)
+                         for kind, qs in zip(("selected", "flagged"), got) for q in qs}
+        # every level of the root above the floor selects and flags, and the
+        # floor root is flagged
+        assert {(0, k, "selected") for k in (1, 2)} <= seen
+        assert {(0, 2, "flagged"), (0, 0, "flagged")} <= seen
 
 
 class TestRootCube:
