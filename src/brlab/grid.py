@@ -25,21 +25,26 @@ meets the stored block with the read box and fills the rest with zeros.  The who
 (``SampledField.values``) is built on first use, for the whole-grid
 operations: norms, weights and field files.
 
-Every transform runs on ``scipy.fft``, called through the module so that
-its entry points can be wrapped from outside.  :func:`apply_symbol`
-is the one place a Fourier multiplier meets a whole field (``maximal``
-reads truncated fields on boxes as band products).  Every symbol here is
-even, so real values stay real, and complex values take the passes below on
-their real and imaginary parts.  The passes are pocketfft's own separable
-passes of the ``rfftn``/``irfftn`` pair on the half symbol: ``rfftn`` is an
-r2c pass along the last axis, then c2c passes along axes 0, ..., n-2;
-``irfftn`` is the unscaled inverse c2c passes in the same order, then a c2r
-pass along the last axis scaled by ``1/N^n``.  The passes are pruned to the
-lines that can change the result: the r2c pass runs only on the rows of the
-field's block, where the values can be nonzero, the c2c passes only on the
-band, a range of lines per axis that holds every nonzero of the symbol, and
-the c2r pass only on the rows of the box that is read, followed by one
-multiply by ``1/N^n``.  Each axis but the last takes the block's rows
+Every transform runs on the 1-D passes of ``numpy.fft``, called through
+the module so that its entry points can be wrapped from outside.  NumPy
+(>= 2) ships the C++ pocketfft that ``scipy.fft`` runs, and the n-D pair
+:func:`_rfftn`/:func:`_irfftn` runs its passes in SciPy's order with
+SciPy's one scale, so it has the bits of ``scipy.fft``'s n-D transforms
+without SciPy's import cost; NumPy's own n-D entry points take the c2c axes
+in descending order and scale per axis, and their bits differ.
+:func:`apply_symbol` is the one place a Fourier multiplier meets a whole
+field (``maximal`` reads truncated fields on boxes as band products).
+Every symbol here is even, so real values stay real, and complex values
+take the passes below on their real and imaginary parts.  The passes are
+pocketfft's own separable passes of the ``rfftn``/``irfftn`` pair on the
+half symbol: ``rfftn`` is an r2c pass along the last axis, then c2c passes
+along axes 0, ..., n-2; ``irfftn`` is the unscaled inverse c2c passes in
+the same order, then a c2r pass along the last axis scaled by ``1/N^n``.
+The passes are pruned to the lines that can change the result: the r2c
+pass runs only on the rows of the field's block, where the values can be
+nonzero, the c2c passes only on the band, a range of lines per axis that
+holds every nonzero of the symbol, and the c2r pass only on the rows of the
+box that is read, followed by one multiply by ``1/N^n``.  Each axis but the last takes the block's rows
 before its forward pass and the read box's rows after its inverse pass; the
 last axis is taken whole in ``ifftshift`` order and cut to the read box
 after the c2r pass.  Every index set is a range taken mod N (a box's rows,
@@ -65,7 +70,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 __all__ = [
     "GridSpec",
@@ -371,8 +376,67 @@ class SpectralField:
 
 def inverse_transform(F: SpectralField) -> SampledField:
     spec = F.spec
-    vals = fft.fftshift(fft.ifftn(F.coefficients)) / spec.dx ** spec.n
+    vals = fft.fftshift(_irfftn(F.coefficients, spec.shape, real=False)) / spec.dx ** spec.n
     return SampledField(spec, vals)
+
+
+@lru_cache(maxsize=None)
+def _next_fast_len(n: int, real: bool) -> int:
+    """The least ``m >= n`` that is 5-smooth (``real``) or 11-smooth, the
+    lengths pocketfft's real and complex plans factor: SciPy's
+    ``next_fast_len``."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _rfftn(x: np.ndarray, s=None, axes=None) -> np.ndarray:
+    """``scipy.fft.rfftn`` of real ``x``, ``scipy.fft.fftn`` of complex ``x``,
+    bit for bit from ``numpy.fft``'s 1-D passes in SciPy's order: ``x``
+    zero-padded at the end to the lengths ``s`` (default: its own) on
+    ``axes`` (default: all), the r2c pass along the last axis, then the c2c
+    passes along the others in ascending order."""
+    axes = list(range(x.ndim) if axes is None else axes)
+    if s is not None:
+        shape = list(x.shape)
+        for a, m in zip(axes, s):
+            shape[a] = m
+        x, src = np.zeros(shape, dtype=x.dtype), x
+        x[tuple(map(slice, src.shape))] = src
+    if not np.iscomplexobj(x):
+        x, axes = fft.rfft(x, axis=axes[-1]), axes[:-1]
+    for a in axes:
+        x = fft.fft(x, axis=a)
+    return x
+
+
+def _irfftn(x: np.ndarray, s, axes=None, real: bool = True) -> np.ndarray:
+    """``scipy.fft.irfftn`` (``real``) or ``scipy.fft.ifftn`` of ``x`` at the
+    lengths ``s`` on ``axes`` (default: all), where ``x`` has those lengths
+    (the half ``s[-1] // 2 + 1`` on the last axis for ``real``), bit for bit:
+    the unscaled c2c passes in ascending order, then the c2r pass, then one
+    multiply by ``1.0 / prod(s)``; a complex result takes the multiply after
+    its first pass, where pocketfft applies it.  ``1.0 / prod(s)`` is
+    pocketfft's long-double ``1 / prod(s)`` rounded to double for every
+    5-smooth product below 10^13."""
+    axes = list(range(x.ndim) if axes is None else axes)
+    scale = 1.0 / math.prod(s)
+    for i, a in enumerate(axes[:-1] if real else axes):
+        x = fft.ifft(x, axis=a, norm="forward")
+        if i == 0 and not real:
+            x.real *= scale
+            x.imag *= scale
+    if not real:
+        return x
+    out = fft.irfft(x, s[-1], axis=axes[-1], norm="forward")
+    out *= scale
+    return out
 
 
 def _cap(r: tuple[int, int], s: tuple[int, int]) -> tuple[int, int]:
@@ -499,15 +563,14 @@ def _pruned_passes(x: np.ndarray, symbol: BandSymbol, src, read) -> np.ndarray:
     # keep of the band's lines
     x = _along(fft.rfft(x, axis=-1), n - 1, band[-1], (0, N // 2 + 1), N)
     for a in range(n - 1):
-        x = fft.fft(_along(x, a, (0, N), src[a], N), axis=a, overwrite_x=True)
+        x = fft.fft(_along(x, a, (0, N), src[a], N), axis=a)
         x = _along(x, a, band[a], (0, N), N)
     x *= symbol.block
     # the unscaled c2c passes on the band's lines embedded in N points, each
     # followed by a take of the read rows, the c2r pass and its take, then
     # the scale 1/N^n
     for a in range(n - 1):
-        x = fft.ifft(_along(x, a, (0, N), band[a], N), axis=a, norm="forward",
-                     overwrite_x=True)
+        x = fft.ifft(_along(x, a, (0, N), band[a], N), axis=a, norm="forward")
         x = _along(x, a, read[a], (0, N), N)
     out = fft.irfft(_along(x, n - 1, (0, N // 2 + 1), band[-1], N), n=N, axis=-1,
                     norm="forward")

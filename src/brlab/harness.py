@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -258,6 +257,9 @@ def run_domination(cfg: ExperimentConfig) -> Report:
     jobs = [(cfg, t) for t in range(cfg.trials)]
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that a serial run does not pay for its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_domination_trial, jobs))
     else:

@@ -78,7 +78,7 @@ and band products need a leading axis) and reject a line before any work;
 
 Every ball mean is a linear convolution over a periodically wrapped crop
 of the window plus the radius, kept on the window (``_ball_mean_linear``,
-one circular convolution at ``next_fast_len`` of the crop): ``eps <= N/4``
+one circular convolution at ``_next_fast_len`` of the crop): ``eps <= N/4``
 keeps the ball's offsets distinct mod ``N``, so the crop gives exact torus
 means even where it is wider than the grid and holds a grid point twice.
 
@@ -164,10 +164,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft
 
-from .grid import (Box, GridSpec, SampledField, _cap, _wrap_take, doubling_table, lp_mean,
-                   sum_of_squares)
+from .grid import (Box, GridSpec, SampledField, _cap, _irfftn, _next_fast_len, _rfftn,
+                   _wrap_take, doubling_table, lp_mean, sum_of_squares)
 from .multiplier import bochner_riesz_symbol, truncated_symbol
 
 __all__ = [
@@ -271,11 +270,11 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     smaller input fits inside the larger (SciPy's ``mode="valid"``).
 
     Only axes where neither input has length 1 are transformed (none left:
-    the plain product), by ``rfftn`` for real inputs and ``fftn`` for
-    complex ones, each at ``next_fast_len`` of the larger input's length
-    ``m``.  The circular product at the indices ``[k - 1, m - 1]`` (``k`` the
-    smaller length) wraps nothing, so it is the linear one there
-    (overlap-save).  The result shares no memory with the inputs.
+    the plain product), by ``grid._rfftn``/``_irfftn``, real for real
+    inputs and complex otherwise, each at ``_next_fast_len`` of the larger
+    input's length ``m``.  The circular product at the indices
+    ``[k - 1, m - 1]`` (``k`` the smaller length) wraps nothing, so it is
+    the linear one there (overlap-save).  The result shares no memory with the inputs.
     """
     axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
     if not all(a.shape[i] >= b.shape[i] for i in axes):
@@ -286,9 +285,10 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not axes:
         return a * b
     real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    fwd, inv = (fft.rfftn, fft.irfftn) if real else (fft.fftn, fft.ifftn)
-    fshape = [fft.next_fast_len(a.shape[i], real) for i in axes]
-    out = inv(fwd(a, fshape, axes=axes) * fwd(b, fshape, axes=axes), fshape, axes=axes)
+    if not real:  # a real operand of a complex product takes the c2c passes
+        a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
+    fshape = [_next_fast_len(a.shape[i], real) for i in axes]
+    out = _irfftn(_rfftn(a, fshape, axes) * _rfftn(b, fshape, axes), fshape, axes, real)
     return out[tuple(slice(b.shape[i] - 1, a.shape[i]) if i in axes else slice(None)
                      for i in range(a.ndim))]
 
@@ -300,7 +300,7 @@ def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndar
     lo, box = _ball_box(n, r_px * r_px, N)
     ball = np.zeros(shape)
     ball[tuple((i + l) % m for i, l, m in zip(np.nonzero(box), lo, shape))] = 1.0
-    spec = fft.rfftn(ball)
+    spec = _rfftn(ball)
     spec.flags.writeable = False
     return spec
 
@@ -311,14 +311,13 @@ def _ball_mean_linear(arr: np.ndarray, r_px: int, N: int, n: int | None = None) 
     them; leading axes stack independent arrays): an array ``2 r_px``
     shorter on each of those axes.
 
-    One circular convolution with the ball at ``next_fast_len`` of
+    One circular convolution with the ball at ``_next_fast_len`` of
     ``arr``'s shape: from those points the ball reaches no wrapped sample.
     """
     n = arr.ndim if n is None else n
     axes = tuple(range(arr.ndim - n, arr.ndim))
-    fshape = tuple(fft.next_fast_len(arr.shape[a], True) for a in axes)
-    conv = fft.irfftn(fft.rfftn(arr, fshape, axes) * _ball_spectrum(n, r_px, N, fshape),
-                      fshape, axes)
+    fshape = tuple(_next_fast_len(arr.shape[a], True) for a in axes)
+    conv = _irfftn(_rfftn(arr, fshape, axes) * _ball_spectrum(n, r_px, N, fshape), fshape, axes)
     conv = conv[(...,) + tuple(slice(r_px, arr.shape[a] - r_px) for a in axes)]
     return np.maximum(conv, 0.0) / _ball_count(n, r_px)
 

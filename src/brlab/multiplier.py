@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .grid import (
     BandSymbol,
@@ -160,7 +159,10 @@ def apply_Sk(f: SampledField, k: int, delta: float) -> SampledField:
 def _bessel_j(order: float):
     """``x -> J_order(x)``: SciPy's ``j0`` for order 0, the closed form
     ``sqrt(2/(pi x)) sin x`` for order 1/2, and SciPy's ``jv`` (AMOS, several
-    times slower) for any other order."""
+    times slower) for any other order.  SciPy is imported here, on first
+    use, so only the callers of a Bessel factor pay for its import."""
+    from scipy import special
+
     if order == 0.0:
         return special.j0
     if order == 0.5:

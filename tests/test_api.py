@@ -24,13 +24,20 @@ def test_all_names_resolve(name):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
-    # of scipy's subpackages, importing the CLI loads scipy.fft and
-    # scipy.special only; the signal module (with the stats and interpolate
-    # modules it pulls in) tripled the start-up time of every CLI call
+    # SciPy's import was more than half of a CLI call's start-up: brlab runs
+    # its transforms on numpy.fft and imports scipy.special inside the Bessel
+    # factor, so the CLI, a domination trial, the weights and prop41 load no
+    # SciPy module (decay may load scipy.special); the process pool is
+    # imported only for more than one worker
     src = str(Path(brlab.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import brlab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate', "
-            "'scipy.ndimage') if m in sys.modules))")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import brlab.cli\n"
+            "from brlab.harness import (ExperimentConfig, _domination_trial, run_prop41, "
+            "run_weights)\n"
+            "cfg = ExperimentConfig(grid_n=128, trials=1, seed=7)\n"
+            "assert _domination_trial((cfg, 0))[1] == 'ok'\n"
+            "run_weights(cfg), run_prop41(cfg)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+            "or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

@@ -156,6 +156,64 @@ class TestTransform:
         assert np.linalg.norm(back.values - f.values) < 1e-12 * np.linalg.norm(f.values)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: signed zeros count."""
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
+
+
+class TestSciPyBitsOfTheNumpyBackend:
+    # grid._rfftn/_irfftn run numpy.fft's 1-D pocketfft passes in SciPy's
+    # order with SciPy's one scale: every bit of scipy.fft's n-D transforms,
+    # on odd shapes, stacked leading axes and zero-padded lengths
+    CASES = [((7,), None), ((8,), None), ((23, 30), None), ((9, 10), (0, 1)),
+             ((9, 10, 11), None), ((16, 16, 16), None), ((4, 9, 10), (1, 2)),
+             ((3, 9, 10, 11), (1, 2, 3)), ((5, 6, 7), (2,))]
+
+    @staticmethod
+    def draw(shape, axes, pad, real):
+        rng = np.random.default_rng(len(shape) + pad)
+        x = rng.standard_normal(shape)
+        if not real:
+            x = x + 1j * rng.standard_normal(shape)
+        s = [grid._next_fast_len(shape[a] + pad, real)
+             for a in (range(len(shape)) if axes is None else axes)]
+        return rng, x, s
+
+    @pytest.mark.parametrize("pad", [0, 5], ids=["fast", "padded"])
+    @pytest.mark.parametrize("shape, axes", CASES, ids=str)
+    def test_rfftn_irfftn_match_scipy(self, shape, axes, pad):
+        rng, x, s = self.draw(shape, axes, pad, True)
+        if axes is None:
+            assert _same_bits(grid._rfftn(x), fft.rfftn(x))
+        spec = grid._rfftn(x, s, axes)
+        assert _same_bits(spec, fft.rfftn(x, s, axes))
+        y = spec * rng.standard_normal(spec.shape)
+        assert _same_bits(grid._irfftn(y, s, axes), fft.irfftn(y, s, axes))
+
+    @pytest.mark.parametrize("pad", [0, 5], ids=["fast", "padded"])
+    @pytest.mark.parametrize("shape, axes", CASES, ids=str)
+    def test_complex_pair_matches_scipy_fftn_ifftn(self, shape, axes, pad):
+        rng, x, s = self.draw(shape, axes, pad, False)
+        spec = grid._rfftn(x, s, axes)
+        assert _same_bits(spec, fft.fftn(x, s, axes))
+        y = spec * rng.standard_normal(spec.shape)
+        assert _same_bits(grid._irfftn(y, s, axes, real=False), fft.ifftn(y, s, axes))
+
+    def test_next_fast_len_matches_scipy(self):
+        for real in (True, False):
+            assert ([grid._next_fast_len(n, real) for n in range(1, 4097)]
+                    == [fft.next_fast_len(n, real) for n in range(1, 4097)]), real
+
+    def test_scale_is_pocketfft_long_double_reciprocal(self):
+        # pocketfft scales by its long-double 1/N rounded to double; 1.0 / N
+        # is that double for every 5-smooth N below 10^13
+        smooth = [2 ** i * 3 ** j * 5 ** k for i in range(44) for j in range(28)
+                  for k in range(19) if 2 ** i * 3 ** j * 5 ** k < 10 ** 13]
+        assert len(smooth) > 4000
+        assert all(float(np.longdouble(1) / n) == 1.0 / n for n in smooth)
+
+
 def indicator_of(spec, box):
     vals = np.zeros(spec.shape)
     sl = tuple(slice(j0, j1) for j0, j1 in box.index_ranges(spec))

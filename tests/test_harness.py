@@ -238,6 +238,8 @@ class TestDomination:
         assert serial.csv() == parallel.csv()
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
         import brlab.harness as harness
 
         pools = []
@@ -257,7 +259,8 @@ class TestDomination:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        # run_domination imports the pool class only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         cfg = {**SMALL, "trials": 1}
         run_domination(ExperimentConfig(**{**cfg, "workers": 64}))
@@ -372,15 +375,19 @@ class TestDominationGolden:
 
 
 class TestOneFFTBackend:
-    # Every transform in brlab runs on scipy.fft; the benchmark's tracer
-    # counts FFTs by wrapping that module's entry points.
-    def test_numpy_fft_never_called(self, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.fft called")
+    # Every transform in brlab runs on numpy.fft's 1-D passes, taken in
+    # SciPy's order by grid._rfftn/_irfftn: no scipy.fft entry point, and
+    # none of NumPy's n-D ones, whose pass order and scaling give other bits.
+    def test_scipy_fft_never_called(self, monkeypatch, tmp_path):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
 
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
-                     "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
-            monkeypatch.setattr(np.fft, name, refuse)
+        for name in fft.__all__:
+            monkeypatch.setattr(fft, name, refuse(f"scipy.fft.{name}"))
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse(f"numpy.fft.{name}"))
         cfg = ExperimentConfig(grid_n=128, eps_min_exp=2, seed=7)
         assert _domination_trial((cfg, 0))[1] == "ok"
         f, _ = _trial_fields(cfg, 0)

@@ -1281,19 +1281,17 @@ class TestFftconvolve:
         f, g = _trial_fields(ecfg, 0)
         operands, checked = [], []
 
-        def spy_inverse(name, real):
-            inv = getattr(scipy.fft, name)
+        inverse = maximal._irfftn
 
-            def spy(x, s=None, axes=None, *args, **kwargs):
-                if operands:
-                    fn, shapes = operands[-1]
-                    axes_ = range(len(s)) if axes is None else axes
-                    want = [scipy.fft.next_fast_len(max(m[i] for m in shapes), real)
-                            for i in axes_]
-                    assert list(s) == want, (fn, shapes, s)
-                    checked.append(fn)
-                return inv(x, s, axes, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, spy)
+        def spy_inverse(x, s, axes=None, real=True):
+            if operands:
+                fn, shapes = operands[-1]
+                axes_ = range(len(s)) if axes is None else axes
+                want = [scipy.fft.next_fast_len(max(m[i] for m in shapes), real)
+                        for i in axes_]
+                assert list(s) == want, (fn, shapes, s)
+                checked.append(fn)
+            return inverse(x, s, axes, real)
 
         def spy_conv(name, operand_shapes):
             fn = getattr(maximal, name)
@@ -1306,8 +1304,7 @@ class TestFftconvolve:
                     operands.pop()
             monkeypatch.setattr(maximal, name, spy)
 
-        spy_inverse("irfftn", True)
-        spy_inverse("ifftn", False)
+        monkeypatch.setattr(maximal, "_irfftn", spy_inverse)
         spy_conv("_ball_mean_linear",
                  lambda arr, r, N, n=None: (arr.shape, (2 * r + 1,) * arr.ndim))
         tiles, truncate = [], MaximalEngine._truncate
