@@ -168,17 +168,6 @@ def prefix_sum(arr: np.ndarray) -> np.ndarray:
     return np.pad(p, [(1, 0)] * arr.ndim)
 
 
-def box_sums(prefix: np.ndarray, lo, hi):
-    """Sums over the index boxes ``[lo, hi)`` by inclusion-exclusion on a
-    :func:`prefix_sum` image; ``lo[i]``/``hi[i]`` are the bounds on axis ``i``,
-    scalars for one box or equal-length arrays for many."""
-    total = 0
-    for bits in itertools.product((0, 1), repeat=prefix.ndim):
-        idx = tuple(l if b else h for b, l, h in zip(bits, lo, hi))
-        total = total + (-1) ** sum(bits) * prefix[idx]
-    return total
-
-
 def doubling_table(base: np.ndarray, op, n_levels: int, axes=None):
     """Levels ``0 .. n_levels - 1`` of the running ``op`` (``np.minimum`` or
     ``np.maximum``) of ``base``, yielded in turn: level ``k`` holds at ``x``

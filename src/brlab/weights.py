@@ -3,10 +3,13 @@
 Characteristics are suprema over a *fixed* finite cube family (every
 grid-aligned dyadic cube plus a seeded sample of general axis-aligned
 cubes), so they are certified lower bounds of the continuum quantities and
-inequalities between them compare like with like.  A weight and all of its
-powers ``Weight.pow(s)`` read one table of per-cube statistics of the base
-field, which makes algebraic identities between characteristics (A_2
-duality, the product inequality) hold to the last float.
+inequalities between them compare like with like.  The sample is the
+32-bit word stream of NumPy's bounded integers, drawn in bulk.  A weight
+and all of its powers ``Weight.pow(s)`` read one table of per-cube
+statistics of the base field, which makes algebraic identities between
+characteristics (A_2 duality, the product inequality) hold to the last
+float; each statistic is a few flat gathers at corner indices that the
+family computes once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .grid import (
     SampledField,
     _radius_sq_grid,
     apply_symbol,
-    box_sums,
     doubling_table,
     freq_sq,
     lp_norm,
@@ -54,12 +56,33 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A cube family with the flat indices its statistics gather, read-only and
+    shared by every weight on the grid.  It unpacks to ``lo, side``: the low
+    corners and sides.  ``volume`` is each cube's volume; ``box_corners`` holds
+    the ``2^n`` (sign, flat index) pairs of every cube's corners in the padded
+    ``(N+1)^n`` prefix image, in :func:`itertools.product` order;
+    ``levels[k]`` holds the cubes of side in ``[2^k, 2^{k+1})`` and the flat
+    indices of their ``2^n`` corner windows in level ``k`` of
+    :func:`grid.doubling_table`, of shape ``(N - 2^k + 1)^n``."""
+
+    lo: np.ndarray
+    side: np.ndarray
+    volume: np.ndarray
+    box_corners: tuple[tuple[int, np.ndarray], ...]
+    levels: tuple[tuple[np.ndarray, tuple[np.ndarray, ...]], ...]
+
+    def __iter__(self):
+        return iter((self.lo, self.side))
+
+
 class _CubeStats:
     """Per-cube statistics of a base field over its family, each computed on
     first use: the average of base^e keyed by e, of log(base), min and max."""
 
-    def __init__(self, base: np.ndarray, fam_lo: np.ndarray, fam_side: np.ndarray):
-        self.base, self.fam_lo, self.fam_side = base, fam_lo, fam_side
+    def __init__(self, base: np.ndarray, family: _Family):
+        self.base, self.family = base, family
         self.avgs: dict[float, np.ndarray] = {}
 
     def avg(self, e: float) -> np.ndarray:
@@ -80,22 +103,23 @@ class _CubeStats:
         return self._extremes(np.maximum)
 
     def _means(self, vals: np.ndarray) -> np.ndarray:
-        lo = self.fam_lo.T
-        sums = box_sums(prefix_sum(vals), lo, lo + self.fam_side)
-        return sums / self.fam_side.astype(float) ** vals.ndim
+        """Inclusion-exclusion on the prefix image, corner by corner."""
+        flat = prefix_sum(vals).reshape(-1)
+        total = 0
+        for sign, idx in self.family.box_corners:
+            total = total + sign * flat.take(idx)
+        return total / self.family.volume
 
     def _extremes(self, op) -> np.ndarray:
         """``op`` (``np.minimum`` or ``np.maximum``) over every family cube: a
         cube of side ``s`` reads its ``2^n`` corner windows at level
         ``floor(log2 s)`` of :func:`grid.doubling_table`, which cover it."""
-        levels = doubling_table(self.base, op, int(self.fam_side.max()).bit_length())
-        out = np.empty(len(self.fam_lo))
-        for k, table in enumerate(levels):
-            sel = (self.fam_side >> k) == 1
-            lo, shift = self.fam_lo[sel].T, self.fam_side[sel] - (1 << k)
-            corners = itertools.product((0, 1), repeat=self.base.ndim)
-            out[sel] = reduce(op, (table[tuple(l + c * shift for l, c in zip(lo, corner))]
-                                   for corner in corners))
+        fam = self.family
+        out = np.empty(len(fam.side))
+        tables = doubling_table(self.base, op, len(fam.levels))
+        for (sel, corners), table in zip(fam.levels, tables):
+            flat = table.reshape(-1)
+            out[sel] = reduce(op, (flat.take(c) for c in corners))
         return out
 
 
@@ -105,25 +129,25 @@ class Weight:
     ``w^s`` on the same family and statistics; as ``x -> x^s`` is monotone, its
     extremes are the base's raised to ``s``, min and max swapping for ``s < 0``."""
 
-    def __init__(self, field: SampledField, fam_lo: np.ndarray, fam_side: np.ndarray,
+    def __init__(self, field: SampledField, family: _Family,
                  stats: _CubeStats | None = None, exp: float = 1.0):
         vals = field.values.real
         if np.any(vals <= 0) or np.any(field.values.imag != 0):
             raise ValueError("weights must be strictly positive real fields")
-        self.field, self.spec = field, field.spec
-        self.fam_lo, self.fam_side = fam_lo, fam_side
-        self._stats = _CubeStats(vals, fam_lo, fam_side) if stats is None else stats
+        self.field, self.spec, self.family = field, field.spec, family
+        self.fam_lo, self.fam_side = family
+        self._stats = _CubeStats(vals, family) if stats is None else stats
         self._exp = exp
 
     @classmethod
     def build(cls, field: SampledField, family_seed: int = 0,
               n_random: int = 10_000) -> "Weight":
-        return cls(field, *_build_family(field.spec, family_seed, n_random))
+        return cls(field, _build_family(field.spec, family_seed, n_random))
 
     def pow(self, s: float) -> "Weight":
         e = self._exp * s
         fld = SampledField(self.spec, self._stats.base ** e)
-        return Weight(fld, self.fam_lo, self.fam_side, self._stats, e)
+        return Weight(fld, self.family, self._stats, e)
 
     def _avgs(self, e: float) -> np.ndarray:
         """Average of (this weight)^e over every family cube."""
@@ -138,24 +162,72 @@ class Weight:
         return (self._stats.mins if self._exp < 0 else self._stats.maxs) ** self._exp
 
 
+_WORD = 0xFFFFFFFF
+
+
+def _random_cubes(N: int, n: int, seed: int, count: int):
+    """Sides and low corners of ``count`` random cubes: cube ``i`` is the
+    ``i``-th pass of ``s = rng.integers(2, N // 2 + 1)`` then
+    ``rng.integers(0, N - s + 1, size=n)`` on ``rng = default_rng(seed)``,
+    drawn in bulk (``N <= 2^32``).  NumPy takes each of these draws from the
+    32-bit words of PCG64 (the low half of each 64-bit output, then the high
+    half) by Lemire's multiply-shift: a word ``w`` gives ``(w * range) >> 32``
+    unless its low product half falls below ``(2^32 - range) % range``, when
+    the draw takes the next word.  One pass assumes no word is rejected; the
+    cubes before the first rejected word are kept, and the pass restarts at
+    the next cube with that word struck from the stream."""
+    if count < 0:
+        raise ValueError(f"n_random must be >= 0, got {count}")
+    bitgen = np.random.default_rng(seed).bit_generator
+    per = n + 1
+    side, lo = np.empty(count, dtype=np.int64), np.empty((count, n), dtype=np.int64)
+    words, done = np.empty(0, dtype=np.uint64), 0
+    while done < count:
+        need = (count - done) * per
+        if len(words) < need:
+            raw = bitgen.random_raw((need - len(words) + 1) // 2)
+            words = np.concatenate([words, np.stack([raw & _WORD, raw >> 32], axis=1).ravel()])
+        w = words[:need].reshape(-1, per)
+        span = np.full_like(w, N // 2 - 1)
+        s = 2 + (w[:, 0] * span[:, 0] >> 32)
+        span[:, 1:] = (N + 1 - s)[:, None]
+        prod = w * span
+        rejected = np.flatnonzero((prod & _WORD) < (2**32 - span) % span)
+        kept = len(w) if rejected.size == 0 else rejected[0] // per
+        side[done:done + kept], lo[done:done + kept] = s[:kept], prod[:kept, 1:] >> 32
+        done += kept
+        words = np.delete(words[kept * per:], rejected[:1] - kept * per)
+    return side, lo
+
+
 @lru_cache(maxsize=8)
-def _build_family(spec: GridSpec, seed: int, n_random: int):
-    """Low corners and sides of the cube family, read-only and shared."""
+def _build_family(spec: GridSpec, seed: int, n_random: int) -> _Family:
+    """The grid's dyadic cubes, corners in row-major order, side N down to 1,
+    then ``n_random`` cubes of :func:`_random_cubes`; with their index tables."""
     N, n = spec.N, spec.n
+    rand_side, rand_lo = _random_cubes(N, n, seed, n_random)
     sides = [N >> j for j in range(N.bit_length())]  # N, N/2, ..., 1
-    # every dyadic cube of each side, corners in row-major order
-    lo = [np.indices((N // s,) * n, dtype=np.int64).reshape(n, -1).T * s for s in sides]
-    side = [np.full(len(corners), s, dtype=np.int64) for corners, s in zip(lo, sides)]
-    rand_lo, rand_side = [], []
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        s = int(rng.integers(2, N // 2 + 1))
-        rand_lo.append(rng.integers(0, N - s + 1, size=n))  # the stream of n scalar draws
-        rand_side.append(s)
-    lo.append(np.array(rand_lo, dtype=np.int64).reshape(-1, n))
-    side.append(np.array(rand_side, dtype=np.int64))
-    fam = np.concatenate(lo), np.concatenate(side)
-    for arr in fam:
+    lo = np.concatenate([np.indices((N // s,) * n, dtype=np.int64).reshape(n, -1).T * s
+                         for s in sides] + [rand_lo])
+    side = np.concatenate([np.full((N // s) ** n, s, dtype=np.int64) for s in sides]
+                          + [rand_side])
+
+    def flat_corners(lo_t, ext, width):
+        # lo + c * ext in a (width,)^n table for c in product((1, 0)): the
+        # high corner first, the order of inclusion-exclusion's signs below
+        return tuple(np.ravel_multi_index([l + c * ext for l, c in zip(lo_t, corner)],
+                                          (width,) * n)
+                     for corner in itertools.product((1, 0), repeat=n))
+
+    signs = [(-1) ** sum(bits) for bits in itertools.product((0, 1), repeat=n)]
+    box_corners = tuple(zip(signs, flat_corners(lo.T, side, N + 1)))
+    levels = []
+    for k in range(N.bit_length()):
+        sel = np.flatnonzero(side >> k == 1)
+        levels.append((sel, flat_corners(lo.T[:, sel], side[sel] - (1 << k), N - (1 << k) + 1)))
+    fam = _Family(lo, side, side.astype(float) ** n, box_corners, tuple(levels))
+    for arr in (lo, side, fam.volume, *(idx for _, idx in box_corners),
+                *(arr for sel, corners in levels for arr in (sel, *corners))):
         arr.flags.writeable = False
     return fam
 
@@ -274,7 +346,7 @@ def mixed_preset_report(w: Weight) -> float:
     """Mixed-characteristic preset ``[w^3]_{A_2}^{1/6} [w^3 + w^{-3}]_{A_inf}^{1/2}``,
     with the exact A_inf constant of :func:`ainf_characteristic`."""
     mix_vals = w.field.values.real ** 3 + w.field.values.real ** (-3)
-    mix = Weight(SampledField(w.spec, mix_vals), w.fam_lo, w.fam_side)
+    mix = Weight(SampledField(w.spec, mix_vals), w.family)
     return (ap_characteristic(w.pow(3.0), 2.0) ** (1.0 / 6.0)
             * ainf_characteristic(mix) ** 0.5)
 
@@ -289,6 +361,8 @@ def constant_weight(spec: GridSpec, c: float = 1.0, **kw) -> Weight:
 
 def checkerboard_weight(spec: GridSpec, low: float = 1.0, high: float = 2.0,
                         block_px: int = 8, **kw) -> Weight:
+    if block_px < 1:
+        raise ValueError(f"block_px must be >= 1, got {block_px}")
     idx = np.indices(spec.shape) // block_px
     parity = np.sum(idx, axis=0) % 2
     vals = np.where(parity == 0, low, high).astype(float)

@@ -3,6 +3,7 @@ weighted ratios and vector-valued norms."""
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
@@ -65,10 +66,11 @@ class TestCubeFamily:
             assert set(w.fam_side.tolist()) == set(range(1, spec.N // 2 + 1)) | {spec.N}
 
     def test_weights_run_builds_each_statistic_once(self, monkeypatch):
-        # one min table per base weight, read by all of its powers, no max
-        # table, and one box-sum pass per (base, exponent) pair
+        # one family with its index tables, shared by every base weight; one
+        # min table per base weight, read by all of its powers, no max table,
+        # and one prefix sum per (base, exponent) pair
         calls = Counter()
-        tables = []
+        tables, families = [], []
 
         def counted(name, key=None):
             orig = getattr(weights, name)
@@ -78,9 +80,15 @@ class TestCubeFamily:
                 return orig(*args, **kwargs)
             monkeypatch.setattr(weights, name, wrapper)
 
-        for name in ("prefix_sum", "box_sums"):
-            counted(name)
+        counted("prefix_sum")
         counted("doubling_table", lambda base, op, n_levels, axes=None: op.__name__)
+        family = weights._Family
+
+        def recorded_family(*args):
+            families.append(family(*args))
+            return families[-1]
+        monkeypatch.setattr(weights, "_Family", recorded_family)
+        weights._build_family.cache_clear()
         init = weights._CubeStats.__init__
 
         def recorded_init(stats, *args):
@@ -94,7 +102,8 @@ class TestCubeFamily:
         assert calls["minimum"] == n_presets
         assert calls["maximum"] == 0
         pairs = sum(len(st.avgs) + ("log_avg" in vars(st)) for st in tables)
-        assert calls["box_sums"] == calls["prefix_sum"] == pairs
+        assert calls["prefix_sum"] == pairs
+        assert len(families) == 1 and all(st.family is families[0] for st in tables)
 
     def test_family_shared_and_read_only(self):
         a = constant_weight(SPEC, 1.0, family_seed=5, n_random=300)
@@ -129,6 +138,62 @@ class TestCubeFamily:
         assert lo.shape == ref_lo.shape and np.array_equal(lo, ref_lo)
         assert np.array_equal(side, ref_side)
 
+    @staticmethod
+    def _integers_loop(N, n, seed, count):
+        """The random cubes as the scalar ``integers`` loop draws them."""
+        rng = np.random.default_rng(seed)
+        sides, los = [], []
+        for _ in range(count):
+            sides.append(int(rng.integers(2, N // 2 + 1)))
+            los.append(rng.integers(0, N - sides[-1] + 1, size=n))
+        return np.array(sides, dtype=np.int64), np.array(los, dtype=np.int64).reshape(-1, n)
+
+    def test_random_cubes_match_integers_loop(self):
+        # the lab's family: N = 128, n = 2, seed 0, 10,000 cubes
+        side, lo = weights._random_cubes(128, 2, 0, 10_000)
+        ref_side, ref_lo = self._integers_loop(128, 2, 0, 10_000)
+        assert side.dtype == lo.dtype == np.int64
+        assert np.array_equal(side, ref_side) and np.array_equal(lo, ref_lo)
+
+    def test_random_cubes_match_integers_loop_through_rejections(self):
+        # at N = 2^32 a position range N - s + 1 above 2^31 rejects up to half
+        # of its words; a scalar replay of Lemire's multiply-shift on PCG64's
+        # 32-bit words (the low half of each output, then the high half)
+        # counts the rejections and must draw what the integers loop draws
+        N, n, seed, count = 2**32, 2, 3, 200
+        raws = iter(np.random.default_rng(seed).bit_generator.random_raw, None)
+        words = (int(raw) >> shift & 0xFFFFFFFF for raw in raws for shift in (0, 32))
+        rejected = 0
+
+        def draw(span):
+            nonlocal rejected
+            while True:
+                prod = next(words) * span
+                if prod & 0xFFFFFFFF >= (2**32 - span) % span:
+                    return prod >> 32
+                rejected += 1
+
+        replay_side, replay_lo = [], []
+        for _ in range(count):
+            replay_side.append(2 + draw(N // 2 - 1))
+            replay_lo.append([draw(N - replay_side[-1] + 1) for _ in range(n)])
+        ref_side, ref_lo = self._integers_loop(N, n, seed, count)
+        assert rejected > 0
+        assert replay_side == ref_side.tolist() and replay_lo == ref_lo.tolist()
+        side, lo = weights._random_cubes(N, n, seed, count)
+        assert np.array_equal(side, ref_side) and np.array_equal(lo, ref_lo)
+
+    def test_negative_n_random_raises(self):
+        with pytest.raises(ValueError, match="n_random"):
+            constant_weight(SPEC, n_random=-3)
+
+    @pytest.mark.parametrize("block_px", [0, -4])
+    def test_checkerboard_block_below_one_raises(self, block_px):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="block_px"):
+                checkerboard_weight(SPEC, block_px=block_px)
+
 
 class TestCharacteristics:
     def test_constant_weight_all_one(self):
@@ -140,8 +205,7 @@ class TestCharacteristics:
 
     def test_scale_invariance(self):
         w = checkerboard_weight(SPEC, 1.0, 2.0, block_px=4, n_random=500)
-        wc = Weight(SampledField(SPEC, 7.0 * w.field.values.real),
-                    w.fam_lo, w.fam_side)
+        wc = Weight(SampledField(SPEC, 7.0 * w.field.values.real), w.family)
         for p in (1.5, 2.0, 3.0):
             assert ap_characteristic(wc, p) == pytest.approx(
                 ap_characteristic(w, p), rel=1e-12)
@@ -218,7 +282,7 @@ class TestCharacteristics:
         # w^s reads s * <log w>_B from its base's table
         w = random_smooth_weight(SPEC, seed=3, n_random=300)
         for s in (3.0, -2.0):
-            fresh = Weight(w.pow(s).field, w.fam_lo, w.fam_side)
+            fresh = Weight(w.pow(s).field, w.family)
             assert ainf_characteristic(w.pow(s)) == pytest.approx(
                 ainf_characteristic(fresh), rel=1e-12)
 
@@ -307,7 +371,7 @@ class TestWeightedRatio:
         spec = GridSpec(n=2, L=16.0, N=128)
         f = make_test_function(spec, "random_trig", seed=5, window_radius=1.5)
         w = random_smooth_weight(spec, seed=2, n_random=50)
-        wc = Weight(SampledField(spec, 5.0 * w.field.values.real), w.fam_lo, w.fam_side)
+        wc = Weight(SampledField(spec, 5.0 * w.field.values.real), w.family)
         a = weighted_operator_ratio(f, w, 1.5, 0.2)
         b = weighted_operator_ratio(f, wc, 1.5, 0.2)
         assert a == pytest.approx(b, rel=1e-12)
