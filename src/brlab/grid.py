@@ -44,11 +44,15 @@ The passes are pruned to the lines that can change the result: the r2c
 pass runs only on the rows of the field's block, where the values can be
 nonzero, the c2c passes only on the band, a range of lines per axis that
 holds every nonzero of the symbol, and the c2r pass only on the rows of the
-box that is read, followed by one multiply by ``1/N^n``.  Each axis but the last takes the block's rows
-before its forward pass and the read box's rows after its inverse pass; the
-last axis is taken whole in ``ifftshift`` order and cut to the read box
-after the c2r pass.  Every index set is a range taken mod N (a box's rows,
-the band's lines, the last axis whole) and is read by :func:`_wrap_take`.
+box that is read, followed by one multiply by ``1/N^n``.  The r2c pass runs
+on blocks of the block's rows (about 2^15 samples, at most N rows each),
+each row embedded whole in ``ifftshift`` order, and writes only the band's
+columns of each block's spectra into one (rows x band) array, so no pass
+holds every row at full length.  Each axis but the last then takes the
+block's rows before its forward pass and the read box's rows after its
+inverse pass; the last axis is cut to the read box after the c2r pass.
+Every index set is a range taken mod N (a box's rows, the band's lines, the
+last axis whole) and is read by :func:`_wrap_take`.
 A symbol is a :class:`BandSymbol`, which carries its band and its half
 there, so no pass scans the symbol.  Every symbol carrying
 ``(1 - |xi|^2)_+^delta`` has a narrow band (at L = 16, N = 512: 31 of 512
@@ -537,20 +541,28 @@ def apply_symbol(f: SampledField, symbol: BandSymbol, read=None) -> np.ndarray:
     # every range from here on in fft indices: centered index j is fft index j - N/2
     at, read = ([(l - N // 2, h - N // 2) for l, h in box or [(0, N)] * f.spec.n]
                 for box in (f.block_ranges, read))
-    return _pruned_passes(_wrap_take(f._block, [*at[:-1], (0, N)], at, N), symbol, at, read)
+    return _pruned_passes(f._block, symbol, at, read, N)
 
 
-def _pruned_passes(x: np.ndarray, symbol: BandSymbol, src, read) -> np.ndarray:
-    """:func:`apply_symbol` of the values ``x`` on the rows of ``src``, the
-    last axis whole, every range in fft indices."""
+def _pruned_passes(x: np.ndarray, symbol: BandSymbol, src, read, N: int) -> np.ndarray:
+    """:func:`apply_symbol` of the values ``x`` on the box ``src``, every
+    range in fft indices."""
     if np.iscomplexobj(x):
-        return (_pruned_passes(x.real, symbol, src, read)
-                + 1j * _pruned_passes(x.imag, symbol, src, read))
-    N, n, band = x.shape[-1], x.ndim, symbol.band
-    # the r2c pass along the last axis, then along each other axis its rows
-    # of src embedded in N points for the c2c pass, each pass followed by a
-    # keep of the band's lines
-    x = _along(fft.rfft(x, axis=-1), n - 1, band[-1], (0, N // 2 + 1), N)
+        return (_pruned_passes(x.real, symbol, src, read, N)
+                + 1j * _pruned_passes(x.imag, symbol, src, read, N))
+    n, band = x.ndim, symbol.band
+    # the r2c pass along the last axis on blocks of about 2^15 samples, each
+    # row embedded in N points, keeping the band's columns; a block holds at
+    # most N rows, as _along takes every axis mod N
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    out = np.empty((len(rows), band[-1][1] - band[-1][0]), dtype=complex)
+    step = max(1, min(N, (1 << 15) // N))
+    for i in range(0, len(rows), step):
+        spectra = fft.rfft(_along(rows[i:i + step], 1, (0, N), src[-1], N), axis=-1)
+        out[i:i + step] = _along(spectra, 1, band[-1], (0, N // 2 + 1), N)
+    x = out.reshape(x.shape[:-1] + out.shape[-1:])
+    # along each other axis its rows of src embedded in N points for the
+    # c2c pass, followed by a keep of the band's lines
     for a in range(n - 1):
         x = fft.fft(_along(x, a, (0, N), src[a], N), axis=a)
         x = _along(x, a, band[a], (0, N), N)
@@ -607,7 +619,8 @@ def lp_norm(f: SampledField, p: float, w: "SampledField | None" = None) -> float
 
 def lp_mean(vals: np.ndarray, p: float) -> float:
     """``(mean |vals|^p)^{1/p}`` over the entries of ``vals``."""
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    dens = np.abs(vals)
+    return float(np.mean(np.power(dens, p, out=dens)) ** (1.0 / p))
 
 
 def _mollifier_ramp(u):
@@ -715,20 +728,27 @@ def make_test_function(spec: GridSpec, kind: str, seed: int | None = None,
 
 
 _ZERO_LINE = "0.0,0.0"  # the line of a +0.0 sample
+# the line breaks of ``str.splitlines`` but ``\n`` and those that
+# ``read_text``'s newline translation turns into ``\n`` (``\r``, ``\r\n``)
+_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def write_field(f: SampledField, path: str | Path):
     """Field file format: header ``field n=<n> N=<N> L=<L>``, then one
     ``re,im`` line per sample in row-major order (UTF-8, LF), each part
     written as its ``repr``.  Only samples other than ``+0.0 + 0.0j`` are
-    formatted; every other line is the zero line ``0.0,0.0``."""
+    formatted; the runs of zero lines ``0.0,0.0`` between them are written
+    as repeated strings, so the cost is per nonzero line."""
     spec = f.spec
     flat = f.values.reshape(-1)
     nz = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
-    lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"] + [_ZERO_LINE] * flat.size
+    zero, done = _ZERO_LINE + "\n", 0
+    parts = [f"field n={spec.n} N={spec.N} L={spec.L!r}\n"]
     for i, re, im in zip(nz.tolist(), flat.real[nz].tolist(), flat.imag[nz].tolist()):
-        lines[1 + i] = f"{re!r},{im!r}"
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        parts.append(zero * (i - done) + f"{re!r},{im!r}\n")
+        done = i + 1
+    parts.append(zero * (flat.size - done))
+    Path(path).write_text("".join(parts), encoding="utf-8", newline="\n")
 
 
 def read_field(path: str | Path) -> SampledField:
@@ -737,9 +757,21 @@ def read_field(path: str | Path) -> SampledField:
     header (no ``field`` tag, a token without one ``=``, a repeated key, or
     a missing ``n=``/``N=``/``L=``), on a sample count that does not match
     it, and on a sample line that is not two floats split by one comma.
-    Zero lines ``0.0,0.0`` are taken as ``+0.0`` without a parse."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split() if lines else []
+    Lines are split as ``str.splitlines`` splits the text: every break in
+    :data:`_BREAKS` is replaced by ``\\n`` after ``read_text``'s newline
+    translation, and one vectorised pass over the UTF-8 bytes finds the
+    ``\\n`` bytes (no byte of a multi-byte character is below 0x80) and the
+    zero lines ``0.0,0.0``, taken as ``+0.0``; only the other lines are
+    parsed."""
+    text = Path(path).read_text(encoding="utf-8")
+    for brk in _BREAKS:
+        text = text.replace(brk, "\n")
+    # a text that ends in a break has no last line; line i is raw[starts[i]:ends[i]]
+    raw = text.removesuffix("\n").encode("utf-8")
+    breaks = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    starts, ends = np.concatenate([[0], breaks + 1]), np.append(breaks, len(raw))
+    first = raw[:ends[0]].decode("utf-8")
+    header = first.split()
     if not header or header[0] != "field":
         raise ValueError(f"not a field file: {path}")
     meta = {}
@@ -747,24 +779,28 @@ def read_field(path: str | Path) -> SampledField:
         key, _, value = token.partition("=")
         if token.count("=") != 1 or key in meta:
             raise ValueError(f"field header needs distinct key=value tokens, "
-                             f"got {token!r}: {lines[0]!r}")
+                             f"got {token!r}: {first!r}")
         meta[key] = value
     if not {"n", "N", "L"} <= meta.keys():
-        raise ValueError(f"field header needs n=, N= and L=: {lines[0]!r}")
+        raise ValueError(f"field header needs n=, N= and L=: {first!r}")
     spec = GridSpec(n=int(meta["n"]), L=float(meta["L"]), N=int(meta["N"]))
     count = spec.N ** spec.n
-    body = lines[1:]
-    if len(body) != count:
+    starts, ends = starts[1:], ends[1:]
+    if len(starts) != count:
         raise ValueError(f"{path}: header promises {count} samples, file has "
-                         f"{len(body)} lines")
-    idx = [i for i, line in enumerate(body) if line != _ZERO_LINE]
-    rest = [body[i] for i in idx]
-    if list(map(str.count, rest, itertools.repeat(","))).count(1) != len(rest):
+                         f"{len(starts)} lines")
+    # a zero line: 7 bytes long, read through a view of the 7 bytes at each offset
+    zero = ends - starts == len(_ZERO_LINE)
+    windows = np.ndarray((max(len(raw) - 6, 0),), dtype="S7", buffer=raw, strides=(1,))
+    zero[zero] = windows[starts[zero]] == _ZERO_LINE.encode()
+    idx = np.flatnonzero(~zero)
+    rest = [raw[s:e] for s, e in zip(starts[idx].tolist(), ends[idx].tolist())]
+    if list(map(bytes.count, rest, itertools.repeat(b","))).count(1) != len(rest):
         raise ValueError(f"{path}: every sample line must read 're,im'")
-    pairs = np.fromiter(map(float, ",".join(rest).split(",") if rest else ()),
+    pairs = np.fromiter(map(float, b",".join(rest).decode("utf-8").split(",") if rest else ()),
                         dtype=np.float64, count=2 * len(rest))
-    data = np.zeros(count, dtype=np.complex128)
-    data.real[idx], data.imag[idx] = pairs[0::2], pairs[1::2]
-    if not data.imag.any():
-        data = data.real.copy()
+    data = np.zeros(count, dtype=np.complex128 if pairs[1::2].any() else np.float64)
+    data.real[idx] = pairs[0::2]
+    if np.iscomplexobj(data):
+        data.imag[idx] = pairs[1::2]
     return SampledField(spec, data.reshape(spec.shape))

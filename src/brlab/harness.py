@@ -296,21 +296,24 @@ def _annulus_box(spec: GridSpec, r_out: float) -> Box:
 
 
 @lru_cache(maxsize=16)
-def _annulus(spec: GridSpec, r_in: float, r_out: float) -> np.ndarray:
+def _annulus(spec: GridSpec, r_in: float, r_out: float) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices (row-major order) in the annulus's box of the points
-    of the annulus ``r_in <= |x| < r_out``, shared by every field on it."""
+    on and off the annulus ``r_in <= |x| < r_out``, shared by every field on
+    it (read-only)."""
     r = np.sqrt(sum_of_squares(_annulus_box(spec, r_out).samples(spec)[1]))
-    flat = np.flatnonzero((r >= r_in) & (r < r_out))
-    flat.flags.writeable = False
-    return flat
+    on = (r >= r_in) & (r < r_out)
+    flats = np.flatnonzero(on), np.flatnonzero(~on)
+    for flat in flats:
+        flat.flags.writeable = False
+    return flats
 
 
 def _annulus_field(spec: GridSpec, r_in: float, r_out: float,
                    seed: int | list[int]) -> tuple[SampledField, np.ndarray]:
     """Random trigonometric sum (6 modes, frequencies below 1.5) on the
-    annulus ``r_in <= |x| < r_out``: evaluated on the annulus's box, kept at
-    the annulus's points and exact ``+0.0`` elsewhere; with its values at
-    those points, in row-major order.  ``seed`` is any seed that
+    annulus ``r_in <= |x| < r_out``: evaluated on the annulus's box, whose
+    points off the annulus are then set to exact ``+0.0`` in place; with its
+    values at the annulus's points, in row-major order.  ``seed`` is any seed that
     ``np.random.default_rng`` takes."""
     num_modes, freq_max = 6, 1.5
     rng = np.random.default_rng(seed)
@@ -319,12 +322,10 @@ def _annulus_field(spec: GridSpec, r_in: float, r_out: float,
     freqs = dirs * (freq_max * rng.random(num_modes)[:, None])
     phases = rng.uniform(0.0, 2.0 * np.pi, num_modes)
     amps = rng.standard_normal(num_modes)
-    box, flat = _annulus_box(spec, r_out), _annulus(spec, r_in, r_out)
-    axes = box.samples(spec)[1]
-    vals = _trig_sum(axes, freqs, phases, amps).reshape(-1)[flat]
-    block = np.zeros(tuple(len(a) for a in axes))
-    block.reshape(-1)[flat] = vals
-    return SampledField(spec, block, support=box), vals
+    box, (on, off) = _annulus_box(spec, r_out), _annulus(spec, r_in, r_out)
+    block = _trig_sum(box.samples(spec)[1], freqs, phases, amps)
+    np.put(block, off, 0.0)
+    return SampledField(spec, block, support=box), block.take(on)
 
 
 def _sk_ball_average(f: SampledField, k: int, delta: float, radius: float) -> float:

@@ -265,34 +265,6 @@ def _ball_box(n: int, r2: int, N: int) -> tuple[tuple[int, ...], np.ndarray]:
     return (lo,) * n, mask
 
 
-def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of two arrays of equal rank at the points where the
-    smaller input fits inside the larger (SciPy's ``mode="valid"``).
-
-    Only axes where neither input has length 1 are transformed (none left:
-    the plain product), by ``grid._rfftn``/``_irfftn``, real for real
-    inputs and complex otherwise, each at ``_next_fast_len`` of the larger
-    input's length ``m``.  The circular product at the indices
-    ``[k - 1, m - 1]`` (``k`` the smaller length) wraps nothing, so it is
-    the linear one there (overlap-save).  The result shares no memory with the inputs.
-    """
-    axes = [i for i, (m, k) in enumerate(zip(a.shape, b.shape)) if m != 1 and k != 1]
-    if not all(a.shape[i] >= b.shape[i] for i in axes):
-        if not all(b.shape[i] >= a.shape[i] for i in axes):
-            raise ValueError("the valid convolution needs one input at least as "
-                             "large as the other on every axis")
-        a, b = b, a
-    if not axes:
-        return a * b
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    if not real:  # a real operand of a complex product takes the c2c passes
-        a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
-    fshape = [_next_fast_len(a.shape[i], real) for i in axes]
-    out = _irfftn(_rfftn(a, fshape, axes) * _rfftn(b, fshape, axes), fshape, axes, real)
-    return out[tuple(slice(b.shape[i] - 1, a.shape[i]) if i in axes else slice(None)
-                     for i in range(a.ndim))]
-
-
 @lru_cache(maxsize=16)
 def _ball_spectrum(n: int, r_px: int, N: int, shape: tuple[int, ...]) -> np.ndarray:
     """Half spectrum of the r-ball indicator on a periodic array of
@@ -788,14 +760,25 @@ def ball_points(spec: GridSpec, center, radius: float
     the grid: every offset ``a`` with ``|a|^2 <= (radius / dx)^2`` (ties
     taken within 1e-9, as ``Box.index_ranges`` takes them), as the index box
     spanned by the offsets (ranges taken mod N, as ``grid.apply_symbol``
-    reads them) and their indices inside that box, in C order."""
+    reads them) and their indices inside that box, in C order: read-only
+    arrays, shared by every ball of the same pixel radius."""
     if not 0 <= radius < math.inf:
         raise ValueError(f"ball radius must be finite and >= 0, got {radius}")
     c = np.broadcast_to(np.asarray(center, dtype=float), (spec.n,))
     c_px = np.round(c / spec.dx + spec.N // 2).astype(int)
-    lo, ball = _ball_box(spec.n, math.floor((radius / spec.dx) ** 2 + 1e-9), spec.N)
-    return ([(int(ci + l), int(ci + l + m)) for ci, l, m in zip(c_px, lo, ball.shape)],
-            np.nonzero(ball))
+    lo, shape, idx = _ball_index(spec.n, math.floor((radius / spec.dx) ** 2 + 1e-9), spec.N)
+    return [(int(ci + l), int(ci + l + m)) for ci, l, m in zip(c_px, lo, shape)], idx
+
+
+@lru_cache(maxsize=16)
+def _ball_index(n: int, r2: int, N: int) -> tuple:
+    """The low corner and shape of ``_ball_box(n, r2, N)``'s box and the
+    indices of the ball's points in it, in C order (read-only)."""
+    lo, ball = _ball_box(n, r2, N)
+    idx = np.nonzero(ball)
+    for a in idx:
+        a.flags.writeable = False
+    return lo, ball.shape, idx
 
 
 def ball_average(f: SampledField, center, radius: float, p: float) -> float:

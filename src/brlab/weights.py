@@ -327,13 +327,16 @@ class VectorValuedReport:
 
 def vector_valued_norm(fs: list[SampledField], p: float, q: float,
                        delta: float) -> VectorValuedReport:
-    """``|| (sum_i |h_i|^q)^{1/q} ||_p`` for the inputs and their images."""
+    """``|| (sum_i |h_i|^q)^{1/q} ||_p`` for the inputs and their images.
+    Each field adds ``|h|^q`` on its stored block only: off it ``|0|^q``
+    would add an exact zero."""
     spec = fs[0].spec
 
     def lq_stack(fields):
         acc = np.zeros(spec.shape)
         for h in fields:
-            acc += np.abs(h.values) ** q
+            box = tuple(slice(lo, hi) for lo, hi in h.block_ranges)
+            acc[box] += np.abs(h.take(h.block_ranges)) ** q
         return SampledField(spec, acc ** (1.0 / q))
 
     inp = lp_norm(lq_stack(fs), p)

@@ -60,15 +60,13 @@ def test_every_definition_has_a_library_caller():
     # a module-level function or class that no other library statement names
     # lives for its tests alone; the names below pass without a caller: those
     # the acceptance criteria import, the three maximal operators, the field
-    # format, the sidecar writers of the sparse collections and traces, and
-    # maximal._fftconvolve, whose 1 test id left goes with it (ROADMAP item 4
-    # plans its removal in steps)
+    # format and the sidecar writers of the sparse collections and traces
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
     exempt = {a.name for node in ast.walk(acceptance)
               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("brlab")
               for a in node.names}
     exempt |= {"br_star", "br_starstar", "hl_maximal", "write_field", "read_field",
-               "collection_to_csv", "trace_to_json", "_fftconvolve"}
+               "collection_to_csv", "trace_to_json"}
     definitions, refs = [], Counter()
     for path in sorted(Path(brlab.__file__).resolve().parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ class TestApplySymbol:
         assert out.dtype == np.float64
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_peak_memory_on_a_read_box(self):
+        # an S_k read on a 129^2 box of a field stored on the whole 512^2
+        # grid holds no grid of the source's rows: the r2c pass runs on
+        # blocks of rows and keeps the band's columns (4.01 MB when the
+        # pass ran on one fft-order copy of every row, 2 MB each grid)
+        import tracemalloc
+
+        spec = GridSpec(n=2, L=16.0, N=512)
+        f = SampledField(spec, np.random.default_rng(0).standard_normal(spec.shape))
+        read = [(spec.N // 2 - 64, spec.N // 2 + 65)] * 2
+        tracemalloc.start()
+        try:
+            out = apply_symbol(f, sk_symbol(spec, -1, 0.2), read)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (129, 129)
+        assert peak <= 2.5 * 2 ** 20, peak
+
 
 def whole_grid(values, symbol):
     """The whole-grid real transform pair that ``apply_symbol`` prunes."""
@@ -475,6 +495,14 @@ class TestLpNorm:
         assert lp_norm(f, 2.0, w) == pytest.approx(math.sqrt(2.0) * lp_norm(f, 2.0), rel=1e-12)
         assert lp_norm(f, math.inf) == np.abs(f.values).max()
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_lp_mean_bits_and_input_kept(self, complex_):
+        vals = random_field(SPEC, seed=3, complex_=complex_).values.copy()
+        before = vals.copy()
+        for p in (1.2, 1.6, 2.0, 3.0):
+            assert lp_mean(vals, p) == float(np.mean(np.abs(before) ** p) ** (1.0 / p))
+        assert np.array_equal(vals, before)
+
 
 class TestMakeTestFunction:
     def test_bump_vanishes_outside_box(self):
@@ -563,6 +591,41 @@ class TestBoxLocalGenerators:
         assert not np.any(f.values[outside]) and not np.any(np.signbit(f.values[outside]))
 
 
+# the lines of a 1-D file of 8 samples, with -0.0 and zero lines among them
+PARITY_LINES = ["field n=1 N=8 L=1.0", "0.0,0.0", "0.5,0.25", "0.0,0.0", "-1.5,0.0",
+                "0.0,0.0", "0.0,0.0", "2.0,-0.0", "0.0,0.0"]
+
+
+def _parity_texts():
+    """Field files that the line split must read as ``str.splitlines`` does,
+    by case name."""
+    lines = PARITY_LINES
+    texts = {"crlf": "\r\n".join(lines) + "\r\n", "cr": "\r".join(lines) + "\r",
+             "mixed-endings": "\r\n".join(lines[:4]) + "\r" + "\n".join(lines[4:]),
+             "no-final-newline": "\n".join(lines),
+             "trailing-empty-line": "\n".join(lines) + "\n\n",
+             "empty-line-inside": "\n".join(lines[:3] + [""] + lines[3:-1]) + "\n",
+             "empty-file": "", "header-only": lines[0],
+             "non-ascii-digit": "\n".join(lines[:2] + ["\u0663.5,\u0660.25"] + lines[3:]),
+             "nbsp-and-tab": "\n".join(lines[:2] + ["\u00a00.5,\t0.25"] + lines[3:]),
+             "all-zero": "\n".join(lines[:1] + ["0.0,0.0"] * 8) + "\n",
+             "real-only": "\n".join(lines[:2] + ["0.5,0.0"] + lines[3:]) + "\n",
+             "zero-line-prefix": "\n".join(lines[:2] + ["0.0,0.00"] + lines[3:]) + "\n",
+             "bad-float": "\n".join(lines[:2] + ["0.5,a\u00e9"] + lines[3:]) + "\n"}
+    for name, sep in [("vt", "\v"), ("ff", "\f"), ("fs", "\x1c"), ("gs", "\x1d"),
+                      ("rs", "\x1e"), ("nel", "\x85"), ("ls", "\u2028"),
+                      ("ps", "\u2029")]:
+        texts[f"{name}-between"] = "\n".join(lines[:4]) + sep + "\n".join(lines[4:])
+        # splits a sample line: one line too many, or a bad line
+        texts[f"{name}-inside"] = "\n".join(lines[:2] + ["0.5," + sep + "0.25"] + lines[3:])
+        texts[f"{name}-inside-same-count"] = "\n".join(
+            lines[:2] + ["0.5," + sep + "0.25"] + lines[3:-1])
+        texts[f"{name}-in-header"] = "\n".join(["field" + sep + "n=1 N=8 L=1.0"]
+                                               + lines[1:])
+        texts[f"{name}-at-end"] = "\n".join(lines) + sep
+    return texts
+
+
 class TestFieldFile:
     def test_roundtrip(self, tmp_path):
         spec = GridSpec(n=2, L=2.0, N=16)
@@ -646,6 +709,56 @@ class TestFieldFile:
         lines = [f"field n={spec.n} N={spec.N} L={spec.L!r}"]
         lines.extend(f"{float(v.real)!r},{float(v.imag)!r}" for v in f.values.reshape(-1))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    @staticmethod
+    def _read_per_line(path):
+        """The former reader: ``str.splitlines`` over the whole text and a
+        Python pass over every line."""
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        header = lines[0].split() if lines else []
+        if not header or header[0] != "field":
+            raise ValueError(f"not a field file: {path}")
+        meta = {}
+        for token in header[1:]:
+            key, _, value = token.partition("=")
+            if token.count("=") != 1 or key in meta:
+                raise ValueError(f"field header needs distinct key=value tokens, "
+                                 f"got {token!r}: {lines[0]!r}")
+            meta[key] = value
+        if not {"n", "N", "L"} <= meta.keys():
+            raise ValueError(f"field header needs n=, N= and L=: {lines[0]!r}")
+        spec = GridSpec(n=int(meta["n"]), L=float(meta["L"]), N=int(meta["N"]))
+        count = spec.N ** spec.n
+        body = lines[1:]
+        if len(body) != count:
+            raise ValueError(f"{path}: header promises {count} samples, file has "
+                             f"{len(body)} lines")
+        idx = [i for i, line in enumerate(body) if line != "0.0,0.0"]
+        rest = [body[i] for i in idx]
+        if list(map(str.count, rest, itertools.repeat(","))).count(1) != len(rest):
+            raise ValueError(f"{path}: every sample line must read 're,im'")
+        pairs = np.fromiter(map(float, ",".join(rest).split(",") if rest else ()),
+                            dtype=np.float64, count=2 * len(rest))
+        data = np.zeros(count, dtype=np.complex128)
+        data.real[idx], data.imag[idx] = pairs[0::2], pairs[1::2]
+        if not data.imag.any():
+            data = data.real.copy()
+        return SampledField(spec, data.reshape(spec.shape))
+
+    @pytest.mark.parametrize("case", sorted(_parity_texts()))
+    def test_reader_matches_per_line_reader(self, tmp_path, case):
+        # the vectorised line split and zero-line scan against the former
+        # reader: the same values and dtype, or the same ValueError message
+        path = tmp_path / "field.txt"
+        path.write_bytes(_parity_texts()[case].encode("utf-8"))
+        outcomes = []
+        for read in (read_field, self._read_per_line):
+            try:
+                f = read(path)
+                outcomes.append((f.spec, f.values.dtype, f.values.tobytes()))
+            except ValueError as exc:
+                outcomes.append(("ValueError", str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     @staticmethod
     def _sparse_fields(spec):

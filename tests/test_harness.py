@@ -443,7 +443,9 @@ class TestBandLimitedReads:
     def test_c2r_rows_within_read_box(self, case, monkeypatch):
         # fails if an S_k application of the local estimates, or the
         # pairing's B f, inverts more rows than its read box holds or
-        # transforms more rows than its source box holds
+        # transforms other rows than its source box holds: the r2c pass may
+        # run in several calls, whose rows together are the block's rows,
+        # each the whole last axis in fft order
         r2c, c2r, checked = [], [], []
 
         class CountingFFT:
@@ -452,7 +454,7 @@ class TestBandLimitedReads:
 
             @staticmethod
             def rfft(x, *args, **kwargs):
-                r2c.append(math.prod(x.shape[:-1]))
+                r2c.append(x.reshape(-1, x.shape[-1]).copy())
                 return fft.rfft(x, *args, **kwargs)
 
             @staticmethod
@@ -466,7 +468,10 @@ class TestBandLimitedReads:
             c2r.clear()
             out = grid.apply_symbol(f, symbol, read)
             spec = f.spec
-            assert r2c == [math.prod(hi - lo for lo, hi in f.block_ranges[:-1])]
+            block_rows = tuple(slice(lo, hi) for lo, hi in f.block_ranges[:-1])
+            want = np.fft.ifftshift(f.values, axes=-1)[block_rows].reshape(-1, spec.N)
+            assert sum(map(len, r2c)) == len(want)
+            assert np.array_equal(np.concatenate(r2c), want)
             rows = math.prod(hi - lo for lo, hi in read[:-1])
             assert c2r == [rows]
             assert rows < spec.N

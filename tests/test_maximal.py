@@ -18,7 +18,6 @@ from brlab.maximal import (
     MaximalConfig,
     MaximalEngine,
     _ball_mean_linear,
-    _fftconvolve,
     _full_window,
     ball_average,
     br_star,
@@ -1099,6 +1098,17 @@ class TestBallRows:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, peak
 
+    def test_point_indices_cached_and_read_only(self):
+        # every ball of one pixel radius shares one read-only index set
+        spec = GridSpec(n=2, L=8.0, N=64)
+        box, idx = maximal.ball_points(spec, 0.0, 1.0)
+        box2, idx2 = maximal.ball_points(spec, (1.0, -2.0), 1.0)
+        assert box2 != box and all(a is b for a, b in zip(idx, idx2))
+        for a in idx:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     @pytest.mark.parametrize("n, L, N, radii, counts", [
         (2, 10.0, 64, (1.0, 0.7, 2.3), {1.0: 129}),
         (2, 60.0, 512, (2.0,), {2.0: 917}),
@@ -1191,13 +1201,7 @@ class TestOneDimensional:
 
 
 class TestFftconvolve:
-    """The valid linear convolution's shape check and the ball means against
-    direct sums."""
-
-    def test_valid_needs_one_input_containing_the_other(self):
-        a, b = np.ones((5, 3)), np.ones((3, 5))
-        with pytest.raises(ValueError, match="at least as large"):
-            _fftconvolve(a, b)
+    """The ball means against direct sums, and their transform lengths."""
 
     @pytest.mark.parametrize("shape, r_px, N", [((23, 30), 1, 64), ((23, 30), 4, 64),
                                                 ((41,), 8, 32), ((9, 10, 11), 2, 8)])

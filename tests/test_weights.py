@@ -414,6 +414,30 @@ class TestVectorValued:
         stacked = sum(lp_norm(f, p) ** p for f in fs) ** (1.0 / p)
         assert rep.input_norm == pytest.approx(stacked, rel=1e-12)
 
+    @pytest.mark.parametrize("n, N, L", [(2, 64, 8.0), (3, 16, 3.0)], ids=["n2", "n3"])
+    def test_box_stack_matches_whole_grid_stack(self, n, N, L):
+        # each input adds |h|^q on its support box only: the bits of the sum
+        # over whole grids, for inputs and images, overlapping or not
+        from brlab.multiplier import apply_bochner_riesz
+        spec = GridSpec(n=n, L=L, N=N)
+        rng = np.random.default_rng(n)
+        fs = [make_test_function(spec, "bump", center=(rng.random(n) - 0.5) * L / 16.0,
+                                 radius=L / 32.0 * (1.0 + rng.random()),
+                                 amp=float(rng.standard_normal())) for _ in range(4)]
+        fs.append(make_test_function(spec, "random_trig", seed=3, window_radius=L / 10.0))
+        assert all(f.support is not None for f in fs)
+        p, q, delta = 1.6, 2.5, 0.2
+
+        def whole_stack(fields):
+            acc = np.zeros(spec.shape)
+            for h in fields:
+                acc += np.abs(h.values) ** q
+            return lp_norm(SampledField(spec, acc ** (1.0 / q)), p)
+
+        rep = vector_valued_norm(fs, p, q, delta)
+        assert rep.input_norm == whole_stack(fs) > 0.0
+        assert rep.output_norm == whole_stack([apply_bochner_riesz(h, delta) for h in fs])
+
     def test_admissibility_flag(self):
         # the vv report's flag is the exact rule of its exponent record:
         # |7/9 - 4/9| = 1/3 is not < 1/3, where a float test can say it is
